@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -54,8 +55,20 @@ class EvalError(ValueError):
 # AST nodes
 # ---------------------------------------------------------------------------
 
+_set = object.__setattr__
+
+
+def _blank(node):
+    _set(node, "_key", None)
+    _set(node, "_hash", None)
+    _set(node, "_canon", None)
+
+
 class Expr:
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "_hash", "_canon")  # _canon: simplify's budget mark
+
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
 
     def _compute_key(self):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -65,14 +78,14 @@ class Expr:
         k = self._key
         if k is None:
             k = self._compute_key()
-            object.__setattr__(self, "_key", k)
+            _set(self, "_key", k)
         return k
 
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash(self.key)
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     def __eq__(self, other):
@@ -119,14 +132,8 @@ class Expr:
 def _as_expr(v):
     if isinstance(v, Expr):
         return v
-    if isinstance(v, (int, Fraction)):
-        return Const(Fraction(v))
-    if isinstance(v, float):
-        return Const(v)
-    if isinstance(v, numbers.Integral):
-        return Const(Fraction(int(v)))
     if isinstance(v, numbers.Real):
-        return Const(float(v))
+        return Const(v)
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
@@ -134,16 +141,17 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        if isinstance(value, int):
-            value = Fraction(value)
-        if not isinstance(value, (Fraction, float)):
+        # numpy ints overflow silently in a Fraction; numpy floats misrender
+        if isinstance(value, numbers.Rational):
+            if not (type(value) is Fraction and type(value.numerator) is int
+                    and type(value.denominator) is int):
+                value = Fraction(int(value.numerator), int(value.denominator))
+        elif isinstance(value, numbers.Real):
+            value = float(value)
+        else:
             raise TypeError(f"bad constant {value!r}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        _set(self, "value", value)
+        _blank(self)
 
     def _compute_key(self):
         if isinstance(self.value, Fraction):
@@ -158,12 +166,8 @@ class Var(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        _set(self, "name", name)
+        _blank(self)
 
     def _compute_key(self):
         # Numeric suffixes order numerically: x2 sorts before x10.
@@ -177,13 +181,9 @@ class Func(Expr):
     def __init__(self, fname, arg):
         if fname not in KNOWN_FUNCS:
             raise ValueError(f"unknown function {fname!r}")
-        object.__setattr__(self, "fname", fname)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        _set(self, "fname", fname)
+        _set(self, "arg", arg)
+        _blank(self)
 
     def _compute_key(self):
         return f"2U{self.fname}({self.arg.key})"
@@ -195,13 +195,9 @@ class Pow(Expr):
     def __init__(self, base, exp):
         if not isinstance(exp, int):
             raise TypeError("Pow exponent must be an int")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exp", exp)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        _set(self, "base", base)
+        _set(self, "exp", exp)
+        _blank(self)
 
     def _compute_key(self):
         return f"3P({self.base.key})^{self.exp:+012d}"
@@ -211,12 +207,8 @@ class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        _set(self, "factors", tuple(factors))
+        _blank(self)
 
     def _compute_key(self):
         return "4M(" + ";".join(f.key for f in self.factors) + ")"
@@ -226,12 +218,8 @@ class Add(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
+        _set(self, "terms", tuple(terms))
+        _blank(self)
 
     def _compute_key(self):
         return "5A(" + ";".join(t.key for t in self.terms) + ")"
@@ -380,26 +368,31 @@ def parse(text):
 # A polynomial is a dict {mono: coeff}; a monomial is a sorted tuple of
 # (atom, exponent) pairs with atom an Expr (Var, Func, or an opaque
 # budget-capped subexpression) and exponent a positive int.  Coefficients are
-# Fraction (exact) or float (contagious).
+# exact (int when whole, else Fraction) or float; the plain operators keep
+# exact operands exact and make float contagious.
 # ---------------------------------------------------------------------------
 
 _EMPTY_MONO = ()
 
 
-def _cnum(a, b, op):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return op(a, b)
-    return op(float(a), float(b))
+def _whole(c):
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _div(a, b):
+    if isinstance(a, float) or isinstance(b, float):
+        return float(a) / float(b)
+    return _whole(Fraction(a, b))
 
 
 def _poly_const(c):
     if c == 0:
         return {}
-    return {_EMPTY_MONO: c}
+    return {_EMPTY_MONO: _whole(c)}
 
 
 def _poly_atom(atom, exp=1):
-    return {((atom, exp),): Fraction(1)}
+    return {((atom, exp),): 1}
 
 
 def _poly_add(p, q):
@@ -407,16 +400,12 @@ def _poly_add(p, q):
         p, q = q, p
     out = dict(p)
     for mono, c in q.items():
-        nc = _cnum(out.get(mono, Fraction(0)), c, lambda x, y: x + y)
+        nc = out.get(mono, 0) + c
         if nc == 0:
             out.pop(mono, None)
         else:
             out[mono] = nc
     return out
-
-
-def _poly_neg(p):
-    return {m: -c for m, c in p.items()}
 
 
 def _mono_mul(m1, m2):
@@ -450,8 +439,7 @@ def _poly_mul(p, q, budget):
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = _mono_mul(m1, m2)
-            c = _cnum(c1, c2, lambda x, y: x * y)
-            nc = _cnum(out.get(m, Fraction(0)), c, lambda x, y: x + y)
+            nc = out.get(m, 0) + c1 * c2
             if nc == 0:
                 out.pop(m, None)
             else:
@@ -462,14 +450,14 @@ def _poly_mul(p, q, budget):
 
 
 def _poly_pow(p, n, budget):
-    out = _poly_const(Fraction(1))
-    base = p
+    """p^n for n >= 1; p^1 is p itself, whatever its size."""
+    out = None
     while n:
         if n & 1:
-            out = _poly_mul(out, base, budget)
+            out = p if out is None else _poly_mul(out, p, budget)
         n >>= 1
         if n:
-            base = _poly_mul(base, base, budget)
+            p = _poly_mul(p, p, budget)
     return out
 
 
@@ -511,13 +499,11 @@ def _poly_divide_exact(n, d):
         qm = _mono_divides(ld, lm)
         if qm is None:
             return None
-        qc = _cnum(rem[lm], cd, lambda x, y: x / y)
-        q[qm] = _cnum(q.get(qm, Fraction(0)), qc, lambda x, y: x + y)
+        qc = _div(rem[lm], cd)
+        q[qm] = q.get(qm, 0) + qc
         for m2, c2 in d.items():
             m = _mono_mul(qm, m2)
-            nc = _cnum(rem.get(m, Fraction(0)),
-                       _cnum(qc, c2, lambda x, y: x * y),
-                       lambda x, y: x - y)
+            nc = rem.get(m, 0) - qc * c2
             if nc == 0:
                 rem.pop(m, None)
             else:
@@ -549,8 +535,8 @@ def _pythagorean_pass(p):
             base = _mono_divides(((hit, 2),), mono)
             p.pop(mono)
             p.pop(partner)
-            for m, c in ((base, c1), (partner, _cnum(c2, c1, lambda x, y: x - y))):
-                nc = _cnum(p.get(m, Fraction(0)), c, lambda x, y: x + y)
+            for m, c in ((base, c1), (partner, c2 - c1)):
+                nc = p.get(m, 0) + c
                 if nc == 0:
                     p.pop(m, None)
                 else:
@@ -564,7 +550,7 @@ def _frac_cancel(num, den):
     num = _pythagorean_pass(dict(num))
     den = _pythagorean_pass(dict(den))
     if not num:
-        return {}, _poly_const(Fraction(1))
+        return _Frac({}, _poly_const(1))
     # Common monomial content.
     def content(p):
         it = iter(p)
@@ -587,27 +573,22 @@ def _frac_cancel(num, den):
         num = {_mono_divides(cm, m): c for m, c in num.items()}
         den = {_mono_divides(cm, m): c for m, c in den.items()}
     # Exact division both ways.
-    if den != _poly_const(Fraction(1)):
+    if den != _poly_const(1):
         q = _poly_divide_exact(num, den)
         if q is not None:
-            return q, _poly_const(Fraction(1))
+            return _Frac(q, _poly_const(1))
         q = _poly_divide_exact(den, num)
         if q is not None and q:
-            return _poly_const(Fraction(1)), q
+            return _Frac(_poly_const(1), q)
     # Normalize: leading denominator coefficient 1.
     ld = den[_poly_lead(den)]
     if ld != 1:
-        den = {m: _cnum(c, ld, lambda x, y: x / y) for m, c in den.items()}
-        num = {m: _cnum(c, ld, lambda x, y: x / y) for m, c in num.items()}
-    return num, den
+        den = {m: _div(c, ld) for m, c in den.items()}
+        num = {m: _div(c, ld) for m, c in num.items()}
+    return _Frac(num, den)
 
 
-class _Frac:
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
+_Frac = namedtuple("_Frac", "num den")
 
 
 def _frac_add(f1, f2, budget):
@@ -616,61 +597,61 @@ def _frac_add(f1, f2, budget):
     num = _poly_add(_poly_mul(f1.num, f2.den, budget),
                     _poly_mul(f2.num, f1.den, budget))
     den = _poly_mul(f1.den, f2.den, budget)
-    num, den = _frac_cancel(num, den)
-    return _Frac(num, den)
+    return _frac_cancel(num, den)
 
 
 def _frac_mul(f1, f2, budget):
     num = _poly_mul(f1.num, f2.num, budget)
     den = _poly_mul(f1.den, f2.den, budget)
-    num, den = _frac_cancel(num, den)
-    return _Frac(num, den)
+    return _frac_cancel(num, den)
 
 
 def _frac_inv(f):
     if not f.num:
         raise ZeroDivisionError("division by symbolically zero expression")
-    num, den = _frac_cancel(f.den, f.num)
-    return _Frac(num, den)
+    return _frac_cancel(f.den, f.num)
 
 
 def _to_frac(e, budget):
     if isinstance(e, Const):
-        return _Frac(_poly_const(e.value), _poly_const(Fraction(1)))
+        return _Frac(_poly_const(e.value), _poly_const(1))
     if isinstance(e, Var):
-        return _Frac(_poly_atom(e), _poly_const(Fraction(1)))
+        return _Frac(_poly_atom(e), _poly_const(1))
     if isinstance(e, Func):
         arg = simplify(e.arg, budget)
         if isinstance(arg, Const):
             folded = _fold_func(e.fname, arg.value)
             if folded is not None:
-                return _Frac(_poly_const(folded), _poly_const(Fraction(1)))
-        return _Frac(_poly_atom(Func(e.fname, arg)), _poly_const(Fraction(1)))
+                return _Frac(_poly_const(folded), _poly_const(1))
+        return _Frac(_poly_atom(Func(e.fname, arg)), _poly_const(1))
     if isinstance(e, Add):
-        acc = _Frac({}, _poly_const(Fraction(1)))
+        acc = _Frac({}, _poly_const(1))
         for t in e.terms:
             acc = _frac_add(acc, _to_frac(t, budget), budget)
         return acc
     if isinstance(e, Mul):
-        acc = _Frac(_poly_const(Fraction(1)), _poly_const(Fraction(1)))
+        acc = _Frac(_poly_const(1), _poly_const(1))
         for t in e.factors:
             acc = _frac_mul(acc, _to_frac(t, budget), budget)
         return acc
     if isinstance(e, Pow):
         if e.exp == 0:
-            return _Frac(_poly_const(Fraction(1)), _poly_const(Fraction(1)))
+            return _Frac(_poly_const(1), _poly_const(1))
         if isinstance(e.base, Func) and e.base.fname == "abs" and e.exp % 2 == 0:
             return _to_frac(Pow(e.base.arg, e.exp), budget)
         f = _to_frac(e.base, budget)
         n = abs(e.exp)
         try:
-            num = _poly_pow(f.num, n, budget)
-            den = _poly_pow(f.den, n, budget)
+            num, den = _poly_pow(f.num, n, budget), _poly_pow(f.den, n, budget)
         except BudgetError:
-            base = _frac_to_expr(f)
-            num = _poly_atom(base, n)
-            den = _poly_const(Fraction(1))
-        g = _Frac(*_frac_cancel(num, den))
+            # Retry on the canonical base, else keep that base factored.
+            base = simplify(e.base, budget)
+            f = _to_frac(base, budget)
+            try:
+                num, den = _poly_pow(f.num, n, budget), _poly_pow(f.den, n, budget)
+            except BudgetError:
+                num, den = _poly_atom(base, n), _poly_const(1)
+        g = _frac_cancel(num, den)
         return _frac_inv(g) if e.exp < 0 else g
     raise TypeError(f"unknown node {e!r}")
 
@@ -680,11 +661,9 @@ def _fold_func(fname, value):
     if fname == "abs":
         return abs(value)
     if fname == "sign":
-        return Fraction((value > 0) - (value < 0))
-    if value == 0 and fname in ("sin", "sqrt"):
-        return Fraction(0)
-    if value == 0 and fname in ("cos", "exp"):
-        return Fraction(1)
+        return (value > 0) - (value < 0)
+    if value == 0:
+        return 1 if fname in ("cos", "exp") else 0
     if isinstance(value, float):
         try:
             return {"sin": math.sin, "cos": math.cos, "exp": math.exp,
@@ -717,7 +696,7 @@ def _poly_to_expr(p):
 
 def _frac_to_expr(f):
     num = _poly_to_expr(f.num)
-    if f.den == _poly_const(Fraction(1)):
+    if f.den == _poly_const(1):
         return num
     den = _poly_to_expr(f.den)
     if num == ONE:
@@ -725,29 +704,48 @@ def _frac_to_expr(f):
     return Mul((num, Pow(den, -1)))
 
 
+def _reads_back_differently(f):
+    # |u|^2k with u non-atomic folds to u^2k only when read back as a power;
+    # an opaque atom left at exponent 1 by cancellation expands.
+    return any((x % 2 == 0 and isinstance(a, Func) and a.fname == "abs")
+               or (x == 1 and not isinstance(a, (Var, Func)))
+               for p in (f.num, f.den) for m in p for a, x in m)
+
+
 def simplify(e, budget=None):
     """Canonicalize an expression.
 
-    Idempotent: simplify(simplify(e)) is structurally equal to simplify(e).
-    Expansion stops at the term budget; capped subexpressions stay factored.
+    Idempotent: a copy of s = simplify(e, budget) simplifies to s, and s is
+    marked so that simplify(s, budget) returns s at once.  Expansion stops at
+    the term budget; capped subexpressions stay factored.
     """
     e = _as_expr(e)
     if budget is None:
         budget = TERM_BUDGET
+    if e._canon == budget:
+        return e
     try:
-        f = _to_frac(e, budget)
-        f = _Frac(*_frac_cancel(f.num, f.den))
-        return _frac_to_expr(f)
+        while True:
+            f = _to_frac(e, budget)
+            f = _frac_cancel(f.num, f.den)
+            out = _frac_to_expr(f)
+            if not _reads_back_differently(f):
+                break
+            e = out
     except BudgetError:
         # Keep the tree with simplified children; callers fall back to the
         # randomized numeric equivalence test for equality on such values.
         if isinstance(e, Add):
-            return Add(tuple(simplify(t, budget) for t in e.terms))
-        if isinstance(e, Mul):
-            return Mul(tuple(simplify(t, budget) for t in e.factors))
-        if isinstance(e, Pow):
-            return Pow(simplify(e.base, budget), e.exp)
-        return e
+            out = Add(tuple(simplify(t, budget) for t in e.terms))
+        elif isinstance(e, Mul):
+            out = Mul(tuple(simplify(t, budget) for t in e.factors))
+        else:  # only sums, products and powers overflow
+            out = Pow(simplify(e.base, budget), e.exp)
+        if out != e:
+            # The simplified children may fit the budget where e did not.
+            return simplify(out, budget)
+    _set(out, "_canon", budget)
+    return out
 
 
 def is_zero(e):

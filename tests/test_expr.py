@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from normform.expr import (Const, Func, Mul, ParseError, Pow, Var, const,
+from normform.expr import (Add, Const, Func, Mul, ParseError, Pow, Var, const,
                            diff, equivalent, evalf, free_vars,
                            numeric_equivalent, parse, render, simplify, subs)
 
@@ -107,14 +107,19 @@ def test_diff_against_central_differences():
 
 
 @st.composite
-def small_exprs(draw, names=("x1", "x2", "x3")):
-    depth = draw(st.integers(0, 3))
+def small_exprs(draw, names=("x1", "x2", "x3"), wide=False):
+    """Raw expression trees.  wide=True adds abs and sqrt, negative
+    exponents, float constants and one more level of depth."""
+    depth = draw(st.integers(0, 4 if wide else 3))
+    funcs = ("sin", "cos", "abs", "sqrt") if wide else ("sin", "cos")
 
     def rec(d):
         if d == 0:
-            kind = draw(st.integers(0, 2))
+            kind = draw(st.integers(0, 3 if wide else 2))
             if kind == 0:
                 return Const(Fraction(draw(st.integers(-3, 3))))
+            if kind == 3:
+                return Const(draw(st.sampled_from((0.5, -1.25, 0.1, 3.0))))
             return Var(draw(st.sampled_from(names)))
         k = draw(st.integers(0, 3))
         if k == 0:
@@ -122,17 +127,168 @@ def small_exprs(draw, names=("x1", "x2", "x3")):
         if k == 1:
             return rec(d - 1) * rec(d - 1)
         if k == 2:
-            return Pow(rec(d - 1), draw(st.integers(0, 2)))
-        return Func(draw(st.sampled_from(("sin", "cos"))), rec(d - 1))
+            return Pow(rec(d - 1), draw(st.integers(-2 if wide else 0, 2)))
+        return Func(draw(st.sampled_from(funcs)), rec(d - 1))
 
     return rec(depth)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_exprs())
-def test_simplify_idempotent(e):
-    s = simplify(e)
-    assert simplify(s) == s
+def unmarked_copy(e):
+    """A structural copy that carries no canonical mark."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.name)
+    if isinstance(e, Func):
+        return Func(e.fname, unmarked_copy(e.arg))
+    if isinstance(e, Pow):
+        return Pow(unmarked_copy(e.base), e.exp)
+    if isinstance(e, Mul):
+        return Mul(tuple(unmarked_copy(f) for f in e.factors))
+    return Add(tuple(unmarked_copy(t) for t in e.terms))
+
+
+def assert_idempotent(e, budget=None):
+    try:
+        s = simplify(e, budget)
+    except ZeroDivisionError:
+        assume(False)
+    assert simplify(s, budget) is s
+    assert simplify(unmarked_copy(s), budget) == s
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_exprs(wide=True), st.sampled_from([None, 2, 4, 8]))
+def test_simplify_idempotent(e, budget):
+    # small budgets reach the BudgetError fallback and factored powers
+    assert_idempotent(e, budget)
+
+
+def test_simplify_idempotent_on_abs_of_quotient():
+    # |q|*|q| with q a quotient: the product path must fold |q|^2 to q^2
+    # the way the power path does, or a second pass expands it
+    q = parse("(3/4*z + 3/4*z^3 + gamma^2*z)/gamma^2")
+    e = Mul((Func("abs", q), Func("abs", q)))
+    assert_idempotent(e)
+    assert simplify(e) == simplify(Pow(q, 2))
+
+
+def test_simplify_idempotent_at_budget_edges():
+    x1, x2, x3 = Var("x1"), Var("x2"), Var("x3")
+    cases = [
+        # the raw product overflows, the simplified factors do not
+        (Mul((x2 + x3 + 1, x1 ** 2 / (x1 + 1) + x1 / (x1 + 1))), 4),
+        # an uncancelled base overflows its power, the cancelled one does not
+        (Pow(x2 / (x2 + 1) + 1 / (x2 + 1), 3), 2),
+        # cancellation leaves a factored power at exponent 1
+        (Pow(x1 + x2 + 1, 3) / Pow(x1 + x2 + 1, 2) + 1, 2),
+        # |u|^2 inside a factored power folds before the power is factored
+        (Pow(Pow(Func("abs", x1 * x2) * (x1 + x2) / (x2 * x2), -2), 2), 3),
+        # a first power is never factored, whatever its size
+        (Add((Const(3), Pow(x1 + x2 + 1, -1))), 2),
+    ]
+    for e, budget in cases:
+        assert_idempotent(e, budget)
+
+
+def test_numpy_integer_constants_stay_exact():
+    big = Fraction(np.int64(2 ** 62))
+    assert render(simplify(const(big) * Var("x") * 8)) == "36893488147419103232*x"
+    assert type(Const(big).value.numerator) is int
+    assert render(simplify(Var("x") * np.float64(0.5))) == "0.5*x"
+
+
+def test_simplify_returns_marked_input():
+    c = simplify(parse("x1/(1 + x2)") + 3)
+    assert simplify(c) is c
+    assert render(c) == render(unmarked_copy(c))
+    # a different budget canonicalizes again instead of trusting the mark
+    other = simplify(c, budget=50)
+    assert other is not c and other == c
+    assert simplify(other, budget=50) is other
+
+
+@st.composite
+def rational_functions(draw, floats=False):
+    """Raw sums and products of polynomials and quotients of polynomials
+    with rational (optionally also float) coefficients in x1, x2."""
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if floats:
+        coeffs = st.one_of(coeffs, st.sampled_from((0.5, -1.25, 0.1, 3.0)))
+
+    def poly():
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            t = const(draw(coeffs))
+            for name in ("x1", "x2"):
+                t = t * Pow(Var(name), draw(st.integers(0, 2)))
+            terms.append(t)
+        return Add(tuple(terms))
+
+    def piece():
+        p = poly()
+        return p / poly() if draw(st.booleans()) else p
+
+    e = piece()
+    for _ in range(draw(st.integers(0, 2))):
+        e = e * piece() if draw(st.booleans()) else e + piece()
+    return e
+
+
+def sympy_expr(e):
+    import sympy
+
+    if isinstance(e, Const):
+        v = e.value
+        return sympy.Float(v) if isinstance(v, float) else sympy.Rational(
+            v.numerator, v.denominator)
+    if isinstance(e, Var):
+        return sympy.Symbol(e.name)
+    if isinstance(e, Add):
+        return sympy.Add(*(sympy_expr(t) for t in e.terms))
+    if isinstance(e, Mul):
+        return sympy.Mul(*(sympy_expr(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return sympy.Pow(sympy_expr(e.base), e.exp)
+    fn = {"abs": sympy.Abs, "sign": sympy.sign}.get(e.fname) or getattr(sympy, e.fname)
+    return fn(sympy_expr(e.arg))
+
+
+def simplified_or_reject(e):
+    try:
+        return simplify(e)
+    except ZeroDivisionError:
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_functions())
+def test_simplify_matches_sympy_exact(e):
+    import sympy
+
+    s = simplified_or_reject(e)
+    assert sympy.simplify(sympy_expr(parse(render(s))) - sympy_expr(e)) == 0
+    assert simplify(s) is s
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_functions(floats=True), st.randoms(use_true_random=False))
+def test_simplify_matches_sympy_with_floats(e, rnd):
+    import sympy
+
+    s = simplified_or_reject(e)
+    got, want = sympy_expr(s), sympy_expr(e)
+    x1, x2 = sympy.symbols("x1 x2")
+    checked = 0
+    for _ in range(20):
+        point = {x1: rnd.uniform(-2, 2), x2: rnd.uniform(-2, 2)}
+        w = complex(want.evalf(subs=point))
+        if not np.isfinite(w) or abs(w) > 1e6:
+            continue
+        g = complex(got.evalf(subs=point))
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+        checked += 1
+    assume(checked > 0)
 
 
 @settings(max_examples=40, deadline=None)
