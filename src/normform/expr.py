@@ -668,7 +668,7 @@ def _fold_func(fname, value):
         try:
             return {"sin": math.sin, "cos": math.cos, "exp": math.exp,
                     "sqrt": math.sqrt}[fname](value)
-        except ValueError:
+        except (ValueError, OverflowError):
             return None
     return None
 

@@ -1,9 +1,11 @@
 """Closed-loop simulation: fixed-step RK4, disturbance signals, Lyapunov
 monitoring, and L2-gain certification.
 
-Right-hand sides are compiled once into vectorized numpy callables, so a
-single run and a 1000-run batch share the same path: the state is an
-(nruns, n) array advanced in lockstep.
+A single run is integrated on plain Python floats (`_simulate_scalar`).
+A batch of two or more runs compiles its right-hand side once into a
+vectorized numpy callable and advances an (n, nruns) state array in
+lockstep, one row per state variable.  Both store the trace as
+(T, nruns, n).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def noise_signal(seed, segment=0.01, lo=0.0, hi=1.0, horizon=100.0, nruns=1):
 
 class Trace:
     def __init__(self, t, x, u, y, names, input_names, output_names,
-                 w=None, V=None, int_y2=None, int_w2=None, diverged=False):
+                 diverged_runs, w=None, V=None, int_y2=None, int_w2=None):
         self.t = t
         self.x = x                      # (T, nruns, n)
         self.u = u
@@ -87,7 +89,14 @@ class Trace:
         self.names = list(names)
         self.input_names = list(input_names)
         self.output_names = list(output_names)
-        self.diverged = diverged
+        # one flag per run; a diverged batch run is frozen at its last
+        # accepted state
+        self.diverged_runs = np.asarray(diverged_runs, dtype=bool)
+
+    @property
+    def diverged(self):
+        """True when any run diverged."""
+        return bool(self.diverged_runs.any())
 
     @property
     def nruns(self):
@@ -97,11 +106,11 @@ class Trace:
         """View of run k with 2-D arrays (time x channel)."""
         return Trace(self.t, self.x[:, k], self.u[:, k], self.y[:, k],
                      self.names, self.input_names, self.output_names,
+                     self.diverged_runs[k:k + 1],
                      w=None if self.w is None else self.w[:, k],
                      V=None if self.V is None else self.V[:, k],
                      int_y2=None if self.int_y2 is None else self.int_y2[:, k],
-                     int_w2=None if self.int_w2 is None else self.int_w2[:, k],
-                     diverged=self.diverged)
+                     int_w2=None if self.int_w2 is None else self.int_w2[:, k])
 
     def final_state(self, k=0):
         return self.x[-1, k] if self.x.ndim == 3 else self.x[-1]
@@ -116,8 +125,12 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
              output_names=None):
     """Integrate dx/dt = rhs(x, w(t)) with fixed-step RK4 (or Euler).
 
-    x0 may be one initial state or a batch (nruns, n).  The divergence flag
-    trips when any run's norm exceeds 1e8; the trace is truncated there.
+    x0 may be one initial state or a batch (nruns, n).  A run diverges
+    when its state turns non-finite or its norm exceeds 1e8.  A single run
+    ends its trace there.  In a batch, a diverged run is frozen at its last
+    accepted state and the others go on; the trace ends with the step at
+    which the last live runs diverge.  `Trace.diverged_runs` flags each
+    run, `Trace.diverged` any run.
     """
     cfg = cfg or SimConfig()
     w_signal = w_signal or zero_signal()
@@ -137,61 +150,71 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     fy = _compile(output_exprs, names) if output_exprs else None
     fV = _compile([V_expr], names) if V_expr is not None else None
 
-    def rhs(x, wv):
-        args = [x[:, i] for i in range(n)] + [wv]
-        with np.errstate(all="ignore"):
-            out = f(args)
-        return np.stack([np.broadcast_to(np.asarray(o, dtype=float), (nruns,))
-                         for o in out], axis=1)
-
-    if not np.all(np.isfinite(rhs(x0, w_signal(0.0, nruns)))):
-        raise ValueError("right-hand side not finite at the initial state")
+    def rhs(x, wv, out):
+        # the rows of the (n, nruns) state are the compiled function's
+        # arguments; row assignment also broadcasts constant outputs
+        for row, v in zip(out, f([*x, wv])):
+            row[...] = v
+        return out
 
     nsteps = int(round(cfg.horizon / cfg.dt))
-    ts = np.empty(nsteps + 1)
+    dt = cfg.dt
     xs = np.empty((nsteps + 1, nruns, n))
     ws = np.empty((nsteps + 1, nruns))
-    ts[0] = 0.0
     xs[0] = x0
     ws[0] = w_signal(0.0, nruns)
-    diverged = False
-    dt = cfg.dt
+    x = np.ascontiguousarray(x0.T)
+    k1, k2, k3, k4 = np.empty((4, n, nruns))
+    alive = np.ones(nruns, dtype=bool)
+    frozen = False
     last = nsteps
-    for k in range(nsteps):
-        t = k * dt
-        x = xs[k]
-        if cfg.integrator == "euler":
-            xn = x + dt * rhs(x, w_signal(t, nruns))
-        else:
-            w1 = w_signal(t, nruns)
-            w2 = w_signal(t + dt / 2, nruns)
-            w4 = w_signal(t + dt, nruns)
-            k1 = rhs(x, w1)
-            k2 = rhs(x + dt / 2 * k1, w2)
-            k3 = rhs(x + dt / 2 * k2, w2)
-            k4 = rhs(x + dt * k3, w4)
-            xn = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ts[k + 1] = t + dt
-        xs[k + 1] = xn
-        ws[k + 1] = w_signal(t + dt, nruns)
-        if not np.all(np.isfinite(xn)) or np.max(np.linalg.norm(xn, axis=1)) > DIVERGENCE_NORM:
-            diverged = True
-            last = k + 1
-            break
-    ts = ts[:last + 1]
+    with np.errstate(all="ignore"):
+        if not np.all(np.isfinite(rhs(x, ws[0], k1))):
+            raise ValueError("right-hand side not finite at the initial state")
+        for k in range(nsteps):
+            t = k * dt
+            if cfg.integrator == "euler":
+                xn = x + dt * rhs(x, w_signal(t, nruns), k1)
+                w4 = w_signal(t + dt, nruns)
+            else:
+                w1 = w_signal(t, nruns)
+                w2 = w_signal(t + dt / 2, nruns)
+                w4 = w_signal(t + dt, nruns)
+                rhs(x, w1, k1)
+                rhs(x + dt / 2 * k1, w2, k2)
+                rhs(x + dt / 2 * k2, w2, k3)
+                rhs(x + dt * k3, w4, k4)
+                xn = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            # false for NaN and inf as well as above the bound
+            ok = np.einsum("ij,ij->j", xn, xn) <= DIVERGENCE_NORM ** 2
+            if frozen or not ok.all():
+                ok &= alive
+                if not ok.any():
+                    # the last runs diverged: end with this step, as the
+                    # single-run path does
+                    xs[k + 1] = np.where(alive, xn, x).T
+                    ws[k + 1] = w4
+                    alive = ok
+                    last = k + 1
+                    break
+                xn = np.where(ok, xn, x)
+                alive = ok
+                frozen = True
+            xs[k + 1] = xn.T
+            ws[k + 1] = w4
+            x = xn
+    # t_{k+1} = k*dt + dt, bit for bit as the step computes it
+    ts = np.concatenate(([0.0], np.arange(last) * dt + dt))
     xs = xs[:last + 1]
     ws = ws[:last + 1]
 
     def channel(fn, width):
-        if fn is None or width == 0:
-            return np.zeros((len(ts), nruns, 0))
         out = np.empty((len(ts), nruns, width))
-        for k in range(len(ts)):
-            args = [xs[k][:, i] for i in range(n)] + [ws[k]]
+        if fn is not None:
             with np.errstate(all="ignore"):
-                vals = fn(args)
-            out[k] = np.stack([np.broadcast_to(np.asarray(v, dtype=float), (nruns,))
-                               for v in vals], axis=1)
+                vals = fn([xs[:, :, i] for i in range(n)] + [ws])
+            for j, v in enumerate(vals):
+                out[:, :, j] = v
         return out
 
     us = channel(fu, len(input_exprs))
@@ -205,7 +228,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
                  names,
                  input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
                  output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
-                 w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2, diverged=diverged)
+                 ~alive, w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2)
 
 
 def _simulate_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
@@ -292,13 +315,15 @@ def _simulate_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
     return Trace(ts, xs, us, ys, names,
                  input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
                  output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
-                 w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2, diverged=diverged)
+                 [diverged], w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2)
 
 
 def _running_trapezoid(ts, vals):
+    # in place: on a batch each temporary is trajectory-sized
     out = np.zeros_like(vals)
-    dt = np.diff(ts)
-    out[1:] = np.cumsum(0.5 * dt[:, None] * (vals[1:] + vals[:-1]), axis=0)
+    steps = vals[1:] + vals[:-1]
+    steps *= 0.5 * np.diff(ts)[:, None]
+    np.cumsum(steps, axis=0, out=out[1:])
     return out
 
 
@@ -346,6 +371,7 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None,
         "envelope_min": trace.x.min(axis=1),
         "envelope_max": trace.x.max(axis=1),
         "diverged": trace.diverged,
+        "diverged_runs": trace.diverged_runs,
     }
 
 

@@ -108,10 +108,10 @@ def test_diff_against_central_differences():
 
 @st.composite
 def small_exprs(draw, names=("x1", "x2", "x3"), wide=False):
-    """Raw expression trees.  wide=True adds abs and sqrt, negative
+    """Raw expression trees.  wide=True adds abs, sqrt and exp, negative
     exponents, float constants and one more level of depth."""
     depth = draw(st.integers(0, 4 if wide else 3))
-    funcs = ("sin", "cos", "abs", "sqrt") if wide else ("sin", "cos")
+    funcs = ("sin", "cos", "abs", "sqrt", "exp") if wide else ("sin", "cos")
 
     def rec(d):
         if d == 0:
@@ -189,6 +189,12 @@ def test_simplify_idempotent_at_budget_edges():
     ]
     for e, budget in cases:
         assert_idempotent(e, budget)
+
+
+def test_exp_of_overflowing_constant_stays_unfolded():
+    e = simplify(Func("exp", Const(5e8)))
+    assert render(e) == "exp(500000000.0)"
+    assert simplify(e) is e
 
 
 def test_numpy_integer_constants_stay_exact():

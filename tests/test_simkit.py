@@ -130,3 +130,177 @@ def test_batch_and_scalar_paths_agree():
     batch = simulate(rhs, ["x1", "x2"], [x0, [0.0, 0.0]],
                      SimConfig(dt=1e-2, horizon=1.0))
     assert np.allclose(single.x[:, 0], batch.x[:, 0], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batch integrator: bit identity with the column-layout loop, per-run
+# divergence
+# ---------------------------------------------------------------------------
+
+def _reference_batch(rhs_exprs, names, x0, cfg, w_signal, input_exprs=(),
+                     output_exprs=(), V_expr=None):
+    """The batch loop as it stood before the run-major rewrite: (nruns, n)
+    columns, per-step broadcast_to/stack, per-step channels, whole-batch
+    truncation.  Kept as the reference for bit identity."""
+    from normform.expr import compile_exprs, simplify
+
+    def comp(exprs):
+        return compile_exprs([simplify(e) for e in exprs], list(names) + ["w"])
+
+    n = len(names)
+    x0 = np.asarray(x0, dtype=float)
+    nruns = x0.shape[0]
+    f = comp(rhs_exprs)
+    fu = comp(input_exprs) if input_exprs else None
+    fy = comp(output_exprs) if output_exprs else None
+    fV = comp([V_expr]) if V_expr is not None else None
+
+    def rhs(x, wv):
+        args = [x[:, i] for i in range(n)] + [wv]
+        with np.errstate(all="ignore"):
+            out = f(args)
+        return np.stack([np.broadcast_to(np.asarray(o, dtype=float), (nruns,))
+                         for o in out], axis=1)
+
+    nsteps = int(round(cfg.horizon / cfg.dt))
+    ts = np.empty(nsteps + 1)
+    xs = np.empty((nsteps + 1, nruns, n))
+    ws = np.empty((nsteps + 1, nruns))
+    ts[0] = 0.0
+    xs[0] = x0
+    ws[0] = w_signal(0.0, nruns)
+    dt = cfg.dt
+    last = nsteps
+    for k in range(nsteps):
+        t = k * dt
+        x = xs[k]
+        if cfg.integrator == "euler":
+            xn = x + dt * rhs(x, w_signal(t, nruns))
+        else:
+            w1 = w_signal(t, nruns)
+            w2 = w_signal(t + dt / 2, nruns)
+            w4 = w_signal(t + dt, nruns)
+            k1 = rhs(x, w1)
+            k2 = rhs(x + dt / 2 * k1, w2)
+            k3 = rhs(x + dt / 2 * k2, w2)
+            k4 = rhs(x + dt * k3, w4)
+            xn = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ts[k + 1] = t + dt
+        xs[k + 1] = xn
+        ws[k + 1] = w_signal(t + dt, nruns)
+        if not np.all(np.isfinite(xn)) or \
+                np.max(np.linalg.norm(xn, axis=1)) > 1e8:
+            last = k + 1
+            break
+    ts, xs, ws = ts[:last + 1], xs[:last + 1], ws[:last + 1]
+
+    def channel(fn, width):
+        if fn is None or width == 0:
+            return np.zeros((len(ts), nruns, 0))
+        out = np.empty((len(ts), nruns, width))
+        for k in range(len(ts)):
+            args = [xs[k][:, i] for i in range(n)] + [ws[k]]
+            with np.errstate(all="ignore"):
+                vals = fn(args)
+            out[k] = np.stack([np.broadcast_to(np.asarray(v, dtype=float), (nruns,))
+                               for v in vals], axis=1)
+        return out
+
+    ys = channel(fy, len(output_exprs))
+    return {"t": ts, "x": xs, "w": ws, "u": channel(fu, len(input_exprs)),
+            "y": ys, "V": channel(fV, 1)[:, :, 0] if fV is not None else None,
+            "int_y2": (_trapezoid(ts, np.sum(ys * ys, axis=2))
+                       if len(output_exprs) else None),
+            "int_w2": _trapezoid(ts, ws * ws)}
+
+
+def _trapezoid(ts, vals):
+    out = np.zeros_like(vals)
+    out[1:] = np.cumsum(0.5 * np.diff(ts)[:, None] * (vals[1:] + vals[:-1]),
+                        axis=0)
+    return out
+
+
+def _assert_traces_equal(ref, tr):
+    for name in ("t", "x", "w", "u", "y", "V", "int_y2", "int_w2"):
+        want, got = ref[name], getattr(tr, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert np.array_equal(want, got), name
+
+
+def _loop(systems_dir, fixture, order, gains=None):
+    from normform.backstep import load_chain_system, parse_kappa
+    cs, stab = load_chain_system(systems_dir / fixture)
+    law = synthesize(cs, parse_kappa(order), stab, gains=gains)
+    return law, cs.state_names()
+
+
+def test_batch_bit_identical_to_column_loop_mixed(systems_dir):
+    law, names = _loop(systems_dir, "nf_mixed.nf",
+                       "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
+                       gains={"xi1_1": 0, "xi3_1": 0, "xi2_1": 0})
+    rhs = law.closed_loop_rhs()
+    rhs[0] = rhs[0] + parse("w/10")
+    x0 = np.random.default_rng(7).uniform(-1, 1, size=(3, len(names)))
+    cfg = SimConfig(dt=2e-3, horizon=0.6)
+    kw = dict(input_exprs=law.v, output_exprs=[parse("xi1_1"), parse("eta1*w")],
+              V_expr=law.W)
+    ref = _reference_batch(rhs, names, x0, cfg,
+                           noise_signal(11, horizon=1.0, nruns=3), **kw)
+    tr = simulate(rhs, names, x0, cfg,
+                  w_signal=noise_signal(11, horizon=1.0, nruns=3), **kw)
+    assert len(tr.t) == 301 and not tr.diverged
+    _assert_traces_equal(ref, tr)
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+def test_batch_bit_identical_to_column_loop_chain(systems_dir, integrator):
+    law, names = _loop(systems_dir, "nf_uchain.nf", "xi1_1,xi1_2,xi2_1,xi2_2")
+    x0 = np.random.default_rng(3).uniform(-1, 1, size=(2, len(names)))
+    cfg = SimConfig(dt=2e-3, horizon=1.0, integrator=integrator)
+    ref = _reference_batch(law.closed_loop_rhs(), names, x0, cfg,
+                           step_signal(0.5))
+    tr = simulate(law.closed_loop_rhs(), names, x0, cfg,
+                  w_signal=step_signal(0.5))
+    _assert_traces_equal(ref, tr)
+
+
+def test_batch_rows_independent_of_batch_size():
+    rhs = [parse("-x1 + x2^2 - x1*x2"), parse("-x2^3 + 1/2*x1 + w")]
+    x0 = np.random.default_rng(5).uniform(-1, 1, size=(200, 2))
+    cfg = SimConfig(dt=1e-2, horizon=1.0)
+    big = simulate(rhs, ["x1", "x2"], x0, cfg, w_signal=step_signal(0.5))
+    small = simulate(rhs, ["x1", "x2"], x0[:2], cfg, w_signal=step_signal(0.5))
+    assert np.array_equal(big.x[:, :2], small.x)
+
+
+def test_batch_divergence_is_per_run():
+    tr = simulate([parse("x1^2")], ["x1"], [[1.0], [-0.5]],
+                  SimConfig(dt=1e-3, horizon=3.0))
+    assert tr.t[-1] == pytest.approx(3.0)
+    assert tr.diverged
+    assert list(tr.diverged_runs) == [True, False]
+    assert tr.x[-1, 1, 0] == pytest.approx(-0.5 / (1 + 0.5 * 3.0), abs=1e-9)
+    # the blown-up run is frozen at its last accepted state
+    frozen = tr.x[-1, 0, 0]
+    assert np.isfinite(frozen) and abs(frozen) <= 1e8
+    assert np.all(tr.x[-100:, 0, 0] == frozen)
+
+
+def test_batch_truncated_once_every_run_diverges():
+    tr = simulate([parse("x1^2")], ["x1"], [[2.0], [1.0]],
+                  SimConfig(dt=1e-3, horizon=5.0))
+    assert tr.diverged and list(tr.diverged_runs) == [True, True]
+    assert 1.0 < tr.t[-1] < 1.1
+    # run 0 froze near t = 0.5 while run 1 went on
+    assert abs(tr.x[-1, 0, 0]) <= 1e8 and abs(tr.x[-2, 1, 0]) > 1e3
+
+
+def test_batch_simulate_reports_diverged_runs():
+    res = batch_simulate([parse("x1^2")], ["x1"], [(-1.0, 1.0)], nruns=20,
+                         master_seed=4, cfg=SimConfig(dt=1e-2, horizon=3.0))
+    x0 = res["trace"].x[0, :, 0]
+    assert res["diverged"] == bool(np.any(x0 > 1 / 3))
+    assert np.array_equal(res["diverged_runs"], x0 > 1 / 3)
