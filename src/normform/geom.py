@@ -1,19 +1,19 @@
 """Vector fields, symbolic matrices, and the Lie-calculus primitives.
 
-Everything here is exact symbolic computation on top of expr.Expr; the only
-numeric operation is the sampled involutivity test, which compares span
-ranks at user-supplied points.
+Everything here is exact symbolic computation on top of expr.Expr, apart
+from bracket_sampler, which evaluates Lie brackets numerically at sample
+points without expanding them, and the sampled involutivity test built on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import (EvalError, compile_exprs, diff, evalf, free_vars,
+from .expr import (_diff_raw, compile_exprs, diff, evalf, free_vars,
                    simplify, subs, const)
 
 __all__ = ["VectorField", "SymMatrix", "jacobian", "lie_derivative",
-           "lie_bracket", "ad_power", "involutive"]
+           "lie_bracket", "ad_power", "bracket_sampler", "involutive"]
 
 
 class SymMatrix:
@@ -265,33 +265,73 @@ def ad_power(f, g, k):
     return out
 
 
-def involutive(fields, points, tol=1e-8):
-    """True iff at every sample the span of the fields already contains all
-    pairwise Lie brackets (rank comparison under tol)."""
+def bracket_sampler(fields, pairs):
+    """Compile the fields once for numeric Lie brackets at sample points.
+
+    Returns evaluate(points), where points is an (n, P) array whose rows
+    follow the fields' state order.  It gives the field values, shape
+    (len(fields), n, P), and for each index pair (a, b) in `pairs` the
+    bracket [fields[a], fields[b]] = J_b a - J_a b together with its scale
+    |J_b| |a| + |J_a| |b| (absolute values taken entrywise, so the scale is
+    the size of the terms that cancel), both of shape (len(pairs), n, P).  The
+    Jacobian entries come from the unsimplified derivative trees, so no
+    bracket is expanded symbolically.  Where an expression is undefined the
+    values come out non-finite; the caller decides which points to keep.
+    """
     if not fields:
         raise ValueError("need at least one vector field")
-    if not points:
-        raise ValueError("empty sample list")
     states = fields[0].states
     for f in fields[1:]:
         if f.states != states:
             raise ValueError("vector fields over different state lists")
-    brackets = []
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            brackets.append(lie_bracket(fields[i], fields[j]))
-    if all(b.is_zero() for b in brackets):
-        return True
-    fns = compile_exprs([c for f in fields for c in f.components], states)
-    bns = compile_exprs([c for b in brackets for c in b.components], states)
-    n = len(states)
-    for pt in points:
-        env = list(np.asarray(pt, dtype=float))
-        try:
-            base = np.array(fns(env)).reshape(len(fields), n).T
-            ext = np.array(bns(env)).reshape(len(brackets), n).T
-        except EvalError:
-            continue
+    n, k = len(states), len(fields)
+    exprs = []
+    for f in fields:
+        exprs.extend(f.components)
+        exprs.extend(_diff_raw(c, s) for c in f.components for s in states)
+    # compiled one expression at a time: a single source holding every raw
+    # derivative tree raised the peak memory of assumption D on ex33 from
+    # 50 MB to 165 MB (the parser's tree of that source)
+    fns = [compile_exprs([e], states) for e in exprs]
+    a_idx = np.array([a for a, _ in pairs], dtype=int)
+    b_idx = np.array([b for _, b in pairs], dtype=int)
+
+    def evaluate(points):
+        args = list(np.asarray(points, dtype=float))
+        out = np.empty((len(fns), args[0].shape[0]))
+        with np.errstate(all="ignore"):
+            for i, fn in enumerate(fns):
+                out[i] = fn(args)[0]
+            out = out.reshape(k, n + n * n, -1)
+            vals = out[:, :n]
+            jac = out[:, n:].reshape(k, n, n, -1)
+            jb, ja, va, vb = jac[b_idx], jac[a_idx], vals[a_idx], vals[b_idx]
+            bracket = _apply(jb, va) - _apply(ja, vb)
+            scale = (_apply(np.abs(jb), np.abs(va))
+                     + _apply(np.abs(ja), np.abs(vb)))
+            return vals, bracket, scale
+
+    return evaluate
+
+
+def _apply(jac, vals):
+    """Matrix-vector products per pair and point: (k, n, n, P) x (k, n, P)."""
+    return np.einsum("kijp,kjp->kip", jac, vals)
+
+
+def involutive(fields, points, tol=1e-8):
+    """True iff at every sample the span of the fields already contains all
+    pairwise Lie brackets (rank comparison under tol).  Samples where a
+    field or bracket is undefined are skipped."""
+    if not points:
+        raise ValueError("empty sample list")
+    k = len(fields)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    vals, brackets, _ = bracket_sampler(fields, pairs)(
+        np.asarray(points, dtype=float).T)
+    for p in range(vals.shape[2]):
+        base = vals[:, :, p].T
+        ext = brackets[:, :, p].T
         if not (np.all(np.isfinite(base)) and np.all(np.isfinite(ext))):
             continue
         r1 = _num_rank(base, tol)

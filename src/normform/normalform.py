@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import (Var, const, diff, free_vars, is_zero,
+from .expr import (EvalError, Var, const, diff, free_vars, is_zero,
                    numeric_equivalent, render, simplify, subs)
-from .geom import SymMatrix, VectorField, involutive, jacobian, lie_bracket
+from .geom import (SymMatrix, VectorField, bracket_sampler, involutive,
+                   jacobian, lie_bracket)
 from .structure import StructureError, _rank
 from .sysmodel import DEFAULT_TOL
 
@@ -400,12 +401,59 @@ def _default_gamma_ie(system, outcome, tol):
 
 def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
     """Commutation of the chain-generating fields of a square invertible
-    outcome (pairwise Lie brackets vanish, checked by randomized sampling)."""
+    outcome: every pairwise Lie bracket of the Y(j, k) must vanish.
+
+    The fields are built exactly; their brackets are only sampled (see
+    geom.bracket_sampler), so a bracket that is identically zero is not
+    proved zero.  The rule is the one numeric_equivalent uses: 32 points
+    drawn uniformly from the box `system.domain` with numpy generator
+    `seed`; a point where any field value or bracket term is undefined,
+    non-finite or above 1e12 in absolute value is redrawn, and EvalError is
+    raised when 40 * 32 draws do not give 32 valid points.  A component v of
+    [a, b] = J_b a - J_a b fails when |v| > tol * (1 + s), where
+    s = |J_b| |a| + |J_a| |b| (entrywise absolute values) is the size of the
+    terms that cancel.  This relative margin covers the rounding left when
+    exactly commuting fields are evaluated numerically; the price is that a
+    bracket smaller than tol times its terms passes.
+    """
     outcome.raise_if_irregular()
     if outcome.invertibility != "Invertible":
         raise StructureError("Assumption D applies to square invertible systems")
     if nf is None:
         nf = build_normal_form(system, outcome)
+    Y = _chain_fields(system, nf)
+    fields = [Y[key] for key in sorted(Y)]
+    pairs = [(a, b) for a in range(len(fields))
+             for b in range(a + 1, len(fields))]
+    evaluate = bracket_sampler(fields, pairs)
+    lo, hi = np.array(system.box(), dtype=float).T
+    rng = np.random.default_rng(seed)
+    points = 32
+    got = drawn = 0
+    while got < points:
+        if drawn >= 40 * points:
+            raise EvalError("could not find enough valid sample points")
+        batch = min(points - got, 40 * points - drawn)
+        drawn += batch
+        pts = rng.uniform(lo[:, None], hi[:, None], size=(system.n, batch))
+        vals, brackets, scale = evaluate(pts)
+        valid = ((np.abs(vals) <= 1e12).all(axis=(0, 1))
+                 & (scale <= 1e12).all(axis=(0, 1)))
+        bound = tol * (1.0 + scale[..., valid])
+        if np.any(np.abs(brackets[..., valid]) > bound):
+            return False
+        got += int(valid.sum())
+    return True
+
+
+def _chain_fields(system, nf):
+    """The chain-generating fields {(j, k): ad^{k-1}_{f_t} Y(j, 1)} of a
+    square invertible normal form, with f_t = f - g b^{-1} a.
+
+    The paper's Y(j, k) carries the sign (-1)^{k-1}, which is left out here:
+    it cannot change whether a bracket vanishes, and in the correction
+    Y(j, 1) = g b^{-1} e_j - sum delta * Y(l, i2) it is folded into delta.
+    """
     m = system.m
     binv = nf.b.inverse(max_size=4)
     acol = SymMatrix([[e] for e in nf.a])
@@ -416,43 +464,24 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
     q = nf.q
     Y = {}
 
-    def signed_ads(base, length):
-        """{k: (-1)^{k-1} ad^{k-1}_{f_t} base} for k = 1..length."""
-        out = {}
-        cur = base
-        for k in range(1, length + 1):
-            out[k] = cur if k == 1 else _scale_field(cur, (-1) ** (k - 1))
-            if k < length:
-                cur = lie_bracket(f_t, cur)
-        return out
+    def add_chain(j, base):
+        Y[(j, 1)] = base
+        for k in range(2, q[j - 1] + 1):
+            Y[(j, k)] = lie_bracket(f_t, Y[(j, k - 1)])
 
-    for k, fld in signed_ads(VectorField(g_t.col(m - 1), system.states),
-                             q[m - 1]).items():
-        Y[(m, k)] = fld
+    add_chain(m, VectorField(g_t.col(m - 1), system.states))
     for j in range(m - 1, 0, -1):
         comps = list(g_t.col(j - 1))
         for l in range(j + 1, m + 1):
             for i2 in range(2, q[l - 1] + 1):
                 d = nf.delta_entry(l, q[l - 1] - i2 + 1, j)
                 if d != const(0):
+                    if i2 % 2 == 0:
+                        d = -d
                     comps = [simplify(c - d * yc)
                              for c, yc in zip(comps, Y[(l, i2)].components)]
-        for k, fld in signed_ads(VectorField(comps, system.states),
-                                 q[j - 1]).items():
-            Y[(j, k)] = fld
-    keys = sorted(Y.keys())
-    for a_i in range(len(keys)):
-        for b_i in range(a_i + 1, len(keys)):
-            br = lie_bracket(Y[keys[a_i]], Y[keys[b_i]])
-            for c in br.components:
-                if not numeric_equivalent(c, const(0), seed=seed, tol=tol,
-                                          box=system.domain):
-                    return False
-    return True
-
-
-def _scale_field(fld, s):
-    return VectorField([simplify(const(s) * c) for c in fld.components], fld.states)
+        add_chain(j, VectorField(comps, system.states))
+    return Y
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ class Trace:
 
     @property
     def nruns(self):
-        return self.x.shape[1]
+        return self.x.shape[1] if self.x.ndim == 3 else 1
 
     def single(self, k=0):
         """View of run k with 2-D arrays (time x channel)."""

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normform.expr import const, evalf, parse, numeric_equivalent
-from normform.geom import (SymMatrix, VectorField, ad_power, involutive,
-                           jacobian, lie_bracket, lie_derivative,
+from normform.geom import (SymMatrix, VectorField, ad_power, bracket_sampler,
+                           involutive, jacobian, lie_bracket, lie_derivative,
                            lie_derivative_cols)
 
 STATES5 = ["x1", "x2", "x3", "x4", "x5"]
@@ -124,6 +125,51 @@ def test_ad_power_brute_force_oracle():
     # (df/dx)(-1,0) = 0, so ad^2 is the zero field
     ad2 = ad_power(f, g, 2)
     assert ad2.is_zero()
+
+
+@st.composite
+def polynomial_fields(draw):
+    """Two or three polynomial vector fields over two or three states."""
+    n = draw(st.integers(2, 3))
+    names = [f"x{i + 1}" for i in range(n)]
+    monomial = st.tuples(st.integers(-3, 3),
+                         st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+    def poly():
+        terms = draw(st.lists(monomial, max_size=3))
+        return parse(" + ".join(
+            f"({c})" + "".join(f"*{x}^{e}" for x, e in zip(names, exps))
+            for c, exps in terms) or "0")
+
+    k = draw(st.integers(2, 3))
+    return [VectorField([poly() for _ in names], names) for _ in range(k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_fields(), st.integers(0, 2**32 - 1))
+def test_sampled_bracket_matches_symbolic(fields, seed):
+    names = fields[0].states
+    pairs = [(a, b) for a in range(len(fields))
+             for b in range(a + 1, len(fields))]
+    pts = np.random.default_rng(seed).uniform(-1, 1, size=(len(names), 4))
+    vals, br, scale = bracket_sampler(fields, pairs)(pts)
+    symbolic = [lie_bracket(fields[a], fields[b]) for a, b in pairs]
+    for p in range(pts.shape[1]):
+        env = dict(zip(names, pts[:, p]))
+        for f, got in zip(fields, vals[:, :, p]):
+            assert np.allclose(got, [evalf(c, env) for c in f.components],
+                               rtol=1e-12, atol=0)
+        for i, sym in enumerate(symbolic):
+            want = [evalf(c, env) for c in sym.components]
+            assert np.all(np.abs(br[i, :, p] - want)
+                          <= 1e-9 * (1 + scale[i, :, p]))
+
+
+def test_bracket_sampler_rejects_mixed_states():
+    f = VectorField([const(1)], ["x1"])
+    g = VectorField([const(1)], ["x2"])
+    with pytest.raises(ValueError):
+        bracket_sampler([f, g], [(0, 1)])
 
 
 def test_involutive_single_and_constant():

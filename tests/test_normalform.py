@@ -5,12 +5,13 @@ import pytest
 
 from normform.expr import (Var, const, evalf, numeric_equivalent, parse,
                            render, simplify, subs)
-from normform.geom import SymMatrix
-from normform.normalform import (build_normal_form, check_assumption_B,
-                                 check_assumption_C, check_assumption_D,
-                                 solve_triangular, zero_dynamics)
+from normform.geom import SymMatrix, bracket_sampler, lie_bracket
+from normform.normalform import (_chain_fields, build_normal_form,
+                                 check_assumption_B, check_assumption_C,
+                                 check_assumption_D, solve_triangular,
+                                 zero_dynamics)
 from normform.structure import infinite_zero_algorithm, zero_output_algorithm
-from normform.sysmodel import SamplePlan
+from normform.sysmodel import AffineSystem, SamplePlan
 
 
 class TestFiveStateNormalForm:
@@ -127,6 +128,68 @@ class TestAssumptions:
         # fields: some pairwise bracket has a nonzero component
         nf = build_normal_form(ex33, out33)
         assert check_assumption_D(ex33, out33, nf) is False
+
+    def test_D_margin_covers_cancelling_large_terms(self):
+        # y = h(x) is a chart, so the chain fields g b^{-1} = (dh)^{-1} are
+        # its coordinate fields and commute exactly.  With h the inverse of
+        # the shear (x1 + 100 x2^2, x2) followed by (x1, x2 + 100 x1^2), the
+        # bracket's terms reach ~1e7 and cancel to a rounding residue of
+        # ~1e-9, above tol = 1e-12 itself: only the margin relative to the
+        # terms passes it.
+        w = "(x2 - 100*x1^2)"
+        sysm = AffineSystem(
+            ["x1", "x2"], [parse("x2"), parse("x1^2")],
+            [[parse("1"), parse(f"200*{w}")],
+             [parse("200*x1"), parse(f"1 + 40000*x1*{w}")]],
+            [parse(f"x1 - 100*{w}^2"), parse(w)])
+        out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+        assert out.q == [1, 1]
+        nf = build_normal_form(sysm, out)
+        assert all(check_assumption_D(sysm, out, nf, seed=s, tol=1e-12)
+                   for s in range(5))
+        Y = _chain_fields(sysm, nf)
+        pts = np.random.default_rng(0).uniform(-1, 1, size=(2, 200))
+        _, br, scale = bracket_sampler([Y[(1, 1)], Y[(2, 1)]], [(0, 1)])(pts)
+        assert scale.max() > 1e6 and np.abs(br).max() > 1e-12
+
+    def test_D_fails_for_small_bracket_against_unit_terms(self):
+        # Y(1,1) = (1, 0, 1.001 x2), Y(2,1) = (0, 1, x1): the bracket is
+        # (0, 0, -1e-3) while each of its two terms is about 1
+        sysm = AffineSystem(
+            ["x1", "x2", "x3"], [parse("x2"), parse("x3"), parse("0")],
+            [[parse("1"), parse("0")], [parse("0"), parse("1")],
+             [parse("1001/1000*x2"), parse("x1")]],
+            [parse("x1"), parse("x2")])
+        out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+        assert out.invertibility == "Invertible"
+        assert not any(check_assumption_D(sysm, out, seed=s) for s in range(5))
+
+    @pytest.mark.parametrize("case", ["ex31", "ex33"])
+    def test_sampled_brackets_match_symbolic(self, case, ex31, nf31, ex33,
+                                             out33):
+        if case == "ex31":
+            system, nf = ex31, nf31
+        else:
+            system, nf = ex33, build_normal_form(ex33, out33)
+        Y = _chain_fields(system, nf)
+        keys = sorted(Y)
+        pairs = [(a, b) for a in range(len(keys))
+                 for b in range(a + 1, len(keys))]
+        if case == "ex33":
+            # the symbolic brackets of the other two pairs take 5 s and 30 s;
+            # [Y(1,1), Y(2,1)] is the pair that fails
+            pairs = [(keys.index((1, 1)), keys.index((2, 1)))]
+        lo, hi = np.array(system.box()).T
+        pts = np.random.default_rng(7).uniform(lo[:, None], hi[:, None],
+                                              size=(system.n, 6))
+        _, br, scale = bracket_sampler([Y[k] for k in keys], pairs)(pts)
+        for i, (a, b) in enumerate(pairs):
+            sym = lie_bracket(Y[keys[a]], Y[keys[b]])
+            for p in range(pts.shape[1]):
+                env = dict(zip(system.states, pts[:, p]))
+                want = np.array([evalf(c, env) for c in sym.components])
+                assert np.all(np.abs(br[i, :, p] - want)
+                              <= 1e-9 * (1 + scale[i, :, p]))
 
     def test_D_requires_square_invertible(self, ex32):
         out = infinite_zero_algorithm(ex32, SamplePlan(count=30))

@@ -276,6 +276,15 @@ def test_batch_rows_independent_of_batch_size():
     assert np.array_equal(big.x[:, :2], small.x)
 
 
+def test_single_run_view_counts_one_run():
+    tr = simulate([parse("-x1"), parse("-x2"), parse("-x3")], ["x1", "x2", "x3"],
+                  [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], SimConfig(dt=1e-2, horizon=0.1))
+    assert tr.nruns == 2
+    one = tr.single(1)
+    assert one.nruns == 1
+    assert np.array_equal(one.final_state(), tr.final_state(1))
+
+
 def test_batch_divergence_is_per_run():
     tr = simulate([parse("x1^2")], ["x1"], [[1.0], [-0.5]],
                   SimConfig(dt=1e-3, horizon=3.0))
