@@ -27,6 +27,7 @@ __all__ = [
     "parse", "render", "simplify", "diff", "subs", "evalf", "free_vars",
     "compile_exprs", "numeric_equivalent", "equivalent", "is_zero",
     "const", "var", "TERM_BUDGET", "KNOWN_FUNCS",
+    "SAMPLE_POINTS", "SAMPLE_REDRAWS", "SAMPLE_CUTOFF",
 ]
 
 KNOWN_FUNCS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
@@ -35,6 +36,15 @@ KNOWN_FUNCS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
 # stays under this budget; past it the subexpression is kept factored and
 # treated as an opaque atom by the canonicalizer.
 TERM_BUDGET = 10_000
+
+# The sampling rule of numeric_equivalent, shared by normalform's sampled
+# assumption-D check: each check needs SAMPLE_POINTS valid points; a point
+# where a value is undefined, non-finite or above SAMPLE_CUTOFF in absolute
+# value is redrawn; EvalError is raised once SAMPLE_REDRAWS * points draws
+# have not given enough valid points.
+SAMPLE_POINTS = 32
+SAMPLE_REDRAWS = 40
+SAMPLE_CUTOFF = 1e12
 
 
 class ParseError(ValueError):
@@ -971,12 +981,13 @@ def _sample_env(namelist, rng, lo=-0.9, hi=0.9):
     return {n: rng.uniform(lo, hi) for n in namelist}
 
 
-def numeric_equivalent(e1, e2, seed=0, points=32, tol=1e-9, box=None,
-                       extra_vars=()):
+def numeric_equivalent(e1, e2, seed=0, points=SAMPLE_POINTS, tol=1e-9,
+                       box=None, extra_vars=()):
     """Values agree within tol at `points` seeded random points.
 
     Points where either expression is undefined or huge are re-drawn, so
-    expressions with denominators are compared on their common domain.
+    expressions with denominators are compared on their common domain (see
+    SAMPLE_POINTS for the rule).
     """
     import numpy as _np
 
@@ -988,7 +999,7 @@ def numeric_equivalent(e1, e2, seed=0, points=32, tol=1e-9, box=None,
     attempts = 0
     while got < points:
         attempts += 1
-        if attempts > 40 * points:
+        if attempts > SAMPLE_REDRAWS * points:
             raise EvalError("could not find enough valid sample points")
         if box:
             env = {n: rng.uniform(*box.get(n, (-0.9, 0.9))) for n in names}
@@ -1001,7 +1012,7 @@ def numeric_equivalent(e1, e2, seed=0, points=32, tol=1e-9, box=None,
             continue
         if not (math.isfinite(v1) and math.isfinite(v2)):
             continue
-        if abs(v1) > 1e12 or abs(v2) > 1e12:
+        if abs(v1) > SAMPLE_CUTOFF or abs(v2) > SAMPLE_CUTOFF:
             continue
         if abs(v1 - v2) > tol * (1.0 + max(abs(v1), abs(v2))):
             return False
@@ -1009,10 +1020,10 @@ def numeric_equivalent(e1, e2, seed=0, points=32, tol=1e-9, box=None,
     return True
 
 
-def equivalent(e1, e2, seed=0, points=32, tol=1e-9, box=None):
-    """Equality test used by cross-module assertions: numeric agreement at 32
-    seeded points AND (canonical forms match OR the difference simplifies
-    to 0)."""
+def equivalent(e1, e2, seed=0, points=SAMPLE_POINTS, tol=1e-9, box=None):
+    """Equality test used by cross-module assertions: numeric agreement at
+    SAMPLE_POINTS seeded points AND (canonical forms match OR the difference
+    simplifies to 0)."""
     s1 = simplify(e1)
     s2 = simplify(e2)
     structural = s1 == s2 or is_zero(s1 - s2)

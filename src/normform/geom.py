@@ -265,16 +265,17 @@ def ad_power(f, g, k):
     return out
 
 
-def bracket_sampler(fields, pairs):
+def bracket_sampler(fields):
     """Compile the fields once for numeric Lie brackets at sample points.
 
     Returns evaluate(points), where points is an (n, P) array whose rows
     follow the fields' state order.  It gives the field values, shape
-    (len(fields), n, P), and for each index pair (a, b) in `pairs` the
-    bracket [fields[a], fields[b]] = J_b a - J_a b together with its scale
+    (k, n, P) for k fields, and for every pair a < b, in the order
+    (0, 1), (0, 2), ..., (1, 2), ..., the bracket
+    [fields[a], fields[b]] = J_b a - J_a b together with its scale
     |J_b| |a| + |J_a| |b| (absolute values taken entrywise, so the scale is
-    the size of the terms that cancel), both of shape (len(pairs), n, P).  The
-    Jacobian entries come from the unsimplified derivative trees, so no
+    the size of the terms that cancel), both of shape (k (k - 1) / 2, n, P).
+    The Jacobian entries come from the unsimplified derivative trees, so no
     bracket is expanded symbolically.  Where an expression is undefined the
     values come out non-finite; the caller decides which points to keep.
     """
@@ -293,8 +294,7 @@ def bracket_sampler(fields, pairs):
     # derivative tree raised the peak memory of assumption D on ex33 from
     # 50 MB to 165 MB (the parser's tree of that source)
     fns = [compile_exprs([e], states) for e in exprs]
-    a_idx = np.array([a for a, _ in pairs], dtype=int)
-    b_idx = np.array([b for _, b in pairs], dtype=int)
+    a_idx, b_idx = np.triu_indices(k, 1)
 
     def evaluate(points):
         args = list(np.asarray(points, dtype=float))
@@ -321,14 +321,19 @@ def _apply(jac, vals):
 
 def involutive(fields, points, tol=1e-8):
     """True iff at every sample the span of the fields already contains all
-    pairwise Lie brackets (rank comparison under tol).  Samples where a
-    field or bracket is undefined are skipped."""
+    pairwise Lie brackets (rank comparison under tol).  A bracket component
+    with |v| <= tol * s, where s is the size of the terms that cancel in it
+    (see bracket_sampler), is taken as 0, so the rounding left by exactly
+    cancelling terms adds no rank.  Samples where a field or bracket is
+    undefined are skipped."""
     if not points:
         raise ValueError("empty sample list")
-    k = len(fields)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    vals, brackets, _ = bracket_sampler(fields, pairs)(
+    if len(fields) < 2:
+        return True  # no pair to bracket
+    vals, brackets, scale = bracket_sampler(fields)(
         np.asarray(points, dtype=float).T)
+    cancelled = np.isfinite(brackets) & (np.abs(brackets) <= tol * scale)
+    brackets = np.where(cancelled, 0.0, brackets)
     for p in range(vals.shape[2]):
         base = vals[:, :, p].T
         ext = brackets[:, :, p].T

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import (EvalError, Var, const, diff, free_vars, is_zero,
-                   numeric_equivalent, render, simplify, subs)
+from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, EvalError,
+                   Var, const, diff, free_vars, is_zero, numeric_equivalent,
+                   render, simplify, subs)
 from .geom import (SymMatrix, VectorField, bracket_sampler, involutive,
                    jacobian, lie_bracket)
 from .structure import StructureError, _rank
@@ -405,11 +406,13 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
 
     The fields are built exactly; their brackets are only sampled (see
     geom.bracket_sampler), so a bracket that is identically zero is not
-    proved zero.  The rule is the one numeric_equivalent uses: 32 points
-    drawn uniformly from the box `system.domain` with numpy generator
-    `seed`; a point where any field value or bracket term is undefined,
-    non-finite or above 1e12 in absolute value is redrawn, and EvalError is
-    raised when 40 * 32 draws do not give 32 valid points.  A component v of
+    proved zero.  The sampling rule is numeric_equivalent's, set by the
+    constants in expr: SAMPLE_POINTS (32) points drawn uniformly from the
+    box `system.domain` with numpy generator `seed`; a point where any field
+    value or bracket term is undefined, non-finite or above SAMPLE_CUTOFF
+    (1e12) in absolute value is redrawn, and EvalError is raised when
+    SAMPLE_REDRAWS * SAMPLE_POINTS (40 * 32) draws do not give enough valid
+    points.  A component v of
     [a, b] = J_b a - J_a b fails when |v| > tol * (1 + s), where
     s = |J_b| |a| + |J_a| |b| (entrywise absolute values) is the size of the
     terms that cancel.  This relative margin covers the rounding left when
@@ -422,23 +425,20 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
     if nf is None:
         nf = build_normal_form(system, outcome)
     Y = _chain_fields(system, nf)
-    fields = [Y[key] for key in sorted(Y)]
-    pairs = [(a, b) for a in range(len(fields))
-             for b in range(a + 1, len(fields))]
-    evaluate = bracket_sampler(fields, pairs)
+    evaluate = bracket_sampler([Y[key] for key in sorted(Y)])
     lo, hi = np.array(system.box(), dtype=float).T
     rng = np.random.default_rng(seed)
-    points = 32
+    max_draws = SAMPLE_REDRAWS * SAMPLE_POINTS
     got = drawn = 0
-    while got < points:
-        if drawn >= 40 * points:
+    while got < SAMPLE_POINTS:
+        if drawn >= max_draws:
             raise EvalError("could not find enough valid sample points")
-        batch = min(points - got, 40 * points - drawn)
+        batch = min(SAMPLE_POINTS - got, max_draws - drawn)
         drawn += batch
         pts = rng.uniform(lo[:, None], hi[:, None], size=(system.n, batch))
         vals, brackets, scale = evaluate(pts)
-        valid = ((np.abs(vals) <= 1e12).all(axis=(0, 1))
-                 & (scale <= 1e12).all(axis=(0, 1)))
+        valid = ((np.abs(vals) <= SAMPLE_CUTOFF).all(axis=(0, 1))
+                 & (scale <= SAMPLE_CUTOFF).all(axis=(0, 1)))
         bound = tol * (1.0 + scale[..., valid])
         if np.any(np.abs(brackets[..., valid]) > bound):
             return False

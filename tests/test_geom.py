@@ -149,11 +149,11 @@ def polynomial_fields(draw):
 @given(polynomial_fields(), st.integers(0, 2**32 - 1))
 def test_sampled_bracket_matches_symbolic(fields, seed):
     names = fields[0].states
-    pairs = [(a, b) for a in range(len(fields))
-             for b in range(a + 1, len(fields))]
     pts = np.random.default_rng(seed).uniform(-1, 1, size=(len(names), 4))
-    vals, br, scale = bracket_sampler(fields, pairs)(pts)
-    symbolic = [lie_bracket(fields[a], fields[b]) for a, b in pairs]
+    vals, br, scale = bracket_sampler(fields)(pts)
+    symbolic = [lie_bracket(fields[a], fields[b])
+                for a in range(len(fields)) for b in range(a + 1, len(fields))]
+    assert br.shape[0] == len(symbolic)
     for p in range(pts.shape[1]):
         env = dict(zip(names, pts[:, p]))
         for f, got in zip(fields, vals[:, :, p]):
@@ -169,7 +169,7 @@ def test_bracket_sampler_rejects_mixed_states():
     f = VectorField([const(1)], ["x1"])
     g = VectorField([const(1)], ["x2"])
     with pytest.raises(ValueError):
-        bracket_sampler([f, g], [(0, 1)])
+        bracket_sampler([f, g])
 
 
 def test_involutive_single_and_constant():
@@ -191,6 +191,30 @@ def test_involutive_fails_for_twisting_columns():
     rng = np.random.default_rng(3)
     pts = [rng.uniform(-0.6, 0.6, size=4) for _ in range(25)]
     assert involutive(fields, pts) is False
+
+
+def test_involutive_margin_covers_cancelling_large_terms():
+    # X1 = (1, 0, F_x1) and X2 = (0, 1, F_x2) with F = sin(K x1 x2) / K
+    # commute exactly and span a well-conditioned plane in three states,
+    # but the bracket's third component is the difference of two terms of
+    # size ~K = 1e6.  Their rounding residue lies off the plane and is above
+    # tol = 1e-12 times the largest singular value; only the margin relative
+    # to the terms keeps it from adding rank.
+    names = ["x1", "x2", "x3"]
+
+    def fields(extra):
+        return [VectorField([const(1), const(0),
+                             parse("x2*cos(1000000*x1*x2)")], names),
+                VectorField([const(0), const(1),
+                             parse(f"x1*cos(1000000*x1*x2){extra}")], names)]
+
+    rng = np.random.default_rng(0)
+    pts = [rng.uniform(-1, 1, size=3) for _ in range(50)]
+    assert involutive(fields(""), pts, tol=1e-12) is True
+    # scaling F_x2 by 1 + 1e-9 leaves a bracket of 1e-9 times its terms at
+    # every point, a thousand times the margin: it is not taken for rounding
+    assert involutive(fields("*1000000001/1000000000"), pts,
+                      tol=1e-12) is False
 
 
 def test_involutive_requires_points():
