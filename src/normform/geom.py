@@ -1,19 +1,21 @@
 """Vector fields, symbolic matrices, and the Lie-calculus primitives.
 
 Everything here is exact symbolic computation on top of expr.Expr, apart
-from bracket_sampler, which evaluates Lie brackets numerically at sample
-points without expanding them, and the sampled involutivity test built on it.
+from the sampled side: SymMatrix.sample, which evaluates a matrix at many
+points in one call; rank, the one numeric rank rule; bracket_sampler, which
+evaluates Lie brackets numerically at sample points without expanding them;
+and the sampled involutivity test built on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import (_diff_raw, compile_exprs, diff, evalf, free_vars,
-                   simplify, subs, const)
+from .expr import (EvalError, _diff_raw, compile_exprs, diff, evalf,
+                   free_vars, simplify, subs, const)
 
 __all__ = ["VectorField", "SymMatrix", "jacobian", "lie_derivative",
-           "lie_bracket", "ad_power", "bracket_sampler", "involutive"]
+           "lie_bracket", "ad_power", "bracket_sampler", "involutive", "rank"]
 
 
 class SymMatrix:
@@ -110,6 +112,29 @@ class SymMatrix:
             for j in range(m):
                 out[i, j] = evalf(self.rows[i][j], env)
         return out
+
+    def sample(self, states, points, finite=True):
+        """Values at the columns of the (n, P) array `points`, whose rows
+        follow `states`, as an array of shape (P, rows, cols).
+
+        The entries are compiled once and evaluated over all points in one
+        call.  Raises EvalError naming the first point where an entry is
+        undefined or not finite, unless `finite` is False.
+        """
+        pts = np.asarray(points, dtype=float)
+        nr, nc = self.shape
+        out = np.empty((nr * nc, pts.shape[1]))
+        if out.size:
+            fn = compile_exprs([e for r in self.rows for e in r], states)
+            with np.errstate(all="ignore"):
+                # row assignment also broadcasts constant entries
+                for row, v in zip(out, fn(list(pts))):
+                    row[...] = v
+            bad = ~np.isfinite(out).all(axis=0)
+            if finite and bad.any():
+                raise EvalError("matrix has non-finite entries at "
+                                f"{pts[:, np.argmax(bad)]}")
+        return out.T.reshape(pts.shape[1], nr, nc)
 
     def is_constant(self):
         return all(not free_vars(e) for r in self.rows for e in r)
@@ -334,22 +359,29 @@ def involutive(fields, points, tol=1e-8):
         np.asarray(points, dtype=float).T)
     cancelled = np.isfinite(brackets) & (np.abs(brackets) <= tol * scale)
     brackets = np.where(cancelled, 0.0, brackets)
-    for p in range(vals.shape[2]):
-        base = vals[:, :, p].T
-        ext = brackets[:, :, p].T
-        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(ext))):
-            continue
-        r1 = _num_rank(base, tol)
-        r2 = _num_rank(np.hstack([base, ext]), tol)
-        if r2 > r1:
-            return False
-    return True
+    # per point: the fields as columns, then the fields and brackets
+    base = vals.transpose(2, 1, 0)
+    ext = np.concatenate([base, brackets.transpose(2, 1, 0)], axis=2)
+    finite = np.isfinite(ext).all(axis=(1, 2))
+    return bool(np.all(rank(ext[finite], tol) <= rank(base[finite], tol)))
 
 
-def _num_rank(a, tol):
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, float(s[0]))))
+def rank(a, tol):
+    """Numeric rank: the singular values s_i > tol·max(1, s_1) are counted.
+
+    A 2-D matrix gives an int.  A stack of shape (..., r, c) gives an int
+    array of per-matrix ranks, all from one np.linalg.svd call.  A matrix
+    with no rows or no columns has rank 0.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size:
+        r = _kept(np.linalg.svd(a, compute_uv=False), tol)
+    else:
+        r = np.zeros(a.shape[:-2], dtype=int)
+    return int(r) if a.ndim == 2 else r
+
+
+def _kept(s, tol):
+    """Count of the singular values (descending along the last axis) that
+    the rank rule keeps."""
+    return np.sum(s > tol * np.maximum(1.0, s[..., :1]), axis=-1)

@@ -13,6 +13,9 @@ import itertools
 
 import numpy as np
 
+from .geom import rank
+from .structure import _sel_product
+
 __all__ = ["LinearTriple", "LinearOutcome", "LinearDecomposition",
            "linear_infinite_zeros", "vector_relative_degree", "decompose",
            "load_matrix"]
@@ -54,13 +57,6 @@ def load_matrix(path):
             if line:
                 rows.append([float(v) for v in line.split()])
     return np.array(rows)
-
-
-def _rank(M, tol=LIN_TOL):
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 0.0)))
 
 
 class _Step:
@@ -112,7 +108,7 @@ def linear_infinite_zeros(triple, tol=LIN_TOL):
     while True:
         k += 1
         stack = np.vstack([omega @ B, T @ B]) if omega.size or T.size else np.zeros((0, m))
-        rho_k = _rank(stack, tol)
+        rho_k = rank(stack, tol)
         need = rho_k - rho_prev
         sel = _select_rows(omega @ B, T @ B, need, tol)
         if sel is None:
@@ -163,10 +159,10 @@ def linear_infinite_zeros(triple, tol=LIN_TOL):
 
 def _select_rows(base, cand, need, tol):
     nrows = cand.shape[0]
-    cur = _rank(base, tol)
+    cur = rank(base, tol)
 
     def ok(rows):
-        return _rank(np.vstack([base, cand[list(rows)]]), tol) == cur + len(rows)
+        return rank(np.vstack([base, cand[list(rows)]]), tol) == cur + len(rows)
 
     chosen = []
     for r in range(nrows):
@@ -210,20 +206,15 @@ def vector_relative_degree(triple, tol=LIN_TOL):
         r.append(row[0])
         D.append(row[1])
     D = np.array(D)
-    if _rank(D, tol) < m:
+    if rank(D, tol) < m:
         return None
     return r
 
 
 def _theta_level(out, j):
+    """Theta_{j-1} as numeric rows: C for j = 1, else step j's recorded
+    T_prev (normalform._theta_level gives symbolic expressions)."""
     return out.triple.C if j == 1 else out.steps[j - 1].T_prev
-
-
-def _sel_product(out, i, j):
-    sel = out.steps[i - 1].R
-    for t in range(i - 1, j - 1, -1):
-        sel = sel @ out.steps[t - 1].S
-    return sel
 
 
 class LinearDecomposition:
@@ -336,7 +327,7 @@ def decompose(triple, tol=LIN_TOL):
     for j in range(n):
         cand = np.eye(n)[j]
         trial = np.vstack([cur, cand[None, :]])
-        if _rank(trial, tol) == cur.shape[0] + 1:
+        if rank(trial, tol) == cur.shape[0] + 1:
             We_rows.append(cand)
             cur = trial
     We = np.array(We_rows) if We_rows else np.zeros((0, n))
@@ -351,7 +342,7 @@ def decompose(triple, tol=LIN_TOL):
         if len(goe_rows) == p - out.m_d:
             break
         trial = np.vstack([cur, np.asarray(cand)[None, :]])
-        if _rank(trial, tol) == cur.shape[0] + 1:
+        if rank(trial, tol) == cur.shape[0] + 1:
             goe_rows.append(np.asarray(cand))
             cur = trial
     gamma_o = np.vstack([np.array(goe_rows) if goe_rows else np.zeros((0, p)), god])
@@ -363,7 +354,7 @@ def decompose(triple, tol=LIN_TOL):
         if len(gie_rows) == m - out.m_d:
             break
         trial = np.vstack([cur, cand[None, :]])
-        if _rank(trial, tol) == cur.shape[0] + 1:
+        if rank(trial, tol) == cur.shape[0] + 1:
             gie_rows.append(cand)
             cur = trial
     gamma_i = np.vstack([np.array(gie_rows) if gie_rows else np.zeros((0, m)), gid])

@@ -8,14 +8,16 @@ its sparsity law (couplings vanish above the feeding chain's length).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, EvalError,
                    Var, const, diff, free_vars, is_zero, numeric_equivalent,
                    render, simplify, subs)
-from .geom import (SymMatrix, VectorField, bracket_sampler, involutive,
-                   jacobian, lie_bracket)
-from .structure import StructureError, _rank
+from .geom import (SymMatrix, VectorField, _kept, bracket_sampler,
+                   involutive, jacobian, lie_bracket, rank as _rank)
+from .structure import StructureError, _sel_product
 from .sysmodel import DEFAULT_TOL
 
 __all__ = ["NormalForm", "ZeroDynamicsReport", "build_normal_form",
@@ -23,16 +25,9 @@ __all__ = ["NormalForm", "ZeroDynamicsReport", "build_normal_form",
            "zero_dynamics", "solve_triangular"]
 
 
-def _sel_product(outcome, i, j):
-    """Row-selection product R_i S_{i-1} ... S_j (identity chain for j > i-1)."""
-    sel = outcome.steps[i - 1].R
-    for t in range(i - 1, j - 1, -1):
-        sel = sel @ outcome.steps[t - 1].S
-    return sel
-
-
 def _theta_level(outcome, j):
-    """Theta_{j-1}: the output map for j = 1, else step j-1's residue."""
+    """Theta_{j-1} as symbolic expressions: the output map h for j = 1, else
+    step j-1's residue (linstruct._theta_level gives numeric rows)."""
     if j == 1:
         return [simplify(e) for e in outcome.system.h]
     return list(outcome.steps[j - 2].theta)
@@ -216,17 +211,10 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
         if nf.gamma_ie.shape != (m - nf.m_d, m):
             raise ValueError(f"gamma_ie must be {(m - nf.m_d, m)}")
     else:
-        base_vals = _eval_matrix_samples(nf.gamma_id, states, samples)
-        rows = None
-        for combo in _greedy_then_all(m, m - nf.m_d):
-            ok = all(_rank(np.vstack([np.eye(m)[list(combo)], bv]), tol) == m
-                     for bv in base_vals)
-            if ok:
-                rows = list(combo)
-                break
-        if rows is None and m > nf.m_d:
+        rows = _input_complement(nf.gamma_id, m, states, samples, tol)
+        if rows is None:
             raise StructureError("no constant input complement found; supply gamma_ie")
-        nf.gamma_ie = SymMatrix.from_numpy(np.eye(m)[rows or []])
+        nf.gamma_ie = SymMatrix.from_numpy(np.eye(m)[rows])
 
     # State complement.
     dphi_d = jacobian([e for c in nf.chains for e in c], states)
@@ -280,10 +268,20 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
     return nf
 
 
-def _greedy_then_all(m, need):
-    import itertools
-    ordered = list(itertools.combinations(range(m), need))
-    return ordered
+def _input_complement(gamma_id, m, states, samples, tol):
+    """Row indices of the first combination (in itertools.combinations
+    order) of canonical rows I_rows making [I_rows; Gamma_id] nonsingular at
+    every sample, or None when there is none."""
+    need = m - gamma_id.shape[0]
+    if not need:
+        return []
+    vals = (gamma_id.sample(states, np.transpose(samples)) if gamma_id.shape[0]
+            else np.zeros((len(samples), 0, m)))
+    for combo in itertools.combinations(range(m), need):
+        rows = np.broadcast_to(np.eye(m)[list(combo)], (len(samples), need, m))
+        if np.all(_rank(np.concatenate([rows, vals], axis=1), tol) == m):
+            return list(combo)
+    return None
 
 
 def _rows_times_matrix(sel, matrix):
@@ -306,16 +304,6 @@ def _rows_times_exprs(sel, exprs):
                 acc = acc + const(float(c)) * e
         out.append(simplify(acc))
     return out
-
-
-def _eval_matrix_samples(matrix, states, samples):
-    from .expr import compile_exprs
-    nr, nc = matrix.shape
-    if nr == 0:
-        return [np.zeros((0, nc)) for _ in samples]
-    fn = compile_exprs([e for r in matrix.rows for e in r], states)
-    return [np.asarray(fn(list(np.asarray(p, dtype=float))), dtype=float).reshape(nr, nc)
-            for p in samples]
 
 
 def _decompose_eta_dynamics(nf, tol):
@@ -364,11 +352,8 @@ def check_assumption_B(outcome, samples=None, tol=DEFAULT_TOL):
         for j in range(1, qi + 1):
             sel = _sel_product(outcome, step, j)
             zeta.append(_apply_rows(sel[[r]], _theta_level(outcome, j))[0])
-    J = jacobian(zeta, states)
-    for vals in _eval_matrix_samples(J, states, samples):
-        if _rank(vals, tol) != len(zeta):
-            return False
-    return True
+    vals = jacobian(zeta, states).sample(states, np.transpose(samples))
+    return bool(np.all(_rank(vals, tol) == len(zeta)))
 
 
 def check_assumption_C(system, outcome, gamma_ie=None, plan=None, tol=DEFAULT_TOL):
@@ -392,12 +377,10 @@ def _default_gamma_ie(system, outcome, tol):
     m, m_d = system.m, outcome.m_d
     if m == m_d:
         return SymMatrix([])
-    base_vals = _eval_matrix_samples(outcome.b, system.states, outcome.samples)
-    for combo in _greedy_then_all(m, m - m_d):
-        if all(_rank(np.vstack([np.eye(m)[list(combo)], bv]), tol) == m
-               for bv in base_vals):
-            return SymMatrix.from_numpy(np.eye(m)[list(combo)])
-    raise StructureError("no constant input complement found")
+    rows = _input_complement(outcome.b, m, system.states, outcome.samples, tol)
+    if rows is None:
+        raise StructureError("no constant input complement found")
+    return SymMatrix.from_numpy(np.eye(m)[rows])
 
 
 def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
@@ -600,8 +583,8 @@ def zero_dynamics(nf, tol=DEFAULT_TOL):
         return rep
     V_c = _orth(ctrl, tol)
     V_a = _complement_within(unobs, V_c, tol)
-    V_b = _complement_full(np.hstack([V_a, V_c]) if (V_a.size or V_c.size)
-                           else np.zeros((n0, 0)), n0, tol)
+    V_b = _complement_within(np.eye(n0), np.hstack([V_a, V_c])
+                             if (V_a.size or V_c.size) else np.zeros((n0, 0)), tol)
     T = np.hstack([V_a, V_b, V_c])
     Tinv = np.linalg.inv(T)
     na = V_a.shape[1]
@@ -652,16 +635,14 @@ def _orth(M, tol):
     if M.size == 0:
         return np.zeros((M.shape[0], 0))
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 0.0)))
-    return u[:, :r]
+    return u[:, :_kept(s, tol)]
 
 
 def _null(M, tol):
     if M.size == 0:
         return np.eye(M.shape[1]) if M.shape[1] else np.zeros((0, 0))
     u, s, vt = np.linalg.svd(M)
-    r = int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 0.0)))
-    return vt[r:].T
+    return vt[_kept(s, tol):].T
 
 
 def _complement_within(space, sub, tol):
@@ -677,15 +658,3 @@ def _complement_within(space, sub, tol):
             cols.append(c)
             cur = trial
     return np.hstack(cols) if cols else np.zeros((space.shape[0], 0))
-
-
-def _complement_full(cur, n, tol):
-    cols = []
-    base = cur
-    for j in range(n):
-        c = np.eye(n)[:, j:j + 1]
-        trial = np.hstack([base, c]) if base.size else c
-        if _rank(trial, tol) == (base.shape[1] if base.size else 0) + 1:
-            cols.append(c)
-            base = trial
-    return np.hstack(cols) if cols else np.zeros((n, 0))

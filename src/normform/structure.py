@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .expr import EvalError, compile_exprs, const, render, simplify
-from .geom import SymMatrix, lie_derivative, lie_derivative_cols
+from .geom import SymMatrix, lie_derivative, lie_derivative_cols, rank
 from .sysmodel import DEFAULT_TOL, SamplePlan
 
 __all__ = ["StructureOutcome", "StepRecord", "StructureError", "select_RS",
@@ -153,51 +153,42 @@ def classify_invertibility(rho_last, m, p):
     return DEGENERATE
 
 
-def _stack_eval(matrix, states, points):
-    """Evaluate a SymMatrix at many points, returning list of arrays."""
-    n, m = matrix.shape
-    if n == 0 or m == 0:
-        return [np.zeros((n, m)) for _ in points]
-    fn = compile_exprs([e for r in matrix.rows for e in r], states)
-    out = []
-    for pt in points:
-        vals = np.asarray(fn(list(np.asarray(pt, dtype=float))), dtype=float)
-        out.append(vals.reshape(n, m))
-    return out
-
-
-def _rank(a, tol):
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 0.0)))
+def _sel_product(outcome, i, j):
+    """Row-selection product R_i S_{i-1} ... S_j over outcome.steps
+    (R_i alone for j > i - 1); used for the symbolic and the linear
+    outcomes alike."""
+    sel = outcome.steps[i - 1].R
+    for t in range(i - 1, j - 1, -1):
+        sel = sel @ outcome.steps[t - 1].S
+    return sel
 
 
 def select_RS(lg_omega_vals, lg_theta_vals, need, tol):
     """Choose 0/1 row-selection R (and complement S) so that the stack
     [L_g Omega; L_g R Theta] has full row rank at every sample.
 
-    Greedy pivoting at the base sample (index 0), then verification at all
-    samples; falls back to exhaustive search over row subsets.  Returns
-    (R, S) as numpy arrays, or None when no selection works.
+    The values are stacks over the samples, of shapes (P, rows, m) (or
+    sequences of per-sample matrices).  Greedy pivoting at the base sample
+    (index 0), then verification at all samples; falls back to exhaustive
+    search over row subsets.  Returns (R, S) as numpy arrays, or None when
+    no selection works.
     """
-    nrows = lg_theta_vals[0].shape[0]
+    lg_omega_vals = np.asarray(lg_omega_vals, dtype=float)
+    lg_theta_vals = np.asarray(lg_theta_vals, dtype=float)
+    nrows = lg_theta_vals.shape[1]
 
     def ok_everywhere(rows):
-        for base, cand in zip(lg_omega_vals, lg_theta_vals):
-            stack = np.vstack([base] + [cand[list(rows)]]) if rows else base
-            if _rank(stack, tol) != base.shape[0] + len(rows):
-                return False
-        return True
+        stack = np.concatenate([lg_omega_vals, lg_theta_vals[:, rows]], axis=1)
+        return bool(np.all(rank(stack, tol) == lg_omega_vals.shape[1] + len(rows)))
 
     chosen = []
     base0, cand0 = lg_omega_vals[0], lg_theta_vals[0]
-    cur = _rank(base0, tol)
+    cur = rank(base0, tol)
     for r in range(nrows):
         if len(chosen) == need:
             break
         trial = np.vstack([base0] + [cand0[chosen + [r]]])
-        if _rank(trial, tol) == cur + len(chosen) + 1:
+        if rank(trial, tol) == cur + len(chosen) + 1:
             chosen.append(r)
     if len(chosen) == need and ok_everywhere(chosen):
         return _selection_matrices(chosen, nrows)
@@ -264,7 +255,7 @@ def _solve_P_pivot(lg_s_theta, lg_omega, origin_vals, tol):
         if len(piv) == rho:
             break
         sub = origin_vals[:, piv + [j]]
-        if _rank(sub, tol) == len(piv) + 1:
+        if rank(sub, tol) == len(piv) + 1:
             piv.append(j)
     if len(piv) < rho:
         raise StructureError("could not find pivot columns at the origin")
@@ -319,18 +310,18 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
             pts = samples
 
         try:
-            lg_theta_vals = _stack_eval(lg_theta, states, pts)
-            lg_omega_vals = (_stack_eval(lg_omega, states, pts)
-                             if lg_omega.shape[0] else
-                             [np.zeros((0, m)) for _ in pts])
+            at = np.transpose(pts)
+            lg_theta_vals = lg_theta.sample(states, at)
+            lg_omega_vals = (lg_omega.sample(states, at) if lg_omega.shape[0]
+                             else np.zeros((len(pts), 0, m)))
         except EvalError as exc:
             out.regular = False
             out.failure_step = k
             out.failure_reason = f"evaluation failed: {exc}"
             return out
 
-        combined = [np.vstack([a, b]) for a, b in zip(lg_omega_vals, lg_theta_vals)]
-        ranks = [_rank(c, tol) for c in combined]
+        ranks = rank(np.concatenate([lg_omega_vals, lg_theta_vals], axis=1),
+                     tol).tolist()
         if len(set(ranks)) != 1:
             out.regular = False
             out.failure_step = k
@@ -452,15 +443,16 @@ def _all_thetas(h, steps):
 
 
 def _assert_zero_matrix(mat, states, pts, tol, out, k):
-    n_, m_ = mat.shape
-    if n_ == 0 or m_ == 0:
+    """Warn at the first sample where the residual is above 1e-6 or not
+    finite."""
+    if 0 in mat.shape:
         return
-    for vals in _stack_eval(mat, states, pts):
-        if np.max(np.abs(vals)) > 1e-6:
-            out.warnings.append(
-                f"step {k}: elimination residual not numerically zero "
-                f"(max {np.max(np.abs(vals)):.2e}); rank hypothesis may be marginal")
-            return
+    peak = np.abs(mat.sample(states, np.transpose(pts), finite=False)).max(axis=(1, 2))
+    big = np.flatnonzero(~(peak <= 1e-6))
+    if big.size:
+        out.warnings.append(
+            f"step {k}: elimination residual not numerically zero "
+            f"(max {peak[big[0]]:.2e}); rank hypothesis may be marginal")
 
 
 def _project_points(system, theta_stack, samples, proj_tol, out, k):
@@ -527,14 +519,11 @@ def _grad(e, states):
 def _fill_sigma(out):
     """sigma_{i,j} rows of the zero-output normal form: the residual input
     feedthrough R_i S_{i-1..j+1} W_j appearing in the level-j equations."""
-    steps = out.steps
     for idx, (k_i, _, r) in enumerate(out.chains(), start=1):
         for j in range(1, k_i):
             if j not in out.W:
                 continue
-            sel = steps[k_i - 1].R[[r]]
-            for t in range(k_i - 1, j, -1):
-                sel = sel @ steps[t - 1].S
+            sel = _sel_product(out, k_i, j + 1)[[r]]
             row = _sym_from_rows_times(sel, out.W[j])
             out.sigma[(idx, j)] = row.rows[0] if row.rows else []
 

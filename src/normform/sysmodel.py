@@ -6,7 +6,7 @@ import numpy as np
 
 from .expr import (EvalError, compile_exprs, evalf, free_vars, parse, render,
                    simplify)
-from .geom import SymMatrix, VectorField
+from .geom import SymMatrix, VectorField, rank
 
 __all__ = ["AffineSystem", "SamplePlan", "RankReport", "SystemFormatError",
            "load_system", "loads_system", "dump_system", "numeric_rank",
@@ -156,26 +156,13 @@ class RankReport:
 
 
 def numeric_rank(matrix, points, state_names, tol=DEFAULT_TOL):
-    """Per-point numeric rank of a SymMatrix via singular values:
-    singular values above tol*max(1, sigma_max) are counted."""
+    """Per-point numeric rank of a SymMatrix, by the rule of geom.rank.
+    Raises EvalError naming the first point where an entry is undefined or
+    not finite."""
     if not points:
         raise ValueError("numeric_rank needs at least one point")
-    n, m = matrix.shape
-    if n == 0 or m == 0:
-        return RankReport([0] * len(points), points, tol)
-    fn = compile_exprs([e for r in matrix.rows for e in r], state_names)
-    ranks = []
-    for pt in points:
-        try:
-            vals = np.asarray(fn(list(np.asarray(pt, dtype=float))),
-                              dtype=float).reshape(n, m)
-        except (EvalError, ZeroDivisionError) as exc:
-            raise EvalError(f"matrix not evaluable at {np.asarray(pt)}: {exc}") from exc
-        if not np.all(np.isfinite(vals)):
-            raise EvalError(f"matrix has non-finite entries at {np.asarray(pt)}")
-        s = np.linalg.svd(vals, compute_uv=False)
-        ranks.append(int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 0.0))))
-    return RankReport(ranks, points, tol)
+    vals = matrix.sample(state_names, np.transpose(points))
+    return RankReport(rank(vals, tol).tolist(), points, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, reports, controller and trace files."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,23 @@ def test_analyze_nonregular_exit_2(tmp_path, capsys):
     assert code == 2
     assert "rank not constant" in out
     assert (tmp_path / "report.txt").exists()  # report written on failure too
+
+
+def test_analyze_undefined_entry_exit_2(tmp_path):
+    # g1 = x1/(x1 + x2) is 0/0 at the origin, which is always sampled
+    path = tmp_path / "undefined.sys"
+    path.write_text("[states]\n[x1, x2]\n[f]\n[0, 0]\n[g]\n[x1/(x1+x2)]\n[1]\n"
+                    "[h]\n[x1]\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "normform.cli", "analyze", str(path),
+         "--out", str(tmp_path / "rep")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert out.returncode == 2
+    assert any(line.startswith("not regular at step 1: evaluation failed: ")
+               and line.endswith(" at [0. 0.]") for line in out.stdout.splitlines())
+    assert "RuntimeWarning" not in out.stderr
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert report["failure"]["step"] == 1
 
 
 def test_analyze_missing_file(capsys):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normform.expr import const, evalf, parse, numeric_equivalent
+from normform.expr import EvalError, const, evalf, parse, numeric_equivalent
 from normform.geom import (SymMatrix, VectorField, ad_power, bracket_sampler,
                            involutive, jacobian, lie_bracket, lie_derivative,
-                           lie_derivative_cols)
+                           lie_derivative_cols, rank)
 
 STATES5 = ["x1", "x2", "x3", "x4", "x5"]
 
@@ -222,3 +222,71 @@ def test_involutive_requires_points():
     g = VectorField([parse("x1")], ["x1"])
     with pytest.raises(ValueError):
         involutive([f, g], [])
+
+
+def _rank_loop(stack, tol):
+    return [rank(a, tol) for a in stack]
+
+
+@pytest.mark.parametrize("shape", [(7, 3, 4), (7, 4, 3), (1, 3, 3), (5, 1, 6),
+                                   (7, 0, 4), (7, 4, 0), (1, 0, 0), (0, 3, 3)])
+def test_rank_of_stack_equals_per_matrix_loop(shape):
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=shape)
+    ranks = rank(stack, 1e-8)
+    assert ranks.shape == shape[:1]
+    assert ranks.tolist() == _rank_loop(stack, 1e-8)
+
+
+def test_rank_of_rank_deficient_stack_equals_per_matrix_loop():
+    rng = np.random.default_rng(5)
+    # products of 5x r and r x 4 factors have rank r; the last matrix is 0
+    stack = np.array([rng.normal(size=(5, r)) @ rng.normal(size=(r, 4))
+                      for r in (0, 1, 2, 3, 4, 2, 1)]
+                     + [np.zeros((5, 4)), 1e-12 * rng.normal(size=(5, 4))])
+    ranks = rank(stack, 1e-8)
+    assert ranks.tolist() == _rank_loop(stack, 1e-8) == [0, 1, 2, 3, 4, 2, 1, 0, 0]
+    # a 4-D stack keeps its leading axes
+    assert rank(stack.reshape(3, 3, 5, 4), 1e-8).tolist() == [[0, 1, 2], [3, 4, 2],
+                                                             [1, 0, 0]]
+
+
+def test_rank_threshold_is_relative_above_one():
+    # sigma_2 = 1e-7 counts next to sigma_1 = 1, not next to sigma_1 = 1e2
+    assert rank(np.diag([1.0, 1e-7]), 1e-8) == 2
+    assert rank(np.diag([1e2, 1e-7]), 1e-8) == 1
+    assert rank(np.diag([1e-3, 1e-9]), 1e-8) == 1
+    assert isinstance(rank(np.eye(2), 1e-8), int)
+    assert rank(np.zeros((0, 3)), 1e-8) == 0
+
+
+def test_sample_matches_eval_at():
+    states = ["x1", "x2", "x3"]
+    M = SymMatrix([[parse(s) for s in row] for row in
+                   [["2", "x1", "x2^3"], ["x1*x2 - x3", "x3^-2", "-1/3"],
+                    ["sin(x1)*exp(x2)", "sqrt(x3)", "x1^2*x3^-1"]]])
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(0.1, 2.0, size=(3, 40))
+    vals = M.sample(states, pts)
+    assert vals.shape == (40, 3, 3)
+    for p in range(pts.shape[1]):
+        want = M.eval_at(dict(zip(states, pts[:, p])))
+        assert np.allclose(vals[p], want, rtol=1e-12, atol=0.0)
+
+
+def test_sample_shapes_and_constants():
+    pts = np.zeros((2, 5))
+    assert SymMatrix([]).sample(["x1", "x2"], pts).shape == (5, 0, 0)
+    assert SymMatrix([[], []]).sample(["x1", "x2"], pts).shape == (5, 2, 0)
+    vals = SymMatrix.identity(2).sample(["x1", "x2"], pts)
+    assert np.array_equal(vals, np.broadcast_to(np.eye(2), (5, 2, 2)))
+
+
+def test_sample_names_first_non_finite_point():
+    M = SymMatrix([[parse("x1^-1"), parse("1")]])
+    pts = np.array([[1.0, 0.5, 0.0, 0.0]])
+    with pytest.raises(EvalError, match=r"at \[0\.\]"):
+        M.sample(["x1"], pts)
+    # finite=False hands the values back instead
+    vals = M.sample(["x1"], pts, finite=False)
+    assert np.isinf(vals[2, 0, 0]) and vals[2, 0, 1] == 1.0

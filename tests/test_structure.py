@@ -5,9 +5,12 @@ import pytest
 
 from conftest import counter3_affine
 from normform.expr import parse
-from normform.structure import (classify_invertibility,
+from normform.geom import SymMatrix
+from normform.structure import (StructureOutcome, _assert_zero_matrix,
+                                classify_invertibility,
                                 infinite_zero_algorithm, invariance_harness,
-                                zero_output_algorithm, apply_output_transform)
+                                select_RS, zero_output_algorithm,
+                                apply_output_transform)
 from normform.sysmodel import SamplePlan, load_system
 
 
@@ -152,6 +155,30 @@ def test_rs_choice_invariance_via_row_permutation(ex31):
     out = infinite_zero_algorithm(perm, SamplePlan(count=40))
     assert out.regular and out.q == [2, 3]
     assert out.invertibility == "Invertible"
+
+
+def test_select_RS_falls_back_when_base_choice_fails_elsewhere():
+    # row 0 is picked at the base sample but vanishes at the second one
+    theta = [np.eye(2), np.array([[0.0, 0.0], [0.0, 1.0]])]
+    omega = np.zeros((2, 0, 2))
+    for vals in (theta, np.array(theta)):
+        R, S = select_RS(omega, vals, 1, 1e-8)
+        assert R.tolist() == [[0.0, 1.0]] and S.tolist() == [[1.0, 0.0]]
+    assert select_RS(omega, theta, 2, 1e-8) is None
+
+
+@pytest.mark.parametrize("entry, warned", [("0", None), ("x1^-1", "inf"),
+                                           ("sqrt(x1)", "nan"), ("x1", "1.00e+00")])
+def test_residual_warning_at_first_bad_sample(entry, warned):
+    out = StructureOutcome(None, "infinite-zero", [], 1e-8)
+    pts = [np.zeros(1), np.array([-1.0]), np.array([0.5])]
+    _assert_zero_matrix(SymMatrix([[parse(entry)]]), ["x1"], pts, 1e-8, out, 2)
+    if warned is None:
+        assert out.warnings == []
+    else:
+        assert out.warnings == [f"step 2: elimination residual not numerically "
+                                f"zero (max {warned}); rank hypothesis may be "
+                                "marginal"]
 
 
 def test_counter3_affine_matches_linear():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from normform.expr import parse
+from normform.expr import EvalError, parse
 from normform.geom import SymMatrix
 from normform.sysmodel import (SamplePlan, SystemFormatError,
                                dump_system, loads_system,
@@ -130,6 +130,19 @@ def test_rank_invariant_under_invertible_multipliers(ex31):
         R = rng.normal(size=(2, 2)) + 2 * np.eye(2)
         lm = SymMatrix.from_numpy(L) @ M @ SymMatrix.from_numpy(R)
         assert numeric_rank(lm, pts, ex31.states).ranks == base
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ("1/x1", [0.0, 2.0]),            # undefined: division by zero
+    ("sqrt(x1)", [-0.5, 2.0]),       # undefined: NaN
+    ("exp(1000*x1)", [1.0, 2.0]),    # overflows to inf
+])
+def test_rank_raises_naming_the_non_finite_point(entry, bad):
+    M = SymMatrix([[parse(entry), parse("x2")]])
+    pts = [np.array([0.5, 1.0]), np.array(bad), np.array([0.25, -1.0])]
+    with pytest.raises(EvalError) as info:
+        numeric_rank(M, pts, ["x1", "x2"])
+    assert str(info.value).endswith(f"at {np.array(bad)}")
 
 
 def test_degenerate_box_rejected():
