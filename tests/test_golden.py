@@ -1,0 +1,90 @@
+"""Golden outputs: `analyze` and `linzeros` must reproduce the files under
+tests/golden byte for byte.
+
+Regenerate them (only after checking that a change of output is intended)
+with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from normform.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+SYS = REPO / "systems"
+LIN = SYS / "linear"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+ANALYZE = [(path.stem, zero) for path in sorted(SYS.glob("*.sys"))
+           for zero in (False, True)]
+LINEAR = ["counter3", "exam1", "exam2", "exam_sch", "exam_sch_To"]
+
+
+def _analyze_name(stem, zero):
+    return stem + ("_zero-output" if zero else "")
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([str(a) for a in argv])
+    return code, buf.getvalue()
+
+
+def _analyze(stem, zero, outdir):
+    """{file name: text} of one `analyze` run with the default plan."""
+    argv = ["analyze", SYS / f"{stem}.sys", "--out", outdir]
+    if zero:
+        argv.append("--zero-output")
+    code, out = _run(argv)
+    name = _analyze_name(stem, zero)
+    return {f"{name}.stdout": f"exit {code}\n{out}",
+            f"{name}.report.txt": (Path(outdir) / "report.txt").read_text(),
+            f"{name}.report.json": (Path(outdir) / "report.json").read_text()}
+
+
+def _linzeros(name):
+    base = name.removesuffix("_To")
+    argv = ["linzeros"] + [arg for key in "abc"
+                           for arg in (f"--{key}", LIN / f"{base}_{key.upper()}.txt")]
+    if name.endswith("_To"):
+        argv += ["--output-transform", LIN / f"{name}.txt"]
+    code, out = _run(argv)
+    return {f"{name}.stdout": f"exit {code}\n{out}"}
+
+
+@pytest.mark.parametrize("stem,zero", ANALYZE,
+                         ids=[_analyze_name(*case) for case in ANALYZE])
+def test_analyze_golden(stem, zero, tmp_path):
+    for fname, text in _analyze(stem, zero, tmp_path).items():
+        assert text == (GOLDEN / "analyze" / fname).read_text(), fname
+
+
+@pytest.mark.parametrize("name", LINEAR)
+def test_linzeros_golden(name):
+    for fname, text in _linzeros(name).items():
+        assert text == (GOLDEN / "linzeros" / fname).read_text(), fname
+
+
+def regenerate():
+    for sub in ("analyze", "linzeros"):
+        (GOLDEN / sub).mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for stem, zero in ANALYZE:
+            files.update({f"analyze/{k}": v
+                          for k, v in _analyze(stem, zero, tmp).items()})
+    for name in LINEAR:
+        files.update({f"linzeros/{k}": v for k, v in _linzeros(name).items()})
+    for rel, text in files.items():
+        (GOLDEN / rel).write_text(text)
+
+
+if __name__ == "__main__":
+    regenerate()
+    sys.exit(0)
