@@ -2,7 +2,8 @@
 
 Everything here is exact symbolic computation on top of expr.Expr, apart
 from the sampled side: SymMatrix.sample, which evaluates a matrix at many
-points in one call; rank, the one numeric rank rule; bracket_sampler, which
+points in one call; rank, the one numeric rank rule; complete_rows, the one
+greedy rank completion built on it; bracket_sampler, which
 evaluates Lie brackets numerically at sample points without expanding them;
 and the sampled involutivity test built on it.
 """
@@ -15,7 +16,8 @@ from .expr import (EvalError, _diff_raw, compile_exprs, diff, evalf,
                    free_vars, simplify, subs, const)
 
 __all__ = ["VectorField", "SymMatrix", "jacobian", "lie_derivative",
-           "lie_bracket", "ad_power", "bracket_sampler", "involutive", "rank"]
+           "lie_bracket", "ad_power", "bracket_sampler", "involutive", "rank",
+           "complete_rows"]
 
 
 class SymMatrix:
@@ -379,6 +381,28 @@ def rank(a, tol):
     else:
         r = np.zeros(a.shape[:-2], dtype=int)
     return int(r) if a.ndim == 2 else r
+
+
+def complete_rows(base, candidates, need, tol):
+    """Indices of the candidate rows that, taken in order, each raise the
+    rank of `base` plus the rows already chosen; stops after `need` rows.
+    A base with no rows is taken at the candidates' width.  Fewer than
+    `need` indices come back when the candidates run out."""
+    candidates = np.asarray(candidates, dtype=float)
+    cur = np.asarray(base, dtype=float)
+    if not len(cur):
+        cur = np.zeros((0, candidates.shape[1]))
+    cur_rank = rank(cur, tol)
+    chosen = []
+    for i, row in enumerate(candidates):
+        if len(chosen) == need:
+            break
+        trial = np.vstack([cur, row])
+        trial_rank = rank(trial, tol)
+        if trial_rank > cur_rank:
+            chosen.append(i)
+            cur, cur_rank = trial, trial_rank
+    return chosen
 
 
 def _kept(s, tol):

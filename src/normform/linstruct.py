@@ -9,12 +9,10 @@ no simultaneously controllable and observable dynamics.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .geom import rank
-from .structure import _sel_product
+from .geom import complete_rows, rank
+from .structure import _sel_product, _settle, chain_structure, select_RS
 
 __all__ = ["LinearTriple", "LinearOutcome", "LinearDecomposition",
            "linear_infinite_zeros", "vector_relative_degree", "decompose",
@@ -76,20 +74,12 @@ class LinearOutcome:
         self.steps = []
         self.rho = []
         self.q = []
+        self.chains = []          # (step k, row r of R_k) per chain
         self.k_star = 0
         self.m_d = 0
         self.n_d = 0
         self.invertibility = None
         self.omega = np.zeros((0, triple.n))
-
-    def chains(self):
-        out = []
-        prev = 0
-        for rec in self.steps:
-            for r in range(rec.rho - prev):
-                out.append((rec.k, rec.k, r))
-            prev = rec.rho
-        return out
 
 
 def linear_infinite_zeros(triple, tol=LIN_TOL):
@@ -103,84 +93,32 @@ def linear_infinite_zeros(triple, tol=LIN_TOL):
     out = LinearOutcome(triple, tol)
     T = C.copy()                    # Theta_{k-1}
     omega = np.zeros((0, n))        # Omega rows
-    rho_prev = 0
+    rho = []
     k = 0
     while True:
         k += 1
-        stack = np.vstack([omega @ B, T @ B]) if omega.size or T.size else np.zeros((0, m))
-        rho_k = rank(stack, tol)
-        need = rho_k - rho_prev
-        sel = _select_rows(omega @ B, T @ B, need, tol)
+        rho_k = rank(np.vstack([omega @ B, T @ B]), tol)
+        # the symbolic row selection at a single sample
+        sel = select_RS((omega @ B)[None], (T @ B)[None], rho_k - len(omega), tol)
         if sel is None:
             raise RuntimeError("row selection failed for a constant triple")
         R, S = sel
-        omega = np.vstack([omega, R @ T])
+        omega = np.vstack([omega, T[np.nonzero(R)[1]]])
+        s_theta = T[np.nonzero(S)[1]]
         P = None
-        if S.shape[0]:
-            lgS = S @ T @ B
-            lgO = omega @ B
-            if rho_k:
-                P = np.linalg.lstsq(lgO.T, lgS.T, rcond=None)[0].T
-                T_next = S @ T @ A - P @ (omega @ A)
-            else:
-                T_next = S @ T @ A
-        else:
-            T_next = np.zeros((0, n))
+        T_next = s_theta @ A
+        if rho_k and len(s_theta):
+            P = np.linalg.lstsq((omega @ B).T, (s_theta @ B).T, rcond=None)[0].T
+            T_next = T_next - P @ (omega @ A)
         out.steps.append(_Step(k, rho_k, R, S, T, P))
-        out.rho.append(rho_k)
-        rho_prev = rho_k
+        rho.append(rho_k)
         T = T_next
-        n_d = sum(j * (out.rho[j - 1] - (out.rho[j - 2] if j > 1 else 0))
-                  for j in range(1, k + 1))
-        if k + n_d < n and rho_k < min(p, m):
+        if k + chain_structure(rho)[2] < n and rho_k < min(p, m):
             continue
         break
-    out.k_star = k
-    out.m_d = out.rho[-1]
-    out.n_d = sum(j * (out.rho[j - 1] - (out.rho[j - 2] if j > 1 else 0))
-                  for j in range(1, k + 1))
-    q = []
-    prev = 0
-    for j, r in enumerate(out.rho, start=1):
-        q.extend([j] * (r - prev))
-        prev = r
-    out.q = q
+    _settle(out, rho, m, p)
     out.omega = omega
-    if out.m_d == m and m < p:
-        out.invertibility = "LeftInvertible"
-    elif out.m_d == p and p < m:
-        out.invertibility = "RightInvertible"
-    elif out.m_d == m == p:
-        out.invertibility = "Invertible"
-    else:
-        out.invertibility = "Degenerate"
     return out
-
-
-def _select_rows(base, cand, need, tol):
-    nrows = cand.shape[0]
-    cur = rank(base, tol)
-
-    def ok(rows):
-        return rank(np.vstack([base, cand[list(rows)]]), tol) == cur + len(rows)
-
-    chosen = []
-    for r in range(nrows):
-        if len(chosen) == need:
-            break
-        if ok(chosen + [r]):
-            chosen.append(r)
-    if len(chosen) != need:
-        for combo in itertools.combinations(range(nrows), need):
-            if ok(list(combo)):
-                chosen = list(combo)
-                break
-        else:
-            return None
-    rest = [r for r in range(nrows) if r not in chosen]
-    R = np.eye(nrows)[chosen] if chosen else np.zeros((0, nrows))
-    S = np.eye(nrows)[rest] if rest else np.zeros((0, nrows))
-    return R, S
 
 
 def vector_relative_degree(triple, tol=LIN_TOL):
@@ -310,54 +248,18 @@ def decompose(triple, tol=LIN_TOL):
     n, m, p = triple.n, triple.m, triple.p
     dec = LinearDecomposition(out)
 
-    chain_rows = []
-    tops = []
-    for (qi, step, r) in out.chains():
-        for j in range(1, qi + 1):
-            sel = _sel_product(out, step, j)
-            rowv = sel[r] @ _theta_level(out, j)
-            chain_rows.append(rowv)
-            if j == 1:
-                tops.append(sel[r])
-    Wd = np.array(chain_rows) if chain_rows else np.zeros((0, n))
-
+    Wd = np.array([_theta_level(out, j)[_sel_product(out, k, j)[r]]
+                   for k, r in out.chains for j in range(1, k + 1)]).reshape(-1, n)
     # State complement: canonical coordinates extending the chain rows.
-    We_rows = []
-    cur = Wd
-    for j in range(n):
-        cand = np.eye(n)[j]
-        trial = np.vstack([cur, cand[None, :]])
-        if rank(trial, tol) == cur.shape[0] + 1:
-            We_rows.append(cand)
-            cur = trial
-    We = np.array(We_rows) if We_rows else np.zeros((0, n))
+    We = np.eye(n)[complete_rows(Wd, np.eye(n), n - out.n_d, tol)]
 
-    god = np.array(tops) if tops else np.zeros((0, p))
-    s_rows = out.steps[out.k_star - 1].S
-    for t in range(out.k_star - 1, 0, -1):
-        s_rows = s_rows @ out.steps[t - 1].S
-    goe_rows = []
-    cur = god
-    for cand in list(s_rows) + list(np.eye(p)):
-        if len(goe_rows) == p - out.m_d:
-            break
-        trial = np.vstack([cur, np.asarray(cand)[None, :]])
-        if rank(trial, tol) == cur.shape[0] + 1:
-            goe_rows.append(np.asarray(cand))
-            cur = trial
-    gamma_o = np.vstack([np.array(goe_rows) if goe_rows else np.zeros((0, p)), god])
+    # Outputs: the chain tops, after the outputs that no R_k selected.
+    tops = [_sel_product(out, k, 1)[r] for k, r in out.chains]
+    gamma_o = np.eye(p)[[i for i in range(p) if i not in tops] + tops]
 
     gid = out.omega @ B
-    gie_rows = []
-    cur = gid
-    for cand in np.eye(m):
-        if len(gie_rows) == m - out.m_d:
-            break
-        trial = np.vstack([cur, cand[None, :]])
-        if rank(trial, tol) == cur.shape[0] + 1:
-            gie_rows.append(cand)
-            cur = trial
-    gamma_i = np.vstack([np.array(gie_rows) if gie_rows else np.zeros((0, m)), gid])
+    gamma_i = np.vstack([np.eye(m)[complete_rows(gid, np.eye(m), m - out.m_d, tol)],
+                         gid])
 
     W = np.vstack([We, Wd])
     ne = We.shape[0]

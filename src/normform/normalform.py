@@ -16,7 +16,7 @@ from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, EvalError,
                    Var, const, diff, free_vars, is_zero, numeric_equivalent,
                    render, simplify, subs)
 from .geom import (SymMatrix, VectorField, _kept, bracket_sampler,
-                   involutive, jacobian, lie_bracket, rank as _rank)
+                   complete_rows, involutive, jacobian, lie_bracket, rank)
 from .structure import StructureError, _sel_product
 from .sysmodel import DEFAULT_TOL
 
@@ -33,15 +33,11 @@ def _theta_level(outcome, j):
     return list(outcome.steps[j - 2].theta)
 
 
-def _apply_rows(sel, exprs):
-    out = []
-    for row in sel:
-        acc = const(0)
-        for c, e in zip(row, exprs):
-            if c:
-                acc = acc + const(int(round(float(c)))) * e
-        out.append(simplify(acc))
-    return out
+def _chain_coords(outcome):
+    """Per chain (k, r): the coordinates zeta_{i,j}, row r of
+    R_k S_{k-1} ... S_j Theta_{j-1} for j = 1..k."""
+    return [[_theta_level(outcome, j)[_sel_product(outcome, k, j)[r]]
+             for j in range(1, k + 1)] for k, r in outcome.chains]
 
 
 class NormalForm:
@@ -111,21 +107,6 @@ class NormalForm:
         return True
 
 
-def _completion_rows(base_rows_np, candidates, need, tol):
-    """Greedy rank completion: pick candidate rows (numpy) that extend the
-    row space of base until `need` rows were added."""
-    chosen = []
-    cur = base_rows_np
-    for idx, row in enumerate(candidates):
-        if len(chosen) == need:
-            break
-        trial = np.vstack([cur, row[None, :]])
-        if _rank(trial, tol) == cur.shape[0] + 1:
-            chosen.append(idx)
-            cur = trial
-    return chosen if len(chosen) == need else None
-
-
 def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
                       plan=None, tol=DEFAULT_TOL):
     """Assemble chain coordinates, complement, transformations, and the delta
@@ -141,67 +122,35 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
     samples = outcome.samples
 
     # Chain coordinates zeta_{i,j} selected through the R/S history.
-    chain_descr = outcome.chains()   # [(q_i, step, row)]
-    for cidx, (qi, step, r) in enumerate(chain_descr, start=1):
-        coords = []
-        names = []
-        for j in range(1, qi + 1):
-            sel = _sel_product(outcome, step, j)
-            level = _apply_rows(sel[[r]], _theta_level(outcome, j))[0]
-            coords.append(level)
-            names.append(f"xi{cidx}_{j}")
-        nf.chains.append(coords)
-        nf.xi_names.append(names)
+    nf.chains = _chain_coords(outcome)
+    nf.xi_names = [[f"xi{i}_{j}" for j in range(1, k + 1)]
+                   for i, k in enumerate(nf.q, start=1)]
 
     if not check_assumption_B(outcome, samples, tol):
         raise StructureError("Assumption B fails: chain differentials are not "
                              "of full row rank on the samples")
 
     # delta couplings from the step ledger: level-j rows couple to feedbacks
-    # of chains no longer than j.
-    widths = []
-    prev = 0
-    for rec in outcome.steps:
-        widths.append(rec.rho - prev)
-        prev = rec.rho
-
-    def chain_index(step, row):
-        return sum(widths[:step - 1]) + row + 1
-
-    for cidx, (qi, stepi, r) in enumerate(chain_descr, start=1):
-        for j in range(1, qi):
-            P_blocks = outcome.steps[j - 1].P_blocks
-            if not P_blocks:
-                continue
-            sel = _sel_product(outcome, stepi, j + 1)[[r]]
-            for l, blk in P_blocks.items():
-                coupled = _rows_times_matrix(sel, blk)
-                for rprime in range(coupled.shape[1]):
-                    lidx = chain_index(l, rprime)
-                    e = simplify(coupled[0, rprime])
+    # of chains no longer than j; column r' of P_{j,l} feeds the r'-th chain
+    # of length l.
+    for cidx, (k, r) in enumerate(outcome.chains, start=1):
+        for j in range(1, k):
+            row = _sel_product(outcome, k, j + 1)[r]
+            for l, blk in outcome.steps[j - 1].P_blocks.items():
+                for rprime, e in enumerate(blk.row(row)):
                     if e != const(0):
-                        nf.delta[(cidx, j, lidx)] = e
+                        nf.delta[(cidx, j, nf.q.index(l) + rprime + 1)] = e
 
     # Feedback rows per chain and the input-side transformation.
     nf.a = list(outcome.a)
     nf.b = outcome.b
     nf.gamma_id = outcome.b
-    god = []
-    for (qi, stepi, r) in chain_descr:
-        god.append(_sel_product(outcome, stepi, 1)[r])
-    nf.gamma_od = np.array(god) if god else np.zeros((0, p))
-
-    # Output complement: prefer the never-selected output directions
-    # S_{k*} ... S_1, then canonical rows.
-    s_rows = outcome.steps[outcome.k_star - 1].S
-    for t in range(outcome.k_star - 1, 0, -1):
-        s_rows = s_rows @ outcome.steps[t - 1].S
-    cand = [s_rows[i] for i in range(s_rows.shape[0])] + list(np.eye(p))
-    chosen = _completion_rows(nf.gamma_od if nf.gamma_od.size else np.zeros((0, p)),
-                              cand, p - nf.m_d, tol)
-    if chosen is None:
-        raise StructureError("could not complete the output transformation")
-    nf.gamma_oe = np.array([cand[i] for i in chosen]) if chosen else np.zeros((0, p))
+    # Output split: the chain tops R_k S_{k-1} ... S_1 y, and the outputs
+    # that no R_k selected (S_{k*} ... S_1 y), which complete them.
+    tops = [_sel_product(outcome, k, 1)[r] for k, r in outcome.chains]
+    rest = [i for i in range(p) if i not in tops]
+    nf.gamma_od = np.eye(p)[tops]
+    nf.gamma_oe = np.eye(p)[rest]
 
     # Input complement Gamma_ie: user-provided or constant canonical rows
     # making [Gamma_ie; Gamma_id] nonsingular at every sample.
@@ -224,9 +173,8 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
         if len(nf.eta_exprs) != n - nf.n_d:
             raise ValueError(f"phi_e must have {n - nf.n_d} entries")
     else:
-        cand_rows = list(np.eye(n))
-        chosen = _completion_rows(dphi_d0, cand_rows, n - nf.n_d, tol)
-        if chosen is None:
+        chosen = complete_rows(dphi_d0, np.eye(n), n - nf.n_d, tol)
+        if len(chosen) < n - nf.n_d:
             raise StructureError("no coordinate subset completes the chart; "
                                  "supply phi_e")
         nf.eta_exprs = [Var(states[i]) for i in chosen]
@@ -234,7 +182,7 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
 
     # Full chart must be nonsingular at the base point.
     dphi = jacobian(nf.eta_exprs + [e for c in nf.chains for e in c], states)
-    if _rank(dphi.eval_at({s: 0.0 for s in states}), tol) != n:
+    if rank(dphi.eval_at({s: 0.0 for s in states}), tol) != n:
         raise StructureError("d(Phi) singular at the base point")
 
     _decompose_eta_dynamics(nf, tol)
@@ -264,7 +212,7 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
                         "directions; residue columns kept")
                     break
 
-    nf.h_e = _rows_times_exprs(nf.gamma_oe, [simplify(e) for e in system.h])
+    nf.h_e = [system.h[i] for i in rest]
     return nf
 
 
@@ -279,31 +227,9 @@ def _input_complement(gamma_id, m, states, samples, tol):
             else np.zeros((len(samples), 0, m)))
     for combo in itertools.combinations(range(m), need):
         rows = np.broadcast_to(np.eye(m)[list(combo)], (len(samples), need, m))
-        if np.all(_rank(np.concatenate([rows, vals], axis=1), tol) == m):
+        if np.all(rank(np.concatenate([rows, vals], axis=1), tol) == m):
             return list(combo)
     return None
-
-
-def _rows_times_matrix(sel, matrix):
-    rows = []
-    for row in sel:
-        acc = [const(0)] * matrix.shape[1]
-        for c, mrow in zip(row, matrix.rows):
-            if c:
-                acc = [a + const(int(round(float(c)))) * e for a, e in zip(acc, mrow)]
-        rows.append([simplify(e) for e in acc])
-    return SymMatrix(rows)
-
-
-def _rows_times_exprs(sel, exprs):
-    out = []
-    for row in sel:
-        acc = const(0)
-        for c, e in zip(row, exprs):
-            if c:
-                acc = acc + const(float(c)) * e
-        out.append(simplify(acc))
-    return out
 
 
 def _decompose_eta_dynamics(nf, tol):
@@ -346,14 +272,9 @@ def check_assumption_B(outcome, samples=None, tol=DEFAULT_TOL):
         return True
     samples = samples if samples is not None else outcome.samples
     states = outcome.system.states
-    zeta = []
-    chain_descr = outcome.chains()
-    for (qi, step, r) in chain_descr:
-        for j in range(1, qi + 1):
-            sel = _sel_product(outcome, step, j)
-            zeta.append(_apply_rows(sel[[r]], _theta_level(outcome, j))[0])
+    zeta = [e for chain in _chain_coords(outcome) for e in chain]
     vals = jacobian(zeta, states).sample(states, np.transpose(samples))
-    return bool(np.all(_rank(vals, tol) == len(zeta)))
+    return bool(np.all(rank(vals, tol) == len(zeta)))
 
 
 def check_assumption_C(system, outcome, gamma_ie=None, plan=None, tol=DEFAULT_TOL):
@@ -577,14 +498,15 @@ def zero_dynamics(nf, tol=DEFAULT_TOL):
     unobs = _null(np.vstack([C @ np.linalg.matrix_power(A, k)
                              for k in range(max(n0, 1))])
                   if C.size else np.zeros((0, n0)), tol)
-    if ctrl.shape[1] and _rank(np.hstack([unobs, ctrl]), tol) > unobs.shape[1]:
+    if ctrl.shape[1] and rank(np.hstack([unobs, ctrl]), tol) > unobs.shape[1]:
         rep.notes.append("controllable directions are partially observable; "
                          "split skipped")
         return rep
     V_c = _orth(ctrl, tol)
-    V_a = _complement_within(unobs, V_c, tol)
-    V_b = _complement_within(np.eye(n0), np.hstack([V_a, V_c])
-                             if (V_a.size or V_c.size) else np.zeros((n0, 0)), tol)
+    # columns of unobs, then of the identity, that extend the span so far
+    V_a = unobs[:, complete_rows(V_c.T, unobs.T, unobs.shape[1], tol)]
+    V_ac = np.hstack([V_a, V_c])
+    V_b = np.eye(n0)[:, complete_rows(V_ac.T, np.eye(n0), n0 - V_ac.shape[1], tol)]
     T = np.hstack([V_a, V_b, V_c])
     Tinv = np.linalg.inv(T)
     na = V_a.shape[1]
@@ -643,18 +565,3 @@ def _null(M, tol):
         return np.eye(M.shape[1]) if M.shape[1] else np.zeros((0, 0))
     u, s, vt = np.linalg.svd(M)
     return vt[_kept(s, tol):].T
-
-
-def _complement_within(space, sub, tol):
-    """Basis of `space` directions independent of `sub` (both column bases)."""
-    if space.size == 0:
-        return np.zeros((sub.shape[0], 0))
-    cols = []
-    cur = sub
-    for j in range(space.shape[1]):
-        c = space[:, j:j + 1]
-        trial = np.hstack([cur, c]) if cur.size else c
-        if _rank(trial, tol) == (cur.shape[1] if cur.size else 0) + 1:
-            cols.append(c)
-            cur = trial
-    return np.hstack(cols) if cols else np.zeros((space.shape[0], 0))

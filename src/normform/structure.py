@@ -17,8 +17,9 @@ import itertools
 
 import numpy as np
 
-from .expr import EvalError, compile_exprs, const, render, simplify
-from .geom import SymMatrix, lie_derivative, lie_derivative_cols, rank
+from .expr import EvalError, Var, compile_exprs, const, render, simplify, subs
+from .geom import (SymMatrix, complete_rows, jacobian, lie_derivative,
+                   lie_derivative_cols, rank)
 from .sysmodel import DEFAULT_TOL, SamplePlan
 
 __all__ = ["StructureOutcome", "StepRecord", "StructureError", "select_RS",
@@ -41,8 +42,8 @@ class StepRecord:
     def __init__(self, k, rho, R, S, theta, omega, P_blocks, a_new, b_new):
         self.k = k
         self.rho = rho                # rho_k
-        self.R = R                    # (rho_k - rho_{k-1}) x (p - rho_{k-1}) 0/1
-        self.S = S                    # (p - rho_k) x (p - rho_{k-1}) 0/1
+        self.R = R                    # (rho_k - rho_{k-1}) x (p - rho_{k-1}) one-hot rows
+        self.S = S                    # (p - rho_k) x (p - rho_{k-1}) one-hot rows
         self.theta = theta            # Theta_k
         self.omega = omega            # Omega_k
         self.P_blocks = P_blocks      # {l: SymMatrix (p-rho_k) x (rho_l - rho_{l-1})}
@@ -62,6 +63,7 @@ class StructureOutcome:
         self.k_star = None
         self.rho = []
         self.q = []
+        self.chains = []              # (step k, row r of R_k) per chain
         self.m_d = 0
         self.n_d = 0
         self.invertibility = None
@@ -78,16 +80,6 @@ class StructureOutcome:
             raise StructureError(
                 f"system not regular at step {self.failure_step}: {self.failure_reason}")
         return self
-
-    def chains(self):
-        """Chain descriptors [(length q_i, step k, row r within the step)]."""
-        out = []
-        prev = 0
-        for rec in self.steps:
-            for r in range(rec.rho - prev):
-                out.append((rec.k, rec.k, r))
-            prev = rec.rho
-        return out
 
     def report_dict(self):
         d = {
@@ -153,14 +145,34 @@ def classify_invertibility(rho_last, m, p):
     return DEGENERATE
 
 
+def chain_structure(rho):
+    """What rho_1 <= rho_2 <= ... fixes: step k starts rho_k - rho_{k-1}
+    chains, each of length k.  Returns (q, chains, n_d): the chain lengths,
+    each chain's (step k, row r of R_k), and n_d = sum(q); m_d = len(q)."""
+    chains = [(k, r) for k, (lo, hi) in enumerate(zip([0] + rho, rho), start=1)
+              for r in range(hi - lo)]
+    q = [k for k, _ in chains]
+    return q, chains, sum(q)
+
+
+def _settle(out, rho, m, p):
+    """Record the ranks of a finished run and the structure they fix."""
+    out.k_star = len(rho)
+    out.rho = rho
+    out.q, out.chains, out.n_d = chain_structure(rho)
+    out.m_d = len(out.q)
+    out.invertibility = classify_invertibility(out.m_d, m, p)
+
+
 def _sel_product(outcome, i, j):
-    """Row-selection product R_i S_{i-1} ... S_j over outcome.steps
-    (R_i alone for j > i - 1); used for the symbolic and the linear
-    outcomes alike."""
-    sel = outcome.steps[i - 1].R
+    """Row indices into Theta_{j-1} of the selection product
+    R_i S_{i-1} ... S_j over outcome.steps (R_i alone for j = i); used for
+    the symbolic and the linear outcomes alike.  Every R_k and S_k has one
+    1 per row, so the product picks rows and applying it is indexing."""
+    rows = np.nonzero(outcome.steps[i - 1].R)[1]
     for t in range(i - 1, j - 1, -1):
-        sel = sel @ outcome.steps[t - 1].S
-    return sel
+        rows = np.nonzero(outcome.steps[t - 1].S)[1][rows]
+    return rows
 
 
 def select_RS(lg_omega_vals, lg_theta_vals, need, tol):
@@ -168,70 +180,22 @@ def select_RS(lg_omega_vals, lg_theta_vals, need, tol):
     [L_g Omega; L_g R Theta] has full row rank at every sample.
 
     The values are stacks over the samples, of shapes (P, rows, m) (or
-    sequences of per-sample matrices).  Greedy pivoting at the base sample
-    (index 0), then verification at all samples; falls back to exhaustive
-    search over row subsets.  Returns (R, S) as numpy arrays, or None when
-    no selection works.
+    sequences of per-sample matrices).  The greedy completion at the base
+    sample (index 0) is tried first, then every row subset in order; the
+    first that gives full row rank at all samples is taken.  Returns (R, S)
+    as numpy arrays of one-hot rows, or None when no selection works.
     """
     lg_omega_vals = np.asarray(lg_omega_vals, dtype=float)
     lg_theta_vals = np.asarray(lg_theta_vals, dtype=float)
     nrows = lg_theta_vals.shape[1]
-
-    def ok_everywhere(rows):
+    greedy = complete_rows(lg_omega_vals[0], lg_theta_vals[0], need, tol)
+    for rows in itertools.chain([greedy], itertools.combinations(range(nrows), need)):
+        rows = list(rows)
         stack = np.concatenate([lg_omega_vals, lg_theta_vals[:, rows]], axis=1)
-        return bool(np.all(rank(stack, tol) == lg_omega_vals.shape[1] + len(rows)))
-
-    chosen = []
-    base0, cand0 = lg_omega_vals[0], lg_theta_vals[0]
-    cur = rank(base0, tol)
-    for r in range(nrows):
-        if len(chosen) == need:
-            break
-        trial = np.vstack([base0] + [cand0[chosen + [r]]])
-        if rank(trial, tol) == cur + len(chosen) + 1:
-            chosen.append(r)
-    if len(chosen) == need and ok_everywhere(chosen):
-        return _selection_matrices(chosen, nrows)
-    for combo in itertools.combinations(range(nrows), need):
-        if ok_everywhere(list(combo)):
-            return _selection_matrices(list(combo), nrows)
+        if len(rows) == need and np.all(rank(stack, tol) == stack.shape[1]):
+            eye = np.eye(nrows)
+            return eye[rows], eye[[r for r in range(nrows) if r not in rows]]
     return None
-
-
-def _selection_matrices(rows, nrows):
-    rows = list(rows)
-    rest = [r for r in range(nrows) if r not in rows]
-    R = np.zeros((len(rows), nrows))
-    for i, r in enumerate(rows):
-        R[i, r] = 1.0
-    S = np.zeros((len(rest), nrows))
-    for i, r in enumerate(rest):
-        S[i, r] = 1.0
-    return R, S
-
-
-def _apply_selection(sel, exprs):
-    """Apply a 0/1 selection matrix to a column of expressions."""
-    out = []
-    for row in sel:
-        acc = const(0)
-        for coef, e in zip(row, exprs):
-            if coef:
-                acc = acc + const(int(coef)) * e
-        out.append(simplify(acc))
-    return out
-
-
-def _sym_from_rows_times(sel, matrix):
-    """sel (numpy 0/1) times a SymMatrix."""
-    rows = []
-    for row in sel:
-        picked = None
-        for coef, mrow in zip(row, matrix.rows):
-            if coef:
-                picked = mrow if picked is None else [a + b for a, b in zip(picked, mrow)]
-        rows.append([simplify(e) for e in (picked or [const(0)] * matrix.shape[1])])
-    return SymMatrix(rows) if rows else SymMatrix([])
 
 
 def _solve_P_gram(lg_s_theta, lg_omega):
@@ -249,14 +213,8 @@ def _solve_P_pivot(lg_s_theta, lg_omega, origin_vals, tol):
     reproduces the zero-output algorithm's smooth extension, whose residual
     W vanishes on the zero set.
     """
-    rho, m = lg_omega.shape
-    piv = []
-    for j in range(m):
-        if len(piv) == rho:
-            break
-        sub = origin_vals[:, piv + [j]]
-        if rank(sub, tol) == len(piv) + 1:
-            piv.append(j)
+    rho = lg_omega.shape[0]
+    piv = complete_rows([], origin_vals.T, rho, tol)
     if len(piv) < rho:
         raise StructureError("could not find pivot columns at the origin")
     sub = SymMatrix([[lg_omega[i, j] for j in piv] for i in range(rho)])
@@ -278,9 +236,8 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
 
     theta = [simplify(e) for e in system.h]            # Theta_{k-1}
     omega = []                                         # Omega_{k-1}
-    a_blocks = []                                      # L_f R_l Theta_{l-1}
-    b_blocks = []                                      # L_g R_l Theta_{l-1}
-    rho_prev = 0
+    a_stack = []                                       # L_f Omega_{k-1}
+    lg_omega = SymMatrix([])                           # L_g Omega_{k-1}
     rho_list = []
     k = 0
 
@@ -293,8 +250,6 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
             return out
 
         lg_theta = lie_derivative_cols(g, states, theta)
-        lg_omega = SymMatrix([list(b.rows[i]) for b in b_blocks
-                              for i in range(b.shape[0])]) if b_blocks else SymMatrix([])
 
         if zero_output:
             if step_points and k in step_points:
@@ -330,7 +285,7 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
                                   + (" on the zero set" if zero_output else ""))
             return out
         rho_k = ranks[0]
-        need = rho_k - rho_prev
+        need = rho_k - len(omega)
 
         sel = select_RS(lg_omega_vals, lg_theta_vals, need, tol)
         if sel is None:
@@ -341,52 +296,46 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
                                   "try a user-supplied R_k")
             return out
         R, S = sel
+        rho_list.append(rho_k)
 
-        r_theta = _apply_selection(R, theta)
-        s_theta = _apply_selection(S, theta)
+        r_theta = [theta[i] for i in np.nonzero(R)[1]]
+        s_theta = [theta[i] for i in np.nonzero(S)[1]]
         a_new = [lie_derivative(f, e) for e in r_theta]
         b_new = lie_derivative_cols(g, states, r_theta) if r_theta else SymMatrix([])
 
         omega = omega + r_theta
-        a_blocks.append(a_new)
-        b_blocks.append(b_new)
-        lg_omega_k = SymMatrix([list(b.rows[i]) for b in b_blocks
-                                for i in range(b.shape[0])]) if rho_k else SymMatrix([])
+        a_stack = a_stack + a_new
+        lg_omega = lg_omega.vstack(b_new)
 
         P_blocks = {}
         W_k = None
         if s_theta:
             lg_s_theta = lie_derivative_cols(g, states, s_theta)
-            P_full = None
+            correction = [const(0)] * len(s_theta)
             if rho_k > 0:
                 if rho_k > 4:
                     raise StructureError(
                         "symbolic Gram inverse beyond supported size (rho_k > 4)")
                 if zero_output:
-                    origin_vals = lg_omega_k.eval_at({s: 0.0 for s in states})
-                    P_full = _solve_P_pivot(lg_s_theta, lg_omega_k, origin_vals, tol)
+                    origin_vals = lg_omega.eval_at({s: 0.0 for s in states})
+                    P_full = _solve_P_pivot(lg_s_theta, lg_omega, origin_vals, tol)
                 else:
-                    P_full = _solve_P_gram(lg_s_theta, lg_omega_k)
-                W_k = lg_s_theta - (P_full @ lg_omega_k)
+                    P_full = _solve_P_gram(lg_s_theta, lg_omega)
+                W_k = lg_s_theta - (P_full @ lg_omega)
                 W_k = SymMatrix([[simplify(e) for e in row] for row in W_k.rows])
                 if not zero_output:
                     _assert_zero_matrix(W_k, states, pts, tol, out, k)
-                col = 0
-                widths = _block_widths(rho_list + [rho_k])
-                for l, w in enumerate(widths, start=1):
-                    if w:
-                        P_blocks[l] = SymMatrix([row[col:col + w] for row in P_full.rows])
-                    col += w
-
-            lf_s_theta = [lie_derivative(f, e) for e in s_theta]
-            correction = [const(0)] * len(s_theta)
-            if rho_k > 0:
-                a_stack = [e for blk in a_blocks for e in blk]
+                # column c of P_full belongs to chain c, which has length q[c]
+                q = chain_structure(rho_list)[0]
+                for l in dict.fromkeys(q):
+                    P_blocks[l] = SymMatrix([[row[c] for c in range(rho_k) if q[c] == l]
+                                             for row in P_full.rows])
                 for i in range(len(s_theta)):
                     acc = const(0)
                     for j, ae in enumerate(a_stack):
                         acc = acc + P_full[i, j] * ae
                     correction[i] = acc
+            lf_s_theta = [lie_derivative(f, e) for e in s_theta]
             theta_next = [simplify(x - c) for x, c in zip(lf_s_theta, correction)]
         else:
             theta_next = []
@@ -396,43 +345,18 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
         out.steps.append(rec)
         if zero_output and W_k is not None:
             out.W[k] = W_k
-        rho_list.append(rho_k)
-        rho_prev = rho_k
         theta = theta_next
 
-        n_d_running = sum(j * (rho_list[j - 1] - (rho_list[j - 2] if j > 1 else 0))
-                          for j in range(1, k + 1))
-        if k + n_d_running < n and rho_k < min(p, m):
+        if k + chain_structure(rho_list)[2] < n and rho_k < min(p, m):
             continue
         break
 
-    out.k_star = k
-    out.rho = rho_list
-    out.m_d = rho_list[-1]
-    out.n_d = sum(j * (rho_list[j - 1] - (rho_list[j - 2] if j > 1 else 0))
-                  for j in range(1, k + 1))
-    q = []
-    prev = 0
-    for j, r in enumerate(rho_list, start=1):
-        q.extend([j] * (r - prev))
-        prev = r
-    out.q = q
-    out.invertibility = classify_invertibility(out.m_d, m, p)
-    out.a = [e for blk in a_blocks for e in blk]
-    out.b = SymMatrix([list(b.rows[i]) for b in b_blocks for i in range(b.shape[0])]) \
-        if out.m_d else SymMatrix([])
+    _settle(out, rho_list, m, p)
+    out.a = a_stack
+    out.b = lg_omega
     if zero_output:
         _fill_sigma(out)
     return out
-
-
-def _block_widths(rho_list):
-    widths = []
-    prev = 0
-    for r in rho_list:
-        widths.append(r - prev)
-        prev = r
-    return widths
 
 
 def _all_thetas(h, steps):
@@ -464,8 +388,8 @@ def _project_points(system, theta_stack, samples, proj_tol, out, k):
     if not constraints:
         return samples
     fn = compile_exprs(constraints, states)
-    grads = compile_exprs([d for e in constraints
-                           for d in _grad(e, states)], states)
+    grads = compile_exprs([d for row in jacobian(constraints, states)
+                           for d in row], states)
     nc = len(constraints)
     n = system.n
     box = system.box()
@@ -511,21 +435,13 @@ def _project_points(system, theta_stack, samples, proj_tol, out, k):
     return pts
 
 
-def _grad(e, states):
-    from .expr import diff
-    return [diff(e, s) for s in states]
-
-
 def _fill_sigma(out):
     """sigma_{i,j} rows of the zero-output normal form: the residual input
     feedthrough R_i S_{i-1..j+1} W_j appearing in the level-j equations."""
-    for idx, (k_i, _, r) in enumerate(out.chains(), start=1):
-        for j in range(1, k_i):
-            if j not in out.W:
-                continue
-            sel = _sel_product(out, k_i, j + 1)[[r]]
-            row = _sym_from_rows_times(sel, out.W[j])
-            out.sigma[(idx, j)] = row.rows[0] if row.rows else []
+    for idx, (k, r) in enumerate(out.chains, start=1):
+        for j in range(1, k):
+            if j in out.W:
+                out.sigma[(idx, j)] = out.W[j].row(_sel_product(out, k, j + 1)[r])
 
 
 def infinite_zero_algorithm(system, plan=None, tol=DEFAULT_TOL):
@@ -563,29 +479,19 @@ def apply_state_diffeo(system, T):
     for i, s in enumerate(system.states):
         acc = const(0)
         for j in range(n):
-            acc = acc + Tinv[i, j] * _vz(zs[j])
+            acc = acc + Tinv[i, j] * Var(zs[j])
         xmap[s] = simplify(acc)
     f_col = T_sym @ system.f.as_column()
-    f_new = [simplify_subs(f_col[i, 0], xmap) for i in range(n)]
+    f_new = [subs(f_col[i, 0], xmap) for i in range(n)]
     g_new = T_sym @ system.g
-    g_new = SymMatrix([[simplify_subs(e, xmap) for e in row] for row in g_new.rows])
-    h_new = [simplify_subs(e, xmap) for e in system.h]
+    g_new = SymMatrix([[subs(e, xmap) for e in row] for row in g_new.rows])
+    h_new = [subs(e, xmap) for e in system.h]
     Tnum = np.array([[float(v) for v in row] for row in Tfr])
     lo = np.array([system.domain[s][0] for s in system.states])
     hi = np.array([system.domain[s][1] for s in system.states])
     corners = np.abs(Tnum) @ np.maximum(np.abs(lo), np.abs(hi))
     domain = {z: (-float(c) - 1e-9, float(c) + 1e-9) for z, c in zip(zs, corners)}
     return AffineSystem(zs, f_new, g_new, h_new, domain, name=system.name + "+diffeo")
-
-
-def _vz(name):
-    from .expr import Var
-    return Var(name)
-
-
-def simplify_subs(e, mapping):
-    from .expr import subs
-    return subs(e, mapping)
 
 
 def apply_input_transform(system, gamma_inv):
@@ -667,7 +573,7 @@ def invariance_harness(system, n_trials=20, seed=7, tol=DEFAULT_TOL, plan=None,
             system, SymMatrix([[const(int(v)) for v in row] for row in M])), same_points()
 
     def feedback_case():
-        K = [const(int(v)) * _vz(system.states[int(i) % system.n])
+        K = [const(int(v)) * Var(system.states[int(i) % system.n])
              for i, v in enumerate(rng.integers(-2, 3, size=system.m))]
         return apply_state_feedback(system, K), same_points()
 

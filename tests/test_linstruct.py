@@ -156,3 +156,79 @@ def test_residual_block_not_both_controllable_observable():
         # observable directions within the controllable subspace
         inter = obs @ Vc
         assert np.linalg.norm(inter) < 1e-9
+
+
+def _random_triple(seed):
+    """Small integer triple: n in 2..5, m and p in 1..3, entries in -2..2,
+    each entry of B and C kept with probability 0.35."""
+    rng = np.random.default_rng(seed)
+    n, m, p = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    A = rng.integers(-2, 3, size=(n, n))
+    B = rng.integers(-2, 3, size=(n, m)) * (rng.random((n, m)) < 0.35)
+    C = rng.integers(-2, 3, size=(p, n)) * (rng.random((p, n)) < 0.35)
+    return A, B, C
+
+
+def _lift(A, B, C):
+    """The triple as an AffineSystem with exact integer coefficients."""
+    from normform.expr import Var, const, simplify
+    from normform.sysmodel import AffineSystem
+    states = [f"x{i + 1}" for i in range(A.shape[1])]
+
+    def times_x(M):
+        return [simplify(sum((const(int(v)) * Var(s) for v, s in zip(row, states)),
+                             start=const(0))) for row in M]
+
+    return AffineSystem(states, times_x(A),
+                        [[const(int(v)) for v in row] for row in B], times_x(C))
+
+
+def _compare_with_linear(A, B, C, seed=0):
+    """Run both algorithms on the triple and check that they agree; returns
+    the symbolic outcome and normal form."""
+    from normform.expr import evalf
+    from normform.geom import jacobian
+    from normform.normalform import build_normal_form
+    lin = linear_infinite_zeros(LinearTriple(A, B, C))
+    sysm = _lift(A, B, C)
+    out = infinite_zero_algorithm(sysm, SamplePlan(count=5, seed=seed))
+    assert out.regular
+    assert (out.q, out.invertibility) == (lin.q, lin.invertibility)
+    nf = build_normal_form(sysm, out)
+    if out.m_d:
+        dec = decompose(LinearTriple(A, B, C))
+        J = jacobian([e for c in nf.chains for e in c], sysm.states)
+        assert np.array_equal(J.to_numpy_constant(), dec.W[sysm.n - out.n_d:])
+        delta = {key: evalf(e, {}) for key, e in nf.delta.items()}
+        assert delta.keys() == dec.delta.keys()
+        assert all(abs(delta[key] - dec.delta[key]) < 1e-9 for key in delta)
+    else:
+        assert nf.chains == [] and len(nf.eta_exprs) == sysm.n
+    return out, nf
+
+
+def test_symbolic_algorithm_matches_linear_reference():
+    qs, classes, no_chains = set(), set(), 0
+    for seed in range(60):
+        out, _ = _compare_with_linear(*_random_triple(seed), seed=seed)
+        qs.add(tuple(out.q))
+        classes.add(out.invertibility)
+        no_chains += not out.m_d
+    # the draw covers the cases the comparison is meant for
+    assert () in qs and (3,) in qs
+    assert len(classes) == 4
+    assert no_chains >= 10
+
+
+def test_coupling_into_a_later_chain_matches_linear_reference():
+    # y1 = x1, y2 = x2, y3 = x4 with x5' = x6 + u2: the level-2 row of the
+    # length-3 chain couples to v_2, the input of the second chain
+    A = np.zeros((6, 6), dtype=int)
+    A[1, 2] = A[3, 4] = A[4, 5] = 1
+    B = np.zeros((6, 3), dtype=int)
+    B[0, 0] = B[2, 1] = B[4, 1] = B[5, 2] = 1
+    C = np.zeros((3, 6), dtype=int)
+    C[0, 0] = C[1, 1] = C[2, 3] = 1
+    out, nf = _compare_with_linear(A, B, C)
+    assert out.q == [1, 2, 3]
+    assert set(nf.delta) == {(3, 2, 2)}

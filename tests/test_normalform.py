@@ -90,7 +90,7 @@ class TestAssumptions:
         bad = [e for c in nfm.build_normal_form(ex31, out31).chains for e in c]
         J = nfm.jacobian(bad + [bad[0]], ex31.states)
         vals = J.eval_at({s: 0.1 for s in ex31.states})
-        assert nfm._rank(vals, 1e-8) == len(bad)
+        assert nfm.rank(vals, 1e-8) == len(bad)
 
     def test_C_single_column(self, ex32):
         out = infinite_zero_algorithm(ex32, SamplePlan(count=40))
@@ -326,3 +326,35 @@ def test_counter3_affine_delta_constant():
         assert j >= nf.q[l - 1]
     # the single coupling matches the numeric decomposition (1/alpha = 1)
     assert nf.delta_entry(2, 2, 1) == parse("1")
+
+
+def test_no_chains_gives_all_eta_normal_form():
+    # h = x1 never reaches the input (rho = [0, 0], m_d = 0): the normal
+    # form has no chains, eta is the state and y_e is every output
+    sysm = AffineSystem(["x1", "x2"], [parse("-x1"), parse("-x2")],
+                        [[parse("0")], [parse("1")]], [parse("x1")])
+    out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+    assert out.regular and out.q == [] and out.m_d == 0
+    nf = build_normal_form(sysm, out)
+    assert nf.chains == [] and nf.delta == {}
+    assert nf.eta_exprs == [Var("x1"), Var("x2")]
+    assert nf.gamma_od.shape == (0, 1)
+    assert nf.gamma_oe.tolist() == [[1.0]]
+    assert nf.gamma_ie.rows == [[const(1)]]
+    assert nf.h_e == [Var("x1")]
+    assert [render(e) for e in nf.f_e] == ["-x1", "-x2"]
+    rep = zero_dynamics(nf)
+    assert [render(e) for e in rep.eta_rhs] == ["-eta1", "ue1 - eta2"]
+    assert [render(e) for e in rep.y_e] == ["eta1"]
+
+
+def test_external_output_keeps_exact_coefficients():
+    # y_e = x1 - 3 x1^2 passes through the 0/1 output selection unchanged:
+    # no float coefficient may appear
+    sysm = AffineSystem(["x1", "x2"], [parse("x2"), parse("-x1")],
+                        [[parse("0")], [parse("1")]],
+                        [parse("x2"), parse("x1 - 3*x1^2")])
+    out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+    nf = build_normal_form(sysm, out)
+    assert [render(e) for e in nf.h_e] == ["x1 - 3*x1^2"]
+    assert [render(e) for e in zero_dynamics(nf).y_e] == ["eta1 - 3*eta1^2"]
