@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import (Expr, Func, Var, const, diff, evalf, free_vars, is_zero,
-                   parse, render, simplify, subs)
+from .expr import (Expr, Func, Pow, Var, const, diff, evalf, free_vars,
+                   is_zero, parse, render, simplify, subs)
+from .geom import SymMatrix
 
 __all__ = ["ChainSystem", "Stabilizer", "ControlLaw", "OrderViolation",
            "Disturbance", "validate_order", "integrator_backstep",
@@ -144,28 +145,32 @@ class Stabilizer:
 
     def validate(self, eta_names, rhs_at_phi=None, seed=23, npoints=60,
                  strict_ball=1e-9):
-        origin = {n: 0.0 for n in eta_names}
-        for e in self.phi:
-            if eta_names and evalf(e, origin) != 0.0:
-                raise ValueError("stabilizer virtual output nonzero at 0")
-        if eta_names and evalf(self.V, origin) != 0.0:
-            raise ValueError("V(0) must be 0")
-        if rhs_at_phi is None or not eta_names:
+        if not eta_names:
             return True
-        rng = np.random.default_rng(seed)
+        at0 = SymMatrix([[e] for e in self.phi + [self.V]]).sample(
+            eta_names, np.zeros((len(eta_names), 1)))[0, :, 0]
+        if np.any(at0[:-1] != 0.0):
+            raise ValueError("stabilizer virtual output nonzero at 0")
+        if at0[-1] != 0.0:
+            raise ValueError("V(0) must be 0")
+        if rhs_at_phi is None:
+            return True
         vdot = sum((diff(self.V, n) * r for n, r in zip(eta_names, rhs_at_phi)),
                    start=const(0))
-        for _ in range(npoints):
-            env = {n: rng.uniform(-0.9, 0.9) for n in eta_names}
-            v = evalf(self.V, env)
-            vd = evalf(vdot, env)
-            nrm = np.sqrt(sum(val * val for val in env.values()))
-            if nrm > strict_ball and v <= 0:
-                raise ValueError("V not positive at a sampled nonzero point")
-            if vd > 1e-9 * (1 + abs(v)):
-                raise ValueError(f"V not decreasing along the stabilized "
-                                 f"residual block (Vdot={vd:.3e} at {env})")
-        return True
+        pts = np.random.default_rng(seed).uniform(
+            -0.9, 0.9, size=(npoints, len(eta_names)))
+        v, vd = SymMatrix([[self.V, vdot]]).sample(eta_names, pts.T)[:, 0].T
+        positive = (np.sqrt(np.sum(pts * pts, axis=1)) <= strict_ball) | (v > 0)
+        decreasing = vd <= 1e-9 * (1 + np.abs(v))
+        ok = positive & decreasing
+        if ok.all():
+            return True
+        i = int(np.argmin(ok))
+        if not positive[i]:
+            raise ValueError("V not positive at a sampled nonzero point")
+        env = dict(zip(eta_names, pts[i].tolist()))
+        raise ValueError(f"V not decreasing along the stabilized "
+                         f"residual block (Vdot={vd[i]:.3e} at {env})")
 
 
 class ControlLaw:
@@ -203,17 +208,14 @@ class ControlLaw:
 
     def check_decrease(self, seed=17, npoints=500, tol=1e-9, box=(-1.0, 1.0)):
         """Sampled Wdot <= tol at seeded nonzero points (no disturbance)."""
-        wdot = self.w_dot()
-        rng = np.random.default_rng(seed)
         names = self.system.state_names()
-        worst = -np.inf
-        for _ in range(npoints):
-            env = {n: rng.uniform(*box) for n in names}
-            val = evalf(wdot, env)
-            worst = max(worst, val)
-            if val > tol * (1.0 + abs(evalf(self.W, env))):
-                return False, val, env
-        return True, worst, None
+        pts = np.random.default_rng(seed).uniform(*box, size=(npoints, len(names)))
+        wdot, w = SymMatrix([[self.w_dot(), self.W]]).sample(names, pts.T)[:, 0].T
+        bad = wdot > tol * (1.0 + np.abs(w))
+        if bad.any():
+            i = int(np.argmax(bad))
+            return False, float(wdot[i]), dict(zip(names, pts[i].tolist()))
+        return True, float(np.max(wdot, initial=-np.inf)), None
 
 
 def parse_kappa(text):
@@ -394,7 +396,7 @@ class _Engine:
             for b in bound_terms:
                 rbar = b if rbar is None else simplify(rbar + b)
             if rbar is not None:
-                damping = simplify(z_w * (const(1) + Pow2(rbar))
+                damping = simplify(z_w * (const(1) + simplify(Pow(rbar, 2)))
                                    / (const(4) * budget))
                 law = simplify(law - damping)
 
@@ -414,11 +416,6 @@ class _Engine:
             "damping": damping if damping != const(0) else None,
         })
         return law
-
-
-def Pow2(e):
-    from .expr import Pow
-    return simplify(Pow(e, 2))
 
 
 def _finish(engine, kappa, supply=None):
@@ -518,16 +515,11 @@ def low_gain(lengths, eps, poles=None, chain_offset=0):
         coeffs.append(cs_poly)
         law = const(0)
         for j in range(1, l):
-            law = law - Pow2srl(epse, l - j) * const(cs_poly[j - 1]) \
+            law = law - simplify(Pow(epse, l - j)) * const(cs_poly[j - 1]) \
                 * Var(f"xi{chain}_{j}")
         laws.append(simplify(law))
         lyap.append(_slow_lyapunov(chain, l, epse, cs_poly))
     return LowGainDesign(lengths, eps, coeffs, laws, lyap)
-
-
-def Pow2srl(e, n):
-    from .expr import Pow
-    return simplify(Pow(e, n)) if n != 1 else e
 
 
 def _monic_coeffs(poles):

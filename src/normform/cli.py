@@ -12,8 +12,8 @@ from .backstep import (OrderViolation, da_synthesize, dump_control_law,
                        load_chain_system, loads_control_law, parse_kappa,
                        semi_global_synthesize, synthesize)
 from .expr import EvalError, ParseError, Var, parse, render
-from .linstruct import (LinearTriple, decompose, linear_infinite_zeros,
-                        load_matrix, vector_relative_degree)
+from .linstruct import (LinearTriple, decompose, load_matrix,
+                        vector_relative_degree)
 from .simkit import (SimConfig, l2_gain_check, noise_signal, simulate,
                      step_signal, trace_to_csv, zero_signal)
 from .structure import (StructureError, infinite_zero_algorithm,
@@ -108,16 +108,15 @@ def cmd_linzeros(args):
     if args.output_transform:
         C = load_matrix(args.output_transform) @ C
     triple = LinearTriple(A, B, C)
-    out = linear_infinite_zeros(triple, tol=args.tol)
-    print("q = {" + ", ".join(str(v) for v in out.q) + "}")
-    print(f"invertibility: {out.invertibility}")
+    dec = decompose(triple, tol=args.tol)
+    print("q = {" + ", ".join(str(v) for v in dec.outcome.q) + "}")
+    print(f"invertibility: {dec.outcome.invertibility}")
     if triple.m == triple.p:
         vrd = vector_relative_degree(triple, tol=args.tol)
         if vrd is None:
             print("vector relative degree: none")
         else:
             print("vector relative degree: {" + ", ".join(str(v) for v in vrd) + "}")
-    dec = decompose(triple, tol=args.tol)
     print(f"block pattern residual: {dec.verify_block_pattern():.3e}")
     for wmsg in dec.warnings:
         print(f"warning: {wmsg}")

@@ -25,8 +25,8 @@ __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Func",
     "ParseError", "BudgetError", "EvalError",
     "parse", "render", "simplify", "diff", "subs", "evalf", "free_vars",
-    "compile_exprs", "numeric_equivalent", "equivalent", "is_zero",
-    "const", "var", "TERM_BUDGET", "KNOWN_FUNCS",
+    "compile_exprs", "sample_box", "numeric_equivalent", "equivalent",
+    "is_zero", "const", "var", "TERM_BUDGET", "KNOWN_FUNCS",
     "SAMPLE_POINTS", "SAMPLE_REDRAWS", "SAMPLE_CUTOFF",
 ]
 
@@ -37,11 +37,11 @@ KNOWN_FUNCS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
 # treated as an opaque atom by the canonicalizer.
 TERM_BUDGET = 10_000
 
-# The sampling rule of numeric_equivalent, shared by normalform's sampled
-# assumption-D check: each check needs SAMPLE_POINTS valid points; a point
-# where a value is undefined, non-finite or above SAMPLE_CUTOFF in absolute
-# value is redrawn; EvalError is raised once SAMPLE_REDRAWS * points draws
-# have not given enough valid points.
+# The sampling rule of numeric_equivalent and normalform's assumption-D
+# check, both drawn by sample_box: the first SAMPLE_POINTS valid points in
+# draw order, where a point with a value undefined, non-finite or above
+# SAMPLE_CUTOFF in absolute value is redrawn; EvalError once
+# SAMPLE_REDRAWS * points draws have not given enough valid points.
 SAMPLE_POINTS = 32
 SAMPLE_REDRAWS = 40
 SAMPLE_CUTOFF = 1e12
@@ -977,46 +977,68 @@ def compile_exprs_scalar(exprs, names):
 # Randomized equivalence
 # ---------------------------------------------------------------------------
 
-def _sample_env(namelist, rng, lo=-0.9, hi=0.9):
-    return {n: rng.uniform(lo, hi) for n in namelist}
+def sample_box(evaluate, box, count, rng, max_draws, cutoff=math.inf):
+    """The first `count` valid points of a seeded uniform draw from `box`
+    (one (lo, hi) pair per coordinate), in draw order, as a (k, n) array,
+    with their values.
+
+    Points are drawn point-major, in chunks of as many points as are still
+    missing; evaluate(chunk.T) gets an (n, k) array and returns arrays whose
+    last axis runs over the points, or scalars.  A point is valid when all
+    its values are finite and at most `cutoff` in absolute value.  Fewer
+    points come back only when `max_draws` points have been drawn.  A
+    ZeroDivisionError or OverflowError comes from constants alone, where no
+    redraw helps, and is raised as EvalError.
+    """
+    import numpy as _np
+
+    lo, hi = _np.array(box, dtype=float).reshape(-1, 2).T
+    chunks = []
+    got = drawn = 0
+    while not chunks or (got < count and drawn < max_draws):
+        k = min(count - got, max_draws - drawn)
+        drawn += k
+        pts = rng.uniform(lo, hi, size=(k, lo.size))
+        with _np.errstate(all="ignore"):
+            try:
+                vals = [_np.asarray(v, dtype=float) for v in evaluate(pts.T)]
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise EvalError(f"undefined at every point: {exc}") from None
+        vals = [v if v.ndim else _np.full(k, v) for v in vals]
+        valid = _np.ones(k, dtype=bool)
+        for v in vals:
+            ok = _np.isfinite(v) & (_np.abs(v) <= cutoff)
+            valid &= ok.all(axis=tuple(range(v.ndim - 1)))
+        chunks.append((pts[valid], [v[..., valid] for v in vals]))
+        got += int(valid.sum())
+    pts, vals = zip(*chunks)
+    return _np.concatenate(pts), [_np.concatenate(v, axis=-1) for v in zip(*vals)]
 
 
 def numeric_equivalent(e1, e2, seed=0, points=SAMPLE_POINTS, tol=1e-9,
                        box=None, extra_vars=()):
-    """Values agree within tol at `points` seeded random points.
+    """Values agree within tol at `points` seeded random points of `box`
+    ({name: (lo, hi)}, default (-0.9, 0.9)), drawn by sample_box.
 
-    Points where either expression is undefined or huge are re-drawn, so
-    expressions with denominators are compared on their common domain (see
-    SAMPLE_POINTS for the rule).
+    The expressions are compiled as given.  Points where either is undefined
+    or huge are re-drawn, so expressions with denominators are compared on
+    their common domain (see SAMPLE_POINTS for the rule).
     """
     import numpy as _np
 
     e1 = _as_expr(e1)
     e2 = _as_expr(e2)
     names = sorted(free_vars(e1) | free_vars(e2) | set(extra_vars))
-    rng = _np.random.default_rng(seed)
-    got = 0
-    attempts = 0
-    while got < points:
-        attempts += 1
-        if attempts > SAMPLE_REDRAWS * points:
-            raise EvalError("could not find enough valid sample points")
-        if box:
-            env = {n: rng.uniform(*box.get(n, (-0.9, 0.9))) for n in names}
-        else:
-            env = _sample_env(names, rng)
-        try:
-            v1 = evalf(e1, env)
-            v2 = evalf(e2, env)
-        except EvalError:
-            continue
-        if not (math.isfinite(v1) and math.isfinite(v2)):
-            continue
-        if abs(v1) > SAMPLE_CUTOFF or abs(v2) > SAMPLE_CUTOFF:
-            continue
-        if abs(v1 - v2) > tol * (1.0 + max(abs(v1), abs(v2))):
-            return False
-        got += 1
+    box = box or {}
+    _, (v1, v2) = sample_box(compile_exprs([e1, e2], names),
+                             [box.get(n, (-0.9, 0.9)) for n in names], points,
+                             _np.random.default_rng(seed),
+                             SAMPLE_REDRAWS * points, SAMPLE_CUTOFF)
+    bound = tol * (1.0 + _np.maximum(_np.abs(v1), _np.abs(v2)))
+    if _np.any(_np.abs(v1 - v2) > bound):
+        return False
+    if v1.size < points:
+        raise EvalError("could not find enough valid sample points")
     return True
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, EvalError,
                    Var, const, diff, free_vars, is_zero, numeric_equivalent,
-                   render, simplify, subs)
+                   render, sample_box, simplify, subs)
 from .geom import (SymMatrix, VectorField, _kept, bracket_sampler,
                    complete_rows, involutive, jacobian, lie_bracket, rank)
 from .structure import StructureError, _sel_product
@@ -311,17 +311,19 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
     The fields are built exactly; their brackets are only sampled (see
     geom.bracket_sampler), so a bracket that is identically zero is not
     proved zero.  The sampling rule is numeric_equivalent's, set by the
-    constants in expr: SAMPLE_POINTS (32) points drawn uniformly from the
-    box `system.domain` with numpy generator `seed`; a point where any field
-    value or bracket term is undefined, non-finite or above SAMPLE_CUTOFF
-    (1e12) in absolute value is redrawn, and EvalError is raised when
-    SAMPLE_REDRAWS * SAMPLE_POINTS (40 * 32) draws do not give enough valid
-    points.  A component v of
+    constants in expr and applied by expr.sample_box: the first
+    SAMPLE_POINTS (32) valid points, in draw order, of the point-major
+    stream drawn uniformly from the box `system.domain` with numpy
+    generator `seed`; a point where any field value or bracket term is
+    undefined, non-finite or above SAMPLE_CUTOFF (1e12) in absolute value
+    is redrawn, and EvalError is raised when SAMPLE_REDRAWS * SAMPLE_POINTS
+    (40 * 32) draws do not give enough valid points.  A component v of
     [a, b] = J_b a - J_a b fails when |v| > tol * (1 + s), where
     s = |J_b| |a| + |J_a| |b| (entrywise absolute values) is the size of the
     terms that cancel.  This relative margin covers the rounding left when
     exactly commuting fields are evaluated numerically; the price is that a
-    bracket smaller than tol times its terms passes.
+    bracket smaller than tol times its terms passes.  A failing valid point
+    gives False even when too few points are valid.
     """
     outcome.raise_if_irregular()
     if outcome.invertibility != "Invertible":
@@ -329,24 +331,14 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
     if nf is None:
         nf = build_normal_form(system, outcome)
     Y = _chain_fields(system, nf)
-    evaluate = bracket_sampler([Y[key] for key in sorted(Y)])
-    lo, hi = np.array(system.box(), dtype=float).T
-    rng = np.random.default_rng(seed)
-    max_draws = SAMPLE_REDRAWS * SAMPLE_POINTS
-    got = drawn = 0
-    while got < SAMPLE_POINTS:
-        if drawn >= max_draws:
-            raise EvalError("could not find enough valid sample points")
-        batch = min(SAMPLE_POINTS - got, max_draws - drawn)
-        drawn += batch
-        pts = rng.uniform(lo[:, None], hi[:, None], size=(system.n, batch))
-        vals, brackets, scale = evaluate(pts)
-        valid = ((np.abs(vals) <= SAMPLE_CUTOFF).all(axis=(0, 1))
-                 & (scale <= SAMPLE_CUTOFF).all(axis=(0, 1)))
-        bound = tol * (1.0 + scale[..., valid])
-        if np.any(np.abs(brackets[..., valid]) > bound):
-            return False
-        got += int(valid.sum())
+    _, (_, brackets, scale) = sample_box(
+        bracket_sampler([Y[key] for key in sorted(Y)]), system.box(),
+        SAMPLE_POINTS, np.random.default_rng(seed),
+        SAMPLE_REDRAWS * SAMPLE_POINTS, SAMPLE_CUTOFF)
+    if np.any(np.abs(brackets) > tol * (1.0 + scale)):
+        return False
+    if scale.shape[-1] < SAMPLE_POINTS:
+        raise EvalError("could not find enough valid sample points")
     return True
 
 

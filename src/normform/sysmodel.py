@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import (EvalError, compile_exprs, evalf, free_vars, parse, render,
+from .expr import (compile_exprs, evalf, free_vars, parse, render, sample_box,
                    simplify)
 from .geom import SymMatrix, VectorField, rank
 
@@ -100,33 +100,21 @@ class SamplePlan:
 
 
 def sample_domain(plan, system):
-    """Uniform points in the box, skipping any where f, g, or h fail to
-    evaluate finitely.  Deterministic for a given seed."""
+    """Uniform points in the box (expr.sample_box), skipping any where f, g,
+    or h fail to evaluate finitely.  Deterministic for a given seed."""
     if plan.points is not None:
         return list(plan.points)
     box = system.box()
     for lo, hi in box:
         if not hi > lo:
             raise ValueError("degenerate domain box")
-    rng = np.random.default_rng(plan.seed)
     exprs = (system.f.components + system.h
              + [e for r in system.g.rows for e in r])
-    fn = compile_exprs(exprs, system.states)
-    out = []
-    attempts = 0
-    while len(out) < plan.count:
-        attempts += 1
-        if attempts > 50 * plan.count + 100:
-            raise ValueError("could not draw enough finite sample points")
-        pt = np.array([rng.uniform(lo, hi) for lo, hi in box])
-        with np.errstate(all="ignore"):
-            try:
-                vals = np.asarray(fn(list(pt)), dtype=float)
-            except (EvalError, ZeroDivisionError, OverflowError):
-                continue
-        if np.all(np.isfinite(vals)):
-            out.append(pt)
-    return out
+    pts, _ = sample_box(compile_exprs(exprs, system.states), box, plan.count,
+                        np.random.default_rng(plan.seed), 50 * plan.count + 100)
+    if len(pts) < plan.count:
+        raise ValueError("could not draw enough finite sample points")
+    return list(pts)
 
 
 class RankReport:

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from normform.backstep import (ChainSystem, Disturbance, OrderViolation,
-                               Stabilizer, da_synthesize,
+from normform.backstep import (ChainSystem, ControlLaw, Disturbance,
+                               OrderViolation, Stabilizer, da_synthesize,
                                dissipative_backstep, integrator_backstep,
                                low_gain, parse_kappa, semi_global_synthesize,
                                synthesize, validate_order)
-from normform.expr import (Func, Var, const, diff, evalf, parse, simplify)
+from normform.expr import (EvalError, Func, Var, const, diff, evalf, parse,
+                           simplify)
 
 
 @pytest.fixture(scope="module")
@@ -413,3 +414,14 @@ def test_synthesize_without_residual_block():
     assert simplify(law.W - parse("xi1_1^2/2")) == const(0)
     law3 = synthesize(cs, "xi1_1", stab, gains={"xi1_1": 3})
     assert law3.v[0] == parse("-3*xi1_1")
+
+
+def test_sampled_checks_raise_where_undefined(linear_sys, linear_stab):
+    # sqrt(eta1) is undefined for eta1 < 0, and its derivative as well: a
+    # point there must raise EvalError, never pass on a NaN value
+    V = parse("eta1^2 + eta1^2*sqrt(eta1)")
+    with pytest.raises(EvalError):
+        Stabilizer([parse("-eta1")], V).validate(["eta1"], [parse("-eta1")])
+    law = synthesize(linear_sys, "xi1_1,xi1_2,xi2_1,xi2_2", linear_stab)
+    with pytest.raises(EvalError):
+        ControlLaw(linear_sys, law.kappa, law.v, V, []).check_decrease()

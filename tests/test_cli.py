@@ -86,6 +86,25 @@ def test_linzeros_relative_degree_transform(capsys):
     assert code == 0 and "vector relative degree: {1, 2}" in out
 
 
+def test_linzeros_runs_the_linear_algorithm_once(monkeypatch, capsys):
+    import normform.cli as cli
+    import normform.linstruct as linstruct
+    calls = []
+    real = linstruct.linear_infinite_zeros
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linstruct, "linear_infinite_zeros", counted)
+    monkeypatch.setattr(cli, "linear_infinite_zeros", counted, raising=False)
+    code, out, _ = run_main(
+        ["linzeros", "--a", LIN / "counter3_A.txt", "--b",
+         LIN / "counter3_B.txt", "--c", LIN / "counter3_C.txt"], capsys)
+    assert code == 0 and "q = {1, 4}" in out
+    assert len(calls) == 1
+
+
 def test_backstep_controller_roundtrip(tmp_path, capsys):
     ctl = tmp_path / "mixed.ctl"
     code, out, _ = run_main(

@@ -1,14 +1,17 @@
 """Expression core: parser, canonicalization, calculus, equivalence."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from normform.expr import (Add, Const, Func, Mul, ParseError, Pow, Var, const,
-                           diff, equivalent, evalf, free_vars,
-                           numeric_equivalent, parse, render, simplify, subs)
+from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, Add, Const, EvalError,
+                           Func, Mul, ParseError, Pow, Var, compile_exprs,
+                           const, diff, equivalent, evalf, free_vars,
+                           numeric_equivalent, parse, render, sample_box,
+                           simplify, subs)
 
 
 def test_parse_product():
@@ -345,3 +348,108 @@ def test_subs_simplifies():
 
 def test_variable_ordering_numeric_suffix():
     assert Var("x2").key < Var("x10").key
+
+
+def test_numeric_equivalent_redraws_overflowing_points():
+    # exp(1000 x) overflows for x > 0.71 and x^400 for |x| > 5.9; such
+    # points are redrawn like any other non-finite one
+    assert numeric_equivalent(parse("exp(1000*x)"), parse("exp(1000*x)"))
+    assert numeric_equivalent(parse("x^400"), parse("x^400"),
+                              box={"x": (-9, 9)})
+    with pytest.raises(EvalError):
+        numeric_equivalent(parse("10^400*x"), parse("x"))
+
+
+def test_sample_box_keeps_the_per_coordinate_stream():
+    # per-coordinate boxes, and rejections that leave chunks of uneven size
+    box = [(-1.0, 1.0), (0.0, 5.0), (-3.0, -2.0)]
+
+    def evaluate(p):
+        return [np.where(p[0] > 0.3, p[1] * p[2], np.nan), 2.0]
+
+    pts, (v, c) = sample_box(evaluate, box, 20, np.random.default_rng(4), 500)
+    rng = np.random.default_rng(4)
+    want = []
+    while len(want) < 20:
+        pt = [rng.uniform(lo, hi) for lo, hi in box]
+        if pt[0] > 0.3:
+            want.append(pt)
+    assert np.array_equal(pts, want)
+    assert np.array_equal(v, pts[:, 1] * pts[:, 2])
+    assert np.array_equal(c, np.full(20, 2.0))
+
+
+def test_sample_box_budget_cutoff_and_constant_failures():
+    rng = np.random.default_rng(0)
+    pts, (v,) = sample_box(lambda p: [1.0 / (p[0] - p[0])], [(-1, 1)] * 2,
+                           10, rng, 35)
+    assert pts.shape == (0, 2) and v.shape == (0,)
+    # exactly the 35 allowed points were drawn
+    assert rng.uniform() == np.random.default_rng(0).uniform(size=71)[-1]
+    pts, (v,) = sample_box(lambda p: [1.0 / p[0]], [(-1, 1)], 50,
+                           np.random.default_rng(1), 10_000, cutoff=4.0)
+    assert len(pts) == 50 and np.all(np.abs(v) <= 4.0)
+    # a constant that no float holds fails at every point alike
+    with pytest.raises(EvalError, match="undefined at every point"):
+        sample_box(compile_exprs([parse("10^400*x")], ["x"]),
+                   [(-1, 1)], 5, np.random.default_rng(0), 100)
+
+
+def _reference_numeric_equivalent(e1, e2, seed=0, points=32, tol=1e-9,
+                                  box=None):
+    """The per-point evalf loop that numeric_equivalent replaced, one
+    coordinate per rng call.  Kept as the reference for identical
+    verdicts."""
+    names = sorted(free_vars(e1) | free_vars(e2))
+    rng = np.random.default_rng(seed)
+    got = attempts = 0
+    while got < points:
+        attempts += 1
+        if attempts > SAMPLE_REDRAWS * points:
+            raise EvalError("could not find enough valid sample points")
+        env = {n: rng.uniform(*(box or {}).get(n, (-0.9, 0.9))) for n in names}
+        try:
+            v1 = evalf(e1, env)
+            v2 = evalf(e2, env)
+        except EvalError:
+            continue
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            continue
+        if abs(v1) > SAMPLE_CUTOFF or abs(v2) > SAMPLE_CUTOFF:
+            continue
+        if abs(v1 - v2) > tol * (1.0 + max(abs(v1), abs(v2))):
+            return False
+        got += 1
+    return True
+
+
+def _verdict(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (EvalError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_exprs(wide=True), small_exprs(wide=True),
+       st.sampled_from(["other", "canonical", "shifted"]),
+       st.sampled_from([None, {"x1": (-3.0, 3.0)},
+                        {"x2": (0.5, 2.0), "x3": (-5.0, -1.0)}]),
+       st.integers(0, 5))
+def test_numeric_equivalent_matches_per_point_reference(e1, e2, pair, box,
+                                                        seed):
+    # raw trees with poles (negative powers), sqrt, abs and exp, against
+    # another tree, their own canonical form, or that form shifted a little
+    if pair != "other":
+        try:
+            e2 = simplify(e1)
+        except ZeroDivisionError:
+            assume(False)
+        if pair == "shifted":
+            e2 = e2 + const(Fraction(1, 1000))
+    try:
+        want = _verdict(_reference_numeric_equivalent, e1, e2, seed=seed,
+                        box=box)
+    except OverflowError:
+        assume(False)   # the reference loop's crash, pinned above
+    assert _verdict(numeric_equivalent, e1, e2, seed=seed, box=box) == want

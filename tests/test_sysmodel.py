@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from normform.expr import EvalError, parse
+from normform.expr import EvalError, compile_exprs, parse
 from normform.geom import SymMatrix
-from normform.sysmodel import (SamplePlan, SystemFormatError,
-                               dump_system, loads_system,
+from normform.sysmodel import (AffineSystem, SamplePlan, SystemFormatError,
+                               dump_system, load_system, loads_system,
                                numeric_rank, sample_domain)
 
 
@@ -155,3 +155,56 @@ def test_degenerate_box_rejected():
     sysm2.domain["x1"] = (-1.0, -1.0)
     with pytest.raises(ValueError, match="degenerate"):
         sample_domain(SamplePlan(count=3), sysm2)
+
+
+def _reference_sample_domain(plan, system):
+    """The per-point draw loop that sample_domain replaced, one coordinate
+    per rng call.  Kept as the reference for identical points."""
+    box = system.box()
+    rng = np.random.default_rng(plan.seed)
+    fn = compile_exprs(system.f.components + system.h
+                       + [e for r in system.g.rows for e in r], system.states)
+    out = []
+    attempts = 0
+    while len(out) < plan.count:
+        attempts += 1
+        if attempts > 50 * plan.count + 100:
+            raise ValueError("could not draw enough finite sample points")
+        pt = np.array([rng.uniform(lo, hi) for lo, hi in box])
+        with np.errstate(all="ignore"):
+            try:
+                vals = np.asarray(fn(list(pt)), dtype=float)
+            except (EvalError, ZeroDivisionError, OverflowError):
+                continue
+        if np.all(np.isfinite(vals)):
+            out.append(pt)
+    return out
+
+
+def _rejecting_system():
+    """Undefined (sqrt of a negative) on x1 < -1 and on x2 < -1, a pole at
+    x2 = 1/2, on the box (-2, 2)^2."""
+    return AffineSystem(
+        ["x1", "x2"], [parse("x2"), parse("sqrt(1 + x1) - 1 - x1/2")],
+        [[parse("0")], [parse("1/(x2 - 1/2) + sqrt(1 + x2)")]],
+        [parse("x1")], domain={"x1": (-2.0, 2.0), "x2": (-2.0, 2.0)})
+
+
+@pytest.mark.parametrize("name", ["ex31", "ex32", "ex33", "ex34",
+                                  "remark_nonregular", "rejecting"])
+def test_sample_domain_matches_per_point_reference(name, systems_dir):
+    system = (_rejecting_system() if name == "rejecting"
+              else load_system(systems_dir / f"{name}.sys"))
+    for seed in range(12):
+        plan = SamplePlan(count=200, seed=seed)
+        pts = sample_domain(plan, system)
+        assert np.array_equal(pts, _reference_sample_domain(plan, system))
+        if name == "rejecting":
+            assert np.min(pts) >= -1.0
+
+
+def test_sample_domain_gives_up_after_its_budget():
+    sysm = AffineSystem(["x1"], [parse("0")], [[parse("sqrt(-1 - x1^2)")]],
+                        [parse("x1")])
+    with pytest.raises(ValueError, match="could not draw enough finite"):
+        sample_domain(SamplePlan(count=5), sysm)
