@@ -834,6 +834,11 @@ def subs(e, mapping):
 
 def free_vars(e):
     """Variable names appearing in the canonical form (so x1-x1 reports none)."""
+    return _var_names(simplify(e))
+
+
+def _var_names(e):
+    """Variable names appearing in the tree as given."""
     out = set()
 
     def walk(n):
@@ -850,7 +855,7 @@ def free_vars(e):
         elif isinstance(n, Func):
             walk(n.arg)
 
-    walk(simplify(e))
+    walk(e)
     return out
 
 
@@ -894,32 +899,99 @@ def evalf(e, env):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized compilation (numpy) for simulation and sampling
+# Compilation: one value-numbering code generator, two backends
 # ---------------------------------------------------------------------------
 
-def _pycode(e, names):
-    if isinstance(e, Const):
-        if isinstance(e.value, Fraction) and e.value.denominator == 1:
-            return f"({e.value.numerator})"
-        return f"({float(e.value)!r})"
-    if isinstance(e, Var):
-        try:
-            return f"_a[{names.index(e.name)}]"
-        except ValueError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Add):
-        return "(" + "+".join(_pycode(t, names) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + "*".join(_pycode(t, names) for t in e.factors) + ")"
-    if isinstance(e, Pow):
-        if e.exp < 0:
-            return f"({_pycode(e.base, names)}**({float(e.exp)}))"
-        return f"({_pycode(e.base, names)}**{e.exp})"
-    if isinstance(e, Func):
-        fn = {"sin": "_np.sin", "cos": "_np.cos", "exp": "_np.exp",
-              "sqrt": "_np.sqrt", "abs": "_np.abs", "sign": "_np.sign"}[e.fname]
-        return f"{fn}({_pycode(e.arg, names)})"
-    raise TypeError(f"unknown node {e!r}")
+def _kernel_source(exprs, names):
+    """Source of `lambda _a: [...]`, one value per expression, over `_a[i]`
+    for names[i], calling `_sin`, `_cos`, ... for the functions.
+
+    Nodes are numbered bottom-up by value, on (op, data, child numbers),
+    with a memo by node identity so shared subtrees are walked once.  A
+    compound value used by more than one parent value (or root) is bound
+    to a local `_tN` by `:=` where it is first evaluated and read back
+    after; every other node is written inline.  Each operation keeps its
+    operands and their order, and runs where it ran in the inlined tree,
+    so values and exceptions are those of the trees as given.
+    """
+    exprs = [_as_expr(e) for e in exprs]   # alive while ids are memo keys
+    index = {}
+    for i, name in enumerate(names):
+        index.setdefault(name, i)   # a repeated name reads its first slot
+    memo = {}       # id(node) -> value number
+    numbers = {}    # leaf text or (op, data, child numbers) -> value number
+    keys = []       # value number -> key
+    uses = []       # value number -> parent values and roots using it
+
+    def number(e):
+        v = memo.get(id(e))
+        if v is not None:
+            return v
+        if isinstance(e, Add):
+            kids = tuple(map(number, e.terms))
+            key = ("+", kids)
+        elif isinstance(e, Mul):
+            kids = tuple(map(number, e.factors))
+            key = ("*", kids)
+        elif isinstance(e, Pow):
+            kids = (number(e.base),)
+            key = ("^", e.exp, kids[0])
+        elif isinstance(e, Func):
+            kids = (number(e.arg),)
+            key = (e.fname, kids[0])
+        elif isinstance(e, Const):
+            kids = ()
+            if isinstance(e.value, Fraction) and e.value.denominator == 1:
+                key = f"({e.value.numerator})"
+            else:
+                key = f"({float(e.value)!r})"
+        elif isinstance(e, Var):
+            kids = ()
+            try:
+                key = f"_a[{index[e.name]}]"
+            except KeyError:
+                raise EvalError(f"unbound variable {e.name!r}") from None
+        else:
+            raise TypeError(f"unknown node {e!r}")
+        v = numbers.get(key)
+        if v is None:
+            v = numbers[key] = len(keys)
+            keys.append(key)
+            uses.append(0)
+            for c in kids:
+                uses[c] += 1
+        memo[id(e)] = v
+        return v
+
+    roots = [number(e) for e in exprs]
+    for v in roots:
+        uses[v] += 1
+    bound = set()
+
+    def emit(v):
+        key = keys[v]
+        if type(key) is str:
+            return key
+        if v in bound:
+            return f"_t{v}"
+        op = key[0]
+        if op == "+" or op == "*":
+            text = "(" + op.join(map(emit, key[1])) + ")"
+        elif op == "^":
+            text = (f"({emit(key[2])}**({float(key[1])}))" if key[1] < 0
+                    else f"({emit(key[2])}**{key[1]})")
+        else:
+            text = f"_{op}({emit(key[1])})"
+        if uses[v] > 1:
+            bound.add(v)
+            return f"(_t{v}:={text})"
+        return text
+
+    src = "lambda _a: [" + ",".join(map(emit, roots)) + "]"
+    # each closure refers to itself; break the cycles so that the tables
+    # are freed here and not by the next garbage collection
+    del number, emit
+    return src
 
 
 def compile_exprs(exprs, names):
@@ -930,47 +1002,38 @@ def compile_exprs(exprs, names):
     """
     import numpy as _np
 
-    body = "[" + ",".join(_pycode(_as_expr(e), list(names)) for e in exprs) + "]"
-    src = f"lambda _a, _np=_np: {body}"
-    return eval(src, {"_np": _np})  # noqa: S307 - generated from our own AST
+    src = _kernel_source(exprs, names)
+    return eval(src, {"_sin": _np.sin, "_cos": _np.cos,  # noqa: S307
+                      "_exp": _np.exp, "_sqrt": _np.sqrt,
+                      "_abs": _np.abs, "_sign": _np.sign})
 
 
-class _ScalarMath:
-    """math-module shim tolerating domain/overflow errors via NaN/inf."""
+def _exp_or_inf(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
-    @staticmethod
-    def sin(v):
-        return math.sin(v)
 
-    @staticmethod
-    def cos(v):
-        return math.cos(v)
+def _sqrt_or_nan(v):
+    return math.sqrt(v) if v >= 0 else math.nan
 
-    @staticmethod
-    def exp(v):
-        try:
-            return math.exp(v)
-        except OverflowError:
-            return math.inf
 
-    @staticmethod
-    def sqrt(v):
-        return math.sqrt(v) if v >= 0 else math.nan
+def _sign(v):
+    return float((v > 0) - (v < 0))
 
-    @staticmethod
-    def abs(v):
-        return abs(v)
 
-    @staticmethod
-    def sign(v):
-        return float((v > 0) - (v < 0))
+# math functions on plain floats; an exp that overflows gives inf and the
+# sqrt of a negative value nan, as in numpy
+_SCALAR_FUNCS = {"_sin": math.sin, "_cos": math.cos, "_exp": _exp_or_inf,
+                 "_sqrt": _sqrt_or_nan, "_abs": abs, "_sign": _sign}
 
 
 def compile_exprs_scalar(exprs, names):
-    """Scalar float compilation (much faster than numpy for single runs)."""
-    body = "[" + ",".join(_pycode(_as_expr(e), list(names)) for e in exprs) + "]"
-    src = f"lambda _a, _np=_sm: {body}"
-    return eval(src, {"_sm": _ScalarMath})  # noqa: S307
+    """compile_exprs for one point of Python floats (much faster than numpy
+    for single runs)."""
+    src = _kernel_source(exprs, names)
+    return eval(src, dict(_SCALAR_FUNCS))  # noqa: S307 - from our own AST
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1083,8 @@ def numeric_equivalent(e1, e2, seed=0, points=SAMPLE_POINTS, tol=1e-9,
     """Values agree within tol at `points` seeded random points of `box`
     ({name: (lo, hi)}, default (-0.9, 0.9)), drawn by sample_box.
 
-    The expressions are compiled as given.  Points where either is undefined
+    The expressions are compiled, and their variables named, as given
+    (simplify never adds a variable).  Points where either is undefined
     or huge are re-drawn, so expressions with denominators are compared on
     their common domain (see SAMPLE_POINTS for the rule).
     """
@@ -1028,7 +1092,7 @@ def numeric_equivalent(e1, e2, seed=0, points=SAMPLE_POINTS, tol=1e-9,
 
     e1 = _as_expr(e1)
     e2 = _as_expr(e2)
-    names = sorted(free_vars(e1) | free_vars(e2) | set(extra_vars))
+    names = sorted(_var_names(e1) | _var_names(e2) | set(extra_vars))
     box = box or {}
     _, (v1, v2) = sample_box(compile_exprs([e1, e2], names),
                              [box.get(n, (-0.9, 0.9)) for n in names], points,

@@ -4,8 +4,8 @@ monitoring, and L2-gain certification.
 A single run is integrated on plain Python floats (`_simulate_scalar`).
 A batch of two or more runs compiles its right-hand side once into a
 vectorized numpy callable and advances an (n, nruns) state array in
-lockstep, one row per state variable.  Both store the trace as
-(T, nruns, n).
+lockstep, one row per state variable, storing the trace as (T, n, nruns).
+Both expose the trace as (T, nruns, n).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
            "l2_gain_check", "batch_simulate", "trace_to_csv"]
 
 DIVERGENCE_NORM = 1e8
+_CSV_ROWS = 256
 
 
 class SimConfig:
@@ -42,9 +43,11 @@ class Signal:
         self.label = label
 
     def __call__(self, t, nruns=1):
+        """A float when fn(t) is a scalar (a batch broadcasts it), else
+        one value per run."""
         v = self.fn(t)
-        if np.isscalar(v):
-            return np.full(nruns, float(v))
+        if isinstance(v, (float, int)):
+            return float(v)
         return np.asarray(v, dtype=float)
 
 
@@ -79,7 +82,7 @@ class Trace:
     def __init__(self, t, x, u, y, names, input_names, output_names,
                  diverged_runs, w=None, V=None, int_y2=None, int_w2=None):
         self.t = t
-        self.x = x                      # (T, nruns, n)
+        self.x = x                      # (T, nruns, n), maybe a view
         self.u = u
         self.y = y
         self.w = w
@@ -159,11 +162,12 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
 
     nsteps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.dt
-    xs = np.empty((nsteps + 1, nruns, n))
+    # run-major: each step stores one contiguous (n, nruns) block
+    xs = np.empty((nsteps + 1, n, nruns))
     ws = np.empty((nsteps + 1, nruns))
-    xs[0] = x0
-    ws[0] = w_signal(0.0, nruns)
     x = np.ascontiguousarray(x0.T)
+    xs[0] = x
+    ws[0] = w_signal(0.0, nruns)
     k1, k2, k3, k4 = np.empty((4, n, nruns))
     alive = np.ones(nruns, dtype=bool)
     frozen = False
@@ -192,7 +196,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
                 if not ok.any():
                     # the last runs diverged: end with this step, as the
                     # single-run path does
-                    xs[k + 1] = np.where(alive, xn, x).T
+                    xs[k + 1] = np.where(alive, xn, x)
                     ws[k + 1] = w4
                     alive = ok
                     last = k + 1
@@ -200,7 +204,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
                 xn = np.where(ok, xn, x)
                 alive = ok
                 frozen = True
-            xs[k + 1] = xn.T
+            xs[k + 1] = xn
             ws[k + 1] = w4
             x = xn
     # t_{k+1} = k*dt + dt, bit for bit as the step computes it
@@ -212,7 +216,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
         out = np.empty((len(ts), nruns, width))
         if fn is not None:
             with np.errstate(all="ignore"):
-                vals = fn([xs[:, :, i] for i in range(n)] + [ws])
+                vals = fn([xs[:, i] for i in range(n)] + [ws])
             for j, v in enumerate(vals):
                 out[:, :, j] = v
         return out
@@ -224,7 +228,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     int_y2 = _running_trapezoid(ts, np.sum(ys * ys, axis=2)) if len(output_exprs) else None
     int_w2 = _running_trapezoid(ts, ws * ws)
 
-    return Trace(ts, xs, us, ys,
+    return Trace(ts, xs.transpose(0, 2, 1), us, ys,
                  names,
                  input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
                  output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
@@ -235,25 +239,18 @@ def _simulate_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
                      output_exprs, V_expr, input_names, output_names):
     """Single-run integration on plain floats (identical semantics to the
     batch path, an order of magnitude faster)."""
-    n = len(names)
-    f = compile_exprs_scalar([simplify(e) for e in rhs_exprs], names + ["w"])
-    fu = compile_exprs_scalar([simplify(e) for e in input_exprs], names + ["w"]) \
-        if input_exprs else None
-    fy = compile_exprs_scalar([simplify(e) for e in output_exprs], names + ["w"]) \
-        if output_exprs else None
-    fV = compile_exprs_scalar([simplify(V_expr)], names + ["w"]) \
-        if V_expr is not None else None
+    def comp(exprs):
+        return compile_exprs_scalar([simplify(e) for e in exprs], names + ["w"])
+
+    f = comp(rhs_exprs)
 
     def wval(t):
-        v = w_signal.fn(t)
-        return float(v if np.isscalar(v) else np.asarray(v).ravel()[0])
-
-    def rhs(x, wv):
-        return f(list(x) + [wv])
+        v = w_signal(t)
+        return v if type(v) is float else float(v.ravel()[0])
 
     x = [float(v) for v in x0]
     try:
-        r0 = rhs(x, wval(0.0))
+        r0 = f(x + [wval(0.0)])
     except (ZeroDivisionError, ValueError, OverflowError):
         raise ValueError("right-hand side not finite at the initial state")
     if not all(np.isfinite(r0)):
@@ -261,24 +258,26 @@ def _simulate_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
 
     nsteps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.dt
+    bound = DIVERGENCE_NORM ** 2
     ts = [0.0]
-    xs = [list(x)]
+    xs = [x]
     wsv = [wval(0.0)]
     diverged = False
     for k in range(nsteps):
         t = k * dt
         try:
             if cfg.integrator == "euler":
-                k1 = rhs(x, wval(t))
+                k1 = f(x + [wval(t)])
                 xn = [xi + dt * ki for xi, ki in zip(x, k1)]
+                w4 = wval(t + dt)
             else:
                 w1 = wval(t)
                 w2 = wval(t + dt / 2)
                 w4 = wval(t + dt)
-                k1 = rhs(x, w1)
-                k2 = rhs([xi + dt / 2 * ki for xi, ki in zip(x, k1)], w2)
-                k3 = rhs([xi + dt / 2 * ki for xi, ki in zip(x, k2)], w2)
-                k4 = rhs([xi + dt * ki for xi, ki in zip(x, k3)], w4)
+                k1 = f(x + [w1])
+                k2 = f([xi + dt / 2 * ki for xi, ki in zip(x, k1)] + [w2])
+                k3 = f([xi + dt / 2 * ki for xi, ki in zip(x, k2)] + [w2])
+                k4 = f([xi + dt * ki for xi, ki in zip(x, k3)] + [w4])
                 xn = [xi + dt / 6 * (a + 2 * b + 2 * c + d)
                       for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
         except (ZeroDivisionError, ValueError, OverflowError):
@@ -286,33 +285,39 @@ def _simulate_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
             break
         ts.append(t + dt)
         xs.append(xn)
-        wsv.append(wval(t + dt))
+        wsv.append(w4)
         x = xn
-        if not all(np.isfinite(xn)) or sum(v * v for v in xn) > DIVERGENCE_NORM ** 2:
+        # false for NaN and inf as well as above the bound
+        if not sum(v * v for v in xn) <= bound:
             diverged = True
             break
-    ts = np.asarray(ts)
-    xs = np.asarray(xs)[:, None, :]
-    ws = np.asarray(wsv)[:, None]
 
-    def channel(fn, width):
-        if fn is None or width == 0:
-            return np.zeros((len(ts), 1, 0))
-        out = np.empty((len(ts), 1, width))
-        for k in range(len(ts)):
+    def channel(exprs):
+        out = np.empty((len(xs), 1, len(exprs)))
+        if not exprs:
+            return out
+        fn = comp(exprs)
+        for k, (xk, wk) in enumerate(zip(xs, wsv)):
             try:
-                vals = fn(list(xs[k, 0]) + [ws[k, 0]])
+                out[k, 0] = fn(xk + [wk])
             except (ZeroDivisionError, ValueError, OverflowError):
-                vals = [np.nan] * width
-            out[k, 0] = vals
+                # where a float operation raises, numpy's may give inf or
+                # nan instead; a value undefined for both is nan
+                try:
+                    with np.errstate(all="ignore"):
+                        out[k, 0] = fn([np.float64(v) for v in xk + [wk]])
+                except (ZeroDivisionError, ValueError, OverflowError):
+                    out[k, 0] = np.nan
         return out
 
-    us = channel(fu, len(input_exprs))
-    ys = channel(fy, len(output_exprs))
-    Vs = channel(fV, 1)[:, :, 0] if fV is not None else None
+    ts = np.asarray(ts)
+    ws = np.asarray(wsv)[:, None]
+    us = channel(input_exprs)
+    ys = channel(output_exprs)
+    Vs = channel([V_expr])[:, :, 0] if V_expr is not None else None
     int_y2 = _running_trapezoid(ts, np.sum(ys * ys, axis=2)) if len(output_exprs) else None
     int_w2 = _running_trapezoid(ts, ws * ws)
-    return Trace(ts, xs, us, ys, names,
+    return Trace(ts, np.asarray(xs)[:, None, :], us, ys, names,
                  input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
                  output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
                  [diverged], w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2)
@@ -362,8 +367,8 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None,
     if w_maker is not None:
         w_signal = w_maker(int(rng.integers(0, 2**32)), nruns)
     trace = simulate(rhs_exprs, state_names, x0, cfg=cfg, w_signal=w_signal, **kw)
-    final = trace.x[-1]
-    norms = np.linalg.norm(final, axis=1)
+    # a contiguous copy: norm's pairwise summation runs on contiguous rows
+    norms = np.linalg.norm(np.ascontiguousarray(trace.x[-1]), axis=1)
     return {
         "trace": trace,
         "endpoint_norms": norms,
@@ -379,23 +384,18 @@ def trace_to_csv(trace, run=0):
     """CSV text: t, states, inputs, outputs[, V, intY2, intW2] at 12
     significant digits."""
     cols = ["t"] + trace.names + trace.input_names + trace.output_names
-    extras = []
-    if trace.V is not None:
-        cols.append("V")
-        extras.append(lambda k: trace.V[k, run])
-    if trace.int_y2 is not None:
-        cols.append("intY2")
-        extras.append(lambda k: trace.int_y2[k, run])
-    if trace.int_w2 is not None:
-        cols.append("intW2")
-        extras.append(lambda k: trace.int_w2[k, run])
+    series = [trace.t[:, None], trace.x[:, run], trace.u[:, run],
+              trace.y[:, run]]
+    for name, v in (("V", trace.V), ("intY2", trace.int_y2),
+                    ("intW2", trace.int_w2)):
+        if v is not None:
+            cols.append(name)
+            series.append(v[:, run, None])
+    line = ",".join(["%.12g"] * len(cols)) + "\n"
     buf = io.StringIO()
     buf.write(",".join(cols) + "\n")
-    for k in range(len(trace.t)):
-        row = [trace.t[k]]
-        row += list(trace.x[k, run])
-        row += list(trace.u[k, run])
-        row += list(trace.y[k, run])
-        row += [fn(k) for fn in extras]
-        buf.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    # Python floats for a block of rows at a time keep peak memory flat
+    for k in range(0, len(trace.t), _CSV_ROWS):
+        rows = np.concatenate([s[k:k + _CSV_ROWS] for s in series], axis=1)
+        buf.writelines(line % tuple(r) for r in rows.tolist())
     return buf.getvalue()

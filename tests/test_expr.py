@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, Add, Const, EvalError,
-                           Func, Mul, ParseError, Pow, Var, compile_exprs,
-                           const, diff, equivalent, evalf, free_vars,
-                           numeric_equivalent, parse, render, sample_box,
-                           simplify, subs)
+                           Func, Mul, ParseError, Pow, Var, _kernel_source,
+                           compile_exprs, compile_exprs_scalar, const, diff,
+                           equivalent, evalf, free_vars, numeric_equivalent,
+                           parse, render, sample_box, simplify, subs)
 
 
 def test_parse_product():
@@ -395,12 +395,25 @@ def test_sample_box_budget_cutoff_and_constant_failures():
                    [(-1, 1)], 5, np.random.default_rng(0), 100)
 
 
+def _tree_names(e):
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, (Add, Mul)):
+        return set().union(*map(_tree_names, e.terms if isinstance(e, Add)
+                                else e.factors))
+    if isinstance(e, Pow):
+        return _tree_names(e.base)
+    if isinstance(e, Func):
+        return _tree_names(e.arg)
+    return set()
+
+
 def _reference_numeric_equivalent(e1, e2, seed=0, points=32, tol=1e-9,
                                   box=None):
     """The per-point evalf loop that numeric_equivalent replaced, one
-    coordinate per rng call.  Kept as the reference for identical
-    verdicts."""
-    names = sorted(free_vars(e1) | free_vars(e2))
+    coordinate per rng call, over the names in the trees as given.  Kept
+    as the reference for identical verdicts."""
+    names = sorted(_tree_names(e1) | _tree_names(e2))
     rng = np.random.default_rng(seed)
     got = attempts = 0
     while got < points:
@@ -453,3 +466,170 @@ def test_numeric_equivalent_matches_per_point_reference(e1, e2, pair, box,
     except OverflowError:
         assume(False)   # the reference loop's crash, pinned above
     assert _verdict(numeric_equivalent, e1, e2, seed=seed, box=box) == want
+
+
+def test_numeric_equivalent_samples_the_names_as_given():
+    # x1 - x1 cancels in the canonical form, but the tree as given reads x1
+    assert numeric_equivalent(Var("x1") - Var("x1") + Var("y"), Var("y"))
+    assert not numeric_equivalent(Var("x1") * Var("y") - Var("x1"), Var("y"))
+
+
+# ---------------------------------------------------------------------------
+# Compiler: value numbering against the inlining compilers it replaced
+# ---------------------------------------------------------------------------
+
+def _old_pycode(e, names):
+    if isinstance(e, Const):
+        if isinstance(e.value, Fraction) and e.value.denominator == 1:
+            return f"({e.value.numerator})"
+        return f"({float(e.value)!r})"
+    if isinstance(e, Var):
+        return f"_a[{names.index(e.name)}]"
+    if isinstance(e, Add):
+        return "(" + "+".join(_old_pycode(t, names) for t in e.terms) + ")"
+    if isinstance(e, Mul):
+        return "(" + "*".join(_old_pycode(t, names) for t in e.factors) + ")"
+    if isinstance(e, Pow):
+        if e.exp < 0:
+            return f"({_old_pycode(e.base, names)}**({float(e.exp)}))"
+        return f"({_old_pycode(e.base, names)}**{e.exp})"
+    fn = {"sin": "_np.sin", "cos": "_np.cos", "exp": "_np.exp",
+          "sqrt": "_np.sqrt", "abs": "_np.abs", "sign": "_np.sign"}[e.fname]
+    return f"{fn}({_old_pycode(e.arg, names)})"
+
+
+def _old_compile_exprs(exprs, names):
+    body = "[" + ",".join(_old_pycode(e, list(names)) for e in exprs) + "]"
+    return eval(f"lambda _a, _np=_np: {body}", {"_np": np})
+
+
+class _OldScalarMath:
+    sin = staticmethod(math.sin)
+    cos = staticmethod(math.cos)
+    abs = staticmethod(abs)
+
+    @staticmethod
+    def exp(v):
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
+
+    @staticmethod
+    def sqrt(v):
+        return math.sqrt(v) if v >= 0 else math.nan
+
+    @staticmethod
+    def sign(v):
+        return float((v > 0) - (v < 0))
+
+
+def _old_compile_exprs_scalar(exprs, names):
+    body = "[" + ",".join(_old_pycode(e, list(names)) for e in exprs) + "]"
+    return eval(f"lambda _a, _np=_sm: {body}", {"_sm": _OldScalarMath})
+
+
+@st.composite
+def shared_expr_lists(draw):
+    """Lists of raw trees built over a small pool of subtrees, each reused
+    as the same object or as a structural copy, beside fresh trees."""
+    pool = draw(st.lists(small_exprs(wide=True), min_size=1, max_size=3))
+    funcs = ("sin", "cos", "abs", "sqrt", "exp", "sign")
+
+    def rec(d):
+        if d == 0:
+            kind = draw(st.integers(0, 2))
+            if kind == 2:
+                return draw(small_exprs(wide=True))
+            e = draw(st.sampled_from(pool))
+            return unmarked_copy(e) if kind else e
+        k = draw(st.integers(0, 3))
+        if k == 0:
+            return Add(tuple(rec(d - 1) for _ in range(draw(st.integers(2, 3)))))
+        if k == 1:
+            return Mul(tuple(rec(d - 1) for _ in range(draw(st.integers(2, 3)))))
+        if k == 2:
+            return Pow(rec(d - 1), draw(st.integers(-2, 3)))
+        return Func(draw(st.sampled_from(funcs)), rec(d - 1))
+
+    return [rec(draw(st.integers(0, 3)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def _outcome(fn, args):
+    try:
+        with np.errstate(all="ignore"):
+            return fn(args)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_expr_lists(), st.integers(0, 3))
+def test_compilers_match_the_inlining_compilers(exprs, seed):
+    names = ["x1", "x2", "x3"]
+    pts = np.random.default_rng(seed).uniform(-2, 2, size=(3, 24))
+    # poles, overflow in powers and products, and inf
+    pts[:, :8] = [[0.0, 1.0, -1.0, 0.0, 1e200, 0.0, math.inf, -3e160],
+                  [0.0, 0.0, 2.0, -0.5, 0.0, 1e300, 1.0, 1e-200],
+                  [0.0, 1.0, 0.0, 3.0, -1e155, 0.0, 0.0, -math.inf]]
+    want = _outcome(_old_compile_exprs(exprs, names), list(pts))
+    got = _outcome(compile_exprs(exprs, names), list(pts))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+    old = _old_compile_exprs_scalar(exprs, names)
+    new = compile_exprs_scalar(exprs, names)
+    for p in pts.T.tolist():
+        want, got = _outcome(old, p), _outcome(new, p)
+        # repr tells nan, -0.0, an int and a float apart
+        assert repr(got) == repr(want)
+
+
+def _func_values(exprs):
+    seen = {}
+
+    def walk(e):
+        if isinstance(e, Func):
+            seen.setdefault(e.fname, set()).add(e.key)
+        for c in getattr(e, "terms", ()) + getattr(e, "factors", ()):
+            walk(c)
+        if isinstance(e, Pow):
+            walk(e.base)
+        if isinstance(e, Func):
+            walk(e.arg)
+
+    for e in exprs:
+        walk(e)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_expr_lists())
+def test_kernel_source_writes_each_function_value_once(exprs):
+    src = _kernel_source(exprs, ["x1", "x2", "x3"])
+    values = _func_values(exprs)
+    for fname in ("sin", "cos", "abs", "sqrt", "exp", "sign"):
+        assert src.count(f"_{fname}(") == len(values.get(fname, ()))
+
+
+def test_kernel_source_without_repeats_is_the_inlined_lambda():
+    e = Add((Mul((Const(Fraction(2)), Func("sin", Var("x2")))),
+             Pow(Var("x1"), -2), Const(0.5)))
+    assert _kernel_source([e, Var("x1")], ["x1", "x2"]) == \
+        "lambda _a: [(((2)*_sin(_a[1]))+(_a[0]**(-2.0))+(0.5)),_a[0]]"
+    twice = Func("cos", Var("x1"))
+    assert _kernel_source([twice * twice, Func("cos", Var("x1"))], ["x1"]) == \
+        "lambda _a: [((_t1:=_cos(_a[0]))*_t1),_t1]"
+
+
+def test_compile_binds_names_as_list_index_does():
+    for compile_ in (compile_exprs, compile_exprs_scalar):
+        with pytest.raises(EvalError, match="unbound variable 'y'"):
+            compile_([Var("x") + Var("y")], ["x"])
+        # a repeated name reads its first slot
+        assert compile_([Var("w")], ["w", "x", "w"])([1.0, 2.0, 3.0]) == [1.0]

@@ -49,6 +49,18 @@ def test_divergence_flag_and_truncation():
     assert tr.t[-1] < 5.0
 
 
+def test_nan_state_ends_the_run_in_both_paths():
+    # x1 falls through 0, where sqrt turns the state into nan
+    rhs = [parse("sqrt(x1) - 1")]
+    cfg = SimConfig(dt=1e-2, horizon=3.0)
+    one = simulate(rhs, ["x1"], [0.5], cfg)
+    both = simulate(rhs, ["x1"], [[0.5], [0.5]], cfg)
+    assert one.diverged and list(both.diverged_runs) == [True, True]
+    assert one.t[-1] < 3.0 and np.isnan(one.x[-1, 0, 0])
+    assert np.array_equal(one.t, both.t)
+    assert np.array_equal(one.x[:, 0], both.x[:, 1], equal_nan=True)
+
+
 def test_nonfinite_initial_rejected():
     with pytest.raises(ValueError):
         simulate([parse("1/x1")], ["x1"], [0.0], SimConfig(dt=1e-3, horizon=0.1))
@@ -227,7 +239,9 @@ def _assert_traces_equal(ref, tr):
         if want is None:
             assert got is None, name
         else:
-            assert np.array_equal(want, got), name
+            # bit for bit: nan is equal to nan, -0.0 differs from 0.0
+            assert want.shape == got.shape, name
+            assert want.tobytes() == got.tobytes(), name
 
 
 def _loop(systems_dir, fixture, order, gains=None):
@@ -313,3 +327,170 @@ def test_batch_simulate_reports_diverged_runs():
     x0 = res["trace"].x[0, :, 0]
     assert res["diverged"] == bool(np.any(x0 > 1 / 3))
     assert np.array_equal(res["diverged_runs"], x0 > 1 / 3)
+
+
+def test_batch_summaries_match_column_loop(systems_dir):
+    # 8 states: norms of the strided final state would differ in the last bit
+    law, names = _loop(systems_dir, "nf_mixed.nf",
+                       "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
+                       gains={"xi1_1": 0, "xi3_1": 0, "xi2_1": 0})
+    cfg = SimConfig(dt=2e-3, horizon=0.4)
+    res = batch_simulate(law.closed_loop_rhs(), names, [(-1.0, 1.0)] * 8,
+                         nruns=300, master_seed=2, cfg=cfg)
+    x0 = np.random.default_rng(2).uniform(-1.0, 1.0, size=(300, 8))
+    ref = _reference_batch(law.closed_loop_rhs(), names, x0, cfg,
+                           zero_signal())
+    assert np.array_equal(res["trace"].x, ref["x"])
+    assert np.array_equal(res["endpoint_norms"],
+                          np.linalg.norm(ref["x"][-1], axis=1))
+    assert np.array_equal(res["envelope_min"], ref["x"].min(axis=1))
+    assert np.array_equal(res["envelope_max"], ref["x"].max(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# Single-run path: bit identity with the per-row numpy channels and the
+# per-value CSV writer
+# ---------------------------------------------------------------------------
+
+def _reference_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
+                      output_exprs, V_expr):
+    """The single-run loop as it stood before its channels moved onto the
+    step loop's lists: a per-step np.isfinite test and channels evaluated
+    per row of the state array, on numpy scalars.  Kept as the reference
+    for bit identity."""
+    from normform.expr import compile_exprs_scalar, simplify
+
+    def comp(exprs):
+        return compile_exprs_scalar([simplify(e) for e in exprs], names + ["w"])
+
+    f = comp(rhs_exprs)
+
+    def wval(t):
+        v = w_signal.fn(t)
+        return float(v if np.isscalar(v) else np.asarray(v).ravel()[0])
+
+    x = [float(v) for v in x0]
+    nsteps = int(round(cfg.horizon / cfg.dt))
+    dt = cfg.dt
+    ts, xs, wsv = [0.0], [list(x)], [wval(0.0)]
+    for k in range(nsteps):
+        t = k * dt
+        try:
+            if cfg.integrator == "euler":
+                k1 = f(list(x) + [wval(t)])
+                xn = [xi + dt * ki for xi, ki in zip(x, k1)]
+            else:
+                w1, w2, w4 = wval(t), wval(t + dt / 2), wval(t + dt)
+                k1 = f(list(x) + [w1])
+                k2 = f([xi + dt / 2 * ki for xi, ki in zip(x, k1)] + [w2])
+                k3 = f([xi + dt / 2 * ki for xi, ki in zip(x, k2)] + [w2])
+                k4 = f([xi + dt * ki for xi, ki in zip(x, k3)] + [w4])
+                xn = [xi + dt / 6 * (a + 2 * b + 2 * c + d)
+                      for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        except (ZeroDivisionError, ValueError, OverflowError):
+            break
+        ts.append(t + dt)
+        xs.append(xn)
+        wsv.append(wval(t + dt))
+        x = xn
+        if not all(np.isfinite(xn)) or sum(v * v for v in xn) > 1e16:
+            break
+    ts = np.asarray(ts)
+    xs = np.asarray(xs)[:, None, :]
+    ws = np.asarray(wsv)[:, None]
+
+    def channel(exprs):
+        width = len(exprs)
+        if width == 0:
+            return np.zeros((len(ts), 1, 0))
+        fn = comp(exprs)
+        out = np.empty((len(ts), 1, width))
+        for k in range(len(ts)):
+            try:
+                with np.errstate(all="ignore"):
+                    vals = fn(list(xs[k, 0]) + [ws[k, 0]])
+            except (ZeroDivisionError, ValueError, OverflowError):
+                vals = [np.nan] * width
+            out[k, 0] = vals
+        return out
+
+    ys = channel(output_exprs)
+    return {"t": ts, "x": xs, "w": ws, "u": channel(input_exprs), "y": ys,
+            "V": channel([V_expr])[:, :, 0],
+            "int_y2": _trapezoid(ts, np.sum(ys * ys, axis=2)),
+            "int_w2": _trapezoid(ts, ws * ws)}
+
+
+def _reference_csv(trace, run=0):
+    """trace_to_csv as it stood before it wrote from Python floats: one
+    f-string per numpy value."""
+    cols = ["t"] + trace.names + trace.input_names + trace.output_names
+    cols += ["V", "intY2", "intW2"]
+    lines = [",".join(cols)]
+    for k in range(len(trace.t)):
+        row = [trace.t[k], *trace.x[k, run], *trace.u[k, run],
+               *trace.y[k, run], trace.V[k, run], trace.int_y2[k, run],
+               trace.int_w2[k, run]]
+        lines.append(",".join(f"{v:.12g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def cli_loops(tmp_path_factory, systems_dir):
+    """The closed loops `normform simulate` builds from the nf_mixed and
+    nf_addexam controllers that `normform backstep` writes."""
+    from normform.backstep import ControlLaw, load_chain_system, loads_control_law
+    from normform.cli import main
+    from normform.expr import Var
+    tmp = tmp_path_factory.mktemp("ctl")
+    args = {
+        "mixed": ["--kappa", "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
+                  "--gains", "xi1_1=0,xi3_1=0,xi2_1=0"],
+        "addexam": ["--kappa", "xi2_1,xi1_1,xi2_2", "--disturbance", "0.5",
+                    "--eps", "0", "--budgets", "1/12,1/12,1/12",
+                    "--gains", "xi2_1=1,xi1_1=1/3,xi2_2=1"],
+    }
+    loops = {}
+    for key, rest in args.items():
+        nf = systems_dir / f"nf_{key}.nf"
+        assert main(["backstep", str(nf), *rest, "--out", str(tmp / key)]) == 0
+        cs, _ = load_chain_system(nf)
+        v, W = loads_control_law((tmp / key).read_text())
+        law = ControlLaw(cs, [], v, W, [])
+        loops[key] = dict(
+            rhs_exprs=law.closed_loop_rhs(with_disturbance=True),
+            names=cs.state_names(), input_exprs=v, V_expr=W,
+            output_exprs=[Var(cs.xi_name(i + 1, 1)) for i in range(cs.m)])
+    return loops
+
+
+@pytest.mark.parametrize("key,x0,signal,cfg", [
+    ("mixed", [0.5, 0.2, -0.3, 0.1, 0.2, -0.1, 0.3, 0.2], zero_signal(),
+     SimConfig(dt=1e-3, horizon=1.5)),
+    ("mixed", [0.5, 0.2, -0.3, 0.1, 0.2, -0.1, 0.3, 0.2], noise_signal(3),
+     SimConfig(dt=1e-3, horizon=0.5)),
+    ("addexam", [0.0] * 4, step_signal(2.0), SimConfig(dt=1e-3, horizon=3.0)),
+    ("addexam", [0.0] * 4, step_signal(2.0),
+     SimConfig(dt=1e-3, horizon=3.0, integrator="euler")),
+    # diverges; on its last row numpy scalars give inf where floats raise
+    ("addexam", [500.0, 400.0, -300.0, 600.0], step_signal(2.0),
+     SimConfig(dt=0.05, horizon=1.0)),
+], ids=["mixed", "mixed-noise", "addexam", "addexam-euler", "addexam-diverging"])
+def test_single_run_bit_identical_to_numpy_channels(cli_loops, key, x0, signal,
+                                                    cfg):
+    loop = cli_loops[key]
+    ref = _reference_scalar(x0=x0, cfg=cfg, w_signal=signal, **loop)
+    tr = simulate(x0=x0, cfg=cfg, w_signal=signal, state_names=loop["names"],
+                  **{k: v for k, v in loop.items() if k != "names"})
+    _assert_traces_equal(ref, tr)
+    # as lines: a failing text compare of whole files takes minutes to diff
+    assert trace_to_csv(tr).splitlines() == _reference_csv(tr).splitlines()
+
+
+def test_closed_loop_evaluates_each_function_value_once(cli_loops):
+    from normform.expr import _kernel_source, simplify
+    loop = cli_loops["addexam"]
+    src = _kernel_source([simplify(e) for e in loop["rhs_exprs"]],
+                         loop["names"] + ["w"])
+    # cos(xi1_1), abs(cos(xi1_1)) and abs(3*z^3 + 4*z)
+    assert src.count("_cos(") == 1 and src.count("_abs(") == 2
