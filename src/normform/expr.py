@@ -72,10 +72,13 @@ def _blank(node):
     _set(node, "_key", None)
     _set(node, "_hash", None)
     _set(node, "_canon", None)
+    _set(node, "_memo", None)
 
 
 class Expr:
-    __slots__ = ("_key", "_hash", "_canon")  # _canon: simplify's budget mark
+    # _canon: simplify's budget mark; _memo: values derived from this node,
+    # computed once (see _memoized)
+    __slots__ = ("_key", "_hash", "_canon", "_memo")
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
@@ -622,11 +625,33 @@ def _frac_inv(f):
     return _frac_cancel(f.den, f.num)
 
 
+def _memoized(e, key, compute):
+    """compute(), stored on node e under key: computed once while e lives.
+    An exception propagates and nothing is stored."""
+    memo = e._memo
+    if memo is None:
+        memo = {}
+        _set(e, "_memo", memo)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = compute()
+    return v
+
+
 def _to_frac(e, budget):
+    """The polynomial fraction of e.  On a node that is canonical at this
+    budget it is stored on the node, so it is shared: nothing may mutate
+    a returned _Frac."""
     if isinstance(e, Const):
         return _Frac(_poly_const(e.value), _poly_const(1))
     if isinstance(e, Var):
         return _Frac(_poly_atom(e), _poly_const(1))
+    if e._canon == budget:
+        return _memoized(e, budget, lambda: _expand(e, budget))
+    return _expand(e, budget)
+
+
+def _expand(e, budget):
     if isinstance(e, Func):
         arg = simplify(e.arg, budget)
         if isinstance(arg, Const):
@@ -804,10 +829,13 @@ def _diff_raw(e, name):
 
 
 def diff(e, name):
-    """Exact partial derivative with respect to the named variable."""
+    """Exact partial derivative with respect to the named variable; stored
+    on e, so each derivative of a node is computed once."""
     if isinstance(name, Var):
         name = name.name
-    return simplify(_diff_raw(_as_expr(e), name))
+    e = _as_expr(e)
+    return _memoized(e, (name, TERM_BUDGET),
+                     lambda: simplify(_diff_raw(e, name)))
 
 
 def _subs_raw(e, mapping):

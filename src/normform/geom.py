@@ -161,25 +161,38 @@ class SymMatrix:
         n, m = self.shape
         if n != m:
             raise ValueError("determinant of non-square matrix")
-        if n == 0:
+        return self._minor(tuple(range(n)), tuple(range(n)), {})
+
+    def _minor(self, rows, cols, memo):
+        """Determinant of the submatrix on `rows` x `cols` by Laplace
+        expansion along its first row.  Minors are stored in `memo` by
+        (rows, cols), so a minor shared by several expansions is expanded
+        once."""
+        if not rows:
             return const(1)
-        if n == 1:
-            return self.rows[0][0]
-        acc = const(0)
-        for j in range(n):
-            minor = SymMatrix([r[:j] + r[j + 1:] for r in self.rows[1:]])
-            term = self.rows[0][j] * minor.det()
-            acc = acc + (term if j % 2 == 0 else -term)
-        return simplify(acc)
+        if len(rows) == 1:
+            return self.rows[rows[0]][cols[0]]
+        d = memo.get((rows, cols))
+        if d is None:
+            acc = const(0)
+            for j in range(len(cols)):
+                term = (self.rows[rows[0]][cols[j]]
+                        * self._minor(rows[1:], cols[:j] + cols[j + 1:], memo))
+                acc = acc + (term if j % 2 == 0 else -term)
+            d = memo[(rows, cols)] = simplify(acc)
+        return d
 
     def inverse(self, max_size=4):
-        """Symbolic inverse by adjugate; guarded against blowup."""
+        """Symbolic inverse by adjugate; guarded against blowup.  The
+        determinant and the cofactors share one table of minors."""
         n, m = self.shape
         if n != m:
             raise ValueError("inverse of non-square matrix")
         if n > max_size:
             raise ValueError(f"symbolic inverse beyond supported size {max_size}")
-        d = self.det()
+        memo = {}
+        idx = tuple(range(n))
+        d = self._minor(idx, idx, memo)
         if simplify(d) == const(0):
             raise ValueError("symbolically singular matrix")
         if n == 1:
@@ -188,9 +201,7 @@ class SymMatrix:
         for i in range(n):
             row = []
             for j in range(n):
-                minor = SymMatrix([r[:j] + r[j + 1:]
-                                   for k, r in enumerate(self.rows) if k != i])
-                c = minor.det()
+                c = self._minor(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], memo)
                 row.append(c if (i + j) % 2 == 0 else -c)
             cof.append(row)
         adj = SymMatrix(cof).transpose()

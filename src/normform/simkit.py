@@ -225,8 +225,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     ys = channel(fy, len(output_exprs))
     Vs = channel(fV, 1)[:, :, 0] if fV is not None else None
 
-    int_y2 = _running_trapezoid(ts, np.sum(ys * ys, axis=2)) if len(output_exprs) else None
-    int_w2 = _running_trapezoid(ts, ws * ws)
+    int_y2, int_w2 = _energy_integrals(ts, ys, ws, len(output_exprs))
 
     return Trace(ts, xs.transpose(0, 2, 1), us, ys,
                  names,
@@ -315,12 +314,19 @@ def _simulate_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
     us = channel(input_exprs)
     ys = channel(output_exprs)
     Vs = channel([V_expr])[:, :, 0] if V_expr is not None else None
-    int_y2 = _running_trapezoid(ts, np.sum(ys * ys, axis=2)) if len(output_exprs) else None
-    int_w2 = _running_trapezoid(ts, ws * ws)
+    int_y2, int_w2 = _energy_integrals(ts, ys, ws, len(output_exprs))
     return Trace(ts, np.asarray(xs)[:, None, :], us, ys, names,
                  input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
                  output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
                  [diverged], w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2)
+
+
+def _energy_integrals(ts, ys, ws, nout):
+    """Running integrals of |y|^2 (None without outputs) and of w^2.  On a
+    diverging run they overflow to inf quietly."""
+    with np.errstate(all="ignore"):
+        int_y2 = _running_trapezoid(ts, np.sum(ys * ys, axis=2)) if nout else None
+        return int_y2, _running_trapezoid(ts, ws * ws)
 
 
 def _running_trapezoid(ts, vals):

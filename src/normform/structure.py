@@ -298,10 +298,11 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
         R, S = sel
         rho_list.append(rho_k)
 
-        r_theta = [theta[i] for i in np.nonzero(R)[1]]
-        s_theta = [theta[i] for i in np.nonzero(S)[1]]
+        r_idx, s_idx = np.nonzero(R)[1], np.nonzero(S)[1]
+        r_theta = [theta[i] for i in r_idx]
+        s_theta = [theta[i] for i in s_idx]
         a_new = [lie_derivative(f, e) for e in r_theta]
-        b_new = lie_derivative_cols(g, states, r_theta) if r_theta else SymMatrix([])
+        b_new = SymMatrix([lg_theta.rows[i] for i in r_idx])
 
         omega = omega + r_theta
         a_stack = a_stack + a_new
@@ -310,7 +311,7 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
         P_blocks = {}
         W_k = None
         if s_theta:
-            lg_s_theta = lie_derivative_cols(g, states, s_theta)
+            lg_s_theta = SymMatrix([lg_theta.rows[i] for i in s_idx])
             correction = [const(0)] * len(s_theta)
             if rho_k > 0:
                 if rho_k > 4:

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, Add, Const, EvalError,
-                           Func, Mul, ParseError, Pow, Var, _kernel_source,
-                           compile_exprs, compile_exprs_scalar, const, diff,
-                           equivalent, evalf, free_vars, numeric_equivalent,
-                           parse, render, sample_box, simplify, subs)
+from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, TERM_BUDGET, Add,
+                           Const, EvalError, Func, Mul, ParseError, Pow, Var,
+                           _diff_raw, _kernel_source, compile_exprs,
+                           compile_exprs_scalar, const, diff, equivalent,
+                           evalf, free_vars, numeric_equivalent, parse, render,
+                           sample_box, simplify, subs)
 
 
 def test_parse_product():
@@ -217,26 +218,36 @@ def test_simplify_returns_marked_input():
     assert simplify(other, budget=50) is other
 
 
+EXACT_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _draw_poly(draw, coeffs):
+    """A raw sum of one to three terms c*x1^i*x2^j, i, j <= 2."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = const(draw(coeffs))
+        for name in ("x1", "x2"):
+            t = t * Pow(Var(name), draw(st.integers(0, 2)))
+        terms.append(t)
+    return Add(tuple(terms))
+
+
+@st.composite
+def polynomials(draw):
+    return _draw_poly(draw, EXACT_COEFFS)
+
+
 @st.composite
 def rational_functions(draw, floats=False):
     """Raw sums and products of polynomials and quotients of polynomials
     with rational (optionally also float) coefficients in x1, x2."""
-    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeffs = EXACT_COEFFS
     if floats:
         coeffs = st.one_of(coeffs, st.sampled_from((0.5, -1.25, 0.1, 3.0)))
 
-    def poly():
-        terms = []
-        for _ in range(draw(st.integers(1, 3))):
-            t = const(draw(coeffs))
-            for name in ("x1", "x2"):
-                t = t * Pow(Var(name), draw(st.integers(0, 2)))
-            terms.append(t)
-        return Add(tuple(terms))
-
     def piece():
-        p = poly()
-        return p / poly() if draw(st.booleans()) else p
+        p = _draw_poly(draw, coeffs)
+        return p / _draw_poly(draw, coeffs) if draw(st.booleans()) else p
 
     e = piece()
     for _ in range(draw(st.integers(0, 2))):
@@ -633,3 +644,101 @@ def test_compile_binds_names_as_list_index_does():
             compile_([Var("x") + Var("y")], ["x"])
         # a repeated name reads its first slot
         assert compile_([Var("w")], ["w", "x", "w"])([1.0, 2.0, 3.0]) == [1.0]
+
+
+# ---------------------------------------------------------------------------
+# Node memos: a stored derivative or polynomial form is what a fresh node
+# with blank slots gives
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(small_exprs(wide=True), st.booleans(), st.sampled_from(["x1", "x2"]))
+def test_diff_memo_matches_fresh_copy(e, canonical, name):
+    if canonical:
+        e = simplified_or_reject(e)
+    try:
+        d = diff(e, name)
+    except ZeroDivisionError:
+        assume(False)
+    assert d.key == simplify(_diff_raw(unmarked_copy(e), name)).key
+    assert diff(e, name) is d
+    assert e._memo[(name, TERM_BUDGET)] is d
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_exprs(wide=True), small_exprs(wide=True), st.booleans())
+def test_memoized_children_simplify_as_fresh_copies(e1, e2, product):
+    s1, s2 = simplified_or_reject(e1), simplified_or_reject(e2)
+    op = Mul if product else Add
+
+    def tree(a, b):
+        # s1 twice, once nested, so its stored form is read back in one call
+        return op((a, Add((b, Mul((a, Var("x3")))))))
+
+    try:
+        first = simplify(tree(s1, s2))
+    except ZeroDivisionError:
+        assume(False)
+    again = simplify(tree(s1, s2))
+    fresh = simplify(tree(unmarked_copy(s1), unmarked_copy(s2)))
+    assert first.key == again.key == fresh.key
+    if not isinstance(s1, (Const, Var)):
+        assert TERM_BUDGET in s1._memo
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_exprs(), small_exprs(wide=True),
+       st.sampled_from([(20, None), (None, 20)]))
+def test_frac_memo_is_never_read_at_another_budget(e1, e2, budgets):
+    first, second = budgets
+    try:
+        # the cube overflows a budget of 20 terms and stays factored there
+        s = simplify(Pow(Add((e1,) + tuple(map(Var, ("x1", "x2", "x3", "x4")))),
+                         3), first)
+        e = Mul((s, Add((e2, Var("x5")))))
+        results = [simplify(e, b) for b in (first, second, first)]
+        fresh = [simplify(unmarked_copy(e), b) for b in (first, second, first)]
+    except ZeroDivisionError:
+        assume(False)
+    assert [r.key for r in results] == [f.key for f in fresh]
+
+
+def test_frac_memo_is_keyed_by_budget():
+    s = simplify(Pow(parse("1 + x1 + x2 + x3"), 4), budget=20)
+    assert isinstance(s, Pow)   # kept factored at this budget
+    simplify(s * Var("x4"), budget=20)
+    assert set(s._memo) == {20}
+    assert simplify(s * Var("x4")) == parse("(1 + x1 + x2 + x3)^4*x4")
+
+
+# ---------------------------------------------------------------------------
+# diff and subs against sympy
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(rational_functions())
+def test_diff_matches_sympy(e):
+    import sympy
+
+    try:
+        d = diff(e, "x1")
+    except ZeroDivisionError:
+        assume(False)
+    want = sympy.diff(sympy_expr(e), sympy.Symbol("x1"))
+    assert sympy.cancel(sympy_expr(d) - want) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_functions(), polynomials(), polynomials())
+def test_subs_matches_sympy(e, p1, p2):
+    import sympy
+
+    try:
+        got = subs(e, {"x1": p1, "x2": p2})
+    except ZeroDivisionError:
+        assume(False)
+    x1, x2 = sympy.symbols("x1 x2")
+    want = sympy_expr(e).subs({x1: sympy_expr(p1), x2: sympy_expr(p2)},
+                              simultaneous=True)
+    assert sympy.cancel(sympy_expr(got) - want) == 0
+

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normform.expr import EvalError, const, evalf, parse, numeric_equivalent
+from normform.expr import (EvalError, Pow, Var, const, evalf, parse,
+                           numeric_equivalent, simplify)
 from normform.geom import (SymMatrix, VectorField, ad_power, bracket_sampler,
                            involutive, jacobian, lie_bracket, lie_derivative,
                            lie_derivative_cols, rank)
@@ -290,3 +291,110 @@ def test_sample_names_first_non_finite_point():
     # finite=False hands the values back instead
     vals = M.sample(["x1"], pts, finite=False)
     assert np.isinf(vals[2, 0, 0]) and vals[2, 0, 1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# det and inverse on one table of minors, against the expansion that
+# recomputed every minor
+# ---------------------------------------------------------------------------
+
+def _reference_det(M):
+    """SymMatrix.det as it stood before minors were shared: Laplace along
+    the first row, every minor a new SymMatrix."""
+    n, m = M.shape
+    if n != m:
+        raise ValueError("determinant of non-square matrix")
+    if n == 0:
+        return const(1)
+    if n == 1:
+        return M.rows[0][0]
+    acc = const(0)
+    for j in range(n):
+        minor = SymMatrix([r[:j] + r[j + 1:] for r in M.rows[1:]])
+        term = M.rows[0][j] * _reference_det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return simplify(acc)
+
+
+def _reference_inverse(M, max_size=4):
+    """SymMatrix.inverse as it stood before minors were shared."""
+    n, m = M.shape
+    if n != m:
+        raise ValueError("inverse of non-square matrix")
+    if n > max_size:
+        raise ValueError(f"symbolic inverse beyond supported size {max_size}")
+    d = _reference_det(M)
+    if simplify(d) == const(0):
+        raise ValueError("symbolically singular matrix")
+    if n == 1:
+        return SymMatrix([[const(1) / d]])
+    cof = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = SymMatrix([r[:j] + r[j + 1:]
+                               for k, r in enumerate(M.rows) if k != i])
+            c = _reference_det(minor)
+            row.append(c if (i + j) % 2 == 0 else -c)
+        cof.append(row)
+    adj = SymMatrix(cof).transpose()
+    return SymMatrix([[e / d for e in r] for r in adj.rows])
+
+
+def _keys_or_error(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(out, SymMatrix):
+        return [[e.key for e in r] for r in out.rows]
+    return out.key
+
+
+@st.composite
+def square_matrices(draw, symbolic=False):
+    """Square matrices of small integers or fractions (1x1 to 5x5), or of
+    small polynomials in x1, x2 (1x1 to 3x3); singular ones are frequent."""
+    if symbolic:
+        n = draw(st.integers(1, 3))
+
+        def entry():
+            c0, c1 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            i, j = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+            return const(c0) + const(c1) * Pow(Var("x1"), i) * Pow(Var("x2"), j)
+    else:
+        n = draw(st.integers(1, 5))
+        values = st.one_of(st.integers(-3, 3),
+                           st.fractions(-3, 3, max_denominator=4))
+
+        def entry():
+            return const(draw(values))
+    return SymMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(square_matrices())
+def test_shared_minors_match_reference_on_constants(M):
+    assert _keys_or_error(M.det) == _keys_or_error(_reference_det, M)
+    assert (_keys_or_error(M.inverse, 5)
+            == _keys_or_error(_reference_inverse, M, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices(symbolic=True))
+def test_shared_minors_match_reference_on_polynomials(M):
+    assert _keys_or_error(M.det) == _keys_or_error(_reference_det, M)
+    assert _keys_or_error(M.inverse) == _keys_or_error(_reference_inverse, M)
+
+
+def test_singular_and_oversized_inverse_errors():
+    singular = SymMatrix([[parse("x1"), parse("x2")],
+                          [parse("2*x1"), parse("2*x2")]])
+    big = SymMatrix.identity(5)
+    for M in (singular, big):
+        with pytest.raises(ValueError) as got:
+            M.inverse()
+        with pytest.raises(ValueError) as want:
+            _reference_inverse(M)
+        assert str(got.value) == str(want.value)
+

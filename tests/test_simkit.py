@@ -494,3 +494,20 @@ def test_closed_loop_evaluates_each_function_value_once(cli_loops):
                          loop["names"] + ["w"])
     # cos(xi1_1), abs(cos(xi1_1)) and abs(3*z^3 + 4*z)
     assert src.count("_cos(") == 1 and src.count("_abs(") == 2
+
+
+def test_diverging_run_integrates_energy_without_warnings(cli_loops):
+    # the closed loop of `normform simulate` on nf_addexam from
+    # --x0 5000,4000,-3000,6000 --dt 0.05: |y|^2 overflows to inf
+    import warnings
+    loop = cli_loops["addexam"]
+    x0 = [5000.0, 4000.0, -3000.0, 6000.0]
+    cfg = SimConfig(dt=0.05, horizon=5.0)
+    for start in (x0, [x0, x0]):   # the single-run and the batch path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = simulate(x0=start, cfg=cfg, w_signal=step_signal(2.0),
+                          state_names=loop["names"],
+                          **{k: v for k, v in loop.items() if k != "names"})
+        assert tr.diverged
+        assert np.isinf(tr.int_y2[-1]).all()

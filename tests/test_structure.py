@@ -1,10 +1,20 @@
-"""Structure algorithms on the worked examples and invariance properties."""
+"""Structure algorithms on the worked examples and invariance properties.
+
+The step records of five runs at seeds 0-2 are pinned by
+tests/golden/structure/steps.json.  Regenerate it (only after checking that
+a change of output is intended) with `PYTHONPATH=src python tests/test_structure.py`.
+"""
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import counter3_affine
-from normform.expr import parse
+from normform import structure
+from normform.expr import parse, render
 from normform.geom import SymMatrix
 from normform.structure import (StructureOutcome, _assert_zero_matrix,
                                 classify_invertibility,
@@ -304,3 +314,74 @@ def test_fuzz_normal_form_identity():
         assert ok_runs == 6
         built += 1
     assert built >= 3, f"too few regular fuzz systems built ({built})"
+
+
+def test_one_input_derivative_per_step(monkeypatch, ex31, ex33):
+    calls = []
+    real = structure.lie_derivative_cols
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(structure, "lie_derivative_cols", counted)
+    for algo, system in ((infinite_zero_algorithm, ex31),
+                         (zero_output_algorithm, ex33)):
+        calls.clear()
+        out = algo(system, SamplePlan(count=20))
+        assert out.regular and len(out.steps) > 1
+        assert len(calls) == len(out.steps)
+
+
+# ---------------------------------------------------------------------------
+# Golden step records
+# ---------------------------------------------------------------------------
+
+GOLDEN_STEPS = Path(__file__).resolve().parent / "golden" / "structure" / "steps.json"
+STEP_CASES = [(name, seed) for name in ("ex31", "ex32", "ex34", "counter3",
+                                        "ex33-zero-output")
+              for seed in range(3)]
+
+
+def _rendered(rows):
+    return [[render(e) for e in row] for row in rows]
+
+
+def _step_fields(name, seed):
+    """Every symbolic field of the step records and of the feedback rows
+    of one run, rendered."""
+    sysdir = Path(__file__).resolve().parent.parent / "systems"
+    stem = name.removesuffix("-zero-output")
+    system = (counter3_affine() if stem == "counter3"
+              else load_system(sysdir / f"{stem}.sys"))
+    algo = zero_output_algorithm if stem != name else infinite_zero_algorithm
+    out = algo(system, SamplePlan(count=40, seed=seed))
+    return {
+        "steps": [{"rho": rec.rho, "R": rec.R.astype(int).tolist(),
+                   "S": rec.S.astype(int).tolist(),
+                   "theta": [render(e) for e in rec.theta],
+                   "omega": [render(e) for e in rec.omega],
+                   "a": [render(e) for e in rec.a_new],
+                   "b": _rendered(rec.b_new.rows),
+                   "P": {str(l): _rendered(blk.rows)
+                         for l, blk in sorted(rec.P_blocks.items())}}
+                  for rec in out.steps],
+        "W": {str(k): _rendered(w.rows) for k, w in sorted(out.W.items())},
+        "a": [render(e) for e in out.a],
+        "b": _rendered(out.b.rows),
+    }
+
+
+@pytest.mark.parametrize("name,seed", STEP_CASES,
+                         ids=[f"{n}-{s}" for n, s in STEP_CASES])
+def test_step_records_golden(name, seed):
+    want = json.loads(GOLDEN_STEPS.read_text())[f"{name}/{seed}"]
+    assert _step_fields(name, seed) == want
+
+
+if __name__ == "__main__":
+    GOLDEN_STEPS.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_STEPS.write_text(json.dumps(
+        {f"{n}/{s}": _step_fields(n, s) for n, s in STEP_CASES}, indent=1) + "\n")
+    sys.exit(0)
+
