@@ -792,24 +792,34 @@ def is_zero(e):
 # ---------------------------------------------------------------------------
 
 def _diff_raw(e, name):
+    """The unsimplified derivative tree.  A subtree whose derivative is
+    structurally zero gives the shared ZERO node, and no sum or product
+    term is built around it; the other terms keep their order."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
     if isinstance(e, Add):
-        return Add(tuple(_diff_raw(t, name) for t in e.terms))
+        terms = tuple(d for d in (_diff_raw(t, name) for t in e.terms)
+                      if d is not ZERO)
+        return Add(terms) if terms else ZERO
     if isinstance(e, Mul):
         terms = []
         fs = e.factors
         for i in range(len(fs)):
-            terms.append(Mul(fs[:i] + (_diff_raw(fs[i], name),) + fs[i + 1:]))
-        return Add(tuple(terms))
+            d = _diff_raw(fs[i], name)
+            if d is not ZERO:
+                terms.append(Mul(fs[:i] + (d,) + fs[i + 1:]))
+        return Add(tuple(terms)) if terms else ZERO
     if isinstance(e, Pow):
-        if e.exp == 0:
+        inner = _diff_raw(e.base, name)
+        if inner is ZERO or e.exp == 0:
             return ZERO
-        return Mul((Const(e.exp), Pow(e.base, e.exp - 1), _diff_raw(e.base, name)))
+        return Mul((Const(e.exp), Pow(e.base, e.exp - 1), inner))
     if isinstance(e, Func):
         inner = _diff_raw(e.arg, name)
+        if inner is ZERO or e.fname == "sign":  # sign: 0 almost everywhere
+            return ZERO
         u = e.arg
         if e.fname == "sin":
             outer = Func("cos", u)
@@ -819,11 +829,9 @@ def _diff_raw(e, name):
             outer = Func("exp", u)
         elif e.fname == "sqrt":
             outer = Mul((Const(Fraction(1, 2)), Pow(Func("sqrt", u), -1)))
-        elif e.fname == "abs":
+        else:
             # d|u|/du = sign(u); defined as 0 at u = 0 (documented caveat).
             outer = Func("sign", u)
-        else:  # sign: derivative 0 almost everywhere
-            outer = ZERO
         return Mul((outer, inner))
     raise TypeError(f"unknown node {e!r}")
 

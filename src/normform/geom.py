@@ -328,9 +328,9 @@ def bracket_sampler(fields):
     for f in fields:
         exprs.extend(f.components)
         exprs.extend(_diff_raw(c, s) for c in f.components for s in states)
-    # compiled one expression at a time: a single source holding every raw
-    # derivative tree raised the peak memory of assumption D on ex33 from
-    # 50 MB to 165 MB (the parser's tree of that source)
+    # compiled one expression at a time: on ex33's chain fields one source
+    # holding every raw derivative tree peaks at 52 MB against 41 MB (the
+    # parser's tree of that source) and saves ~15 ms of ~0.1 s
     fns = [compile_exprs([e], states) for e in exprs]
     a_idx, b_idx = np.triu_indices(k, 1)
 
@@ -380,7 +380,11 @@ def involutive(fields, points, tol=1e-8):
 
 
 def rank(a, tol):
-    """Numeric rank: the singular values s_i > tol·max(1, s_1) are counted.
+    """Numeric rank: each row is divided by max(1, |row|), then the
+    singular values s_i > tol·max(1, s_1) are counted.  Rank does not
+    change under non-zero row scaling, so the equilibration keeps one large
+    row (near a pole) from hiding the others behind the relative threshold
+    (van der Sluis, Numer. Math. 14, 1969).
 
     A 2-D matrix gives an int.  A stack of shape (..., r, c) gives an int
     array of per-matrix ranks, all from one np.linalg.svd call.  A matrix
@@ -388,6 +392,8 @@ def rank(a, tol):
     """
     a = np.asarray(a, dtype=float)
     if a.size:
+        with np.errstate(all="ignore"):
+            a = a / np.maximum(1.0, np.linalg.norm(a, axis=-1, keepdims=True))
         r = _kept(np.linalg.svd(a, compute_uv=False), tol)
     else:
         r = np.zeros(a.shape[:-2], dtype=int)

@@ -87,3 +87,35 @@ def counter3_affine(alpha=1):
          [parse("0"), parse("1")]]
     h = [parse("x1"), parse("x3")]
     return AffineSystem(states, f, g, h)
+
+
+def _reference_diff_raw(e, name):
+    """The derivative tree before pruning: every product-rule term is
+    built, also around a factor whose derivative is 0."""
+    from fractions import Fraction
+
+    from normform.expr import ONE, ZERO, Add, Const, Func, Mul, Pow, Var
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.name == name else ZERO
+    if isinstance(e, Add):
+        return Add(tuple(_reference_diff_raw(t, name) for t in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return Add(tuple(Mul(fs[:i] + (_reference_diff_raw(fs[i], name),)
+                             + fs[i + 1:]) for i in range(len(fs))))
+    if isinstance(e, Pow):
+        if e.exp == 0:
+            return ZERO
+        return Mul((Const(e.exp), Pow(e.base, e.exp - 1),
+                    _reference_diff_raw(e.base, name)))
+    inner = _reference_diff_raw(e.arg, name)
+    u = e.arg
+    outer = {"sin": lambda: Func("cos", u),
+             "cos": lambda: Mul((Const(-1), Func("sin", u))),
+             "exp": lambda: Func("exp", u),
+             "sqrt": lambda: Mul((Const(Fraction(1, 2)), Pow(Func("sqrt", u), -1))),
+             "abs": lambda: Func("sign", u),
+             "sign": lambda: ZERO}[e.fname]()
+    return Mul((outer, inner))

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, TERM_BUDGET, Add,
-                           Const, EvalError, Func, Mul, ParseError, Pow, Var,
-                           _diff_raw, _kernel_source, compile_exprs,
-                           compile_exprs_scalar, const, diff, equivalent,
-                           evalf, free_vars, numeric_equivalent, parse, render,
-                           sample_box, simplify, subs)
+from conftest import _reference_diff_raw
+from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, TERM_BUDGET, ZERO,
+                           Add, Const, EvalError, Func, Mul, ParseError, Pow,
+                           Var, _diff_raw, _kernel_source, _var_names,
+                           compile_exprs, compile_exprs_scalar, const, diff,
+                           equivalent, evalf, free_vars, numeric_equivalent,
+                           parse, render, sample_box, simplify, subs)
 
 
 def test_parse_product():
@@ -317,6 +318,51 @@ def test_diff_linearity(e1, e2, a, b):
     lhs = diff(const(a) * e1 + const(b) * e2, "x1")
     rhs = simplify(const(a) * diff(e1, "x1") + const(b) * diff(e2, "x1"))
     assert lhs == rhs
+
+
+def _nodes(e):
+    yield e
+    kids = {Add: "terms", Mul: "factors"}.get(type(e))
+    if kids:
+        for c in getattr(e, kids):
+            yield from _nodes(c)
+    elif isinstance(e, (Pow, Func)):
+        yield from _nodes(e.base if isinstance(e, Pow) else e.arg)
+
+
+def _with_sign(e, wrap):
+    # small_exprs draws no sign(); put one in on request
+    return Func("sign", e) * e + e if wrap else e
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_exprs(wide=True), st.sampled_from(["x1", "x2", "y"]),
+       st.booleans())
+def test_diff_raw_simplifies_as_unpruned_reference(e, x, wrap):
+    e = _with_sign(e, wrap)
+    # a zero term around an undefined factor (1/0) makes the reference
+    # raise where the pruned tree need not
+    want = simplified_or_reject(_reference_diff_raw(e, x))
+    assert simplify(_diff_raw(e, x)).key == want.key
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_exprs(wide=True), st.sampled_from(["x1", "x2", "y"]),
+       st.booleans())
+def test_diff_raw_builds_no_zero_terms(e, x, wrap):
+    e = _with_sign(e, wrap)
+    d = _diff_raw(e, x)
+    if x not in _var_names(e):
+        assert d is ZERO
+    if d is ZERO:
+        return
+    # a zero constant in a product of the output comes from e itself
+    zeros = {id(n) for n in _nodes(e) if isinstance(n, Const) and n.value == 0}
+    for n in _nodes(d):
+        assert n is not ZERO
+        if isinstance(n, Mul):
+            assert all(id(f) in zeros for f in n.factors
+                       if isinstance(f, Const) and f.value == 0)
 
 
 @settings(max_examples=40, deadline=None)

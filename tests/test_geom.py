@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normform.expr import (EvalError, Pow, Var, const, evalf, parse,
-                           numeric_equivalent, simplify)
+from conftest import _reference_diff_raw
+from normform import geom
+from normform.expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS,
+                           EvalError, Pow, Var, const, evalf, parse,
+                           numeric_equivalent, sample_box, simplify)
 from normform.geom import (SymMatrix, VectorField, ad_power, bracket_sampler,
                            involutive, jacobian, lie_bracket, lie_derivative,
                            lie_derivative_cols, rank)
+from normform.normalform import _chain_fields, build_normal_form
 
 STATES5 = ["x1", "x2", "x3", "x4", "x5"]
 
@@ -166,6 +170,30 @@ def test_sampled_bracket_matches_symbolic(fields, seed):
                           <= 1e-9 * (1 + scale[i, :, p]))
 
 
+@pytest.mark.parametrize("case", ["ex31", "ex33"])
+def test_bracket_sampler_matches_unpruned_reference(case, request,
+                                                    monkeypatch):
+    # the pruned Jacobian trees drop only terms that are +-0 wherever their
+    # factors are finite, so the points assumption D keeps and every array
+    # at them are bit-identical
+    system = request.getfixturevalue(case)
+    outcome = request.getfixturevalue("out" + case[2:])
+    Y = _chain_fields(system, build_normal_form(system, outcome))
+    fields = [Y[key] for key in sorted(Y)]
+    pruned = bracket_sampler(fields)
+    monkeypatch.setattr(geom, "_diff_raw", _reference_diff_raw)
+    reference = bracket_sampler(fields)
+    for seed in range(8):
+        (p1, v1), (p2, v2) = (
+            sample_box(evaluate, system.box(), SAMPLE_POINTS,
+                       np.random.default_rng(seed),
+                       SAMPLE_REDRAWS * SAMPLE_POINTS, SAMPLE_CUTOFF)
+            for evaluate in (pruned, reference))
+        for got, want in zip((p1, *v1), (p2, *v2)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_bracket_sampler_rejects_mixed_states():
     f = VectorField([const(1)], ["x1"])
     g = VectorField([const(1)], ["x2"])
@@ -252,11 +280,21 @@ def test_rank_of_rank_deficient_stack_equals_per_matrix_loop():
                                                              [1, 0, 0]]
 
 
-def test_rank_threshold_is_relative_above_one():
-    # sigma_2 = 1e-7 counts next to sigma_1 = 1, not next to sigma_1 = 1e2
+def test_rank_ignores_row_scale():
+    # rows are divided by max(1, |row|) before the rule s_i > tol*max(1, s_1):
+    # a large row no longer hides a small one, a row below 1 keeps its size
     assert rank(np.diag([1.0, 1e-7]), 1e-8) == 2
-    assert rank(np.diag([1e2, 1e-7]), 1e-8) == 1
+    assert rank(np.diag([1e2, 1e-7]), 1e-8) == 2
+    assert rank(np.diag([3.1e5, 2.4e-3]), 1e-8) == 2
+    assert rank(np.diag([1e2, 1e-9]), 1e-8) == 1
     assert rank(np.diag([1e-3, 1e-9]), 1e-8) == 1
+    # dependent rows stay dependent at any scale
+    assert rank(np.array([[1e6, 2e6], [2.0, 4.0]]), 1e-8) == 1
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 5))
+    scaled = np.logspace(-6, 6, 4)[:, None] * a
+    assert rank(scaled, 1e-8) == rank(a, 1e-8) == 2
+    assert rank(np.stack([a, scaled]), 1e-8).tolist() == [2, 2]
     assert isinstance(rank(np.eye(2), 1e-8), int)
     assert rank(np.zeros((0, 3)), 1e-8) == 0
 

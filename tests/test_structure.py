@@ -167,6 +167,16 @@ def test_rs_choice_invariance_via_row_permutation(ex31):
     assert out.invertibility == "Invertible"
 
 
+def test_output_shear_near_pole_stays_regular(ex31):
+    # near a pole one row of a rank matrix blows up (singular values ~3e5
+    # and ~2e-3 at one point); ranked without row equilibration that point
+    # was called deficient and the system "not regular"
+    sheared = apply_output_transform(ex31, np.array([[1.0, -1.0], [0.0, 1.0]]))
+    out = infinite_zero_algorithm(sheared, SamplePlan(count=25, seed=11))
+    assert out.regular and out.q == [2, 3]
+    assert out.invertibility == "Invertible"
+
+
 def test_select_RS_falls_back_when_base_choice_fails_elsewhere():
     # row 0 is picked at the base sample but vanishes at the second one
     theta = [np.eye(2), np.array([[0.0, 0.0], [0.0, 1.0]])]
