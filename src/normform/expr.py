@@ -806,8 +806,8 @@ def _diff_raw(e, name):
     if isinstance(e, Mul):
         terms = []
         fs = e.factors
-        for i in range(len(fs)):
-            d = _diff_raw(fs[i], name)
+        for i, f in enumerate(fs):
+            d = _diff_raw(f, name)
             if d is not ZERO:
                 terms.append(Mul(fs[:i] + (d,) + fs[i + 1:]))
         return Add(tuple(terms)) if terms else ZERO
