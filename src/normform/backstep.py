@@ -17,11 +17,15 @@ otherwise, and completes the square against a per-step supply budget.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .expr import (Expr, Func, Pow, Var, const, diff, evalf, free_vars,
-                   is_zero, parse, render, simplify, subs)
+                   is_zero, render, simplify, subs)
 from .geom import SymMatrix
+from .sysmodel import (SystemFormatError, at_line, bindings, bracketed, keyed,
+                       names, parse_entries, parse_entry, read_sections, required)
 
 __all__ = ["ChainSystem", "Stabilizer", "ControlLaw", "OrderViolation",
            "Disturbance", "validate_order", "integrator_backstep",
@@ -70,24 +74,37 @@ class ChainSystem:
                  eta_dist=None, xi_dist=None, name=""):
         self.q = list(q)
         self.m = len(self.q)
+        if not self.q or min(self.q) < 1:
+            raise ValueError(f"chain lengths must be positive, got {self.q}")
         self.eta_names = list(eta_names)
         self.eta_dot = [simplify(e) for e in eta_dot]
         if len(self.eta_dot) != len(self.eta_names):
-            raise ValueError("eta_dot must match eta_names")
+            raise ValueError(f"eta_dot has {len(self.eta_dot)} entries for "
+                             f"{len(self.eta_names)} eta states")
         self.delta = {k: simplify(v) for k, v in (delta or {}).items()}
-        for (i, j, l) in self.delta:
-            if not (1 <= l < i <= self.m and 1 <= j < self.q[i - 1]):
-                raise ValueError(f"bad delta index {(i, j, l)}")
-            if j < self.q[l - 1]:
-                raise ValueError(f"delta{(i, j, l)} violates the sparsity law")
         self.eta_dist = list(eta_dist) if eta_dist else [None] * len(self.eta_names)
+        if len(self.eta_dist) != len(self.eta_names):
+            raise ValueError("eta_dist must match eta_names")
         self.xi_dist = dict(xi_dist) if xi_dist else {}
+        for key in [*self.delta, *self.xi_dist]:
+            self.check_entry(key)
         self.name = name
         reserved = set(self.xi_names()) | {self.v_name(i + 1) for i in range(self.m)} \
             | {W_NAME}
         clash = set(self.eta_names) & reserved
         if clash:
             raise ValueError(f"eta names collide with reserved names {sorted(clash)}")
+
+    def check_entry(self, key):
+        """Raise ValueError unless `key` names a chain row xi_{i,j} as
+        (i, j) or a coupling delta_{i,j,l} as (i, j, l)."""
+        i, j, *l = key
+        if self.xi_name(i, j) not in self.xi_names():
+            raise ValueError(f"no chain state {self.xi_name(i, j)}")
+        if l and not (1 <= l[0] < i and j < self.q[i - 1]):
+            raise ValueError(f"bad delta index {key}")
+        if l and j < self.q[l[0] - 1]:
+            raise ValueError(f"delta{key} violates the sparsity law")
 
     def xi_name(self, i, j):
         return f"xi{i}_{j}"
@@ -101,10 +118,6 @@ class ChainSystem:
 
     def state_names(self):
         return self.eta_names + self.xi_names()
-
-    def has_disturbance(self):
-        return any(d is not None and not d.is_zero() for d in self.eta_dist) \
-            or any(d is not None and not d.is_zero() for d in self.xi_dist.values())
 
     def drift(self, name):
         """Deterministic right-hand side of one state row (v symbols kept)."""
@@ -693,101 +706,82 @@ def da_synthesize(system, kappa, stab, gamma, eps, budgets=None, gains=None):
 def loads_chain_system(text, name=""):
     """Chain-system file: sections [chains], [eta], [eta_dot], [delta],
     [stabilizer], [disturbance]; see README for the grammar."""
-    sections = {}
-    current = None
-    known = ("chains", "eta", "eta_dot", "delta", "stabilizer", "disturbance")
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]") and \
-                line[1:-1].strip().lower() in known:
-            current = line[1:-1].strip().lower()
-            sections[current] = []
-            continue
-        if current is None:
-            raise ValueError(f"line {lineno}: content before any section")
-        sections[current].append(line)
-
-    def bracket_list(lines):
-        body = " ".join(lines).strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError("expected a bracketed list")
-        from .sysmodel import _split_top_level
-        return _split_top_level(body[1:-1])
-
-    q = None
-    for line in sections.get("chains", []):
-        key, _, val = line.partition("=")
-        if key.strip() == "q":
-            q = [int(v) for v in bracket_list([val.strip()])]
+    sections = read_sections(text, ("chains", "eta", "eta_dot", "delta",
+                                    "stabilizer", "disturbance"))
+    chains = required(sections, "chains")
+    q = bindings(chains, ("q",)).get("q")
     if q is None:
-        raise ValueError("missing 'q = [...]' in [chains]")
-    eta_names = bracket_list(sections["eta"]) if sections.get("eta") else []
-    eta_dot = [parse(s) for s in bracket_list(sections["eta_dot"])] \
-        if sections.get("eta_dot") else []
+        raise SystemFormatError("missing 'q = [...]' in [chains]", chains.line)
+    with at_line(q[1]):
+        shape = ChainSystem([int(v) for v in bracketed(*q)])
+    eta, eta_dot = sections.get("eta"), sections.get("eta_dot")
+    eta_names = names(eta.vector(), eta.start) if eta else []
+    states = eta_names + shape.xi_names()
+    controls = [shape.v_name(i + 1) for i in range(shape.m)]
+    rhs = parse_entries(eta_dot.vector(), eta_dot.start, states + controls) \
+        if eta_dot else []
+
+    def index(words, size):
+        if len(words) != size:
+            raise ValueError(f"expected {size} indices, got {' '.join(words)!r}")
+        return tuple(int(w) for w in words)
+
     delta = {}
-    for line in sections.get("delta", []):
-        head, _, expr = line.partition(":")
-        i, j, l = (int(v) for v in head.split())
-        delta[(i, j, l)] = parse(expr)
-    eta_dist = [None] * len(eta_names)
-    xi_dist = {}
-    for line in sections.get("disturbance", []):
-        head, _, body = line.partition(":")
-        exprs = body.split("|")
-        raw = parse(exprs[0])
-        bound = parse(exprs[1]) if len(exprs) > 1 else None
-        kind = head.split()
-        if bound is not None:
-            d = Disturbance(expr=raw, lin=const(0), bound=bound)
-        else:
-            d = Disturbance(expr=raw)
-        if kind[0] == "eta":
-            eta_dist[int(kind[1]) - 1] = d
-        else:
-            xi_dist[(int(kind[0]), int(kind[1]))] = d
-    cs = ChainSystem(q, eta_names, eta_dot, delta, eta_dist, xi_dist, name=name)
-    stab = None
-    phi = V = None
-    for line in sections.get("stabilizer", []):
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key == "phi":
-            phi = [parse(s) for s in bracket_list([val.strip()])]
-        elif key == "V":
-            V = parse(val)
-    if phi is not None and V is not None:
-        stab = Stabilizer(phi, V)
-    return cs, stab
+    for words, src, lineno in keyed(sections.get("delta", ()), ":"):
+        with at_line(lineno):
+            shape.check_entry(key := index(words.split(), 3))
+        (delta[key],) = parse_entries([src], lineno, states)
+    eta_dist, xi_dist = [None] * len(eta_names), {}
+    for words, src, lineno in keyed(sections.get("disturbance", ()), ":"):
+        words = words.split()
+        exprs = parse_entries(src.split("|"), lineno, states + [W_NAME])
+        with at_line(lineno):
+            if len(exprs) > 2:
+                raise ValueError("expected 'p' or 'p | bound'")
+            d = Disturbance(expr=exprs[0]) if len(exprs) == 1 else \
+                Disturbance(expr=exprs[0], lin=const(0), bound=exprs[1])
+            if words[0] == "eta":
+                (k,) = index(words[1:], 1)
+                if not 1 <= k <= len(eta_names):
+                    raise ValueError(f"no residual state eta {k}")
+                eta_dist[k - 1] = d
+            else:
+                shape.check_entry(key := index(words, 2))
+                xi_dist[key] = d
+    # what is left to fail: eta names that clash, or eta_dot's length
+    with at_line((eta or eta_dot or chains).start):
+        cs = ChainSystem(shape.q, eta_names, rhs, delta, eta_dist, xi_dist, name=name)
+    if "stabilizer" not in sections:
+        return cs, None
+    stab = sections["stabilizer"]
+    law = bindings(stab, ("phi", "V"))
+    if len(law) < 2:
+        raise SystemFormatError("[stabilizer] must bind phi and V", stab.line)
+    phi = parse_entries(bracketed(*law["phi"]), law["phi"][1], eta_names)
+    if len(phi) != cs.m:
+        raise SystemFormatError(f"phi has {len(phi)} entries for {cs.m} chains",
+                                law["phi"][1])
+    (V,) = parse_entries([law["V"][0]], law["V"][1], eta_names)
+    return cs, Stabilizer(phi, V)
 
 
 def load_chain_system(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_chain_system(fh.read(), name=str(path))
+    return loads_chain_system(Path(path).read_text(encoding="utf-8"), name=str(path))
 
 
 def dump_control_law(law):
-    lines = ["[controller]"]
-    for i, e in enumerate(law.v, 1):
-        lines.append(f"v{i} = {render(e)}")
-    lines.append("")
-    lines.append("[lyapunov]")
-    lines.append(f"W = {render(law.W)}")
-    return "\n".join(lines) + "\n"
+    lines = ["[controller]"] + [f"v{i} = {render(e)}" for i, e in enumerate(law.v, 1)]
+    return "\n".join(lines + ["", "[lyapunov]", f"W = {render(law.W)}"]) + "\n"
 
 
 def loads_control_law(text):
-    v = {}
-    W = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("["):
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key == "W":
-            W = parse(val)
-        elif key.startswith("v"):
-            v[int(key[1:])] = parse(val)
-    return [v[i] for i in sorted(v)], W
+    """(v, W) from a controller file: [controller] binds v1..vk, and the
+    optional [lyapunov] binds W (None when absent)."""
+    sections = read_sections(text, ("controller", "lyapunov"))
+    ctl = required(sections, "controller")
+    if not ctl:
+        raise SystemFormatError("[controller] binds no input", ctl.line)
+    known = [f"v{i}" for i in range(1, len(ctl) + 1)]
+    v = bindings(ctl, known)
+    W = bindings(sections.get("lyapunov", ()), ("W",)).get("W")
+    return [parse_entry(*v[k]) for k in known], parse_entry(*W) if W else None

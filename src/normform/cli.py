@@ -5,13 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .backstep import (OrderViolation, da_synthesize, dump_control_law,
+from .backstep import (ControlLaw, OrderViolation, da_synthesize, dump_control_law,
                        load_chain_system, loads_control_law, parse_kappa,
                        semi_global_synthesize, synthesize)
-from .expr import EvalError, ParseError, Var, parse, render
+from .expr import Var, parse, render
 from .linstruct import (LinearTriple, decompose, load_matrix,
                         vector_relative_degree)
 from .simkit import (SimConfig, l2_gain_check, noise_signal, simulate,
@@ -124,15 +125,8 @@ def cmd_linzeros(args):
 
 
 def _parse_gains(text):
-    gains = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, val = part.partition("=")
-        from fractions import Fraction
-        gains[name.strip()] = Fraction(val.strip())
-    return gains
+    pairs = (part.partition("=") for part in text.split(",") if part.strip())
+    return {name.strip(): Fraction(val.strip()) for name, _, val in pairs}
 
 
 def cmd_backstep(args):
@@ -185,11 +179,9 @@ def _make_signal(spec):
 
 def cmd_simulate(args):
     cs, _ = load_chain_system(args.system)
-    with open(args.controller, "r", encoding="utf-8") as fh:
-        v, W = loads_control_law(fh.read())
+    v, W = loads_control_law(Path(args.controller).read_text(encoding="utf-8"))
     if len(v) != cs.m:
         raise ValueError(f"controller has {len(v)} inputs, system wants {cs.m}")
-    from .backstep import ControlLaw
     law = ControlLaw(cs, [], v, W if W is not None else parse("0"), [])
     rhs = law.closed_loop_rhs(with_disturbance=True)
     names = cs.state_names()
@@ -215,23 +207,14 @@ def cmd_simulate(args):
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    commands = {"analyze": cmd_analyze, "linzeros": cmd_linzeros,
+                "backstep": cmd_backstep, "simulate": cmd_simulate}
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "linzeros":
-            return cmd_linzeros(args)
-        if args.command == "backstep":
-            return cmd_backstep(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        raise AssertionError("unreachable")
-    except (SystemFormatError, ParseError, FileNotFoundError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return commands[args.command](args)
     except OrderViolation as exc:
         print(f"order violation: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    except (StructureError, ValueError) as exc:
+    except (OSError, StructureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -9,10 +9,13 @@ no simultaneously controllable and observable dynamics.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .geom import complete_rows, rank
 from .structure import _sel_product, _settle, chain_structure, select_RS
+from .sysmodel import SystemFormatError, numbered_lines
 
 __all__ = ["LinearTriple", "LinearOutcome", "LinearDecomposition",
            "linear_infinite_zeros", "vector_relative_degree", "decompose",
@@ -48,12 +51,20 @@ class LinearTriple:
 
 
 def load_matrix(path):
+    """A matrix file: one row of whitespace-separated numbers per line."""
+    lines = list(numbered_lines(Path(path).read_text(encoding="utf-8")))
+    if not lines:
+        raise SystemFormatError(f"{path}: no matrix rows")
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append([float(v) for v in line.split()])
+    for lineno, line in lines:
+        try:
+            rows.append([float(v) for v in line.split()])
+        except ValueError:
+            raise SystemFormatError(f"{path}: expected numbers, got {line!r}",
+                                    lineno) from None
+        if len(rows[-1]) != len(rows[0]):
+            raise SystemFormatError(f"{path}: row has {len(rows[-1])} entries, "
+                                    f"the first has {len(rows[0])}", lineno)
     return np.array(rows)
 
 
@@ -170,18 +181,6 @@ class LinearDecomposition:
         self.delta = {}          # (i, j, l) -> float
         self.cond = None
         self.warnings = []
-
-    @property
-    def T_s(self):
-        return np.linalg.inv(self.W)
-
-    @property
-    def T_i(self):
-        return np.linalg.inv(self.gamma_i)
-
-    @property
-    def T_o(self):
-        return np.linalg.inv(self.gamma_o)
 
     def verify_block_pattern(self, tol=1e-9):
         """Largest deviation of the re-multiplied transformed triple from the

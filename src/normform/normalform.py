@@ -29,7 +29,7 @@ def _theta_level(outcome, j):
     """Theta_{j-1} as symbolic expressions: the output map h for j = 1, else
     step j-1's residue (linstruct._theta_level gives numeric rows)."""
     if j == 1:
-        return [simplify(e) for e in outcome.system.h]
+        return list(outcome.system.h)
     return list(outcome.steps[j - 2].theta)
 
 
@@ -62,7 +62,6 @@ class NormalForm:
         self.g_e = None           # SymMatrix (n-n_d) x (m-m_d)
         self.phi_cols = None      # SymMatrix (n-n_d) x m_d residue columns
         self.h_e = []
-        self.upsilon = None
         self.warnings = []
 
     # -- coordinate maps ---------------------------------------------------
@@ -75,12 +74,6 @@ class NormalForm:
 
     def forward_map(self):
         return dict(zip(self.forward_names(), self.forward_exprs()))
-
-    def chain_of(self, name):
-        for i, chain in enumerate(self.xi_names):
-            if name in chain:
-                return i + 1, chain.index(name) + 1
-        raise KeyError(name)
 
     def delta_entry(self, i, j, l):
         return self.delta.get((i, j, l), const(0))
@@ -189,17 +182,16 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
 
     # Constant residue columns disappear after the documented coordinate
     # shift eta <- eta - sum_l phi_l xi_{l, q_l}.
-    if nf.phi_cols is not None and nf.phi_cols.shape[1] and nf.eta_exprs:
-        if not nf.phi_cols.is_constant():
-            pass
-        elif any(e != const(0) for row in nf.phi_cols.rows for e in row):
-            shift = nf.phi_cols.to_numpy_constant()
-            ends = [nf.chains[l][-1] for l in range(nf.m_d)]
-            nf.eta_exprs = [simplify(nf.eta_exprs[i]
-                                     - sum((const(float(shift[i, l])) * ends[l]
-                                            for l in range(nf.m_d)), start=const(0)))
-                            for i in range(len(nf.eta_exprs))]
-            _decompose_eta_dynamics(nf, tol)
+    if (nf.phi_cols is not None and nf.phi_cols.shape[1] and nf.eta_exprs
+            and nf.phi_cols.is_constant()
+            and any(e != const(0) for row in nf.phi_cols.rows for e in row)):
+        shift = nf.phi_cols.to_numpy_constant()
+        ends = [nf.chains[l][-1] for l in range(nf.m_d)]
+        nf.eta_exprs = [simplify(nf.eta_exprs[i]
+                                 - sum((const(float(shift[i, l])) * ends[l]
+                                        for l in range(nf.m_d)), start=const(0)))
+                        for i in range(len(nf.eta_exprs))]
+        _decompose_eta_dynamics(nf, tol)
 
     # If the user supplied a complement, verify it annihilates the retained
     # input directions on samples (the sufficient condition for phi_l = 0).

@@ -14,13 +14,14 @@ zero sets for the zero output algorithm.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
 from .expr import EvalError, Var, compile_exprs, const, render, simplify, subs
 from .geom import (SymMatrix, complete_rows, jacobian, lie_derivative,
                    lie_derivative_cols, rank)
-from .sysmodel import DEFAULT_TOL, SamplePlan
+from .sysmodel import DEFAULT_TOL, AffineSystem, SamplePlan
 
 __all__ = ["StructureOutcome", "StepRecord", "StructureError", "select_RS",
            "classify_invertibility", "infinite_zero_algorithm",
@@ -74,6 +75,13 @@ class StructureOutcome:
         self.sigma = {}               # zero-output sigma_{i,j} rows
         self.step_points = {}         # zero-output projected points per step
         self.warnings = []
+
+    def fail(self, k, reason):
+        """Mark the outcome not regular at step k and return it."""
+        self.regular = False
+        self.failure_step = k
+        self.failure_reason = reason
+        return self
 
     def raise_if_irregular(self):
         if not self.regular:
@@ -234,7 +242,7 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
     f = system.f
     g = system.g
 
-    theta = [simplify(e) for e in system.h]            # Theta_{k-1}
+    theta = list(system.h)                             # Theta_{k-1}
     omega = []                                         # Omega_{k-1}
     a_stack = []                                       # L_f Omega_{k-1}
     lg_omega = SymMatrix([])                           # L_g Omega_{k-1}
@@ -244,10 +252,7 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
     while True:
         k += 1
         if k > n + 1:
-            out.regular = False
-            out.failure_step = k
-            out.failure_reason = "step bound exceeded (internal)"
-            return out
+            return out.fail(k, "step bound exceeded (internal)")
 
         lg_theta = lie_derivative_cols(g, states, theta)
 
@@ -256,10 +261,9 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
                 pts = [system.origin()] + [np.asarray(p, dtype=float)
                                            for p in step_points[k]]
             else:
-                pts = _project_points(system,
-                                      theta_stack=_all_thetas(system.h, out.steps),
-                                      samples=samples, proj_tol=proj_tol,
-                                      out=out, k=k)
+                stack = system.h + [t for rec in out.steps for t in rec.theta]
+                pts = _project_points(system, theta_stack=stack, samples=samples,
+                                      proj_tol=proj_tol, out=out, k=k)
             out.step_points[k] = pts
         else:
             pts = samples
@@ -270,31 +274,22 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
             lg_omega_vals = (lg_omega.sample(states, at) if lg_omega.shape[0]
                              else np.zeros((len(pts), 0, m)))
         except EvalError as exc:
-            out.regular = False
-            out.failure_step = k
-            out.failure_reason = f"evaluation failed: {exc}"
-            return out
+            return out.fail(k, f"evaluation failed: {exc}")
 
         ranks = rank(np.concatenate([lg_omega_vals, lg_theta_vals], axis=1),
                      tol).tolist()
         if len(set(ranks)) != 1:
-            out.regular = False
-            out.failure_step = k
-            out.failure_reason = ("rank not constant across samples: "
-                                  f"observed {sorted(set(ranks))}"
-                                  + (" on the zero set" if zero_output else ""))
-            return out
+            return out.fail(k, "rank not constant across samples: "
+                            f"observed {sorted(set(ranks))}"
+                            + (" on the zero set" if zero_output else ""))
         rho_k = ranks[0]
         need = rho_k - len(omega)
 
         sel = select_RS(lg_omega_vals, lg_theta_vals, need, tol)
         if sel is None:
-            out.regular = False
-            out.failure_step = k
-            out.failure_reason = ("no constant 0/1 row selection R_k gives a full-row-rank "
-                                  "stack at all samples (Assumption A_k fails); "
-                                  "try a user-supplied R_k")
-            return out
+            return out.fail(k, "no constant 0/1 row selection R_k gives a full-row-rank "
+                            "stack at all samples (Assumption A_k fails); "
+                            "try a user-supplied R_k")
         R, S = sel
         rho_list.append(rho_k)
 
@@ -323,7 +318,6 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
                 else:
                     P_full = _solve_P_gram(lg_s_theta, lg_omega)
                 W_k = lg_s_theta - (P_full @ lg_omega)
-                W_k = SymMatrix([[simplify(e) for e in row] for row in W_k.rows])
                 if not zero_output:
                     _assert_zero_matrix(W_k, states, pts, tol, out, k)
                 # column c of P_full belongs to chain c, which has length q[c]
@@ -360,13 +354,6 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
     return out
 
 
-def _all_thetas(h, steps):
-    stack = [simplify(e) for e in h]
-    for rec in steps:
-        stack = stack + list(rec.theta)
-    return stack
-
-
 def _assert_zero_matrix(mat, states, pts, tol, out, k):
     """Warn at the first sample where the residual is above 1e-6 or not
     finite."""
@@ -385,40 +372,29 @@ def _project_points(system, theta_stack, samples, proj_tol, out, k):
     the accumulated Theta stack; the origin is always included."""
     states = system.states
     pts = [system.origin()]
-    constraints = theta_stack
-    if not constraints:
+    if not theta_stack:
         return samples
-    fn = compile_exprs(constraints, states)
-    grads = compile_exprs([d for row in jacobian(constraints, states)
+    fn = compile_exprs(theta_stack, states)
+    grads = compile_exprs([d for row in jacobian(theta_stack, states)
                            for d in row], states)
-    nc = len(constraints)
-    n = system.n
     box = system.box()
-    failures = 0
     for p0 in samples[1:]:
         x = np.array(p0, dtype=float)
         converged = False
         for _ in range(50):
-            try:
-                r = np.asarray(fn(list(x)), dtype=float)
-            except EvalError:
-                break
+            r = np.asarray(fn(list(x)), dtype=float)
             if not np.all(np.isfinite(r)):
                 break
             if float(np.dot(r, r)) <= proj_tol:
                 converged = True
                 break
-            J = np.asarray(grads(list(x)), dtype=float).reshape(nc, n)
+            J = np.asarray(grads(list(x)), dtype=float).reshape(len(theta_stack), -1)
             step, *_ = np.linalg.lstsq(J, r, rcond=None)
             alpha = 1.0
             base = float(np.dot(r, r))
             while alpha > 1e-4:
                 xn = x - alpha * step
-                try:
-                    rn = np.asarray(fn(list(xn)), dtype=float)
-                except EvalError:
-                    alpha *= 0.5
-                    continue
+                rn = np.asarray(fn(list(xn)), dtype=float)
                 if np.all(np.isfinite(rn)) and float(np.dot(rn, rn)) < base:
                     x = xn
                     break
@@ -427,8 +403,6 @@ def _project_points(system, theta_stack, samples, proj_tol, out, k):
                 break
         if converged and all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
             pts.append(x)
-        else:
-            failures += 1
     if len(pts) == 1 and len(samples) > 1:
         out.warnings.append(
             f"step {k}: projection onto the zero set failed for all samples; "
@@ -469,8 +443,6 @@ def apply_state_diffeo(system, T):
     """z = T x for an invertible constant matrix T (entries int/Fraction for
     exact arithmetic); returns the transformed system on a box covering the
     image of the original one."""
-    from fractions import Fraction
-    from .sysmodel import AffineSystem
     n = system.n
     Tfr = [[Fraction(v).limit_denominator(10**9) for v in row] for row in T]
     T_sym = SymMatrix([[const(v) for v in row] for row in Tfr])
@@ -497,7 +469,6 @@ def apply_state_diffeo(system, T):
 
 def apply_input_transform(system, gamma_inv):
     """u = Gamma^{-1} u_check: g -> g Gamma^{-1} (Gamma constant or SymMatrix)."""
-    from .sysmodel import AffineSystem
     gi = gamma_inv if isinstance(gamma_inv, SymMatrix) else SymMatrix.from_numpy(gamma_inv)
     return AffineSystem(system.states, system.f.components, system.g @ gi,
                         system.h, dict(system.domain), name=system.name + "+input")
@@ -505,7 +476,6 @@ def apply_input_transform(system, gamma_inv):
 
 def apply_output_transform(system, gamma_o):
     go = gamma_o if isinstance(gamma_o, SymMatrix) else SymMatrix.from_numpy(gamma_o)
-    from .sysmodel import AffineSystem
     h_new = (go @ SymMatrix([[e] for e in system.h])).col(0)
     return AffineSystem(system.states, system.f.components, system.g, h_new,
                         dict(system.domain), name=system.name + "+output")
@@ -513,7 +483,6 @@ def apply_output_transform(system, gamma_o):
 
 def apply_state_feedback(system, K_exprs):
     """u = u_check + K(x): f -> f + g K."""
-    from .sysmodel import AffineSystem
     kcol = SymMatrix([[e] for e in K_exprs])
     shift = system.g @ kcol
     f_new = [simplify(c + shift[i, 0]) for i, c in enumerate(system.f.components)]
@@ -523,7 +492,6 @@ def apply_state_feedback(system, K_exprs):
 
 def apply_output_injection(system, F):
     """f -> f + F(x) h(x) with F an n x p SymMatrix (or numpy)."""
-    from .sysmodel import AffineSystem
     Fm = F if isinstance(F, SymMatrix) else SymMatrix.from_numpy(F)
     shift = Fm @ SymMatrix([[e] for e in system.h])
     f_new = [simplify(c + shift[i, 0]) for i, c in enumerate(system.f.components)]
@@ -539,7 +507,6 @@ def invariance_harness(system, n_trials=20, seed=7, tol=DEFAULT_TOL, plan=None,
     Rank hypotheses of a transformed system are checked at the images of the
     baseline sample points, so open-set assumptions carry over exactly.
     """
-    from fractions import Fraction
     algo = zero_output_algorithm if zero_output else infinite_zero_algorithm
     plan = plan or SamplePlan(count=40)
     base_points = plan.realize(system)

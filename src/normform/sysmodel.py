@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 
-from .expr import (compile_exprs, evalf, free_vars, parse, render, sample_box,
-                   simplify)
+from .expr import (Var, compile_exprs, evalf, free_vars, parse, render,
+                   sample_box, simplify)
 from .geom import SymMatrix, VectorField, rank
 
 __all__ = ["AffineSystem", "SamplePlan", "RankReport", "SystemFormatError",
@@ -57,20 +60,9 @@ class AffineSystem:
         return len(self.h)
 
     def _validate(self):
-        origin = {s: 0.0 for s in self.states}
-        for i, c in enumerate(self.f.components):
-            if evalf(c, origin) != 0.0:
-                raise ValueError(f"f({0})≠0: component {i + 1} is {render(c)} at x=0")
-        for i, c in enumerate(self.h):
-            if evalf(c, origin) != 0.0:
-                raise ValueError(f"h(0)≠0: component {i + 1} is {render(c)} at x=0")
-        allowed = set(self.states)
-        for label, exprs in (("f", self.f.components), ("h", self.h),
-                             ("g", [e for r in self.g.rows for e in r])):
-            for e in exprs:
-                stray = free_vars(e) - allowed
-                if stray:
-                    raise ValueError(f"{label} references unknown variables {sorted(stray)}")
+        _check_entries("f", self.f.components, self.states)
+        _check_entries("h", self.h, self.states)
+        _check_entries("g", [e for r in self.g.rows for e in r], self.states)
         for s, (lo, hi) in self.domain.items():
             if not lo < 0.0 < hi:
                 raise ValueError(f"domain for {s} must contain 0, got [{lo}, {hi}]")
@@ -80,6 +72,18 @@ class AffineSystem:
 
     def origin(self):
         return np.zeros(self.n)
+
+
+def _check_entries(label, exprs, states):
+    """Raise ValueError unless each expression reads only the states and,
+    in f and h, vanishes at x = 0."""
+    origin = dict.fromkeys(states, 0.0)
+    for i, e in enumerate(exprs):
+        stray = free_vars(e) - set(states)
+        if stray:
+            raise ValueError(f"{label} references unknown variables {sorted(stray)}")
+        if label != "g" and evalf(e, origin) != 0.0:
+            raise ValueError(f"{label}(0)≠0: component {i + 1} is {render(e)} at x=0")
 
 
 class SamplePlan:
@@ -94,8 +98,6 @@ class SamplePlan:
                                                    for p in points]
 
     def realize(self, system):
-        if self.points is not None:
-            return list(self.points)
         return sample_domain(self, system)
 
 
@@ -154,119 +156,181 @@ def numeric_rank(matrix, points, state_names, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# File format: sections [states], [f], [g], [h], [domain]; vectors are
-# bracketed comma-separated expression strings, g is row-major.
+# Text files.  Every input format is read through these helpers, and every
+# content error is a SystemFormatError that names its line.
 # ---------------------------------------------------------------------------
+
+def numbered_lines(text):
+    """(line number, content) of each non-blank line, comments stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+class Section(list):
+    """The (line number, content) pairs of a section headed on `line`."""
+
+    def __init__(self, line):
+        super().__init__()
+        self.line = line
+
+    @property
+    def start(self):   # the first content line, else the header's
+        return self[0][0] if self else self.line
+
+    def vector(self):
+        """The section's lines read as one bracketed list."""
+        return bracketed(" ".join(text for _, text in self), self.start)
+
+
+def read_sections(text, known):
+    """{name: Section}.  A line '[name]' with a known name opens a section;
+    content before the first one and a repeated section are errors."""
+    sections = {}
+    current = None
+    for lineno, line in numbered_lines(text):
+        name = line[1:-1].strip().lower()
+        if line.startswith("[") and line.endswith("]") and name in known:
+            if name in sections:
+                raise SystemFormatError(f"duplicate section [{name}]", lineno)
+            current = sections[name] = Section(lineno)
+        elif current is None:
+            raise SystemFormatError("content before any [section]", lineno)
+        else:
+            current.append((lineno, line))
+    return sections
+
+
+def required(sections, name):
+    if name not in sections:
+        raise SystemFormatError(f"missing section [{name}]")
+    return sections[name]
+
 
 def _split_top_level(text):
     """Split on commas not nested in parentheses/brackets."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch in "([") - (ch in ")]")
         if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return parts
+            parts.append(text[start:i].strip())
+            start = i + 1
+    tail = text[start:].strip()
+    return parts + [tail] if tail else parts
+
+
+def bracketed(body, lineno):
+    """The items of a bracketed list '[a, b, ...]'."""
+    body = body.strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise SystemFormatError(f"expected a bracketed list, got {body!r}", lineno)
+    return _split_top_level(body[1:-1])
+
+
+def parse_entry(src, lineno):
+    try:
+        return parse(src)
+    except Exception as exc:
+        raise SystemFormatError(f"bad expression {src!r}: {exc}", lineno) from exc
+
+
+def parse_entries(items, lineno, allowed):
+    """parse_entry of each item; a variable outside `allowed` is an error."""
+    exprs = [parse_entry(src, lineno) for src in items]
+    stray = set().union(*map(free_vars, exprs)) - set(allowed)
+    if stray:
+        raise SystemFormatError(f"unknown variables {sorted(stray)}", lineno)
+    return exprs
+
+
+def names(items, lineno):
+    """The items, which must be distinct variable names."""
+    exprs = [parse_entry(item, lineno) for item in items]
+    if len(set(items)) < len(items) or not all(
+            isinstance(e, Var) and e.name == item for e, item in zip(exprs, items)):
+        raise SystemFormatError(f"expected distinct names, got {items}", lineno)
+    return items
+
+
+def keyed(lines, sep):
+    """(key, value, line number) of 'key <sep> value' lines, each key once."""
+    seen = set()
+    for lineno, line in lines:
+        key, found, value = line.partition(sep)
+        key = " ".join(key.split())
+        if not (found and key):
+            raise SystemFormatError(f"expected 'key {sep} value'", lineno)
+        if key in seen:
+            raise SystemFormatError(f"repeated key {key!r}", lineno)
+        seen.add(key)
+        yield key, value.strip(), lineno
+
+
+def bindings(lines, known):
+    """{key: (value, line number)} of 'key = value' lines, keys from `known`."""
+    out = {}
+    for key, value, lineno in keyed(lines, "="):
+        if key not in known:
+            raise SystemFormatError(f"unknown key {key!r}, expected one of "
+                                    f"{', '.join(known)}", lineno)
+        out[key] = (value, lineno)
+    return out
+
+
+@contextmanager
+def at_line(lineno):
+    """Re-raise a ValueError from the body as a SystemFormatError naming
+    the line."""
+    try:
+        yield
+    except SystemFormatError:
+        raise
+    except ValueError as exc:
+        raise SystemFormatError(str(exc), lineno) from exc
 
 
 def loads_system(text, name=""):
-    sections = {}
-    current = None
-    known = ("states", "f", "g", "h", "domain")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if (line.startswith("[") and line.endswith("]")
-                and line[1:-1].strip().lower() in known):
-            current = line[1:-1].strip().lower()
-            if current in sections:
-                raise SystemFormatError(f"duplicate section [{current}]", lineno)
-            sections[current] = []
-            continue
-        if current is None:
-            raise SystemFormatError("content before any [section]", lineno)
-        sections[current].append((lineno, line))
-
-    for required in ("states", "f", "g", "h"):
-        if required not in sections:
-            raise SystemFormatError(f"missing section [{required}]")
-
-    def joined(name_):
-        return " ".join(line for _, line in sections[name_])
-
-    def vector(section):
-        body = joined(section).strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            line = sections[section][0][0] if sections[section] else None
-            raise SystemFormatError(f"section [{section}] must be a bracketed vector", line)
-        return _split_top_level(body[1:-1])
-
-    states = vector("states")
+    """System file: sections [states], [f], [g] (one bracketed row per
+    state), [h] and the optional [domain] ('name: [lo, hi]' lines)."""
+    sections = read_sections(text, ("states", "f", "g", "h", "domain"))
+    sec = {key: required(sections, key) for key in ("states", "f", "g", "h")}
+    states = names(sec["states"].vector(), sec["states"].start)
     if not states:
-        raise SystemFormatError("empty [states] section")
+        raise SystemFormatError("empty [states] section", sec["states"].line)
 
-    def parse_entry(src, lineno):
-        try:
-            return parse(src)
-        except Exception as exc:
-            raise SystemFormatError(f"bad expression {src!r}: {exc}", lineno) from exc
+    def row(label, items, lineno, width=None):
+        out = [parse_entry(src, lineno) for src in items]
+        with at_line(lineno):
+            if width is not None and len(out) != width:
+                raise ValueError(f"[{label}] has {len(out)} entries, expected {width}")
+            _check_entries(label, out, states)
+        return out
 
-    f_line = sections["f"][0][0]
-    f = [parse_entry(s, f_line) for s in vector("f")]
-    if len(f) != len(states):
-        raise SystemFormatError(f"[f] has {len(f)} entries for {len(states)} states", f_line)
-
-    g_rows = []
-    for lineno, line in sections["g"]:
-        body = line.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise SystemFormatError("each [g] line must be a bracketed row", lineno)
-        g_rows.append([parse_entry(s, lineno) for s in _split_top_level(body[1:-1])])
-    if len(g_rows) != len(states):
-        raise SystemFormatError(f"[g] has {len(g_rows)} rows for {len(states)} states")
-
-    h_line = sections["h"][0][0]
-    h = [parse_entry(s, h_line) for s in vector("h")]
-
+    f = row("f", sec["f"].vector(), sec["f"].start, len(states))
+    g = []
+    for lineno, line in sec["g"]:
+        g.append(row("g", bracketed(line, lineno), lineno, len(g[0]) if g else None))
+    if len(g) != len(states):
+        raise SystemFormatError(f"[g] has {len(g)} rows for {len(states)} states",
+                                sec["g"].line)
+    h = row("h", sec["h"].vector(), sec["h"].start)
     domain = {}
-    for lineno, line in sections.get("domain", []):
-        if ":" not in line:
-            raise SystemFormatError("domain line must be 'name: [lo, hi]'", lineno)
-        key, _, rng = line.partition(":")
-        key = key.strip()
-        if key not in states:
-            raise SystemFormatError(f"domain for unknown state {key!r}", lineno)
-        rng = rng.strip()
-        if not (rng.startswith("[") and rng.endswith("]")):
-            raise SystemFormatError("domain range must be bracketed", lineno)
-        parts = _split_top_level(rng[1:-1])
-        if len(parts) != 2:
-            raise SystemFormatError("domain range needs two endpoints", lineno)
-        try:
-            domain[key] = (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise SystemFormatError(f"bad domain endpoint: {exc}", lineno) from exc
-
-    try:
-        return AffineSystem(states, f, g_rows, h, domain or None, name=name)
-    except ValueError as exc:
-        raise SystemFormatError(str(exc)) from exc
+    for key, rng, lineno in keyed(sections.get("domain", ()), ":"):
+        parts = bracketed(rng, lineno)
+        with at_line(lineno):
+            if key not in states:
+                raise ValueError(f"domain for unknown state {key!r}")
+            if len(parts) != 2:
+                raise ValueError("domain range needs two endpoints")
+            lo, hi = domain[key] = (float(parts[0]), float(parts[1]))
+            if not lo < 0.0 < hi:
+                raise ValueError(f"domain for {key} must contain 0, got [{lo}, {hi}]")
+    return AffineSystem(states, f, g, h, domain or None, name=name)
 
 
 def load_system(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_system(fh.read(), name=str(path))
+    return loads_system(Path(path).read_text(encoding="utf-8"), name=str(path))
 
 
 def dump_system(system):

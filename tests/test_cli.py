@@ -176,3 +176,35 @@ def test_backstep_disturbance_cli_and_l2(tmp_path, capsys):
          "--csv", tmp_path / "da.csv"], capsys)
     assert code == 0
     assert "pass=True" in out
+
+
+def test_file_errors_exit_1(tmp_path, capsys):
+    # a directory where a file is expected
+    code, _, err = run_main(["analyze", SYS], capsys)
+    assert code == 1 and err.startswith("error: ") and "Is a directory" in err
+    code, _, err = run_main(["simulate", SYS / "nf_uchain.nf", "--controller", SYS,
+                             "--x0", "0,0,0,0,0"], capsys)
+    assert code == 1 and "Is a directory" in err
+    # a ragged and a non-numeric matrix file
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("# A\n1 0 0\n0 1\n")
+    text = tmp_path / "text.txt"
+    text.write_text("1 0\n0 x\n")
+    for bad, msg in ((ragged, "line 3: "), (text, "line 2: ")):
+        code, _, err = run_main(["linzeros", "--a", bad, "--b", LIN / "counter3_B.txt",
+                                 "--c", LIN / "counter3_C.txt"], capsys)
+        assert code == 1 and err.startswith("error: " + msg) and str(bad) in err
+
+
+def test_malformed_input_files_exit_1_with_the_line(tmp_path, capsys):
+    nf = tmp_path / "bad.nf"
+    nf.write_text((SYS / "nf_addexam.nf").read_text().replace("2 1: z*w", "3 1: z*w"))
+    for extra in ([], ["--disturbance", "0.5"]):
+        code, _, err = run_main(["backstep", nf, "--kappa", "xi2_1,xi1_1,xi2_2",
+                                 *extra], capsys)
+        assert (code, err) == (1, "error: line 11: no chain state xi3_1\n")
+    ctl = tmp_path / "gap.ctl"
+    ctl.write_text("[controller]\nv1 = 0\nv3 = 0\n")
+    code, _, err = run_main(["simulate", SYS / "nf_uchain.nf", "--controller", ctl,
+                             "--x0", "0,0,0,0,0"], capsys)
+    assert (code, err) == (1, "error: line 3: unknown key 'v3', expected one of v1, v2\n")
