@@ -774,9 +774,10 @@ def dump_control_law(law):
     return "\n".join(lines + ["", "[lyapunov]", f"W = {render(law.W)}"]) + "\n"
 
 
-def loads_control_law(text):
+def loads_control_law(text, allowed=None):
     """(v, W) from a controller file: [controller] binds v1..vk, and the
-    optional [lyapunov] binds W (None when absent)."""
+    optional [lyapunov] binds W (None when absent).  With `allowed` given,
+    an expression naming any other variable is an error."""
     sections = read_sections(text, ("controller", "lyapunov"))
     ctl = required(sections, "controller")
     if not ctl:
@@ -784,4 +785,9 @@ def loads_control_law(text):
     known = [f"v{i}" for i in range(1, len(ctl) + 1)]
     v = bindings(ctl, known)
     W = bindings(sections.get("lyapunov", ()), ("W",)).get("W")
-    return [parse_entry(*v[k]) for k in known], parse_entry(*W) if W else None
+
+    def entry(value, lineno):
+        if allowed is None:
+            return parse_entry(value, lineno)
+        return parse_entries([value], lineno, allowed)[0]
+    return [entry(*v[k]) for k in known], entry(*W) if W else None

@@ -9,9 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .backstep import (ControlLaw, OrderViolation, da_synthesize, dump_control_law,
-                       load_chain_system, loads_control_law, parse_kappa,
-                       semi_global_synthesize, synthesize)
+from .backstep import (W_NAME, ControlLaw, OrderViolation, da_synthesize,
+                       dump_control_law, load_chain_system, loads_control_law,
+                       parse_kappa, semi_global_synthesize, synthesize)
 from .expr import Var, parse, render
 from .linstruct import (LinearTriple, decompose, load_matrix,
                         vector_relative_degree)
@@ -179,7 +179,8 @@ def _make_signal(spec):
 
 def cmd_simulate(args):
     cs, _ = load_chain_system(args.system)
-    v, W = loads_control_law(Path(args.controller).read_text(encoding="utf-8"))
+    v, W = loads_control_law(Path(args.controller).read_text(encoding="utf-8"),
+                             cs.state_names() + [W_NAME])
     if len(v) != cs.m:
         raise ValueError(f"controller has {len(v)} inputs, system wants {cs.m}")
     law = ControlLaw(cs, [], v, W if W is not None else parse("0"), [])

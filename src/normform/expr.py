@@ -343,6 +343,8 @@ class _Parser:
         if kind == "num":
             if re.fullmatch(r"\d+", val):
                 return Const(Fraction(int(val)))
+            if not math.isfinite(float(val)):
+                raise ParseError(f"number {val} is not finite", off)
             return Const(float(val))
         if kind == "name":
             k2, v2, _ = self.peek()
@@ -948,7 +950,10 @@ def _kernel_source(exprs, names):
     to a local `_tN` by `:=` where it is first evaluated and read back
     after; every other node is written inline.  Each operation keeps its
     operands and their order, and runs where it ran in the inlined tree,
-    so values and exceptions are those of the trees as given.
+    so values and exceptions are those of the trees as given.  A square is
+    written as a product, `(_tN:=base)*_tN` (a leaf base inline), which is
+    correctly rounded and what numpy computes for `x**2` anyway; a float
+    `pow` is not.
     """
     exprs = [_as_expr(e) for e in exprs]   # alive while ids are memo keys
     index = {}
@@ -970,7 +975,8 @@ def _kernel_source(exprs, names):
             kids = tuple(map(number, e.factors))
             key = ("*", kids)
         elif isinstance(e, Pow):
-            kids = (number(e.base),)
+            # a square reads its base twice, so a compound base is bound
+            kids = (number(e.base),) * (2 if e.exp == 2 else 1)
             key = ("^", e.exp, kids[0])
         elif isinstance(e, Func):
             kids = (number(e.arg),)
@@ -979,8 +985,10 @@ def _kernel_source(exprs, names):
             kids = ()
             if isinstance(e.value, Fraction) and e.value.denominator == 1:
                 key = f"({e.value.numerator})"
-            else:
+            elif math.isfinite(e.value):
                 key = f"({float(e.value)!r})"
+            else:
+                raise EvalError(f"constant {e.value} is not finite")
         elif isinstance(e, Var):
             kids = ()
             try:
@@ -1013,6 +1021,8 @@ def _kernel_source(exprs, names):
         op = key[0]
         if op == "+" or op == "*":
             text = "(" + op.join(map(emit, key[1])) + ")"
+        elif op == "^" and key[1] == 2:
+            text = f"({emit(key[2])}*{emit(key[2])})"
         elif op == "^":
             text = (f"({emit(key[2])}**({float(key[1])}))" if key[1] < 0
                     else f"({emit(key[2])}**{key[1]})")

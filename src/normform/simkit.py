@@ -1,20 +1,24 @@
 """Closed-loop simulation: fixed-step RK4, disturbance signals, Lyapunov
 monitoring, and L2-gain certification.
 
-A single run is integrated on plain Python floats (`_simulate_scalar`).
-A batch of two or more runs compiles its right-hand side once into a
-vectorized numpy callable and advances an (n, nruns) state array in
-lockstep, one row per state variable, storing the trace as (T, n, nruns).
-Both expose the trace as (T, nruns, n).
+A single run is integrated on plain Python floats (`_run_scalar`).  So is
+a batch of fewer than SCALAR_RUNS runs whose right-hand side is exact
+(`_exact`), one run at a time; there the per-step overhead of numpy would
+cost more than the arithmetic it vectorizes.  Any other batch compiles its
+right-hand side once into a vectorized numpy callable and advances an
+(n, nruns) state array in lockstep, one row per state variable.  A batch
+stores its trace as (T, n, nruns) and evaluates its channels with numpy
+either way.  Every path exposes the trace as (T, nruns, n).
 """
 
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 
-from .expr import compile_exprs, compile_exprs_scalar, simplify
+from .expr import _kernel_source, compile_exprs, compile_exprs_scalar, simplify
 
 __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
            "noise_signal", "constant_signal", "simulate", "lyapunov_monitor",
@@ -22,6 +26,10 @@ __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
 
 DIVERGENCE_NORM = 1e8
 _CSV_ROWS = 256
+# fewer runs than this, on an exact kernel, integrate one at a time on
+# floats: a one-off timing at horizon 1 found 8 runs of the 5-state chain
+# loop equally fast either way, and about 13 runs of the 8-state nf_mixed one
+SCALAR_RUNS = 8
 
 
 class SimConfig:
@@ -123,6 +131,16 @@ def _compile(exprs, names):
     return compile_exprs([simplify(e) for e in exprs], list(names) + ["w"])
 
 
+def _exact(src):
+    """True when a kernel's source uses constants, arguments, +, *, sqrt and
+    abs alone.  These never raise on floats and are correctly rounded, so
+    the float kernel gives the bits of the numpy one; `**`, exp, sin and
+    cos do not, and the float sign of nan is 0."""
+    body = src.removeprefix("lambda _a: [")
+    return "**" not in body and not re.sub(
+        r"_a\[|_t|_sqrt\(|_abs\(|[-+*(),.:=\d\]e]", "", body)
+
+
 def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
              input_exprs=(), output_exprs=(), V_expr=None, input_names=None,
              output_names=None):
@@ -143,15 +161,77 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     if x0.shape[1] != n:
         raise ValueError(f"x0 must have {n} columns")
     nruns = x0.shape[0]
-    if nruns == 1:
-        return _simulate_scalar(rhs_exprs, names, x0[0], cfg, w_signal,
-                                input_exprs, output_exprs, V_expr,
-                                input_names, output_names)
+    rhs_exprs = [simplify(e) for e in rhs_exprs]
+    if nruns == 1 or nruns < SCALAR_RUNS and _exact(
+            _kernel_source(rhs_exprs, names + ["w"])):
+        f = compile_exprs_scalar(rhs_exprs, names + ["w"])
+        if nruns > 1:   # a batch signal gives one value or one per run
+            np.broadcast_to(w_signal(0.0), nruns)
+        signals = [_run_signal(w_signal, j) for j in range(nruns)]
+        runs = [_run_scalar(f, x0[j], cfg, signals[j]) for j in range(nruns)]
+        alive = np.array([not diverged for _, _, diverged in runs])
+        ts = _times(max(len(xj) for xj, _, _ in runs) - 1, cfg.dt)
+        xs = np.empty((len(ts), n, nruns))
+        ws = np.empty((len(ts), nruns))
+        for j, (xj, wj, diverged) in enumerate(runs):
+            # a diverged state is kept only by the last runs to diverge;
+            # any other diverged run is frozen at its last accepted state
+            if diverged and (alive.any() or len(xj) < len(ts)):
+                xj = xj[:-1]
+            xs[:, :, j] = xj + xj[-1:] * (len(ts) - len(xj))
+            ws[:, j] = wj + [signals[j](t) for t in ts[len(wj):].tolist()]
+    else:
+        xs, ws, alive = _run_batch(_compile(rhs_exprs, names), x0, cfg,
+                                   w_signal)
+        ts = _times(len(xs) - 1, cfg.dt)
 
-    f = _compile(rhs_exprs, names)
-    fu = _compile(input_exprs, names) if input_exprs else None
-    fy = _compile(output_exprs, names) if output_exprs else None
-    fV = _compile([V_expr], names) if V_expr is not None else None
+    def channel(exprs):
+        out = np.empty((len(ts), nruns, len(exprs)))
+        if exprs and nruns == 1:
+            # a single run's channels stay on floats, row by row
+            fn = compile_exprs_scalar([simplify(e) for e in exprs], names + ["w"])
+            for k, (xk, wk) in enumerate(zip(*runs[0][:2])):
+                row = xk + [wk]
+                try:
+                    out[k, 0] = fn(row)
+                except (ZeroDivisionError, ValueError, OverflowError):
+                    # where a float operation raises, numpy's may give inf
+                    # or nan instead; a value undefined for both is nan
+                    try:
+                        with np.errstate(all="ignore"):
+                            out[k, 0] = fn([np.float64(v) for v in row])
+                    except (ZeroDivisionError, ValueError, OverflowError):
+                        out[k, 0] = np.nan
+        elif exprs:
+            with np.errstate(all="ignore"):
+                vals = _compile(exprs, names)([*xs.transpose(1, 0, 2), ws])
+            for j, v in enumerate(vals):
+                out[:, :, j] = v
+        return out
+
+    us = channel(input_exprs)
+    ys = channel(output_exprs)
+    Vs = channel([V_expr])[:, :, 0] if V_expr is not None else None
+    int_y2, int_w2 = _energy_integrals(ts, ys, ws, len(output_exprs))
+
+    return Trace(ts, xs.transpose(0, 2, 1), us, ys,
+                 names,
+                 input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
+                 output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
+                 ~alive, w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2)
+
+
+def _times(last, dt):
+    # t_{k+1} = k*dt + dt, bit for bit as the step computes it
+    return np.concatenate(([0.0], np.arange(last) * dt + dt))
+
+
+def _run_batch(f, x0, cfg, w_signal):
+    """The numpy loop over an (n, nruns) state, f its compiled right-hand
+    side: the (T, n, nruns) states, the (T, nruns) w values and which runs
+    stayed live."""
+    nruns, n = x0.shape
+    nsteps = int(round(cfg.horizon / cfg.dt))
 
     def rhs(x, wv, out):
         # the rows of the (n, nruns) state are the compiled function's
@@ -160,7 +240,6 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
             row[...] = v
         return out
 
-    nsteps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.dt
     # run-major: each step stores one contiguous (n, nruns) block
     xs = np.empty((nsteps + 1, n, nruns))
@@ -207,49 +286,24 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
             xs[k + 1] = xn
             ws[k + 1] = w4
             x = xn
-    # t_{k+1} = k*dt + dt, bit for bit as the step computes it
-    ts = np.concatenate(([0.0], np.arange(last) * dt + dt))
-    xs = xs[:last + 1]
-    ws = ws[:last + 1]
-
-    def channel(fn, width):
-        out = np.empty((len(ts), nruns, width))
-        if fn is not None:
-            with np.errstate(all="ignore"):
-                vals = fn([xs[:, i] for i in range(n)] + [ws])
-            for j, v in enumerate(vals):
-                out[:, :, j] = v
-        return out
-
-    us = channel(fu, len(input_exprs))
-    ys = channel(fy, len(output_exprs))
-    Vs = channel(fV, 1)[:, :, 0] if fV is not None else None
-
-    int_y2, int_w2 = _energy_integrals(ts, ys, ws, len(output_exprs))
-
-    return Trace(ts, xs.transpose(0, 2, 1), us, ys,
-                 names,
-                 input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
-                 output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
-                 ~alive, w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2)
+    return xs[:last + 1], ws[:last + 1], alive
 
 
-def _simulate_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
-                     output_exprs, V_expr, input_names, output_names):
-    """Single-run integration on plain floats (identical semantics to the
-    batch path, an order of magnitude faster)."""
-    def comp(exprs):
-        return compile_exprs_scalar([simplify(e) for e in exprs], names + ["w"])
-
-    f = comp(rhs_exprs)
-
-    def wval(t):
+def _run_signal(w_signal, j):
+    """w(t) of run j as a float."""
+    def w(t):
         v = w_signal(t)
-        return v if type(v) is float else float(v.ravel()[0])
+        return v if type(v) is float else float(v.flat[min(j, v.size - 1)])
+    return w
 
+
+def _run_scalar(f, x0, cfg, w):
+    """One run on plain floats, f its compiled right-hand side and w(t) its
+    disturbance: the states and w values up to the end or the step at which
+    it diverges, that one included unless it raised, and whether it did."""
     x = [float(v) for v in x0]
     try:
-        r0 = f(x + [wval(0.0)])
+        r0 = f(x + [w(0.0)])
     except (ZeroDivisionError, ValueError, OverflowError):
         raise ValueError("right-hand side not finite at the initial state")
     if not all(np.isfinite(r0)):
@@ -258,21 +312,19 @@ def _simulate_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
     nsteps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.dt
     bound = DIVERGENCE_NORM ** 2
-    ts = [0.0]
     xs = [x]
-    wsv = [wval(0.0)]
-    diverged = False
+    wsv = [w(0.0)]
     for k in range(nsteps):
         t = k * dt
         try:
             if cfg.integrator == "euler":
-                k1 = f(x + [wval(t)])
+                k1 = f(x + [w(t)])
                 xn = [xi + dt * ki for xi, ki in zip(x, k1)]
-                w4 = wval(t + dt)
+                w4 = w(t + dt)
             else:
-                w1 = wval(t)
-                w2 = wval(t + dt / 2)
-                w4 = wval(t + dt)
+                w1 = w(t)
+                w2 = w(t + dt / 2)
+                w4 = w(t + dt)
                 k1 = f(x + [w1])
                 k2 = f([xi + dt / 2 * ki for xi, ki in zip(x, k1)] + [w2])
                 k3 = f([xi + dt / 2 * ki for xi, ki in zip(x, k2)] + [w2])
@@ -280,45 +332,14 @@ def _simulate_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
                 xn = [xi + dt / 6 * (a + 2 * b + 2 * c + d)
                       for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
         except (ZeroDivisionError, ValueError, OverflowError):
-            diverged = True
-            break
-        ts.append(t + dt)
+            return xs, wsv, True
         xs.append(xn)
         wsv.append(w4)
         x = xn
         # false for NaN and inf as well as above the bound
         if not sum(v * v for v in xn) <= bound:
-            diverged = True
-            break
-
-    def channel(exprs):
-        out = np.empty((len(xs), 1, len(exprs)))
-        if not exprs:
-            return out
-        fn = comp(exprs)
-        for k, (xk, wk) in enumerate(zip(xs, wsv)):
-            try:
-                out[k, 0] = fn(xk + [wk])
-            except (ZeroDivisionError, ValueError, OverflowError):
-                # where a float operation raises, numpy's may give inf or
-                # nan instead; a value undefined for both is nan
-                try:
-                    with np.errstate(all="ignore"):
-                        out[k, 0] = fn([np.float64(v) for v in xk + [wk]])
-                except (ZeroDivisionError, ValueError, OverflowError):
-                    out[k, 0] = np.nan
-        return out
-
-    ts = np.asarray(ts)
-    ws = np.asarray(wsv)[:, None]
-    us = channel(input_exprs)
-    ys = channel(output_exprs)
-    Vs = channel([V_expr])[:, :, 0] if V_expr is not None else None
-    int_y2, int_w2 = _energy_integrals(ts, ys, ws, len(output_exprs))
-    return Trace(ts, np.asarray(xs)[:, None, :], us, ys, names,
-                 input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
-                 output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
-                 [diverged], w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2)
+            return xs, wsv, True
+    return xs, wsv, False
 
 
 def _energy_integrals(ts, ys, ws, nout):

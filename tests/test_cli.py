@@ -208,3 +208,16 @@ def test_malformed_input_files_exit_1_with_the_line(tmp_path, capsys):
     code, _, err = run_main(["simulate", SYS / "nf_uchain.nf", "--controller", ctl,
                              "--x0", "0,0,0,0,0"], capsys)
     assert (code, err) == (1, "error: line 3: unknown key 'v3', expected one of v1, v2\n")
+
+
+def test_simulate_rejects_controller_variables_outside_the_system(tmp_path, capsys):
+    ctl = tmp_path / "stray.ctl"
+    argv = ["simulate", SYS / "nf_uchain.nf", "--controller", ctl, "--x0", "0,0,0,0,0"]
+    ctl.write_text("[controller]\nv1 = xi9_1\nv2 = 0\n")
+    code, _, err = run_main(argv, capsys)
+    assert (code, err) == (1, "error: line 2: unknown variables ['xi9_1']\n")
+    # the chain states and w may appear, in v and in W
+    ctl.write_text("[controller]\nv1 = -xi1_1\nv2 = -xi2_2 - w\n\n"
+                   "[lyapunov]\nW = eta1^2 + z\n")
+    code, _, err = run_main(argv, capsys)
+    assert (code, err) == (1, "error: line 6: unknown variables ['z']\n")

@@ -547,6 +547,8 @@ def _old_pycode(e, names):
     if isinstance(e, Mul):
         return "(" + "*".join(_old_pycode(t, names) for t in e.factors) + ")"
     if isinstance(e, Pow):
+        if e.exp == 2:   # squares are products in both compilers
+            return f"({_old_pycode(e.base, names)}*{_old_pycode(e.base, names)})"
         if e.exp < 0:
             return f"({_old_pycode(e.base, names)}**({float(e.exp)}))"
         return f"({_old_pycode(e.base, names)}**{e.exp})"
@@ -682,6 +684,15 @@ def test_kernel_source_without_repeats_is_the_inlined_lambda():
     twice = Func("cos", Var("x1"))
     assert _kernel_source([twice * twice, Func("cos", Var("x1"))], ["x1"]) == \
         "lambda _a: [((_t1:=_cos(_a[0]))*_t1),_t1]"
+
+
+def test_compile_rejects_a_non_finite_constant():
+    for compile_ in (compile_exprs, compile_exprs_scalar):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(EvalError, match="not finite"):
+                compile_([Var("x") + Const(value)], ["x"])
+    with pytest.raises(ParseError, match="number 1e999 is not finite"):
+        parse("x + 1e999")
 
 
 def test_compile_binds_names_as_list_index_does():

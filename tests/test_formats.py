@@ -384,11 +384,20 @@ EX31 = (SYS / "ex31.sys").read_text()
     ("x2: [-1, 1]", "x2: [-1, x]", "line 21: could not convert"),
     ("[x3, x5, x1, x1*x2, x4]", "[x3, x5, x1, x1*x2, 1]", r"line 7: f\(0\)"),
     ("[x1, x2, x3, x4, x5]", "[x1, x2, x3, x4, 5]", "line 4: expected distinct names"),
+    ("[x4, x3*x4]", "[1e999, x3*x4]", "line 14: bad expression '1e999': number 1e999 is not finite"),
 ])
 def test_system_file_errors_name_the_line(old, new, match):
     assert old in EX31
     with pytest.raises(SystemFormatError, match=match):
         loads_system(EX31.replace(old, new, 1))
+
+
+def test_non_finite_literal_exits_1_with_the_line(tmp_path, capsys):
+    bad = tmp_path / "inf.sys"
+    bad.write_text("[states]\n[x1, x2]\n[f]\n[x2, -x1]\n[g]\n[1e999]\n[1]\n[h]\n[x1]\n")
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 6: bad expression '1e999': number 1e999 is not finite (at offset 0)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
 """Simulation harness: integrator order, determinism, monitors, CSV."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normform.backstep import ChainSystem, Stabilizer, synthesize
-from normform.expr import parse
-from normform.simkit import (SimConfig, batch_simulate, l2_gain_check,
-                             lyapunov_monitor, noise_signal, simulate,
-                             step_signal, trace_to_csv, zero_signal)
+from normform.expr import (Const, Func, Pow, Var, _kernel_source,
+                           compile_exprs, compile_exprs_scalar, parse,
+                           simplify)
+from normform.simkit import (SCALAR_RUNS, Signal, SimConfig, _exact,
+                             batch_simulate, l2_gain_check, lyapunov_monitor,
+                             noise_signal, simulate, step_signal,
+                             trace_to_csv, zero_signal)
 
 
 def test_rk4_order_on_exponential():
@@ -141,7 +148,7 @@ def test_batch_and_scalar_paths_agree():
     single = simulate(rhs, ["x1", "x2"], x0, SimConfig(dt=1e-2, horizon=1.0))
     batch = simulate(rhs, ["x1", "x2"], [x0, [0.0, 0.0]],
                      SimConfig(dt=1e-2, horizon=1.0))
-    assert np.allclose(single.x[:, 0], batch.x[:, 0], atol=1e-12)
+    assert np.array_equal(single.x[:, 0], batch.x[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +352,125 @@ def test_batch_summaries_match_column_loop(systems_dir):
                           np.linalg.norm(ref["x"][-1], axis=1))
     assert np.array_equal(res["envelope_min"], ref["x"].min(axis=1))
     assert np.array_equal(res["envelope_max"], ref["x"].max(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# Exact kernels: a batch of fewer than SCALAR_RUNS runs integrates run by
+# run on floats and gives the bits of the numpy loop
+# ---------------------------------------------------------------------------
+
+@st.composite
+def exact_exprs(draw):
+    """Raw trees over +, *, squares, sqrt and abs."""
+    def rec(d):
+        if d == 0:
+            kind = draw(st.integers(0, 2))
+            if kind == 0:
+                return Const(Fraction(draw(st.integers(-3, 3))))
+            if kind == 1:
+                return Const(draw(st.sampled_from((0.5, -1.25, 0.1, 1e-5, 3e7))))
+            return Var(draw(st.sampled_from(("x1", "x2", "x3"))))
+        k = draw(st.integers(0, 3))
+        if k == 0:
+            return rec(d - 1) + rec(d - 1)
+        if k == 1:
+            return rec(d - 1) * rec(d - 1)
+        if k == 2:
+            return Pow(rec(d - 1), 2)
+        return Func(draw(st.sampled_from(("sqrt", "abs"))), rec(d - 1))
+
+    return [rec(draw(st.integers(0, 5))) for _ in range(draw(st.integers(1, 3)))]
+
+
+def _bits(values, shape):
+    """The bit patterns of the values; IEEE 754 leaves the sign and payload
+    of a nan open, so every nan reads as one."""
+    v = np.broadcast_to(np.asarray(values, dtype=float), shape)
+    return np.where(np.isnan(v), np.nan, v).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_exprs(), st.integers(0, 3))
+def test_exact_kernels_agree_bit_for_bit(exprs, seed):
+    names = ["x1", "x2", "x3"]
+    src = _kernel_source(exprs, names)
+    assert _exact(src) and "**" not in src
+    pts = np.random.default_rng(seed).uniform(-3, 3, size=(3, 24))
+    # signed zeros, infinities, nan, overflow and underflow in products
+    pts[:, :8] = [[0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e-200, 0.0],
+                  [-0.0, 0.0, 0.0, 1.0, 2.0, -1e160, 1e-170, math.inf],
+                  [1.0, -0.0, -math.inf, math.nan, 0.0, 3e155, -0.5, -1e-320]]
+    with np.errstate(all="ignore"):
+        want = [_bits(v, (24,)) for v in compile_exprs(exprs, names)(list(pts))]
+    scalar = compile_exprs_scalar(exprs, names)
+    got = np.array([scalar(p) for p in pts.T.tolist()], dtype=float).T
+    for a, b in zip(want, got):
+        assert np.array_equal(a, _bits(b, (24,)))
+
+
+@pytest.mark.parametrize("text,token", [
+    ("x1^3", "**3"), ("1/x1", "**(-1.0)"), ("exp(x1)", "_exp("),
+    ("sin(x1)", "_sin("), ("cos(x1)", "_cos("), ("sign(x1)", "_sign(")])
+def test_exact_rejects_pow_and_transcendental_kernels(text, token):
+    src = _kernel_source([parse(text) + parse("sqrt(abs(x2))^2")], ["x1", "x2"])
+    assert token in src and not _exact(src)
+
+
+def test_exact_accepts_the_closed_loops(systems_dir):
+    for fixture, order, gains in [
+            ("nf_uchain.nf", "xi1_1,xi1_2,xi2_1,xi2_2", None),
+            ("nf_uchain.nf", "xi1_1,xi2_1,xi1_2,xi2_2", None),
+            ("nf_mixed.nf", "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
+             {"xi1_1": 0, "xi3_1": 0, "xi2_1": 0})]:
+        law, names = _loop(systems_dir, fixture, order, gains)
+        src = _kernel_source([simplify(e) for e in law.closed_loop_rhs()],
+                             names + ["w"])
+        assert _exact(src)
+    assert _exact(_kernel_source([parse("sqrt(x1) - 1e-05*abs(x1)^2")], ["x1"]))
+
+
+@pytest.mark.parametrize("nruns", [2, SCALAR_RUNS])
+def test_batch_signal_needs_one_value_or_one_per_run(nruns):
+    wrong = Signal(lambda t: np.zeros(3))
+    with pytest.raises(ValueError):
+        simulate([parse("-x1 + w")], ["x1"], [[0.1]] * nruns,
+                 SimConfig(dt=1e-2, horizon=0.1), w_signal=wrong)
+
+
+def _tiled_case(systems_dir, key):
+    if key != "mixed":
+        x0 = {"x1^2-mixed": [[1.0], [-0.5]], "x1^2-all": [[2.0], [1.0]]}[key]
+        return ([parse("x1^2")], ["x1"], np.array(x0), step_signal(2.0),
+                dict(input_exprs=[parse("-x1")], output_exprs=[parse("x1^2 + w")],
+                     V_expr=parse("x1^2/2")), SimConfig(dt=1e-3, horizon=3.0))
+    law, names = _loop(systems_dir, "nf_mixed.nf",
+                       "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
+                       gains={"xi1_1": 0, "xi3_1": 0, "xi2_1": 0})
+    rhs = law.closed_loop_rhs()
+    rhs[0] = rhs[0] + parse("w/10")
+    x0 = np.random.default_rng(7).uniform(-1, 1, size=(3, len(names)))
+    return (rhs, names, x0, noise_signal(11, horizon=1.0, nruns=3),
+            dict(input_exprs=law.v, output_exprs=[parse("xi1_1"), parse("eta1*w")],
+                 V_expr=law.W), SimConfig(dt=2e-3, horizon=0.6))
+
+
+@pytest.mark.parametrize("key", ["x1^2-mixed", "x1^2-all", "mixed"])
+def test_small_batch_equals_its_rows_of_a_tiled_batch(systems_dir, key):
+    rhs, names, x0, signal, kw, cfg = _tiled_case(systems_dir, key)
+    k = len(x0)
+    reps = SCALAR_RUNS // k + 1
+    assert k < SCALAR_RUNS <= k * reps
+    assert _exact(_kernel_source([simplify(e) for e in rhs], names + ["w"]))
+    small = simulate(rhs, names, x0, cfg, w_signal=signal, **kw)
+    tiled = Signal(lambda t: np.tile(np.broadcast_to(signal.fn(t), k), reps))
+    big = simulate(rhs, names, np.tile(x0, (reps, 1)), cfg, w_signal=tiled, **kw)
+    assert small.t.tobytes() == big.t.tobytes()
+    for name in ("x", "w", "u", "y", "V", "diverged_runs"):
+        want = getattr(big, name)[:, :k] if name != "diverged_runs" \
+            else big.diverged_runs[:k]
+        assert np.ascontiguousarray(want).tobytes() == \
+            np.ascontiguousarray(getattr(small, name)).tobytes(), name
+    assert small.diverged == (key != "mixed")
 
 
 # ---------------------------------------------------------------------------
