@@ -25,8 +25,8 @@ __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Func",
     "ParseError", "BudgetError", "EvalError",
     "parse", "render", "simplify", "diff", "subs", "evalf", "free_vars",
-    "compile_exprs", "sample_box", "numeric_equivalent", "equivalent",
-    "is_zero", "const", "var", "TERM_BUDGET", "KNOWN_FUNCS",
+    "compile_exprs", "backends_agree", "sample_box", "numeric_equivalent",
+    "equivalent", "is_zero", "const", "var", "TERM_BUDGET", "KNOWN_FUNCS",
     "SAMPLE_POINTS", "SAMPLE_REDRAWS", "SAMPLE_CUTOFF",
 ]
 
@@ -951,9 +951,8 @@ def _kernel_source(exprs, names):
     after; every other node is written inline.  Each operation keeps its
     operands and their order, and runs where it ran in the inlined tree,
     so values and exceptions are those of the trees as given.  A square is
-    written as a product, `(_tN:=base)*_tN` (a leaf base inline), which is
-    correctly rounded and what numpy computes for `x**2` anyway; a float
-    `pow` is not.
+    written as a product, `(_tN:=base)*_tN` (a leaf base inline): correctly
+    rounded, and numpy's `x**2` on an array, which a float `pow` is not.
     """
     exprs = [_as_expr(e) for e in exprs]   # alive while ids are memo keys
     index = {}
@@ -1080,6 +1079,29 @@ def compile_exprs_scalar(exprs, names):
     for single runs)."""
     src = _kernel_source(exprs, names)
     return eval(src, dict(_SCALAR_FUNCS))  # noqa: S307 - from our own AST
+
+
+def backends_agree(exprs):
+    """True when the trees use constants, variables, +, *, squares, sqrt and
+    abs alone, so compile_exprs_scalar gives the bits of compile_exprs:
+    these round correctly (a square is a product) and never raise on floats;
+    pow, exp, sin and cos do not round correctly, and float sign(nan) is 0."""
+    exprs = [_as_expr(e) for e in exprs]   # alive while ids are in `seen`
+    stack, seen = list(exprs), set()
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if isinstance(e, (Add, Mul)):
+            stack.extend(e.terms if isinstance(e, Add) else e.factors)
+        elif isinstance(e, Pow) and e.exp == 2:
+            stack.append(e.base)
+        elif isinstance(e, Func) and e.fname in ("sqrt", "abs"):
+            stack.append(e.arg)
+        elif not isinstance(e, (Const, Var)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,23 @@
 monitoring, and L2-gain certification.
 
 A single run is integrated on plain Python floats (`_run_scalar`).  So is
-a batch of fewer than SCALAR_RUNS runs whose right-hand side is exact
-(`_exact`), one run at a time; there the per-step overhead of numpy would
-cost more than the arithmetic it vectorizes.  Any other batch compiles its
-right-hand side once into a vectorized numpy callable and advances an
-(n, nruns) state array in lockstep, one row per state variable.  A batch
-stores its trace as (T, n, nruns) and evaluates its channels with numpy
-either way.  Every path exposes the trace as (T, nruns, n).
+a batch of fewer than SCALAR_RUNS runs whose right-hand side gives the
+same bits on both backends (`expr.backends_agree`), one run at a time;
+there the per-step overhead of numpy would cost more than the arithmetic
+it vectorizes.  Any other batch compiles its right-hand side once into a
+vectorized numpy callable and advances an (n, nruns) state array in
+lockstep, one row per state variable.  A batch stores its trace as
+(T, n, nruns) and evaluates its channels with numpy either way.  Every
+path exposes the trace as (T, nruns, n).
 """
 
 from __future__ import annotations
 
 import io
-import re
 
 import numpy as np
 
-from .expr import _kernel_source, compile_exprs, compile_exprs_scalar, simplify
+from .expr import backends_agree, compile_exprs, compile_exprs_scalar, simplify
 
 __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
            "noise_signal", "constant_signal", "simulate", "lyapunov_monitor",
@@ -26,9 +26,8 @@ __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
 
 DIVERGENCE_NORM = 1e8
 _CSV_ROWS = 256
-# fewer runs than this, on an exact kernel, integrate one at a time on
-# floats: a one-off timing at horizon 1 found 8 runs of the 5-state chain
-# loop equally fast either way, and about 13 runs of the 8-state nf_mixed one
+# batches below this run one at a time on floats where the backends agree:
+# at horizon 1, 8 chain-loop runs cost the same either way, ~13 nf_mixed runs
 SCALAR_RUNS = 8
 
 
@@ -131,16 +130,6 @@ def _compile(exprs, names):
     return compile_exprs([simplify(e) for e in exprs], list(names) + ["w"])
 
 
-def _exact(src):
-    """True when a kernel's source uses constants, arguments, +, *, sqrt and
-    abs alone.  These never raise on floats and are correctly rounded, so
-    the float kernel gives the bits of the numpy one; `**`, exp, sin and
-    cos do not, and the float sign of nan is 0."""
-    body = src.removeprefix("lambda _a: [")
-    return "**" not in body and not re.sub(
-        r"_a\[|_t|_sqrt\(|_abs\(|[-+*(),.:=\d\]e]", "", body)
-
-
 def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
              input_exprs=(), output_exprs=(), V_expr=None, input_names=None,
              output_names=None):
@@ -162,8 +151,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
         raise ValueError(f"x0 must have {n} columns")
     nruns = x0.shape[0]
     rhs_exprs = [simplify(e) for e in rhs_exprs]
-    if nruns == 1 or nruns < SCALAR_RUNS and _exact(
-            _kernel_source(rhs_exprs, names + ["w"])):
+    if nruns == 1 or nruns < SCALAR_RUNS and backends_agree(rhs_exprs):
         f = compile_exprs_scalar(rhs_exprs, names + ["w"])
         if nruns > 1:   # a batch signal gives one value or one per run
             np.broadcast_to(w_signal(0.0), nruns)
@@ -214,8 +202,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     Vs = channel([V_expr])[:, :, 0] if V_expr is not None else None
     int_y2, int_w2 = _energy_integrals(ts, ys, ws, len(output_exprs))
 
-    return Trace(ts, xs.transpose(0, 2, 1), us, ys,
-                 names,
+    return Trace(ts, xs.transpose(0, 2, 1), us, ys, names,
                  input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
                  output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
                  ~alive, w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2)

@@ -11,9 +11,10 @@ from conftest import _reference_diff_raw
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, TERM_BUDGET, ZERO,
                            Add, Const, EvalError, Func, Mul, ParseError, Pow,
                            Var, _diff_raw, _kernel_source, _var_names,
-                           compile_exprs, compile_exprs_scalar, const, diff,
-                           equivalent, evalf, free_vars, numeric_equivalent,
-                           parse, render, sample_box, simplify, subs)
+                           backends_agree, compile_exprs, compile_exprs_scalar,
+                           const, diff, equivalent, evalf, free_vars,
+                           numeric_equivalent, parse, render, sample_box,
+                           simplify, subs)
 
 
 def test_parse_product():
@@ -535,7 +536,7 @@ def test_numeric_equivalent_samples_the_names_as_given():
 # Compiler: value numbering against the inlining compilers it replaced
 # ---------------------------------------------------------------------------
 
-def _old_pycode(e, names):
+def _old_pycode(e, names, square=False):
     if isinstance(e, Const):
         if isinstance(e.value, Fraction) and e.value.denominator == 1:
             return f"({e.value.numerator})"
@@ -543,18 +544,21 @@ def _old_pycode(e, names):
     if isinstance(e, Var):
         return f"_a[{names.index(e.name)}]"
     if isinstance(e, Add):
-        return "(" + "+".join(_old_pycode(t, names) for t in e.terms) + ")"
+        return "(" + "+".join(_old_pycode(t, names, square)
+                              for t in e.terms) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_old_pycode(t, names) for t in e.factors) + ")"
+        return "(" + "*".join(_old_pycode(t, names, square)
+                              for t in e.factors) + ")"
     if isinstance(e, Pow):
-        if e.exp == 2:   # squares are products in both compilers
-            return f"({_old_pycode(e.base, names)}*{_old_pycode(e.base, names)})"
+        base = _old_pycode(e.base, names, square)
+        if e.exp == 2 and square:   # the float backend writes a product
+            return f"({base}*{base})"
         if e.exp < 0:
-            return f"({_old_pycode(e.base, names)}**({float(e.exp)}))"
-        return f"({_old_pycode(e.base, names)}**{e.exp})"
+            return f"({base}**({float(e.exp)}))"
+        return f"({base}**{e.exp})"
     fn = {"sin": "_np.sin", "cos": "_np.cos", "exp": "_np.exp",
           "sqrt": "_np.sqrt", "abs": "_np.abs", "sign": "_np.sign"}[e.fname]
-    return f"{fn}({_old_pycode(e.arg, names)})"
+    return f"{fn}({_old_pycode(e.arg, names, square)})"
 
 
 def _old_compile_exprs(exprs, names):
@@ -584,7 +588,8 @@ class _OldScalarMath:
 
 
 def _old_compile_exprs_scalar(exprs, names):
-    body = "[" + ",".join(_old_pycode(e, list(names)) for e in exprs) + "]"
+    body = "[" + ",".join(_old_pycode(e, list(names), square=True)
+                          for e in exprs) + "]"
     return eval(f"lambda _a, _np=_sm: {body}", {"_sm": _OldScalarMath})
 
 
@@ -674,6 +679,14 @@ def test_kernel_source_writes_each_function_value_once(exprs):
     values = _func_values(exprs)
     for fname in ("sin", "cos", "abs", "sqrt", "exp", "sign"):
         assert src.count(f"_{fname}(") == len(values.get(fname, ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_expr_lists())
+def test_backends_agree_reads_the_kernel_operations(exprs):
+    src = _kernel_source(exprs, ["x1", "x2", "x3"])
+    inexact = ("**", "_exp(", "_sin(", "_cos(", "_sign(")
+    assert backends_agree(exprs) == (not any(op in src for op in inexact))
 
 
 def test_kernel_source_without_repeats_is_the_inlined_lambda():

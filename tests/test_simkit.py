@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from normform.backstep import ChainSystem, Stabilizer, synthesize
 from normform.expr import (Const, Func, Pow, Var, _kernel_source,
-                           compile_exprs, compile_exprs_scalar, parse,
-                           simplify)
-from normform.simkit import (SCALAR_RUNS, Signal, SimConfig, _exact,
+                           backends_agree, compile_exprs, compile_exprs_scalar,
+                           parse, simplify)
+from normform.simkit import (SCALAR_RUNS, Signal, SimConfig,
                              batch_simulate, l2_gain_check, lyapunov_monitor,
                              noise_signal, simulate, step_signal,
                              trace_to_csv, zero_signal)
@@ -391,10 +391,9 @@ def _bits(values, shape):
 
 @settings(max_examples=300, deadline=None)
 @given(exact_exprs(), st.integers(0, 3))
-def test_exact_kernels_agree_bit_for_bit(exprs, seed):
+def test_backends_agree_bit_for_bit(exprs, seed):
     names = ["x1", "x2", "x3"]
-    src = _kernel_source(exprs, names)
-    assert _exact(src) and "**" not in src
+    assert backends_agree(exprs) and "**" not in _kernel_source(exprs, names)
     pts = np.random.default_rng(seed).uniform(-3, 3, size=(3, 24))
     # signed zeros, infinities, nan, overflow and underflow in products
     pts[:, :8] = [[0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e-200, 0.0],
@@ -411,22 +410,21 @@ def test_exact_kernels_agree_bit_for_bit(exprs, seed):
 @pytest.mark.parametrize("text,token", [
     ("x1^3", "**3"), ("1/x1", "**(-1.0)"), ("exp(x1)", "_exp("),
     ("sin(x1)", "_sin("), ("cos(x1)", "_cos("), ("sign(x1)", "_sign(")])
-def test_exact_rejects_pow_and_transcendental_kernels(text, token):
-    src = _kernel_source([parse(text) + parse("sqrt(abs(x2))^2")], ["x1", "x2"])
-    assert token in src and not _exact(src)
+def test_backends_agree_rejects_pow_and_transcendental_kernels(text, token):
+    exprs = [parse(text) + parse("sqrt(abs(x2))^2")]
+    assert token in _kernel_source(exprs, ["x1", "x2"])
+    assert not backends_agree(exprs)
 
 
-def test_exact_accepts_the_closed_loops(systems_dir):
+def test_backends_agree_on_the_closed_loops(systems_dir):
     for fixture, order, gains in [
             ("nf_uchain.nf", "xi1_1,xi1_2,xi2_1,xi2_2", None),
             ("nf_uchain.nf", "xi1_1,xi2_1,xi1_2,xi2_2", None),
             ("nf_mixed.nf", "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
              {"xi1_1": 0, "xi3_1": 0, "xi2_1": 0})]:
         law, names = _loop(systems_dir, fixture, order, gains)
-        src = _kernel_source([simplify(e) for e in law.closed_loop_rhs()],
-                             names + ["w"])
-        assert _exact(src)
-    assert _exact(_kernel_source([parse("sqrt(x1) - 1e-05*abs(x1)^2")], ["x1"]))
+        assert backends_agree([simplify(e) for e in law.closed_loop_rhs()])
+    assert backends_agree([parse("sqrt(x1) - 1e-05*abs(x1)^2")])
 
 
 @pytest.mark.parametrize("nruns", [2, SCALAR_RUNS])
@@ -460,7 +458,7 @@ def test_small_batch_equals_its_rows_of_a_tiled_batch(systems_dir, key):
     k = len(x0)
     reps = SCALAR_RUNS // k + 1
     assert k < SCALAR_RUNS <= k * reps
-    assert _exact(_kernel_source([simplify(e) for e in rhs], names + ["w"]))
+    assert backends_agree([simplify(e) for e in rhs])
     small = simulate(rhs, names, x0, cfg, w_signal=signal, **kw)
     tiled = Signal(lambda t: np.tile(np.broadcast_to(signal.fn(t), k), reps))
     big = simulate(rhs, names, np.tile(x0, (reps, 1)), cfg, w_signal=tiled, **kw)
