@@ -1,5 +1,5 @@
-"""Golden outputs: `analyze` and `linzeros` must reproduce the files under
-tests/golden byte for byte.
+"""Golden outputs: `analyze`, `linzeros` and `backstep` followed by
+`simulate` must reproduce the files under tests/golden byte for byte.
 
 Regenerate them (only after checking that a change of output is intended)
 with `PYTHONPATH=src python tests/test_golden.py`.
@@ -23,6 +23,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ANALYZE = [(path.stem, zero) for path in sorted(SYS.glob("*.sys"))
            for zero in (False, True)]
 LINEAR = ["counter3", "exam1", "exam2", "exam_sch", "exam_sch_To"]
+# (backstep arguments, simulate arguments) per chain system
+SIMULATE = {
+    "nf_mixed": (["--kappa", "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
+                  "--gains", "xi1_1=0,xi3_1=0,xi2_1=0"],
+                 ["--x0", "0.5,0.2,-0.3,0.1,0.2,-0.1,0.3,0.2"]),
+    "nf_addexam": (["--kappa", "xi2_1,xi1_1,xi2_2", "--disturbance", "0.5",
+                    "--eps", "0", "--budgets", "1/12,1/12,1/12",
+                    "--gains", "xi2_1=1,xi1_1=1/3,xi2_2=1"],
+                   ["--x0", "0,0,0,0", "--signal", "step:0.5", "--gamma", "0.5"]),
+}
 
 
 def _analyze_name(stem, zero):
@@ -58,6 +68,22 @@ def _linzeros(name):
     return {f"{name}.stdout": f"exit {code}\n{out}"}
 
 
+def _simulate(stem, outdir):
+    """{file name: text} of `backstep` to stdout, then `simulate` of its
+    controller to stdout."""
+    nf = SYS / f"{stem}.nf"
+    backstep_args, simulate_args = SIMULATE[stem]
+    code, out = _run(["backstep", nf, *backstep_args])
+    files = {f"{stem}.backstep.stdout": f"exit {code}\n{out}"}
+    # stdout is the controller file followed by its JSON ledger
+    ctl = Path(outdir) / f"{stem}.ctl"
+    ctl.write_text(out[:out.rindex("\n[") + 1])
+    code, out = _run(["simulate", nf, "--controller", ctl, *simulate_args,
+                      "--dt", "0.01", "--horizon", "1"])
+    files[f"{stem}.simulate.stdout"] = f"exit {code}\n{out}"
+    return files
+
+
 @pytest.mark.parametrize("stem,zero", ANALYZE,
                          ids=[_analyze_name(*case) for case in ANALYZE])
 def test_analyze_golden(stem, zero, tmp_path):
@@ -71,14 +97,23 @@ def test_linzeros_golden(name):
         assert text == (GOLDEN / "linzeros" / fname).read_text(), fname
 
 
+@pytest.mark.parametrize("stem", SIMULATE)
+def test_simulate_golden(stem, tmp_path):
+    for fname, text in _simulate(stem, tmp_path).items():
+        assert text == (GOLDEN / "simulate" / fname).read_text(), fname
+
+
 def regenerate():
-    for sub in ("analyze", "linzeros"):
+    for sub in ("analyze", "linzeros", "simulate"):
         (GOLDEN / sub).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         files = {}
         for stem, zero in ANALYZE:
             files.update({f"analyze/{k}": v
                           for k, v in _analyze(stem, zero, tmp).items()})
+        for stem in SIMULATE:
+            files.update({f"simulate/{k}": v
+                          for k, v in _simulate(stem, tmp).items()})
     for name in LINEAR:
         files.update({f"linzeros/{k}": v for k, v in _linzeros(name).items()})
     for rel, text in files.items():
