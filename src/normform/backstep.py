@@ -645,20 +645,33 @@ def dissipative_backstep(eta_names, F, eta_dists, xi_name_, G, xi_dist,
     -(z/(4*budget))*(1 + Rbar^2) against the step's collected disturbance
     input Rbar.  With no disturbance the damping vanishes and the step
     reduces to the plain integrator backstep."""
-    cs = ChainSystem(q=[1], eta_names=eta_names, eta_dot=F,
-                     eta_dist=eta_dists, xi_dist={(1, 1): xi_dist}
+    # the one-chain system steps its xi1_1: xi_name_ is renamed to it on
+    # the way in and back on the way out
+    name = ChainSystem([1]).xi_name(1, 1)
+
+    def renamed(e, old, new):
+        if isinstance(e, Disturbance):
+            return Disturbance(*(renamed(p, old, new)
+                                 for p in (e.expr, e.lin, e.bound)))
+        return None if e is None else subs(e, {old: Var(new)})
+
+    def inward(e):
+        return renamed(e, xi_name_, name)
+
+    cs = ChainSystem(q=[1], eta_names=eta_names, eta_dot=[inward(f) for f in F],
+                     eta_dist=[inward(d) for d in eta_dists],
+                     xi_dist={(1, 1): inward(xi_dist)}
                      if xi_dist is not None else None)
-    stab = Stabilizer([phi], V)
-    engine = _Engine(cs, stab, gains={cs.xi_name(1, 1): c}, budgets=[budget])
-    name = cs.xi_name(1, 1)
+    stab = Stabilizer([inward(phi)], inward(V))
+    engine = _Engine(cs, stab, gains={name: c}, budgets=[inward(budget)])
     law = engine.step(name)
     if not is_zero(G):
         # extra known drift of the stepped equation is cancelled directly
-        law = simplify(law - engine.sigma(G))
+        law = simplify(law - engine.sigma(inward(G)))
         engine.vmap[cs.v_name(1)] = law
         engine.ledger[-1]["law"] = law
     claw = _finish(engine, [name])
-    return claw.v[0], claw.W
+    return renamed(claw.v[0], name, xi_name_), renamed(claw.W, name, xi_name_)
 
 
 def da_synthesize(system, kappa, stab, gamma, eps, budgets=None, gains=None):

@@ -164,7 +164,7 @@ def cmd_backstep(args):
     return EXIT_OK
 
 
-def _make_signal(spec):
+def _make_signal(spec, horizon):
     parts = spec.split(":")
     if parts[0] == "zero":
         return zero_signal()
@@ -173,7 +173,8 @@ def _make_signal(spec):
         scale = float(parts[2]) if len(parts) > 2 else 1.0
         return step_signal(off, scale)
     if parts[0] == "noise":
-        return noise_signal(int(parts[1]) if len(parts) > 1 else 0)
+        return noise_signal(int(parts[1]) if len(parts) > 1 else 0,
+                            horizon=horizon)
     raise ValueError(f"unknown signal spec {spec!r}")
 
 
@@ -189,9 +190,9 @@ def cmd_simulate(args):
     x0 = [float(t) for t in args.x0.split(",")]
     cfg = SimConfig(dt=args.dt, horizon=args.horizon, integrator=args.integrator)
     outputs = [Var(cs.xi_name(i + 1, 1)) for i in range(cs.m)]
-    trace = simulate(rhs, names, x0, cfg=cfg, w_signal=_make_signal(args.signal),
-                     input_exprs=law.v, output_exprs=outputs,
-                     V_expr=W)
+    trace = simulate(rhs, names, x0, cfg=cfg,
+                     w_signal=_make_signal(args.signal, cfg.horizon),
+                     input_exprs=law.v, output_exprs=outputs, V_expr=W)
     csv = trace_to_csv(trace)
     if args.csv:
         Path(args.csv).write_text(csv, encoding="utf-8")

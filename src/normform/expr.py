@@ -1061,7 +1061,13 @@ def _exp_or_inf(v):
 
 
 def _sqrt_or_nan(v):
-    return math.sqrt(v) if v >= 0 else math.nan
+    if v >= 0:
+        return math.sqrt(v)
+    import numpy as _np
+
+    # numpy's nan bits: its default nan below zero, a nan argument's own
+    with _np.errstate(invalid="ignore"):
+        return float(_np.sqrt(v))
 
 
 def _sign(v):

@@ -7,9 +7,11 @@ same bits on both backends (`expr.backends_agree`), one run at a time;
 there the per-step overhead of numpy would cost more than the arithmetic
 it vectorizes.  Any other batch compiles its right-hand side once into a
 vectorized numpy callable and advances an (n, nruns) state array in
-lockstep, one row per state variable.  A batch stores its trace as
-(T, n, nruns) and evaluates its channels with numpy either way.  Every
-path exposes the trace as (T, nruns, n).
+lockstep, one row per state variable.  Both routes give the same
+(T, n, nruns) states and (T, nruns) w values, and the channels u, y and V
+of every trace, a single run's included, are evaluated on them with numpy.
+Every trace exposes its states as (T, nruns, n); `Trace.single(k)` is a
+one-run view of the same shape.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class Signal:
         self.fn = fn
         self.label = label
 
-    def __call__(self, t, nruns=1):
+    def __call__(self, t):
         """A float when fn(t) is a scalar (a batch broadcasts it), else
         one value per run."""
         v = self.fn(t)
@@ -110,20 +112,19 @@ class Trace:
 
     @property
     def nruns(self):
-        return self.x.shape[1] if self.x.ndim == 3 else 1
+        return self.x.shape[1]
 
     def single(self, k=0):
-        """View of run k with 2-D arrays (time x channel)."""
-        return Trace(self.t, self.x[:, k], self.u[:, k], self.y[:, k],
+        """View of run k as a one-run trace, its arrays (T, 1, ...)."""
+        def run(a):
+            return None if a is None else a[:, k:k + 1]
+        return Trace(self.t, run(self.x), run(self.u), run(self.y),
                      self.names, self.input_names, self.output_names,
-                     self.diverged_runs[k:k + 1],
-                     w=None if self.w is None else self.w[:, k],
-                     V=None if self.V is None else self.V[:, k],
-                     int_y2=None if self.int_y2 is None else self.int_y2[:, k],
-                     int_w2=None if self.int_w2 is None else self.int_w2[:, k])
+                     self.diverged_runs[k:k + 1], w=run(self.w), V=run(self.V),
+                     int_y2=run(self.int_y2), int_w2=run(self.int_w2))
 
     def final_state(self, k=0):
-        return self.x[-1, k] if self.x.ndim == 3 else self.x[-1]
+        return self.x[-1, k]
 
 
 def _compile(exprs, names):
@@ -152,60 +153,30 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     nruns = x0.shape[0]
     rhs_exprs = [simplify(e) for e in rhs_exprs]
     if nruns == 1 or nruns < SCALAR_RUNS and backends_agree(rhs_exprs):
-        f = compile_exprs_scalar(rhs_exprs, names + ["w"])
-        if nruns > 1:   # a batch signal gives one value or one per run
-            np.broadcast_to(w_signal(0.0), nruns)
-        signals = [_run_signal(w_signal, j) for j in range(nruns)]
-        runs = [_run_scalar(f, x0[j], cfg, signals[j]) for j in range(nruns)]
-        alive = np.array([not diverged for _, _, diverged in runs])
-        ts = _times(max(len(xj) for xj, _, _ in runs) - 1, cfg.dt)
-        xs = np.empty((len(ts), n, nruns))
-        ws = np.empty((len(ts), nruns))
-        for j, (xj, wj, diverged) in enumerate(runs):
-            # a diverged state is kept only by the last runs to diverge;
-            # any other diverged run is frozen at its last accepted state
-            if diverged and (alive.any() or len(xj) < len(ts)):
-                xj = xj[:-1]
-            xs[:, :, j] = xj + xj[-1:] * (len(ts) - len(xj))
-            ws[:, j] = wj + [signals[j](t) for t in ts[len(wj):].tolist()]
+        run, f = _run_floats, compile_exprs_scalar(rhs_exprs, names + ["w"])
     else:
-        xs, ws, alive = _run_batch(_compile(rhs_exprs, names), x0, cfg,
-                                   w_signal)
-        ts = _times(len(xs) - 1, cfg.dt)
+        run, f = _run_batch, _compile(rhs_exprs, names)
+    xs, ws, alive = run(f, x0, cfg, w_signal)
+    ts = _times(len(xs) - 1, cfg.dt)
 
-    def channel(exprs):
-        out = np.empty((len(ts), nruns, len(exprs)))
-        if exprs and nruns == 1:
-            # a single run's channels stay on floats, row by row
-            fn = compile_exprs_scalar([simplify(e) for e in exprs], names + ["w"])
-            for k, (xk, wk) in enumerate(zip(*runs[0][:2])):
-                row = xk + [wk]
-                try:
-                    out[k, 0] = fn(row)
-                except (ZeroDivisionError, ValueError, OverflowError):
-                    # where a float operation raises, numpy's may give inf
-                    # or nan instead; a value undefined for both is nan
-                    try:
-                        with np.errstate(all="ignore"):
-                            out[k, 0] = fn([np.float64(v) for v in row])
-                    except (ZeroDivisionError, ValueError, OverflowError):
-                        out[k, 0] = np.nan
-        elif exprs:
-            with np.errstate(all="ignore"):
-                vals = _compile(exprs, names)([*xs.transpose(1, 0, 2), ws])
-            for j, v in enumerate(vals):
-                out[:, :, j] = v
-        return out
+    # u, y and V of every run in one kernel over the trace, then the running
+    # integrals of |y|^2 and w^2; on a diverging run they overflow quietly
+    exprs = [*input_exprs, *output_exprs] + ([V_expr] if V_expr is not None else [])
+    nu, ny = len(input_exprs), len(output_exprs)
+    channels = np.empty((len(ts), nruns, len(exprs)))
+    with np.errstate(all="ignore"):
+        vals = _compile(exprs, names)([*xs.transpose(1, 0, 2), ws])
+        for j, v in enumerate(vals):
+            channels[:, :, j] = v
+        ys = channels[:, :, nu:nu + ny]
+        int_y2 = _running_trapezoid(ts, np.sum(ys * ys, axis=2)) if ny else None
+        int_w2 = _running_trapezoid(ts, ws * ws)
 
-    us = channel(input_exprs)
-    ys = channel(output_exprs)
-    Vs = channel([V_expr])[:, :, 0] if V_expr is not None else None
-    int_y2, int_w2 = _energy_integrals(ts, ys, ws, len(output_exprs))
-
-    return Trace(ts, xs.transpose(0, 2, 1), us, ys, names,
-                 input_names or [f"u{i + 1}" for i in range(len(input_exprs))],
-                 output_names or [f"y{i + 1}" for i in range(len(output_exprs))],
-                 ~alive, w=ws, V=Vs, int_y2=int_y2, int_w2=int_w2)
+    return Trace(ts, xs.transpose(0, 2, 1), channels[:, :, :nu], ys, names,
+                 input_names or [f"u{i + 1}" for i in range(nu)],
+                 output_names or [f"y{i + 1}" for i in range(ny)], ~alive, w=ws,
+                 V=channels[:, :, -1] if V_expr is not None else None,
+                 int_y2=int_y2, int_w2=int_w2)
 
 
 def _times(last, dt):
@@ -233,7 +204,7 @@ def _run_batch(f, x0, cfg, w_signal):
     ws = np.empty((nsteps + 1, nruns))
     x = np.ascontiguousarray(x0.T)
     xs[0] = x
-    ws[0] = w_signal(0.0, nruns)
+    ws[0] = w_signal(0.0)
     k1, k2, k3, k4 = np.empty((4, n, nruns))
     alive = np.ones(nruns, dtype=bool)
     frozen = False
@@ -244,12 +215,12 @@ def _run_batch(f, x0, cfg, w_signal):
         for k in range(nsteps):
             t = k * dt
             if cfg.integrator == "euler":
-                xn = x + dt * rhs(x, w_signal(t, nruns), k1)
-                w4 = w_signal(t + dt, nruns)
+                xn = x + dt * rhs(x, w_signal(t), k1)
+                w4 = w_signal(t + dt)
             else:
-                w1 = w_signal(t, nruns)
-                w2 = w_signal(t + dt / 2, nruns)
-                w4 = w_signal(t + dt, nruns)
+                w1 = w_signal(t)
+                w2 = w_signal(t + dt / 2)
+                w4 = w_signal(t + dt)
                 rhs(x, w1, k1)
                 rhs(x + dt / 2 * k1, w2, k2)
                 rhs(x + dt / 2 * k2, w2, k3)
@@ -274,6 +245,28 @@ def _run_batch(f, x0, cfg, w_signal):
             ws[k + 1] = w4
             x = xn
     return xs[:last + 1], ws[:last + 1], alive
+
+
+def _run_floats(f, x0, cfg, w_signal):
+    """`_run_scalar` run by run, f its compiled right-hand side: the same
+    states, w values and live runs as `_run_batch`."""
+    nruns, n = x0.shape
+    if nruns > 1:   # a batch signal gives one value or one per run
+        np.broadcast_to(w_signal(0.0), nruns)
+    signals = [_run_signal(w_signal, j) for j in range(nruns)]
+    runs = [_run_scalar(f, x0[j], cfg, signals[j]) for j in range(nruns)]
+    alive = np.array([not diverged for _, _, diverged in runs])
+    ts = _times(max(len(xj) for xj, _, _ in runs) - 1, cfg.dt)
+    xs = np.empty((len(ts), n, nruns))
+    ws = np.empty((len(ts), nruns))
+    for j, (xj, wj, diverged) in enumerate(runs):
+        # a diverged state is kept only by the last runs to diverge;
+        # any other diverged run is frozen at its last accepted state
+        if diverged and (alive.any() or len(xj) < len(ts)):
+            xj = xj[:-1]
+        xs[:, :, j] = xj + xj[-1:] * (len(ts) - len(xj))
+        ws[:, j] = wj + [signals[j](t) for t in ts[len(wj):].tolist()]
+    return xs, ws, alive
 
 
 def _run_signal(w_signal, j):
@@ -329,14 +322,6 @@ def _run_scalar(f, x0, cfg, w):
     return xs, wsv, False
 
 
-def _energy_integrals(ts, ys, ws, nout):
-    """Running integrals of |y|^2 (None without outputs) and of w^2.  On a
-    diverging run they overflow to inf quietly."""
-    with np.errstate(all="ignore"):
-        int_y2 = _running_trapezoid(ts, np.sum(ys * ys, axis=2)) if nout else None
-        return int_y2, _running_trapezoid(ts, ws * ws)
-
-
 def _running_trapezoid(ts, vals):
     # in place: on a batch each temporary is trajectory-sized
     out = np.zeros_like(vals)
@@ -350,7 +335,7 @@ def lyapunov_monitor(trace, run=0):
     """Max single-step increase of V along the trace and the V series."""
     if trace.V is None:
         raise ValueError("trace carries no V channel")
-    V = trace.V[:, run] if trace.V.ndim == 2 else trace.V
+    V = trace.V[:, run]
     diffs = np.diff(V)
     return {"max_increase": float(np.max(diffs)) if diffs.size else 0.0,
             "V": V}
@@ -360,10 +345,8 @@ def l2_gain_check(trace, gamma, V0=0.0, run=0, rel_tol=1e-6):
     """Trapezoidal check of   int ||y||^2 <= gamma^2 int w^2 + V0."""
     if trace.int_y2 is None:
         raise ValueError("trace carries no output channel")
-    iy = trace.int_y2[:, run] if trace.int_y2.ndim == 2 else trace.int_y2
-    iw = trace.int_w2[:, run] if trace.int_w2.ndim == 2 else trace.int_w2
-    lhs = float(iy[-1])
-    rhs = float(gamma) ** 2 * float(iw[-1]) + float(V0)
+    lhs = float(trace.int_y2[-1, run])
+    rhs = float(gamma) ** 2 * float(trace.int_w2[-1, run]) + float(V0)
     return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs * (1.0 + rel_tol)}
 
 

@@ -394,12 +394,13 @@ def test_dissipative_single_step_matches_reference():
     assert simplify(W - parse("z^2/2 + xi1_1^2/2")) == const(0)
 
 
-def test_dissipative_single_step_zero_bounds_reduces():
+@pytest.mark.parametrize("xi", ["xi1_1", "s"])
+def test_dissipative_single_step_zero_bounds_reduces(xi):
     u, W = dissipative_backstep(
-        eta_names=["z"], F=[parse("-z + xi1_1")], eta_dists=[None],
-        xi_name_="xi1_1", G=parse("z^2"), xi_dist=None, phi=const(0),
+        eta_names=["z"], F=[parse(f"-z + {xi}")], eta_dists=[None],
+        xi_name_=xi, G=parse("z^2"), xi_dist=None, phi=const(0),
         V=parse("z^2/2"), budget=parse("gamma^2/3"), c=1)
-    ub, Wb = integrator_backstep(["z"], [parse("-z + xi1_1")], "xi1_1",
+    ub, Wb = integrator_backstep(["z"], [parse(f"-z + {xi}")], xi,
                                  parse("z^2"), const(0), parse("z^2/2"), c=1)
     assert simplify(u - ub) == const(0)
     assert simplify(W - Wb) == const(0)

@@ -141,6 +141,18 @@ def test_simulate_csv(tmp_path, capsys):
     assert len(lines) == 1002
 
 
+def test_noise_signal_spans_the_simulate_horizon():
+    import numpy as np
+    from normform.cli import _make_signal
+    from normform.simkit import noise_signal
+    sig = _make_signal("noise:7", 150.0)
+    assert not np.array_equal(sig(120.0), sig(140.0))
+    # the table fills row-major: draws before 100 s keep their values
+    old = noise_signal(7)
+    for t in np.arange(0.0, 100.0, 0.005).tolist():
+        assert np.array_equal(sig(t), old(t)), t
+
+
 def test_version_and_help():
     out = subprocess.run([sys.executable, "-m", "normform.cli", "--version"],
                          capture_output=True, text=True)

@@ -708,6 +708,17 @@ def test_compile_rejects_a_non_finite_constant():
         parse("x + 1e999")
 
 
+def test_scalar_sqrt_gives_numpy_nan_bits():
+    # numpy's default nan below zero; a nan argument keeps sign and payload
+    payload = np.array([0x7FF8000000001234], dtype=np.uint64).view(float)[0]
+    sqrt = compile_exprs_scalar([Func("sqrt", Var("x"))], ["x"])
+    for v in (-1.0, -0.0, -math.inf, math.nan, -math.nan, float(payload)):
+        with np.errstate(invalid="ignore"):
+            want = np.sqrt(np.float64(v))
+        got = np.float64(sqrt([v])[0])
+        assert got.view(np.uint64) == want.view(np.uint64), v
+
+
 def test_compile_binds_names_as_list_index_does():
     for compile_ in (compile_exprs, compile_exprs_scalar):
         with pytest.raises(EvalError, match="unbound variable 'y'"):

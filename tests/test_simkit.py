@@ -187,18 +187,18 @@ def _reference_batch(rhs_exprs, names, x0, cfg, w_signal, input_exprs=(),
     ws = np.empty((nsteps + 1, nruns))
     ts[0] = 0.0
     xs[0] = x0
-    ws[0] = w_signal(0.0, nruns)
+    ws[0] = w_signal(0.0)
     dt = cfg.dt
     last = nsteps
     for k in range(nsteps):
         t = k * dt
         x = xs[k]
         if cfg.integrator == "euler":
-            xn = x + dt * rhs(x, w_signal(t, nruns))
+            xn = x + dt * rhs(x, w_signal(t))
         else:
-            w1 = w_signal(t, nruns)
-            w2 = w_signal(t + dt / 2, nruns)
-            w4 = w_signal(t + dt, nruns)
+            w1 = w_signal(t)
+            w2 = w_signal(t + dt / 2)
+            w4 = w_signal(t + dt)
             k1 = rhs(x, w1)
             k2 = rhs(x + dt / 2 * k1, w2)
             k3 = rhs(x + dt / 2 * k2, w2)
@@ -206,7 +206,7 @@ def _reference_batch(rhs_exprs, names, x0, cfg, w_signal, input_exprs=(),
             xn = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         ts[k + 1] = t + dt
         xs[k + 1] = xn
-        ws[k + 1] = w_signal(t + dt, nruns)
+        ws[k + 1] = w_signal(t + dt)
         if not np.all(np.isfinite(xn)) or \
                 np.max(np.linalg.norm(xn, axis=1)) > 1e8:
             last = k + 1
@@ -436,7 +436,7 @@ def test_batch_signal_needs_one_value_or_one_per_run(nruns):
 
 
 def _tiled_case(systems_dir, key):
-    if key != "mixed":
+    if not key.startswith("mixed"):
         x0 = {"x1^2-mixed": [[1.0], [-0.5]], "x1^2-all": [[2.0], [1.0]]}[key]
         return ([parse("x1^2")], ["x1"], np.array(x0), step_signal(2.0),
                 dict(input_exprs=[parse("-x1")], output_exprs=[parse("x1^2 + w")],
@@ -447,12 +447,14 @@ def _tiled_case(systems_dir, key):
     rhs = law.closed_loop_rhs()
     rhs[0] = rhs[0] + parse("w/10")
     x0 = np.random.default_rng(7).uniform(-1, 1, size=(3, len(names)))
-    return (rhs, names, x0, noise_signal(11, horizon=1.0, nruns=3),
+    if key == "mixed-one":
+        x0 = x0[:1]
+    return (rhs, names, x0, noise_signal(11, horizon=1.0, nruns=len(x0)),
             dict(input_exprs=law.v, output_exprs=[parse("xi1_1"), parse("eta1*w")],
                  V_expr=law.W), SimConfig(dt=2e-3, horizon=0.6))
 
 
-@pytest.mark.parametrize("key", ["x1^2-mixed", "x1^2-all", "mixed"])
+@pytest.mark.parametrize("key", ["x1^2-mixed", "x1^2-all", "mixed", "mixed-one"])
 def test_small_batch_equals_its_rows_of_a_tiled_batch(systems_dir, key):
     rhs, names, x0, signal, kw, cfg = _tiled_case(systems_dir, key)
     k = len(x0)
@@ -468,7 +470,7 @@ def test_small_batch_equals_its_rows_of_a_tiled_batch(systems_dir, key):
             else big.diverged_runs[:k]
         assert np.ascontiguousarray(want).tobytes() == \
             np.ascontiguousarray(getattr(small, name)).tobytes(), name
-    assert small.diverged == (key != "mixed")
+    assert small.diverged == (not key.startswith("mixed"))
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +481,13 @@ def test_small_batch_equals_its_rows_of_a_tiled_batch(systems_dir, key):
 def _reference_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
                       output_exprs, V_expr):
     """The single-run loop as it stood before its channels moved onto the
-    step loop's lists: a per-step np.isfinite test and channels evaluated
-    per row of the state array, on numpy scalars.  Kept as the reference
-    for bit identity."""
-    from normform.expr import compile_exprs_scalar, simplify
+    step loop's lists: a per-step np.isfinite test, and channels evaluated
+    step by step on one-run numpy arrays, as `_reference_batch` does.  Kept
+    as the reference for bit identity."""
+    from normform.expr import compile_exprs, compile_exprs_scalar, simplify
 
-    def comp(exprs):
-        return compile_exprs_scalar([simplify(e) for e in exprs], names + ["w"])
+    def comp(exprs, compiler=compile_exprs_scalar):
+        return compiler([simplify(e) for e in exprs], names + ["w"])
 
     f = comp(rhs_exprs)
 
@@ -527,15 +529,13 @@ def _reference_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
         width = len(exprs)
         if width == 0:
             return np.zeros((len(ts), 1, 0))
-        fn = comp(exprs)
+        fn = comp(exprs, compile_exprs)
         out = np.empty((len(ts), 1, width))
         for k in range(len(ts)):
-            try:
-                with np.errstate(all="ignore"):
-                    vals = fn(list(xs[k, 0]) + [ws[k, 0]])
-            except (ZeroDivisionError, ValueError, OverflowError):
-                vals = [np.nan] * width
-            out[k, 0] = vals
+            with np.errstate(all="ignore"):
+                vals = fn([*xs[k].T, ws[k]])
+            out[k] = np.stack([np.broadcast_to(np.asarray(v, dtype=float), (1,))
+                               for v in vals], axis=1)
         return out
 
     ys = channel(output_exprs)
