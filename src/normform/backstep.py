@@ -17,6 +17,7 @@ otherwise, and completes the square against a per-step supply budget.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -645,20 +646,30 @@ def dissipative_backstep(eta_names, F, eta_dists, xi_name_, G, xi_dist,
     -(z/(4*budget))*(1 + Rbar^2) against the step's collected disturbance
     input Rbar.  With no disturbance the damping vanishes and the step
     reduces to the plain integrator backstep."""
-    # the one-chain system steps its xi1_1: xi_name_ is renamed to it on
-    # the way in and back on the way out
-    name = ChainSystem([1]).xi_name(1, 1)
+    # the one-chain system steps xi1_1 and reserves v1 and w: inward,
+    # xi_name_ becomes xi1_1 and such an eta name a fresh one; outward, back
+    one = ChainSystem([1])
+    name = one.xi_name(1, 1)
+    dists = [d for d in (*eta_dists, xi_dist) if d is not None]
+    taken = set(eta_names).union(*map(free_vars, [
+        *F, G, phi, V, budget,
+        *(p for d in dists for p in (d.expr, d.lin, d.bound) if p is not None)]))
+    fresh = (f"eta_{k}" for k in itertools.count(1) if f"eta_{k}" not in taken)
+    inmap = {nm: next(fresh) for nm in eta_names
+             if nm in (name, one.v_name(1), W_NAME)}
+    inmap[xi_name_] = name   # an eta name xi_name_ also maps here: refused
 
-    def renamed(e, old, new):
+    def renamed(e, mapping):
         if isinstance(e, Disturbance):
-            return Disturbance(*(renamed(p, old, new)
+            return Disturbance(*(renamed(p, mapping)
                                  for p in (e.expr, e.lin, e.bound)))
-        return None if e is None else subs(e, {old: Var(new)})
+        return None if e is None else subs(e, mapping)
 
     def inward(e):
-        return renamed(e, xi_name_, name)
+        return renamed(e, {old: Var(new) for old, new in inmap.items()})
 
-    cs = ChainSystem(q=[1], eta_names=eta_names, eta_dot=[inward(f) for f in F],
+    cs = ChainSystem(q=[1], eta_names=[inmap.get(nm, nm) for nm in eta_names],
+                     eta_dot=[inward(f) for f in F],
                      eta_dist=[inward(d) for d in eta_dists],
                      xi_dist={(1, 1): inward(xi_dist)}
                      if xi_dist is not None else None)
@@ -671,7 +682,8 @@ def dissipative_backstep(eta_names, F, eta_dists, xi_name_, G, xi_dist,
         engine.vmap[cs.v_name(1)] = law
         engine.ledger[-1]["law"] = law
     claw = _finish(engine, [name])
-    return renamed(claw.v[0], name, xi_name_), renamed(claw.W, name, xi_name_)
+    outward = {new: Var(old) for old, new in inmap.items()}
+    return renamed(claw.v[0], outward), renamed(claw.W, outward)
 
 
 def da_synthesize(system, kappa, stab, gamma, eps, budgets=None, gains=None):

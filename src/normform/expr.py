@@ -703,10 +703,10 @@ def _fold_func(fname, value):
         return 1 if fname in ("cos", "exp") else 0
     if isinstance(value, float):
         try:
-            return {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                    "sqrt": math.sqrt}[fname](value)
-        except (ValueError, OverflowError):
+            out = _SCALAR_FUNCS["_" + fname](value)
+        except ValueError:
             return None
+        return out if math.isfinite(out) else None
     return None
 
 
@@ -897,45 +897,6 @@ def _var_names(e):
     return out
 
 
-_MATH_ENV = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
-    "abs": abs, "sign": lambda v: (v > 0) - (v < 0),
-}
-
-
-def evalf(e, env):
-    """Evaluate at a point given as {name: float}.  Raises EvalError when the
-    expression is undefined there (division by zero, sqrt of a negative)."""
-    def ev(n):
-        if isinstance(n, Const):
-            return float(n.value)
-        if isinstance(n, Var):
-            try:
-                return float(env[n.name])
-            except KeyError:
-                raise EvalError(f"unbound variable {n.name!r}") from None
-        if isinstance(n, Add):
-            return sum(ev(t) for t in n.terms)
-        if isinstance(n, Mul):
-            out = 1.0
-            for t in n.factors:
-                out *= ev(t)
-            return out
-        if isinstance(n, Pow):
-            b = ev(n.base)
-            if n.exp < 0 and b == 0.0:
-                raise EvalError("division by zero")
-            return b ** n.exp
-        if isinstance(n, Func):
-            a = ev(n.arg)
-            if n.fname == "sqrt" and a < 0:
-                raise EvalError("sqrt of negative value")
-            return _MATH_ENV[n.fname](a)
-        raise TypeError(f"unknown node {n!r}")
-
-    return ev(_as_expr(e))
-
-
 # ---------------------------------------------------------------------------
 # Compilation: one value-numbering code generator, two backends
 # ---------------------------------------------------------------------------
@@ -1085,6 +1046,24 @@ def compile_exprs_scalar(exprs, names):
     for single runs)."""
     src = _kernel_source(exprs, names)
     return eval(src, dict(_SCALAR_FUNCS))  # noqa: S307 - from our own AST
+
+
+def evalf(e, env):
+    """Value at one point given as {name: float}: one call of the scalar
+    kernel (compile_exprs_scalar), with the contract of SymMatrix.sample.
+    Raises EvalError when a variable is unbound, when the kernel raises (a
+    division by zero, an overflow, a math domain error) or when the value
+    is not finite; inner values follow IEEE 754 as in the kernel, so the
+    nan of sqrt(-1) surfaces as a non-finite value."""
+    fn = compile_exprs_scalar([e], list(env))
+    try:
+        (v,) = fn([float(x) for x in env.values()])
+        v = float(v)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise EvalError(str(exc)) from None
+    if not math.isfinite(v):
+        raise EvalError(f"value {v} is not finite")
+    return v
 
 
 def backends_agree(exprs):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import (EvalError, _diff_raw, compile_exprs, diff, evalf,
-                   free_vars, simplify, subs, const)
+from .expr import (EvalError, _diff_raw, compile_exprs, diff, free_vars,
+                   simplify, subs, const)
 
 __all__ = ["VectorField", "SymMatrix", "jacobian", "lie_derivative",
            "lie_bracket", "ad_power", "bracket_sampler", "involutive", "rank",
@@ -108,12 +108,9 @@ class SymMatrix:
         return SymMatrix([[subs(e, mapping) for e in r] for r in self.rows])
 
     def eval_at(self, env):
-        n, m = self.shape
-        out = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                out[i, j] = evalf(self.rows[i][j], env)
-        return out
+        """Values at one point {name: float}: `sample` at that point."""
+        return self.sample(list(env), np.fromiter(env.values(), float,
+                                                  len(env))[:, None])[0]
 
     def sample(self, states, points, finite=True):
         """Values at the columns of the (n, P) array `points`, whose rows
@@ -240,7 +237,7 @@ class VectorField:
         return SymMatrix([[c] for c in self.components])
 
     def eval_at(self, env):
-        return np.array([evalf(c, env) for c in self.components])
+        return SymMatrix([self.components]).eval_at(env)[0]
 
     def is_zero(self):
         return all(c == const(0) for c in self.components)

@@ -127,10 +127,6 @@ class Trace:
         return self.x[-1, k]
 
 
-def _compile(exprs, names):
-    return compile_exprs([simplify(e) for e in exprs], list(names) + ["w"])
-
-
 def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
              input_exprs=(), output_exprs=(), V_expr=None, input_names=None,
              output_names=None):
@@ -155,7 +151,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     if nruns == 1 or nruns < SCALAR_RUNS and backends_agree(rhs_exprs):
         run, f = _run_floats, compile_exprs_scalar(rhs_exprs, names + ["w"])
     else:
-        run, f = _run_batch, _compile(rhs_exprs, names)
+        run, f = _run_batch, compile_exprs(rhs_exprs, names + ["w"])
     xs, ws, alive = run(f, x0, cfg, w_signal)
     ts = _times(len(xs) - 1, cfg.dt)
 
@@ -165,7 +161,8 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     nu, ny = len(input_exprs), len(output_exprs)
     channels = np.empty((len(ts), nruns, len(exprs)))
     with np.errstate(all="ignore"):
-        vals = _compile(exprs, names)([*xs.transpose(1, 0, 2), ws])
+        vals = compile_exprs([simplify(e) for e in exprs],
+                             names + ["w"])([*xs.transpose(1, 0, 2), ws])
         for j, v in enumerate(vals):
             channels[:, :, j] = v
         ys = channels[:, :, nu:nu + ny]
@@ -251,8 +248,8 @@ def _run_floats(f, x0, cfg, w_signal):
     """`_run_scalar` run by run, f its compiled right-hand side: the same
     states, w values and live runs as `_run_batch`."""
     nruns, n = x0.shape
-    if nruns > 1:   # a batch signal gives one value or one per run
-        np.broadcast_to(w_signal(0.0), nruns)
+    # a signal gives one value or one per run
+    np.broadcast_to(w_signal(0.0), nruns)
     signals = [_run_signal(w_signal, j) for j in range(nruns)]
     runs = [_run_scalar(f, x0[j], cfg, signals[j]) for j in range(nruns)]
     alive = np.array([not diverged for _, _, diverged in runs])

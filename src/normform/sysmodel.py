@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import (Var, compile_exprs, evalf, free_vars, parse, render,
-                   sample_box, simplify)
+from .expr import (Var, compile_exprs, free_vars, parse, render, sample_box,
+                   simplify)
 from .geom import SymMatrix, VectorField, rank
 
 __all__ = ["AffineSystem", "SamplePlan", "RankReport", "SystemFormatError",
@@ -60,9 +60,12 @@ class AffineSystem:
         return len(self.h)
 
     def _validate(self):
-        _check_entries("f", self.f.components, self.states)
-        _check_entries("h", self.h, self.states)
-        _check_entries("g", [e for r in self.g.rows for e in r], self.states)
+        for label, exprs in (("f", self.f.components), ("h", self.h),
+                             ("g", [e for r in self.g.rows for e in r])):
+            stray = set().union(*map(free_vars, exprs)) - set(self.states)
+            if stray:
+                raise ValueError(f"{label} references unknown variables {sorted(stray)}")
+        _check_origin(self.f.components, self.h, self.states)
         for s, (lo, hi) in self.domain.items():
             if not lo < 0.0 < hi:
                 raise ValueError(f"domain for {s} must contain 0, got [{lo}, {hi}]")
@@ -74,16 +77,25 @@ class AffineSystem:
         return np.zeros(self.n)
 
 
-def _check_entries(label, exprs, states):
-    """Raise ValueError unless each expression reads only the states and,
-    in f and h, vanishes at x = 0."""
-    origin = dict.fromkeys(states, 0.0)
-    for i, e in enumerate(exprs):
-        stray = free_vars(e) - set(states)
-        if stray:
-            raise ValueError(f"{label} references unknown variables {sorted(stray)}")
-        if label != "g" and evalf(e, origin) != 0.0:
-            raise ValueError(f"{label}(0)≠0: component {i + 1} is {render(e)} at x=0")
+class OriginError(ValueError):
+    """f or h is undefined or not 0 at x = 0; `label` says which."""
+
+    def __init__(self, label, message):
+        super().__init__(message)
+        self.label = label
+
+
+def _check_origin(f, h, states):
+    """Raise OriginError naming the first component of f or h that is
+    undefined or not 0 at x = 0; all are evaluated in one kernel."""
+    values = SymMatrix([f + h]).sample(states, np.zeros((len(states), 1)),
+                                       finite=False)[0, 0]
+    for k, (e, v) in enumerate(zip(f + h, values)):
+        if v != 0.0:   # nan included
+            label, i = ("f", k) if k < len(f) else ("h", k - len(f))
+            fault = "≠0" if np.isfinite(v) else " is undefined"
+            raise OriginError(label, f"{label}(0){fault}: component {i + 1} "
+                              f"is {render(e)} at x=0")
 
 
 class SamplePlan:
@@ -300,11 +312,10 @@ def loads_system(text, name=""):
         raise SystemFormatError("empty [states] section", sec["states"].line)
 
     def row(label, items, lineno, width=None):
-        out = [parse_entry(src, lineno) for src in items]
-        with at_line(lineno):
-            if width is not None and len(out) != width:
-                raise ValueError(f"[{label}] has {len(out)} entries, expected {width}")
-            _check_entries(label, out, states)
+        out = parse_entries(items, lineno, states)
+        if width is not None and len(out) != width:
+            raise SystemFormatError(f"[{label}] has {len(out)} entries, "
+                                    f"expected {width}", lineno)
         return out
 
     f = row("f", sec["f"].vector(), sec["f"].start, len(states))
@@ -326,7 +337,10 @@ def loads_system(text, name=""):
             lo, hi = domain[key] = (float(parts[0]), float(parts[1]))
             if not lo < 0.0 < hi:
                 raise ValueError(f"domain for {key} must contain 0, got [{lo}, {hi}]")
-    return AffineSystem(states, f, g, h, domain or None, name=name)
+    try:
+        return AffineSystem(states, f, g, h, domain or None, name=name)
+    except OriginError as exc:
+        raise SystemFormatError(str(exc), sec[exc.label].start) from None
 
 
 def load_system(path):

@@ -119,3 +119,45 @@ def _reference_diff_raw(e, name):
              "abs": lambda: Func("sign", u),
              "sign": lambda: ZERO}[e.fname]()
     return Mul((outer, inner))
+
+
+def _reference_evalf(e, env):
+    """The recursive tree walk that evaluated at one point before evalf
+    became a call of the scalar kernel: Python floats node by node, a sum
+    from 0, EvalError at a pole and at the sqrt of a negative value, and
+    whatever else the float operations raise or return (an exp overflow
+    raises OverflowError, a product overflow gives inf)."""
+    import math
+
+    from normform.expr import Add, Const, EvalError, Func, Mul, Pow, Var
+    funcs = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+             "sqrt": math.sqrt, "abs": abs, "sign": lambda v: (v > 0) - (v < 0)}
+
+    def ev(n):
+        if isinstance(n, Const):
+            return float(n.value)
+        if isinstance(n, Var):
+            try:
+                return float(env[n.name])
+            except KeyError:
+                raise EvalError(f"unbound variable {n.name!r}") from None
+        if isinstance(n, Add):
+            return sum(ev(t) for t in n.terms)
+        if isinstance(n, Mul):
+            out = 1.0
+            for t in n.factors:
+                out *= ev(t)
+            return out
+        if isinstance(n, Pow):
+            b = ev(n.base)
+            if n.exp < 0 and b == 0.0:
+                raise EvalError("division by zero")
+            return b ** n.exp
+        if isinstance(n, Func):
+            a = ev(n.arg)
+            if n.fname == "sqrt" and a < 0:
+                raise EvalError("sqrt of negative value")
+            return funcs[n.fname](a)
+        raise TypeError(f"unknown node {n!r}")
+
+    return ev(e)

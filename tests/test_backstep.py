@@ -11,7 +11,7 @@ from normform.backstep import (ChainSystem, ControlLaw, Disturbance,
                                low_gain, parse_kappa, semi_global_synthesize,
                                synthesize, validate_order)
 from normform.expr import (EvalError, Func, Var, const, diff, evalf, parse,
-                           simplify)
+                           simplify, subs)
 
 
 @pytest.fixture(scope="module")
@@ -404,6 +404,30 @@ def test_dissipative_single_step_zero_bounds_reduces(xi):
                                  parse("z^2"), const(0), parse("z^2/2"), c=1)
     assert simplify(u - ub) == const(0)
     assert simplify(W - Wb) == const(0)
+
+
+def test_dissipative_renames_an_eta_name_the_step_reserves():
+    # the one-chain system reserves xi1_1, v1 and w; an eta state may still
+    # carry one of those names when the stepped variable is named otherwise
+    def design(eta, disturbed):
+        dist = Disturbance(lin=parse(f"{eta}^2")) if disturbed else None
+        return dissipative_backstep(
+            eta_names=[eta], F=[parse(f"-{eta} + s")], eta_dists=[dist],
+            xi_name_="s", G=parse(f"{eta}^2"), xi_dist=dist,
+            phi=parse(f"-{eta}"), V=parse(f"{eta}^2/2"),
+            budget=parse("gamma^2/3"), c=1)
+
+    for eta in ("xi1_1", "v1", "w"):
+        u, W = design(eta, True)
+        un, Wn = design("z", True)
+        assert simplify(u - subs(un, {"z": Var(eta)})) == const(0)
+        assert simplify(W - subs(Wn, {"z": Var(eta)})) == const(0)
+        u, W = design(eta, False)
+        ub, Wb = integrator_backstep([eta], [parse(f"-{eta} + s")], "s",
+                                     parse(f"{eta}^2"), parse(f"-{eta}"),
+                                     parse(f"{eta}^2/2"), c=1)
+        assert simplify(u - ub) == const(0)
+        assert simplify(W - Wb) == const(0)
 
 
 def test_synthesize_without_residual_block():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from normform.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -60,6 +62,24 @@ def test_analyze_undefined_entry_exit_2(tmp_path):
     assert "RuntimeWarning" not in out.stderr
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert report["failure"]["step"] == 1
+
+
+@pytest.mark.parametrize("f, h, line, message", [
+    ("x2 + 1, x1", "x1", 4, "f(0)≠0: component 1 is 1 + x2 at x=0"),
+    ("1/x1, x1", "x1", 4, None),                # undefined at the origin
+    ("x2, x1", "sqrt(x1 - 1)", 9, None),
+])
+def test_analyze_system_not_zero_at_the_origin_exit_1(tmp_path, capsys, f, h,
+                                                       line, message):
+    path = tmp_path / "origin.sys"
+    path.write_text(f"[states]\n[x1, x2]\n[f]\n[{f}]\n[g]\n[0]\n[1]\n"
+                    f"[h]\n[{h}]\n")
+    code, out, err = run_main(["analyze", path], capsys)
+    assert code == 1 and out == ""
+    # one line, no traceback
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == f"error: line {line}: {message}\n"
 
 
 def test_analyze_missing_file(capsys):

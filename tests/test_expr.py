@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import _reference_diff_raw
+from conftest import _reference_diff_raw, _reference_evalf
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, TERM_BUDGET, ZERO,
                            Add, Const, EvalError, Func, Mul, ParseError, Pow,
                            Var, _diff_raw, _kernel_source, _var_names,
@@ -480,8 +480,8 @@ def _reference_numeric_equivalent(e1, e2, seed=0, points=32, tol=1e-9,
             raise EvalError("could not find enough valid sample points")
         env = {n: rng.uniform(*(box or {}).get(n, (-0.9, 0.9))) for n in names}
         try:
-            v1 = evalf(e1, env)
-            v2 = evalf(e2, env)
+            v1 = _reference_evalf(e1, env)
+            v2 = _reference_evalf(e2, env)
         except EvalError:
             continue
         if not (math.isfinite(v1) and math.isfinite(v2)):
@@ -522,7 +522,7 @@ def test_numeric_equivalent_matches_per_point_reference(e1, e2, pair, box,
         want = _verdict(_reference_numeric_equivalent, e1, e2, seed=seed,
                         box=box)
     except OverflowError:
-        assume(False)   # the reference loop's crash, pinned above
+        assume(False)   # the reference walk lets an exp overflow escape
     assert _verdict(numeric_equivalent, e1, e2, seed=seed, box=box) == want
 
 
@@ -725,6 +725,83 @@ def test_compile_binds_names_as_list_index_does():
             compile_([Var("x") + Var("y")], ["x"])
         # a repeated name reads its first slot
         assert compile_([Var("w")], ["w", "x", "w"])([1.0, 2.0, 3.0]) == [1.0]
+
+
+def _squares_as_products(e):
+    if isinstance(e, (Const, Var)):
+        return e
+    if isinstance(e, Pow):
+        b = _squares_as_products(e.base)
+        return Mul((b, b)) if e.exp == 2 else Pow(b, e.exp)
+    if isinstance(e, Func):
+        return Func(e.fname, _squares_as_products(e.arg))
+    kids = tuple(map(_squares_as_products, getattr(e, "terms", ())
+                     or e.factors))
+    return Add(kids) if isinstance(e, Add) else Mul(kids)
+
+
+def _subtrees(e):
+    yield e
+    for c in getattr(e, "terms", ()) + getattr(e, "factors", ()):
+        yield from _subtrees(c)
+    if isinstance(e, (Pow, Func)):
+        yield from _subtrees(e.base if isinstance(e, Pow) else e.arg)
+
+
+def _finite_or_none(evaluate, e, env):
+    try:
+        v = evaluate(e, env)
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_expr_lists(), st.integers(0, 3))
+def test_evalf_matches_the_reference_walk(exprs, seed):
+    names = ["x1", "x2", "x3"]
+    pts = np.random.default_rng(seed).uniform(-2, 2, size=(3, 8))
+    # poles, overflow in powers and products, and tiny values
+    pts[:, :5] = [[0.0, 1.0, -1.0, 1e200, -3e160],
+                  [0.0, 0.0, 2.0, 0.0, 1e-200],
+                  [0.0, 1.0, 0.0, -1e155, 2.0]]
+    for e in exprs:
+        as_products = _squares_as_products(e)
+        squares = any(isinstance(s, Pow) and s.exp == 2 for s in _subtrees(e))
+        for p in pts.T.tolist():
+            env = dict(zip(names, p))
+            want = _finite_or_none(_reference_evalf, e, env)
+            try:
+                got = evalf(e, env)
+            except EvalError:
+                got = None
+            if got is None:
+                assert want is None
+            elif want is None:
+                # the kernel carries an inner inf or nan on, as
+                # SymMatrix.sample does: 1/inf is 0, sign(nan) is 0
+                assert any(_finite_or_none(evalf, s, env) is None
+                           for s in _subtrees(e))
+            else:
+                # bit for bit with each square written as a product (a sum
+                # from 0 may give 0.0 for -0.0); a square itself is a pow
+                # in the walk and can differ from the product by one ulp
+                assert got == _reference_evalf(as_products, env)
+                if not squares:
+                    assert got == want
+    for x in pts[:, 5:].ravel().tolist():
+        square = evalf(Pow(Var("x"), 2), {"x": x})
+        assert abs(square - x ** 2) <= math.ulp(x ** 2)
+
+
+def test_evalf_raises_eval_error_where_undefined():
+    x = Var("x")
+    for e, env in [(Pow(x, -1), {"x": 0.0}), (Func("sqrt", x), {"x": -1.0}),
+                   (Func("exp", x), {"x": 1e3}), (x * x * x, {"x": 1e200}),
+                   (Func("sin", x), {"x": math.inf}), (x + Var("y"), {"x": 1.0})]:
+        with pytest.raises(EvalError):
+            evalf(e, env)
+    assert evalf(parse("2"), {}) == 2.0 and type(evalf(parse("2"), {})) is float
 
 
 # ---------------------------------------------------------------------------

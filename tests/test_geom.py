@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _reference_diff_raw
+from conftest import _reference_diff_raw, _reference_evalf
 from normform import geom
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS,
                            EvalError, Pow, Var, const, evalf, parse,
@@ -162,10 +162,11 @@ def test_sampled_bracket_matches_symbolic(fields, seed):
     for p in range(pts.shape[1]):
         env = dict(zip(names, pts[:, p]))
         for f, got in zip(fields, vals[:, :, p]):
-            assert np.allclose(got, [evalf(c, env) for c in f.components],
+            assert np.allclose(got, [_reference_evalf(c, env)
+                                     for c in f.components],
                                rtol=1e-12, atol=0)
         for i, sym in enumerate(symbolic):
-            want = [evalf(c, env) for c in sym.components]
+            want = [_reference_evalf(c, env) for c in sym.components]
             assert np.all(np.abs(br[i, :, p] - want)
                           <= 1e-9 * (1 + scale[i, :, p]))
 
@@ -309,8 +310,10 @@ def test_sample_matches_eval_at():
     vals = M.sample(states, pts)
     assert vals.shape == (40, 3, 3)
     for p in range(pts.shape[1]):
-        want = M.eval_at(dict(zip(states, pts[:, p])))
+        env = dict(zip(states, pts[:, p]))
+        want = [[_reference_evalf(e, env) for e in r] for r in M.rows]
         assert np.allclose(vals[p], want, rtol=1e-12, atol=0.0)
+        assert np.allclose(M.eval_at(env), want, rtol=1e-12, atol=0.0)
 
 
 def test_sample_shapes_and_constants():

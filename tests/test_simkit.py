@@ -427,9 +427,9 @@ def test_backends_agree_on_the_closed_loops(systems_dir):
     assert backends_agree([parse("sqrt(x1) - 1e-05*abs(x1)^2")])
 
 
-@pytest.mark.parametrize("nruns", [2, SCALAR_RUNS])
+@pytest.mark.parametrize("nruns", [1, 2, SCALAR_RUNS])
 def test_batch_signal_needs_one_value_or_one_per_run(nruns):
-    wrong = Signal(lambda t: np.zeros(3))
+    wrong = noise_signal(1, horizon=0.1, nruns=3)
     with pytest.raises(ValueError):
         simulate([parse("-x1 + w")], ["x1"], [[0.1]] * nruns,
                  SimConfig(dt=1e-2, horizon=0.1), w_signal=wrong)

@@ -57,6 +57,31 @@ def test_invariant_f_at_zero():
         loads_system(text)
 
 
+def test_origin_check_names_the_component_in_one_kernel(monkeypatch):
+    from normform import geom
+    compiled = []
+
+    def counting(exprs, names):
+        compiled.append(len(exprs))
+        return compile_exprs(exprs, names)
+
+    monkeypatch.setattr(geom, "compile_exprs", counting)
+    g = [[parse("0")], [parse("1")]]
+    AffineSystem(["x1", "x2"], [parse("x2"), parse("sin(x1)")], g,
+                 [parse("x1"), parse("x2^2")])
+    assert compiled == [4]   # f and h together
+    for f, h, message in [
+            (["x2", "x1 + 1"], ["x1"], "f(0)≠0: component 2 is 1 + x1 at x=0"),
+            (["x2", "x1"], ["x2", "1/x1"], "h(0) is undefined: component 2 is "
+             "1/x1 at x=0"),
+            (["x2", "x1"], ["sqrt(x1 - 1)"], "h(0) is undefined: component 1 "
+             "is sqrt(-1 + x1) at x=0")]:
+        with pytest.raises(ValueError) as info:
+            AffineSystem(["x1", "x2"], [parse(e) for e in f], g,
+                         [parse(e) for e in h])
+        assert str(info.value) == message
+
+
 def test_parse_error_reports_line():
     text = "[states]\n[x1]\n[f]\n[x1*]\n[g]\n[1]\n[h]\n[x1]\n"
     with pytest.raises(SystemFormatError, match="line 4"):
