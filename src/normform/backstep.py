@@ -648,6 +648,8 @@ def dissipative_backstep(eta_names, F, eta_dists, xi_name_, G, xi_dist,
     reduces to the plain integrator backstep."""
     # the one-chain system steps xi1_1 and reserves v1 and w: inward,
     # xi_name_ becomes xi1_1 and such an eta name a fresh one; outward, back
+    if xi_name_ in eta_names:
+        raise ValueError(f"eta names collide with the stepped name {xi_name_!r}")
     one = ChainSystem([1])
     name = one.xi_name(1, 1)
     dists = [d for d in (*eta_dists, xi_dist) if d is not None]
@@ -657,7 +659,7 @@ def dissipative_backstep(eta_names, F, eta_dists, xi_name_, G, xi_dist,
     fresh = (f"eta_{k}" for k in itertools.count(1) if f"eta_{k}" not in taken)
     inmap = {nm: next(fresh) for nm in eta_names
              if nm in (name, one.v_name(1), W_NAME)}
-    inmap[xi_name_] = name   # an eta name xi_name_ also maps here: refused
+    inmap[xi_name_] = name
 
     def renamed(e, mapping):
         if isinstance(e, Disturbance):

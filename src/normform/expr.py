@@ -901,6 +901,10 @@ def _var_names(e):
 # Compilation: one value-numbering code generator, two backends
 # ---------------------------------------------------------------------------
 
+# the longest sum or product that _kernel_source writes as one chain
+_CHUNK = 256
+
+
 def _kernel_source(exprs, names):
     """Source of `lambda _a: [...]`, one value per expression, over `_a[i]`
     for names[i], calling `_sin`, `_cos`, ... for the functions.
@@ -914,6 +918,8 @@ def _kernel_source(exprs, names):
     so values and exceptions are those of the trees as given.  A square is
     written as a product, `(_tN:=base)*_tN` (a leaf base inline): correctly
     rounded, and numpy's `x**2` on an array, which a float `pow` is not.
+    A sum or product of more than _CHUNK operands is written as a tuple of
+    partial results, each bound to a local `_sN` and read by the next.
     """
     exprs = [_as_expr(e) for e in exprs]   # alive while ids are memo keys
     index = {}
@@ -979,7 +985,15 @@ def _kernel_source(exprs, names):
         if v in bound:
             return f"_t{v}"
         op = key[0]
-        if op == "+" or op == "*":
+        if (op == "+" or op == "*") and len(key[1]) > _CHUNK:
+            # Python's compiler recurses once per operator in a chain, so a
+            # long one is folded in chunks through a local, in the same order
+            parts = list(map(emit, key[1]))
+            text = "(" + ",".join(
+                f"(_s{v}:=" + ("" if i == 0 else f"_s{v}{op}")
+                + op.join(parts[i:i + _CHUNK]) + ")"
+                for i in range(0, len(parts), _CHUNK)) + ")[-1]"
+        elif op == "+" or op == "*":
             text = "(" + op.join(map(emit, key[1])) + ")"
         elif op == "^" and key[1] == 2:
             text = f"({emit(key[2])}*{emit(key[2])})"
@@ -1032,7 +1046,8 @@ def _sqrt_or_nan(v):
 
 
 def _sign(v):
-    return float((v > 0) - (v < 0))
+    # a nan argument is returned as it is, as numpy's sign does
+    return float((v > 0) - (v < 0)) if v == v else v
 
 
 # math functions on plain floats; an exp that overflows gives inf and the
@@ -1067,10 +1082,10 @@ def evalf(e, env):
 
 
 def backends_agree(exprs):
-    """True when the trees use constants, variables, +, *, squares, sqrt and
-    abs alone, so compile_exprs_scalar gives the bits of compile_exprs:
-    these round correctly (a square is a product) and never raise on floats;
-    pow, exp, sin and cos do not round correctly, and float sign(nan) is 0."""
+    """True when the trees use constants, variables, +, *, squares, sqrt,
+    abs and sign alone, so compile_exprs_scalar gives the bits of
+    compile_exprs: these round correctly (a square is a product) and never
+    raise on floats; pow, exp, sin and cos do not round correctly."""
     exprs = [_as_expr(e) for e in exprs]   # alive while ids are in `seen`
     stack, seen = list(exprs), set()
     while stack:
@@ -1082,7 +1097,7 @@ def backends_agree(exprs):
             stack.extend(e.terms if isinstance(e, Add) else e.factors)
         elif isinstance(e, Pow) and e.exp == 2:
             stack.append(e.base)
-        elif isinstance(e, Func) and e.fname in ("sqrt", "abs"):
+        elif isinstance(e, Func) and e.fname in ("sqrt", "abs", "sign"):
             stack.append(e.arg)
         elif not isinstance(e, (Const, Var)):
             return False

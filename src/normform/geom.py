@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import (EvalError, _diff_raw, compile_exprs, diff, free_vars,
-                   simplify, subs, const)
+from .expr import (ONE, TERM_BUDGET, ZERO, BudgetError, EvalError, _diff_raw,
+                   _frac_add, _frac_cancel, _frac_inv, _frac_mul, _frac_to_expr,
+                   _Frac, _to_frac, compile_exprs, const, diff, free_vars,
+                   numeric_equivalent, simplify, subs)
 
 __all__ = ["VectorField", "SymMatrix", "jacobian", "lie_derivative",
            "lie_bracket", "ad_power", "bracket_sampler", "involutive", "rank",
@@ -155,59 +157,103 @@ class SymMatrix:
         return SymMatrix([[conv(v) for v in row] for row in a])
 
     def det(self):
-        n, m = self.shape
-        if n != m:
+        """Determinant: the last pivot of _reduce, negated after an odd
+        number of row swaps."""
+        if self.shape[0] != self.shape[1]:
             raise ValueError("determinant of non-square matrix")
-        return self._minor(tuple(range(n)), tuple(range(n)), {})
+        try:
+            d, flipped, _ = self._reduce(0)
+        except ValueError:
+            return const(0)
+        return simplify(-d if flipped else d)
 
-    def _minor(self, rows, cols, memo):
-        """Determinant of the submatrix on `rows` x `cols` by Laplace
-        expansion along its first row.  Minors are stored in `memo` by
-        (rows, cols), so a minor shared by several expansions is expanded
-        once."""
-        if not rows:
-            return const(1)
-        if len(rows) == 1:
-            return self.rows[rows[0]][cols[0]]
-        d = memo.get((rows, cols))
-        if d is None:
-            acc = const(0)
-            for j in range(len(cols)):
-                term = (self.rows[rows[0]][cols[j]]
-                        * self._minor(rows[1:], cols[:j] + cols[j + 1:], memo))
-                acc = acc + (term if j % 2 == 0 else -term)
-            d = memo[(rows, cols)] = simplify(acc)
-        return d
-
-    def inverse(self, max_size=4):
-        """Symbolic inverse by adjugate; guarded against blowup.  The
-        determinant and the cofactors share one table of minors."""
+    def inverse(self, max_size=None):
+        """Exact inverse: [M | I] reduces to [d I | d M^-1], and the right
+        block is divided by d.  There is no size cap; `max_size` is accepted
+        for callers that still pass one, and ignored."""
         n, m = self.shape
         if n != m:
             raise ValueError("inverse of non-square matrix")
-        if n > max_size:
-            raise ValueError(f"symbolic inverse beyond supported size {max_size}")
-        memo = {}
-        idx = tuple(range(n))
-        d = self._minor(idx, idx, memo)
-        if simplify(d) == const(0):
-            raise ValueError("symbolically singular matrix")
-        if n == 1:
-            return SymMatrix([[const(1) / d]])
-        cof = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                c = self._minor(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], memo)
-                row.append(c if (i + j) % 2 == 0 else -c)
-            cof.append(row)
-        adj = SymMatrix(cof).transpose()
-        return SymMatrix([[e / d for e in r] for r in adj.rows])
+        d, _, right = self._reduce(n)
+        return SymMatrix([[e / d for e in r] for r in right])
+
+    def _reduce(self, width):
+        """_eliminate on [M | I_width] on polynomial fractions, or on trees
+        through simplify, which keeps parts over the term budget factored,
+        when a product outgrows the budget."""
+        grid = [r + [ONE if j == i else ZERO for j in range(width)]
+                for i, r in enumerate(self.rows)]
+        try:
+            return _eliminate([[_to_frac(e, TERM_BUDGET) for e in r]
+                               for r in grid], _FRAC_OPS)
+        except BudgetError:
+            return _eliminate(grid, _TREE_OPS)
 
     @staticmethod
     def identity(n):
         return SymMatrix([[const(1 if i == j else 0) for j in range(n)]
                           for i in range(n)])
+
+
+def _eliminate(grid, ops):
+    """Fraction-free Gauss-Jordan elimination, in place, of the rows of
+    `grid` (n x w, w >= n; Bareiss, Math. Comp. 22, 1968; Geddes, Czapor &
+    Labahn, Algorithms for Computer Algebra, 1992, ch. 9).  Step k swaps up
+    the first row with a non-zero column-k entry and sets each entry a right
+    of column k in the other rows to (p a - b c) / prev, with p the pivot,
+    b and c the column-k entry of a's row and the pivot-row entry above a,
+    and prev the last pivot; the division is exact on polynomials.  `ops` is
+    (is_zero, recip, cross, to_expr), where cross(p, a, b, c, recip(prev))
+    gives that entry (None stands for 1/prev at step 0).  Returns the last
+    pivot d (the left block ends as d I), whether the swaps were odd in
+    number, and the right block, as Exprs; raises ValueError when no pivot
+    is left."""
+    is_zero, recip, cross, to_expr = ops
+    n, scale, flipped = len(grid), None, False
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not is_zero(grid[i][k])), None)
+        if piv is None:
+            raise ValueError("symbolically singular matrix")
+        if piv != k:
+            grid[k], grid[piv], flipped = grid[piv], grid[k], not flipped
+        top = grid[k]
+        for row in grid:
+            if row is not top:
+                b = row[k]
+                for j in range(k + 1, len(row)):
+                    row[j] = cross(top[k], row[j], b, top[j], scale)
+        scale = recip(top[k]) if k + 1 < n else None
+    # canonical, so that each division by d reads its stored fraction
+    d = simplify(to_expr(grid[-1][n - 1])) if n else ONE
+    return d, flipped, [[to_expr(e) for e in r[n:]] for r in grid]
+
+
+def _frac_cross(p, a, b, c, scale):
+    t = _frac_mul(p, a, TERM_BUDGET) if a.num else a
+    if b.num and c.num:
+        bc = _frac_mul(b, c, TERM_BUDGET)
+        t = _frac_add(t, _Frac({m: -v for m, v in bc.num.items()}, bc.den),
+                      TERM_BUDGET)
+        if t.den == bc.den:
+            # _frac_add leaves a sum over one denominator uncancelled, and
+            # the zero test needs the sin^2 + cos^2 = 1 rewrite of the cancel
+            t = _frac_cancel(*t)
+    return t if scale is None or not t.num else _frac_mul(t, scale, TERM_BUDGET)
+
+
+def _tree_cross(p, a, b, c, scale):
+    t = p * a - b * c
+    return simplify(t if scale is None else t * scale)
+
+
+def _tree_is_zero(e):
+    # simplify keeps a sum over the term budget factored, so such a zero is
+    # found only by sampling (see simplify)
+    return e == ZERO or numeric_equivalent(e, ZERO)
+
+
+_FRAC_OPS = (lambda f: not f.num, _frac_inv, _frac_cross, _frac_to_expr)
+_TREE_OPS = (_tree_is_zero, lambda e: e ** -1, _tree_cross, simplify)
 
 
 class VectorField:

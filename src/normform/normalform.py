@@ -234,7 +234,7 @@ def _decompose_eta_dynamics(nf, tol):
         return
     dphi_e = jacobian(nf.eta_exprs, states)
     gamma_i = nf.gamma_ie.vstack(nf.gamma_id) if m - m_d else nf.gamma_id
-    gamma_inv = gamma_i.inverse(max_size=4)
+    gamma_inv = gamma_i.inverse()
     G = dphi_e @ system.g @ gamma_inv
     G_e = SymMatrix([row[:m - m_d] for row in G.rows])
     G_d = SymMatrix([row[m - m_d:] for row in G.rows])
@@ -277,7 +277,7 @@ def check_assumption_C(system, outcome, gamma_ie=None, plan=None, tol=DEFAULT_TO
     if gamma_ie is None:
         gamma_ie = _default_gamma_ie(system, outcome, tol)
     gamma_i = gamma_ie.vstack(nf_gid) if m - m_d else nf_gid
-    inv = gamma_i.inverse(max_size=4)
+    inv = gamma_i.inverse()
     pick = SymMatrix([[const(1 if i == j + (m - m_d) else 0) for j in range(m_d)]
                       for i in range(m)])
     g_d = system.g @ inv @ pick
@@ -343,7 +343,7 @@ def _chain_fields(system, nf):
     Y(j, 1) = g b^{-1} e_j - sum delta * Y(l, i2) it is folded into delta.
     """
     m = system.m
-    binv = nf.b.inverse(max_size=4)
+    binv = nf.b.inverse()
     acol = SymMatrix([[e] for e in nf.a])
     corr = system.g @ binv @ acol
     f_t = VectorField([simplify(c - corr[i, 0])

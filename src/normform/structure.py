@@ -206,29 +206,17 @@ def select_RS(lg_omega_vals, lg_theta_vals, need, tol):
     return None
 
 
-def _solve_P_gram(lg_s_theta, lg_omega):
-    """Coefficient matrix from the pseudo-inverse identity
-    P = [L_g S Theta][L_g Omega]^T [L_g Omega (L_g Omega)^T]^{-1}."""
-    gram = lg_omega @ lg_omega.transpose()
-    inv = gram.inverse(max_size=4)
-    return (lg_s_theta @ lg_omega.transpose()) @ inv
-
-
 def _solve_P_pivot(lg_s_theta, lg_omega, origin_vals, tol):
-    """Coefficient matrix solved exactly on pivot columns of L_g Omega.
-
-    Pivot columns are chosen numerically at the origin; the resulting P
-    reproduces the zero-output algorithm's smooth extension, whose residual
-    W vanishes on the zero set.
-    """
-    rho = lg_omega.shape[0]
-    piv = complete_rows([], origin_vals.T, rho, tol)
-    if len(piv) < rho:
+    """P with P L_g Omega = L_g S Theta, solved exactly on rho_k columns of
+    L_g Omega independent at the origin (sample 0, values `origin_vals`).
+    L_g Omega has full row rank at every sample, so this P is the only one;
+    in zero-output mode its residual W vanishes on the zero set."""
+    piv = complete_rows([], origin_vals.T, lg_omega.shape[0], tol)
+    if len(piv) < lg_omega.shape[0]:
         raise StructureError("could not find pivot columns at the origin")
-    sub = SymMatrix([[lg_omega[i, j] for j in piv] for i in range(rho)])
-    target = SymMatrix([[lg_s_theta[i, j] for j in piv]
-                        for i in range(lg_s_theta.shape[0])])
-    return target @ sub.inverse(max_size=4)
+    target, sub = (SymMatrix([[r[j] for j in piv] for r in mat.rows])
+                   for mat in (lg_s_theta, lg_omega))
+    return target @ sub.inverse()
 
 
 def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
@@ -309,14 +297,8 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
             lg_s_theta = SymMatrix([lg_theta.rows[i] for i in s_idx])
             correction = [const(0)] * len(s_theta)
             if rho_k > 0:
-                if rho_k > 4:
-                    raise StructureError(
-                        "symbolic Gram inverse beyond supported size (rho_k > 4)")
-                if zero_output:
-                    origin_vals = lg_omega.eval_at({s: 0.0 for s in states})
-                    P_full = _solve_P_pivot(lg_s_theta, lg_omega, origin_vals, tol)
-                else:
-                    P_full = _solve_P_gram(lg_s_theta, lg_omega)
+                P_full = _solve_P_pivot(lg_s_theta, lg_omega, np.concatenate(
+                    [lg_omega_vals[0], lg_theta_vals[0][r_idx]]), tol)
                 W_k = lg_s_theta - (P_full @ lg_omega)
                 if not zero_output:
                     _assert_zero_matrix(W_k, states, pts, tol, out, k)
@@ -446,14 +428,9 @@ def apply_state_diffeo(system, T):
     n = system.n
     Tfr = [[Fraction(v).limit_denominator(10**9) for v in row] for row in T]
     T_sym = SymMatrix([[const(v) for v in row] for row in Tfr])
-    Tinv = T_sym.inverse(max_size=max(4, n))
     zs = [f"z{i + 1}" for i in range(n)]
-    xmap = {}
-    for i, s in enumerate(system.states):
-        acc = const(0)
-        for j in range(n):
-            acc = acc + Tinv[i, j] * Var(zs[j])
-        xmap[s] = simplify(acc)
+    zcol = SymMatrix([[Var(z)] for z in zs])
+    xmap = dict(zip(system.states, (T_sym.inverse() @ zcol).col(0)))
     f_col = T_sym @ system.f.as_column()
     f_new = [subs(f_col[i, 0], xmap) for i in range(n)]
     g_new = T_sym @ system.g
@@ -531,8 +508,8 @@ def invariance_harness(system, n_trials=20, seed=7, tol=DEFAULT_TOL, plan=None,
 
     def input_case():
         M = rand_invertible(system.m)
-        Minv = SymMatrix([[const(Fraction(int(v))) for v in row] for row in M]) \
-            .inverse(max_size=max(4, system.m))
+        Minv = SymMatrix([[const(Fraction(int(v))) for v in row]
+                          for row in M]).inverse()
         return apply_input_transform(system, Minv), same_points()
 
     def output_case():

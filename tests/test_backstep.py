@@ -406,6 +406,16 @@ def test_dissipative_single_step_zero_bounds_reduces(xi):
     assert simplify(W - Wb) == const(0)
 
 
+def test_dissipative_refuses_an_eta_name_equal_to_the_stepped_name():
+    with pytest.raises(ValueError) as got:
+        dissipative_backstep(
+            eta_names=["z"], F=[parse("-z")], eta_dists=[None], xi_name_="z",
+            G=const(0), xi_dist=None, phi=const(0), V=parse("z^2/2"),
+            budget=parse("gamma^2/3"), c=1)
+    assert "'z'" in str(got.value)
+    assert "xi1_1" not in str(got.value)
+
+
 def test_dissipative_renames_an_eta_name_the_step_reserves():
     # the one-chain system reserves xi1_1, v1 and w; an eta state may still
     # carry one of those names when the stepped variable is named otherwise

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import _reference_diff_raw, _reference_evalf
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, TERM_BUDGET, ZERO,
                            Add, Const, EvalError, Func, Mul, ParseError, Pow,
-                           Var, _diff_raw, _kernel_source, _var_names,
+                           Var, _diff_raw, _kernel_source, _poly_to_expr,
+                           _var_names,
                            backends_agree, compile_exprs, compile_exprs_scalar,
                            const, diff, equivalent, evalf, free_vars,
                            numeric_equivalent, parse, render, sample_box,
@@ -584,7 +585,8 @@ class _OldScalarMath:
 
     @staticmethod
     def sign(v):
-        return float((v > 0) - (v < 0))
+        # a nan argument as it is, as numpy's sign
+        return float((v > 0) - (v < 0)) if v == v else v
 
 
 def _old_compile_exprs_scalar(exprs, names):
@@ -685,7 +687,7 @@ def test_kernel_source_writes_each_function_value_once(exprs):
 @given(shared_expr_lists())
 def test_backends_agree_reads_the_kernel_operations(exprs):
     src = _kernel_source(exprs, ["x1", "x2", "x3"])
-    inexact = ("**", "_exp(", "_sin(", "_cos(", "_sign(")
+    inexact = ("**", "_exp(", "_sin(", "_cos(")
     assert backends_agree(exprs) == (not any(op in src for op in inexact))
 
 
@@ -697,6 +699,33 @@ def test_kernel_source_without_repeats_is_the_inlined_lambda():
     twice = Func("cos", Var("x1"))
     assert _kernel_source([twice * twice, Func("cos", Var("x1"))], ["x1"]) == \
         "lambda _a: [((_t1:=_cos(_a[0]))*_t1),_t1]"
+
+
+def test_long_sums_compile_in_both_backends_as_a_left_fold():
+    # a canonical sum at the term budget, written from its polynomial as
+    # simplify writes it; Python's compiler recurses once per operator, so
+    # the kernel folds long chains in chunks
+    names = ["x1", "x2", "x3", "x4"]
+    full = _poly_to_expr({
+        tuple((Var(x), i // 10 ** k % 10) for k, x in enumerate(names)
+              if i // 10 ** k % 10): Fraction((-1) ** i * (1 + i % 5), 1 + i % 3)
+        for i in range(TERM_BUDGET)})
+    assert len(full.terms) == TERM_BUDGET
+    assert simplify(Add(full.terms[:300])).terms == full.terms[:300]
+    pts = np.random.default_rng(3).uniform(-1.01, 1.01, size=(4, 5))
+    for compile_, args in ((compile_exprs_scalar, pts[:, 0].tolist()),
+                           (compile_exprs, list(pts))):
+        vals = compile_(list(full.terms), names)(args)
+        for size in (5000, TERM_BUDGET):
+            (got,) = compile_([Add(full.terms[:size])], names)(args)
+            want = vals[0]
+            for v in vals[1:size]:
+                want = want + v
+            assert np.array_equal(got, want)
+    # a short chain keeps its one-expression source
+    short = Add(full.terms[:256])
+    assert _kernel_source([short], names).startswith("lambda _a: [((")
+    assert "_s" not in _kernel_source([short], names)
 
 
 def test_compile_rejects_a_non_finite_constant():
@@ -717,6 +746,21 @@ def test_scalar_sqrt_gives_numpy_nan_bits():
             want = np.sqrt(np.float64(v))
         got = np.float64(sqrt([v])[0])
         assert got.view(np.uint64) == want.view(np.uint64), v
+
+
+def test_scalar_sign_gives_numpy_bits():
+    # a nan argument keeps its sign and payload; sign(-0.0) is 0.0
+    payload = np.array([0x7FF8000000001234], dtype=np.uint64).view(float)[0]
+    sign = compile_exprs_scalar([Func("sign", Var("x"))], ["x"])
+    for v in (2.5, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan,
+              -math.nan, float(payload), -float(payload)):
+        want = np.sign(np.float64(v))
+        got = np.float64(sign([v])[0])
+        assert got.view(np.uint64) == want.view(np.uint64), v
+    x = Var("x")
+    undefined = Func("sign", Func("sqrt", x + Const(Fraction(-1))))
+    with pytest.raises(EvalError, match="not finite"):
+        evalf(undefined, {"x": 0.0})
 
 
 def test_compile_binds_names_as_list_index_does():
@@ -779,7 +823,7 @@ def test_evalf_matches_the_reference_walk(exprs, seed):
                 assert want is None
             elif want is None:
                 # the kernel carries an inner inf or nan on, as
-                # SymMatrix.sample does: 1/inf is 0, sign(nan) is 0
+                # SymMatrix.sample does: 1/inf is 0
                 assert any(_finite_or_none(evalf, s, env) is None
                            for s in _subtrees(e))
             else:

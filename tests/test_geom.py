@@ -431,11 +431,72 @@ def test_shared_minors_match_reference_on_polynomials(M):
 def test_singular_and_oversized_inverse_errors():
     singular = SymMatrix([[parse("x1"), parse("x2")],
                           [parse("2*x1"), parse("2*x2")]])
+    with pytest.raises(ValueError) as got:
+        singular.inverse()
+    with pytest.raises(ValueError) as want:
+        _reference_inverse(singular)
+    assert str(got.value) == str(want.value)
+    # no size cap: a 5x5 inverts as the uncapped adjugate does
     big = SymMatrix.identity(5)
-    for M in (singular, big):
-        with pytest.raises(ValueError) as got:
-            M.inverse()
-        with pytest.raises(ValueError) as want:
-            _reference_inverse(M)
-        assert str(got.value) == str(want.value)
+    assert big.inverse() == _reference_inverse(big, 5)
 
+
+@pytest.mark.parametrize("n, names", [(5, ["x1", "x2"]), (6, ["x1"])])
+def test_polynomial_inverse_matches_sympy(n, names):
+    import sympy
+    rng = np.random.default_rng(n)
+    rows = [[str(rng.integers(-2, 3)) if rng.random() < (0.5 if n == 5 else 0.3)
+             else " + ".join(f"({rng.integers(-2, 3)})*{x}" for x in names)
+             + f" + {rng.integers(-2, 3)}" for _ in range(n)] for _ in range(n)]
+    got = SymMatrix([[parse(e) for e in r] for r in rows]).inverse()
+    want = sympy.Matrix(rows).inv().applyfunc(sympy.cancel)
+    for i in range(n):
+        for j in range(n):
+            entry = sympy.sympify(str(got[i, j]).replace("^", "**"))
+            assert sympy.cancel(entry) == want[i, j]
+
+
+def test_inverse_past_the_term_budget():
+    # the product of the off-diagonal entries overflows the budget, so the
+    # elimination runs again on trees that keep those parts factored
+    s = parse("(1 + x1 + 2*x2 + x3 + x4 + x5 + x6)^4")
+    M = SymMatrix([[parse("x1 + 1"), s], [s, parse("x2 + 2")]])
+    product = M @ M.inverse()
+    for i in range(2):
+        for j in range(2):
+            assert numeric_equivalent(product[i, j], const(int(i == j)))
+
+
+
+def test_trig_zero_found_by_the_pythagorean_rewrite():
+    # after step 0 the (1, 1) entry of the 3x3 is sin^2 + cos^2 - 1, which
+    # must not be taken as a pivot; the 2x2 is singular for the same reason.
+    # The division by the last pivot is exact only up to that identity, so
+    # the inverse is compared by value, not by key.
+    m3 = SymMatrix([[parse(e) for e in r] for r in
+                    [["sin(x)", "1 + cos(x)", "0"],
+                     ["1 - cos(x)", "sin(x)", "1"], ["0", "1", "1"]]])
+    m2 = SymMatrix([[parse("sin(x)"), parse("1 + cos(x)")],
+                    [parse("1 - cos(x)"), parse("sin(x)")]])
+    for M in (m3, m2):
+        assert _keys_or_error(M.det) == _keys_or_error(_reference_det, M)
+    assert m3.det() == parse("-sin(x)")
+    got, want = m3.inverse(), _reference_inverse(m3)
+    for i in range(3):
+        for j in range(3):
+            assert numeric_equivalent(got[i, j], want[i, j])
+    assert (_keys_or_error(m2.inverse) == _keys_or_error(_reference_inverse, m2)
+            == "symbolically singular matrix")
+
+
+def test_tree_route_skips_a_zero_over_the_term_budget():
+    # S*S - S*S stays a factored, non-ZERO tree over the budget; the tree
+    # route must not pick it as the pivot of step 1
+    s = simplify(parse("(1 + x1 + 2*x2 + x3 + x4 + x5 + x6)^4"))
+    M = SymMatrix([[s, s, const(0)], [s, s, const(1)],
+                   [const(0), const(1), const(1)]])
+    assert numeric_equivalent(M.det(), -s)
+    product = M @ M.inverse()
+    for i in range(3):
+        for j in range(3):
+            assert numeric_equivalent(product[i, j], const(int(i == j)))

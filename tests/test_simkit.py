@@ -361,7 +361,7 @@ def test_batch_summaries_match_column_loop(systems_dir):
 
 @st.composite
 def exact_exprs(draw):
-    """Raw trees over +, *, squares, sqrt and abs."""
+    """Raw trees over +, *, squares, sqrt, abs and sign."""
     def rec(d):
         if d == 0:
             kind = draw(st.integers(0, 2))
@@ -377,7 +377,7 @@ def exact_exprs(draw):
             return rec(d - 1) * rec(d - 1)
         if k == 2:
             return Pow(rec(d - 1), 2)
-        return Func(draw(st.sampled_from(("sqrt", "abs"))), rec(d - 1))
+        return Func(draw(st.sampled_from(("sqrt", "abs", "sign"))), rec(d - 1))
 
     return [rec(draw(st.integers(0, 5))) for _ in range(draw(st.integers(1, 3)))]
 
@@ -409,11 +409,17 @@ def test_backends_agree_bit_for_bit(exprs, seed):
 
 @pytest.mark.parametrize("text,token", [
     ("x1^3", "**3"), ("1/x1", "**(-1.0)"), ("exp(x1)", "_exp("),
-    ("sin(x1)", "_sin("), ("cos(x1)", "_cos("), ("sign(x1)", "_sign(")])
+    ("sin(x1)", "_sin("), ("cos(x1)", "_cos(")])
 def test_backends_agree_rejects_pow_and_transcendental_kernels(text, token):
     exprs = [parse(text) + parse("sqrt(abs(x2))^2")]
     assert token in _kernel_source(exprs, ["x1", "x2"])
     assert not backends_agree(exprs)
+
+
+def test_backends_agree_admits_sign_kernels():
+    exprs = [parse("sign(x1)") + parse("sqrt(abs(x2))^2")]
+    assert "_sign(" in _kernel_source(exprs, ["x1", "x2"])
+    assert backends_agree(exprs)
 
 
 def test_backends_agree_on_the_closed_loops(systems_dir):

@@ -21,7 +21,7 @@ from normform.structure import (StructureOutcome, _assert_zero_matrix,
                                 infinite_zero_algorithm, invariance_harness,
                                 select_RS, zero_output_algorithm,
                                 apply_output_transform)
-from normform.sysmodel import SamplePlan, load_system
+from normform.sysmodel import SamplePlan, load_system, loads_system
 
 
 class TestFiveStateExample:
@@ -227,6 +227,43 @@ class TestInvarianceHarness:
 
     def test_counter3(self):
         self.check(counter3_affine(), n_trials=6)
+
+
+_CHAIN5 = """
+[states]
+[x1, x2, x3, x4, x5]
+[f]
+[x2, x3, x4, x5, -x1]
+[g]
+[1, x3, 0, 0, 0]
+[0, 1, x4, 0, 0]
+[0, 0, 1, x5, 0]
+[0, 0, 0, 1, x1]
+[0, 0, 0, 0, 1]
+[h]
+"""
+
+
+@pytest.mark.parametrize("algo", [infinite_zero_algorithm,
+                                  zero_output_algorithm])
+def test_five_inputs_one_redundant_output(algo):
+    # rho_1 = 5: the P solve inverts L_g Omega = g, a 5x5
+    system = loads_system(_CHAIN5 + "[x1, x2, x3, x4, x5, x1 + x2]\n")
+    out = algo(system, SamplePlan(count=10))
+    assert out.regular
+    assert out.q == [1, 1, 1, 1, 1]
+    assert out.invertibility == "LeftInvertible"
+
+
+def test_five_inputs_square_passes_assumption_D():
+    # b = g is unit upper triangular, so g b^-1 = I: the chain fields are
+    # constant and commute
+    from normform.normalform import check_assumption_D
+    system = loads_system(_CHAIN5 + "[x1, x2, x3, x4, x5]\n")
+    out = zero_output_algorithm(system, SamplePlan(count=10))
+    assert out.q == [1, 1, 1, 1, 1]
+    assert out.invertibility == "Invertible"
+    assert check_assumption_D(system, out)
 
 
 def test_report_text_mentions_q(out31):
