@@ -442,17 +442,15 @@ def _finish(engine, kappa, supply=None):
     return ControlLaw(cs, kappa, v, engine.V, engine.ledger, supply=supply)
 
 
-def synthesize(system, kappa, stab, gains=None, check_order=True,
-               check_stabilizer=True):
+def synthesize(system, kappa, stab, gains=None):
     """Fold the backstepping step along kappa; default per-step gain c = 1."""
     if isinstance(kappa, str):
         kappa = parse_kappa(kappa)
-    if check_order:
-        violations = validate_order(system, kappa)
-        if violations:
-            cond, idx, msg = violations[0]
-            raise OrderViolation(cond, f"delta{idx}: {msg}" if idx[2] else msg)
-    if check_stabilizer and system.eta_names:
+    violations = validate_order(system, kappa)
+    if violations:
+        cond, idx, msg = violations[0]
+        raise OrderViolation(cond, f"delta{idx}: {msg}" if idx[2] else msg)
+    if system.eta_names:
         rhs_at_phi = [subs(e, _phi_env(system, stab))
                       for e in system.eta_dot]
         if not any(vn in free_vars(r) for r in rhs_at_phi

@@ -3,7 +3,8 @@
 Everything here is exact symbolic computation on top of expr.Expr, apart
 from the sampled side: SymMatrix.sample, which evaluates a matrix at many
 points in one call; rank, the one numeric rank rule; complete_rows, the one
-greedy rank completion built on it; bracket_sampler, which
+greedy rank completion built on it (SymMatrix.pivots is its exact
+counterpart); bracket_sampler, which
 evaluates Lie brackets numerically at sample points without expanding them;
 and the sampled involutivity test built on it.
 """
@@ -158,14 +159,12 @@ class SymMatrix:
 
     def det(self):
         """Determinant: the last pivot of _reduce, negated after an odd
-        number of row swaps."""
-        if self.shape[0] != self.shape[1]:
+        number of row swaps, or 0 when a column has no pivot."""
+        n, m = self.shape
+        if n != m:
             raise ValueError("determinant of non-square matrix")
-        try:
-            d, flipped, _ = self._reduce(0)
-        except ValueError:
-            return const(0)
-        return simplify(-d if flipped else d)
+        d, flipped, piv, _ = self._reduce(0)
+        return simplify(-d if flipped else d) if len(piv) == n else ZERO
 
     def inverse(self, max_size=None):
         """Exact inverse: [M | I] reduces to [d I | d M^-1], and the right
@@ -174,20 +173,35 @@ class SymMatrix:
         n, m = self.shape
         if n != m:
             raise ValueError("inverse of non-square matrix")
-        d, _, right = self._reduce(n)
+        d, _, piv, right = self._reduce(n)
+        if len(piv) < n:
+            raise ValueError("symbolically singular matrix")
         return SymMatrix([[e / d for e in r] for r in right])
+
+    def pivots(self):
+        """Indices of the columns that are not combinations of the columns
+        before them: the exact counterpart of complete_rows."""
+        return self._reduce(0)[2]
+
+    def nullspace(self):
+        """Basis of {v : M v = 0} as a list of vectors: the rows of the
+        right block of [M^T | I] that get no pivot, each divided by the last
+        pivot, so that it is 1 at its own position and 0 at the others'."""
+        d, _, piv, right = self.transpose()._reduce(self.shape[1])
+        return [[simplify(e / d) for e in r] for r in right[len(piv):]]
 
     def _reduce(self, width):
         """_eliminate on [M | I_width] on polynomial fractions, or on trees
         through simplify, which keeps parts over the term budget factored,
         when a product outgrows the budget."""
+        cols = self.shape[1]
         grid = [r + [ONE if j == i else ZERO for j in range(width)]
                 for i, r in enumerate(self.rows)]
         try:
             return _eliminate([[_to_frac(e, TERM_BUDGET) for e in r]
-                               for r in grid], _FRAC_OPS)
+                               for r in grid], cols, _FRAC_OPS)
         except BudgetError:
-            return _eliminate(grid, _TREE_OPS)
+            return _eliminate(grid, cols, _TREE_OPS)
 
     @staticmethod
     def identity(n):
@@ -195,37 +209,44 @@ class SymMatrix:
                           for i in range(n)])
 
 
-def _eliminate(grid, ops):
+def _eliminate(grid, cols, ops):
     """Fraction-free Gauss-Jordan elimination, in place, of the rows of
-    `grid` (n x w, w >= n; Bareiss, Math. Comp. 22, 1968; Geddes, Czapor &
-    Labahn, Algorithms for Computer Algebra, 1992, ch. 9).  Step k swaps up
-    the first row with a non-zero column-k entry and sets each entry a right
-    of column k in the other rows to (p a - b c) / prev, with p the pivot,
-    b and c the column-k entry of a's row and the pivot-row entry above a,
-    and prev the last pivot; the division is exact on polynomials.  `ops` is
-    (is_zero, recip, cross, to_expr), where cross(p, a, b, c, recip(prev))
-    gives that entry (None stands for 1/prev at step 0).  Returns the last
-    pivot d (the left block ends as d I), whether the swaps were odd in
-    number, and the right block, as Exprs; raises ValueError when no pivot
-    is left."""
+    `grid` on its first `cols` columns (Bareiss, Math. Comp. 22, 1968;
+    Geddes, Czapor & Labahn, Algorithms for Computer Algebra, 1992, ch. 9).
+    The step on column k swaps up the first row at or below the next pivot
+    row with a non-zero column-k entry, or skips the column when there is
+    none, and sets each entry right of column k in the other rows to
+    (p a - b c) / prev, with p the pivot, b and c the column-k entry of a's
+    row and the pivot-row entry above a, and prev the last pivot; the
+    division is exact on polynomials.  `ops` is (is_zero, recip, cross,
+    to_expr), where cross(p, a, b, c, recip(prev)) gives that entry (None
+    stands for 1/prev at the first pivot).  Returns the last pivot d (a
+    square left block of full rank ends as d I; 1 with no pivot), whether
+    the swaps were odd in number, the pivot columns, and the block right of
+    column `cols`, as Exprs.  Past the pivot rows, that block holds d times
+    the combinations of the input rows whose left part is zero."""
     is_zero, recip, cross, to_expr = ops
-    n, scale, flipped = len(grid), None, False
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not is_zero(grid[i][k])), None)
-        if piv is None:
-            raise ValueError("symbolically singular matrix")
-        if piv != k:
-            grid[k], grid[piv], flipped = grid[piv], grid[k], not flipped
-        top = grid[k]
+    n, scale, flipped, piv = len(grid), None, False, []
+    for k in range(cols):
+        r = len(piv)
+        i = next((i for i in range(r, n) if not is_zero(grid[i][k])), None)
+        if i is None:
+            continue
+        if i != r:
+            grid[r], grid[i], flipped = grid[i], grid[r], not flipped
+        top = grid[r]
         for row in grid:
             if row is not top:
                 b = row[k]
                 for j in range(k + 1, len(row)):
                     row[j] = cross(top[k], row[j], b, top[j], scale)
-        scale = recip(top[k]) if k + 1 < n else None
+        piv.append(k)
+        if r + 1 == n:
+            break
+        scale = recip(top[k])
     # canonical, so that each division by d reads its stored fraction
-    d = simplify(to_expr(grid[-1][n - 1])) if n else ONE
-    return d, flipped, [[to_expr(e) for e in r[n:]] for r in grid]
+    d = simplify(to_expr(grid[len(piv) - 1][piv[-1]])) if piv else ONE
+    return d, flipped, piv, [[to_expr(e) for e in r[cols:]] for r in grid]
 
 
 def _frac_cross(p, a, b, c, scale):
@@ -437,7 +458,8 @@ def rank(a, tol):
     if a.size:
         with np.errstate(all="ignore"):
             a = a / np.maximum(1.0, np.linalg.norm(a, axis=-1, keepdims=True))
-        r = _kept(np.linalg.svd(a, compute_uv=False), tol)
+        s = np.linalg.svd(a, compute_uv=False)
+        r = np.sum(s > tol * np.maximum(1.0, s[..., :1]), axis=-1)
     else:
         r = np.zeros(a.shape[:-2], dtype=int)
     return int(r) if a.ndim == 2 else r
@@ -463,9 +485,3 @@ def complete_rows(base, candidates, need, tol):
             chosen.append(i)
             cur, cur_rank = trial, trial_rank
     return chosen
-
-
-def _kept(s, tol):
-    """Count of the singular values (descending along the last axis) that
-    the rank rule keeps."""
-    return np.sum(s > tol * np.maximum(1.0, s[..., :1]), axis=-1)

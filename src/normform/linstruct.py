@@ -182,7 +182,7 @@ class LinearDecomposition:
         self.cond = None
         self.warnings = []
 
-    def verify_block_pattern(self, tol=1e-9):
+    def verify_block_pattern(self):
         """Largest deviation of the re-multiplied transformed triple from the
         chain/coupling layout (0 means the pattern holds exactly).
 

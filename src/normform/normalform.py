@@ -9,14 +9,15 @@ its sparsity law (couplings vanish above the feeding chain's length).
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, EvalError,
-                   Var, const, diff, free_vars, is_zero, numeric_equivalent,
-                   render, sample_box, simplify, subs)
-from .geom import (SymMatrix, VectorField, _kept, bracket_sampler,
-                   complete_rows, involutive, jacobian, lie_bracket, rank)
+from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, ZERO, Const,
+                   EvalError, Var, const, diff, free_vars, is_zero,
+                   numeric_equivalent, render, sample_box, simplify, subs)
+from .geom import (SymMatrix, VectorField, bracket_sampler, complete_rows,
+                   involutive, jacobian, lie_bracket, rank)
 from .structure import StructureError, _sel_product
 from .sysmodel import DEFAULT_TOL
 
@@ -101,7 +102,7 @@ class NormalForm:
 
 
 def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
-                      plan=None, tol=DEFAULT_TOL):
+                      tol=DEFAULT_TOL):
     """Assemble chain coordinates, complement, transformations, and the delta
     table from a regular structure outcome.
 
@@ -178,20 +179,18 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
     if rank(dphi.eval_at({s: 0.0 for s in states}), tol) != n:
         raise StructureError("d(Phi) singular at the base point")
 
-    _decompose_eta_dynamics(nf, tol)
+    _decompose_eta_dynamics(nf)
 
     # Constant residue columns disappear after the documented coordinate
     # shift eta <- eta - sum_l phi_l xi_{l, q_l}.
     if (nf.phi_cols is not None and nf.phi_cols.shape[1] and nf.eta_exprs
             and nf.phi_cols.is_constant()
             and any(e != const(0) for row in nf.phi_cols.rows for e in row)):
-        shift = nf.phi_cols.to_numpy_constant()
         ends = [nf.chains[l][-1] for l in range(nf.m_d)]
-        nf.eta_exprs = [simplify(nf.eta_exprs[i]
-                                 - sum((const(float(shift[i, l])) * ends[l]
-                                        for l in range(nf.m_d)), start=const(0)))
-                        for i in range(len(nf.eta_exprs))]
-        _decompose_eta_dynamics(nf, tol)
+        nf.eta_exprs = [simplify(e - sum((c * x for c, x in zip(row, ends)),
+                                         start=ZERO))
+                        for e, row in zip(nf.eta_exprs, nf.phi_cols.rows)]
+        _decompose_eta_dynamics(nf)
 
     # If the user supplied a complement, verify it annihilates the retained
     # input directions on samples (the sufficient condition for phi_l = 0).
@@ -224,7 +223,7 @@ def _input_complement(gamma_id, m, states, samples, tol):
     return None
 
 
-def _decompose_eta_dynamics(nf, tol):
+def _decompose_eta_dynamics(nf):
     """eta_dot = f_e + g_e u_e + sum_l phi_l v_{d,l} in original coordinates."""
     system = nf.system
     states = system.states
@@ -429,11 +428,11 @@ def solve_triangular(equations, unknowns):
     return resolved
 
 
-def zero_dynamics(nf, tol=DEFAULT_TOL):
+def zero_dynamics(nf):
     """Residual dynamics on the zero-output set: substitute xi = 0 and
-    v_d = 0.  For a linear residual system with external channels, also
-    return the uncontrollable/unobservable split and the zero dynamics
-    proper."""
+    v_d = 0.  For a residual system with external channels that is linear
+    with rational coefficients, also return the exact
+    uncontrollable/unobservable split and the zero dynamics proper."""
     rep = ZeroDynamicsReport()
     if not nf.eta_exprs:
         rep.degenerate_point = True
@@ -459,93 +458,61 @@ def zero_dynamics(nf, tol=DEFAULT_TOL):
     rep.eta_rhs = rhs
     rep.y_e = [subs(e, sub) for e in nf.h_e]
 
-    has_ue = m - m_d > 0
-    has_ye = len(rep.y_e) > 0
-    if not has_ue and not has_ye:
+    if m == m_d and not rep.y_e:
         rep.zero_dynamics = list(zip(rep.eta_names, rep.eta_rhs))
         return rep
 
-    # Attempt the linear accessibility/observability split.
-    names = rep.eta_names + rep.u_e_names
+    # Kalman split of a linear residual: za spans the unobservable
+    # directions that the controllable ones (zc) leave, zb completes.
     n0 = len(rep.eta_names)
-    J = jacobian(rhs, names)
-    if not J.is_constant() or not jacobian(rep.y_e, rep.eta_names).is_constant():
-        rep.notes.append("residual system nonlinear; split not computed "
-                         "(supply coordinates to refine)")
+    J = jacobian(rhs, rep.eta_names + rep.u_e_names)
+    # with no y_e, one zero row: every direction is unobservable
+    C = jacobian(rep.y_e or [ZERO], rep.eta_names)
+    if not all(isinstance(e, Const) and isinstance(e.value, Fraction)
+               for M in (J, C) for r in M for e in r):
+        rep.notes.append("residual system not linear with rational "
+                         "coefficients; split not computed (supply "
+                         "coordinates to refine)")
         return rep
-    Jn = J.to_numpy_constant()
-    A = Jn[:, :n0]
-    B = Jn[:, n0:]
-    C = jacobian(rep.y_e, rep.eta_names).to_numpy_constant() \
-        if rep.y_e else np.zeros((0, n0))
-    ctrl = _krylov(A, B)
-    unobs = _null(np.vstack([C @ np.linalg.matrix_power(A, k)
-                             for k in range(max(n0, 1))])
-                  if C.size else np.zeros((0, n0)), tol)
-    if ctrl.shape[1] and rank(np.hstack([unobs, ctrl]), tol) > unobs.shape[1]:
+    A = SymMatrix([r[:n0] for r in J.rows])
+    krylov, obs = [SymMatrix([r[n0:] for r in J.rows])], [C]
+    for _ in range(n0 - 1):
+        krylov.append(A @ krylov[-1])
+        obs.append(obs[-1] @ A)
+    K = SymMatrix([[e for blk in krylov for e in blk.row(i)]
+                   for i in range(n0)])
+    O = SymMatrix([r for blk in obs for r in blk.rows])
+    if any(e != ZERO for r in O @ K for e in r):
         rep.notes.append("controllable directions are partially observable; "
                          "split skipped")
         return rep
-    V_c = _orth(ctrl, tol)
-    # columns of unobs, then of the identity, that extend the span so far
-    V_a = unobs[:, complete_rows(V_c.T, unobs.T, unobs.shape[1], tol)]
-    V_ac = np.hstack([V_a, V_c])
-    V_b = np.eye(n0)[:, complete_rows(V_ac.T, np.eye(n0), n0 - V_ac.shape[1], tol)]
-    T = np.hstack([V_a, V_b, V_c])
-    Tinv = np.linalg.inv(T)
-    na = V_a.shape[1]
+    V_c = [K.col(j) for j in K.pivots()]
+    V_a = _extend(V_c, O.nullspace())
+    V_b = _extend(V_a + V_c, SymMatrix.identity(n0).rows)
+    T = SymMatrix(V_a + V_b + V_c).transpose()
+    Tinv = T.inverse()
     At = Tinv @ A @ T
-    za_names = [f"za{i + 1}" for i in range(na)]
+    za_names = [f"za{i + 1}" for i in range(len(V_a))]
     rep.split = {
-        "za": [(za_names[i],
-                _np_row_to_expr(Tinv[i], rep.eta_names)) for i in range(na)],
-        "zb_dim": V_b.shape[1],
-        "zc_dim": V_c.shape[1],
+        "za": [(za, _combine(Tinv.row(i), rep.eta_names))
+               for i, za in enumerate(za_names)],
+        "zb_dim": len(V_b),
+        "zc_dim": len(V_c),
     }
-    rep.zero_dynamics = []
-    for i in range(na):
-        acc = const(0)
-        for j2 in range(na):
-            v = At[i, j2]
-            if abs(v) > 1e-12:
-                acc = acc + const(_as_rat(v)) * Var(za_names[j2])
-        rep.zero_dynamics.append((za_names[i], simplify(acc)))
+    rep.zero_dynamics = [(za, _combine(At.row(i), za_names))
+                         for i, za in enumerate(za_names)]
     return rep
 
 
-def _as_rat(v):
-    from fractions import Fraction
-    fr = Fraction(v).limit_denominator(10**6)
-    return fr if abs(float(fr) - v) < 1e-9 else float(v)
+def _extend(basis, candidates):
+    """The candidates that, taken in order, each leave the span of the
+    independent vectors `basis` and of the candidates taken before."""
+    vecs = basis + candidates
+    return [vecs[j] for j in SymMatrix(vecs).transpose().pivots()
+            if j >= len(basis)]
 
 
-def _np_row_to_expr(row, names):
-    acc = const(0)
-    for v, nme in zip(row, names):
-        if abs(v) > 1e-12:
-            acc = acc + const(_as_rat(float(v))) * Var(nme)
-    return simplify(acc)
-
-
-def _krylov(A, B):
-    n = A.shape[0]
-    if B.size == 0:
-        return np.zeros((n, 0))
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
-
-
-def _orth(M, tol):
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0))
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    return u[:, :_kept(s, tol)]
-
-
-def _null(M, tol):
-    if M.size == 0:
-        return np.eye(M.shape[1]) if M.shape[1] else np.zeros((0, 0))
-    u, s, vt = np.linalg.svd(M)
-    return vt[_kept(s, tol):].T
+def _combine(coeffs, names):
+    """sum_i coeffs[i] * names[i], over the shorter of the two."""
+    return simplify(sum((c * Var(x) for c, x in zip(coeffs, names)),
+                        start=ZERO))

@@ -301,7 +301,7 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
                     [lg_omega_vals[0], lg_theta_vals[0][r_idx]]), tol)
                 W_k = lg_s_theta - (P_full @ lg_omega)
                 if not zero_output:
-                    _assert_zero_matrix(W_k, states, pts, tol, out, k)
+                    _assert_zero_matrix(W_k, states, pts, out, k)
                 # column c of P_full belongs to chain c, which has length q[c]
                 q = chain_structure(rho_list)[0]
                 for l in dict.fromkeys(q):
@@ -336,7 +336,7 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
     return out
 
 
-def _assert_zero_matrix(mat, states, pts, tol, out, k):
+def _assert_zero_matrix(mat, states, pts, out, k):
     """Warn at the first sample where the residual is above 1e-6 or not
     finite."""
     if 0 in mat.shape:

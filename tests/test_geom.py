@@ -428,6 +428,37 @@ def test_shared_minors_match_reference_on_polynomials(M):
     assert _keys_or_error(M.inverse) == _keys_or_error(_reference_inverse, M)
 
 
+@st.composite
+def ranked_matrices(draw):
+    """Rational n x c matrices (n <= 5, c <= 6) of rank at most k <= 5, the
+    product of an n x k and a k x c factor."""
+    k = draw(st.integers(0, 5))
+    n, c = draw(st.integers(max(k, 1), 5)), draw(st.integers(max(k, 1), 6))
+    values = st.one_of(st.integers(-3, 3),
+                       st.fractions(-3, 3, max_denominator=4))
+    left = [[draw(values) for _ in range(k)] for _ in range(n)]
+    right = [[draw(values) for _ in range(c)] for _ in range(k)]
+    return SymMatrix([[const(sum((left[i][l] * right[l][j] for l in range(k)),
+                                 start=0)) for j in range(c)]
+                      for i in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(ranked_matrices())
+def test_pivots_and_nullspace_match_sympy(M):
+    import sympy
+    ref = sympy.Matrix([[sympy.Rational(e.value.numerator, e.value.denominator)
+                         for e in r] for r in M.rows])
+    assert M.pivots() == list(ref.rref()[1])
+    null = M.nullspace()
+    assert len(null) == len(ref.nullspace())
+    for v in null:
+        assert (M @ SymMatrix([[e] for e in v])).col(0) == [const(0)] * len(M.rows)
+    n, c = M.shape
+    if n == c and len(M.pivots()) < n:
+        assert M.det() == const(0)
+
+
 def test_singular_and_oversized_inverse_errors():
     singular = SymMatrix([[parse("x1"), parse("x2")],
                           [parse("2*x1"), parse("2*x2")]])

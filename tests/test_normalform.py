@@ -243,9 +243,52 @@ class TestDegenerateNormalForm:
 def test_zero_dynamics_cubic(ex33, out33):
     nf = build_normal_form(ex33, out33)
     rep = zero_dynamics(nf)
-    assert len(rep.eta_rhs) == 1
-    assert numeric_equivalent(rep.eta_rhs[0],
-                              subs(parse("-e^3"), {"e": Var(rep.eta_names[0])}))
+    assert rep.eta_rhs == [simplify(-Var(rep.eta_names[0]) ** 3)]
+
+
+def test_linear_split_is_exact():
+    # the unobservable span {(1, 1, 0), (0, 0, 1)} holds the controllable
+    # direction e3; za = eta2 is its exact complement coordinate
+    sysm = AffineSystem(["x1", "x2", "x3", "x4"],
+                        [parse(e) for e in ["x1 + 2*x2", "2*x1 + x2", "-x3",
+                                            "x1"]],
+                        [[parse(a), parse(b)] for a, b in
+                         [("0", "0"), ("0", "0"), ("0", "1"), ("1", "0")]],
+                        [parse("x4"), parse("x1 - x2")])
+    out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+    rep = zero_dynamics(build_normal_form(sysm, out))
+    assert rep.split == {"za": [("za1", Var("eta2"))], "zb_dim": 1,
+                         "zc_dim": 1}
+    assert rep.zero_dynamics == [("za1", simplify(3 * Var("za1")))]
+
+
+@pytest.mark.parametrize("f2", ["0.5*x2", "x2^3"])
+def test_split_needs_rational_constant_coefficients(f2):
+    # a float coefficient leaves the same note as a nonlinear residual
+    sysm = AffineSystem(["x1", "x2"], [parse("0"), parse(f2)],
+                        [[parse("1")], [parse("0")]], [parse("x1"), parse("x2")])
+    out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+    rep = zero_dynamics(build_normal_form(sysm, out))
+    assert rep.split is None and rep.zero_dynamics is None
+    assert rep.notes == ["residual system not linear with rational "
+                         "coefficients; split not computed (supply "
+                         "coordinates to refine)"]
+
+
+def test_constant_residue_shift_is_exact():
+    # the exam_sch triple with exact entries: the shift that removes the
+    # constant residue column keeps rational coefficients
+    from conftest import SYSTEMS
+    from test_linstruct import _lift
+    from normform.linstruct import load_matrix
+    A, B, C = (load_matrix(SYSTEMS / "linear" / f"exam_sch_{k}.txt")
+               for k in "ABC")
+    sysm = _lift(A, B, C)
+    out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+    nf = build_normal_form(sysm, out)
+    assert nf.eta_exprs[1] == parse("2*x3")
+    rep = zero_dynamics(nf)
+    assert rep.zero_dynamics[1] == ("eta2", parse("2*eta2"))
 
 
 def test_solve_triangular():

@@ -192,7 +192,7 @@ def test_select_RS_falls_back_when_base_choice_fails_elsewhere():
 def test_residual_warning_at_first_bad_sample(entry, warned):
     out = StructureOutcome(None, "infinite-zero", [], 1e-8)
     pts = [np.zeros(1), np.array([-1.0]), np.array([0.5])]
-    _assert_zero_matrix(SymMatrix([[parse(entry)]]), ["x1"], pts, 1e-8, out, 2)
+    _assert_zero_matrix(SymMatrix([[parse(entry)]]), ["x1"], pts, out, 2)
     if warned is None:
         assert out.warnings == []
     else:
