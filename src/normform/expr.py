@@ -413,7 +413,11 @@ def _poly_atom(atom, exp=1):
 def _poly_add(p, q):
     if len(q) > len(p):
         p, q = q, p
-    out = dict(p)
+    return _poly_iadd(dict(p), q)
+
+
+def _poly_iadd(out, q):
+    """out + q, added into out in place."""
     for mono, c in q.items():
         nc = out.get(mono, 0) + c
         if nc == 0:
@@ -721,24 +725,22 @@ def _mono_to_expr(mono, coeff):
     return Mul(tuple(factors))
 
 
-def _poly_to_expr(p):
+def _poly_written(p):
+    """The sum of p's terms sorted by key, and p's monomials in that order."""
     if not p:
-        return ZERO
-    terms = [_mono_to_expr(m, c) for m, c in p.items()]
-    terms.sort(key=lambda t: t.key)
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
+        return ZERO, ()
+    terms, monos = zip(*sorted(((_mono_to_expr(m, c), m) for m, c in p.items()),
+                               key=lambda tm: tm[0].key))
+    return (terms[0] if len(terms) == 1 else Add(terms)), monos
 
 
-def _frac_to_expr(f):
-    num = _poly_to_expr(f.num)
+def _frac_written(f):
+    """The tree of f, and the monomials of its numerator in written order."""
+    num, order = _poly_written(f.num)
     if f.den == _poly_const(1):
-        return num
-    den = _poly_to_expr(f.den)
-    if num == ONE:
-        return Pow(den, -1)
-    return Mul((num, Pow(den, -1)))
+        return num, order
+    den = _poly_written(f.den)[0]
+    return (Pow(den, -1) if num == ONE else Mul((num, Pow(den, -1)))), order
 
 
 def _reads_back_differently(f):
@@ -754,7 +756,10 @@ def simplify(e, budget=None):
 
     Idempotent: a copy of s = simplify(e, budget) simplifies to s, and s is
     marked so that simplify(s, budget) returns s at once.  Expansion stops at
-    the term budget; capped subexpressions stay factored.
+    the term budget; capped subexpressions stay factored.  The fraction s
+    was written from is stored on s as its polynomial form where it is the
+    one expanding s would give (see _mark_canonical), so s is not expanded
+    again.
     """
     e = _as_expr(e)
     if budget is None:
@@ -765,9 +770,9 @@ def simplify(e, budget=None):
         while True:
             f = _to_frac(e, budget)
             f = _frac_cancel(f.num, f.den)
-            out = _frac_to_expr(f)
+            out, order = _frac_written(f)
             if not _reads_back_differently(f):
-                break
+                return _mark_canonical(out, f, order, budget)
             e = out
     except BudgetError:
         # Keep the tree with simplified children; callers fall back to the
@@ -782,6 +787,37 @@ def simplify(e, budget=None):
             # The simplified children may fit the budget where e did not.
             return simplify(out, budget)
     _set(out, "_canon", budget)
+    return out
+
+
+def _exact(f, over_vars=False):
+    """Whether every coefficient of the fraction f is exact and, with
+    over_vars, every atom a variable."""
+    return not any(type(c) is float
+                   or (over_vars and any(type(a) is not Var for a, _ in m))
+                   for p in f for m, c in p.items())
+
+
+def _mark_canonical(out, f, order, budget):
+    """Mark `out`, the tree _frac_written gives for the cancelled fraction f
+    with its numerator's monomials in `order`, as canonical at budget, and
+    store on it the fraction that expanding `out` gives, where that is f:
+    when every coefficient is exact (_mono_to_expr does not write a float
+    coefficient 1.0, so such a tree reads back with an exact 1), and over a
+    denominator only when both parts fit the budget (the expansion
+    multiplies them out, and a larger part raises BudgetError).  The stored
+    dicts have the expansion's order, the numerator's by written term and
+    the denominator's by leading monomial (the exact division that inverts
+    it), and its coefficient types, so that float products and the
+    Pythagorean pass meet their terms in the same order."""
+    _set(out, "_canon", budget)
+    if (not isinstance(out, (Const, Var))
+            and (f.den == _poly_const(1)
+                 or (len(f.num) <= budget and len(f.den) <= budget))
+            and _exact(f)):
+        _memoized(out, budget, lambda: _Frac(
+            {m: _whole(f.num[m]) for m in order},
+            {m: _whole(f.den[m]) for m in sorted(f.den, key=_mono_key)}))
     return out
 
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import (ONE, TERM_BUDGET, ZERO, BudgetError, EvalError, _diff_raw,
-                   _frac_add, _frac_cancel, _frac_inv, _frac_mul, _frac_to_expr,
-                   _Frac, _to_frac, compile_exprs, const, diff, free_vars,
-                   numeric_equivalent, simplify, subs)
+from .expr import (ONE, TERM_BUDGET, ZERO, BudgetError, EvalError,
+                   _diff_raw, _exact, _frac_add, _frac_cancel, _frac_inv,
+                   _frac_mul, _frac_written, _Frac, _mark_canonical,
+                   _poly_const, _poly_iadd, _poly_mul, _poly_written, _to_frac,
+                   compile_exprs, const, diff, free_vars, numeric_equivalent,
+                   simplify, subs)
 
 __all__ = ["VectorField", "SymMatrix", "jacobian", "lie_derivative",
            "lie_bracket", "ad_power", "bracket_sampler", "involutive", "rank",
@@ -273,7 +275,8 @@ def _tree_is_zero(e):
     return e == ZERO or numeric_equivalent(e, ZERO)
 
 
-_FRAC_OPS = (lambda f: not f.num, _frac_inv, _frac_cross, _frac_to_expr)
+_FRAC_OPS = (lambda f: not f.num, _frac_inv, _frac_cross,
+             lambda f: _frac_written(f)[0])
 _TREE_OPS = (_tree_is_zero, lambda e: e ** -1, _tree_cross, simplify)
 
 
@@ -326,10 +329,51 @@ def lie_derivative(f, lam):
         return SymMatrix([lie_derivative(f, list(r)) for r in lam.rows])
     if isinstance(lam, (list, tuple)):
         return [lie_derivative(f, e) for e in lam]
+    out = _poly_lie_derivative(f, lam)
+    if out is not None:
+        return out
     acc = const(0)
     for name, fi in zip(f.states, f.components):
         acc = acc + diff(lam, name) * fi
     return simplify(acc)
+
+
+def _exact_var_poly(e):
+    """The polynomial dict of e when it expands to a polynomial over
+    variables with exact coefficients, else None.  Over variables alone the
+    expansion is the canonical form, and on a canonical e it is stored."""
+    f = _to_frac(e, TERM_BUDGET)
+    return f.num if f.den == _poly_const(1) and _exact(f, over_vars=True) else None
+
+
+def _poly_lie_derivative(f, lam):
+    """L_f lam on polynomial dicts, or None when lam or a component of f is
+    not a polynomial over variables with exact coefficients, or a product
+    outgrows the term budget.  Each partial is an exponent shift, each
+    product is _poly_mul, and the sum is added into one dict, so the result
+    is the canonical polynomial simplify would give, with its fraction
+    stored on it."""
+    try:
+        polys = []
+        for e in (const(lam), *f.components):
+            polys.append(_exact_var_poly(e))
+            if polys[-1] is None:   # the rest are not expanded
+                return None
+        p, *fs = polys
+        partials = {}   # state name -> d lam / d state
+        for mono, c in p.items():
+            for k, (a, e) in enumerate(mono):
+                shifted = ((a, e - 1),) if e > 1 else ()
+                partials.setdefault(a.name, {})[
+                    mono[:k] + shifted + mono[k + 1:]] = c * e
+        acc = {}
+        for name, fi in zip(f.states, fs):
+            if name in partials:
+                _poly_iadd(acc, _poly_mul(partials[name], fi, TERM_BUDGET))
+    except BudgetError:
+        return None
+    out, order = _poly_written(acc)
+    return _mark_canonical(out, _Frac(acc, _poly_const(1)), order, TERM_BUDGET)
 
 
 def lie_derivative_cols(g_matrix, states, lam):

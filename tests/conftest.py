@@ -89,6 +89,22 @@ def counter3_affine(alpha=1):
     return AffineSystem(states, f, g, h)
 
 
+def unmarked_copy(e):
+    """A structural copy that carries no canonical mark."""
+    from normform.expr import Add, Const, Func, Mul, Pow, Var
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.name)
+    if isinstance(e, Func):
+        return Func(e.fname, unmarked_copy(e.arg))
+    if isinstance(e, Pow):
+        return Pow(unmarked_copy(e.base), e.exp)
+    if isinstance(e, Mul):
+        return Mul(tuple(unmarked_copy(f) for f in e.factors))
+    return Add(tuple(unmarked_copy(t) for t in e.terms))
+
+
 def _reference_diff_raw(e, name):
     """The derivative tree before pruning: every product-rule term is
     built, also around a factor whose derivative is 0."""

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import _reference_diff_raw, _reference_evalf
+from conftest import _reference_diff_raw, _reference_evalf, unmarked_copy
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, TERM_BUDGET, ZERO,
                            Add, Const, EvalError, Func, Mul, ParseError, Pow,
-                           Var, _diff_raw, _kernel_source, _poly_to_expr,
-                           _var_names,
+                           Var, _diff_raw, _kernel_source, _poly_written,
+                           _to_frac, _var_names,
                            backends_agree, compile_exprs, compile_exprs_scalar,
                            const, diff, equivalent, evalf, free_vars,
                            numeric_equivalent, parse, render, sample_box,
@@ -138,21 +138,6 @@ def small_exprs(draw, names=("x1", "x2", "x3"), wide=False):
         return Func(draw(st.sampled_from(funcs)), rec(d - 1))
 
     return rec(depth)
-
-
-def unmarked_copy(e):
-    """A structural copy that carries no canonical mark."""
-    if isinstance(e, Const):
-        return Const(e.value)
-    if isinstance(e, Var):
-        return Var(e.name)
-    if isinstance(e, Func):
-        return Func(e.fname, unmarked_copy(e.arg))
-    if isinstance(e, Pow):
-        return Pow(unmarked_copy(e.base), e.exp)
-    if isinstance(e, Mul):
-        return Mul(tuple(unmarked_copy(f) for f in e.factors))
-    return Add(tuple(unmarked_copy(t) for t in e.terms))
 
 
 def assert_idempotent(e, budget=None):
@@ -706,10 +691,10 @@ def test_long_sums_compile_in_both_backends_as_a_left_fold():
     # simplify writes it; Python's compiler recurses once per operator, so
     # the kernel folds long chains in chunks
     names = ["x1", "x2", "x3", "x4"]
-    full = _poly_to_expr({
+    full = _poly_written({
         tuple((Var(x), i // 10 ** k % 10) for k, x in enumerate(names)
               if i // 10 ** k % 10): Fraction((-1) ** i * (1 + i % 5), 1 + i % 3)
-        for i in range(TERM_BUDGET)})
+        for i in range(TERM_BUDGET)})[0]
     assert len(full.terms) == TERM_BUDGET
     assert simplify(Add(full.terms[:300])).terms == full.terms[:300]
     pts = np.random.default_rng(3).uniform(-1.01, 1.01, size=(4, 5))
@@ -867,8 +852,14 @@ def test_diff_memo_matches_fresh_copy(e, canonical, name):
     assert e._memo[(name, TERM_BUDGET)] is d
 
 
+# a float coefficient 1.0 is written as no coefficient, so the tree of
+# -1.0/x1 + 1.0*x3 reads back with an exact 1
+FLOAT_ONE_CASE = (Const(-1.0), Pow(Var("x1"), -1), True)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_exprs(wide=True), small_exprs(wide=True), st.booleans())
+@example(*FLOAT_ONE_CASE)
 def test_memoized_children_simplify_as_fresh_copies(e1, e2, product):
     s1, s2 = simplified_or_reject(e1), simplified_or_reject(e2)
     op = Mul if product else Add
@@ -903,6 +894,51 @@ def test_frac_memo_is_never_read_at_another_budget(e1, e2, budgets):
     except ZeroDivisionError:
         assume(False)
     assert [r.key for r in results] == [f.key for f in fresh]
+
+
+def _typed(p):
+    # in order: float products and the Pythagorean pass read dicts in order
+    return [(m, type(c), c) for m, c in p.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_exprs(wide=True), st.sampled_from([None, 2, 4, 8]))
+@example(Mul((FLOAT_ONE_CASE[0], Add((FLOAT_ONE_CASE[1],
+                                      Mul((FLOAT_ONE_CASE[0], Var("x3"))))))),
+         None)
+# 1/(1/x1 + 1): the expansion orders a denominator by leading monomial
+@example(Pow(Add((Pow(Var("x1"), -1), Const(1))), -1), None)
+# the x1 coefficient 2 * 1/2 is a whole Fraction; the expansion reads an int
+@example(Pow(Add((Var("x1"), Pow(Const(2), -1))), 2), None)
+def test_simplify_stores_the_fraction_of_a_fresh_copy(e, budget):
+    try:
+        s = simplify(e, budget)
+    except ZeroDivisionError:
+        assume(False)
+    budget = budget or TERM_BUDGET
+    stored = (s._memo or {}).get(budget)
+    if stored is not None:
+        fresh = _to_frac(unmarked_copy(s), budget)
+        assert [_typed(p) for p in stored] == [_typed(p) for p in fresh]
+
+
+def test_simplify_stores_exact_fractions_only():
+    s = simplify(parse("x1/(1 + x2)") + 3)
+    assert s._memo[TERM_BUDGET] == _to_frac(unmarked_copy(s), TERM_BUDGET)
+    assert simplify(parse("0.5*x1/(1 + x2)"))._memo is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), rational_functions(floats=True))
+def test_stored_fraction_multiplies_floats_as_a_fresh_copy(e1, e2):
+    # a float coefficient of a product sums its contributions in the order
+    # of the factors' dicts, so a stored exact factor must keep that order
+    s1 = simplified_or_reject(e1 * e1 + e1)
+    try:
+        first = simplify(Mul((s1, e2)))
+    except ZeroDivisionError:
+        assume(False)
+    assert first.key == simplify(Mul((unmarked_copy(s1), e2))).key
 
 
 def test_frac_memo_is_keyed_by_budget():

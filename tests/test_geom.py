@@ -1,14 +1,17 @@
 """Lie calculus primitives and the sampled involutivity test."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _reference_diff_raw, _reference_evalf
+from conftest import _reference_diff_raw, _reference_evalf, unmarked_copy
 from normform import geom
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS,
-                           EvalError, Pow, Var, const, evalf, parse,
-                           numeric_equivalent, sample_box, simplify)
+                           TERM_BUDGET, BudgetError, Const, EvalError, Func,
+                           Pow, Var, _to_frac, const, diff, evalf, free_vars,
+                           parse, numeric_equivalent, sample_box, simplify)
 from normform.geom import (SymMatrix, VectorField, ad_power, bracket_sampler,
                            involutive, jacobian, lie_bracket, lie_derivative,
                            lie_derivative_cols, rank)
@@ -64,6 +67,56 @@ def test_lie_derivative_leibniz():
     lhs = lie_derivative(f, lam * mu)
     rhs = lam * lie_derivative(f, mu) + mu * lie_derivative(f, lam)
     assert numeric_equivalent(lhs, rhs, tol=1e-9)
+
+
+STATES3 = ["x1", "x2", "x3"]
+
+
+@st.composite
+def lie_inputs(draw):
+    """A raw expression over x1..x3, most often a polynomial with exact
+    coefficients, else one with a float coefficient, a denominator or a
+    function atom; and whether it is the plain polynomial."""
+    t = const(draw(st.fractions(-3, 3, max_denominator=4)))
+    e = t
+    for _ in range(draw(st.integers(0, 3))):
+        t = const(draw(st.fractions(-3, 3, max_denominator=4)))
+        for name in STATES3:
+            t = t * Pow(Var(name), draw(st.integers(0, 2)))
+        e = e + t
+    kind = draw(st.integers(0, 5))
+    if kind == 1:   # x3^3 is of a degree no drawn term has
+        e = e + 0.5 * Pow(Var("x3"), 3)
+    elif kind == 2:
+        e = e + 1 / (Var("x1") + 1)
+    elif kind == 3:
+        e = e + Func("sin", Var("x2"))
+    return e, kind not in (1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(lie_inputs(), min_size=4, max_size=4), st.booleans())
+def test_polynomial_lie_derivative_matches_tree_route(drawn, overflow):
+    (lam, lam_poly), *comps = drawn
+    f = VectorField([c for c, _ in comps], STATES3)
+    real, calls = geom._poly_mul, []
+
+    def poly_mul(p, q, budget):
+        calls.append(budget)
+        if overflow:   # a product over the budget: the tree route is taken
+            raise BudgetError
+        return real(p, q, budget)
+
+    with mock.patch.object(geom, "_poly_mul", poly_mul):
+        got = lie_derivative(f, lam)
+    tree = simplify(sum((diff(unmarked_copy(lam), n) * unmarked_copy(c)
+                         for n, c in zip(STATES3, f.components)), const(0)))
+    assert got.key == tree.key
+    polynomial = lam_poly and all(p for _, p in comps)
+    assert bool(calls) == (polynomial and bool(free_vars(lam)))
+    if polynomial and not isinstance(got, (Const, Var)):
+        assert got._memo[TERM_BUDGET] == _to_frac(unmarked_copy(got),
+                                                  TERM_BUDGET)
 
 
 def test_bracket_antisymmetry_and_self():
