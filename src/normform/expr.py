@@ -937,25 +937,20 @@ def _var_names(e):
 # Compilation: one value-numbering code generator, two backends
 # ---------------------------------------------------------------------------
 
-# the longest sum or product that _kernel_source writes as one chain
+# the longest sum or product that the lambda renderer writes as one chain
 _CHUNK = 256
 
 
-def _kernel_source(exprs, names):
-    """Source of `lambda _a: [...]`, one value per expression, over `_a[i]`
-    for names[i], calling `_sin`, `_cos`, ... for the functions.
+def _number_values(exprs, names):
+    """Value numbering for the kernel renderers: (keys, uses, roots).
 
     Nodes are numbered bottom-up by value, on (op, data, child numbers),
-    with a memo by node identity so shared subtrees are walked once.  A
-    compound value used by more than one parent value (or root) is bound
-    to a local `_tN` by `:=` where it is first evaluated and read back
-    after; every other node is written inline.  Each operation keeps its
-    operands and their order, and runs where it ran in the inlined tree,
-    so values and exceptions are those of the trees as given.  A square is
-    written as a product, `(_tN:=base)*_tN` (a leaf base inline): correctly
-    rounded, and numpy's `x**2` on an array, which a float `pow` is not.
-    A sum or product of more than _CHUNK operands is written as a tuple of
-    partial results, each bound to a local `_sN` and read by the next.
+    with a memo by node identity so shared subtrees are walked once.
+    keys[v] is the source text of a leaf (`(3)`, `(0.5)`, `_a[i]` for
+    names[i]) or a tuple: ("+" or "*", children), ("^", exponent, base) or
+    (function name, argument).  uses[v] counts the parent values and roots
+    that read v (a square reads its base twice), roots[i] is the value of
+    exprs[i].
     """
     exprs = [_as_expr(e) for e in exprs]   # alive while ids are memo keys
     index = {}
@@ -1012,8 +1007,23 @@ def _kernel_source(exprs, names):
     roots = [number(e) for e in exprs]
     for v in roots:
         uses[v] += 1
-    bound = set()
+    # the closure refers to itself; break the cycle so that the tables are
+    # freed here and not by the next garbage collection
+    del number
+    return keys, uses, roots
 
+
+def _inline_writer(keys, uses, bound):
+    """emit(v): the text of value v as one Python expression.
+
+    A compound value used more than once is bound to a local `_tN` by `:=`
+    where it is first written, and read back after; `bound` holds the
+    values bound so far.  A square is written as a product,
+    `(_tN:=base)*_tN` (a leaf base inline): correctly rounded, and numpy's
+    `x**2` on an array, which a float `pow` is not.  A sum or product of
+    more than _CHUNK operands is written as a tuple of partial results,
+    each bound to a local `_sN` and read by the next.
+    """
     def emit(v):
         key = keys[v]
         if type(key) is str:
@@ -1043,11 +1053,130 @@ def _kernel_source(exprs, names):
             return f"(_t{v}:={text})"
         return text
 
+    return emit
+
+
+def _kernel_source(exprs, names):
+    """Source of `lambda _a: [...]`, one value per expression, over `_a[i]`
+    for names[i], calling `_sin`, `_cos`, ... for the functions.
+
+    Values are numbered by `_number_values` and written by `_inline_writer`;
+    every node not bound to a local is written inline.  Each operation keeps
+    its operands and their order, and runs where it ran in the inlined tree,
+    so values and exceptions are those of the trees as given.
+    """
+    keys, uses, roots = _number_values(exprs, names)
+    emit = _inline_writer(keys, uses, set())
     src = "lambda _a: [" + ",".join(map(emit, roots)) + "]"
-    # each closure refers to itself; break the cycles so that the tables
-    # are freed here and not by the next garbage collection
-    del number, emit
+    del emit   # a self-referencing closure, as in _number_values
     return src
+
+
+def _statement_source(exprs, names):
+    """Source of `def _f(_a,_o)`, which writes the value of exprs[i] into
+    the array `_o[i]`, over `_a[i]` for names[i], and the number of
+    scratch rows it takes from `_scratch(_o[0])`.
+
+    Values are numbered by `_number_values`.  A sum or product is a chain
+    of `_add`/`_mul` calls into its target (a root's row, the scratch row
+    `_bD` of its depth, or the row `_tN` of a compound value used more than
+    once) with the operands and the order of the lambda of
+    `_kernel_source`: the first operand is written into the target itself,
+    every later compound one into the row of the next depth.  A function
+    writes into its target, and a square is a `_mul` of its base with
+    itself.  A power other than a square, and every value its base reads,
+    is written as in the lambda by `_inline_writer`, since a base that the
+    lambda computes on Python floats would be an array here, and numpy's
+    array `pow` rounds otherwise than a float's.  An integer constant below
+    2**53 is written as a float literal, which is exact.
+    """
+    keys, uses, roots = _number_values(exprs, names)
+    # powers other than squares and the values their bases read
+    inline = set()
+    stack = [v for v, k in enumerate(keys)
+             if type(k) is tuple and k[0] == "^" and k[1] != 2]
+    while stack:
+        v = stack.pop()
+        key = keys[v]
+        if type(key) is not str and v not in inline:
+            inline.add(v)
+            stack.extend(key[1] if key[0] in ("+", "*") else key[-1:])
+    bound = set()
+    emit = _inline_writer(keys, uses, bound)
+    lines = []
+    rows = []       # scratch row names
+
+    def ready(v):
+        # the text of v when it needs no statement of its own
+        key = keys[v]
+        if type(key) is not str:
+            return f"_t{v}" if v in bound else None
+        if key[0] == "(":
+            try:
+                n = int(key[1:-1])
+            except ValueError:
+                return key
+            if abs(n) < 2 ** 53:
+                return repr(float(n))
+        return key
+
+    def shared(v, depth):
+        rows.append(f"_t{v}")
+        write(v, f"_t{v}", depth)
+        bound.add(v)
+        return f"_t{v}"
+
+    def operand(v, depth):
+        # v as a later operand: its text, or the row it is written into
+        text = ready(v)
+        if text is not None:
+            return text
+        if v in inline:
+            return emit(v)
+        if uses[v] > 1:
+            return shared(v, depth)
+        row = f"_b{depth}"
+        if row not in rows:
+            rows.append(row)
+        write(v, row, depth + 1)
+        return row
+
+    def first(v, target, depth):
+        # v as the first operand: its text, or the target it is written into
+        text = ready(v)
+        if text is not None:
+            return text
+        if uses[v] > 1 and v not in inline:
+            return shared(v, depth)
+        write(v, target, depth)
+        return target
+
+    def write(v, target, depth):
+        key = keys[v]
+        op = key[0]
+        if v in inline:
+            lines.append(f"_copyto({target},{emit(v)})")
+        elif op == "+" or op == "*":
+            call = "_add" if op == "+" else "_mul"
+            acc = first(key[1][0], target, depth)
+            for c in key[1][1:]:
+                lines.append(f"{call}({acc},{operand(c, depth)},{target})")
+                acc = target
+            if acc != target:
+                lines.append(f"_copyto({target},{acc})")
+        elif op == "^":
+            lines.append(f"_mul({operand(key[2], depth)},"
+                         f"{operand(key[2], depth)},{target})")
+        else:
+            lines.append(f"_{op}({first(key[1], target, depth)},{target})")
+
+    for i, v in enumerate(roots):
+        text = first(v, f"_o[{i}]", 0)
+        if text != f"_o[{i}]":
+            lines.append(f"_copyto(_o[{i}],{text})")
+    del ready, shared, operand, first, write, emit   # cycles, as above
+    head = [",".join(rows) + ",=_scratch(_o[0])"] if rows else []
+    return "def _f(_a,_o):\n " + "\n ".join(head + lines or ["pass"]), len(rows)
 
 
 def compile_exprs(exprs, names):
@@ -1062,6 +1191,33 @@ def compile_exprs(exprs, names):
     return eval(src, {"_sin": _np.sin, "_cos": _np.cos,  # noqa: S307
                       "_exp": _np.exp, "_sqrt": _np.sqrt,
                       "_abs": _np.abs, "_sign": _np.sign})
+
+
+def compile_exprs_into(exprs, names):
+    """Compile a list of expressions into f(args, out), which writes the
+    value of exprs[i] into the float array out[i], broadcast to its shape,
+    with the bits of compile_exprs.
+
+    `args` is as for compile_exprs; `out` is a sequence of equally-shaped
+    arrays that alias no argument.  The kernel keeps its scratch arrays
+    from one call to the next, so it serves one caller at a time.
+    """
+    import numpy as _np
+
+    src, count = _statement_source(exprs, names)
+    held = [None, ()]
+
+    def scratch(like):
+        if held[0] != like.shape:
+            held[:] = like.shape, [_np.empty(like.shape) for _ in range(count)]
+        return held[1]
+
+    env = {"_add": _np.add, "_mul": _np.multiply, "_copyto": _np.copyto,
+           "_scratch": scratch, "_sin": _np.sin, "_cos": _np.cos,
+           "_exp": _np.exp, "_sqrt": _np.sqrt, "_abs": _np.abs,
+           "_sign": _np.sign}
+    exec(src, env)  # noqa: S102 - from our own AST
+    return env["_f"]
 
 
 def _exp_or_inf(v):

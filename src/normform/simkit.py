@@ -6,10 +6,13 @@ a batch of fewer than SCALAR_RUNS runs whose right-hand side gives the
 same bits on both backends (`expr.backends_agree`), one run at a time;
 there the per-step overhead of numpy would cost more than the arithmetic
 it vectorizes.  Any other batch compiles its right-hand side once into a
-vectorized numpy callable and advances an (n, nruns) state array in
-lockstep, one row per state variable.  Both routes give the same
-(T, n, nruns) states and (T, nruns) w values, and the channels u, y and V
-of every trace, a single run's included, are evaluated on them with numpy.
+numpy kernel that writes each derivative into its row of a preallocated
+stage array (`expr.compile_exprs_into`), and advances an (n, nruns) state
+array in lockstep, one row per state variable, with every RK4 stage
+computed in place: a step allocates no array but the results of `**`.
+Both routes give the same (T, n, nruns) states and (T, nruns) w values,
+and the channels u, y and V of every trace, a single run's included, are
+evaluated on them with numpy.
 Every trace exposes its states as (T, nruns, n); `Trace.single(k)` is a
 one-run view of the same shape.
 """
@@ -17,10 +20,12 @@ one-run view of the same shape.
 from __future__ import annotations
 
 import io
+from array import array
 
 import numpy as np
 
-from .expr import backends_agree, compile_exprs, compile_exprs_scalar, simplify
+from .expr import (backends_agree, compile_exprs, compile_exprs_into,
+                   compile_exprs_scalar, simplify)
 
 __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
            "noise_signal", "constant_signal", "simulate", "lyapunov_monitor",
@@ -151,7 +156,7 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     if nruns == 1 or nruns < SCALAR_RUNS and backends_agree(rhs_exprs):
         run, f = _run_floats, compile_exprs_scalar(rhs_exprs, names + ["w"])
     else:
-        run, f = _run_batch, compile_exprs(rhs_exprs, names + ["w"])
+        run, f = _run_batch, compile_exprs_into(rhs_exprs, names + ["w"])
     xs, ws, alive = run(f, x0, cfg, w_signal)
     ts = _times(len(xs) - 1, cfg.dt)
 
@@ -182,65 +187,79 @@ def _times(last, dt):
 
 
 def _run_batch(f, x0, cfg, w_signal):
-    """The numpy loop over an (n, nruns) state, f its compiled right-hand
-    side: the (T, n, nruns) states, the (T, nruns) w values and which runs
-    stayed live."""
+    """The numpy loop over an (n, nruns) state, f its right-hand side
+    compiled by compile_exprs_into: the (T, n, nruns) states, the (T,
+    nruns) w values and which runs stayed live.  Every stage is computed in
+    place, in the operation order of x + dt/2*k1 and
+    x + dt/6*(k1 + 2*k2 + 2*k3 + k4), and the new state is written into its
+    row of the trace."""
     nruns, n = x0.shape
     nsteps = int(round(cfg.horizon / cfg.dt))
-
-    def rhs(x, wv, out):
-        # the rows of the (n, nruns) state are the compiled function's
-        # arguments; row assignment also broadcasts constant outputs
-        for row, v in zip(out, f([*x, wv])):
-            row[...] = v
-        return out
-
     dt = cfg.dt
     # run-major: each step stores one contiguous (n, nruns) block
     xs = np.empty((nsteps + 1, n, nruns))
     ws = np.empty((nsteps + 1, nruns))
-    x = np.ascontiguousarray(x0.T)
-    xs[0] = x
+    xs[0] = x0.T
     ws[0] = w_signal(0.0)
-    k1, k2, k3, k4 = np.empty((4, n, nruns))
+    k1, k2, k3, k4, xt = stages = np.empty((5, n, nruns))
+    r1, r2, r3, r4 = (list(k) for k in stages[:4])   # kernel outputs
+    args = [*xt, None]                                 # stage inputs, w last
+    norm2 = np.empty(nruns)
+    ok = np.empty(nruns, dtype=bool)
     alive = np.ones(nruns, dtype=bool)
     frozen = False
     last = nsteps
     with np.errstate(all="ignore"):
-        if not np.all(np.isfinite(rhs(x, ws[0], k1))):
+        f([*xs[0], ws[0]], r1)
+        if not np.all(np.isfinite(k1)):
             raise ValueError("right-hand side not finite at the initial state")
         for k in range(nsteps):
             t = k * dt
+            x, xn = xs[k], xs[k + 1]
             if cfg.integrator == "euler":
-                xn = x + dt * rhs(x, w_signal(t), k1)
+                f([*x, w_signal(t)], r1)
+                np.multiply(dt, k1, k1)
+                np.add(x, k1, xn)
                 w4 = w_signal(t + dt)
             else:
                 w1 = w_signal(t)
                 w2 = w_signal(t + dt / 2)
                 w4 = w_signal(t + dt)
-                rhs(x, w1, k1)
-                rhs(x + dt / 2 * k1, w2, k2)
-                rhs(x + dt / 2 * k2, w2, k3)
-                rhs(x + dt * k3, w4, k4)
-                xn = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                f([*x, w1], r1)
+                np.multiply(dt / 2, k1, xt)
+                np.add(x, xt, xt)
+                args[-1] = w2
+                f(args, r2)
+                np.multiply(dt / 2, k2, xt)
+                np.add(x, xt, xt)
+                f(args, r3)
+                np.multiply(dt, k3, xt)
+                np.add(x, xt, xt)
+                args[-1] = w4
+                f(args, r4)
+                np.multiply(2.0, k2, k2)
+                np.add(k1, k2, k1)
+                np.multiply(2.0, k3, k3)
+                np.add(k1, k3, k1)
+                np.add(k1, k4, k1)
+                np.multiply(dt / 6, k1, k1)
+                np.add(x, k1, xn)
+            ws[k + 1] = w4
             # false for NaN and inf as well as above the bound
-            ok = np.einsum("ij,ij->j", xn, xn) <= DIVERGENCE_NORM ** 2
+            np.einsum("ij,ij->j", xn, xn, out=norm2)
+            np.less_equal(norm2, DIVERGENCE_NORM ** 2, out=ok)
             if frozen or not ok.all():
                 ok &= alive
                 if not ok.any():
                     # the last runs diverged: end with this step, as the
                     # single-run path does
-                    xs[k + 1] = np.where(alive, xn, x)
-                    ws[k + 1] = w4
+                    np.copyto(xn, x, where=~alive)
                     alive = ok
                     last = k + 1
                     break
-                xn = np.where(ok, xn, x)
-                alive = ok
+                np.copyto(xn, x, where=~ok)
+                alive[...] = ok
                 frozen = True
-            xs[k + 1] = xn
-            ws[k + 1] = w4
-            x = xn
     return xs[:last + 1], ws[:last + 1], alive
 
 
@@ -253,15 +272,17 @@ def _run_floats(f, x0, cfg, w_signal):
     signals = [_run_signal(w_signal, j) for j in range(nruns)]
     runs = [_run_scalar(f, x0[j], cfg, signals[j]) for j in range(nruns)]
     alive = np.array([not diverged for _, _, diverged in runs])
-    ts = _times(max(len(xj) for xj, _, _ in runs) - 1, cfg.dt)
+    ts = _times(max(len(wj) for _, wj, _ in runs) - 1, cfg.dt)
     xs = np.empty((len(ts), n, nruns))
     ws = np.empty((len(ts), nruns))
     for j, (xj, wj, diverged) in enumerate(runs):
+        xj = np.frombuffer(xj).reshape(-1, n)
         # a diverged state is kept only by the last runs to diverge;
         # any other diverged run is frozen at its last accepted state
         if diverged and (alive.any() or len(xj) < len(ts)):
             xj = xj[:-1]
-        xs[:, :, j] = xj + xj[-1:] * (len(ts) - len(xj))
+        xs[:len(xj), :, j] = xj
+        xs[len(xj):, :, j] = xj[-1]
         ws[:, j] = wj + [signals[j](t) for t in ts[len(wj):].tolist()]
     return xs, ws, alive
 
@@ -276,8 +297,9 @@ def _run_signal(w_signal, j):
 
 def _run_scalar(f, x0, cfg, w):
     """One run on plain floats, f its compiled right-hand side and w(t) its
-    disturbance: the states and w values up to the end or the step at which
-    it diverges, that one included unless it raised, and whether it did."""
+    disturbance: the states, flat in an array('d'), and the w values up to
+    the end or the step at which it diverges, that one included unless it
+    raised, and whether it did."""
     x = [float(v) for v in x0]
     try:
         r0 = f(x + [w(0.0)])
@@ -289,7 +311,7 @@ def _run_scalar(f, x0, cfg, w):
     nsteps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.dt
     bound = DIVERGENCE_NORM ** 2
-    xs = [x]
+    xs = array("d", x)
     wsv = [w(0.0)]
     for k in range(nsteps):
         t = k * dt
@@ -310,7 +332,7 @@ def _run_scalar(f, x0, cfg, w):
                       for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
         except (ZeroDivisionError, ValueError, OverflowError):
             return xs, wsv, True
-        xs.append(xn)
+        xs.fromlist(xn)
         wsv.append(w4)
         x = xn
         # false for NaN and inf as well as above the bound
@@ -320,11 +342,12 @@ def _run_scalar(f, x0, cfg, w):
 
 
 def _running_trapezoid(ts, vals):
-    # in place: on a batch each temporary is trajectory-sized
+    # in place in the result: on a batch a temporary is trajectory-sized
     out = np.zeros_like(vals)
-    steps = vals[1:] + vals[:-1]
+    steps = out[1:]
+    np.add(vals[1:], vals[:-1], out=steps)
     steps *= 0.5 * np.diff(ts)[:, None]
-    np.cumsum(steps, axis=0, out=out[1:])
+    np.cumsum(steps, axis=0, out=steps)
     return out
 
 

@@ -10,12 +10,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import _reference_diff_raw, _reference_evalf, unmarked_copy
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, TERM_BUDGET, ZERO,
                            Add, Const, EvalError, Func, Mul, ParseError, Pow,
-                           Var, _diff_raw, _kernel_source, _poly_written,
-                           _to_frac, _var_names,
-                           backends_agree, compile_exprs, compile_exprs_scalar,
-                           const, diff, equivalent, evalf, free_vars,
-                           numeric_equivalent, parse, render, sample_box,
-                           simplify, subs)
+                           Var, _CHUNK, _diff_raw, _kernel_source,
+                           _poly_written, _to_frac, _var_names,
+                           backends_agree, compile_exprs, compile_exprs_into,
+                           compile_exprs_scalar, const, diff, equivalent,
+                           evalf, free_vars, numeric_equivalent, parse,
+                           render, sample_box, simplify, subs)
 
 
 def test_parse_product():
@@ -290,7 +290,11 @@ def test_simplify_matches_sympy_with_floats(e, rnd):
     checked = 0
     for _ in range(20):
         point = {x1: rnd.uniform(-2, 2), x2: rnd.uniform(-2, 2)}
-        w = complex(want.evalf(subs=point))
+        try:
+            w = complex(want.evalf(subs=point))
+        except ZeroDivisionError:
+            # a pole of the reference tree, as a non-finite value is
+            continue
         if not np.isfinite(w) or abs(w) > 1e6:
             continue
         g = complex(got.evalf(subs=point))
@@ -639,6 +643,52 @@ def test_compilers_match_the_inlining_compilers(exprs, seed):
         want, got = _outcome(old, p), _outcome(new, p)
         # repr tells nan, -0.0, an int and a float apart
         assert repr(got) == repr(want)
+
+
+@st.composite
+def kernel_lists(draw):
+    """shared_expr_lists with a constant root, a bare-variable root and a
+    power of a sum over x3, which the kernel test passes as a float."""
+    exprs = draw(shared_expr_lists())
+    x3 = Var("x3") + Const(Fraction(1, 2))
+    extra = [Const(Fraction(draw(st.integers(-3, 3)))),
+             Var(draw(st.sampled_from(("x1", "x2", "x3")))),
+             Pow(x3, draw(st.integers(-2, 3))) * Func("sin", x3) + exprs[0]]
+    return draw(st.permutations(exprs + extra))
+
+
+_LONG_SUM = Add(tuple(Const(Fraction(i % 7 - 3)) * Var(f"x{i % 3 + 1}")
+                      * Func(("sin", "exp", "abs")[i % 3], Var("x3"))
+                      for i in range(300)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_lists(), st.integers(0, 3))
+@example([_LONG_SUM, Pow(_LONG_SUM, 3), Var("x1")], 0)
+def test_statement_kernel_gives_the_bits_of_compile_exprs(exprs, seed):
+    assert len(_LONG_SUM.terms) > _CHUNK
+    names = ["x1", "x2", "x3"]
+    pts = np.random.default_rng(seed).uniform(-2, 2, size=(3, 1000))
+    # poles, overflow in powers and products, and inf
+    pts[:, :8] = [[0.0, 1.0, -1.0, 0.0, 1e200, 0.0, math.inf, -3e160],
+                  [0.0, 0.0, 2.0, -0.5, 0.0, 1e300, 1.0, 1e-200],
+                  [0.0, 1.0, 0.0, 3.0, -1e155, 0.0, 0.0, -math.inf]]
+    lam = compile_exprs(exprs, names)
+    kernel = compile_exprs_into(exprs, names)   # one kernel for every size
+    for size in (1, 7, 1000):
+        out = np.empty((len(exprs), size))
+        # x3 as one array and as a float, which the lambda computes on
+        for x3 in (pts[2, :size], float(pts[2, seed]), float(pts[2, 8 + seed])):
+            args = [pts[0, :size], pts[1, :size], x3]
+            want = _outcome(lam, args)
+            got = _outcome(lambda a: kernel(a, out), args)
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert got is None
+            for row, v in zip(out, want):
+                assert row.tobytes() == np.broadcast_to(
+                    np.asarray(v, dtype=float), (size,)).tobytes()
 
 
 def _func_values(exprs):

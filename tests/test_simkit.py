@@ -626,6 +626,23 @@ def test_closed_loop_evaluates_each_function_value_once(cli_loops):
     assert src.count("_cos(") == 1 and src.count("_abs(") == 2
 
 
+@pytest.mark.parametrize("nruns", [2, 50])
+def test_addexam_batch_bit_identical_to_column_loop(cli_loops, nruns):
+    # a kernel with `**`, `_sin` and `_cos`, so even 2 runs take the numpy loop
+    loop = cli_loops["addexam"]
+    assert not backends_agree([simplify(e) for e in loop["rhs_exprs"]])
+    x0 = np.random.default_rng(nruns).uniform(-1, 1, size=(nruns, 4))
+    cfg = SimConfig(dt=2e-3, horizon=0.6)
+    kw = {k: v for k, v in loop.items() if k != "names"}
+    rhs = kw.pop("rhs_exprs")
+    ref = _reference_batch(rhs, loop["names"], x0, cfg,
+                           noise_signal(5, horizon=1.0, nruns=nruns), **kw)
+    tr = simulate(rhs, loop["names"], x0, cfg,
+                  w_signal=noise_signal(5, horizon=1.0, nruns=nruns), **kw)
+    assert len(tr.t) == 301 and not tr.diverged
+    _assert_traces_equal(ref, tr)
+
+
 def test_diverging_run_integrates_energy_without_warnings(cli_loops):
     # the closed loop of `normform simulate` on nf_addexam from
     # --x0 5000,4000,-3000,6000 --dt 0.05: |y|^2 overflows to inf
