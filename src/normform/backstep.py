@@ -157,8 +157,10 @@ class Stabilizer:
         self.phi = [simplify(e) for e in phi]
         self.V = simplify(V)
 
-    def validate(self, eta_names, rhs_at_phi=None, seed=23, npoints=60,
-                 strict_ball=1e-9):
+    def validate(self, eta_names, rhs_at_phi=None):
+        """Raise ValueError unless phi and V vanish at 0 and, when the
+        residual right-hand side at phi is given, V is positive and
+        non-increasing along it at 60 seeded points of [-0.9, 0.9]^n."""
         if not eta_names:
             return True
         at0 = SymMatrix([[e] for e in self.phi + [self.V]]).sample(
@@ -171,10 +173,10 @@ class Stabilizer:
             return True
         vdot = sum((diff(self.V, n) * r for n, r in zip(eta_names, rhs_at_phi)),
                    start=const(0))
-        pts = np.random.default_rng(seed).uniform(
-            -0.9, 0.9, size=(npoints, len(eta_names)))
+        pts = np.random.default_rng(23).uniform(
+            -0.9, 0.9, size=(60, len(eta_names)))
         v, vd = SymMatrix([[self.V, vdot]]).sample(eta_names, pts.T)[:, 0].T
-        positive = (np.sqrt(np.sum(pts * pts, axis=1)) <= strict_ball) | (v > 0)
+        positive = (np.sqrt(np.sum(pts * pts, axis=1)) <= 1e-9) | (v > 0)
         decreasing = vd <= 1e-9 * (1 + np.abs(v))
         ok = positive & decreasing
         if ok.all():
@@ -213,10 +215,10 @@ class ControlLaw:
             rows.append(e)
         return rows
 
-    def w_dot(self, with_disturbance=False):
-        rhs = self.closed_loop_rhs(with_disturbance)
+    def w_dot(self):
+        """dW/dt along the undisturbed closed loop, parameters held fixed."""
         acc = const(0)
-        for name, r in zip(self.system.state_names(), rhs):
+        for name, r in zip(self.system.state_names(), self.closed_loop_rhs()):
             acc = acc + diff(self.W, name) * r
         return simplify(acc)
 
@@ -294,6 +296,14 @@ def validate_order(system, kappa, include_disturbance=False):
             for e in ([dst.lin] + ([dst.bound] if dst.bound is not None else [])):
                 check_dep(e, i, j, None, "2c")
     return violations
+
+
+def _check_order(system, kappa, include_disturbance=False):
+    """Raise the first violation validate_order finds, if any."""
+    violations = validate_order(system, kappa, include_disturbance)
+    if violations:
+        cond, idx, msg = violations[0]
+        raise OrderViolation(cond, f"delta{idx}: {msg}" if idx[2] else msg)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +456,7 @@ def synthesize(system, kappa, stab, gains=None):
     """Fold the backstepping step along kappa; default per-step gain c = 1."""
     if isinstance(kappa, str):
         kappa = parse_kappa(kappa)
-    violations = validate_order(system, kappa)
-    if violations:
-        cond, idx, msg = violations[0]
-        raise OrderViolation(cond, f"delta{idx}: {msg}" if idx[2] else msg)
+    _check_order(system, kappa)
     if system.eta_names:
         rhs_at_phi = [subs(e, _phi_env(system, stab))
                       for e in system.eta_dot]
@@ -501,7 +508,7 @@ class LowGainDesign:
         self.lyapunovs = lyapunovs    # per chain: Expr (0 for length-1 chain)
 
 
-def low_gain(lengths, eps, poles=None, chain_offset=0):
+def low_gain(lengths, eps, poles=None):
     """Slow virtual laws: for a chain of slow length l, the law
     -eps^{l-1} c_0 xi_1 - ... - eps c_{l-2} xi_{l-1} from the Hurwitz
     polynomial with the requested roots (default all -1)."""
@@ -512,7 +519,7 @@ def low_gain(lengths, eps, poles=None, chain_offset=0):
     laws = []
     lyap = []
     for idx, l in enumerate(lengths):
-        chain = idx + 1 + chain_offset
+        chain = idx + 1
         pl = (poles[idx] if poles else [-1.0] * (l - 1))
         if l < 1:
             raise ValueError("chain length must be >= 1")
@@ -622,10 +629,7 @@ def semi_global_synthesize(system, lengths, kappa, stab, eps, poles=None,
             applied[system.xi_name(s + 1, l)] = design.laws[s]
 
     rest = kappa[len(slow):]
-    violations = validate_order(system, kappa)
-    if violations:
-        cond, idx, msg = violations[0]
-        raise OrderViolation(cond, msg)
+    _check_order(system, kappa)
 
     engine = _Engine(system, stab, gains=gains, initial_active=slow,
                      applied_overrides=applied, v_preset=v_preset, V0=V0)
@@ -697,13 +701,8 @@ def da_synthesize(system, kappa, stab, gamma, eps, budgets=None, gains=None):
     """
     if isinstance(kappa, str):
         kappa = parse_kappa(kappa)
-    violations = validate_order(system, kappa, include_disturbance=True)
-    if violations:
-        cond, idx, msg = violations[0]
-        raise OrderViolation(cond, msg)
+    _check_order(system, kappa, include_disturbance=True)
     n_d = sum(system.q)
-    if len(kappa) != n_d:
-        raise OrderViolation("malformed", "kappa must cover all chain variables")
     ge = gamma if isinstance(gamma, Expr) else const(float(gamma))
     ee = eps if isinstance(eps, Expr) else const(float(eps))
     if budgets is None:

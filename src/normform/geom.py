@@ -18,7 +18,7 @@ from .expr import (ONE, TERM_BUDGET, ZERO, BudgetError, EvalError,
                    _frac_mul, _frac_written, _Frac, _mark_canonical,
                    _poly_const, _poly_iadd, _poly_mul, _poly_written, _to_frac,
                    compile_exprs, const, diff, free_vars, numeric_equivalent,
-                   simplify, subs)
+                   simplify)
 
 __all__ = ["VectorField", "SymMatrix", "jacobian", "lie_derivative",
            "lie_bracket", "ad_power", "bracket_sampler", "involutive", "rank",
@@ -85,20 +85,11 @@ class SymMatrix:
     def __matmul__(self, other):
         return self.matmul(other)
 
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return SymMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
-
     def __sub__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return SymMatrix([[a - b for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def scale(self, s):
-        return SymMatrix([[s * e for e in r] for r in self.rows])
 
     def vstack(self, other):
         if not self.rows:
@@ -108,9 +99,6 @@ class SymMatrix:
         if self.shape[1] != other.shape[1]:
             raise ValueError("column mismatch in vstack")
         return SymMatrix(self.rows + other.rows)
-
-    def subs(self, mapping):
-        return SymMatrix([[subs(e, mapping) for e in r] for r in self.rows])
 
     def eval_at(self, env):
         """Values at one point {name: float}: `sample` at that point."""
@@ -321,12 +309,8 @@ def jacobian(exprs, names):
 def lie_derivative(f, lam):
     """L_f lambda = sum_i (d lambda/d x_i) f_i.
 
-    `lam` may be a single Expr, a list of Expr (returns list), or a SymMatrix
-    whose rows are differentiated row-wise (returns rows x m matrix when f is
-    a list of vector fields packed as a SymMatrix of columns).
+    `lam` may be a single Expr, or a list of Expr (returns a list).
     """
-    if isinstance(lam, SymMatrix):
-        return SymMatrix([lie_derivative(f, list(r)) for r in lam.rows])
     if isinstance(lam, (list, tuple)):
         return [lie_derivative(f, e) for e in lam]
     out = _poly_lie_derivative(f, lam)
@@ -389,16 +373,12 @@ def lie_derivative_cols(g_matrix, states, lam):
 
 
 def lie_bracket(f, g):
-    """[f, g] = (dg/dx) f - (df/dx) g."""
+    """[f, g] = (dg/dx) f - (df/dx) g, entry by entry L_f g_i - L_g f_i."""
     if f.states != g.states:
         raise ValueError("vector fields over different state lists")
-    names = f.states
-    jg = jacobian(g.components, names)
-    jf = jacobian(f.components, names)
-    fcol = f.as_column()
-    gcol = g.as_column()
-    out = (jg @ fcol) - (jf @ gcol)
-    return VectorField([out[i, 0] for i in range(len(names))], names)
+    return VectorField([a - b for a, b in zip(lie_derivative(f, g.components),
+                                              lie_derivative(g, f.components))],
+                       f.states)
 
 
 def ad_power(f, g, k):

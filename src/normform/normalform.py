@@ -17,7 +17,8 @@ from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, ZERO, Const,
                    EvalError, Var, const, diff, free_vars, is_zero,
                    numeric_equivalent, render, sample_box, simplify, subs)
 from .geom import (SymMatrix, VectorField, bracket_sampler, complete_rows,
-                   involutive, jacobian, lie_bracket, rank)
+                   involutive, jacobian, lie_bracket, lie_derivative,
+                   lie_derivative_cols, rank)
 from .structure import StructureError, _sel_product
 from .sysmodel import DEFAULT_TOL
 
@@ -231,16 +232,14 @@ def _decompose_eta_dynamics(nf):
     if not nf.eta_exprs:
         nf.f_e, nf.g_e, nf.phi_cols = [], SymMatrix([]), SymMatrix([])
         return
-    dphi_e = jacobian(nf.eta_exprs, states)
     gamma_i = nf.gamma_ie.vstack(nf.gamma_id) if m - m_d else nf.gamma_id
-    gamma_inv = gamma_i.inverse()
-    G = dphi_e @ system.g @ gamma_inv
+    G = lie_derivative_cols(system.g, states, nf.eta_exprs) @ gamma_i.inverse()
     G_e = SymMatrix([row[:m - m_d] for row in G.rows])
     G_d = SymMatrix([row[m - m_d:] for row in G.rows])
-    drift = dphi_e @ system.f.as_column()
+    drift = lie_derivative(system.f, nf.eta_exprs)
     f_e = []
     for i in range(len(nf.eta_exprs)):
-        acc = drift[i, 0]
+        acc = drift[i]
         for l in range(m_d):
             acc = acc - G_d[i, l] * nf.a[l]
         f_e.append(simplify(acc))

@@ -137,6 +137,18 @@ def _reference_diff_raw(e, name):
     return Mul((outer, inner))
 
 
+def _reference_lie_bracket(f, g):
+    """[f, g] = (dg/dx) f - (df/dx) g through Jacobians and matrix
+    products, each entry simplified from its raw sum, as lie_bracket
+    computed it before it took L_f g_i - L_g f_i through lie_derivative."""
+    from normform.geom import VectorField, jacobian
+    names = f.states
+    jg = jacobian(g.components, names)
+    jf = jacobian(f.components, names)
+    out = (jg @ f.as_column()) - (jf @ g.as_column())
+    return VectorField([out[i, 0] for i in range(len(names))], names)
+
+
 def _reference_evalf(e, env):
     """The recursive tree walk that evaluated at one point before evalf
     became a call of the scalar kernel: Python floats node by node, a sum

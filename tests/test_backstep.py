@@ -10,8 +10,8 @@ from normform.backstep import (ChainSystem, ControlLaw, Disturbance,
                                dissipative_backstep, integrator_backstep,
                                low_gain, parse_kappa, semi_global_synthesize,
                                synthesize, validate_order)
-from normform.expr import (EvalError, Func, Var, const, diff, evalf, parse,
-                           simplify, subs)
+from normform.expr import (EvalError, Func, Var, const, diff, evalf, free_vars,
+                           numeric_equivalent, parse, simplify, subs)
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +262,17 @@ class TestSemiGlobal:
             "+ (xi2_3 + (eps+1)*xi2_1 + (eps+1)*xi2_2 "
             "+ eta1*(sin(eta1) - eps^2*xi1_1 - 2*eps*xi1_2))^2)/2")
         assert simplify(semi_law.W - printed) == const(0)
+
+    def test_w_dot_keeps_eps_symbolic(self, semi_law, semiglobal_sys,
+                                      semiglobal_stab):
+        # eps is a parameter, not a state: Wdot is taken along the states
+        # only, and at eps = 0.5 it is the Wdot of the law built at 0.5
+        wdot = semi_law.w_dot()
+        assert "eps" in free_vars(wdot)
+        at_half = semi_global_synthesize(semiglobal_sys, [3, 2], SEMI_KAPPA,
+                                         semiglobal_stab, 0.5)
+        assert numeric_equivalent(subs(wdot, {"eps": const(0.5)}),
+                                  at_half.w_dot(), points=32, tol=1e-9)
 
     def test_slot_constraint_enforced(self, semiglobal_sys, semiglobal_stab):
         with pytest.raises(ValueError, match="slot constraint"):

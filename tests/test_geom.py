@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _reference_diff_raw, _reference_evalf, unmarked_copy
+from conftest import (_reference_diff_raw, _reference_evalf,
+                      _reference_lie_bracket, unmarked_copy)
 from normform import geom
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS,
                            TERM_BUDGET, BudgetError, Const, EvalError, Func,
@@ -73,10 +74,9 @@ STATES3 = ["x1", "x2", "x3"]
 
 
 @st.composite
-def lie_inputs(draw):
-    """A raw expression over x1..x3, most often a polynomial with exact
-    coefficients, else one with a float coefficient, a denominator or a
-    function atom; and whether it is the plain polynomial."""
+def exact_polynomials(draw):
+    """A raw polynomial over x1..x3 with exact coefficients, of degree at
+    most 2 in each variable."""
     t = const(draw(st.fractions(-3, 3, max_denominator=4)))
     e = t
     for _ in range(draw(st.integers(0, 3))):
@@ -84,6 +84,15 @@ def lie_inputs(draw):
         for name in STATES3:
             t = t * Pow(Var(name), draw(st.integers(0, 2)))
         e = e + t
+    return e
+
+
+@st.composite
+def lie_inputs(draw):
+    """A raw expression over x1..x3, most often a polynomial with exact
+    coefficients, else one with a float coefficient, a denominator or a
+    function atom; and whether it is the plain polynomial."""
+    e = draw(exact_polynomials())
     kind = draw(st.integers(0, 5))
     if kind == 1:   # x3^3 is of a degree no drawn term has
         e = e + 0.5 * Pow(Var("x3"), 3)
@@ -117,6 +126,53 @@ def test_polynomial_lie_derivative_matches_tree_route(drawn, overflow):
     if polynomial and not isinstance(got, (Const, Var)):
         assert got._memo[TERM_BUDGET] == _to_frac(unmarked_copy(got),
                                                   TERM_BUDGET)
+
+
+@st.composite
+def bracket_fields(draw):
+    """The raw components of a vector field over x1..x3: exact polynomials,
+    or one drawn component with a denominator, a sin or an exp atom added;
+    and per component, whether it is the plain polynomial."""
+    comps = [draw(exact_polynomials()) for _ in STATES3]
+    plain = [True] * len(comps)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(comps) - 1))
+        comps[i] = comps[i] + draw(st.sampled_from(
+            [1 / (Var("x1") + 1), Func("sin", Var("x2")),
+             Func("exp", Var("x3"))]))
+        plain[i] = False
+    return comps, plain
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_fields(), bracket_fields(), st.booleans())
+def test_lie_bracket_matches_jacobian_route(drawn_f, drawn_g, overflow):
+    (f_raw, f_plain), (g_raw, g_plain) = drawn_f, drawn_g
+    f, g, f_ref, g_ref = (VectorField([unmarked_copy(c) for c in raw], STATES3)
+                          for raw in (f_raw, g_raw, f_raw, g_raw))
+    real, calls = geom._poly_mul, []
+
+    def poly_mul(p, q, budget):
+        calls.append(budget)
+        if overflow:   # a product over the budget: the tree route is taken
+            raise BudgetError
+        return real(p, q, budget)
+
+    with mock.patch.object(geom, "_poly_mul", poly_mul):
+        got = lie_bracket(f, g)
+    want = _reference_lie_bracket(f_ref, g_ref)
+    assert [c.key for c in got.components] == \
+        [c.key for c in want.components]
+
+    def dict_route(a_plain, b, b_plain):
+        # L_a b_i is a polynomial product when a and b_i are polynomials
+        # and b_i is not constant
+        return all(a_plain) and any(
+            p and free_vars(c) for c, p in zip(b.components, b_plain))
+
+    # for two polynomial fields: whenever a component is not constant
+    assert bool(calls) == (dict_route(f_plain, g, g_plain)
+                           or dict_route(g_plain, f, f_plain))
 
 
 def test_bracket_antisymmetry_and_self():

@@ -6,7 +6,7 @@ import pytest
 from conftest import _reference_evalf
 from normform.expr import (Var, const, evalf, numeric_equivalent, parse,
                            render, simplify, subs)
-from normform.geom import SymMatrix, bracket_sampler, lie_bracket
+from normform.geom import SymMatrix, bracket_sampler, jacobian, lie_bracket
 from normform.normalform import (_chain_fields, build_normal_form,
                                  check_assumption_B, check_assumption_C,
                                  check_assumption_D, solve_triangular,
@@ -238,6 +238,38 @@ class TestDegenerateNormalForm:
         out = infinite_zero_algorithm(ex32, SamplePlan(count=40))
         nf = build_normal_form(ex32, out)
         assert len(nf.eta_exprs) == 3
+
+
+@pytest.mark.parametrize("case, algorithm", [
+    (case, algorithm) for case in ("ex31", "ex32", "ex33", "ex34")
+    for algorithm in (infinite_zero_algorithm, zero_output_algorithm)
+    # ex33 is not regular under the infinite zero algorithm
+    if (case, algorithm) != ("ex33", infinite_zero_algorithm)])
+def test_eta_block_keys_match_chart_differential_route(case, algorithm,
+                                                       request):
+    # f_e, g_e and the residue columns as d(phi_e) f and d(phi_e) g
+    # Gamma_i^-1, each entry simplified from its matrix-product sum
+    system = request.getfixturevalue(case)
+    nf = build_normal_form(system, algorithm(system, SamplePlan(count=40)))
+    if not nf.eta_exprs:
+        assert nf.f_e == []
+        return
+    m, m_d = system.m, nf.m_d
+    dphi_e = jacobian(nf.eta_exprs, system.states)
+    gamma_i = nf.gamma_ie.vstack(nf.gamma_id) if m - m_d else nf.gamma_id
+    G = dphi_e @ system.g @ gamma_i.inverse()
+    drift = dphi_e @ system.f.as_column()
+    f_e = []
+    for i, row in enumerate(G.rows):
+        acc = drift[i, 0]
+        for l in range(m_d):
+            acc = acc - row[m - m_d + l] * nf.a[l]
+        f_e.append(simplify(acc))
+    assert [e.key for e in nf.f_e] == [e.key for e in f_e]
+    assert [[e.key for e in r] for r in nf.g_e.rows] == \
+        [[e.key for e in r[:m - m_d]] for r in G.rows]
+    assert [[e.key for e in r] for r in nf.phi_cols.rows] == \
+        [[e.key for e in r[m - m_d:]] for r in G.rows]
 
 
 def test_zero_dynamics_cubic(ex33, out33):
