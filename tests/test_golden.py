@@ -23,15 +23,26 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ANALYZE = [(path.stem, zero) for path in sorted(SYS.glob("*.sys"))
            for zero in (False, True)]
 LINEAR = ["counter3", "exam1", "exam2", "exam_sch", "exam_sch_To"]
-# (backstep arguments, simulate arguments) per chain system
+# (chain system, backstep arguments, simulate arguments) per case
 SIMULATE = {
-    "nf_mixed": (["--kappa", "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
+    "nf_mixed": ("nf_mixed",
+                 ["--kappa", "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
                   "--gains", "xi1_1=0,xi3_1=0,xi2_1=0"],
                  ["--x0", "0.5,0.2,-0.3,0.1,0.2,-0.1,0.3,0.2"]),
-    "nf_addexam": (["--kappa", "xi2_1,xi1_1,xi2_2", "--disturbance", "0.5",
+    "nf_addexam": ("nf_addexam",
+                   ["--kappa", "xi2_1,xi1_1,xi2_2", "--disturbance", "0.5",
                     "--eps", "0", "--budgets", "1/12,1/12,1/12",
                     "--gains", "xi2_1=1,xi1_1=1/3,xi2_2=1"],
                    ["--x0", "0,0,0,0", "--signal", "step:0.5", "--gamma", "0.5"]),
+    "nf_uchain_chain": ("nf_uchain", ["--kappa", "xi1_1,xi1_2,xi2_1,xi2_2"],
+                        ["--x0", "0.4,0.1,-0.2,0.3,0.2"]),
+    "nf_uchain_level": ("nf_uchain", ["--kappa", "xi1_1,xi2_1,xi1_2,xi2_2"],
+                        ["--x0", "0.4,0.1,-0.2,0.3,0.2"]),
+    # float low-gain laws: the case most sensitive to the order of a sum
+    "nf_semiglobal": ("nf_semiglobal",
+                      ["--kappa", "xi1_1,xi1_2,xi2_1,xi2_2,xi2_3",
+                       "--semi-global", "0.5", "--lengths", "3,2"],
+                      ["--x0", "0.3,0.2,-0.1,0.1,0.2,-0.2"]),
 }
 
 
@@ -68,19 +79,19 @@ def _linzeros(name):
     return {f"{name}.stdout": f"exit {code}\n{out}"}
 
 
-def _simulate(stem, outdir):
+def _simulate(case, outdir):
     """{file name: text} of `backstep` to stdout, then `simulate` of its
     controller to stdout."""
+    stem, backstep_args, simulate_args = SIMULATE[case]
     nf = SYS / f"{stem}.nf"
-    backstep_args, simulate_args = SIMULATE[stem]
     code, out = _run(["backstep", nf, *backstep_args])
-    files = {f"{stem}.backstep.stdout": f"exit {code}\n{out}"}
+    files = {f"{case}.backstep.stdout": f"exit {code}\n{out}"}
     # stdout is the controller file followed by its JSON ledger
-    ctl = Path(outdir) / f"{stem}.ctl"
+    ctl = Path(outdir) / f"{case}.ctl"
     ctl.write_text(out[:out.rindex("\n[") + 1])
     code, out = _run(["simulate", nf, "--controller", ctl, *simulate_args,
                       "--dt", "0.01", "--horizon", "1"])
-    files[f"{stem}.simulate.stdout"] = f"exit {code}\n{out}"
+    files[f"{case}.simulate.stdout"] = f"exit {code}\n{out}"
     return files
 
 
@@ -97,9 +108,9 @@ def test_linzeros_golden(name):
         assert text == (GOLDEN / "linzeros" / fname).read_text(), fname
 
 
-@pytest.mark.parametrize("stem", SIMULATE)
-def test_simulate_golden(stem, tmp_path):
-    for fname, text in _simulate(stem, tmp_path).items():
+@pytest.mark.parametrize("case", SIMULATE)
+def test_simulate_golden(case, tmp_path):
+    for fname, text in _simulate(case, tmp_path).items():
         assert text == (GOLDEN / "simulate" / fname).read_text(), fname
 
 
@@ -111,9 +122,9 @@ def regenerate():
         for stem, zero in ANALYZE:
             files.update({f"analyze/{k}": v
                           for k, v in _analyze(stem, zero, tmp).items()})
-        for stem in SIMULATE:
+        for case in SIMULATE:
             files.update({f"simulate/{k}": v
-                          for k, v in _simulate(stem, tmp).items()})
+                          for k, v in _simulate(case, tmp).items()})
     for name in LINEAR:
         files.update({f"linzeros/{k}": v for k, v in _linzeros(name).items()})
     for rel, text in files.items():
