@@ -24,7 +24,7 @@ import numpy as np
 
 from .expr import (Expr, Func, Pow, Var, const, diff, evalf, free_vars,
                    is_zero, render, simplify, subs)
-from .geom import SymMatrix
+from .geom import SymMatrix, VectorField, lie_derivative
 from .sysmodel import (SystemFormatError, at_line, bindings, bracketed, keyed,
                        names, parse_entries, parse_entry, read_sections, required)
 
@@ -171,8 +171,7 @@ class Stabilizer:
             raise ValueError("V(0) must be 0")
         if rhs_at_phi is None:
             return True
-        vdot = sum((diff(self.V, n) * r for n, r in zip(eta_names, rhs_at_phi)),
-                   start=const(0))
+        vdot = lie_derivative(VectorField(rhs_at_phi, eta_names), self.V)
         pts = np.random.default_rng(23).uniform(
             -0.9, 0.9, size=(60, len(eta_names)))
         v, vd = SymMatrix([[self.V, vdot]]).sample(eta_names, pts.T)[:, 0].T
@@ -217,10 +216,8 @@ class ControlLaw:
 
     def w_dot(self):
         """dW/dt along the undisturbed closed loop, parameters held fixed."""
-        acc = const(0)
-        for name, r in zip(self.system.state_names(), self.closed_loop_rhs()):
-            acc = acc + diff(self.W, name) * r
-        return simplify(acc)
+        return lie_derivative(VectorField(self.closed_loop_rhs(),
+                                          self.system.state_names()), self.W)
 
     def check_decrease(self, seed=17, npoints=500, tol=1e-9, box=(-1.0, 1.0)):
         """Sampled Wdot <= tol at seeded nonzero points (no disturbance)."""
@@ -370,14 +367,9 @@ class _Engine:
                     f"{sorted(loose)} at the step on {wname}")
 
         z_w = simplify(Var(wname) - phi_w)
-        cross = const(0)
-        for s in self.active[:-1]:
-            G_s = diff(D[s], wname)
-            if wname in free_vars(G_s):
-                raise OrderViolation("affine", f"dynamics of {s} not affine "
-                                      f"in {wname}")
-            if G_s != const(0):
-                cross = cross + diff(self.V, s) * G_s
+        before = self.active[:-1]
+        cross = lie_derivative(_coupling(wname, before, [D[s] for s in before]),
+                               self.V)
 
         # Already-determined feedbacks entering w's own equation.
         drift_w = cs.drift(wname)
@@ -389,10 +381,8 @@ class _Engine:
                                      "is not yet determined")
         E = self.sigma(E_raw)
 
-        phidot = const(0)
-        for s in sorted(free_vars(phi_w)):
-            if s in D:
-                phidot = phidot + diff(phi_w, s) * D[s]
+        near = [s for s in sorted(free_vars(phi_w)) if s in D]
+        phidot = lie_derivative(VectorField([D[s] for s in near], near), phi_w)
 
         c = self.gains.get(wname, 1)
         law = simplify(-const(c) * z_w - cross - E + phidot)
@@ -402,16 +392,13 @@ class _Engine:
         if self.budgets is not None:
             budget = self.budgets[self.step_no - 1]
             own = self.disturbance_of(wname)
-            t_lin = own.lin
+            dists = [self.disturbance_of(s) for s in near]
+            t_lin = simplify(own.lin - lie_derivative(
+                VectorField([ds.lin for ds in dists], near), phi_w))
             bound_terms = []
             if own.bound is not None and not is_zero(own.bound):
                 bound_terms.append(Func("abs", own.bound))
-            for s in sorted(free_vars(phi_w)):
-                if s not in D:
-                    continue
-                ds = self.disturbance_of(s)
-                if not is_zero(ds.lin):
-                    t_lin = simplify(t_lin - diff(phi_w, s) * ds.lin)
+            for s, ds in zip(near, dists):
                 if ds.bound is not None and not is_zero(ds.bound):
                     bound_terms.append(Func("abs", simplify(diff(phi_w, s) * ds.bound)))
             rbar = None
@@ -440,6 +427,16 @@ class _Engine:
             "damping": damping if damping != const(0) else None,
         })
         return law
+
+
+def _coupling(w, names, rows):
+    """The field d(rows)/dw over `names`; OrderViolation unless every row
+    is affine in w."""
+    field = VectorField([diff(r, w) for r in rows], names)
+    for nm, c in zip(names, field.components):
+        if w in free_vars(c):
+            raise OrderViolation("affine", f"dynamics of {nm} not affine in {w}")
+    return field
 
 
 def _finish(engine, kappa, supply=None):
@@ -482,14 +479,8 @@ def integrator_backstep(eta_names, F, xi_name_, G, phi, V, c=1):
     stepped variable.
     """
     z = simplify(Var(xi_name_) - phi)
-    cross = const(0)
-    phidot = const(0)
-    for nm, Fi in zip(eta_names, F):
-        coeff = diff(Fi, xi_name_)
-        if xi_name_ in free_vars(coeff):
-            raise OrderViolation("affine", f"dynamics of {nm} not affine in {xi_name_}")
-        cross = cross + diff(V, nm) * coeff
-        phidot = phidot + diff(phi, nm) * Fi
+    cross = lie_derivative(_coupling(xi_name_, eta_names, F), V)
+    phidot = lie_derivative(VectorField(F, eta_names), phi)
     u = simplify(-const(c) * z - cross - G + phidot)
     W = simplify(V + z * z / 2)
     return u, W
@@ -511,18 +502,25 @@ class LowGainDesign:
 def low_gain(lengths, eps, poles=None):
     """Slow virtual laws: for a chain of slow length l, the law
     -eps^{l-1} c_0 xi_1 - ... - eps c_{l-2} xi_{l-1} from the Hurwitz
-    polynomial with the requested roots (default all -1)."""
+    polynomial with the requested roots (default all -1).  `poles`, when
+    given, holds one list of l - 1 roots per chain."""
     epse = eps if isinstance(eps, Expr) else const(float(eps))
     if isinstance(eps, (int, float)) and eps <= 0:
         raise ValueError("eps must be positive")
+    if poles is not None and len(poles) != len(lengths):
+        raise ValueError(f"need one pole list per chain: got {len(poles)} "
+                         f"for {len(lengths)} chains")
     coeffs = []
     laws = []
     lyap = []
     for idx, l in enumerate(lengths):
         chain = idx + 1
-        pl = (poles[idx] if poles else [-1.0] * (l - 1))
+        pl = [-1.0] * (l - 1) if poles is None else poles[idx]
         if l < 1:
             raise ValueError("chain length must be >= 1")
+        if len(pl) != l - 1:
+            raise ValueError(f"chain {chain} of slow length {l} needs {l - 1} "
+                             f"poles, got {len(pl)}")
         if l == 1:
             coeffs.append([])
             laws.append(None)

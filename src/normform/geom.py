@@ -269,17 +269,15 @@ _TREE_OPS = (_tree_is_zero, lambda e: e ** -1, _tree_cross, simplify)
 
 
 class VectorField:
-    """Column vector field over an ordered list of state names."""
+    """Column vector field over an ordered list of state names.  A
+    component may read other names (a law's eps, a control symbol): they
+    are parameters, held fixed by lie_derivative and lie_bracket."""
 
     def __init__(self, components, state_names):
         self.states = list(state_names)
         self.components = [simplify(c) for c in components]
         if len(self.components) != len(self.states):
             raise ValueError("component count must equal state count")
-        stray = set().union(*(free_vars(c) for c in self.components)) \
-            - set(self.states) if self.components else set()
-        if stray:
-            raise ValueError(f"components reference non-state variables {sorted(stray)}")
 
     def __len__(self):
         return len(self.components)
@@ -307,7 +305,9 @@ def jacobian(exprs, names):
 
 
 def lie_derivative(f, lam):
-    """L_f lambda = sum_i (d lambda/d x_i) f_i.
+    """L_f lambda = sum_i (d lambda/d x_i) f_i, over the states x_i of f in
+    their order; a name that is not a state of f is a parameter, held
+    fixed.  A field with no states gives 0.
 
     `lam` may be a single Expr, or a list of Expr (returns a list).
     """

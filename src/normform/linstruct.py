@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .geom import complete_rows, rank
-from .structure import _sel_product, _settle, chain_structure, select_RS
+from .structure import (_chain_coords, _sel_product, _settle,
+                        chain_structure, select_RS)
 from .sysmodel import SystemFormatError, numbered_lines
 
 __all__ = ["LinearTriple", "LinearOutcome", "LinearDecomposition",
@@ -69,12 +70,12 @@ def load_matrix(path):
 
 
 class _Step:
-    def __init__(self, k, rho, R, S, T_prev, P):
+    def __init__(self, k, rho, R, S, theta, P):
         self.k = k
         self.rho = rho
         self.R = R
         self.S = S
-        self.T_prev = T_prev   # Theta_{k-1} functional rows
+        self.theta = theta     # Theta_k functional rows
         self.P = P             # (p - rho_k) x rho_k or None
 
 
@@ -121,7 +122,7 @@ def linear_infinite_zeros(triple, tol=LIN_TOL):
         if rho_k and len(s_theta):
             P = np.linalg.lstsq((omega @ B).T, (s_theta @ B).T, rcond=None)[0].T
             T_next = T_next - P @ (omega @ A)
-        out.steps.append(_Step(k, rho_k, R, S, T, P))
+        out.steps.append(_Step(k, rho_k, R, S, T_next, P))
         rho.append(rho_k)
         T = T_next
         if k + chain_structure(rho)[2] < n and rho_k < min(p, m):
@@ -158,12 +159,6 @@ def vector_relative_degree(triple, tol=LIN_TOL):
     if rank(D, tol) < m:
         return None
     return r
-
-
-def _theta_level(out, j):
-    """Theta_{j-1} as numeric rows: C for j = 1, else step j's recorded
-    T_prev (normalform._theta_level gives symbolic expressions)."""
-    return out.triple.C if j == 1 else out.steps[j - 1].T_prev
 
 
 class LinearDecomposition:
@@ -247,8 +242,8 @@ def decompose(triple, tol=LIN_TOL):
     n, m, p = triple.n, triple.m, triple.p
     dec = LinearDecomposition(out)
 
-    Wd = np.array([_theta_level(out, j)[_sel_product(out, k, j)[r]]
-                   for k, r in out.chains for j in range(1, k + 1)]).reshape(-1, n)
+    Wd = np.array([row for chain in _chain_coords(out, C)
+                   for row in chain]).reshape(-1, n)
     # State complement: canonical coordinates extending the chain rows.
     We = np.eye(n)[complete_rows(Wd, np.eye(n), n - out.n_d, tol)]
 

@@ -8,7 +8,6 @@ its sparsity law (couplings vanish above the feeding chain's length).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -19,27 +18,12 @@ from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, ZERO, Const,
 from .geom import (SymMatrix, VectorField, bracket_sampler, complete_rows,
                    involutive, jacobian, lie_bracket, lie_derivative,
                    lie_derivative_cols, rank)
-from .structure import StructureError, _sel_product
+from .structure import StructureError, _chain_coords, _sel_product, select_RS
 from .sysmodel import DEFAULT_TOL
 
 __all__ = ["NormalForm", "ZeroDynamicsReport", "build_normal_form",
            "check_assumption_B", "check_assumption_C", "check_assumption_D",
            "zero_dynamics", "solve_triangular"]
-
-
-def _theta_level(outcome, j):
-    """Theta_{j-1} as symbolic expressions: the output map h for j = 1, else
-    step j-1's residue (linstruct._theta_level gives numeric rows)."""
-    if j == 1:
-        return list(outcome.system.h)
-    return list(outcome.steps[j - 2].theta)
-
-
-def _chain_coords(outcome):
-    """Per chain (k, r): the coordinates zeta_{i,j}, row r of
-    R_k S_{k-1} ... S_j Theta_{j-1} for j = 1..k."""
-    return [[_theta_level(outcome, j)[_sel_product(outcome, k, j)[r]]
-             for j in range(1, k + 1)] for k, r in outcome.chains]
 
 
 class NormalForm:
@@ -117,7 +101,7 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
     samples = outcome.samples
 
     # Chain coordinates zeta_{i,j} selected through the R/S history.
-    nf.chains = _chain_coords(outcome)
+    nf.chains = _chain_coords(outcome, outcome.system.h)
     nf.xi_names = [[f"xi{i}_{j}" for j in range(1, k + 1)]
                    for i, k in enumerate(nf.q, start=1)]
 
@@ -155,10 +139,7 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
         if nf.gamma_ie.shape != (m - nf.m_d, m):
             raise ValueError(f"gamma_ie must be {(m - nf.m_d, m)}")
     else:
-        rows = _input_complement(nf.gamma_id, m, states, samples, tol)
-        if rows is None:
-            raise StructureError("no constant input complement found; supply gamma_ie")
-        nf.gamma_ie = SymMatrix.from_numpy(np.eye(m)[rows])
+        nf.gamma_ie = _default_gamma_ie(system, outcome, tol)
 
     # State complement.
     dphi_d = jacobian([e for c in nf.chains for e in c], states)
@@ -187,10 +168,9 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
     if (nf.phi_cols is not None and nf.phi_cols.shape[1] and nf.eta_exprs
             and nf.phi_cols.is_constant()
             and any(e != const(0) for row in nf.phi_cols.rows for e in row)):
-        ends = [nf.chains[l][-1] for l in range(nf.m_d)]
-        nf.eta_exprs = [simplify(e - sum((c * x for c, x in zip(row, ends)),
-                                         start=ZERO))
-                        for e, row in zip(nf.eta_exprs, nf.phi_cols.rows)]
+        ends = SymMatrix([[nf.chains[l][-1]] for l in range(nf.m_d)])
+        nf.eta_exprs = [simplify(e - s) for e, s in
+                        zip(nf.eta_exprs, (nf.phi_cols @ ends).col(0))]
         _decompose_eta_dynamics(nf)
 
     # If the user supplied a complement, verify it annihilates the retained
@@ -208,20 +188,15 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
     return nf
 
 
-def _input_complement(gamma_id, m, states, samples, tol):
-    """Row indices of the first combination (in itertools.combinations
-    order) of canonical rows I_rows making [I_rows; Gamma_id] nonsingular at
-    every sample, or None when there is none."""
-    need = m - gamma_id.shape[0]
-    if not need:
-        return []
-    vals = (gamma_id.sample(states, np.transpose(samples)) if gamma_id.shape[0]
-            else np.zeros((len(samples), 0, m)))
-    for combo in itertools.combinations(range(m), need):
-        rows = np.broadcast_to(np.eye(m)[list(combo)], (len(samples), need, m))
-        if np.all(rank(np.concatenate([rows, vals], axis=1), tol) == m):
-            return list(combo)
-    return None
+def _input_complement(gid_vals, tol):
+    """Row indices of the first rows I_rows of I, in combinations order,
+    making [Gamma_id; I_rows] nonsingular at every sample (values of shape
+    (P, m_d, m)), or None: select_RS's selection from I, whose greedy
+    completion is the first such basis at the first sample."""
+    P, m_d, m = gid_vals.shape
+    sel = select_RS(gid_vals, np.broadcast_to(np.eye(m), (P, m, m)), m - m_d,
+                    tol)
+    return None if sel is None else np.nonzero(sel[0])[1].tolist()
 
 
 def _decompose_eta_dynamics(nf):
@@ -237,13 +212,10 @@ def _decompose_eta_dynamics(nf):
     G_e = SymMatrix([row[:m - m_d] for row in G.rows])
     G_d = SymMatrix([row[m - m_d:] for row in G.rows])
     drift = lie_derivative(system.f, nf.eta_exprs)
-    f_e = []
-    for i in range(len(nf.eta_exprs)):
-        acc = drift[i]
-        for l in range(m_d):
-            acc = acc - G_d[i, l] * nf.a[l]
-        f_e.append(simplify(acc))
-    nf.f_e = f_e
+    if m_d:
+        fed = (G_d @ SymMatrix([[e] for e in nf.a])).col(0)
+        drift = [simplify(d - e) for d, e in zip(drift, fed)]
+    nf.f_e = drift
     nf.g_e = G_e
     nf.phi_cols = G_d
 
@@ -262,7 +234,8 @@ def check_assumption_B(outcome, samples=None, tol=DEFAULT_TOL):
         return True
     samples = samples if samples is not None else outcome.samples
     states = outcome.system.states
-    zeta = [e for chain in _chain_coords(outcome) for e in chain]
+    zeta = [e for chain in _chain_coords(outcome, outcome.system.h)
+            for e in chain]
     vals = jacobian(zeta, states).sample(states, np.transpose(samples))
     return bool(np.all(rank(vals, tol) == len(zeta)))
 
@@ -275,22 +248,23 @@ def check_assumption_C(system, outcome, gamma_ie=None, plan=None, tol=DEFAULT_TO
     if gamma_ie is None:
         gamma_ie = _default_gamma_ie(system, outcome, tol)
     gamma_i = gamma_ie.vstack(nf_gid) if m - m_d else nf_gid
-    inv = gamma_i.inverse()
-    pick = SymMatrix([[const(1 if i == j + (m - m_d) else 0) for j in range(m_d)]
-                      for i in range(m)])
-    g_d = system.g @ inv @ pick
+    g_d = system.g @ SymMatrix([r[m - m_d:] for r in gamma_i.inverse().rows])
     fields = [VectorField(g_d.col(j), system.states) for j in range(m_d)]
     pts = outcome.samples if plan is None else plan.realize(system)
     return involutive(fields, pts, tol=tol)
 
 
 def _default_gamma_ie(system, outcome, tol):
+    """The input complement Gamma_ie of _input_complement at the outcome's
+    samples, as a constant matrix; empty when m_d = m."""
     m, m_d = system.m, outcome.m_d
     if m == m_d:
         return SymMatrix([])
-    rows = _input_complement(outcome.b, m, system.states, outcome.samples, tol)
+    vals = (outcome.b.sample(system.states, np.transpose(outcome.samples))
+            if m_d else np.zeros((len(outcome.samples), 0, m)))
+    rows = _input_complement(vals, tol)
     if rows is None:
-        raise StructureError("no constant input complement found")
+        raise StructureError("no constant input complement found; supply gamma_ie")
     return SymMatrix.from_numpy(np.eye(m)[rows])
 
 

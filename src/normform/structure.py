@@ -183,6 +183,16 @@ def _sel_product(outcome, i, j):
     return rows
 
 
+def _chain_coords(outcome, theta0):
+    """Per chain (k, r): row r of R_k S_{k-1} ... S_j Theta_{j-1} for
+    j = 1..k, where Theta_0 = theta0 is the output map and Theta_j the
+    residue that step j records as `theta`; expressions for the symbolic
+    outcome, numeric rows for the linear one."""
+    levels = [theta0] + [rec.theta for rec in outcome.steps]
+    return [[levels[j - 1][_sel_product(outcome, k, j)[r]]
+             for j in range(1, k + 1)] for k, r in outcome.chains]
+
+
 def select_RS(lg_omega_vals, lg_theta_vals, need, tol):
     """Choose 0/1 row-selection R (and complement S) so that the stack
     [L_g Omega; L_g R Theta] has full row rank at every sample.
@@ -284,7 +294,7 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
         r_idx, s_idx = np.nonzero(R)[1], np.nonzero(S)[1]
         r_theta = [theta[i] for i in r_idx]
         s_theta = [theta[i] for i in s_idx]
-        a_new = [lie_derivative(f, e) for e in r_theta]
+        a_new = lie_derivative(f, r_theta)
         b_new = SymMatrix([lg_theta.rows[i] for i in r_idx])
 
         omega = omega + r_theta
@@ -295,7 +305,7 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
         W_k = None
         if s_theta:
             lg_s_theta = SymMatrix([lg_theta.rows[i] for i in s_idx])
-            correction = [const(0)] * len(s_theta)
+            theta_next = lie_derivative(f, s_theta)
             if rho_k > 0:
                 P_full = _solve_P_pivot(lg_s_theta, lg_omega, np.concatenate(
                     [lg_omega_vals[0], lg_theta_vals[0][r_idx]]), tol)
@@ -307,13 +317,9 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
                 for l in dict.fromkeys(q):
                     P_blocks[l] = SymMatrix([[row[c] for c in range(rho_k) if q[c] == l]
                                              for row in P_full.rows])
-                for i in range(len(s_theta)):
-                    acc = const(0)
-                    for j, ae in enumerate(a_stack):
-                        acc = acc + P_full[i, j] * ae
-                    correction[i] = acc
-            lf_s_theta = [lie_derivative(f, e) for e in s_theta]
-            theta_next = [simplify(x - c) for x, c in zip(lf_s_theta, correction)]
+                correction = (P_full @ SymMatrix([[e] for e in a_stack])).col(0)
+                theta_next = [simplify(x - c)
+                              for x, c in zip(theta_next, correction)]
         else:
             theta_next = []
 

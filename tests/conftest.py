@@ -149,6 +149,17 @@ def _reference_lie_bracket(f, g):
     return VectorField([out[i, 0] for i in range(len(names))], names)
 
 
+def _reference_w_dot(law):
+    """dW/dt along the undisturbed closed loop, summed as ControlLaw.w_dot
+    did before it went through lie_derivative: dW/dx_i * rhs_i over the
+    state names in order, from 0, simplified once."""
+    from normform.expr import const, diff, simplify
+    acc = const(0)
+    for name, r in zip(law.system.state_names(), law.closed_loop_rhs()):
+        acc = acc + diff(law.W, name) * r
+    return simplify(acc)
+
+
 def _reference_evalf(e, env):
     """The recursive tree walk that evaluated at one point before evalf
     became a call of the scalar kernel: Python floats node by node, a sum

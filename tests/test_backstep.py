@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import SYSTEMS, _reference_w_dot
 from normform.backstep import (ChainSystem, ControlLaw, Disturbance,
                                OrderViolation, Stabilizer, da_synthesize,
                                dissipative_backstep, integrator_backstep,
-                               low_gain, parse_kappa, semi_global_synthesize,
-                               synthesize, validate_order)
+                               load_chain_system, low_gain, parse_kappa,
+                               semi_global_synthesize, synthesize,
+                               validate_order)
 from normform.expr import (EvalError, Func, Var, const, diff, evalf, free_vars,
                            numeric_equivalent, parse, simplify, subs)
 
@@ -212,6 +214,20 @@ class TestLowGain:
             low_gain([2], -0.1)
         with pytest.raises(ValueError):
             low_gain([3], 0.1, poles=[[-1.0, 0.5]])
+
+    @pytest.mark.parametrize("lengths, poles, chain", [
+        ([3], [[-1.0, -2.0, -3.0]], 1),   # a cubic for two slow states
+        ([3], [[-1.0]], 1),
+        ([3, 1], [[-1.0, -2.0], [-3.0]], 2),
+        ([2, 3], [[-1.0], []], 2)])
+    def test_pole_list_must_fit_its_chain(self, lengths, poles, chain):
+        with pytest.raises(ValueError, match=f"chain {chain} of slow length"):
+            low_gain(lengths, 0.5, poles=poles)
+
+    def test_one_pole_list_per_chain(self):
+        with pytest.raises(ValueError, match="one pole list per chain"):
+            low_gain([3, 1], 0.5, poles=[[-1.0, -2.0]])
+        assert low_gain([3, 1], 0.5, poles=[[-1.0, -2.0], []]).laws[1] is None
 
 
 @pytest.fixture(scope="module")
@@ -471,3 +487,37 @@ def test_sampled_checks_raise_where_undefined(linear_sys, linear_stab):
     law = synthesize(linear_sys, "xi1_1,xi1_2,xi2_1,xi2_2", linear_stab)
     with pytest.raises(EvalError):
         ControlLaw(linear_sys, law.kappa, law.v, V, []).check_decrease()
+
+
+# the designs the CLI builds for the shipped chain systems, as in the golden
+# backstep cases
+SHIPPED_DESIGNS = {
+    "mixed": ("nf_mixed", lambda cs, stab: synthesize(
+        cs, "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4", stab,
+        gains={"xi1_1": 0, "xi3_1": 0, "xi2_1": 0})),
+    "uchain-chain": ("nf_uchain", lambda cs, stab: synthesize(
+        cs, "xi1_1,xi1_2,xi2_1,xi2_2", stab)),
+    "uchain-level": ("nf_uchain", lambda cs, stab: synthesize(
+        cs, "xi1_1,xi2_1,xi1_2,xi2_2", stab)),
+    "semiglobal": ("nf_semiglobal", lambda cs, stab: semi_global_synthesize(
+        cs, [3, 2], SEMI_KAPPA, stab, 0.5)),
+    "addexam": ("nf_addexam", lambda cs, stab: da_synthesize(
+        cs, "xi2_1,xi1_1,xi2_2", stab, 0.5, 0.0,
+        budgets=[parse("1/12")] * 3, gains=ADD_GAINS)),
+}
+
+
+@pytest.mark.parametrize("case", SHIPPED_DESIGNS)
+def test_w_dot_matches_the_reference_sum(case):
+    stem, design = SHIPPED_DESIGNS[case]
+    law = design(*load_chain_system(SYSTEMS / f"{stem}.nf"))
+    assert law.w_dot().key == _reference_w_dot(law).key
+
+
+def test_w_dot_matches_the_reference_sum_with_symbolic_parameters(semi_law,
+                                                                   da_law):
+    # eps and gamma are no states: lie_derivative holds them fixed
+    for law, name in ((semi_law, "eps"), (da_law, "gamma")):
+        wdot = law.w_dot()
+        assert name in free_vars(wdot)
+        assert wdot.key == _reference_w_dot(law).key

@@ -12,7 +12,8 @@ from normform import geom
 from normform.expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS,
                            TERM_BUDGET, BudgetError, Const, EvalError, Func,
                            Pow, Var, _to_frac, const, diff, evalf, free_vars,
-                           parse, numeric_equivalent, sample_box, simplify)
+                           parse, numeric_equivalent, render, sample_box,
+                           simplify)
 from normform.geom import (SymMatrix, VectorField, ad_power, bracket_sampler,
                            involutive, jacobian, lie_bracket, lie_derivative,
                            lie_derivative_cols, rank)
@@ -74,14 +75,14 @@ STATES3 = ["x1", "x2", "x3"]
 
 
 @st.composite
-def exact_polynomials(draw):
-    """A raw polynomial over x1..x3 with exact coefficients, of degree at
-    most 2 in each variable."""
+def exact_polynomials(draw, names=STATES3):
+    """A raw polynomial over `names` (x1..x3) with exact coefficients, of
+    degree at most 2 in each variable."""
     t = const(draw(st.fractions(-3, 3, max_denominator=4)))
     e = t
     for _ in range(draw(st.integers(0, 3))):
         t = const(draw(st.fractions(-3, 3, max_denominator=4)))
-        for name in STATES3:
+        for name in names:
             t = t * Pow(Var(name), draw(st.integers(0, 2)))
         e = e + t
     return e
@@ -126,6 +127,28 @@ def test_polynomial_lie_derivative_matches_tree_route(drawn, overflow):
     if polynomial and not isinstance(got, (Const, Var)):
         assert got._memo[TERM_BUDGET] == _to_frac(unmarked_copy(got),
                                                   TERM_BUDGET)
+
+
+def _sympy(e):
+    import sympy
+    return sympy.parse_expr(render(e).replace("^", "**"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_polynomials(STATES3 + ["eps"]),
+       st.lists(exact_polynomials(STATES3 + ["eps"]), min_size=2, max_size=2))
+def test_lie_derivative_holds_non_state_names_fixed(lam, comps):
+    # a field over x1, x2 whose components, like lam, read x3 and eps
+    import sympy
+    f = VectorField(comps, ["x1", "x2"])
+    poly = lie_derivative(f, lam)
+    with mock.patch.object(geom, "_poly_mul", side_effect=BudgetError):
+        tree = lie_derivative(f, lam)
+    want = sum((sympy.diff(_sympy(lam), sympy.Symbol(n)) * _sympy(c)
+                for n, c in zip(f.states, comps)), sympy.Integer(0))
+    for got in (poly, tree):
+        assert sympy.expand(_sympy(got) - want) == 0
+    assert poly.key == tree.key
 
 
 @st.composite

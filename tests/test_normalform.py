@@ -1,13 +1,17 @@
 """Normal-form assembly, assumption checks, and zero dynamics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import _reference_evalf
 from normform.expr import (Var, const, evalf, numeric_equivalent, parse,
                            render, simplify, subs)
-from normform.geom import SymMatrix, bracket_sampler, jacobian, lie_bracket
-from normform.normalform import (_chain_fields, build_normal_form,
+from normform.geom import (SymMatrix, bracket_sampler, complete_rows,
+                           jacobian, lie_bracket, rank)
+from normform.normalform import (_chain_fields, _input_complement,
+                                 build_normal_form,
                                  check_assumption_B, check_assumption_C,
                                  check_assumption_D, solve_triangular,
                                  zero_dynamics)
@@ -435,3 +439,39 @@ def test_external_output_keeps_exact_coefficients():
     nf = build_normal_form(sysm, out)
     assert [render(e) for e in nf.h_e] == ["x1 - 3*x1^2"]
     assert [render(e) for e in zero_dynamics(nf).y_e] == ["eta1 - 3*eta1^2"]
+
+
+def _reference_input_complement(vals, tol):
+    """The loop _input_complement replaced: the first rows I_rows of I, in
+    itertools.combinations order, making [I_rows; Gamma_id] nonsingular at
+    every sample, or None."""
+    P, m_d, m = vals.shape
+    for combo in itertools.combinations(range(m), m - m_d):
+        rows = np.broadcast_to(np.eye(m)[list(combo)], (P, m - m_d, m))
+        if np.all(rank(np.concatenate([rows, vals], axis=1), tol) == m):
+            return list(combo)
+    return None
+
+
+def test_input_complement_matches_the_combinations_loop():
+    # sparse full-row-rank Gamma_id values of 1 to 3 samples, some varying
+    # across the samples, so that the first sample's greedy basis fails at
+    # another sample or no constant complement exists
+    rng = np.random.default_rng(11)
+    cases, fallbacks, missing = 0, 0, 0
+    while cases < 800:
+        m = int(rng.integers(1, 6))
+        m_d, P = int(rng.integers(0, m + 1)), int(rng.integers(1, 4))
+        base = rng.integers(-1, 2, (m_d, m)) * (rng.random((m_d, m)) < 0.5)
+        vals = np.stack([base + rng.integers(-1, 2, (m_d, m))
+                         * (rng.random((m_d, m)) < 0.3 * (i > 0))
+                         for i in range(P)]).astype(float)
+        if not np.all(rank(vals, 1e-8) == m_d):
+            continue
+        cases += 1
+        want = _reference_input_complement(vals, 1e-8)
+        assert _input_complement(vals, 1e-8) == want, vals
+        missing += want is None
+        fallbacks += want is not None and want != complete_rows(
+            vals[0], np.eye(m), m - m_d, 1e-8)
+    assert missing and fallbacks

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from normform.expr import EvalError, compile_exprs, parse
-from normform.geom import SymMatrix
+from normform.expr import EvalError, compile_exprs, const, parse
+from normform.geom import SymMatrix, VectorField
 from normform.sysmodel import (AffineSystem, SamplePlan, SystemFormatError,
                                dump_system, load_system, loads_system,
                                numeric_rank, sample_domain)
@@ -92,6 +92,14 @@ def test_unknown_state_rejected():
     text = "[states]\n[x1]\n[f]\n[x9]\n[g]\n[1]\n[h]\n[x1]\n"
     with pytest.raises(SystemFormatError, match="x9"):
         loads_system(text)
+
+
+def test_field_reading_a_stray_name_rejected():
+    # a VectorField holds a non-state name as a parameter; a system may not
+    f = VectorField([parse("x2"), parse("eps*x2 - x1")], ["x1", "x2"])
+    with pytest.raises(ValueError,
+                       match=r"f references unknown variables \['eps'\]"):
+        AffineSystem(["x1", "x2"], f, [[const(0)], [const(1)]], [parse("x1")])
 
 
 def test_roundtrip(ex31):
