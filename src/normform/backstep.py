@@ -372,14 +372,7 @@ class _Engine:
                                self.V)
 
         # Already-determined feedbacks entering w's own equation.
-        drift_w = cs.drift(wname)
-        E_raw = simplify(drift_w - Var(driver))
-        for vn in sorted(free_vars(E_raw)):
-            if vn.startswith("v") and vn not in self.vmap and \
-                    vn in {cs.v_name(t + 1) for t in range(cs.m)}:
-                raise OrderViolation("2b", f"{wname} is coupled to {vn}, which "
-                                     "is not yet determined")
-        E = self.sigma(E_raw)
+        E = self.sigma(simplify(cs.drift(wname) - Var(driver)))
 
         near = [s for s in sorted(free_vars(phi_w)) if s in D]
         phidot = lie_derivative(VectorField([D[s] for s in near], near), phi_w)

@@ -71,13 +71,13 @@ _set = object.__setattr__
 def _blank(node):
     _set(node, "_key", None)
     _set(node, "_hash", None)
-    _set(node, "_canon", None)
+    _set(node, "_canon", False)
     _set(node, "_memo", None)
 
 
 class Expr:
-    # _canon: simplify's budget mark; _memo: values derived from this node,
-    # computed once (see _memoized)
+    # _canon: set by simplify on its output; _memo: values derived from
+    # this node, computed once (see _memoized)
     __slots__ = ("_key", "_hash", "_canon", "_memo")
 
     def __setattr__(self, *a):
@@ -449,10 +449,10 @@ def _mono_mul(m1, m2):
                         key=lambda ae: ae[0].key))
 
 
-def _poly_mul(p, q, budget):
+def _poly_mul(p, q):
     if not p or not q:
         return {}
-    if len(p) * len(q) > 4 * budget:
+    if len(p) * len(q) > 4 * TERM_BUDGET:
         raise BudgetError
     out = {}
     for m1, c1 in p.items():
@@ -463,20 +463,20 @@ def _poly_mul(p, q, budget):
                 out.pop(m, None)
             else:
                 out[m] = nc
-    if len(out) > budget:
+    if len(out) > TERM_BUDGET:
         raise BudgetError
     return out
 
 
-def _poly_pow(p, n, budget):
+def _poly_pow(p, n):
     """p^n for n >= 1; p^1 is p itself, whatever its size."""
     out = None
     while n:
         if n & 1:
-            out = p if out is None else _poly_mul(out, p, budget)
+            out = p if out is None else _poly_mul(out, p)
         n >>= 1
         if n:
-            p = _poly_mul(p, p, budget)
+            p = _poly_mul(p, p)
     return out
 
 
@@ -610,18 +610,17 @@ def _frac_cancel(num, den):
 _Frac = namedtuple("_Frac", "num den")
 
 
-def _frac_add(f1, f2, budget):
+def _frac_add(f1, f2):
     if f1.den == f2.den:
         return _Frac(_poly_add(f1.num, f2.num), f1.den)
-    num = _poly_add(_poly_mul(f1.num, f2.den, budget),
-                    _poly_mul(f2.num, f1.den, budget))
-    den = _poly_mul(f1.den, f2.den, budget)
+    num = _poly_add(_poly_mul(f1.num, f2.den), _poly_mul(f2.num, f1.den))
+    den = _poly_mul(f1.den, f2.den)
     return _frac_cancel(num, den)
 
 
-def _frac_mul(f1, f2, budget):
-    num = _poly_mul(f1.num, f2.num, budget)
-    den = _poly_mul(f1.den, f2.den, budget)
+def _frac_mul(f1, f2):
+    num = _poly_mul(f1.num, f2.num)
+    den = _poly_mul(f1.den, f2.den)
     return _frac_cancel(num, den)
 
 
@@ -629,6 +628,11 @@ def _frac_inv(f):
     if not f.num:
         raise ZeroDivisionError("division by symbolically zero expression")
     return _frac_cancel(f.den, f.num)
+
+
+# The memo key of a node's stored fraction; diff's keys are variable names,
+# which are strings, so they never meet it.
+_FRAC_KEY = 0
 
 
 def _memoized(e, key, compute):
@@ -644,22 +648,21 @@ def _memoized(e, key, compute):
     return v
 
 
-def _to_frac(e, budget):
-    """The polynomial fraction of e.  On a node that is canonical at this
-    budget it is stored on the node, so it is shared: nothing may mutate
-    a returned _Frac."""
+def _to_frac(e):
+    """The polynomial fraction of e.  On a canonical node it is stored on
+    the node, so it is shared: nothing may mutate a returned _Frac."""
     if isinstance(e, Const):
         return _Frac(_poly_const(e.value), _poly_const(1))
     if isinstance(e, Var):
         return _Frac(_poly_atom(e), _poly_const(1))
-    if e._canon == budget:
-        return _memoized(e, budget, lambda: _expand(e, budget))
-    return _expand(e, budget)
+    if e._canon:
+        return _memoized(e, _FRAC_KEY, lambda: _expand(e))
+    return _expand(e)
 
 
-def _expand(e, budget):
+def _expand(e):
     if isinstance(e, Func):
-        arg = simplify(e.arg, budget)
+        arg = simplify(e.arg)
         if isinstance(arg, Const):
             folded = _fold_func(e.fname, arg.value)
             if folded is not None:
@@ -668,28 +671,28 @@ def _expand(e, budget):
     if isinstance(e, Add):
         acc = _Frac({}, _poly_const(1))
         for t in e.terms:
-            acc = _frac_add(acc, _to_frac(t, budget), budget)
+            acc = _frac_add(acc, _to_frac(t))
         return acc
     if isinstance(e, Mul):
         acc = _Frac(_poly_const(1), _poly_const(1))
         for t in e.factors:
-            acc = _frac_mul(acc, _to_frac(t, budget), budget)
+            acc = _frac_mul(acc, _to_frac(t))
         return acc
     if isinstance(e, Pow):
         if e.exp == 0:
             return _Frac(_poly_const(1), _poly_const(1))
         if isinstance(e.base, Func) and e.base.fname == "abs" and e.exp % 2 == 0:
-            return _to_frac(Pow(e.base.arg, e.exp), budget)
-        f = _to_frac(e.base, budget)
+            return _to_frac(Pow(e.base.arg, e.exp))
+        f = _to_frac(e.base)
         n = abs(e.exp)
         try:
-            num, den = _poly_pow(f.num, n, budget), _poly_pow(f.den, n, budget)
+            num, den = _poly_pow(f.num, n), _poly_pow(f.den, n)
         except BudgetError:
             # Retry on the canonical base, else keep that base factored.
-            base = simplify(e.base, budget)
-            f = _to_frac(base, budget)
+            base = simplify(e.base)
+            f = _to_frac(base)
             try:
-                num, den = _poly_pow(f.num, n, budget), _poly_pow(f.den, n, budget)
+                num, den = _poly_pow(f.num, n), _poly_pow(f.den, n)
             except BudgetError:
                 num, den = _poly_atom(base, n), _poly_const(1)
         g = _frac_cancel(num, den)
@@ -751,42 +754,39 @@ def _reads_back_differently(f):
                for p in (f.num, f.den) for m in p for a, x in m)
 
 
-def simplify(e, budget=None):
+def simplify(e):
     """Canonicalize an expression.
 
-    Idempotent: a copy of s = simplify(e, budget) simplifies to s, and s is
-    marked so that simplify(s, budget) returns s at once.  Expansion stops at
-    the term budget; capped subexpressions stay factored.  The fraction s
-    was written from is stored on s as its polynomial form where it is the
-    one expanding s would give (see _mark_canonical), so s is not expanded
-    again.
+    Idempotent: a copy of s = simplify(e) simplifies to s, and s is marked
+    so that simplify(s) returns s at once.  Expansion stops at TERM_BUDGET;
+    capped subexpressions stay factored.  The fraction s was written from
+    is stored on s as its polynomial form where it is the one expanding s
+    would give (see _mark_canonical), so s is not expanded again.
     """
     e = _as_expr(e)
-    if budget is None:
-        budget = TERM_BUDGET
-    if e._canon == budget:
+    if e._canon:
         return e
     try:
         while True:
-            f = _to_frac(e, budget)
+            f = _to_frac(e)
             f = _frac_cancel(f.num, f.den)
             out, order = _frac_written(f)
             if not _reads_back_differently(f):
-                return _mark_canonical(out, f, order, budget)
+                return _mark_canonical(out, f, order)
             e = out
     except BudgetError:
         # Keep the tree with simplified children; callers fall back to the
         # randomized numeric equivalence test for equality on such values.
         if isinstance(e, Add):
-            out = Add(tuple(simplify(t, budget) for t in e.terms))
+            out = Add(tuple(simplify(t) for t in e.terms))
         elif isinstance(e, Mul):
-            out = Mul(tuple(simplify(t, budget) for t in e.factors))
+            out = Mul(tuple(simplify(t) for t in e.factors))
         else:  # only sums, products and powers overflow
-            out = Pow(simplify(e.base, budget), e.exp)
+            out = Pow(simplify(e.base), e.exp)
         if out != e:
             # The simplified children may fit the budget where e did not.
-            return simplify(out, budget)
-    _set(out, "_canon", budget)
+            return simplify(out)
+    _set(out, "_canon", True)
     return out
 
 
@@ -798,10 +798,10 @@ def _exact(f, over_vars=False):
                    for p in f for m, c in p.items())
 
 
-def _mark_canonical(out, f, order, budget):
+def _mark_canonical(out, f, order):
     """Mark `out`, the tree _frac_written gives for the cancelled fraction f
-    with its numerator's monomials in `order`, as canonical at budget, and
-    store on it the fraction that expanding `out` gives, where that is f:
+    with its numerator's monomials in `order`, as canonical, and store on
+    it the fraction that expanding `out` gives, where that is f:
     when every coefficient is exact (_mono_to_expr does not write a float
     coefficient 1.0, so such a tree reads back with an exact 1), and over a
     denominator only when both parts fit the budget (the expansion
@@ -810,12 +810,12 @@ def _mark_canonical(out, f, order, budget):
     the denominator's by leading monomial (the exact division that inverts
     it), and its coefficient types, so that float products and the
     Pythagorean pass meet their terms in the same order."""
-    _set(out, "_canon", budget)
+    _set(out, "_canon", True)
     if (not isinstance(out, (Const, Var))
             and (f.den == _poly_const(1)
-                 or (len(f.num) <= budget and len(f.den) <= budget))
+                 or (len(f.num) <= TERM_BUDGET and len(f.den) <= TERM_BUDGET))
             and _exact(f)):
-        _memoized(out, budget, lambda: _Frac(
+        _memoized(out, _FRAC_KEY, lambda: _Frac(
             {m: _whole(f.num[m]) for m in order},
             {m: _whole(f.den[m]) for m in sorted(f.den, key=_mono_key)}))
     return out
@@ -880,8 +880,7 @@ def diff(e, name):
     if isinstance(name, Var):
         name = name.name
     e = _as_expr(e)
-    return _memoized(e, (name, TERM_BUDGET),
-                     lambda: simplify(_diff_raw(e, name)))
+    return _memoized(e, name, lambda: simplify(_diff_raw(e, name)))
 
 
 def _subs_raw(e, mapping):
@@ -1339,7 +1338,7 @@ def sample_box(evaluate, box, count, rng, max_draws, cutoff=math.inf):
 
 
 def numeric_equivalent(e1, e2, seed=0, points=SAMPLE_POINTS, tol=1e-9,
-                       box=None, extra_vars=()):
+                       box=None):
     """Values agree within tol at `points` seeded random points of `box`
     ({name: (lo, hi)}, default (-0.9, 0.9)), drawn by sample_box.
 
@@ -1352,7 +1351,7 @@ def numeric_equivalent(e1, e2, seed=0, points=SAMPLE_POINTS, tol=1e-9,
 
     e1 = _as_expr(e1)
     e2 = _as_expr(e2)
-    names = sorted(_var_names(e1) | _var_names(e2) | set(extra_vars))
+    names = sorted(_var_names(e1) | _var_names(e2))
     box = box or {}
     _, (v1, v2) = sample_box(compile_exprs([e1, e2], names),
                              [box.get(n, (-0.9, 0.9)) for n in names], points,
@@ -1366,15 +1365,14 @@ def numeric_equivalent(e1, e2, seed=0, points=SAMPLE_POINTS, tol=1e-9,
     return True
 
 
-def equivalent(e1, e2, seed=0, points=SAMPLE_POINTS, tol=1e-9, box=None):
+def equivalent(e1, e2):
     """Equality test used by cross-module assertions: numeric agreement at
-    SAMPLE_POINTS seeded points AND (canonical forms match OR the difference
-    simplifies to 0)."""
+    numeric_equivalent's default points AND (canonical forms match OR the
+    difference simplifies to 0)."""
     s1 = simplify(e1)
     s2 = simplify(e2)
     structural = s1 == s2 or is_zero(s1 - s2)
-    return structural and numeric_equivalent(s1, s2, seed=seed, points=points,
-                                             tol=tol, box=box)
+    return structural and numeric_equivalent(s1, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import (ONE, TERM_BUDGET, ZERO, BudgetError, EvalError,
-                   _diff_raw, _exact, _frac_add, _frac_cancel, _frac_inv,
-                   _frac_mul, _frac_written, _Frac, _mark_canonical,
-                   _poly_const, _poly_iadd, _poly_mul, _poly_written, _to_frac,
+from .expr import (ONE, ZERO, BudgetError, EvalError, _diff_raw, _exact,
+                   _frac_add, _frac_cancel, _frac_inv, _frac_mul,
+                   _frac_written, _Frac, _mark_canonical, _poly_const,
+                   _poly_iadd, _poly_mul, _poly_written, _to_frac,
                    compile_exprs, const, diff, free_vars, numeric_equivalent,
                    simplify)
 
@@ -188,8 +188,8 @@ class SymMatrix:
         grid = [r + [ONE if j == i else ZERO for j in range(width)]
                 for i, r in enumerate(self.rows)]
         try:
-            return _eliminate([[_to_frac(e, TERM_BUDGET) for e in r]
-                               for r in grid], cols, _FRAC_OPS)
+            return _eliminate([[_to_frac(e) for e in r] for r in grid], cols,
+                               _FRAC_OPS)
         except BudgetError:
             return _eliminate(grid, cols, _TREE_OPS)
 
@@ -240,16 +240,15 @@ def _eliminate(grid, cols, ops):
 
 
 def _frac_cross(p, a, b, c, scale):
-    t = _frac_mul(p, a, TERM_BUDGET) if a.num else a
+    t = _frac_mul(p, a) if a.num else a
     if b.num and c.num:
-        bc = _frac_mul(b, c, TERM_BUDGET)
-        t = _frac_add(t, _Frac({m: -v for m, v in bc.num.items()}, bc.den),
-                      TERM_BUDGET)
+        bc = _frac_mul(b, c)
+        t = _frac_add(t, _Frac({m: -v for m, v in bc.num.items()}, bc.den))
         if t.den == bc.den:
             # _frac_add leaves a sum over one denominator uncancelled, and
             # the zero test needs the sin^2 + cos^2 = 1 rewrite of the cancel
             t = _frac_cancel(*t)
-    return t if scale is None or not t.num else _frac_mul(t, scale, TERM_BUDGET)
+    return t if scale is None or not t.num else _frac_mul(t, scale)
 
 
 def _tree_cross(p, a, b, c, scale):
@@ -326,7 +325,7 @@ def _exact_var_poly(e):
     """The polynomial dict of e when it expands to a polynomial over
     variables with exact coefficients, else None.  Over variables alone the
     expansion is the canonical form, and on a canonical e it is stored."""
-    f = _to_frac(e, TERM_BUDGET)
+    f = _to_frac(e)
     return f.num if f.den == _poly_const(1) and _exact(f, over_vars=True) else None
 
 
@@ -353,11 +352,11 @@ def _poly_lie_derivative(f, lam):
         acc = {}
         for name, fi in zip(f.states, fs):
             if name in partials:
-                _poly_iadd(acc, _poly_mul(partials[name], fi, TERM_BUDGET))
+                _poly_iadd(acc, _poly_mul(partials[name], fi))
     except BudgetError:
         return None
     out, order = _poly_written(acc)
-    return _mark_canonical(out, _Frac(acc, _poly_const(1)), order, TERM_BUDGET)
+    return _mark_canonical(out, _Frac(acc, _poly_const(1)), order)
 
 
 def lie_derivative_cols(g_matrix, states, lam):

@@ -19,7 +19,6 @@ from .geom import (SymMatrix, VectorField, bracket_sampler, complete_rows,
                    involutive, jacobian, lie_bracket, lie_derivative,
                    lie_derivative_cols, rank)
 from .structure import StructureError, _chain_coords, _sel_product, select_RS
-from .sysmodel import DEFAULT_TOL
 
 __all__ = ["NormalForm", "ZeroDynamicsReport", "build_normal_form",
            "check_assumption_B", "check_assumption_C", "check_assumption_D",
@@ -77,19 +76,18 @@ class NormalForm:
             eqs.append((e, rhs))
         return solve_triangular(eqs, self.system.states)
 
-    def check_sparsity(self, seed=3, tol=1e-9):
+    def check_sparsity(self):
         """(key law) couplings vanish below the feeding chain's length."""
         for (i, j, l), e in self.delta.items():
-            if j < self.q[l - 1] and not numeric_equivalent(e, const(0), seed=seed,
-                                                            tol=tol):
+            if j < self.q[l - 1] and not numeric_equivalent(e, const(0), seed=3):
                 return False
         return True
 
 
-def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
-                      tol=DEFAULT_TOL):
+def build_normal_form(system, outcome, phi_e=None, gamma_ie=None):
     """Assemble chain coordinates, complement, transformations, and the delta
-    table from a regular structure outcome.
+    table from a regular structure outcome; every rank is taken at the
+    outcome's tolerance.
 
     phi_e: optional user complement expressions (their annihilation of the
     retained input directions is verified, not solved for).
@@ -98,14 +96,14 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
     nf = NormalForm(outcome)
     states = system.states
     n, m, p = system.n, system.m, system.p
-    samples = outcome.samples
+    tol = outcome.tol
 
     # Chain coordinates zeta_{i,j} selected through the R/S history.
     nf.chains = _chain_coords(outcome, outcome.system.h)
     nf.xi_names = [[f"xi{i}_{j}" for j in range(1, k + 1)]
                    for i, k in enumerate(nf.q, start=1)]
 
-    if not check_assumption_B(outcome, samples, tol):
+    if not check_assumption_B(outcome):
         raise StructureError("Assumption B fails: chain differentials are not "
                              "of full row rank on the samples")
 
@@ -134,12 +132,16 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
     # Input complement Gamma_ie: user-provided or constant canonical rows
     # making [Gamma_ie; Gamma_id] nonsingular at every sample.
     if gamma_ie is not None:
-        nf.gamma_ie = gamma_ie if isinstance(gamma_ie, SymMatrix) \
-            else SymMatrix.from_numpy(np.asarray(gamma_ie, dtype=float))
-        if nf.gamma_ie.shape != (m - nf.m_d, m):
+        if not isinstance(gamma_ie, SymMatrix):
+            gamma_ie = np.asarray(gamma_ie, dtype=float)
+        # a SymMatrix of no rows reports the shape (0, 0)
+        if (gamma_ie.shape != (m - nf.m_d, m)
+                and (gamma_ie.shape, nf.m_d) != ((0, 0), m)):
             raise ValueError(f"gamma_ie must be {(m - nf.m_d, m)}")
+        nf.gamma_ie = gamma_ie if isinstance(gamma_ie, SymMatrix) \
+            else SymMatrix.from_numpy(gamma_ie)
     else:
-        nf.gamma_ie = _default_gamma_ie(system, outcome, tol)
+        nf.gamma_ie = _default_gamma_ie(system, outcome)
 
     # State complement.
     dphi_d = jacobian([e for c in nf.chains for e in c], states)
@@ -175,14 +177,11 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None,
 
     # If the user supplied a complement, verify it annihilates the retained
     # input directions on samples (the sufficient condition for phi_l = 0).
-    if phi_e is not None and nf.phi_cols is not None:
-        for row in nf.phi_cols.rows:
-            for e in row:
-                if not numeric_equivalent(e, const(0), seed=11, tol=1e-7):
-                    nf.warnings.append(
-                        "supplied phi_e does not annihilate the chain input "
-                        "directions; residue columns kept")
-                    break
+    if phi_e is not None and nf.phi_cols is not None and any(
+            not numeric_equivalent(e, const(0), seed=11, tol=1e-7)
+            for row in nf.phi_cols.rows for e in row):
+        nf.warnings.append("supplied phi_e does not annihilate the chain input "
+                           "directions; residue columns kept")
 
     nf.h_e = [system.h[i] for i in rest]
     return nf
@@ -224,37 +223,37 @@ def _decompose_eta_dynamics(nf):
 # Assumption checks
 # ---------------------------------------------------------------------------
 
-def check_assumption_B(outcome, samples=None, tol=DEFAULT_TOL):
-    """Full row rank of the stacked chain differentials.  Passes without
-    sampling when every recorded P block is constant."""
+def check_assumption_B(outcome):
+    """Full row rank of the stacked chain differentials at the outcome's
+    samples and tolerance.  Passes without sampling when every recorded P
+    block is constant."""
     outcome.raise_if_irregular()
     all_const = all(blk.is_constant()
                     for rec in outcome.steps for blk in rec.P_blocks.values())
     if all_const:
         return True
-    samples = samples if samples is not None else outcome.samples
     states = outcome.system.states
     zeta = [e for chain in _chain_coords(outcome, outcome.system.h)
             for e in chain]
-    vals = jacobian(zeta, states).sample(states, np.transpose(samples))
-    return bool(np.all(rank(vals, tol) == len(zeta)))
+    vals = jacobian(zeta, states).sample(states, np.transpose(outcome.samples))
+    return bool(np.all(rank(vals, outcome.tol) == len(zeta)))
 
 
-def check_assumption_C(system, outcome, gamma_ie=None, plan=None, tol=DEFAULT_TOL):
-    """Involutivity of the retained input directions g_d = g Gamma_i^{-1} [0; I]."""
+def check_assumption_C(system, outcome, gamma_ie=None):
+    """Involutivity of the retained input directions g_d = g Gamma_i^{-1} [0; I]
+    at the outcome's samples and tolerance."""
     outcome.raise_if_irregular()
     nf_gid = outcome.b
     m, m_d = system.m, outcome.m_d
     if gamma_ie is None:
-        gamma_ie = _default_gamma_ie(system, outcome, tol)
+        gamma_ie = _default_gamma_ie(system, outcome)
     gamma_i = gamma_ie.vstack(nf_gid) if m - m_d else nf_gid
     g_d = system.g @ SymMatrix([r[m - m_d:] for r in gamma_i.inverse().rows])
     fields = [VectorField(g_d.col(j), system.states) for j in range(m_d)]
-    pts = outcome.samples if plan is None else plan.realize(system)
-    return involutive(fields, pts, tol=tol)
+    return involutive(fields, outcome.samples, tol=outcome.tol)
 
 
-def _default_gamma_ie(system, outcome, tol):
+def _default_gamma_ie(system, outcome):
     """The input complement Gamma_ie of _input_complement at the outcome's
     samples, as a constant matrix; empty when m_d = m."""
     m, m_d = system.m, outcome.m_d
@@ -262,7 +261,7 @@ def _default_gamma_ie(system, outcome, tol):
         return SymMatrix([])
     vals = (outcome.b.sample(system.states, np.transpose(outcome.samples))
             if m_d else np.zeros((len(outcome.samples), 0, m)))
-    rows = _input_complement(vals, tol)
+    rows = _input_complement(vals, outcome.tol)
     if rows is None:
         raise StructureError("no constant input complement found; supply gamma_ie")
     return SymMatrix.from_numpy(np.eye(m)[rows])

@@ -34,6 +34,9 @@ RIGHT = "RightInvertible"
 INVERTIBLE = "Invertible"
 DEGENERATE = "Degenerate"
 
+# the squared residual below which a zero-output projection has converged
+PROJ_TOL = 1e-10
+
 
 class StructureError(RuntimeError):
     pass
@@ -229,8 +232,7 @@ def _solve_P_pivot(lg_s_theta, lg_omega, origin_vals, tol):
     return target @ sub.inverse()
 
 
-def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
-                   step_points=None):
+def _run_algorithm(system, plan, tol, zero_output):
     samples = [system.origin()] + plan.realize(system)
     mode = "zero-output" if zero_output else "infinite-zero"
     out = StructureOutcome(system, mode, samples, tol)
@@ -255,13 +257,9 @@ def _run_algorithm(system, plan, tol, zero_output, proj_tol=1e-10,
         lg_theta = lie_derivative_cols(g, states, theta)
 
         if zero_output:
-            if step_points and k in step_points:
-                pts = [system.origin()] + [np.asarray(p, dtype=float)
-                                           for p in step_points[k]]
-            else:
-                stack = system.h + [t for rec in out.steps for t in rec.theta]
-                pts = _project_points(system, theta_stack=stack, samples=samples,
-                                      proj_tol=proj_tol, out=out, k=k)
+            stack = system.h + [t for rec in out.steps for t in rec.theta]
+            pts = _project_points(system, theta_stack=stack, samples=samples,
+                                  out=out, k=k)
             out.step_points[k] = pts
         else:
             pts = samples
@@ -355,9 +353,10 @@ def _assert_zero_matrix(mat, states, pts, out, k):
             f"(max {peak[big[0]]:.2e}); rank hypothesis may be marginal")
 
 
-def _project_points(system, theta_stack, samples, proj_tol, out, k):
+def _project_points(system, theta_stack, samples, out, k):
     """Damped Gauss-Newton projection of domain samples onto the zero set of
-    the accumulated Theta stack; the origin is always included."""
+    the accumulated Theta stack, to a squared residual of PROJ_TOL; the
+    origin is always included."""
     states = system.states
     pts = [system.origin()]
     if not theta_stack:
@@ -373,7 +372,7 @@ def _project_points(system, theta_stack, samples, proj_tol, out, k):
             r = np.asarray(fn(list(x)), dtype=float)
             if not np.all(np.isfinite(r)):
                 break
-            if float(np.dot(r, r)) <= proj_tol:
+            if float(np.dot(r, r)) <= PROJ_TOL:
                 converged = True
                 break
             J = np.asarray(grads(list(x)), dtype=float).reshape(len(theta_stack), -1)
@@ -412,15 +411,11 @@ def infinite_zero_algorithm(system, plan=None, tol=DEFAULT_TOL):
     return _run_algorithm(system, plan or SamplePlan(), tol, zero_output=False)
 
 
-def zero_output_algorithm(system, plan=None, tol=DEFAULT_TOL, proj_tol=1e-10,
-                          step_points=None):
+def zero_output_algorithm(system, plan=None, tol=DEFAULT_TOL):
     """Run the zero output structure algorithm: rank hypotheses are checked
-    on points projected onto the nested zero sets (origin always included).
-
-    `step_points` may map a step index to an explicit point list on that
-    step's zero set, overriding the Newton projection."""
-    return _run_algorithm(system, plan or SamplePlan(), tol, zero_output=True,
-                          proj_tol=proj_tol, step_points=step_points)
+    on points projected onto the nested zero sets (origin always included);
+    the points of each step are kept in `step_points`."""
+    return _run_algorithm(system, plan or SamplePlan(), tol, zero_output=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,20 @@ def counter3_affine(alpha=1):
          [parse("0"), parse("1")]]
     h = [parse("x1"), parse("x3")]
     return AffineSystem(states, f, g, h)
+
+
+@contextmanager
+def term_budget(n):
+    """expr.TERM_BUDGET is n inside the block.  A node simplified inside is
+    marked canonical at n, so the block simplifies fresh trees only
+    (unmarked_copy), and nothing simplified in it is used after it."""
+    from normform import expr
+    saved = expr.TERM_BUDGET
+    expr.TERM_BUDGET = n
+    try:
+        yield
+    finally:
+        expr.TERM_BUDGET = saved
 
 
 def unmarked_copy(e):

@@ -7,11 +7,11 @@ import pytest
 
 from conftest import SYSTEMS, _reference_w_dot
 from normform.backstep import (ChainSystem, ControlLaw, Disturbance,
-                               OrderViolation, Stabilizer, da_synthesize,
-                               dissipative_backstep, integrator_backstep,
-                               load_chain_system, low_gain, parse_kappa,
-                               semi_global_synthesize, synthesize,
-                               validate_order)
+                               OrderViolation, Stabilizer, _Engine,
+                               da_synthesize, dissipative_backstep,
+                               integrator_backstep, load_chain_system,
+                               low_gain, parse_kappa, semi_global_synthesize,
+                               synthesize, validate_order)
 from normform.expr import (EvalError, Func, Var, const, diff, evalf, free_vars,
                            numeric_equivalent, parse, simplify, subs)
 
@@ -476,6 +476,18 @@ def test_synthesize_without_residual_block():
     assert simplify(law.W - parse("xi1_1^2/2")) == const(0)
     law3 = synthesize(cs, "xi1_1", stab, gains={"xi1_1": 3})
     assert law3.v[0] == parse("-3*xi1_1")
+
+
+def test_engine_refuses_a_row_fed_by_an_undetermined_control():
+    # xi2_1' = xi2_2 + xi2_1*v1: stepping xi2_1 before chain 1 is closed
+    # leaves v1 in the row of xi2_1 itself
+    cs = ChainSystem(q=[1, 2], delta={(2, 1, 1): parse("xi2_1")})
+    engine = _Engine(cs, Stabilizer([const(0), const(0)], const(0)))
+    with pytest.raises(OrderViolation, match=r"dynamics of xi2_1 depend on "
+                       r"undetermined controls \['v1'\] at the step on "
+                       r"xi2_1") as err:
+        engine.step("xi2_1")
+    assert err.value.condition == "2b"
 
 
 def test_sampled_checks_raise_where_undefined(linear_sys, linear_stab):

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import _reference_diff_raw, _reference_evalf, unmarked_copy
-from normform.expr import (SAMPLE_CUTOFF, SAMPLE_REDRAWS, TERM_BUDGET, ZERO,
-                           Add, Const, EvalError, Func, Mul, ParseError, Pow,
-                           Var, _CHUNK, _diff_raw, _kernel_source,
-                           _poly_written, _to_frac, _var_names,
-                           backends_agree, compile_exprs, compile_exprs_into,
-                           compile_exprs_scalar, const, diff, equivalent,
-                           evalf, free_vars, numeric_equivalent, parse,
-                           render, sample_box, simplify, subs)
+from conftest import (_reference_diff_raw, _reference_evalf, term_budget,
+                      unmarked_copy)
+from normform.expr import (_FRAC_KEY, SAMPLE_CUTOFF, SAMPLE_REDRAWS,
+                           TERM_BUDGET, ZERO, Add, Const, EvalError, Func,
+                           Mul, ParseError, Pow, Var, _CHUNK, _diff_raw,
+                           _kernel_source, _poly_written, _to_frac,
+                           _var_names, backends_agree, compile_exprs,
+                           compile_exprs_into, compile_exprs_scalar, const,
+                           diff, equivalent, evalf, free_vars,
+                           numeric_equivalent, parse, render, sample_box,
+                           simplify, subs)
 
 
 def test_parse_product():
@@ -140,20 +142,21 @@ def small_exprs(draw, names=("x1", "x2", "x3"), wide=False):
     return rec(depth)
 
 
-def assert_idempotent(e, budget=None):
+def assert_idempotent(e):
     try:
-        s = simplify(e, budget)
+        s = simplify(e)
     except ZeroDivisionError:
         assume(False)
-    assert simplify(s, budget) is s
-    assert simplify(unmarked_copy(s), budget) == s
+    assert simplify(s) is s
+    assert simplify(unmarked_copy(s)) == s
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_exprs(wide=True), st.sampled_from([None, 2, 4, 8]))
+@given(small_exprs(wide=True), st.sampled_from([TERM_BUDGET, 2, 4, 8]))
 def test_simplify_idempotent(e, budget):
     # small budgets reach the BudgetError fallback and factored powers
-    assert_idempotent(e, budget)
+    with term_budget(budget):
+        assert_idempotent(unmarked_copy(e))
 
 
 def test_simplify_idempotent_on_abs_of_quotient():
@@ -180,7 +183,8 @@ def test_simplify_idempotent_at_budget_edges():
         (Add((Const(3), Pow(x1 + x2 + 1, -1))), 2),
     ]
     for e, budget in cases:
-        assert_idempotent(e, budget)
+        with term_budget(budget):
+            assert_idempotent(unmarked_copy(e))
 
 
 def test_exp_of_overflowing_constant_stays_unfolded():
@@ -200,10 +204,6 @@ def test_simplify_returns_marked_input():
     c = simplify(parse("x1/(1 + x2)") + 3)
     assert simplify(c) is c
     assert render(c) == render(unmarked_copy(c))
-    # a different budget canonicalizes again instead of trusting the mark
-    other = simplify(c, budget=50)
-    assert other is not c and other == c
-    assert simplify(other, budget=50) is other
 
 
 EXACT_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -383,7 +383,8 @@ def test_degenerate_division():
 def test_budget_keeps_factored():
     # (1 + x1 + x2 + x3)^9 at a tiny budget stays factored but still evaluates
     e = Pow(parse("1 + x1 + x2 + x3"), 9)
-    s = simplify(e, budget=20)
+    with term_budget(20):
+        s = simplify(unmarked_copy(e))
     assert isinstance(s, (Pow, Mul))
     env = {"x1": 0.1, "x2": 0.2, "x3": -0.3}
     assert evalf(s, env) == pytest.approx(evalf(e, env))
@@ -899,7 +900,7 @@ def test_diff_memo_matches_fresh_copy(e, canonical, name):
         assume(False)
     assert d.key == simplify(_diff_raw(unmarked_copy(e), name)).key
     assert diff(e, name) is d
-    assert e._memo[(name, TERM_BUDGET)] is d
+    assert e._memo[name] is d
 
 
 # a float coefficient 1.0 is written as no coefficient, so the tree of
@@ -926,24 +927,7 @@ def test_memoized_children_simplify_as_fresh_copies(e1, e2, product):
     fresh = simplify(tree(unmarked_copy(s1), unmarked_copy(s2)))
     assert first.key == again.key == fresh.key
     if not isinstance(s1, (Const, Var)):
-        assert TERM_BUDGET in s1._memo
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_exprs(), small_exprs(wide=True),
-       st.sampled_from([(20, None), (None, 20)]))
-def test_frac_memo_is_never_read_at_another_budget(e1, e2, budgets):
-    first, second = budgets
-    try:
-        # the cube overflows a budget of 20 terms and stays factored there
-        s = simplify(Pow(Add((e1,) + tuple(map(Var, ("x1", "x2", "x3", "x4")))),
-                         3), first)
-        e = Mul((s, Add((e2, Var("x5")))))
-        results = [simplify(e, b) for b in (first, second, first)]
-        fresh = [simplify(unmarked_copy(e), b) for b in (first, second, first)]
-    except ZeroDivisionError:
-        assume(False)
-    assert [r.key for r in results] == [f.key for f in fresh]
+        assert _FRAC_KEY in s1._memo
 
 
 def _typed(p):
@@ -952,29 +936,29 @@ def _typed(p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_exprs(wide=True), st.sampled_from([None, 2, 4, 8]))
+@given(small_exprs(wide=True), st.sampled_from([TERM_BUDGET, 2, 4, 8]))
 @example(Mul((FLOAT_ONE_CASE[0], Add((FLOAT_ONE_CASE[1],
                                       Mul((FLOAT_ONE_CASE[0], Var("x3"))))))),
-         None)
+         TERM_BUDGET)
 # 1/(1/x1 + 1): the expansion orders a denominator by leading monomial
-@example(Pow(Add((Pow(Var("x1"), -1), Const(1))), -1), None)
+@example(Pow(Add((Pow(Var("x1"), -1), Const(1))), -1), TERM_BUDGET)
 # the x1 coefficient 2 * 1/2 is a whole Fraction; the expansion reads an int
-@example(Pow(Add((Var("x1"), Pow(Const(2), -1))), 2), None)
+@example(Pow(Add((Var("x1"), Pow(Const(2), -1))), 2), TERM_BUDGET)
 def test_simplify_stores_the_fraction_of_a_fresh_copy(e, budget):
-    try:
-        s = simplify(e, budget)
-    except ZeroDivisionError:
-        assume(False)
-    budget = budget or TERM_BUDGET
-    stored = (s._memo or {}).get(budget)
-    if stored is not None:
-        fresh = _to_frac(unmarked_copy(s), budget)
-        assert [_typed(p) for p in stored] == [_typed(p) for p in fresh]
+    with term_budget(budget):
+        try:
+            s = simplify(unmarked_copy(e))
+        except ZeroDivisionError:
+            assume(False)
+        stored = (s._memo or {}).get(_FRAC_KEY)
+        if stored is not None:
+            fresh = _to_frac(unmarked_copy(s))
+            assert [_typed(p) for p in stored] == [_typed(p) for p in fresh]
 
 
 def test_simplify_stores_exact_fractions_only():
     s = simplify(parse("x1/(1 + x2)") + 3)
-    assert s._memo[TERM_BUDGET] == _to_frac(unmarked_copy(s), TERM_BUDGET)
+    assert s._memo[_FRAC_KEY] == _to_frac(unmarked_copy(s))
     assert simplify(parse("0.5*x1/(1 + x2)"))._memo is None
 
 
@@ -989,14 +973,6 @@ def test_stored_fraction_multiplies_floats_as_a_fresh_copy(e1, e2):
     except ZeroDivisionError:
         assume(False)
     assert first.key == simplify(Mul((unmarked_copy(s1), e2))).key
-
-
-def test_frac_memo_is_keyed_by_budget():
-    s = simplify(Pow(parse("1 + x1 + x2 + x3"), 4), budget=20)
-    assert isinstance(s, Pow)   # kept factored at this budget
-    simplify(s * Var("x4"), budget=20)
-    assert set(s._memo) == {20}
-    assert simplify(s * Var("x4")) == parse("(1 + x1 + x2 + x3)^4*x4")
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,24 @@ class TestDegenerateNormalForm:
         nf = build_normal_form(ex32, out)
         assert len(nf.eta_exprs) == 3
 
+    def test_non_annihilating_phi_e_warns_once(self, ex32, out32):
+        # every residue row is non-zero; the warning is given once
+        nf = build_normal_form(ex32, out32, phi_e=[
+            parse("x1 + x2"), parse("x3 + x4"), parse("x4 + x1")])
+        assert nf.warnings == ["supplied phi_e does not annihilate the chain "
+                               "input directions; residue columns kept"]
+
+
+def test_empty_gamma_ie_when_every_input_drives_a_chain(ex31, out31, nf31):
+    nf = build_normal_form(ex31, out31, gamma_ie=np.zeros((0, 2)))
+    for name in ("q", "chains", "eta_exprs", "delta", "a", "b", "gamma_ie",
+                 "f_e", "g_e", "phi_cols", "h_e", "warnings"):
+        assert getattr(nf, name) == getattr(nf31, name), name
+    assert np.array_equal(nf.gamma_od, nf31.gamma_od)
+    assert np.array_equal(nf.gamma_oe, nf31.gamma_oe)
+    with pytest.raises(ValueError, match=r"gamma_ie must be \(0, 2\)"):
+        build_normal_form(ex31, out31, gamma_ie=np.zeros((1, 2)))
+
 
 @pytest.mark.parametrize("case, algorithm", [
     (case, algorithm) for case in ("ex31", "ex32", "ex33", "ex34")

@@ -119,14 +119,6 @@ class TestZeroOutput:
         row = out33.sigma[(2, 1)]
         assert row == [parse("0"), parse("x2 - x1^2")]
 
-    def test_user_step_points_override(self, ex33):
-        pts = {1: [np.array([0.0, 0.0, 0.3, 0.1])],
-               2: [np.array([0.0, 0.0, 0.2, 0.0])]}
-        out = zero_output_algorithm(ex33, SamplePlan(count=10),
-                                    step_points=pts)
-        assert out.regular and out.q == [1, 2]
-        assert len(out.step_points[1]) == 2  # origin prepended
-
     def test_projected_points_on_zero_set(self, ex33, out33):
         pts = out33.step_points[2]
         assert len(pts) > 3
