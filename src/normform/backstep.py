@@ -697,6 +697,10 @@ def da_synthesize(system, kappa, stab, gamma, eps, budgets=None, gains=None):
     ge = gamma if isinstance(gamma, Expr) else const(float(gamma))
     ee = eps if isinstance(eps, Expr) else const(float(eps))
     if budgets is None:
+        # every step's budget is a multiple of eps, and a step divides by it
+        if not free_vars(ee) and not evalf(ee, {}) > 0:
+            raise ValueError("the default budget schedule needs eps > 0; "
+                             "give explicit per-step budgets (--budgets)")
         budgets = []
         for l in range(1, n_d + 1):
             lo = simplify(ge + const(l - 1) * ee / const(n_d))

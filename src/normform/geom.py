@@ -118,10 +118,7 @@ class SymMatrix:
         out = np.empty((nr * nc, pts.shape[1]))
         if out.size:
             fn = compile_exprs([e for r in self.rows for e in r], states)
-            with np.errstate(all="ignore"):
-                # row assignment also broadcasts constant entries
-                for row, v in zip(out, fn(list(pts))):
-                    row[...] = v
+            kernel_values(fn, pts, out)
             bad = ~np.isfinite(out).all(axis=0)
             if finite and bad.any():
                 raise EvalError("matrix has non-finite entries at "
@@ -464,6 +461,17 @@ def involutive(fields, points, tol=1e-8):
     ext = np.concatenate([base, brackets.transpose(2, 1, 0)], axis=2)
     finite = np.isfinite(ext).all(axis=(1, 2))
     return bool(np.all(rank(ext[finite], tol) <= rank(base[finite], tol)))
+
+
+def kernel_values(kernel, points, out):
+    """Fill `out` (rows, P) with the values of the compiled `kernel`
+    (expr.compile_exprs) at the columns of the (n, P) array `points`, inf
+    or nan where an entry is undefined, and return it."""
+    with np.errstate(all="ignore"):
+        # row assignment also broadcasts constant entries
+        for row, v in zip(out, kernel(list(points))):
+            row[...] = v
+    return out
 
 
 def rank(a, tol):

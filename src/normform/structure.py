@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import EvalError, Var, compile_exprs, const, render, simplify, subs
-from .geom import (SymMatrix, complete_rows, jacobian, lie_derivative,
-                   lie_derivative_cols, rank)
+from .geom import (SymMatrix, complete_rows, jacobian, kernel_values,
+                   lie_derivative, lie_derivative_cols, rank)
 from .sysmodel import DEFAULT_TOL, AffineSystem, SamplePlan
 
 __all__ = ["StructureOutcome", "StepRecord", "StructureError", "select_RS",
@@ -258,9 +258,7 @@ def _run_algorithm(system, plan, tol, zero_output):
 
         if zero_output:
             stack = system.h + [t for rec in out.steps for t in rec.theta]
-            pts = _project_points(system, theta_stack=stack, samples=samples,
-                                  out=out, k=k)
-            out.step_points[k] = pts
+            pts = out.step_points[k] = _project_points(system, stack, samples, out, k)
         else:
             pts = samples
 
@@ -354,42 +352,42 @@ def _assert_zero_matrix(mat, states, pts, out, k):
 
 
 def _project_points(system, theta_stack, samples, out, k):
-    """Damped Gauss-Newton projection of domain samples onto the zero set of
-    the accumulated Theta stack, to a squared residual of PROJ_TOL; the
-    origin is always included."""
-    states = system.states
-    pts = [system.origin()]
+    """Damped Gauss-Newton projection of all domain samples at once onto the
+    Theta stack's zero set, to a squared residual of PROJ_TOL.  The origin is
+    kept; samples meeting non-finite values or ending off the box are dropped."""
     if not theta_stack:
         return samples
-    fn = compile_exprs(theta_stack, states)
-    grads = compile_exprs([d for row in jacobian(theta_stack, states)
-                           for d in row], states)
-    box = system.box()
-    for p0 in samples[1:]:
-        x = np.array(p0, dtype=float)
-        converged = False
-        for _ in range(50):
-            r = np.asarray(fn(list(x)), dtype=float)
-            if not np.all(np.isfinite(r)):
-                break
-            if float(np.dot(r, r)) <= PROJ_TOL:
-                converged = True
-                break
-            J = np.asarray(grads(list(x)), dtype=float).reshape(len(theta_stack), -1)
-            step, *_ = np.linalg.lstsq(J, r, rcond=None)
-            alpha = 1.0
-            base = float(np.dot(r, r))
-            while alpha > 1e-4:
-                xn = x - alpha * step
-                rn = np.asarray(fn(list(xn)), dtype=float)
-                if np.all(np.isfinite(rn)) and float(np.dot(rn, rn)) < base:
-                    x = xn
-                    break
-                alpha *= 0.5
-            else:
-                break
-        if converged and all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
-            pts.append(x)
+    nr, n = len(theta_stack), system.n
+    fn, grads = (compile_exprs(e, system.states) for e in (theta_stack, [
+        d for row in jacobian(theta_stack, system.states) for d in row]))
+    x = np.array(samples[1:], dtype=float).reshape(-1, n).T      # a sample per column
+    converged, live = np.zeros(x.shape[1], dtype=bool), np.arange(x.shape[1])
+    for _ in range(50):
+        r = kernel_values(fn, x[:, live], np.empty((nr, live.size)))
+        base, finite = np.einsum("ip,ip->p", r, r), np.isfinite(r).all(axis=0)
+        converged[live[finite & (base <= PROJ_TOL)]] = True
+        J = kernel_values(grads, x[:, live], np.empty((nr * n, live.size)))
+        go = finite & (base > PROJ_TOL) & np.isfinite(J).all(axis=0)
+        live, r, base, J = live[go], r[:, go], base[go], J[:, go].T.reshape(-1, nr, n)
+        if not live.size:
+            break
+        # the minimum-norm least-squares step, at lstsq's rcond=None cutoff
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        inv = np.divide(1.0, s, out=np.zeros_like(s),
+                        where=s > np.finfo(float).eps * max(nr, n) * s[:, :1])
+        step = np.einsum("pkj,pk->jp", Vt, inv * np.einsum("pik,ip->pk", U, r))
+        # halve each step until its squared residual falls, to alpha = 1e-4
+        alpha = np.ones(live.size)      # 0 once the sample's step is taken
+        while np.any(wait := alpha > 1e-4):
+            xn = x[:, live[wait]] - alpha[wait] * step[:, wait]
+            rn = kernel_values(fn, xn, np.empty((nr, xn.shape[1])))
+            took = np.einsum("ip,ip->p", rn, rn) < base[wait]    # never if not finite
+            x[:, live[wait][took]] = xn[:, took]
+            alpha[wait] = np.where(took, 0.0, alpha[wait] * 0.5)
+        live = live[alpha == 0]
+    lo, hi = np.transpose(system.box())
+    kept = converged & np.all((lo <= x.T) & (x.T <= hi), axis=1)
+    pts = [system.origin()] + list(x.T[kept])
     if len(pts) == 1 and len(samples) > 1:
         out.warnings.append(
             f"step {k}: projection onto the zero set failed for all samples; "

@@ -215,3 +215,53 @@ def _reference_evalf(e, env):
         raise TypeError(f"unknown node {n!r}")
 
     return ev(e)
+
+
+def _reference_project_points(system, theta_stack, samples, out, k):
+    """The per-point damped Gauss-Newton loop that projected the samples
+    onto the zero set before the projection ran on all of them at once:
+    one lstsq step per iteration, each halved until the squared residual
+    falls (down to alpha = 1e-4), at most 50 iterations, and the squared
+    residual PROJ_TOL.  A non-finite Jacobian makes lstsq raise
+    LinAlgError."""
+    from normform.expr import compile_exprs
+    from normform.geom import jacobian
+    from normform.structure import PROJ_TOL
+    states = system.states
+    pts = [system.origin()]
+    if not theta_stack:
+        return samples
+    fn = compile_exprs(theta_stack, states)
+    grads = compile_exprs([d for row in jacobian(theta_stack, states)
+                           for d in row], states)
+    box = system.box()
+    for p0 in samples[1:]:
+        x = np.array(p0, dtype=float)
+        converged = False
+        for _ in range(50):
+            r = np.asarray(fn(list(x)), dtype=float)
+            if not np.all(np.isfinite(r)):
+                break
+            if float(np.dot(r, r)) <= PROJ_TOL:
+                converged = True
+                break
+            J = np.asarray(grads(list(x)), dtype=float).reshape(len(theta_stack), -1)
+            step, *_ = np.linalg.lstsq(J, r, rcond=None)
+            alpha = 1.0
+            base = float(np.dot(r, r))
+            while alpha > 1e-4:
+                xn = x - alpha * step
+                rn = np.asarray(fn(list(xn)), dtype=float)
+                if np.all(np.isfinite(rn)) and float(np.dot(rn, rn)) < base:
+                    x = xn
+                    break
+                alpha *= 0.5
+            else:
+                break
+        if converged and all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
+            pts.append(x)
+    if len(pts) == 1 and len(samples) > 1:
+        out.warnings.append(
+            f"step {k}: projection onto the zero set failed for all samples; "
+            "rank hypotheses checked at x=0 only")
+    return pts

@@ -39,6 +39,22 @@ def test_analyze_zero_output(capsys):
     assert "q = {1, 2}" in out
 
 
+def test_zero_output_projection_makes_no_lstsq_call(monkeypatch, capsys):
+    # the projection takes every sample's step from one batched SVD per round
+    import numpy as np
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    code, out, _ = run_main(["analyze", "--zero-output", SYS / "ex33.sys"], capsys)
+    assert code == 0 and "q = {1, 2}" in out
+    assert calls == []
+
+
 def test_analyze_nonregular_exit_2(tmp_path, capsys):
     code, out, _ = run_main(["analyze", SYS / "remark_nonregular.sys",
                              "--samples", "30", "--out", tmp_path], capsys)
@@ -208,6 +224,17 @@ def test_backstep_disturbance_cli_and_l2(tmp_path, capsys):
          "--csv", tmp_path / "da.csv"], capsys)
     assert code == 0
     assert "pass=True" in out
+
+
+def test_backstep_default_budgets_refuse_eps_zero(tmp_path, capsys):
+    # each default budget is a multiple of eps; at eps = 0 a step would
+    # divide by zero, so explicit --budgets are asked for
+    ctl = tmp_path / "da.ctl"
+    code, _, err = run_main(
+        ["backstep", SYS / "nf_addexam.nf", "--kappa", "xi2_1,xi1_1,xi2_2",
+         "--disturbance", "0.5", "--eps", "0", "--out", ctl], capsys)
+    assert code == 1 and err.startswith("error: ") and "--budgets" in err
+    assert "Traceback" not in err and not ctl.exists()
 
 
 def test_file_errors_exit_1(tmp_path, capsys):

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import counter3_affine
+from conftest import _reference_project_points, counter3_affine
 from normform import structure
-from normform.expr import parse, render
+from normform.expr import compile_exprs, parse, render
 from normform.geom import SymMatrix
 from normform.structure import (StructureOutcome, _assert_zero_matrix,
                                 classify_invertibility,
@@ -120,11 +120,16 @@ class TestZeroOutput:
         assert row == [parse("0"), parse("x2 - x1^2")]
 
     def test_projected_points_on_zero_set(self, ex33, out33):
-        pts = out33.step_points[2]
-        assert len(pts) > 3
-        for p in pts[1:]:
-            env = dict(zip(ex33.states, p))
-            assert abs(env["x1"]) < 1e-4 and abs(env["x2"]) < 1e-4
+        assert len(out33.step_points[2]) > 3
+        lo, hi = np.transpose(ex33.box())
+        for k, pts in out33.step_points.items():
+            # step k projects onto the zeros of h and Theta_1 .. Theta_{k-1}
+            stack = ex33.h + [t for rec in out33.steps[:k - 1] for t in rec.theta]
+            fn = compile_exprs(stack, ex33.states)
+            for p in pts:
+                r = np.asarray(fn(list(p)), dtype=float)
+                assert r @ r <= structure.PROJ_TOL
+                assert np.all((lo <= p) & (p <= hi))
 
     def test_agrees_with_infinite_zero_when_regular(self, ex31, out31):
         zo = zero_output_algorithm(ex31, SamplePlan(count=40))
@@ -256,6 +261,127 @@ def test_five_inputs_square_passes_assumption_D():
     assert out.q == [1, 1, 1, 1, 1]
     assert out.invertibility == "Invertible"
     assert check_assumption_D(system, out)
+
+
+def _same_points(got, want):
+    """The same samples kept, each within 1e-12 of the per-point loop's,
+    relative to max(1, |point|)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+def _project_both(system, samples):
+    """The projection onto h = 0 and the per-point loop's, each with its own
+    outcome; returns (points, warnings) of both.  The per-point loop warns
+    where numpy meets an undefined value, so its warnings are silenced."""
+    res = []
+    for project in (structure._project_points, _reference_project_points):
+        out = StructureOutcome(system, "zero-output", samples, 1e-8)
+        with np.errstate(all="ignore"):
+            res.append((project(system, system.h, samples, out, 1), out.warnings))
+    return res
+
+
+@pytest.mark.parametrize("name", ["ex31", "ex32", "ex33", "ex34",
+                                  "remark_nonregular", "chain5-redundant",
+                                  "chain5-square"])
+def test_projection_matches_the_per_point_loop(name, systems_dir, monkeypatch):
+    if name.startswith("chain5"):
+        extra = ", x1 + x2" if name == "chain5-redundant" else ""
+        system = loads_system(_CHAIN5 + f"[x1, x2, x3, x4, x5{extra}]\n")
+    else:
+        system = load_system(systems_dir / f"{name}.sys")
+    real, calls = structure._project_points, []
+
+    def checked(system, theta_stack, samples, out, k):
+        got = real(system, theta_stack, samples, out, k)
+        scratch = StructureOutcome(system, "zero-output", samples, 1e-8)
+        _same_points(got, _reference_project_points(system, theta_stack,
+                                                    samples, scratch, k))
+        calls.append(k)
+        return got
+
+    monkeypatch.setattr(structure, "_project_points", checked)
+    for seed in range(12):
+        zero_output_algorithm(system, SamplePlan(count=200, seed=seed))
+    assert len(calls) >= 12
+
+
+# The zero set x2 = sqrt(x1 + 1) - 1 leaves the box (x1 <= 0.3) where
+# x2 > 0.14, and a step from near x1 = -1 can land where sqrt(x1 + 1) is
+# undefined.
+_SQRT_OFFBOX = """
+[states]
+[x1, x2]
+[f]
+[0, 0]
+[g]
+[1, 0]
+[0, 1]
+[h]
+[sqrt(x1 + 1) - 1 - x2]
+[domain]
+x1: [-1, 0.3]
+x2: [-1, 1]
+"""
+
+
+def test_projection_drops_only_the_samples_that_leave_the_box():
+    system = loads_system(_SQRT_OFFBOX)
+    lo, hi = np.transpose(system.box())
+    for seed in range(12):
+        samples = [system.origin()] + SamplePlan(count=200, seed=seed).realize(system)
+        (got, warned), (want, _) = _project_both(system, samples)
+        _same_points(got, want)
+        assert 1 < len(got) < len(samples) and warned == []
+        assert all(np.all((lo <= p) & (p <= hi)) for p in got)
+
+
+def test_projection_drops_samples_with_non_finite_values():
+    # the residual is undefined at x1 = -2; at x1 = -1, x3 = 0 the Jacobian
+    # entry x3/(2*sqrt(x1 + 1)) is 0/0, where the per-point loop's lstsq (and
+    # an SVD of a stack holding that Jacobian) raises for the whole run; only
+    # these two samples drop
+    system = loads_system(
+        "[states]\n[x1, x2, x3]\n[f]\n[0, 0, 0]\n[g]\n[1]\n[0]\n[0]\n"
+        "[h]\n[sqrt(x1 + 1) - 1 - x2, x3*sqrt(x1 + 1)]\n"
+        "[domain]\nx1: [-1, 0.3]\nx2: [-1, 1]\nx3: [-1, 1]\n")
+    samples = [system.origin(), np.array([-1.0, 0.3, 0.0]),
+               np.array([-2.0, 0.0, 0.0]), np.array([0.1, 0.1, 0.1])]
+    out = StructureOutcome(system, "zero-output", samples, 1e-8)
+    got = structure._project_points(system, system.h, samples, out, 1)
+    _, (want, _) = _project_both(system, samples[:1] + samples[2:])
+    _same_points(got, want)
+    assert len(got) == 2 and out.warnings == []
+
+
+@pytest.mark.parametrize("h, half_width", [
+    # Gauss-Newton shrinks x1 by 8/9 a step, so samples beyond |x1| ~ 70
+    # need more than the 50 steps allowed and drop
+    ("x1^9", 100),
+    # tanh(x1): from |x1| ~ 6 the full step is ~4e4 long, so the first
+    # accepted alpha is below 1e-3, down to 2^-12
+    ("(exp(2*x1) - 1)/(exp(2*x1) + 1)", 6)])
+def test_projection_keeps_the_step_cap_and_the_alpha_floor(h, half_width):
+    system = loads_system(f"[states]\n[x1, x2]\n[f]\n[0, 0]\n[g]\n[1, 0]\n[0, 1]\n"
+                          f"[h]\n[{h}]\n[domain]\nx1: [-{half_width}, {half_width}]\n"
+                          "x2: [-1, 1]\n")
+    for seed in range(3):
+        samples = [system.origin()] + SamplePlan(count=200, seed=seed).realize(system)
+        (got, _), (want, _) = _project_both(system, samples)
+        _same_points(got, want)
+        assert len(got) > 150
+
+
+def test_projection_failing_for_all_samples_warns():
+    system = loads_system(_SQRT_OFFBOX)
+    out = zero_output_algorithm(system, SamplePlan(points=[(0.3, 1.0), (0.25, 0.9),
+                                                           (0.1, 0.8)]))
+    assert [p.tolist() for p in out.step_points[1]] == [[0.0, 0.0]]
+    assert out.warnings == ["step 1: projection onto the zero set failed for all "
+                            "samples; rank hypotheses checked at x=0 only"]
+    assert out.regular and out.q == [1]
 
 
 def test_report_text_mentions_q(out31):
