@@ -17,7 +17,6 @@ otherwise, and completes the square against a per-step supply budget.
 
 from __future__ import annotations
 
-import itertools
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +195,6 @@ class ControlLaw:
         self.W = simplify(W)
         self.ledger = ledger
         self.supply = supply      # (gamma_total Expr, budget list) for da runs
-        self.notes = []
 
     def closed_loop_rhs(self, with_disturbance=False):
         """State derivative expressions with every control substituted."""
@@ -308,20 +306,15 @@ def _check_order(system, kappa, include_disturbance=False):
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    def __init__(self, system, stab, gains=None, budgets=None,
-                 initial_active=(), applied_overrides=None, v_preset=None,
-                 V0=None):
+    def __init__(self, system, stab, gains=None, budgets=None):
         self.cs = system
         self.gains = gains or {}
         self.budgets = budgets        # per-step supply increments (Expr) or None
-        self.active = list(system.eta_names) + list(initial_active)
-        self.applied = {}
-        for i in range(1, system.m + 1):
-            self.applied[system.xi_name(i, 1)] = stab.phi[i - 1]
-        if applied_overrides:
-            self.applied.update(applied_overrides)
-        self.vmap = dict(v_preset or {})
-        self.V = stab.V if V0 is None else V0
+        self.active = list(system.eta_names)
+        self.applied = {system.xi_name(i + 1, 1): stab.phi[i]
+                        for i in range(system.m)}
+        self.vmap = {}
+        self.V = stab.V
         self.ledger = []
         self.step_no = 0
 
@@ -365,50 +358,18 @@ class _Engine:
                 raise OrderViolation(
                     "2b", f"dynamics of {s} depend on undetermined controls "
                     f"{sorted(loose)} at the step on {wname}")
-
-        z_w = simplify(Var(wname) - phi_w)
-        before = self.active[:-1]
-        cross = lie_derivative(_coupling(wname, before, [D[s] for s in before]),
-                               self.V)
+        del D[wname]
 
         # Already-determined feedbacks entering w's own equation.
         E = self.sigma(simplify(cs.drift(wname) - Var(driver)))
-
-        near = [s for s in sorted(free_vars(phi_w)) if s in D]
-        phidot = lie_derivative(VectorField([D[s] for s in near], near), phi_w)
-
         c = self.gains.get(wname, 1)
-        law = simplify(-const(c) * z_w - cross - E + phidot)
-
-        damping = const(0)
-        budget = None
-        if self.budgets is not None:
-            budget = self.budgets[self.step_no - 1]
-            own = self.disturbance_of(wname)
-            dists = [self.disturbance_of(s) for s in near]
-            t_lin = simplify(own.lin - lie_derivative(
-                VectorField([ds.lin for ds in dists], near), phi_w))
-            bound_terms = []
-            if own.bound is not None and not is_zero(own.bound):
-                bound_terms.append(Func("abs", own.bound))
-            for s, ds in zip(near, dists):
-                if ds.bound is not None and not is_zero(ds.bound):
-                    bound_terms.append(Func("abs", simplify(diff(phi_w, s) * ds.bound)))
-            rbar = None
-            if not is_zero(t_lin):
-                rbar = Func("abs", t_lin)
-            for b in bound_terms:
-                rbar = b if rbar is None else simplify(rbar + b)
-            if rbar is not None:
-                damping = simplify(z_w * (const(1) + simplify(Pow(rbar, 2)))
-                                   / (const(4) * budget))
-                law = simplify(law - damping)
-
+        budget = None if self.budgets is None else self.budgets[self.step_no - 1]
+        z_w, law, self.V = _backstep(wname, phi_w, self.V, D, E, c, budget,
+                                     self.disturbance_of)
         if j == cs.q[i - 1]:
             self.vmap[driver] = law
         else:
             self.applied[driver] = law
-        self.V = simplify(self.V + z_w * z_w / 2)
         self.ledger.append({
             "step": self.step_no,
             "var": wname,
@@ -417,9 +378,47 @@ class _Engine:
             "gain": c,
             "law": law,
             "budget": budget,
-            "damping": damping if damping != const(0) else None,
         })
-        return law
+
+
+def _backstep(w, phi, V, rows, known, c, budget=None, dist=None):
+    """One integrator-backstepping step on w, whose equation is
+    w' = driver + `known` while the states of `rows` follow their rows:
+    returns (z, law, V + z^2/2) with the mismatch z = w - phi and the
+    driver's law -c z - (dV . d(rows)/dw) - known + (phi transported along
+    the rows).  With a budget, the law also carries the damping
+    -z (1 + Rbar^2) / (4 budget) against the disturbance input Rbar that
+    `dist` (name -> Disturbance) collects for w and phi's states."""
+    z = simplify(Var(w) - phi)
+    cross = lie_derivative(_coupling(w, list(rows), list(rows.values())), V)
+    near = [s for s in sorted(free_vars(phi)) if s in rows]
+    phidot = lie_derivative(VectorField([rows[s] for s in near], near), phi)
+    law = simplify(-const(c) * z - cross - known + phidot)
+    if budget is not None:
+        # the damping divides by the budget
+        if not free_vars(budget) and not evalf(budget, {}) > 0:
+            raise ValueError(f"the step on {w} has budget {render(budget)}; "
+                             "per-step budgets (--budgets) must be positive")
+        own = dist(w)
+        dists = [dist(s) for s in near]
+        t_lin = simplify(own.lin - lie_derivative(
+            VectorField([ds.lin for ds in dists], near), phi))
+        bound_terms = []
+        if own.bound is not None and not is_zero(own.bound):
+            bound_terms.append(Func("abs", own.bound))
+        for s, ds in zip(near, dists):
+            if ds.bound is not None and not is_zero(ds.bound):
+                bound_terms.append(Func("abs", simplify(diff(phi, s) * ds.bound)))
+        rbar = None
+        if not is_zero(t_lin):
+            rbar = Func("abs", t_lin)
+        for b in bound_terms:
+            rbar = b if rbar is None else simplify(rbar + b)
+        if rbar is not None:
+            damping = simplify(z * (const(1) + simplify(Pow(rbar, 2)))
+                               / (const(4) * budget))
+            law = simplify(law - damping)
+    return z, law, simplify(V + z * z / 2)
 
 
 def _coupling(w, names, rows):
@@ -471,11 +470,7 @@ def integrator_backstep(eta_names, F, xi_name_, G, phi, V, c=1):
     Returns (u, W) with W = V + (xi - phi)^2 / 2.  F must be affine in the
     stepped variable.
     """
-    z = simplify(Var(xi_name_) - phi)
-    cross = lie_derivative(_coupling(xi_name_, eta_names, F), V)
-    phidot = lie_derivative(VectorField(F, eta_names), phi)
-    u = simplify(-const(c) * z - cross - G + phidot)
-    W = simplify(V + z * z / 2)
+    _, u, W = _backstep(xi_name_, phi, V, dict(zip(eta_names, F)), G, c)
     return u, W
 
 
@@ -605,26 +600,20 @@ def semi_global_synthesize(system, lengths, kappa, stab, eps, poles=None,
         raise ValueError("kappa must start with the slow chain variables")
     design = low_gain(lengths, eps, poles)
 
-    applied = {}
-    v_preset = {}
-    V0 = stab.V
-    for s in range(system.m):
-        l = lengths[s]
-        if l == 1:
-            applied[system.xi_name(s + 1, 1)] = simplify(stab.phi[s])
-            continue
-        V0 = simplify(V0 + design.lyapunovs[s])
-        if l == q[s] + 1:
-            v_preset[system.v_name(s + 1)] = design.laws[s]
-        else:
-            applied[system.xi_name(s + 1, l)] = design.laws[s]
-
-    rest = kappa[len(slow):]
     _check_order(system, kappa)
-
-    engine = _Engine(system, stab, gains=gains, initial_active=slow,
-                     applied_overrides=applied, v_preset=v_preset, V0=V0)
-    for wname in rest:
+    # the slow block starts active, closed by the low-gain laws, and its
+    # Lyapunov functions join V
+    engine = _Engine(system, stab, gains=gains)
+    engine.active += slow
+    for s, l in enumerate(lengths):
+        if l == 1:
+            continue
+        engine.V = simplify(engine.V + design.lyapunovs[s])
+        if l == q[s] + 1:
+            engine.vmap[system.v_name(s + 1)] = design.laws[s]
+        else:
+            engine.applied[system.xi_name(s + 1, l)] = design.laws[s]
+    for wname in kappa[len(slow):]:
         engine.step(wname)
     return _finish(engine, kappa)
 
@@ -639,46 +628,15 @@ def dissipative_backstep(eta_names, F, eta_dists, xi_name_, G, xi_dist,
     -(z/(4*budget))*(1 + Rbar^2) against the step's collected disturbance
     input Rbar.  With no disturbance the damping vanishes and the step
     reduces to the plain integrator backstep."""
-    # the one-chain system steps xi1_1 and reserves v1 and w: inward,
-    # xi_name_ becomes xi1_1 and such an eta name a fresh one; outward, back
+    if not len(F) == len(eta_dists) == len(eta_names):
+        raise ValueError(f"F has {len(F)} and eta_dists {len(eta_dists)} "
+                         f"entries for {len(eta_names)} eta states")
     if xi_name_ in eta_names:
         raise ValueError(f"eta names collide with the stepped name {xi_name_!r}")
-    one = ChainSystem([1])
-    name = one.xi_name(1, 1)
-    dists = [d for d in (*eta_dists, xi_dist) if d is not None]
-    taken = set(eta_names).union(*map(free_vars, [
-        *F, G, phi, V, budget,
-        *(p for d in dists for p in (d.expr, d.lin, d.bound) if p is not None)]))
-    fresh = (f"eta_{k}" for k in itertools.count(1) if f"eta_{k}" not in taken)
-    inmap = {nm: next(fresh) for nm in eta_names
-             if nm in (name, one.v_name(1), W_NAME)}
-    inmap[xi_name_] = name
-
-    def renamed(e, mapping):
-        if isinstance(e, Disturbance):
-            return Disturbance(*(renamed(p, mapping)
-                                 for p in (e.expr, e.lin, e.bound)))
-        return None if e is None else subs(e, mapping)
-
-    def inward(e):
-        return renamed(e, {old: Var(new) for old, new in inmap.items()})
-
-    cs = ChainSystem(q=[1], eta_names=[inmap.get(nm, nm) for nm in eta_names],
-                     eta_dot=[inward(f) for f in F],
-                     eta_dist=[inward(d) for d in eta_dists],
-                     xi_dist={(1, 1): inward(xi_dist)}
-                     if xi_dist is not None else None)
-    stab = Stabilizer([inward(phi)], inward(V))
-    engine = _Engine(cs, stab, gains={name: c}, budgets=[inward(budget)])
-    law = engine.step(name)
-    if not is_zero(G):
-        # extra known drift of the stepped equation is cancelled directly
-        law = simplify(law - engine.sigma(inward(G)))
-        engine.vmap[cs.v_name(1)] = law
-        engine.ledger[-1]["law"] = law
-    claw = _finish(engine, [name])
-    outward = {new: Var(old) for old, new in inmap.items()}
-    return renamed(claw.v[0], outward), renamed(claw.W, outward)
+    dists = {**dict(zip(eta_names, eta_dists)), xi_name_: xi_dist}
+    _, u, W = _backstep(xi_name_, phi, V, dict(zip(eta_names, F)), G, c, budget,
+                        lambda s: dists[s] or Disturbance(const(0)))
+    return u, W
 
 
 def da_synthesize(system, kappa, stab, gamma, eps, budgets=None, gains=None):

@@ -169,7 +169,6 @@ class LinearDecomposition:
         self.W = None            # (eta; xi) = W x
         self.gamma_i = None      # (u_e; u_d) = gamma_i u
         self.gamma_o = None      # (y_e; y_d) = gamma_o y
-        self.K = None            # feedback offset rows: v_d = K x + (Omega B) u
         self.At = None
         self.Bt = None
         self.Ct = None
@@ -304,7 +303,6 @@ def decompose(triple, tol=LIN_TOL):
     dec.W = W
     dec.gamma_i = gamma_i
     dec.gamma_o = gamma_o
-    dec.K = out.omega @ A
     dec.At, dec.Bt, dec.Ct = At, Bt, Ct
     conds = [np.linalg.cond(W), np.linalg.cond(gamma_i), np.linalg.cond(gamma_o)]
     dec.cond = float(max(conds))

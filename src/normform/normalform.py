@@ -206,7 +206,7 @@ def _decompose_eta_dynamics(nf):
     if not nf.eta_exprs:
         nf.f_e, nf.g_e, nf.phi_cols = [], SymMatrix([]), SymMatrix([])
         return
-    gamma_i = nf.gamma_ie.vstack(nf.gamma_id) if m - m_d else nf.gamma_id
+    gamma_i = nf.gamma_ie.vstack(nf.gamma_id)
     G = lie_derivative_cols(system.g, states, nf.eta_exprs) @ gamma_i.inverse()
     G_e = SymMatrix([row[:m - m_d] for row in G.rows])
     G_d = SymMatrix([row[m - m_d:] for row in G.rows])
@@ -247,7 +247,7 @@ def check_assumption_C(system, outcome, gamma_ie=None):
     m, m_d = system.m, outcome.m_d
     if gamma_ie is None:
         gamma_ie = _default_gamma_ie(system, outcome)
-    gamma_i = gamma_ie.vstack(nf_gid) if m - m_d else nf_gid
+    gamma_i = gamma_ie.vstack(nf_gid)
     g_d = system.g @ SymMatrix([r[m - m_d:] for r in gamma_i.inverse().rows])
     fields = [VectorField(g_d.col(j), system.states) for j in range(m_d)]
     return involutive(fields, outcome.samples, tol=outcome.tol)

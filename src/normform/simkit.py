@@ -34,7 +34,8 @@ __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
 DIVERGENCE_NORM = 1e8
 _CSV_ROWS = 256
 # batches below this run one at a time on floats where the backends agree:
-# at horizon 1, 8 chain-loop runs cost the same either way, ~13 nf_mixed runs
+# at horizon 1 and dt 2e-3 (best of 5) the two routes cost the same at ~7
+# runs of the nf_uchain chain loop and ~11 of nf_mixed
 SCALAR_RUNS = 8
 
 
@@ -52,9 +53,8 @@ class SimConfig:
 class Signal:
     """Scalar disturbance signal w(t); may be batch-aware."""
 
-    def __init__(self, fn, label="signal"):
+    def __init__(self, fn):
         self.fn = fn
-        self.label = label
 
     def __call__(self, t):
         """A float when fn(t) is a scalar (a batch broadcasts it), else
@@ -66,17 +66,16 @@ class Signal:
 
 
 def zero_signal():
-    return Signal(lambda t: 0.0, "zero")
+    return Signal(lambda t: 0.0)
 
 
 def constant_signal(value):
-    return Signal(lambda t: float(value), f"const({value})")
+    return Signal(lambda t: float(value))
 
 
 def step_signal(off_at, scale=1.0):
     """scale * (1(t) - 1(t - off_at))."""
-    return Signal(lambda t: float(scale) if 0.0 <= t < off_at else 0.0,
-                  f"step(0..{off_at})x{scale}")
+    return Signal(lambda t: float(scale) if 0.0 <= t < off_at else 0.0)
 
 
 def noise_signal(seed, segment=0.01, lo=0.0, hi=1.0, horizon=100.0, nruns=1):
@@ -89,7 +88,7 @@ def noise_signal(seed, segment=0.01, lo=0.0, hi=1.0, horizon=100.0, nruns=1):
         idx = min(int(t / segment), nseg - 1)
         return table[:, idx]
 
-    return Signal(fn, f"noise(seed={seed})")
+    return Signal(fn)
 
 
 class Trace:

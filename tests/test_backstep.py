@@ -444,8 +444,8 @@ def test_dissipative_refuses_an_eta_name_equal_to_the_stepped_name():
 
 
 def test_dissipative_renames_an_eta_name_the_step_reserves():
-    # the one-chain system reserves xi1_1, v1 and w; an eta state may still
-    # carry one of those names when the stepped variable is named otherwise
+    # the single step reserves no name: an eta state may be called xi1_1, v1
+    # or w, as long as the stepped variable is named otherwise
     def design(eta, disturbed):
         dist = Disturbance(lin=parse(f"{eta}^2")) if disturbed else None
         return dissipative_backstep(
@@ -465,6 +465,67 @@ def test_dissipative_renames_an_eta_name_the_step_reserves():
                                      parse(f"{eta}^2/2"), c=1)
         assert simplify(u - ub) == const(0)
         assert simplify(W - Wb) == const(0)
+
+
+# one-chain systems eta1' = F + p_eta, xi1_1' = v1 + p_xi: (F, phi, V,
+# eta disturbance, xi disturbance, gain, budget)
+ONE_CHAIN = {
+    "linear": ("-eta1 + xi1_1", "0", "eta1^2/2", None,
+               Disturbance(parse("eta1*w")), 1, parse("gamma^2/3")),
+    "bounded": ("-eta1 + eta1^2*xi1_1", "-eta1", "eta1^2/2",
+                Disturbance(parse("eta1*w")),
+                Disturbance(parse("cos(xi1_1)*sin(w)"), lin=parse("0"),
+                            bound=parse("cos(xi1_1)")), 2, parse("1/12")),
+}
+
+
+@pytest.mark.parametrize("case", ONE_CHAIN)
+def test_single_steps_match_the_one_chain_designs(case):
+    F, phi, V, eta_dist, xi_dist, c, budget = ONE_CHAIN[case]
+    F, phi, V = parse(F), parse(phi), parse(V)
+    cs = ChainSystem([1], ["eta1"], [F], eta_dist=[eta_dist],
+                     xi_dist={(1, 1): xi_dist})
+    stab = Stabilizer([phi], V)
+    gains = {"xi1_1": c}
+    law = synthesize(cs, "xi1_1", stab, gains=gains)
+    u, W = integrator_backstep(["eta1"], [F], "xi1_1", const(0), phi, V, c=c)
+    assert simplify(u - law.v[0]) == const(0)
+    assert simplify(W - law.W) == const(0)
+    da = da_synthesize(cs, "xi1_1", stab, Var("gamma"), 0.0, budgets=[budget],
+                       gains=gains)
+    u, W = dissipative_backstep(["eta1"], [F], [eta_dist], "xi1_1", const(0),
+                                xi_dist, phi, V, budget, c=c)
+    assert simplify(u - da.v[0]) == const(0)
+    assert simplify(W - da.W) == const(0)
+    assert simplify(u - law.v[0]) != const(0)   # the damping is there
+
+
+def test_dissipative_backstep_rejects_non_affine():
+    with pytest.raises(OrderViolation, match="affine") as err:
+        dissipative_backstep(["eta1"], [parse("eta1 + xi1_1^2")], [None],
+                             "xi1_1", const(0), None, parse("-eta1"),
+                             parse("eta1^2/2"), parse("1/12"))
+    assert err.value.condition == "affine"
+
+
+@pytest.mark.parametrize("budgets", [["0", "0", "0"], ["1/12", "0", "1/12"],
+                                     ["1/12", "1/12", "-1"]])
+def test_da_synthesize_refuses_a_budget_not_positive(addexam_sys, addexam_stab,
+                                                     budgets):
+    # the damping of a disturbed step divides by its budget
+    step = parse_kappa("xi2_1,xi1_1,xi2_2")[next(
+        k for k, b in enumerate(budgets) if b in ("0", "-1"))]
+    with pytest.raises(ValueError, match=f"step on {step} .*--budgets"):
+        da_synthesize(addexam_sys, "xi2_1,xi1_1,xi2_2", addexam_stab, 0.5,
+                      0.0, budgets=[parse(b) for b in budgets], gains=ADD_GAINS)
+
+
+@pytest.mark.parametrize("budget", ["0", "-1/12"])
+def test_dissipative_backstep_refuses_a_budget_not_positive(budget):
+    with pytest.raises(ValueError, match="step on xi1_1 .*--budgets"):
+        dissipative_backstep(["z"], [parse("-z + xi1_1")], [None], "xi1_1",
+                             const(0), Disturbance(parse("z*w")), const(0),
+                             parse("z^2/2"), parse(budget))
 
 
 def test_synthesize_without_residual_block():

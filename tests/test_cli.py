@@ -237,6 +237,18 @@ def test_backstep_default_budgets_refuse_eps_zero(tmp_path, capsys):
     assert "Traceback" not in err and not ctl.exists()
 
 
+@pytest.mark.parametrize("budgets", ["0,0,0", "1/12,0,1/12"])
+def test_backstep_refuses_budgets_not_positive(tmp_path, capsys, budgets):
+    # a disturbed step divides by its budget
+    ctl = tmp_path / "da.ctl"
+    code, _, err = run_main(
+        ["backstep", SYS / "nf_addexam.nf", "--kappa", "xi2_1,xi1_1,xi2_2",
+         "--disturbance", "0.5", "--budgets", budgets, "--out", ctl], capsys)
+    assert code == 1 and err.startswith("error: ") and "--budgets" in err
+    assert "step on xi" in err
+    assert "Traceback" not in err and not ctl.exists()
+
+
 def test_file_errors_exit_1(tmp_path, capsys):
     # a directory where a file is expected
     code, _, err = run_main(["analyze", SYS], capsys)
