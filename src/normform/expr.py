@@ -1254,6 +1254,48 @@ def compile_exprs_scalar(exprs, names):
     return eval(src, dict(_SCALAR_FUNCS))  # noqa: S307 - from our own AST
 
 
+def _step_source(exprs, names, integrator):
+    """Source of `def _step(_x,_w1,_w2,_w4,_dt)`: one RK4 (or Euler) step
+    of dx/dt = exprs from the state _x, the values of names[:-1], with the
+    disturbance names[-1] at t, t + dt/2 and t + dt; it returns the next
+    state as a list.  Each stage is the kernel of `_kernel_source`, one
+    statement per derivative over locals, and the stages are combined in
+    the operation order of x + dt/2*k1, x + dt*k3 and
+    x + dt/6*(k1 + 2*k2 + 2*k3 + k4), or x + dt*k1: the bits and the
+    exceptions of those kernel calls and that arithmetic on floats.
+    """
+    keys, uses, roots = _number_values(exprs, names)
+    n = len(roots)
+    x, y = [f"_x{i}" for i in range(n)], [f"_y{i}" for i in range(n)]
+    euler = integrator == "euler"
+    lines = ["(" + "".join(f"{v}," for v in x) + ")=_x"]
+    lines += [] if euler else ["_h=_dt/2"]
+    stages = [(x + ["_w1"], None), (y + ["_w2"], "_h"), (y + ["_w2"], "_h"),
+              (y + ["_w4"], "_dt")]
+    for k, (args, h) in enumerate(stages[:1 if euler else 4]):
+        if h:   # the state x + h*k of the stage before
+            lines += [f"_y{i}=_x{i}+{h}*_k{k - 1}_{i}" for i in range(n)]
+        # the kernel, names[i] read from the local args[i]
+        local = [args[int(key[3:-1])] if key[:2] == "_a" else key
+                 for key in keys]
+        emit = _inline_writer(local, uses, set())
+        lines += [f"_k{k}_{i}={emit(v)}" for i, v in enumerate(roots)]
+        del emit   # a self-referencing closure, as in _number_values
+    new = (f"_x{i}+_dt*_k0_{i}" if euler else
+           f"_x{i}+_dt/6*(_k0_{i}+2*_k1_{i}+2*_k2_{i}+_k3_{i})" for i in range(n))
+    return ("def _step(_x,_w1,_w2,_w4,_dt):\n " + "\n ".join(lines)
+            + "\n return [" + ",".join(new) + "]")
+
+
+def compile_step_scalar(exprs, names, integrator="rk4"):
+    """step(x, w1, w2, w4, dt) -> the state after one RK4 (or Euler) step
+    of dx/dt = exprs on Python floats, x the values of names[:-1] and w1,
+    w2, w4 those of names[-1] at t, t + dt/2, t + dt (see _step_source)."""
+    env = dict(_SCALAR_FUNCS)
+    exec(_step_source(exprs, names, integrator), env)  # noqa: S102
+    return env["_step"]
+
+
 def evalf(e, env):
     """Value at one point given as {name: float}: one call of the scalar
     kernel (compile_exprs_scalar), with the contract of SymMatrix.sample.

@@ -1,48 +1,46 @@
 """Closed-loop simulation: fixed-step RK4, disturbance signals, Lyapunov
 monitoring, and L2-gain certification.
 
-A single run is integrated on plain Python floats (`_run_scalar`).  So is
-a batch of fewer than SCALAR_RUNS runs whose right-hand side gives the
-same bits on both backends (`expr.backends_agree`), one run at a time;
-there the per-step overhead of numpy would cost more than the arithmetic
-it vectorizes.  Any other batch compiles its right-hand side once into a
-numpy kernel that writes each derivative into its row of a preallocated
-stage array (`expr.compile_exprs_into`), and advances an (n, nruns) state
-array in lockstep, one row per state variable, with every RK4 stage
-computed in place: a step allocates no array but the results of `**`.
-Both routes give the same (T, n, nruns) states and (T, nruns) w values,
-and the channels u, y and V of every trace, a single run's included, are
-evaluated on them with numpy.
-Every trace exposes its states as (T, nruns, n); `Trace.single(k)` is a
-one-run view of the same shape.
+One loop, `_integrate`, steps every trace.  A single run, and a batch of
+fewer than SCALAR_RUNS runs whose right-hand side gives the same bits on
+both backends (`expr.backends_agree`), take the float route: one
+generated step per run (`expr.compile_step_scalar`), since numpy's
+per-step overhead would cost more than the arithmetic it vectorizes.  Any
+other batch takes the numpy route, which computes each stage in place on
+the whole (n, nruns) block.  Both give the same states; the channels u, y
+and V of every trace are evaluated on them with numpy.  States are
+exposed as (T, nruns, n); `Trace.single(k)` is a one-run view.
 """
 
 from __future__ import annotations
 
 import io
-from array import array
+import math
+from operator import mul
 
 import numpy as np
 
 from .expr import (backends_agree, compile_exprs, compile_exprs_into,
-                   compile_exprs_scalar, simplify)
+                   compile_step_scalar, simplify)
 
 __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
-           "noise_signal", "constant_signal", "simulate", "lyapunov_monitor",
+           "noise_signal", "simulate", "lyapunov_monitor",
            "l2_gain_check", "batch_simulate", "trace_to_csv"]
 
 DIVERGENCE_NORM = 1e8
 _CSV_ROWS = 256
-# batches below this run one at a time on floats where the backends agree:
-# at horizon 1 and dt 2e-3 (best of 5) the two routes cost the same at ~7
-# runs of the nf_uchain chain loop and ~11 of nf_mixed
+# batches below this run one at a time on floats where the backends agree;
+# at horizon 1 and dt 2e-3 (best of 9) the routes cost the same at ~13-16
+# runs of the nf_uchain chain loop and ~16-20 of nf_mixed, above this value
 SCALAR_RUNS = 8
 
 
 class SimConfig:
     def __init__(self, dt=1e-3, horizon=10.0, integrator="rk4"):
-        if dt <= 0 or horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
+        for name, v in (("dt", dt), ("horizon", horizon)):
+            # a run's round(horizon/dt) steps are allocated up front
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         if integrator not in ("rk4", "euler"):
             raise ValueError("integrator must be rk4 or euler")
         self.dt = float(dt)
@@ -67,10 +65,6 @@ class Signal:
 
 def zero_signal():
     return Signal(lambda t: 0.0)
-
-
-def constant_signal(value):
-    return Signal(lambda t: float(value))
 
 
 def step_signal(off_at, scale=1.0):
@@ -152,12 +146,13 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
         raise ValueError(f"x0 must have {n} columns")
     nruns = x0.shape[0]
     rhs_exprs = [simplify(e) for e in rhs_exprs]
-    if nruns == 1 or nruns < SCALAR_RUNS and backends_agree(rhs_exprs):
-        run, f = _run_floats, compile_exprs_scalar(rhs_exprs, names + ["w"])
-    else:
-        run, f = _run_batch, compile_exprs_into(rhs_exprs, names + ["w"])
-    xs, ws, alive = run(f, x0, cfg, w_signal)
-    ts = _times(len(xs) - 1, cfg.dt)
+    # a float kernel off backends_agree may raise, so only single runs
+    # take one
+    floats = nruns == 1 or nruns < SCALAR_RUNS and backends_agree(rhs_exprs)
+    xs, ws, alive = _integrate(_float_route if floats else _numpy_route,
+                               rhs_exprs, names + ["w"], x0, cfg, w_signal)
+    # t_{k+1} = k*dt + dt, bit for bit as the step computes it
+    ts = np.concatenate(([0.0], np.arange(len(xs) - 1) * cfg.dt + cfg.dt))
 
     # u, y and V of every run in one kernel over the trace, then the running
     # integrals of |y|^2 and w^2; on a diverging run they overflow quietly
@@ -180,18 +175,14 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
                  int_y2=int_y2, int_w2=int_w2)
 
 
-def _times(last, dt):
-    # t_{k+1} = k*dt + dt, bit for bit as the step computes it
-    return np.concatenate(([0.0], np.arange(last) * dt + dt))
-
-
-def _run_batch(f, x0, cfg, w_signal):
-    """The numpy loop over an (n, nruns) state, f its right-hand side
-    compiled by compile_exprs_into: the (T, n, nruns) states, the (T,
-    nruns) w values and which runs stayed live.  Every stage is computed in
-    place, in the operation order of x + dt/2*k1 and
-    x + dt/6*(k1 + 2*k2 + 2*k3 + k4), and the new state is written into its
-    row of the trace."""
+def _integrate(route, rhs_exprs, names, x0, cfg, w_signal):
+    """The (T, n, nruns) states, the (T, nruns) w values and which runs
+    stayed live.  advance = route(rhs_exprs, names, nruns, cfg) writes the
+    states xn that follow x, given w at t, t + dt/2 and t + dt, and returns
+    None when every run is within the bound, else which runs are, or False
+    when a float kernel raised.  A run that leaves the bound is frozen at
+    its last accepted state; the trace ends with the step at which the last
+    live runs leave, or before the step at which a kernel raised."""
     nruns, n = x0.shape
     nsteps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.dt
@@ -199,145 +190,112 @@ def _run_batch(f, x0, cfg, w_signal):
     xs = np.empty((nsteps + 1, n, nruns))
     ws = np.empty((nsteps + 1, nruns))
     xs[0] = x0.T
-    ws[0] = w_signal(0.0)
-    k1, k2, k3, k4, xt = stages = np.empty((5, n, nruns))
-    r1, r2, r3, r4 = (list(k) for k in stages[:4])   # kernel outputs
-    args = [*xt, None]                                 # stage inputs, w last
-    norm2 = np.empty(nruns)
-    ok = np.empty(nruns, dtype=bool)
+    ws[0] = w_signal(0.0)   # one value or one per run
     alive = np.ones(nruns, dtype=bool)
     frozen = False
     last = nsteps
     with np.errstate(all="ignore"):
-        f([*xs[0], ws[0]], r1)
-        if not np.all(np.isfinite(k1)):
+        # one check for both routes, of every run at once
+        k1 = compile_exprs(rhs_exprs, names)([*xs[0], ws[0]])
+        if not all(np.isfinite(v).all() for v in k1):
             raise ValueError("right-hand side not finite at the initial state")
+        advance = route(rhs_exprs, names, nruns, cfg)
         for k in range(nsteps):
             t = k * dt
             x, xn = xs[k], xs[k + 1]
-            if cfg.integrator == "euler":
-                f([*x, w_signal(t)], r1)
-                np.multiply(dt, k1, k1)
-                np.add(x, k1, xn)
-                w4 = w_signal(t + dt)
-            else:
-                w1 = w_signal(t)
-                w2 = w_signal(t + dt / 2)
-                w4 = w_signal(t + dt)
-                f([*x, w1], r1)
-                np.multiply(dt / 2, k1, xt)
-                np.add(x, xt, xt)
-                args[-1] = w2
-                f(args, r2)
-                np.multiply(dt / 2, k2, xt)
-                np.add(x, xt, xt)
-                f(args, r3)
-                np.multiply(dt, k3, xt)
-                np.add(x, xt, xt)
-                args[-1] = w4
-                f(args, r4)
-                np.multiply(2.0, k2, k2)
-                np.add(k1, k2, k1)
-                np.multiply(2.0, k3, k3)
-                np.add(k1, k3, k1)
-                np.add(k1, k4, k1)
-                np.multiply(dt / 6, k1, k1)
-                np.add(x, k1, xn)
+            w4 = w_signal(t + dt)
+            ok = advance(x, xn, w_signal(t), w_signal(t + dt / 2), w4)
+            if ok is False:
+                # only a single run takes a kernel that can raise (see
+                # simulate)
+                alive[:] = False
+                last = k
+                break
             ws[k + 1] = w4
-            # false for NaN and inf as well as above the bound
-            np.einsum("ij,ij->j", xn, xn, out=norm2)
-            np.less_equal(norm2, DIVERGENCE_NORM ** 2, out=ok)
-            if frozen or not ok.all():
+            if ok is not None:
                 ok &= alive
                 if not ok.any():
-                    # the last runs diverged: end with this step, as the
-                    # single-run path does
+                    # the last live runs left: end with this step
                     np.copyto(xn, x, where=~alive)
                     alive = ok
                     last = k + 1
                     break
-                np.copyto(xn, x, where=~ok)
                 alive[...] = ok
                 frozen = True
+            if frozen:
+                np.copyto(xn, x, where=~alive)
     return xs[:last + 1], ws[:last + 1], alive
 
 
-def _run_floats(f, x0, cfg, w_signal):
-    """`_run_scalar` run by run, f its compiled right-hand side: the same
-    states, w values and live runs as `_run_batch`."""
-    nruns, n = x0.shape
-    # a signal gives one value or one per run
-    np.broadcast_to(w_signal(0.0), nruns)
-    signals = [_run_signal(w_signal, j) for j in range(nruns)]
-    runs = [_run_scalar(f, x0[j], cfg, signals[j]) for j in range(nruns)]
-    alive = np.array([not diverged for _, _, diverged in runs])
-    ts = _times(max(len(wj) for _, wj, _ in runs) - 1, cfg.dt)
-    xs = np.empty((len(ts), n, nruns))
-    ws = np.empty((len(ts), nruns))
-    for j, (xj, wj, diverged) in enumerate(runs):
-        xj = np.frombuffer(xj).reshape(-1, n)
-        # a diverged state is kept only by the last runs to diverge;
-        # any other diverged run is frozen at its last accepted state
-        if diverged and (alive.any() or len(xj) < len(ts)):
-            xj = xj[:-1]
-        xs[:len(xj), :, j] = xj
-        xs[len(xj):, :, j] = xj[-1]
-        ws[:, j] = wj + [signals[j](t) for t in ts[len(wj):].tolist()]
-    return xs, ws, alive
+def _float_route(rhs_exprs, names, nruns, cfg):
+    """advance (see _integrate) on Python floats, one compile_step_scalar
+    step per run."""
+    step = compile_step_scalar(rhs_exprs, names, cfg.integrator)
+    dts = [cfg.dt] * nruns
 
+    def per_run(v):
+        # a signal gives one float, or one value per run or for all runs
+        v = [v] if type(v) is float else v.ravel().tolist()
+        return v * (nruns // len(v))
 
-def _run_signal(w_signal, j):
-    """w(t) of run j as a float."""
-    def w(t):
-        v = w_signal(t)
-        return v if type(v) is float else float(v.flat[min(j, v.size - 1)])
-    return w
-
-
-def _run_scalar(f, x0, cfg, w):
-    """One run on plain floats, f its compiled right-hand side and w(t) its
-    disturbance: the states, flat in an array('d'), and the w values up to
-    the end or the step at which it diverges, that one included unless it
-    raised, and whether it did."""
-    x = [float(v) for v in x0]
-    try:
-        r0 = f(x + [w(0.0)])
-    except (ZeroDivisionError, ValueError, OverflowError):
-        raise ValueError("right-hand side not finite at the initial state")
-    if not all(np.isfinite(r0)):
-        raise ValueError("right-hand side not finite at the initial state")
-
-    nsteps = int(round(cfg.horizon / cfg.dt))
-    dt = cfg.dt
-    bound = DIVERGENCE_NORM ** 2
-    xs = array("d", x)
-    wsv = [w(0.0)]
-    for k in range(nsteps):
-        t = k * dt
+    def advance(x, xn, w1, w2, w4):
+        w = per_run(w1), per_run(w2), per_run(w4)
         try:
-            if cfg.integrator == "euler":
-                k1 = f(x + [w(t)])
-                xn = [xi + dt * ki for xi, ki in zip(x, k1)]
-                w4 = w(t + dt)
-            else:
-                w1 = w(t)
-                w2 = w(t + dt / 2)
-                w4 = w(t + dt)
-                k1 = f(x + [w1])
-                k2 = f([xi + dt / 2 * ki for xi, ki in zip(x, k1)] + [w2])
-                k3 = f([xi + dt / 2 * ki for xi, ki in zip(x, k2)] + [w2])
-                k4 = f([xi + dt * ki for xi, ki in zip(x, k3)] + [w4])
-                xn = [xi + dt / 6 * (a + 2 * b + 2 * c + d)
-                      for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            new = list(map(step, x.T.tolist(), *w, dts))
         except (ZeroDivisionError, ValueError, OverflowError):
-            return xs, wsv, True
-        xs.fromlist(xn)
-        wsv.append(w4)
-        x = xn
+            return False
+        xn.T[...] = new
         # false for NaN and inf as well as above the bound
-        if not sum(v * v for v in xn) <= bound:
-            return xs, wsv, True
-    return xs, wsv, False
+        ok = [sum(map(mul, s, s)) <= DIVERGENCE_NORM ** 2 for s in new]
+        return None if all(ok) else np.array(ok)
+
+    return advance
+
+
+def _numpy_route(rhs_exprs, names, nruns, cfg):
+    """advance (see _integrate) on the whole (n, nruns) block: the kernel
+    of compile_exprs_into writes each stage into its rows of a preallocated
+    array, and every stage is computed in place, in the operation order of
+    x + dt/2*k1 and x + dt/6*(k1 + 2*k2 + 2*k3 + k4): a step allocates no
+    array but the results of `**`."""
+    f = compile_exprs_into(rhs_exprs, names)
+    dt = cfg.dt
+    k1, k2, k3, k4, xt = stages = np.empty((5, len(rhs_exprs), nruns))
+    r1, r2, r3, r4 = (list(k) for k in stages[:4])   # kernel outputs
+    args = [*xt, None]                                 # stage inputs, w last
+    norm2 = np.empty(nruns)
+    ok = np.empty(nruns, dtype=bool)
+
+    def advance(x, xn, w1, w2, w4):
+        f([*x, w1], r1)
+        if cfg.integrator == "euler":
+            np.multiply(dt, k1, k1)
+            np.add(x, k1, xn)
+        else:
+            np.multiply(dt / 2, k1, xt)
+            np.add(x, xt, xt)
+            args[-1] = w2
+            f(args, r2)
+            np.multiply(dt / 2, k2, xt)
+            np.add(x, xt, xt)
+            f(args, r3)
+            np.multiply(dt, k3, xt)
+            np.add(x, xt, xt)
+            args[-1] = w4
+            f(args, r4)
+            np.multiply(2.0, k2, k2)
+            np.add(k1, k2, k1)
+            np.multiply(2.0, k3, k3)
+            np.add(k1, k3, k1)
+            np.add(k1, k4, k1)
+            np.multiply(dt / 6, k1, k1)
+            np.add(x, k1, xn)
+        # false for NaN and inf as well as above the bound
+        np.einsum("ij,ij->j", xn, xn, out=norm2)
+        np.less_equal(norm2, DIVERGENCE_NORM ** 2, out=ok)
+        return None if ok.all() else ok
+
+    return advance
 
 
 def _running_trapezoid(ts, vals):

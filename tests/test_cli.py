@@ -177,6 +177,22 @@ def test_simulate_csv(tmp_path, capsys):
     assert len(lines) == 1002
 
 
+@pytest.mark.parametrize("flag,value", [("--horizon", "inf"), ("--horizon", "nan"),
+                                        ("--dt", "nan"), ("--dt", "inf")])
+def test_simulate_refuses_dt_and_horizon_not_finite(tmp_path, capsys, flag, value):
+    # --horizon inf overflowed in the step count and --dt inf wrote one row
+    ctl = tmp_path / "lvl.ctl"
+    run_main(["backstep", SYS / "nf_uchain.nf",
+              "--kappa", "xi1_1,xi2_1,xi1_2,xi2_2", "--out", ctl], capsys)
+    csvp = tmp_path / "trace.csv"
+    code, _, err = run_main(
+        ["simulate", SYS / "nf_uchain.nf", "--controller", ctl,
+         "--x0", "0.4,0.1,-0.2,0.3,0.2", flag, value, "--csv", csvp], capsys)
+    assert (code, err) == (1, f"error: {flag[2:]} must be positive and finite, "
+                              f"got {value}\n")
+    assert not csvp.exists()
+
+
 def test_noise_signal_spans_the_simulate_horizon():
     import numpy as np
     from normform.cli import _make_signal

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normform.backstep import ChainSystem, Stabilizer, synthesize
-from normform.expr import (Const, Func, Pow, Var, _kernel_source,
+from normform.expr import (Const, Func, Pow, Var, _kernel_source, _step_source,
                            backends_agree, compile_exprs, compile_exprs_scalar,
-                           parse, simplify)
+                           compile_step_scalar, parse, simplify)
 from normform.simkit import (SCALAR_RUNS, Signal, SimConfig,
                              batch_simulate, l2_gain_check, lyapunov_monitor,
                              noise_signal, simulate, step_signal,
@@ -71,6 +71,24 @@ def test_nan_state_ends_the_run_in_both_paths():
 def test_nonfinite_initial_rejected():
     with pytest.raises(ValueError):
         simulate([parse("1/x1")], ["x1"], [0.0], SimConfig(dt=1e-3, horizon=0.1))
+
+
+@pytest.mark.parametrize("x0", [[[1e200], [0.5]], [[0.5], [1e200]],
+                                [[0.5], [0.25], [-1e300]]])
+def test_every_run_of_a_small_float_batch_is_checked_at_the_start(x0):
+    # x1^2 overflows to inf at 1e200; the kernel passes backends_agree, so
+    # these batches run on floats
+    assert len(x0) < SCALAR_RUNS and backends_agree([parse("x1^2")])
+    with pytest.raises(ValueError, match="not finite at the initial state"):
+        simulate([parse("x1^2")], ["x1"], x0, SimConfig(dt=1e-3, horizon=0.1))
+
+
+@pytest.mark.parametrize("key", ["dt", "horizon"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_config_refuses_dt_and_horizon_not_positive_and_finite(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be positive and finite, "
+                                         f"got {value}$"):
+        SimConfig(**{key: value})
 
 
 def test_lyapunov_monitor_exponential():
@@ -617,12 +635,30 @@ def test_single_run_bit_identical_to_numpy_channels(cli_loops, key, x0, signal,
     assert trace_to_csv(tr).splitlines() == _reference_csv(tr).splitlines()
 
 
+def test_a_float_kernel_that_raises_ends_a_single_run_before_that_step():
+    # w drops to 0 at t = 0.5, where 1/w raises ZeroDivisionError on floats:
+    # the step from t = 0.49 reads w(t + dt) = 0 in its last stage
+    cfg = SimConfig(dt=0.01, horizon=1.0)
+    loop = dict(rhs_exprs=[parse("-x1 + 1/w")], input_exprs=[],
+                output_exprs=[parse("x1")], V_expr=parse("x1^2"))
+    ref = _reference_scalar(names=["x1"], x0=[0.5], cfg=cfg,
+                            w_signal=step_signal(0.5), **loop)
+    tr = simulate(state_names=["x1"], x0=[0.5], cfg=cfg,
+                  w_signal=step_signal(0.5), **loop)
+    _assert_traces_equal(ref, tr)
+    assert tr.diverged and len(tr.t) == 50
+
+
 def test_closed_loop_evaluates_each_function_value_once(cli_loops):
-    from normform.expr import _kernel_source, simplify
     loop = cli_loops["addexam"]
-    src = _kernel_source([simplify(e) for e in loop["rhs_exprs"]],
-                         loop["names"] + ["w"])
+    rhs = [simplify(e) for e in loop["rhs_exprs"]]
+    src = _kernel_source(rhs, loop["names"] + ["w"])
     # cos(xi1_1), abs(cos(xi1_1)) and abs(3*z^3 + 4*z)
+    assert src.count("_cos(") == 1 and src.count("_abs(") == 2
+    # and so once in each of the step's four stages, or its one
+    src = _step_source(rhs, loop["names"] + ["w"], "rk4")
+    assert src.count("_cos(") == 4 and src.count("_abs(") == 8
+    src = _step_source(rhs, loop["names"] + ["w"], "euler")
     assert src.count("_cos(") == 1 and src.count("_abs(") == 2
 
 
@@ -658,3 +694,85 @@ def test_diverging_run_integrates_energy_without_warnings(cli_loops):
                           **{k: v for k, v in loop.items() if k != "names"})
         assert tr.diverged
         assert np.isinf(tr.int_y2[-1]).all()
+
+
+# ---------------------------------------------------------------------------
+# The generated float step: the bits and exceptions of the stage arithmetic
+# over the scalar kernel
+# ---------------------------------------------------------------------------
+
+@st.composite
+def step_exprs(draw):
+    """Raw trees over the two states x1, x2 and w, with every operation a
+    single run may meet: powers, reciprocals, exp, sin and cos, as well as
+    the operations of exact_exprs."""
+    def rec(d):
+        if d == 0:
+            kind = draw(st.integers(0, 2))
+            if kind == 0:
+                return Const(Fraction(draw(st.integers(-3, 3)),
+                                      draw(st.sampled_from((1, 3)))))
+            if kind == 1:
+                return Const(draw(st.sampled_from((0.5, -1.25, 1e-5, 3e7))))
+            return Var(draw(st.sampled_from(("x1", "x2", "w"))))
+        k = draw(st.integers(0, 4))
+        if k == 0:
+            return rec(d - 1) + rec(d - 1)
+        if k == 1:
+            return rec(d - 1) * rec(d - 1)
+        if k == 2:
+            return Pow(rec(d - 1), draw(st.sampled_from((2, 3, 7, -1, -2))))
+        if k == 3:
+            return 1 / rec(d - 1)
+        return Func(draw(st.sampled_from(("exp", "sin", "cos", "sqrt", "abs",
+                                          "sign"))), rec(d - 1))
+
+    return [rec(draw(st.integers(0, 4))) for _ in range(2)]
+
+
+def _reference_step(f, x, w1, w2, w4, dt, integrator):
+    """One step as _reference_scalar takes it: the stage list
+    comprehensions over the scalar kernel f."""
+    if integrator == "euler":
+        k1 = f(list(x) + [w1])
+        return [xi + dt * ki for xi, ki in zip(x, k1)]
+    k1 = f(list(x) + [w1])
+    k2 = f([xi + dt / 2 * ki for xi, ki in zip(x, k1)] + [w2])
+    k3 = f([xi + dt / 2 * ki for xi, ki in zip(x, k2)] + [w2])
+    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)] + [w4])
+    return [xi + dt / 6 * (a + 2 * b + 2 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def _outcome(fn, *args):
+    """The bit patterns of fn's values as _bits reads them, or the class of
+    what it raised."""
+    try:
+        values = fn(*args)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        return type(exc)
+    return _bits(values, (len(values),)).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_exprs(), st.sampled_from(("rk4", "euler")),
+       st.lists(st.sampled_from((0.0, -0.0, 0.3, -1.7, 2.5, 1e-200, 1e200, -1e160,
+                                 math.inf, math.nan)), min_size=5, max_size=5),
+       st.sampled_from((1e-3, 0.05, 0.7)))
+def test_step_equals_the_stage_arithmetic_bit_for_bit(exprs, integrator, point,
+                                                      dt):
+    names = ["x1", "x2", "w"]
+    x, (w1, w2, w4) = point[:2], point[2:]
+    want = _outcome(_reference_step, compile_exprs_scalar(exprs, names), x,
+                    w1, w2, w4, dt, integrator)
+    got = _outcome(compile_step_scalar(exprs, names, integrator), x, w1, w2,
+                   w4, dt)
+    assert got == want
+
+
+def test_step_source_reads_every_stage_from_locals():
+    exprs = [parse("-x1 + cos(x2)*x1^3"), parse("x1*w + cos(x2) + 1/x2")]
+    src = _step_source([simplify(e) for e in exprs], ["x1", "x2", "w"], "rk4")
+    # the kernel's list argument is gone; cos(x2) is bound once per stage
+    assert "_a[" not in src and src.count("_cos(") == 4
+    assert "**3" in src and "**(-1.0)" in src
