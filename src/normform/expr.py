@@ -669,9 +669,15 @@ def _expand(e):
                 return _Frac(_poly_const(folded), _poly_const(1))
         return _Frac(_poly_atom(Func(e.fname, arg)), _poly_const(1))
     if isinstance(e, Add):
+        # acc.num is made here, so a term no larger is added in place, with
+        # the dict and order that _poly_add would copy out
         acc = _Frac({}, _poly_const(1))
         for t in e.terms:
-            acc = _frac_add(acc, _to_frac(t))
+            f = _to_frac(t)
+            if f.den == acc.den and len(f.num) <= len(acc.num):
+                _poly_iadd(acc.num, f.num)
+            else:
+                acc = _frac_add(acc, f)
         return acc
     if isinstance(e, Mul):
         acc = _Frac(_poly_const(1), _poly_const(1))
@@ -1071,6 +1077,15 @@ def _kernel_source(exprs, names):
     return src
 
 
+def _float_literal(key):
+    """An int constant's key as a float literal, where exact (below 2**53),
+    else the key; None for any other key."""
+    text = key[1:-1]
+    if key[0] != "(" or not text.lstrip("-").isdigit():
+        return None
+    return f"({float(int(text))!r})" if abs(int(text)) < 2 ** 53 else key
+
+
 def _statement_source(exprs, names):
     """Source of `def _f(_a,_o)`, which writes the value of exprs[i] into
     the array `_o[i]`, over `_a[i]` for names[i], and the number of
@@ -1087,7 +1102,8 @@ def _statement_source(exprs, names):
     is written as in the lambda by `_inline_writer`, since a base that the
     lambda computes on Python floats would be an array here, and numpy's
     array `pow` rounds otherwise than a float's.  An integer constant below
-    2**53 is written as a float literal, which is exact.
+    2**53 is written as its float literal (`_float_literal`), the float
+    numpy would convert it to.
     """
     keys, uses, roots = _number_values(exprs, names)
     # powers other than squares and the values their bases read
@@ -1110,14 +1126,7 @@ def _statement_source(exprs, names):
         key = keys[v]
         if type(key) is not str:
             return f"_t{v}" if v in bound else None
-        if key[0] == "(":
-            try:
-                n = int(key[1:-1])
-            except ValueError:
-                return key
-            if abs(n) < 2 ** 53:
-                return repr(float(n))
-        return key
+        return _float_literal(key) or key
 
     def shared(v, depth):
         rows.append(f"_t{v}")
@@ -1254,46 +1263,73 @@ def compile_exprs_scalar(exprs, names):
     return eval(src, dict(_SCALAR_FUNCS))  # noqa: S307 - from our own AST
 
 
-def _step_source(exprs, names, integrator):
-    """Source of `def _step(_x,_w1,_w2,_w4,_dt)`: one RK4 (or Euler) step
-    of dx/dt = exprs from the state _x, the values of names[:-1], with the
-    disturbance names[-1] at t, t + dt/2 and t + dt; it returns the next
-    state as a list.  Each stage is the kernel of `_kernel_source`, one
-    statement per derivative over locals, and the stages are combined in
-    the operation order of x + dt/2*k1, x + dt*k3 and
-    x + dt/6*(k1 + 2*k2 + 2*k3 + k4), or x + dt*k1: the bits and the
-    exceptions of those kernel calls and that arithmetic on floats.
+def _step_source(exprs, names, integrator, bound):
+    """Source of `def _steps(_x,_W1,_W2,_W4,_dt)`: RK4 (or Euler) steps of
+    dx/dt = exprs from _x, the values of names[:-1], one per value of
+    names[-1] at t, t + dt/2 and t + dt in _W1, _W2, _W4.  It returns [_x]
+    and the state after each step, and None; or it stops after a state
+    whose squared norm exceeds bound (True) or before a step whose kernel
+    raised (the exception).  Each stage is the kernel of `_kernel_source`
+    over locals, combined in the order of x + dt/2*k1, x + dt*k3 and
+    x + dt/6*(k1 + 2*k2 + 2*k3 + k4), or x + dt*k1: the bits and exceptions
+    of that arithmetic.  CPython specializes float*float, not int*float, so
+    an int constant is a float literal where it meets a float at once: as
+    the one int operand of a sum or product of floats, or the argument of a
+    function but abs.  Elsewhere exact int arithmetic rounds otherwise.
     """
     keys, uses, roots = _number_values(exprs, names)
+    floats, ints = [], set(roots)   # float values; int constants kept
+    for key in keys:
+        if type(key) is str:
+            floats.append(_float_literal(key) is None)
+            continue
+        kids = key[1] if key[0] in "+*" else key[-1:]
+        flags = [floats[c] for c in kids]
+        # a power (not negative) or abs of an int is an int
+        whole = key[0] == "abs" or key[0] == "^" and key[1] >= 0
+        floats.append(True in flags if key[0] in "+*" else
+                      flags[0] or not whole)
+        if whole or key[0] in "+*" and (flags.count(False) > 1 or
+                                        len(kids) == 1):
+            ints.update(kids)
+    keys = [k if v in ints else _float_literal(k) or k
+            for v, k in enumerate(keys)]
     n = len(roots)
     x, y = [f"_x{i}" for i in range(n)], [f"_y{i}" for i in range(n)]
     euler = integrator == "euler"
-    lines = ["(" + "".join(f"{v}," for v in x) + ")=_x"]
-    lines += [] if euler else ["_h=_dt/2"]
+    lines = ["(" + "".join(f"{v}," for v in x) + ")=_x", "_h=_dt/2",
+             "_s=_dt/6", "_r=[_x]", "try:",
+             " for _w1,_w2,_w4 in zip(_W1,_W2,_W4):"]
     stages = [(x + ["_w1"], None), (y + ["_w2"], "_h"), (y + ["_w2"], "_h"),
               (y + ["_w4"], "_dt")]
     for k, (args, h) in enumerate(stages[:1 if euler else 4]):
         if h:   # the state x + h*k of the stage before
-            lines += [f"_y{i}=_x{i}+{h}*_k{k - 1}_{i}" for i in range(n)]
+            lines += [f"  _y{i}=_x{i}+{h}*_k{k - 1}_{i}" for i in range(n)]
         # the kernel, names[i] read from the local args[i]
         local = [args[int(key[3:-1])] if key[:2] == "_a" else key
                  for key in keys]
         emit = _inline_writer(local, uses, set())
-        lines += [f"_k{k}_{i}={emit(v)}" for i, v in enumerate(roots)]
+        lines += [f"  _k{k}_{i}={emit(v)}" for i, v in enumerate(roots)]
         del emit   # a self-referencing closure, as in _number_values
-    new = (f"_x{i}+_dt*_k0_{i}" if euler else
-           f"_x{i}+_dt/6*(_k0_{i}+2*_k1_{i}+2*_k2_{i}+_k3_{i})" for i in range(n))
-    return ("def _step(_x,_w1,_w2,_w4,_dt):\n " + "\n ".join(lines)
-            + "\n return [" + ",".join(new) + "]")
+    for i, v in enumerate(roots):
+        two = "2.0" if floats[v] else "2"
+        lines.append(f"  _x{i}=_x{i}+_dt*_k0_{i}" if euler else
+                     f"  _x{i}=_x{i}+_s*(_k0_{i}+{two}*_k1_{i}+{two}*_k2_{i}"
+                     f"+_k3_{i})")
+    lines += ["  _r.append((" + "".join(f"{v}," for v in x) + "))",
+              "  if not " + "+".join(f"{v}*{v}" for v in x)
+              + f"<={float(bound)!r}:", "   return _r,True",
+              "except (ZeroDivisionError,OverflowError,ValueError) as _e:",
+              " return _r,_e", "return _r,None"]
+    return "def _steps(_x,_W1,_W2,_W4,_dt):\n " + "\n ".join(lines)
 
 
-def compile_step_scalar(exprs, names, integrator="rk4"):
-    """step(x, w1, w2, w4, dt) -> the state after one RK4 (or Euler) step
-    of dx/dt = exprs on Python floats, x the values of names[:-1] and w1,
-    w2, w4 those of names[-1] at t, t + dt/2, t + dt (see _step_source)."""
+def compile_block_scalar(exprs, names, integrator, bound):
+    """steps(x, W1, W2, W4, dt) -> (states, stop): the RK4 (or Euler) steps
+    of dx/dt = exprs on Python floats that _step_source writes."""
     env = dict(_SCALAR_FUNCS)
-    exec(_step_source(exprs, names, integrator), env)  # noqa: S102
-    return env["_step"]
+    exec(_step_source(exprs, names, integrator, bound), env)  # noqa: S102
+    return env["_steps"]
 
 
 def evalf(e, env):

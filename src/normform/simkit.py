@@ -1,34 +1,35 @@
 """Closed-loop simulation: fixed-step RK4, disturbance signals, Lyapunov
 monitoring, and L2-gain certification.
 
-One loop, `_integrate`, steps every trace.  A single run, and a batch of
-fewer than SCALAR_RUNS runs whose right-hand side gives the same bits on
-both backends (`expr.backends_agree`), take the float route: one
-generated step per run (`expr.compile_step_scalar`), since numpy's
-per-step overhead would cost more than the arithmetic it vectorizes.  Any
-other batch takes the numpy route, which computes each stage in place on
-the whole (n, nruns) block.  Both give the same states; the channels u, y
-and V of every trace are evaluated on them with numpy.  States are
-exposed as (T, nruns, n); `Trace.single(k)` is a one-run view.
+One loop, `_integrate`, steps every trace in blocks of 256 steps: it reads
+the signal for a block, and a route writes the block's rows.  A single
+run, and a batch of fewer than SCALAR_RUNS runs whose right-hand side gives
+the same bits on both backends (`expr.backends_agree`), take the float
+route: one generated block stepper call per run (`compile_block_scalar`).
+Any other batch takes the numpy route, each stage in place on the whole
+(n, nruns) block.  One rule freezes a run that leaves the bound at its last
+accepted row and ends the trace where the last live runs leave.  Channels
+u, y and V are evaluated with numpy; states are exposed as (T, nruns, n).
 """
 
 from __future__ import annotations
 
 import io
 import math
-from operator import mul
 
 import numpy as np
 
-from .expr import (backends_agree, compile_exprs, compile_exprs_into,
-                   compile_step_scalar, simplify)
+from .expr import (backends_agree, compile_block_scalar, compile_exprs,
+                   compile_exprs_into, simplify)
 
 __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
            "noise_signal", "simulate", "lyapunov_monitor",
            "l2_gain_check", "batch_simulate", "trace_to_csv"]
 
 DIVERGENCE_NORM = 1e8
-_CSV_ROWS = 256
+# steps per signal read and float-route call
+_BLOCK = 256
+_CSV_ROWS = 32   # rows per `%` in trace_to_csv; 256 raised peak RSS
 # batches below this run one at a time on floats where the backends agree;
 # at horizon 1 and dt 2e-3 (best of 9) the routes cost the same at ~13-16
 # runs of the nf_uchain chain loop and ~16-20 of nf_mixed, above this value
@@ -177,12 +178,11 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
 
 def _integrate(route, rhs_exprs, names, x0, cfg, w_signal):
     """The (T, n, nruns) states, the (T, nruns) w values and which runs
-    stayed live.  advance = route(rhs_exprs, names, nruns, cfg) writes the
-    states xn that follow x, given w at t, t + dt/2 and t + dt, and returns
-    None when every run is within the bound, else which runs are, or False
-    when a float kernel raised.  A run that leaves the bound is frozen at
-    its last accepted state; the trace ends with the step at which the last
-    live runs leave, or before the step at which a kernel raised."""
+    stayed live.  advance(xs, k, w1, w2, w4, live, end), from route(...),
+    writes the live runs' rows after row k, one per w at t, t + dt/2 and
+    t + dt; a run that leaves the bound, or raises, gets live False and end
+    its last row.  One rule for both routes: a run that leaves repeats its
+    last accepted row, and the trace ends where the last live runs leave."""
     nruns, n = x0.shape
     nsteps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.dt
@@ -191,73 +191,55 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal):
     ws = np.empty((nsteps + 1, nruns))
     xs[0] = x0.T
     ws[0] = w_signal(0.0)   # one value or one per run
-    alive = np.ones(nruns, dtype=bool)
-    frozen = False
-    last = nsteps
+    live = np.ones(nruns, dtype=bool)
+    end = np.full(nruns, nsteps + 1)   # past the trace: the run stayed
     with np.errstate(all="ignore"):
         # one check for both routes, of every run at once
         k1 = compile_exprs(rhs_exprs, names)([*xs[0], ws[0]])
         if not all(np.isfinite(v).all() for v in k1):
             raise ValueError("right-hand side not finite at the initial state")
         advance = route(rhs_exprs, names, nruns, cfg)
-        for k in range(nsteps):
-            t = k * dt
-            x, xn = xs[k], xs[k + 1]
-            w4 = w_signal(t + dt)
-            ok = advance(x, xn, w_signal(t), w_signal(t + dt / 2), w4)
-            if ok is False:
-                # only a single run takes a kernel that can raise (see
-                # simulate)
-                alive[:] = False
-                last = k
+        for k in range(0, nsteps, _BLOCK):
+            ts = (np.arange(k, min(k + _BLOCK, nsteps)) * dt).tolist()
+            w = [np.asarray([w_signal.fn(t + h) for t in ts], dtype=float)
+                 for h in (0.0, dt / 2, dt)]
+            ws[k + 1:k + 1 + len(ts)] = w[2].reshape(len(ts), -1)
+            advance(xs, k, *w, live, end)
+            if not live.any():
                 break
-            ws[k + 1] = w4
-            if ok is not None:
-                ok &= alive
-                if not ok.any():
-                    # the last live runs left: end with this step
-                    np.copyto(xn, x, where=~alive)
-                    alive = ok
-                    last = k + 1
-                    break
-                alive[...] = ok
-                frozen = True
-            if frozen:
-                np.copyto(xn, x, where=~alive)
-    return xs[:last + 1], ws[:last + 1], alive
+    last = min(end.max(), nsteps)
+    for r in np.flatnonzero(end < end.max()):
+        xs[end[r]:last + 1, :, r] = xs[end[r] - 1, :, r]
+    return xs[:last + 1], ws[:last + 1], live
 
 
 def _float_route(rhs_exprs, names, nruns, cfg):
-    """advance (see _integrate) on Python floats, one compile_step_scalar
-    step per run."""
-    step = compile_step_scalar(rhs_exprs, names, cfg.integrator)
-    dts = [cfg.dt] * nruns
+    """advance (see _integrate) on Python floats: one compile_block_scalar
+    call per live run and block."""
+    steps = compile_block_scalar(rhs_exprs, names, cfg.integrator,
+                                 DIVERGENCE_NORM ** 2)
 
-    def per_run(v):
-        # a signal gives one float, or one value per run or for all runs
-        v = [v] if type(v) is float else v.ravel().tolist()
-        return v * (nruns // len(v))
-
-    def advance(x, xn, w1, w2, w4):
-        w = per_run(w1), per_run(w2), per_run(w4)
-        try:
-            new = list(map(step, x.T.tolist(), *w, dts))
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return False
-        xn.T[...] = new
-        # false for NaN and inf as well as above the bound
-        ok = [sum(map(mul, s, s)) <= DIVERGENCE_NORM ** 2 for s in new]
-        return None if all(ok) else np.array(ok)
+    def advance(xs, k, w1, w2, w4, live, end):
+        # a signal gives one value, or one per run or for all runs
+        w1, w2, w4 = (np.broadcast_to(v.reshape(len(v), -1),
+                                      (len(v), nruns)).T.tolist()
+                      for v in (w1, w2, w4))
+        for r in np.flatnonzero(live):
+            rows, stop = steps(xs[k, :, r].tolist(), w1[r], w2[r], w4[r],
+                               cfg.dt)
+            xs[k:k + len(rows), :, r] = rows   # row k, then the steps
+            if stop is not None:
+                live[r], end[r] = False, k + len(rows) - 1
 
     return advance
 
 
 def _numpy_route(rhs_exprs, names, nruns, cfg):
-    """advance (see _integrate) on the whole (n, nruns) block: the kernel
-    of compile_exprs_into writes each stage into its rows of a preallocated
-    array, and every stage is computed in place, in the operation order of
-    x + dt/2*k1 and x + dt/6*(k1 + 2*k2 + 2*k3 + k4): a step allocates no
-    array but the results of `**`."""
+    """advance (see _integrate) on the whole (n, nruns) block, every run at
+    every step: the kernel of compile_exprs_into writes each stage into its
+    rows of a preallocated array, and every stage is computed in place, in
+    the operation order of x + dt/2*k1 and x + dt/6*(k1 + 2*k2 + 2*k3 + k4):
+    a step allocates no array but the results of `**`."""
     f = compile_exprs_into(rhs_exprs, names)
     dt = cfg.dt
     k1, k2, k3, k4, xt = stages = np.empty((5, len(rhs_exprs), nruns))
@@ -266,34 +248,41 @@ def _numpy_route(rhs_exprs, names, nruns, cfg):
     norm2 = np.empty(nruns)
     ok = np.empty(nruns, dtype=bool)
 
-    def advance(x, xn, w1, w2, w4):
-        f([*x, w1], r1)
-        if cfg.integrator == "euler":
-            np.multiply(dt, k1, k1)
-            np.add(x, k1, xn)
-        else:
-            np.multiply(dt / 2, k1, xt)
-            np.add(x, xt, xt)
-            args[-1] = w2
-            f(args, r2)
-            np.multiply(dt / 2, k2, xt)
-            np.add(x, xt, xt)
-            f(args, r3)
-            np.multiply(dt, k3, xt)
-            np.add(x, xt, xt)
-            args[-1] = w4
-            f(args, r4)
-            np.multiply(2.0, k2, k2)
-            np.add(k1, k2, k1)
-            np.multiply(2.0, k3, k3)
-            np.add(k1, k3, k1)
-            np.add(k1, k4, k1)
-            np.multiply(dt / 6, k1, k1)
-            np.add(x, k1, xn)
-        # false for NaN and inf as well as above the bound
-        np.einsum("ij,ij->j", xn, xn, out=norm2)
-        np.less_equal(norm2, DIVERGENCE_NORM ** 2, out=ok)
-        return None if ok.all() else ok
+    def advance(xs, k, w1, w2, w4, live, end):
+        # a scalar signal's values as floats, as the signal gives them
+        w = [v.tolist() if v.ndim == 1 else v for v in (w1, w2, w4)]
+        for j, (w1, w2, w4) in enumerate(zip(*w), k):
+            x, xn = xs[j], xs[j + 1]
+            f([*x, w1], r1)
+            if cfg.integrator == "euler":
+                np.multiply(dt, k1, k1)
+                np.add(x, k1, xn)
+            else:
+                np.multiply(dt / 2, k1, xt)
+                np.add(x, xt, xt)
+                args[-1] = w2
+                f(args, r2)
+                np.multiply(dt / 2, k2, xt)
+                np.add(x, xt, xt)
+                f(args, r3)
+                np.multiply(dt, k3, xt)
+                np.add(x, xt, xt)
+                args[-1] = w4
+                f(args, r4)
+                np.multiply(2.0, k2, k2)
+                np.add(k1, k2, k1)
+                np.multiply(2.0, k3, k3)
+                np.add(k1, k3, k1)
+                np.add(k1, k4, k1)
+                np.multiply(dt / 6, k1, k1)
+                np.add(x, k1, xn)
+            # false for NaN and inf as well as above the bound
+            np.einsum("ij,ij->j", xn, xn, out=norm2)
+            if not np.less_equal(norm2, DIVERGENCE_NORM ** 2, out=ok).all():
+                end[live & ~ok] = j + 1
+                live &= ok
+                if not live.any():
+                    return
 
     return advance
 
@@ -371,5 +360,5 @@ def trace_to_csv(trace, run=0):
     # Python floats for a block of rows at a time keep peak memory flat
     for k in range(0, len(trace.t), _CSV_ROWS):
         rows = np.concatenate([s[k:k + _CSV_ROWS] for s in series], axis=1)
-        buf.writelines(line % tuple(r) for r in rows.tolist())
+        buf.write((line * len(rows)) % tuple(rows.ravel().tolist()))
     return buf.getvalue()

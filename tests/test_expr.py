@@ -10,9 +10,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (_reference_diff_raw, _reference_evalf, term_budget,
                       unmarked_copy)
 from normform.expr import (_FRAC_KEY, SAMPLE_CUTOFF, SAMPLE_REDRAWS,
-                           TERM_BUDGET, ZERO, Add, Const, EvalError, Func,
+                           TERM_BUDGET, ONE, ZERO, Add, Const, EvalError, Func,
                            Mul, ParseError, Pow, Var, _CHUNK, _diff_raw,
-                           _kernel_source, _poly_written, _to_frac,
+                           _expand, _Frac, _frac_add, _frac_cancel,
+                           _frac_written, _kernel_source, _poly_const,
+                           _poly_written, _to_frac,
                            _var_names, backends_agree, compile_exprs,
                            compile_exprs_into, compile_exprs_scalar, const,
                            diff, equivalent, evalf, free_vars,
@@ -735,6 +737,29 @@ def test_kernel_source_without_repeats_is_the_inlined_lambda():
     twice = Func("cos", Var("x1"))
     assert _kernel_source([twice * twice, Func("cos", Var("x1"))], ["x1"]) == \
         "lambda _a: [((_t1:=_cos(_a[0]))*_t1),_t1]"
+
+
+def test_long_sum_expands_as_the_pairwise_fold():
+    # _expand adds a term no larger than the sum so far in place; the fold
+    # of _frac_add copied the sum for every term.  Larger terms, cancelling
+    # monomials, zero terms and denominators take both branches.
+    x1, x2 = Var("x1"), Var("x2")
+    long = [x1, simplify((x1 + x2 + 1) ** 6)]
+    long += [simplify(Const(Fraction(i % 7 - 3, 1 + i % 2)) * x1 ** (i % 40)
+                      * x2 ** (i // 40)) for i in range(2000)]
+    long += [simplify(-x1 * x2 ** 3), simplify((x1 - x2) ** 3)]
+    over = [x2, simplify(x2 / (x1 + 1)), simplify(x1 ** 2 / (x1 + 1)),
+            simplify(-x2 / (x1 + 1)), simplify((x1 + x2) ** 4), ONE,
+            simplify(x1 / (x1 + 1))]
+    for terms in (long, over):
+        want = _Frac({}, _poly_const(1))
+        for t in terms:
+            want = _frac_add(want, _to_frac(t))
+        got = _expand(Add(tuple(terms)))
+        for p, q in zip(got, want):
+            assert list(p.items()) == list(q.items())
+        assert simplify(Add(tuple(terms))).key == \
+            _frac_written(_frac_cancel(*want))[0].key
 
 
 def test_long_sums_compile_in_both_backends_as_a_left_fold():

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from normform.backstep import ChainSystem, Stabilizer, synthesize
 from normform.expr import (Const, Func, Pow, Var, _kernel_source, _step_source,
-                           backends_agree, compile_exprs, compile_exprs_scalar,
-                           compile_step_scalar, parse, simplify)
-from normform.simkit import (SCALAR_RUNS, Signal, SimConfig,
+                           backends_agree, compile_block_scalar, compile_exprs,
+                           compile_exprs_scalar, parse, simplify)
+from normform.simkit import (DIVERGENCE_NORM, SCALAR_RUNS, Signal, SimConfig,
+                             _float_route, _integrate, _numpy_route,
                              batch_simulate, l2_gain_check, lyapunov_monitor,
                              noise_signal, simulate, step_signal,
                              trace_to_csv, zero_signal)
@@ -649,6 +650,65 @@ def test_a_float_kernel_that_raises_ends_a_single_run_before_that_step():
     assert tr.diverged and len(tr.t) == 50
 
 
+@pytest.mark.parametrize("k", [255, 256, 257])
+def test_a_float_kernel_that_raises_at_a_block_edge_ends_the_run_there(k):
+    # the float route steps 256 steps per call: the step that raises is the
+    # last of a block, the first of the next, or the second
+    cfg = SimConfig(dt=0.01, horizon=3.0)
+    signal = step_signal((k + 0.5) * 0.01)
+    loop = dict(rhs_exprs=[parse("-x1 + 1/w")], input_exprs=[],
+                output_exprs=[parse("x1")], V_expr=parse("x1^2"))
+    ref = _reference_scalar(names=["x1"], x0=[0.5], cfg=cfg, w_signal=signal,
+                            **loop)
+    tr = simulate(state_names=["x1"], x0=[0.5], cfg=cfg, w_signal=signal,
+                  **loop)
+    _assert_traces_equal(ref, tr)
+    assert tr.diverged and len(tr.t) == k + 1
+
+
+@pytest.mark.parametrize("x0", [
+    [[2.0, 0.1], [1.0, -0.2], [0.5, 0.3]],
+    [[3.0, 0.0], [-0.5, 0.1], [1.5, 0.2], [0.9, -0.1], [4.0, 0.3]],
+    [[2.0, 0.0], [1.0, 0.1], [0.5, 0.0], [3.0, -0.1], [1.5, 0.0], [0.9, 0.2],
+     [0.8, 0.0]],
+], ids=["3-all-leave", "5-one-stays", "7-all-leave"])
+def test_float_route_freezes_runs_as_the_numpy_route(x0):
+    # one freeze rule for both routes: a run that leaves repeats its last
+    # accepted row, and the trace ends where the last live runs leave
+    rhs = [simplify(parse("x1^2 + x2*w")), simplify(parse("-x2"))]
+    assert backends_agree(rhs) and len(x0) < SCALAR_RUNS
+    cfg = SimConfig(dt=1e-3, horizon=3.0)
+    signal = noise_signal(2, horizon=3.0, nruns=len(x0))
+    (xs, ws, live), want = (
+        _integrate(route, rhs, ["x1", "x2", "w"], np.array(x0), cfg, signal)
+        for route in (_float_route, _numpy_route))
+    assert len(xs) == len(want[0]) and list(live) == list(want[2])
+    assert xs.tobytes() == want[0].tobytes() and ws.tobytes() == want[1].tobytes()
+    # the runs that left did so at different steps
+    moved = [np.flatnonzero((xs[1:, :, r] != xs[:-1, :, r]).any(axis=1)).max()
+             for r in np.flatnonzero(~live)]
+    assert len(set(moved)) == len(moved) > 2
+    assert (len(xs) == 3001) == live.any()
+
+
+@pytest.mark.parametrize("nruns", [2, 9])
+def test_a_run_that_leaves_on_the_last_step_is_frozen_there(nruns):
+    # x1' = x1^2 from 1 leaves the bound at step 101 of dt 1e-2, the last
+    # step here, while the runs from -1 < x1 < 0 stay bounded
+    rhs = [simplify(parse("x1^2"))]
+    cfg = SimConfig(dt=1e-2, horizon=1.01)
+    x0 = np.array([[1.0]] + [[-i / nruns] for i in range(1, nruns)])
+    (xs, ws, live), want = (
+        _integrate(route, rhs, ["x1", "w"], x0, cfg, zero_signal())
+        for route in (_float_route, _numpy_route))
+    assert xs.tobytes() == want[0].tobytes() and list(live) == list(want[2])
+    assert len(xs) == 102 and list(live) == [False] + [True] * (nruns - 1)
+    assert xs[-1, 0, 0] == xs[-2, 0, 0] < DIVERGENCE_NORM
+    tr = simulate(rhs, ["x1"], x0, cfg)
+    assert tr.x.tobytes() == xs.transpose(0, 2, 1).tobytes()
+    assert list(tr.diverged_runs) == [True] + [False] * (nruns - 1)
+
+
 def test_closed_loop_evaluates_each_function_value_once(cli_loops):
     loop = cli_loops["addexam"]
     rhs = [simplify(e) for e in loop["rhs_exprs"]]
@@ -656,9 +716,9 @@ def test_closed_loop_evaluates_each_function_value_once(cli_loops):
     # cos(xi1_1), abs(cos(xi1_1)) and abs(3*z^3 + 4*z)
     assert src.count("_cos(") == 1 and src.count("_abs(") == 2
     # and so once in each of the step's four stages, or its one
-    src = _step_source(rhs, loop["names"] + ["w"], "rk4")
+    src = _step_source(rhs, loop["names"] + ["w"], "rk4", 1e16)
     assert src.count("_cos(") == 4 and src.count("_abs(") == 8
-    src = _step_source(rhs, loop["names"] + ["w"], "euler")
+    src = _step_source(rhs, loop["names"] + ["w"], "euler", 1e16)
     assert src.count("_cos(") == 1 and src.count("_abs(") == 2
 
 
@@ -754,7 +814,23 @@ def _outcome(fn, *args):
     return _bits(values, (len(values),)).tolist()
 
 
+# integer constants that int arithmetic combines exactly, and one above
+# 2**53; the product of three 2**27 + 1 rounds once as an int and twice on
+# floats
+_INT_TREES = [[Pow(Pow(Const(3), 7), 7) * Var("x1"),
+               Const(3) * Const(5) * Var("x2")],
+              [Func("abs", Const(-3)) * Var("x1"),
+               Const(2 ** 53 + 1) * Var("x2")],
+              [Const(2 ** 27 + 1) * Const(2 ** 27 + 1) * Const(2 ** 27 + 1)
+               * Var("x1"), Const(3) * Var("x2")]]
+
+
 @settings(max_examples=300, deadline=None)
+@example(_INT_TREES[0], "rk4", [0.3, -1.7, 2.5, 0.3, 0.3], 0.05)
+@example(_INT_TREES[0], "euler", [1e-200, 2.5, 0.0, 0.0, 0.0], 0.7)
+@example(_INT_TREES[1], "rk4", [-1.7, 0.3, 2.5, 0.3, 0.3], 1e-3)
+@example(_INT_TREES[1], "euler", [2.5, -1.7, 0.0, 0.0, 0.0], 0.05)
+@example(_INT_TREES[2], "rk4", [0.3, -1.7, 2.5, 0.3, 0.3], 1e-3)
 @given(step_exprs(), st.sampled_from(("rk4", "euler")),
        st.lists(st.sampled_from((0.0, -0.0, 0.3, -1.7, 2.5, 1e-200, 1e200, -1e160,
                                  math.inf, math.nan)), min_size=5, max_size=5),
@@ -765,14 +841,41 @@ def test_step_equals_the_stage_arithmetic_bit_for_bit(exprs, integrator, point,
     x, (w1, w2, w4) = point[:2], point[2:]
     want = _outcome(_reference_step, compile_exprs_scalar(exprs, names), x,
                     w1, w2, w4, dt, integrator)
-    got = _outcome(compile_step_scalar(exprs, names, integrator), x, w1, w2,
-                   w4, dt)
+    got = _outcome(_one_step(exprs, names, integrator), x, w1, w2, w4, dt)
     assert got == want
+
+
+def _one_step(exprs, names, integrator):
+    """One step of the block stepper, raising what its kernel raised."""
+    steps = compile_block_scalar(exprs, names, integrator, 1e16)
+
+    def step(x, w1, w2, w4, dt):
+        rows, stop = steps(x, [w1], [w2], [w4], dt)
+        if isinstance(stop, Exception):
+            raise stop
+        return list(rows[1])
+
+    return step
+
+
+def test_step_writes_float_literals_where_the_bits_stay():
+    # CPython specializes float*float, not int*float; a power's base, an
+    # operand next to another int and a constant past 2**53 stay ints
+    exprs = [Const(2) * Var("x1") + Pow(Pow(Const(3), 7), 7) * Var("x2"),
+             Const(3) * Const(5) * Var("x2") + Func("sin", Const(2)),
+             Func("abs", Const(-3)) * Var("x1") + Const(2 ** 53 + 1) * Var("x2")]
+    src = _step_source(exprs, ["x1", "x2", "w"], "rk4", 1e16)
+    assert "(2.0)*_x0" in src and "((3)**7)**7" in src
+    assert "(3)*(5)" in src and "_sin((2.0))" in src
+    assert "_abs((-3))" in src and "(9007199254740993)*" in src
+    # the stages are combined with float literals
+    assert "+2.0*_k1_0+2.0*_k2_0+" in src and "*_k1_0+2*" not in src
 
 
 def test_step_source_reads_every_stage_from_locals():
     exprs = [parse("-x1 + cos(x2)*x1^3"), parse("x1*w + cos(x2) + 1/x2")]
-    src = _step_source([simplify(e) for e in exprs], ["x1", "x2", "w"], "rk4")
+    src = _step_source([simplify(e) for e in exprs], ["x1", "x2", "w"], "rk4",
+                       1e16)
     # the kernel's list argument is gone; cos(x2) is bound once per stage
     assert "_a[" not in src and src.count("_cos(") == 4
     assert "**3" in src and "**(-1.0)" in src
