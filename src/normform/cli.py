@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -34,7 +35,11 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=42, help="sampling seed")
 
 
+@functools.cache
 def build_parser():
+    """The `normform` argument parser, built once per process and shared by
+    every `main` call (parsing does not change it), so it is not to be
+    modified."""
     ap = argparse.ArgumentParser(
         prog="normform",
         description="Structure analysis and backstepping synthesis for "

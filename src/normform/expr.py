@@ -15,6 +15,7 @@ no arbitrary-precision floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
@@ -565,7 +566,16 @@ def _pythagorean_pass(p):
     return p
 
 
+def _is_one(p):
+    """Whether the polynomial p is the exact int 1."""
+    c = p.get(_EMPTY_MONO) if len(p) == 1 else None
+    return type(c) is int and c == 1
+
+
 def _frac_cancel(num, den):
+    if _is_one(den):
+        # no common content, no division, leading coefficient already 1
+        return _Frac(_pythagorean_pass(dict(num)), {_EMPTY_MONO: 1})
     num = _pythagorean_pass(dict(num))
     den = _pythagorean_pass(dict(den))
     if not num:
@@ -620,8 +630,9 @@ def _frac_add(f1, f2):
 
 def _frac_mul(f1, f2):
     num = _poly_mul(f1.num, f2.num)
-    den = _poly_mul(f1.den, f2.den)
-    return _frac_cancel(num, den)
+    if _is_one(f1.den) and _is_one(f2.den):   # no product of 1 by 1
+        return _frac_cancel(num, f1.den)
+    return _frac_cancel(num, _poly_mul(f1.den, f2.den))
 
 
 def _frac_inv(f):
@@ -1187,18 +1198,33 @@ def _statement_source(exprs, names):
     return "def _f(_a,_o):\n " + "\n ".join(head + lines or ["pass"]), len(rows)
 
 
+# Kernel sources repeat within a process (repeated CLI calls, repeated
+# checks of one system), so each distinct source is compiled once; the
+# cache holds code objects only, never trees.
+_CODE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(src, mode):
+    """The code object of a generated kernel source, in mode "eval" or
+    "exec"."""
+    return compile(src, "<kernel>", mode)
+
+
 def compile_exprs(exprs, names):
     """Compile a list of expressions into f(args) -> list of arrays.
 
     `args` is a sequence of scalars or equally-shaped numpy arrays, one per
-    name; evaluation broadcasts elementwise.
+    name; evaluation broadcasts elementwise.  Identical source is compiled
+    once per process (`_code`, a bounded cache of code objects); each call
+    evaluates the code in a fresh environment and returns its own function.
     """
     import numpy as _np
 
-    src = _kernel_source(exprs, names)
-    return eval(src, {"_sin": _np.sin, "_cos": _np.cos,  # noqa: S307
-                      "_exp": _np.exp, "_sqrt": _np.sqrt,
-                      "_abs": _np.abs, "_sign": _np.sign})
+    code = _code(_kernel_source(exprs, names), "eval")
+    return eval(code, {"_sin": _np.sin, "_cos": _np.cos,  # noqa: S307
+                       "_exp": _np.exp, "_sqrt": _np.sqrt,
+                       "_abs": _np.abs, "_sign": _np.sign})
 
 
 def compile_exprs_into(exprs, names):
@@ -1208,7 +1234,9 @@ def compile_exprs_into(exprs, names):
 
     `args` is as for compile_exprs; `out` is a sequence of equally-shaped
     arrays that alias no argument.  The kernel keeps its scratch arrays
-    from one call to the next, so it serves one caller at a time.
+    from one call to the next, so it serves one caller at a time.  The code
+    is compiled once per source (`_code`); each call gets its own function
+    and scratch rows.
     """
     import numpy as _np
 
@@ -1224,7 +1252,7 @@ def compile_exprs_into(exprs, names):
            "_scratch": scratch, "_sin": _np.sin, "_cos": _np.cos,
            "_exp": _np.exp, "_sqrt": _np.sqrt, "_abs": _np.abs,
            "_sign": _np.sign}
-    exec(src, env)  # noqa: S102 - from our own AST
+    exec(_code(src, "exec"), env)  # noqa: S102 - from our own AST
     return env["_f"]
 
 
@@ -1258,9 +1286,9 @@ _SCALAR_FUNCS = {"_sin": math.sin, "_cos": math.cos, "_exp": _exp_or_inf,
 
 def compile_exprs_scalar(exprs, names):
     """compile_exprs for one point of Python floats (much faster than numpy
-    for single runs)."""
-    src = _kernel_source(exprs, names)
-    return eval(src, dict(_SCALAR_FUNCS))  # noqa: S307 - from our own AST
+    for single runs), from the same cache of code objects."""
+    code = _code(_kernel_source(exprs, names), "eval")
+    return eval(code, dict(_SCALAR_FUNCS))  # noqa: S307 - from our own AST
 
 
 def _step_source(exprs, names, integrator, bound):
@@ -1326,9 +1354,11 @@ def _step_source(exprs, names, integrator, bound):
 
 def compile_block_scalar(exprs, names, integrator, bound):
     """steps(x, W1, W2, W4, dt) -> (states, stop): the RK4 (or Euler) steps
-    of dx/dt = exprs on Python floats that _step_source writes."""
+    of dx/dt = exprs on Python floats that _step_source writes, compiled
+    once per source (`_code`) and run in a fresh environment per call."""
     env = dict(_SCALAR_FUNCS)
-    exec(_step_source(exprs, names, integrator, bound), env)  # noqa: S102
+    code = _code(_step_source(exprs, names, integrator, bound), "exec")
+    exec(code, env)  # noqa: S102 - from our own AST
     return env["_steps"]
 
 

@@ -217,6 +217,52 @@ def _reference_evalf(e, env):
     return ev(e)
 
 
+def _reference_frac_cancel(num, den):
+    """expr._frac_cancel without its fast path for the exact denominator 1:
+    the Pythagorean pass on both parts, the common monomial content, exact
+    division both ways, then a leading denominator coefficient of 1."""
+    from normform.expr import (_Frac, _div, _mono_divides, _poly_const,
+                               _poly_divide_exact, _poly_lead,
+                               _pythagorean_pass)
+    num = _pythagorean_pass(dict(num))
+    den = _pythagorean_pass(dict(den))
+    if not num:
+        return _Frac({}, _poly_const(1))
+
+    def content(p):
+        it = iter(p)
+        first = dict(next(it))
+        for m in it:
+            dm = dict(m)
+            for a in list(first):
+                e = min(first[a], dm.get(a, 0))
+                if e <= 0:
+                    del first[a]
+                else:
+                    first[a] = e
+            if not first:
+                break
+        return first
+    cn, cd = content(num), content(den)
+    common = {a: min(e, cd.get(a, 0)) for a, e in cn.items() if cd.get(a, 0) > 0}
+    if common:
+        cm = tuple(sorted(common.items(), key=lambda ae: ae[0].key))
+        num = {_mono_divides(cm, m): c for m, c in num.items()}
+        den = {_mono_divides(cm, m): c for m, c in den.items()}
+    if den != _poly_const(1):
+        q = _poly_divide_exact(num, den)
+        if q is not None:
+            return _Frac(q, _poly_const(1))
+        q = _poly_divide_exact(den, num)
+        if q is not None and q:
+            return _Frac(_poly_const(1), q)
+    ld = den[_poly_lead(den)]
+    if ld != 1:
+        den = {m: _div(c, ld) for m, c in den.items()}
+        num = {m: _div(c, ld) for m, c in num.items()}
+    return _Frac(num, den)
+
+
 def _reference_project_points(system, theta_stack, samples, out, k):
     """The per-point damped Gauss-Newton loop that projected the samples
     onto the zero set before the projection ran on all of them at once:

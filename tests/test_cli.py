@@ -308,3 +308,44 @@ def test_simulate_rejects_controller_variables_outside_the_system(tmp_path, caps
                    "[lyapunov]\nW = eta1^2 + z\n")
     code, _, err = run_main(argv, capsys)
     assert (code, err) == (1, "error: line 6: unknown variables ['z']\n")
+
+
+def test_calls_in_one_process_give_their_first_run_output(tmp_path, capsys):
+    # the parser and the compiled kernels are built once per process; each
+    # call still gives what it gives when run first (the goldens)
+    from test_golden import GOLDEN, SIMULATE
+
+    def golden(sub, name):
+        return (GOLDEN / sub / name).read_text()
+
+    for argv, name in [(["--zero-output"], "ex33_zero-output"), ([], "ex33")]:
+        code, out, _ = run_main(["analyze", SYS / "ex33.sys", *argv], capsys)
+        assert f"exit {code}\n{out}" == golden("analyze", f"{name}.stdout")
+    stem, backstep_args, simulate_args = SIMULATE["nf_addexam"]
+    nf = SYS / f"{stem}.nf"
+    code, out, _ = run_main(["backstep", nf, *backstep_args], capsys)
+    assert f"exit {code}\n{out}" == golden("simulate", "nf_addexam.backstep.stdout")
+    ctl = tmp_path / "addexam.ctl"
+    ctl.write_text(out[:out.rindex("\n[") + 1])
+    argv = ["simulate", nf, "--controller", ctl, *simulate_args,
+            "--dt", "0.01", "--horizon", "1"]
+    with_gamma = golden("simulate", "nf_addexam.simulate.stdout")
+    assert "--gamma" in argv and with_gamma.endswith("pass=True\n")
+    code, out, _ = run_main(argv, capsys)
+    assert f"exit {code}\n{out}" == with_gamma
+    at = argv.index("--gamma")
+    code, out, _ = run_main(argv[:at] + argv[at + 2:], capsys)
+    assert f"exit {code}\n{out}" == with_gamma[:with_gamma.rindex("l2 gain")]
+    # an argparse error after a successful call, as in a fresh process
+    fresh = subprocess.run(
+        [sys.executable, "-m", "normform.cli", "backstep", str(nf)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    with pytest.raises(SystemExit) as exc:
+        main(["backstep", str(nf)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (fresh.returncode, fresh.stdout,
+                                          fresh.stderr)
+    assert fresh.returncode == 2
+    assert err.startswith("usage: normform backstep ")
+    assert "the following arguments are required: --kappa" in err

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (_reference_diff_raw, _reference_evalf, term_budget,
-                      unmarked_copy)
+from conftest import (_reference_diff_raw, _reference_evalf,
+                      _reference_frac_cancel, term_budget, unmarked_copy)
 from normform.expr import (_FRAC_KEY, SAMPLE_CUTOFF, SAMPLE_REDRAWS,
-                           TERM_BUDGET, ONE, ZERO, Add, Const, EvalError, Func,
+                           TERM_BUDGET, ONE, ZERO, Add, BudgetError, Const,
+                           EvalError, Func,
                            Mul, ParseError, Pow, Var, _CHUNK, _diff_raw,
                            _expand, _Frac, _frac_add, _frac_cancel,
-                           _frac_written, _kernel_source, _poly_const,
-                           _poly_written, _to_frac,
+                           _frac_mul, _frac_written, _kernel_source,
+                           _mono_mul, _poly_const, _poly_mul, _poly_written,
+                           _to_frac,
                            _var_names, backends_agree, compile_exprs,
-                           compile_exprs_into, compile_exprs_scalar, const,
+                           compile_block_scalar, compile_exprs_into,
+                           compile_exprs_scalar, const,
                            diff, equivalent, evalf, free_vars,
                            numeric_equivalent, parse, render, sample_box,
                            simplify, subs)
@@ -832,6 +835,77 @@ def test_compile_binds_names_as_list_index_does():
         assert compile_([Var("w")], ["w", "x", "w"])([1.0, 2.0, 3.0]) == [1.0]
 
 
+# compiled once per process: kernels of one source share a code object,
+# never an environment or scratch rows
+_SHARED_SOURCE = [parse("(x1 + x2)*(x1 - x2) + sin(x1*x2)*(x1*x2 + 1)"),
+                  parse("x1*x2*x2 + (x1 + 1)*(x2 + 2) + x1^3")]
+
+
+def _uncached(monkeypatch):
+    from normform import expr
+    monkeypatch.setattr(expr, "_code", expr._code.__wrapped__)
+
+
+def test_into_kernels_of_one_source_keep_their_own_scratch(monkeypatch):
+    names = ["x1", "x2"]
+    k1 = compile_exprs_into(_SHARED_SOURCE, names)
+    k2 = compile_exprs_into(_SHARED_SOURCE, names)
+    assert k1.__code__ is k2.__code__ and k1.__globals__ is not k2.__globals__
+    _uncached(monkeypatch)
+    r1 = compile_exprs_into(_SHARED_SOURCE, names)
+    r2 = compile_exprs_into(_SHARED_SOURCE, names)
+    assert r1.__code__ is not k1.__code__
+    rng = np.random.default_rng(3)
+    # interleaved calls on two shapes, each kernel against its own compile;
+    # a call of one kernel leaves the other's scratch rows where they were
+    for k, shape in enumerate([(5,), (3, 4), (5,), (3, 4), (2,)]):
+        kernel, ref, other = (k1, r1, k2) if k % 2 == 0 else (k2, r2, k1)
+        args = list(rng.uniform(-2, 2, size=(2,) + shape))
+        got, want = np.empty((2,) + shape), np.empty((2,) + shape)
+        rows = kernel.__globals__["_scratch"](got[0])
+        held = other.__globals__["_scratch"](np.empty(7))
+        kernel(args, got)
+        ref(args, want)
+        assert got.tobytes() == want.tobytes()
+        assert rows and kernel.__globals__["_scratch"](got[0]) is rows
+        assert other.__globals__["_scratch"](np.empty(7)) is held
+
+
+def test_block_steppers_of_one_source_run_independently(monkeypatch):
+    exprs = [parse("x2"), parse("-x1 + x2^2 + w")]
+    names = ["x1", "x2", "w"]
+    s1 = compile_block_scalar(exprs, names, "rk4", 1e8)
+    s2 = compile_block_scalar(exprs, names, "rk4", 1e8)
+    assert s1.__code__ is s2.__code__ and s1.__globals__ is not s2.__globals__
+    _uncached(monkeypatch)
+    ref = compile_block_scalar(exprs, names, "rk4", 1e8)
+    w = [0.1 * k for k in range(40)]
+    w1, w2, w4 = w[:-1], [v + 0.05 for v in w[:-1]], w[1:]
+    # interleaved blocks: the first stepper continues its run, the second
+    # restarts one that leaves the bound within the block
+    x, y = (0.5, -0.2), (3.0, 2.0)
+    for _ in range(3):
+        got1, got2 = s1(x, w1, w2, w4, 0.01), s2(y, w1, w2, w4, 0.1)
+        assert got1 == ref(x, w1, w2, w4, 0.01) and got1[1] is None
+        assert got2 == ref(y, w1, w2, w4, 0.1) and got2[1] is True
+        assert len(got2[0]) < len(w1)
+        x = got1[0][-1]
+
+
+def test_a_repeated_source_is_a_cache_hit():
+    from normform.expr import _CODE_CACHE_SIZE, _code
+    assert _code.cache_info().maxsize == _CODE_CACHE_SIZE < math.inf
+    exprs, names = [parse("x1*x2 + sqrt(2)*x1")], ["x1", "x2"]
+    compile_exprs_scalar(exprs, names)
+    before = _code.cache_info()
+    f = compile_exprs_scalar(exprs, names)
+    g = compile_exprs(exprs, names)
+    after = _code.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    assert f is not g and f.__code__ is g.__code__
+    assert f([2.0, 3.0]) == [6.0 + math.sqrt(2) * 2.0]
+
+
 def _squares_as_products(e):
     if isinstance(e, (Const, Var)):
         return e
@@ -998,6 +1072,61 @@ def test_stored_fraction_multiplies_floats_as_a_fresh_copy(e1, e2):
     except ZeroDivisionError:
         assume(False)
     assert first.key == simplify(Mul((unmarked_copy(s1), e2))).key
+
+
+_SIN, _COS = Func("sin", Var("x1")), Func("cos", Var("x1"))
+POLY_COEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+        bool).map(lambda c: c.numerator if c.denominator == 1 else c),
+    st.sampled_from((0.5, -1.25, 0.1, 3.0, 1.0)))
+
+
+@st.composite
+def poly_dicts(draw, min_terms=0):
+    """A polynomial dict over x1, x2, sin(x1), cos(x1), with exact and float
+    coefficients; some monomials come with sin^2 and cos^2 partners."""
+    p = {}
+    for _ in range(draw(st.integers(min_terms, 4))):
+        mono = ()
+        for atom in (Var("x1"), Var("x2"), _SIN, _COS):
+            e = draw(st.integers(0, 2))
+            if e:
+                mono = _mono_mul(mono, ((atom, e),))
+        p[mono] = draw(POLY_COEFFS)
+        if draw(st.booleans()):
+            for atom in (_SIN, _COS):
+                p[_mono_mul(mono, ((atom, 2),))] = draw(POLY_COEFFS)
+    return p
+
+
+DENOMINATORS = st.one_of(st.sampled_from(({(): 1}, {(): 1.0}, {(): Fraction(1)},
+                                           {(): 2}, {(): -1})),
+                         poly_dicts(min_terms=1))
+
+
+def _cancelled(fn, *args):
+    try:
+        return [_typed(p) for p in fn(*args)]
+    except (ZeroDivisionError, BudgetError, StopIteration) as exc:
+        # StopIteration: a denominator that the Pythagorean pass empties
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_dicts(), DENOMINATORS, poly_dicts(), DENOMINATORS)
+@example({((_SIN, 2),): 3, ((_COS, 2),): 5, (): 1}, {(): 1}, {}, {(): 1})
+@example({_mono_mul(((_SIN, 2),), ((Var("x2"), 1),)): 0.5,
+          _mono_mul(((_COS, 2),), ((Var("x2"), 1),)): 1.0},
+         {(): 1}, {((_SIN, 2),): 2}, {(): 1.0})
+def test_frac_cancel_matches_the_general_body(n1, d1, n2, d2):
+    # the exact denominator 1 takes a fast path with the general result:
+    # the same dicts, in the same order, with the same coefficient types
+    assert _cancelled(_frac_cancel, n1, d1) == _cancelled(
+        _reference_frac_cancel, n1, d1)
+    want = _cancelled(lambda: _reference_frac_cancel(_poly_mul(n1, n2),
+                                                     _poly_mul(d1, d2)))
+    assert _cancelled(_frac_mul, _Frac(n1, d1), _Frac(n2, d2)) == want
 
 
 # ---------------------------------------------------------------------------
