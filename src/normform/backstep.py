@@ -217,17 +217,6 @@ class ControlLaw:
         return lie_derivative(VectorField(self.closed_loop_rhs(),
                                           self.system.state_names()), self.W)
 
-    def check_decrease(self, seed=17, npoints=500, tol=1e-9, box=(-1.0, 1.0)):
-        """Sampled Wdot <= tol at seeded nonzero points (no disturbance)."""
-        names = self.system.state_names()
-        pts = np.random.default_rng(seed).uniform(*box, size=(npoints, len(names)))
-        wdot, w = SymMatrix([[self.w_dot(), self.W]]).sample(names, pts.T)[:, 0].T
-        bad = wdot > tol * (1.0 + np.abs(w))
-        if bad.any():
-            i = int(np.argmax(bad))
-            return False, float(wdot[i]), dict(zip(names, pts[i].tolist()))
-        return True, float(np.max(wdot, initial=-np.inf)), None
-
 
 def parse_kappa(text):
     """Parse 'xi1_1,xi2_1,...' (whitespace tolerated) into a name list."""
@@ -339,11 +328,6 @@ class _Engine:
     def step(self, wname):
         cs = self.cs
         self.step_no += 1
-        if wname in self.active:
-            raise OrderViolation("malformed", f"{wname} stepped twice")
-        if wname not in self.applied:
-            raise OrderViolation("2a", f"no virtual law available for {wname}; "
-                                 "its chain predecessor was not stepped")
         phi_w = self.applied[wname]
         i, j = cs.locate(wname)
         driver = cs.v_name(i) if j == cs.q[i - 1] else cs.xi_name(i, j + 1)
@@ -431,12 +415,15 @@ def _coupling(w, names, rows):
     return field
 
 
-def _finish(engine, kappa, supply=None):
+def _run(engine, kappa, steps, supply=None):
+    """Step each variable of `steps` in turn and collect the control law;
+    a gain on a variable that is not stepped is refused."""
+    unused = sorted(set(engine.gains) - set(steps))
+    if unused:
+        raise ValueError(f"gains for variables that are not stepped: {unused}")
+    for wname in steps:
+        engine.step(wname)
     cs = engine.cs
-    missing = [cs.v_name(i + 1) for i in range(cs.m)
-               if cs.v_name(i + 1) not in engine.vmap]
-    if missing:
-        raise OrderViolation("malformed", f"controls never derived: {missing}")
     v = [engine.vmap[cs.v_name(i + 1)] for i in range(cs.m)]
     return ControlLaw(cs, kappa, v, engine.V, engine.ledger, supply=supply)
 
@@ -454,10 +441,7 @@ def synthesize(system, kappa, stab, gains=None):
             stab.validate(system.eta_names, rhs_at_phi)
         else:
             stab.validate(system.eta_names)
-    engine = _Engine(system, stab, gains=gains)
-    for wname in kappa:
-        engine.step(wname)
-    return _finish(engine, kappa)
+    return _run(_Engine(system, stab, gains=gains), kappa, kappa)
 
 
 def _phi_env(system, stab):
@@ -576,10 +560,10 @@ def _lyap_solve(A, Q):
     return (P + P.T) / 2
 
 
-def semi_global_synthesize(system, lengths, kappa, stab, eps, poles=None,
-                           gains=None):
+def semi_global_synthesize(system, lengths, kappa, stab, eps, gains=None):
     """Low-gain slow laws on the linear front of each chain, then
-    backstepping over the remaining variables.
+    backstepping over the remaining variables.  The slow laws place every
+    pole at -1.
 
     lengths[i] marks the slot of chain i driving the residual block;
     admissible when lengths[0] <= q_1 + 1 and lengths[i] <= q_1 otherwise.
@@ -598,7 +582,7 @@ def semi_global_synthesize(system, lengths, kappa, stab, eps, poles=None,
             for s in range(system.m) for p in range(lengths[s] - 1)]
     if set(kappa[:len(slow)]) != set(slow):
         raise ValueError("kappa must start with the slow chain variables")
-    design = low_gain(lengths, eps, poles)
+    design = low_gain(lengths, eps)
 
     _check_order(system, kappa)
     # the slow block starts active, closed by the low-gain laws, and its
@@ -613,9 +597,7 @@ def semi_global_synthesize(system, lengths, kappa, stab, eps, poles=None,
             engine.vmap[system.v_name(s + 1)] = design.laws[s]
         else:
             engine.applied[system.xi_name(s + 1, l)] = design.laws[s]
-    for wname in kappa[len(slow):]:
-        engine.step(wname)
-    return _finish(engine, kappa)
+    return _run(engine, kappa, kappa[len(slow):])
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +652,8 @@ def da_synthesize(system, kappa, stab, gamma, eps, budgets=None, gains=None):
         total = simplify(ge * ge + sum((b for b in budgets), start=const(0)))
         if len(budgets) != n_d:
             raise ValueError("need one budget per step")
-    engine = _Engine(system, stab, gains=gains, budgets=budgets)
-    for wname in kappa:
-        engine.step(wname)
-    return _finish(engine, kappa, supply=(total, budgets))
+    return _run(_Engine(system, stab, gains=gains, budgets=budgets), kappa,
+                kappa, supply=(total, budgets))
 
 
 # ---------------------------------------------------------------------------

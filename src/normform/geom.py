@@ -128,9 +128,6 @@ class SymMatrix:
     def is_constant(self):
         return all(not free_vars(e) for r in self.rows for e in r)
 
-    def to_numpy_constant(self):
-        return self.eval_at({})
-
     @staticmethod
     def from_numpy(a):
         a = np.asarray(a)
@@ -483,8 +480,10 @@ def rank(a, tol):
 
     A 2-D matrix gives an int.  A stack of shape (..., r, c) gives an int
     array of per-matrix ranks, all from one np.linalg.svd call.  A matrix
-    with no rows or no columns has rank 0.
+    with no rows or no columns has rank 0.  A tol that is not positive and
+    finite is refused.
     """
+    _check_tol(tol)
     a = np.asarray(a, dtype=float)
     if a.size:
         with np.errstate(all="ignore"):
@@ -494,6 +493,13 @@ def rank(a, tol):
     else:
         r = np.zeros(a.shape[:-2], dtype=int)
     return int(r) if a.ndim == 2 else r
+
+
+def _check_tol(tol):
+    # a nan or inf tol counts no singular value, and tol <= 0 counts rounding
+    # noise as rank
+    if not 0 < tol < np.inf:
+        raise ValueError(f"rank tolerance must be positive and finite, got {tol}")
 
 
 def complete_rows(base, candidates, need, tol):

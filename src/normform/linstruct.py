@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import complete_rows, rank
+from .geom import _check_tol, complete_rows, rank
 from .structure import (_chain_coords, _sel_product, _settle,
                         chain_structure, select_RS)
 from .sysmodel import SystemFormatError, numbered_lines
@@ -63,6 +63,10 @@ def load_matrix(path):
         except ValueError:
             raise SystemFormatError(f"{path}: expected numbers, got {line!r}",
                                     lineno) from None
+        for word, v in zip(line.split(), rows[-1]):
+            if not np.isfinite(v):
+                raise SystemFormatError(f"{path}: entry {word} is not finite",
+                                        lineno)
         if len(rows[-1]) != len(rows[0]):
             raise SystemFormatError(f"{path}: row has {len(rows[-1])} entries, "
                                     f"the first has {len(rows[0])}", lineno)
@@ -138,6 +142,7 @@ def vector_relative_degree(triple, tol=LIN_TOL):
     nonsingular decoupling matrix.  None when either part fails."""
     if triple.m != triple.p:
         raise ValueError("vector relative degree requires m = p")
+    _check_tol(tol)
     A, B, C = triple.A, triple.B, triple.C
     n, m = triple.n, triple.m
     r = []

@@ -57,9 +57,6 @@ class NormalForm:
     def forward_exprs(self):
         return self.eta_exprs + [e for chain in self.chains for e in chain]
 
-    def forward_map(self):
-        return dict(zip(self.forward_names(), self.forward_exprs()))
-
     def delta_entry(self, i, j, l):
         return self.delta.get((i, j, l), const(0))
 

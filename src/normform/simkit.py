@@ -73,14 +73,14 @@ def step_signal(off_at, scale=1.0):
     return Signal(lambda t: float(scale) if 0.0 <= t < off_at else 0.0)
 
 
-def noise_signal(seed, segment=0.01, lo=0.0, hi=1.0, horizon=100.0, nruns=1):
-    """Piecewise-constant seeded noise: a fresh uniform draw every `segment`
-    seconds, one row per run."""
-    nseg = int(np.ceil(horizon / segment)) + 2
-    table = np.random.default_rng(seed).uniform(lo, hi, size=(nruns, nseg))
+def noise_signal(seed, horizon=100.0, nruns=1):
+    """Piecewise-constant seeded noise: a fresh uniform draw from [0, 1)
+    every 0.01 s, one row per run."""
+    nseg = int(np.ceil(horizon / 0.01)) + 2
+    table = np.random.default_rng(seed).uniform(0.0, 1.0, size=(nruns, nseg))
 
     def fn(t):
-        idx = min(int(t / segment), nseg - 1)
+        idx = min(int(t / 0.01), nseg - 1)
         return table[:, idx]
 
     return Signal(fn)
@@ -122,13 +122,9 @@ class Trace:
                      self.diverged_runs[k:k + 1], w=run(self.w), V=run(self.V),
                      int_y2=run(self.int_y2), int_w2=run(self.int_w2))
 
-    def final_state(self, k=0):
-        return self.x[-1, k]
-
 
 def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
-             input_exprs=(), output_exprs=(), V_expr=None, input_names=None,
-             output_names=None):
+             input_exprs=(), output_exprs=(), V_expr=None):
     """Integrate dx/dt = rhs(x, w(t)) with fixed-step RK4 (or Euler).
 
     x0 may be one initial state or a batch (nruns, n).  A run diverges
@@ -136,7 +132,8 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     ends its trace there.  In a batch, a diverged run is frozen at its last
     accepted state and the others go on; the trace ends with the step at
     which the last live runs diverge.  `Trace.diverged_runs` flags each
-    run, `Trace.diverged` any run.
+    run, `Trace.diverged` any run.  The input channels are named u1, u2,
+    and so on, the outputs y1, y2, and so on.
     """
     cfg = cfg or SimConfig()
     w_signal = w_signal or zero_signal()
@@ -170,8 +167,8 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
         int_w2 = _running_trapezoid(ts, ws * ws)
 
     return Trace(ts, xs.transpose(0, 2, 1), channels[:, :, :nu], ys, names,
-                 input_names or [f"u{i + 1}" for i in range(nu)],
-                 output_names or [f"y{i + 1}" for i in range(ny)], ~alive, w=ws,
+                 [f"u{i + 1}" for i in range(nu)],
+                 [f"y{i + 1}" for i in range(ny)], ~alive, w=ws,
                  V=channels[:, :, -1] if V_expr is not None else None,
                  int_y2=int_y2, int_w2=int_w2)
 
@@ -297,39 +294,38 @@ def _running_trapezoid(ts, vals):
     return out
 
 
-def lyapunov_monitor(trace, run=0):
-    """Max single-step increase of V along the trace and the V series."""
+def lyapunov_monitor(trace):
+    """Max single-step increase of V along the trace's first run and its V
+    series."""
     if trace.V is None:
         raise ValueError("trace carries no V channel")
-    V = trace.V[:, run]
+    V = trace.V[:, 0]
     diffs = np.diff(V)
     return {"max_increase": float(np.max(diffs)) if diffs.size else 0.0,
             "V": V}
 
 
-def l2_gain_check(trace, gamma, V0=0.0, run=0, rel_tol=1e-6):
-    """Trapezoidal check of   int ||y||^2 <= gamma^2 int w^2 + V0."""
+def l2_gain_check(trace, gamma, V0=0.0):
+    """Trapezoidal check of   int ||y||^2 <= gamma^2 int w^2 + V0   on the
+    trace's first run, to a relative 1e-6."""
     if trace.int_y2 is None:
         raise ValueError("trace carries no output channel")
-    lhs = float(trace.int_y2[-1, run])
-    rhs = float(gamma) ** 2 * float(trace.int_w2[-1, run]) + float(V0)
-    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs * (1.0 + rel_tol)}
+    lhs = float(trace.int_y2[-1, 0])
+    rhs = float(gamma) ** 2 * float(trace.int_w2[-1, 0]) + float(V0)
+    return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs * (1.0 + 1e-6)}
 
 
 def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None,
-                   w_maker=None, **kw):
-    """Monte-Carlo batch: initial conditions uniform in ic_box, one RK4 sweep
-    for the whole batch.  Per-run disturbance seeds derive from the master
-    seed, so the batch is reproducible bit-for-bit."""
+                   **kw):
+    """Monte-Carlo batch: initial conditions uniform in ic_box, drawn from
+    the master seed, and one RK4 sweep for the whole batch with w = 0, so
+    the batch is reproducible bit-for-bit."""
     rng = np.random.default_rng(master_seed)
     n = len(state_names)
     lo = np.array([b[0] for b in ic_box])
     hi = np.array([b[1] for b in ic_box])
     x0 = rng.uniform(lo, hi, size=(nruns, n))
-    w_signal = None
-    if w_maker is not None:
-        w_signal = w_maker(int(rng.integers(0, 2**32)), nruns)
-    trace = simulate(rhs_exprs, state_names, x0, cfg=cfg, w_signal=w_signal, **kw)
+    trace = simulate(rhs_exprs, state_names, x0, cfg=cfg, **kw)
     # a contiguous copy: norm's pairwise summation runs on contiguous rows
     norms = np.linalg.norm(np.ascontiguousarray(trace.x[-1]), axis=1)
     return {
@@ -343,17 +339,16 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None,
     }
 
 
-def trace_to_csv(trace, run=0):
-    """CSV text: t, states, inputs, outputs[, V, intY2, intW2] at 12
-    significant digits."""
+def trace_to_csv(trace):
+    """CSV text of the trace's first run: t, states, inputs, outputs[, V,
+    intY2, intW2] at 12 significant digits."""
     cols = ["t"] + trace.names + trace.input_names + trace.output_names
-    series = [trace.t[:, None], trace.x[:, run], trace.u[:, run],
-              trace.y[:, run]]
+    series = [trace.t[:, None], trace.x[:, 0], trace.u[:, 0], trace.y[:, 0]]
     for name, v in (("V", trace.V), ("intY2", trace.int_y2),
                     ("intW2", trace.int_w2)):
         if v is not None:
             cols.append(name)
-            series.append(v[:, run, None])
+            series.append(v[:, 0, None])
     line = ",".join(["%.12g"] * len(cols)) + "\n"
     buf = io.StringIO()
     buf.write(",".join(cols) + "\n")

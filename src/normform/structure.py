@@ -475,18 +475,18 @@ def apply_output_injection(system, F):
                         dict(system.domain), name=system.name + "+injection")
 
 
-def invariance_harness(system, n_trials=20, seed=7, tol=DEFAULT_TOL, plan=None,
-                       zero_output=False):
-    """Apply seeded random admissible transforms and re-run the algorithm;
-    returns {transform kind: [q lists]} for comparison with the baseline.
+def invariance_harness(system, n_trials=20, seed=7, plan=None):
+    """Apply seeded random admissible transforms and re-run the infinite
+    zero structure algorithm; returns {transform kind: [q lists]} for
+    comparison with the baseline.
 
     Rank hypotheses of a transformed system are checked at the images of the
     baseline sample points, so open-set assumptions carry over exactly.
     """
-    algo = zero_output_algorithm if zero_output else infinite_zero_algorithm
     plan = plan or SamplePlan(count=40)
     base_points = plan.realize(system)
-    base = algo(system, SamplePlan(points=base_points), tol).raise_if_irregular()
+    base = infinite_zero_algorithm(
+        system, SamplePlan(points=base_points)).raise_if_irregular()
     rng = np.random.default_rng(seed)
     results = {"baseline": base.q, "trials": {}}
 
@@ -532,7 +532,7 @@ def invariance_harness(system, n_trials=20, seed=7, tol=DEFAULT_TOL, plan=None,
         qs = []
         for _ in range(n_trials):
             transformed, tplan = make()
-            res = algo(transformed, tplan, tol)
+            res = infinite_zero_algorithm(transformed, tplan)
             qs.append(res.q if res.regular else None)
         results["trials"][kind] = qs
     return results

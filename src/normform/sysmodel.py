@@ -132,10 +132,8 @@ def sample_domain(plan, system):
 
 
 class RankReport:
-    def __init__(self, ranks, points, tol):
+    def __init__(self, ranks):
         self.ranks = list(ranks)
-        self.points = list(points)
-        self.tol = tol
 
     @property
     def constant(self):
@@ -147,24 +145,18 @@ class RankReport:
             raise ValueError("rank is not constant across samples")
         return self.ranks[0]
 
-    def dissenting_points(self):
-        if self.constant:
-            return []
-        majority = max(set(self.ranks), key=self.ranks.count)
-        return [(p, r) for p, r in zip(self.points, self.ranks) if r != majority]
-
     def __repr__(self):
         return f"RankReport(constant={self.constant}, ranks={sorted(set(self.ranks))})"
 
 
-def numeric_rank(matrix, points, state_names, tol=DEFAULT_TOL):
-    """Per-point numeric rank of a SymMatrix, by the rule of geom.rank.
-    Raises EvalError naming the first point where an entry is undefined or
-    not finite."""
+def numeric_rank(matrix, points, state_names):
+    """Per-point numeric rank of a SymMatrix, by the rule of geom.rank at
+    DEFAULT_TOL.  Raises EvalError naming the first point where an entry is
+    undefined or not finite."""
     if not points:
         raise ValueError("numeric_rank needs at least one point")
     vals = matrix.sample(state_names, np.transpose(points))
-    return RankReport(rank(vals, tol).tolist(), points, tol)
+    return RankReport(rank(vals, DEFAULT_TOL).tolist())
 
 
 # ---------------------------------------------------------------------------

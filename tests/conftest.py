@@ -175,6 +175,22 @@ def _reference_w_dot(law):
     return simplify(acc)
 
 
+def check_decrease(law, seed=17, npoints=500):
+    """Sampled Wdot <= 1e-9 (1 + |W|) of a ControlLaw at seeded points of
+    [-1, 1]^n (no disturbance): (ok, worst Wdot or the first violation,
+    None or the violating point)."""
+    from normform.geom import SymMatrix
+    names = law.system.state_names()
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                              size=(npoints, len(names)))
+    wdot, w = SymMatrix([[law.w_dot(), law.W]]).sample(names, pts.T)[:, 0].T
+    bad = wdot > 1e-9 * (1.0 + np.abs(w))
+    if bad.any():
+        i = int(np.argmax(bad))
+        return False, float(wdot[i]), dict(zip(names, pts[i].tolist()))
+    return True, float(np.max(wdot, initial=-np.inf)), None
+
+
 def _reference_evalf(e, env):
     """The recursive tree walk that evaluated at one point before evalf
     became a call of the scalar kernel: Python floats node by node, a sum

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import SYSTEMS, _reference_w_dot
+from conftest import SYSTEMS, _reference_w_dot, check_decrease
 from normform.backstep import (ChainSystem, ControlLaw, Disturbance,
                                OrderViolation, Stabilizer, _Engine,
                                da_synthesize, dissipative_backstep,
@@ -118,7 +118,7 @@ class TestMixedExample:
         assert simplify(mixed_law.w_dot() - expect) == const(0)
 
     def test_sampled_decrease(self, mixed_law):
-        ok, worst, _ = mixed_law.check_decrease(seed=21, npoints=500)
+        ok, worst, _ = check_decrease(mixed_law, seed=21, npoints=500)
         assert ok, f"Wdot positive somewhere: {worst}"
 
     def test_pure_orders_rejected(self, mixed_sys, mixed_stab):
@@ -324,7 +324,7 @@ class TestSemiGlobal:
         from normform.geom import jacobian
         J = jacobian(rhs, names)
         assert J.is_constant()
-        eig = np.linalg.eigvals(J.to_numpy_constant())
+        eig = np.linalg.eigvals(J.eval_at({}))
         assert np.all(eig.real < 0)
 
 
@@ -559,7 +559,7 @@ def test_sampled_checks_raise_where_undefined(linear_sys, linear_stab):
         Stabilizer([parse("-eta1")], V).validate(["eta1"], [parse("-eta1")])
     law = synthesize(linear_sys, "xi1_1,xi1_2,xi2_1,xi2_2", linear_stab)
     with pytest.raises(EvalError):
-        ControlLaw(linear_sys, law.kappa, law.v, V, []).check_decrease()
+        check_decrease(ControlLaw(linear_sys, law.kappa, law.v, V, []))
 
 
 # the designs the CLI builds for the shipped chain systems, as in the golden
@@ -594,3 +594,23 @@ def test_w_dot_matches_the_reference_sum_with_symbolic_parameters(semi_law,
         wdot = law.w_dot()
         assert name in free_vars(wdot)
         assert wdot.key == _reference_w_dot(law).key
+
+
+def test_a_gain_on_a_variable_that_is_not_stepped_is_refused(
+        mixed_sys, mixed_stab, semiglobal_sys, semiglobal_stab, addexam_sys,
+        addexam_stab):
+    # such a gain was dropped without a word
+    with pytest.raises(ValueError, match=r"not stepped: \['xi9_9'\]"):
+        synthesize(mixed_sys, MIXED_KAPPA, mixed_stab,
+                   gains={**MIXED_GAINS, "xi9_9": 3})
+    with pytest.raises(ValueError, match=r"not stepped: \['xi1_l'\]"):
+        da_synthesize(addexam_sys, "xi2_1,xi1_1,xi2_2", addexam_stab, 0.5,
+                      0.1, gains={**ADD_GAINS, "xi1_l": 2})
+    # the low-gain laws close the slow variables; they are not stepped
+    with pytest.raises(ValueError, match=r"not stepped: \['xi1_2'\]"):
+        semi_global_synthesize(semiglobal_sys, [3, 2], SEMI_KAPPA,
+                               semiglobal_stab, 0.5,
+                               gains={"xi1_2": 2, "xi2_3": 2})
+    law = semi_global_synthesize(semiglobal_sys, [3, 2], SEMI_KAPPA,
+                                 semiglobal_stab, 0.5, gains={"xi2_3": 2})
+    assert [e["gain"] for e in law.ledger] == [1, 2]

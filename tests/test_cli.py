@@ -122,6 +122,46 @@ def test_linzeros_relative_degree_transform(capsys):
     assert code == 0 and "vector relative degree: {1, 2}" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_a_tol_not_positive_and_finite_is_refused(capsys, tol):
+    # nan and inf read every rank as 0, -1 every rank as full, and linzeros
+    # at nan ended in a numpy error
+    for argv in (["analyze", SYS / "ex31.sys"],
+                 ["linzeros", "--a", LIN / "exam1_A.txt", "--b",
+                  LIN / "exam1_B.txt", "--c", LIN / "exam1_C.txt"]):
+        assert run_main(argv + ["--tol", tol], capsys) == (
+            1, "", "error: rank tolerance must be positive and finite, "
+                   f"got {float(tol)}\n")
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b", "--c", "--output-transform"])
+@pytest.mark.parametrize("word", ["nan", "inf", "infinity"])
+def test_linzeros_refuses_a_matrix_entry_that_is_not_finite(tmp_path, capsys,
+                                                           flag, word):
+    files = {"--a": "A", "--b": "B", "--c": "C", "--output-transform": "To"}
+    argv = ["linzeros"]
+    for f, key in files.items():
+        path = LIN / f"exam_sch_{key}.txt"
+        if f == flag:
+            lines = path.read_text().splitlines()
+            lines[-1] = " ".join([word] + lines[-1].split()[1:])
+            path = tmp_path / path.name
+            path.write_text("\n".join(lines) + "\n")
+            want = (f"error: line {len(lines)}: {path}: entry {word} is not "
+                    "finite\n")
+        argv += [f, path]
+    assert run_main(argv, capsys) == (1, "", want)
+
+
+def test_backstep_refuses_a_gain_that_no_step_uses(capsys):
+    code, out, err = run_main(
+        ["backstep", SYS / "nf_uchain.nf", "--kappa", "xi1_1,xi1_2,xi2_1,xi2_2",
+         "--gains", "xi1_l=0,xi9_9=3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: gains for variables that are not stepped: "
+                   "['xi1_l', 'xi9_9']\n")
+
+
 def test_linzeros_runs_the_linear_algorithm_once(monkeypatch, capsys):
     import normform.cli as cli
     import normform.linstruct as linstruct

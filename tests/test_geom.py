@@ -40,7 +40,7 @@ def test_jacobian_simple():
 
 def test_jacobian_coordinate_outputs():
     J = jacobian([parse("x1"), parse("x2")], STATES5)
-    assert J.to_numpy_constant().tolist() == [
+    assert J.eval_at({}).tolist() == [
         [1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]
 
 
@@ -662,3 +662,10 @@ def test_tree_route_skips_a_zero_over_the_term_budget():
     for i in range(3):
         for j in range(3):
             assert numeric_equivalent(product[i, j], const(int(i == j)))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_rank_refuses_a_tol_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="rank tolerance must be positive "
+                                         f"and finite, got {tol}"):
+        rank(np.eye(2), tol)

@@ -198,7 +198,7 @@ def _compare_with_linear(A, B, C, seed=0):
     if out.m_d:
         dec = decompose(LinearTriple(A, B, C))
         J = jacobian([e for c in nf.chains for e in c], sysm.states)
-        assert np.array_equal(J.to_numpy_constant(), dec.W[sysm.n - out.n_d:])
+        assert np.array_equal(J.eval_at({}), dec.W[sysm.n - out.n_d:])
         delta = {key: evalf(e, {}) for key, e in nf.delta.items()}
         assert delta.keys() == dec.delta.keys()
         assert all(abs(delta[key] - dec.delta[key]) < 1e-9 for key in delta)
@@ -232,3 +232,11 @@ def test_coupling_into_a_later_chain_matches_linear_reference():
     out, nf = _compare_with_linear(A, B, C)
     assert out.q == [1, 2, 3]
     assert set(nf.delta) == {(3, 2, 2)}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_vector_relative_degree_refuses_a_tol_not_positive_and_finite(tol):
+    # every norm comparison with nan is false, so the test found no degree
+    with pytest.raises(ValueError, match="rank tolerance must be positive "
+                                         f"and finite, got {tol}"):
+        vector_relative_degree(counter3_triple(), tol)

@@ -32,7 +32,8 @@ class TestFiveStateNormalForm:
         assert nf31.delta[(2, 2, 1)] == parse("x4")
         assert nf31.delta_entry(2, 1, 1) == const(0)
         # delta in the new coordinates through the forward map
-        claim = subs(parse("xi2_3/(1 - xi1_1)"), nf31.forward_map())
+        claim = subs(parse("xi2_3/(1 - xi1_1)"),
+                     dict(zip(nf31.forward_names(), nf31.forward_exprs())))
         assert numeric_equivalent(nf31.delta[(2, 2, 1)], claim,
                                   box=ex31.domain)
 

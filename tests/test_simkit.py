@@ -23,7 +23,7 @@ def test_rk4_order_on_exponential():
     for dt in (0.02, 0.01):
         tr = simulate([parse("-x1")], ["x1"], [1.0],
                       SimConfig(dt=dt, horizon=1.0))
-        errs.append(abs(tr.final_state()[0] - np.exp(-1.0)))
+        errs.append(abs(tr.x[-1, 0, 0] - np.exp(-1.0)))
     factor = errs[0] / errs[1]
     assert 12.0 <= factor <= 20.0
 
@@ -31,7 +31,7 @@ def test_rk4_order_on_exponential():
 def test_euler_available():
     tr = simulate([parse("-x1")], ["x1"], [1.0],
                   SimConfig(dt=1e-3, horizon=1.0, integrator="euler"))
-    assert tr.final_state()[0] == pytest.approx(np.exp(-1.0), rel=1e-3)
+    assert tr.x[-1, 0, 0] == pytest.approx(np.exp(-1.0), rel=1e-3)
 
 
 def test_equilibrium_trace_identically_zero():
@@ -322,7 +322,7 @@ def test_single_run_view_counts_one_run():
     assert tr.nruns == 2
     one = tr.single(1)
     assert one.nruns == 1
-    assert np.array_equal(one.final_state(), tr.final_state(1))
+    assert np.array_equal(one.x[-1, 0], tr.x[-1, 1])
 
 
 def test_batch_divergence_is_per_run():

@@ -150,7 +150,6 @@ def test_rank_not_constant_for_remark_system():
     rep = numeric_rank(M, pts, ["x1", "x2"])
     assert not rep.constant
     assert rep.ranks == [1, 2, 1]
-    assert rep.dissenting_points()
 
 
 def test_rank_invariant_under_invertible_multipliers(ex31):
