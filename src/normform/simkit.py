@@ -10,6 +10,13 @@ Any other batch takes the numpy route, each stage in place on the whole
 (n, nruns) block.  One rule freezes a run that leaves the bound at its last
 accepted row and ends the trace where the last live runs leave.  Channels
 u, y and V are evaluated with numpy; states are exposed as (T, nruns, n).
+
+A batch stores what varies.  Its states cost T*n*nruns*8 bytes, and the
+disturbance w and its running integral T*width*8 each, where width is the
+number of values w(0) gives: 1 for a value that all runs share, nruns for
+one value per run (`noise_signal(..., nruns)`).  Any other width, or a later
+value of another width than w(0)'s, is refused.  With a shared signal,
+`Trace.w` and `Trace.int_w2` are read-only (T, nruns) broadcast views.
 """
 
 from __future__ import annotations
@@ -87,6 +94,11 @@ def noise_signal(seed, horizon=100.0, nruns=1):
 
 
 class Trace:
+    """A simulated trace: times t (T,), states x (T, nruns, n), channels u
+    and y (T, nruns, ·), and w, V, int_y2 and int_w2 (T, nruns).  w and
+    int_w2 are stored at the signal's width (see the module docstring):
+    with a shared signal they are read-only broadcast views."""
+
     def __init__(self, t, x, u, y, names, input_names, output_names,
                  diverged_runs, w=None, V=None, int_y2=None, int_w2=None):
         self.t = t
@@ -143,6 +155,8 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     if x0.shape[1] != n:
         raise ValueError(f"x0 must have {n} columns")
     nruns = x0.shape[0]
+    if nruns < 1:
+        raise ValueError("a simulation needs at least one run, got 0")
     rhs_exprs = [simplify(e) for e in rhs_exprs]
     # a float kernel off backends_agree may raise, so only single runs
     # take one
@@ -153,7 +167,8 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     ts = np.concatenate(([0.0], np.arange(len(xs) - 1) * cfg.dt + cfg.dt))
 
     # u, y and V of every run in one kernel over the trace, then the running
-    # integrals of |y|^2 and w^2; on a diverging run they overflow quietly
+    # integrals of |y|^2 and w^2; on a diverging run they overflow quietly.
+    # ws is (T, width): the kernel broadcasts it, and int_w2 stays that wide
     exprs = [*input_exprs, *output_exprs] + ([V_expr] if V_expr is not None else [])
     nu, ny = len(input_exprs), len(output_exprs)
     channels = np.empty((len(ts), nruns, len(exprs)))
@@ -168,26 +183,33 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
 
     return Trace(ts, xs.transpose(0, 2, 1), channels[:, :, :nu], ys, names,
                  [f"u{i + 1}" for i in range(nu)],
-                 [f"y{i + 1}" for i in range(ny)], ~alive, w=ws,
+                 [f"y{i + 1}" for i in range(ny)], ~alive,
+                 w=np.broadcast_to(ws, (len(ts), nruns)),
                  V=channels[:, :, -1] if V_expr is not None else None,
-                 int_y2=int_y2, int_w2=int_w2)
+                 int_y2=int_y2, int_w2=np.broadcast_to(int_w2, (len(ts), nruns)))
 
 
 def _integrate(route, rhs_exprs, names, x0, cfg, w_signal):
-    """The (T, n, nruns) states, the (T, nruns) w values and which runs
-    stayed live.  advance(xs, k, w1, w2, w4, live, end), from route(...),
-    writes the live runs' rows after row k, one per w at t, t + dt/2 and
-    t + dt; a run that leaves the bound, or raises, gets live False and end
-    its last row.  One rule for both routes: a run that leaves repeats its
-    last accepted row, and the trace ends where the last live runs leave."""
+    """The (T, n, nruns) states, the (T, width) w values, width the number
+    of values w(0) gives, and which runs stayed live.  advance(xs, k, w1,
+    w2, w4, live, end), from route(...), writes the live runs' rows after
+    row k, one per w at t, t + dt/2 and t + dt; a run that leaves the
+    bound, or raises, gets live False and end its last row.  One rule for
+    both routes: a run that leaves repeats its last accepted row, and the
+    trace ends where the last live runs leave."""
     nruns, n = x0.shape
     nsteps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.dt
+    w0 = np.ravel(w_signal(0.0))
+    width = len(w0)   # one value, or one per run
+    if width not in (1, nruns):
+        raise ValueError(f"the signal gives {width} values at t = 0 for "
+                         f"{nruns} runs; it must give 1 or {nruns}")
     # run-major: each step stores one contiguous (n, nruns) block
     xs = np.empty((nsteps + 1, n, nruns))
-    ws = np.empty((nsteps + 1, nruns))
+    ws = np.empty((nsteps + 1, width))
     xs[0] = x0.T
-    ws[0] = w_signal(0.0)   # one value or one per run
+    ws[0] = w0
     live = np.ones(nruns, dtype=bool)
     end = np.full(nruns, nsteps + 1)   # past the trace: the run stayed
     with np.errstate(all="ignore"):
@@ -198,9 +220,9 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal):
         advance = route(rhs_exprs, names, nruns, cfg)
         for k in range(0, nsteps, _BLOCK):
             ts = (np.arange(k, min(k + _BLOCK, nsteps)) * dt).tolist()
-            w = [np.asarray([w_signal.fn(t + h) for t in ts], dtype=float)
+            w = [_signal_block(w_signal, [t + h for t in ts], width)
                  for h in (0.0, dt / 2, dt)]
-            ws[k + 1:k + 1 + len(ts)] = w[2].reshape(len(ts), -1)
+            ws[k + 1:k + 1 + len(ts)] = w[2].reshape(len(ts), width)
             advance(xs, k, *w, live, end)
             if not live.any():
                 break
@@ -208,6 +230,21 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal):
     for r in np.flatnonzero(end < end.max()):
         xs[end[r]:last + 1, :, r] = xs[end[r] - 1, :, r]
     return xs[:last + 1], ws[:last + 1], live
+
+
+def _signal_block(w_signal, ts, width):
+    """w at each of ts, one row per t: floats, or (len(ts), width) values;
+    a value of another width than w(0)'s is refused."""
+    vals = [w_signal.fn(t) for t in ts]
+    try:
+        block = np.asarray(vals, dtype=float)
+        if block.size == len(ts) * width:
+            return block
+    except ValueError:   # values of several widths
+        pass
+    t, v = next((t, v) for t, v in zip(ts, vals) if np.size(v) != width)
+    raise ValueError(f"the signal gives {np.size(v)} values at t = {t:g} "
+                     f"where w(0) gave {width}")
 
 
 def _float_route(rhs_exprs, names, nruns, cfg):
@@ -319,11 +356,22 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None,
                    **kw):
     """Monte-Carlo batch: initial conditions uniform in ic_box, drawn from
     the master seed, and one RK4 sweep for the whole batch with w = 0, so
-    the batch is reproducible bit-for-bit."""
-    rng = np.random.default_rng(master_seed)
+    the batch is reproducible bit-for-bit.  ic_box holds one finite
+    (low, high) range per state, low <= high."""
     n = len(state_names)
-    lo = np.array([b[0] for b in ic_box])
-    hi = np.array([b[1] for b in ic_box])
+    if len(ic_box) != n:
+        raise ValueError(f"ic_box must hold one range per state: {len(ic_box)} "
+                         f"for {n} states")
+    lo = np.array([b[0] for b in ic_box], dtype=float)
+    hi = np.array([b[1] for b in ic_box], dtype=float)
+    for name, a, b in zip(state_names, lo.tolist(), hi.tolist()):
+        # numpy cannot draw from a range whose width overflows either
+        if not math.isfinite(b - a):
+            raise ValueError(f"ic_box range of {name} must be finite and of "
+                             f"finite width, got ({a}, {b})")
+        if a > b:
+            raise ValueError(f"ic_box range of {name} is reversed: ({a}, {b})")
+    rng = np.random.default_rng(master_seed)
     x0 = rng.uniform(lo, hi, size=(nruns, n))
     trace = simulate(rhs_exprs, state_names, x0, cfg=cfg, **kw)
     # a contiguous copy: norm's pairwise summation runs on contiguous rows

@@ -1,6 +1,7 @@
 """Simulation harness: integrator order, determinism, monitors, CSV."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,9 @@ from normform.expr import (Const, Func, Pow, Var, _kernel_source, _step_source,
                            compile_exprs_scalar, parse, simplify)
 from normform.simkit import (DIVERGENCE_NORM, SCALAR_RUNS, Signal, SimConfig,
                              _float_route, _integrate, _numpy_route,
-                             batch_simulate, l2_gain_check, lyapunov_monitor,
-                             noise_signal, simulate, step_signal,
-                             trace_to_csv, zero_signal)
+                             _running_trapezoid, batch_simulate, l2_gain_check,
+                             lyapunov_monitor, noise_signal, simulate,
+                             step_signal, trace_to_csv, zero_signal)
 
 
 def test_rk4_order_on_exponential():
@@ -452,12 +453,113 @@ def test_backends_agree_on_the_closed_loops(systems_dir):
     assert backends_agree([parse("sqrt(x1) - 1e-05*abs(x1)^2")])
 
 
-@pytest.mark.parametrize("nruns", [1, 2, SCALAR_RUNS])
+@pytest.mark.parametrize("nruns", [1, 2, 5, SCALAR_RUNS])
 def test_batch_signal_needs_one_value_or_one_per_run(nruns):
-    wrong = noise_signal(1, horizon=0.1, nruns=3)
-    with pytest.raises(ValueError):
+    wrong = noise_signal(1, horizon=2.0, nruns=3)
+    with pytest.raises(ValueError, match=f"^the signal gives 3 values at t = 0 "
+                                         f"for {nruns} runs; it must give 1 or "
+                                         f"{nruns}$"):
         simulate([parse("-x1 + w")], ["x1"], [[0.1]] * nruns,
                  SimConfig(dt=1e-2, horizon=0.1), w_signal=wrong)
+
+
+# the switch falls in the first block of 256 steps, and in the third
+@pytest.mark.parametrize("switch", [0.05, 0.6])
+@pytest.mark.parametrize("first, later", [(1, 5), (5, 1), (5, 3)])
+def test_a_signal_that_changes_width_is_refused(switch, first, later):
+    signal = Signal(lambda t: np.zeros(first) if t < switch else np.zeros(later))
+    with pytest.raises(ValueError, match=f"^the signal gives {later} values at "
+                                         f"t = {switch:g} where w\\(0\\) gave "
+                                         f"{first}$"):
+        simulate([parse("-x1 + w")], ["x1"], [[0.1]] * 5,
+                 SimConfig(dt=1e-3, horizon=1.0), w_signal=signal)
+
+
+@pytest.mark.parametrize("box, match", [
+    ([(-1.0, 1.0)], "^ic_box must hold one range per state: 1 for 2 states$"),
+    ([(-1.0, 1.0)] * 3, "^ic_box must hold one range per state: 3 for 2 states$"),
+    ([(-1.0, 1.0), (1.0, -1.0)], r"^ic_box range of x2 is reversed: \(1.0, -1.0\)$"),
+    ([(-math.inf, 1.0), (0.0, 1.0)], "^ic_box range of x1 must be finite"),
+    ([(0.0, 1.0), (0.0, math.nan)], "^ic_box range of x2 must be finite"),
+    ([(-1e308, 1e308), (0.0, 1.0)], "^ic_box range of x1 must be finite and of "
+                                    "finite width"),
+])
+def test_batch_simulate_refuses_a_bad_ic_box_before_it_draws(box, match):
+    with pytest.raises(ValueError, match=match):
+        batch_simulate([parse("-x1"), parse("-x2")], ["x1", "x2"], box, nruns=4,
+                       master_seed=1, cfg=SimConfig(dt=1e-2, horizon=0.1))
+
+
+@pytest.mark.parametrize("box", [[(-1, 1), (0, 2)], [(0.5, 0.5), (-3.0, 1e-3)]])
+def test_batch_simulate_draws_valid_boxes_as_numpy_does(box):
+    res = batch_simulate([parse("-x1"), parse("-x2")], ["x1", "x2"], box,
+                         nruns=20, master_seed=6,
+                         cfg=SimConfig(dt=1e-2, horizon=0.1))
+    want = np.random.default_rng(6).uniform(np.array([b[0] for b in box]),
+                                            np.array([b[1] for b in box]),
+                                            size=(20, 2))
+    assert res["trace"].x[0].tobytes() == want.tobytes()
+
+
+def test_zero_runs_are_refused_by_both_entry_points():
+    cfg = SimConfig(dt=1e-2, horizon=0.1)
+    match = "^a simulation needs at least one run, got 0$"
+    with pytest.raises(ValueError, match=match):
+        simulate([parse("-x1")], ["x1"], np.empty((0, 1)), cfg)
+    with pytest.raises(ValueError, match=match):
+        batch_simulate([parse("-x1")], ["x1"], [(-1.0, 1.0)], nruns=0,
+                       master_seed=1, cfg=cfg)
+
+
+# ---------------------------------------------------------------------------
+# The disturbance channel is stored at the signal's width
+
+def test_a_shared_signal_is_stored_once_and_read_at_full_width():
+    x0 = np.random.default_rng(8).uniform(-1, 1, size=(3 * SCALAR_RUNS, 2))
+    signal = step_signal(0.3, scale=0.7)
+    tr = simulate([parse("-x1 + x2"), parse("-x2 + w")], ["x1", "x2"], x0,
+                  SimConfig(dt=1e-3, horizon=0.6), w_signal=signal)
+    column = np.array([signal(t) for t in tr.t])
+    full = np.broadcast_to(column[:, None], (len(tr.t), tr.nruns)).copy()
+    assert tr.w.shape == tr.int_w2.shape == full.shape
+    assert np.array_equal(tr.w, full)
+    assert np.array_equal(tr.int_w2, _running_trapezoid(tr.t, full * full))
+    for a in (tr.w, tr.int_w2):
+        assert a.strides[1] == 0 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    one = tr.single(5)
+    assert one.w.shape == one.int_w2.shape == (len(tr.t), 1)
+    assert np.array_equal(one.w[:, 0], column)
+    assert np.array_equal(one.int_w2, tr.int_w2[:, 5:6])
+
+
+def test_a_per_run_signal_keeps_a_full_channel():
+    nruns = 3 * SCALAR_RUNS
+    x0 = np.random.default_rng(8).uniform(-1, 1, size=(nruns, 2))
+    tr = simulate([parse("-x1 + x2"), parse("-x2 + w")], ["x1", "x2"], x0,
+                  SimConfig(dt=1e-3, horizon=0.6),
+                  w_signal=noise_signal(4, horizon=1.0, nruns=nruns))
+    assert tr.w.shape == tr.int_w2.shape == (len(tr.t), nruns)
+    assert 0 not in tr.w.strides and 0 not in tr.int_w2.strides
+    assert np.array_equal(tr.w[0], noise_signal(4, horizon=1.0, nruns=nruns)(0.0))
+    assert np.array_equal(tr.int_w2, _running_trapezoid(tr.t, tr.w * tr.w))
+
+
+def test_a_zero_signal_batch_peaks_at_its_states():
+    # with 2 states, one more (T, nruns) float array is half the states again
+    def run():
+        return batch_simulate([parse("-x1 + x2"), parse("-x2 - x1^3")],
+                              ["x1", "x2"], [(-1.0, 1.0)] * 2, nruns=400,
+                              master_seed=3, cfg=SimConfig(dt=1e-3, horizon=2.0))
+    run()   # the kernels are compiled once per process
+    tracemalloc.start()
+    try:
+        res = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * res["trace"].x.nbytes
 
 
 def _tiled_case(systems_dir, key):
