@@ -112,7 +112,12 @@ def cmd_linzeros(args):
     B = load_matrix(args.b)
     C = load_matrix(args.c)
     if args.output_transform:
-        C = load_matrix(args.output_transform) @ C
+        T = load_matrix(args.output_transform)
+        if T.shape[1] != C.shape[0]:
+            raise ValueError(f"output transform is {T.shape[0]}x{T.shape[1]}, "
+                             f"C is {C.shape[0]}x{C.shape[1]}: the transform "
+                             f"needs one column per row of C")
+        C = T @ C
     triple = LinearTriple(A, B, C)
     dec = decompose(triple, tol=args.tol)
     print("q = {" + ", ".join(str(v) for v in dec.outcome.q) + "}")

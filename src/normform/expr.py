@@ -797,7 +797,11 @@ def simplify(e):
         if isinstance(e, Add):
             out = Add(tuple(simplify(t) for t in e.terms))
         elif isinstance(e, Mul):
-            out = Mul(tuple(simplify(t) for t in e.factors))
+            # one leading constant, the only one render writes
+            factors = [simplify(t) for t in e.factors]
+            c = math.prod(f.value for f in factors if isinstance(f, Const))
+            out = Mul(([Const(c)] if c != 1 else [])
+                      + [f for f in factors if not isinstance(f, Const)])
         else:  # only sums, products and powers overflow
             out = Pow(simplify(e.base), e.exp)
         if out != e:

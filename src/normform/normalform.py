@@ -2,8 +2,9 @@
 
 Turns a StructureOutcome into explicit coordinates: integrator-chain
 coordinates from the recorded R/S/Theta history, a complement completing the
-chart, the input/output transformations, and the delta coupling table with
-its sparsity law (couplings vanish above the feeding chain's length).
+chart, the input/output transformations, and the delta coupling table.  Its
+sparsity law (delta_{i,j,l} = 0 for j < q_l) holds by construction: delta is
+filled from the P blocks of step j, whose chains are no longer than j.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class NormalForm:
         self.gamma_od = None
         self.gamma_ie = None
         self.gamma_oe = None
+        self.gamma_i_inv = None   # SymMatrix m x m: [gamma_ie; gamma_id]^-1
+        self.input_fields = None  # SymMatrix n x m: g gamma_i_inv, u_e then v_d
         self.f_e = []
         self.g_e = None           # SymMatrix (n-n_d) x (m-m_d)
         self.phi_cols = None      # SymMatrix (n-n_d) x m_d residue columns
@@ -72,13 +75,6 @@ class NormalForm:
                 rhs = Var(name)
             eqs.append((e, rhs))
         return solve_triangular(eqs, self.system.states)
-
-    def check_sparsity(self):
-        """(key law) couplings vanish below the feeding chain's length."""
-        for (i, j, l), e in self.delta.items():
-            if j < self.q[l - 1] and not numeric_equivalent(e, const(0), seed=3):
-                return False
-        return True
 
 
 def build_normal_form(system, outcome, phi_e=None, gamma_ie=None):
@@ -137,8 +133,26 @@ def build_normal_form(system, outcome, phi_e=None, gamma_ie=None):
             raise ValueError(f"gamma_ie must be {(m - nf.m_d, m)}")
         nf.gamma_ie = gamma_ie if isinstance(gamma_ie, SymMatrix) \
             else SymMatrix.from_numpy(gamma_ie)
+    elif m == nf.m_d:
+        nf.gamma_ie = SymMatrix([])
     else:
-        nf.gamma_ie = _default_gamma_ie(system, outcome)
+        vals = (outcome.b.sample(states, np.transpose(outcome.samples))
+                if nf.m_d else np.zeros((len(outcome.samples), 0, m)))
+        rows = _input_complement(vals, tol)
+        if rows is None:
+            raise StructureError("no constant input complement found; "
+                                 "supply gamma_ie")
+        nf.gamma_ie = SymMatrix.from_numpy(np.eye(m)[rows])
+
+    # u = Gamma_i^-1 [u_e; v_d - a]: the one exact inverse of the normal
+    # form, and the input fields g Gamma_i^-1 that the eta dynamics,
+    # assumptions C and D read.
+    try:
+        nf.gamma_i_inv = nf.gamma_ie.vstack(nf.gamma_id).inverse()
+    except ValueError:
+        raise ValueError("[gamma_ie; gamma_id] is symbolically "
+                         "singular") from None
+    nf.input_fields = system.g @ nf.gamma_i_inv
 
     # State complement.
     dphi_d = jacobian([e for c in nf.chains for e in c], states)
@@ -203,8 +217,7 @@ def _decompose_eta_dynamics(nf):
     if not nf.eta_exprs:
         nf.f_e, nf.g_e, nf.phi_cols = [], SymMatrix([]), SymMatrix([])
         return
-    gamma_i = nf.gamma_ie.vstack(nf.gamma_id)
-    G = lie_derivative_cols(system.g, states, nf.eta_exprs) @ gamma_i.inverse()
+    G = lie_derivative_cols(system.g, states, nf.eta_exprs) @ nf.gamma_i_inv
     G_e = SymMatrix([row[:m - m_d] for row in G.rows])
     G_d = SymMatrix([row[m - m_d:] for row in G.rows])
     drift = lie_derivative(system.f, nf.eta_exprs)
@@ -236,32 +249,14 @@ def check_assumption_B(outcome):
     return bool(np.all(rank(vals, outcome.tol) == len(zeta)))
 
 
-def check_assumption_C(system, outcome, gamma_ie=None):
-    """Involutivity of the retained input directions g_d = g Gamma_i^{-1} [0; I]
-    at the outcome's samples and tolerance."""
-    outcome.raise_if_irregular()
-    nf_gid = outcome.b
-    m, m_d = system.m, outcome.m_d
-    if gamma_ie is None:
-        gamma_ie = _default_gamma_ie(system, outcome)
-    gamma_i = gamma_ie.vstack(nf_gid)
-    g_d = system.g @ SymMatrix([r[m - m_d:] for r in gamma_i.inverse().rows])
-    fields = [VectorField(g_d.col(j), system.states) for j in range(m_d)]
-    return involutive(fields, outcome.samples, tol=outcome.tol)
-
-
-def _default_gamma_ie(system, outcome):
-    """The input complement Gamma_ie of _input_complement at the outcome's
-    samples, as a constant matrix; empty when m_d = m."""
-    m, m_d = system.m, outcome.m_d
-    if m == m_d:
-        return SymMatrix([])
-    vals = (outcome.b.sample(system.states, np.transpose(outcome.samples))
-            if m_d else np.zeros((len(outcome.samples), 0, m)))
-    rows = _input_complement(vals, outcome.tol)
-    if rows is None:
-        raise StructureError("no constant input complement found; supply gamma_ie")
-    return SymMatrix.from_numpy(np.eye(m)[rows])
+def check_assumption_C(nf):
+    """Involutivity of the retained input directions g_d = g Gamma_i^{-1} [0; I],
+    the last m_d input fields of the normal form, at its outcome's samples
+    and tolerance."""
+    m, states = nf.system.m, nf.system.states
+    fields = [VectorField(nf.input_fields.col(j), states)
+              for j in range(m - nf.m_d, m)]
+    return involutive(fields, nf.outcome.samples, tol=nf.outcome.tol)
 
 
 def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
@@ -290,7 +285,7 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
         raise StructureError("Assumption D applies to square invertible systems")
     if nf is None:
         nf = build_normal_form(system, outcome)
-    Y = _chain_fields(system, nf)
+    Y = _chain_fields(nf)
     _, (_, brackets, scale) = sample_box(
         bracket_sampler([Y[key] for key in sorted(Y)]), system.box(),
         SAMPLE_POINTS, np.random.default_rng(seed),
@@ -302,21 +297,21 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
     return True
 
 
-def _chain_fields(system, nf):
+def _chain_fields(nf):
     """The chain-generating fields {(j, k): ad^{k-1}_{f_t} Y(j, 1)} of a
-    square invertible normal form, with f_t = f - g b^{-1} a.
+    square invertible normal form, with f_t = f - g b^{-1} a; there
+    Gamma_i = b, so g b^{-1} is the normal form's input fields.
 
     The paper's Y(j, k) carries the sign (-1)^{k-1}, which is left out here:
     it cannot change whether a bracket vanishes, and in the correction
     Y(j, 1) = g b^{-1} e_j - sum delta * Y(l, i2) it is folded into delta.
     """
+    system = nf.system
     m = system.m
-    binv = nf.b.inverse()
-    acol = SymMatrix([[e] for e in nf.a])
-    corr = system.g @ binv @ acol
+    g_t = nf.input_fields
+    corr = g_t @ SymMatrix([[e] for e in nf.a])
     f_t = VectorField([simplify(c - corr[i, 0])
                        for i, c in enumerate(system.f.components)], system.states)
-    g_t = system.g @ binv
     q = nf.q
     Y = {}
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 
 import numpy as np
 
@@ -358,6 +359,10 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None,
     the master seed, and one RK4 sweep for the whole batch with w = 0, so
     the batch is reproducible bit-for-bit.  ic_box holds one finite
     (low, high) range per state, low <= high."""
+    if not isinstance(nruns, numbers.Integral):
+        raise ValueError(f"nruns must be an integer, got {nruns!r}")
+    if nruns < 1:
+        raise ValueError(f"a simulation needs at least one run, got {nruns}")
     n = len(state_names)
     if len(ic_box) != n:
         raise ValueError(f"ic_box must hold one range per state: {len(ic_box)} "

@@ -251,9 +251,6 @@ def _run_algorithm(system, plan, tol, zero_output):
 
     while True:
         k += 1
-        if k > n + 1:
-            return out.fail(k, "step bound exceeded (internal)")
-
         lg_theta = lie_derivative_cols(g, states, theta)
 
         if zero_output:
@@ -341,8 +338,6 @@ def _run_algorithm(system, plan, tol, zero_output):
 def _assert_zero_matrix(mat, states, pts, out, k):
     """Warn at the first sample where the residual is above 1e-6 or not
     finite."""
-    if 0 in mat.shape:
-        return
     peak = np.abs(mat.sample(states, np.transpose(pts), finite=False)).max(axis=(1, 2))
     big = np.flatnonzero(~(peak <= 1e-6))
     if big.size:

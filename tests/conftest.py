@@ -17,6 +17,44 @@ def systems_dir():
     return SYSTEMS
 
 
+# every NormalForm made since the last test call ended
+BUILT_NORMAL_FORMS = []
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _record_normal_forms():
+    """build_normal_form makes its NormalForm through this subclass, which
+    records it for the sparsity check after each test call."""
+    from normform import normalform
+
+    class Recorded(normalform.NormalForm):
+        def __init__(self, outcome):
+            super().__init__(outcome)
+            BUILT_NORMAL_FORMS.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalform, "NormalForm", Recorded)
+        yield
+
+
+def delta_keys_obey_sparsity(nf):
+    """The sparsity law delta_{i,j,l} = 0 for j < q_l, read off the keys:
+    no key (i, j, l) has j < q_l."""
+    return all(j >= nf.q[l - 1] for _, j, l in nf.delta)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """The sparsity law holds by construction, so every normal form that a
+    test or its fixtures build obeys it on its keys."""
+    result = yield
+    built = list(BUILT_NORMAL_FORMS)
+    BUILT_NORMAL_FORMS.clear()
+    for nf in built:
+        assert delta_keys_obey_sparsity(nf), sorted(nf.delta)
+    return result
+
+
 @pytest.fixture(scope="session")
 def ex31():
     from normform.sysmodel import load_system

@@ -539,6 +539,20 @@ def test_synthesize_without_residual_block():
     assert law3.v[0] == parse("-3*xi1_1")
 
 
+@pytest.mark.parametrize("phi, V, want", [
+    ("1 + eta1", "eta1^2/2", r"^stabilizer virtual output nonzero at 0$"),
+    ("0", "eta1^2/2 + 1", r"^V\(0\) must be 0$"),
+    ("0", "-eta1^2", r"^V not positive at a sampled nonzero point$"),
+    ("2*eta1", "eta1^2/2", r"^V not decreasing along the stabilized residual "
+                           r"block \(Vdot=.* at \{'eta1': .*\}\)$"),
+])
+def test_synthesize_refuses_a_stabilizer_that_fails_validation(phi, V, want):
+    # eta1' = -eta1 + xi1_1 at xi1_1 = phi: 2*eta1 makes it eta1' = eta1
+    cs = ChainSystem([1], ["eta1"], [parse("-eta1 + xi1_1")])
+    with pytest.raises(ValueError, match=want):
+        synthesize(cs, "xi1_1", Stabilizer([parse(phi)], parse(V)))
+
+
 def test_engine_refuses_a_row_fed_by_an_undetermined_control():
     # xi2_1' = xi2_2 + xi2_1*v1: stepping xi2_1 before chain 1 is closed
     # leaves v1 in the row of xi2_1 itself

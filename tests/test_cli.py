@@ -202,6 +202,86 @@ def test_backstep_invalid_kappa_exit_2(capsys):
     assert "2c" in err or "2b" in err
 
 
+@pytest.mark.parametrize("kappa, want", [
+    ("xi1_1,xi3_2,xi3_1,xi2_1,xi2_2,xi3_3,xi3_4",
+     "condition 2a: xi3_1 must appear before xi3_2"),
+    ("xi2_1,xi1_1,xi3_1,xi3_2,xi2_2,xi3_3,xi3_4",
+     "condition 2b: delta(2, 1, 1): chain 1 must be completed before xi2_1"),
+])
+def test_backstep_order_conditions_2a_and_2b(capsys, kappa, want):
+    code, out, err = run_main(["backstep", SYS / "nf_mixed.nf",
+                               "--kappa", kappa], capsys)
+    assert (code, out, err) == (2, "", f"order violation: {want}\n")
+
+
+def test_linzeros_refuses_an_output_transform_of_the_wrong_width(tmp_path,
+                                                                 capsys):
+    T = tmp_path / "T.txt"
+    T.write_text("1 0 0\n0 1 0\n")
+    code, out, err = run_main(
+        ["linzeros", "--a", LIN / "counter3_A.txt", "--b",
+         LIN / "counter3_B.txt", "--c", LIN / "counter3_C.txt",
+         "--output-transform", T], capsys)
+    assert (code, out, err) == (1, "", "error: output transform is 2x3, C is "
+                                "2x5: the transform needs one column per row "
+                                "of C\n")
+
+
+def _uchain_controller(tmp_path, capsys):
+    ctl = tmp_path / "lvl.ctl"
+    code, _, _ = run_main(["backstep", SYS / "nf_uchain.nf",
+                           "--kappa", "xi1_1,xi2_1,xi1_2,xi2_2", "--out", ctl],
+                          capsys)
+    assert code == 0
+    return ctl
+
+
+@pytest.mark.parametrize("x0, signal, want", [
+    ("0,0,0,0,0", "bogus", "unknown signal spec 'bogus'"),
+    ("0,0,0", "zero", "x0 must have 5 columns"),
+])
+def test_simulate_input_errors_exit_1(tmp_path, capsys, x0, signal, want):
+    ctl = _uchain_controller(tmp_path, capsys)
+    csvp = tmp_path / "trace.csv"
+    argv = ["simulate", SYS / "nf_uchain.nf", "--controller", ctl, "--x0", x0,
+            "--signal", signal, "--horizon", "0.1", "--csv", csvp]
+    assert run_main(argv, capsys) == (1, "", f"error: {want}\n")
+    assert not csvp.exists()
+
+
+def test_simulate_refuses_a_controller_of_the_wrong_width(tmp_path, capsys):
+    ctl = tmp_path / "one.ctl"
+    ctl.write_text("[controller]\nv1 = 0\n")
+    assert run_main(["simulate", SYS / "nf_uchain.nf", "--controller", ctl,
+                     "--x0", "0,0,0,0,0"], capsys) == (
+        1, "", "error: controller has 1 inputs, system wants 2\n")
+
+
+@pytest.mark.parametrize("fixture, args, want", [
+    ("nf_semiglobal.nf", ["--kappa", "xi1_1,xi1_2,xi2_1,xi2_2,xi2_3",
+                          "--semi-global", "0.5", "--lengths", "3"],
+     "need one driving slot per chain"),
+    ("nf_addexam.nf", ["--kappa", "xi2_1,xi1_1,xi2_2", "--disturbance", "0.5",
+                       "--budgets", "1/12,1/12"],
+     "need one budget per step"),
+])
+def test_backstep_list_options_of_the_wrong_length(tmp_path, capsys, fixture,
+                                                   args, want):
+    ctl = tmp_path / "out.ctl"
+    assert run_main(["backstep", SYS / fixture, *args, "--out", ctl],
+                    capsys) == (1, "", f"error: {want}\n")
+    assert not ctl.exists()
+
+
+def test_backstep_needs_a_stabilizer_section(tmp_path, capsys):
+    text = (SYS / "nf_uchain.nf").read_text()
+    nf = tmp_path / "nostab.nf"
+    nf.write_text(text[:text.index("[stabilizer]")])
+    assert run_main(["backstep", nf, "--kappa", "xi1_1,xi2_1,xi1_2,xi2_2"],
+                    capsys) == (1, "", "error: chain-system file carries no "
+                                "[stabilizer] section\n")
+
+
 def test_simulate_csv(tmp_path, capsys):
     ctl = tmp_path / "lvl.ctl"
     run_main(["backstep", SYS / "nf_uchain.nf",

@@ -395,6 +395,24 @@ def test_budget_keeps_factored():
     assert evalf(s, env) == pytest.approx(evalf(e, env))
 
 
+def test_over_budget_product_keeps_every_constant():
+    # A*B exceeds the term budget, so simplify keeps the product; its
+    # constants 2 and 3 are folded into one leading 6, which render writes
+    A, B = (Pow(parse(" + ".join(["1"] + [f"{v}{i}" for i in range(1, 10)])),
+                3) for v in "xy")
+    e = Mul((Const(2), A, Const(3), B))
+    s = simplify(e)
+    assert s.factors[0] == Const(6)
+    assert not any(isinstance(f, Const) for f in s.factors[1:])
+    env = {**{f"x{i}": 0.1 for i in range(1, 10)},
+           **{f"y{i}": 0.2 for i in range(1, 10)}}
+    text = render(e)
+    assert text.startswith("6*(")
+    assert evalf(e, env) == pytest.approx(903.412608, rel=1e-9)
+    assert evalf(parse(text), env) == pytest.approx(evalf(e, env), rel=1e-12)
+    assert simplify(s) is s and render(s) == text
+
+
 def test_subs_simplifies():
     e = subs(parse("x1*x4"), {"x4": parse("1 - x1")})
     assert e == parse("x1 - x1^2")

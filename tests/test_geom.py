@@ -310,7 +310,7 @@ def test_bracket_sampler_matches_unpruned_reference(case, request,
     # at them are bit-identical
     system = request.getfixturevalue(case)
     outcome = request.getfixturevalue("out" + case[2:])
-    Y = _chain_fields(system, build_normal_form(system, outcome))
+    Y = _chain_fields(build_normal_form(system, outcome))
     fields = [Y[key] for key in sorted(Y)]
     pruned = bracket_sampler(fields)
     monkeypatch.setattr(geom, "_diff_raw", _reference_diff_raw)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import conftest
 from conftest import _reference_evalf
 from normform.expr import (Var, const, evalf, numeric_equivalent, parse,
                            render, simplify, subs)
@@ -15,7 +16,8 @@ from normform.normalform import (_chain_fields, _input_complement,
                                  check_assumption_B, check_assumption_C,
                                  check_assumption_D, solve_triangular,
                                  zero_dynamics)
-from normform.structure import infinite_zero_algorithm, zero_output_algorithm
+from normform.structure import (StructureError, infinite_zero_algorithm,
+                                zero_output_algorithm)
 from normform.sysmodel import AffineSystem, SamplePlan
 
 
@@ -37,8 +39,15 @@ class TestFiveStateNormalForm:
         assert numeric_equivalent(nf31.delta[(2, 2, 1)], claim,
                                   box=ex31.domain)
 
-    def test_sparsity_law(self, nf31):
-        assert nf31.check_sparsity()
+    def test_sparsity_law(self, nf31, ex31, out31):
+        # delta_{i,j,l} = 0 for j < q_l holds because no such key is
+        # written; conftest checks it on every normal form the suite builds
+        assert conftest.delta_keys_obey_sparsity(nf31)
+        nf = build_normal_form(ex31, out31)
+        assert conftest.BUILT_NORMAL_FORMS[-1] is nf
+        nf.delta[(2, 1, 2)] = parse("x1")     # j = 1 < q_2 = 3
+        assert not conftest.delta_keys_obey_sparsity(nf)
+        del nf.delta[(2, 1, 2)]               # conftest checks nf next
 
     def test_inverse_map(self, nf31):
         inv = nf31.inverse_map()
@@ -93,21 +102,24 @@ class TestAssumptions:
     def test_B_fails_for_dependent_rows(self, ex31, out31, monkeypatch):
         # duplicate a chain coordinate to force a rank defect
         import normform.normalform as nfm
-        bad = [e for c in nfm.build_normal_form(ex31, out31).chains for e in c]
-        J = nfm.jacobian(bad + [bad[0]], ex31.states)
-        vals = J.eval_at({s: 0.1 for s in ex31.states})
-        assert nfm.rank(vals, 1e-8) == len(bad)
+        chain_coords = nfm._chain_coords
+        monkeypatch.setattr(nfm, "_chain_coords", lambda outcome, h: [
+            c + [c[0]] if i == 0 else c
+            for i, c in enumerate(chain_coords(outcome, h))])
+        assert check_assumption_B(out31) is False
+        with pytest.raises(StructureError, match="Assumption B fails"):
+            build_normal_form(ex31, out31)
 
     def test_C_single_column(self, ex32):
         out = infinite_zero_algorithm(ex32, SamplePlan(count=40))
         gie = SymMatrix([[parse("0"), parse("exp(-x4)")]])
-        assert check_assumption_C(ex32, out, gamma_ie=gie)
+        assert check_assumption_C(build_normal_form(ex32, out, gamma_ie=gie))
 
     def test_C_fails_for_twisting_inputs(self, ex33):
         out = zero_output_algorithm(ex33, SamplePlan(count=60))
         # m_d = m here, so g_d spans the full input image of g, whose columns
         # are not involutive
-        assert check_assumption_C(ex33, out) is False
+        assert check_assumption_C(build_normal_form(ex33, out)) is False
 
     def test_C_constant_inputs(self):
         from normform.sysmodel import AffineSystem
@@ -116,7 +128,7 @@ class TestAssumptions:
                              [parse("0"), parse("1")]],
                             [parse("x1"), parse("x2")])
         out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
-        assert check_assumption_C(sysm, out)
+        assert check_assumption_C(build_normal_form(sysm, out))
 
     def test_D_commuting_cases(self, ex31, out31, nf31):
         # linear systems with constant chain fields commute
@@ -153,7 +165,7 @@ class TestAssumptions:
         nf = build_normal_form(sysm, out)
         assert all(check_assumption_D(sysm, out, nf, seed=s, tol=1e-12)
                    for s in range(5))
-        Y = _chain_fields(sysm, nf)
+        Y = _chain_fields(nf)
         pts = np.random.default_rng(0).uniform(-1, 1, size=(2, 200))
         _, _, scale = bracket_sampler([Y[(1, 1)], Y[(2, 1)]])(pts)
         # one rounding unit of the terms already exceeds the absolute bound
@@ -179,7 +191,7 @@ class TestAssumptions:
             system, nf = ex31, nf31
         else:
             system, nf = ex33, build_normal_form(ex33, out33)
-        Y = _chain_fields(system, nf)
+        Y = _chain_fields(nf)
         keys = sorted(Y)
         pairs = list(zip(*np.triu_indices(len(keys), 1)))
         checked = range(len(pairs))
@@ -263,6 +275,45 @@ def test_empty_gamma_ie_when_every_input_drives_a_chain(ex31, out31, nf31):
         build_normal_form(ex31, out31, gamma_ie=np.zeros((1, 2)))
 
 
+def test_one_exact_inverse_per_normal_form(ex31, out31, ex32, out32,
+                                           monkeypatch):
+    # Gamma_i^-1 is inverted once in build_normal_form, also when the
+    # constant-residue shift decomposes eta twice; C and D read the stored
+    # input fields g Gamma_i^-1
+    cases = (("ex32", ex32, out32), ("ex31", ex31, out31),
+             ("exam_sch", *_exam_sch()))
+    calls = []
+    inverse = SymMatrix.inverse
+
+    def counted(self):
+        calls.append(self.shape)
+        return inverse(self)
+
+    monkeypatch.setattr(SymMatrix, "inverse", counted)
+    built = {}
+    for case, system, outcome in cases:
+        nf = built[case] = build_normal_form(system, outcome)
+        m = system.m
+        assert calls == [(m, m)], case
+        gamma_i = nf.gamma_ie.vstack(nf.gamma_id)
+        assert gamma_i @ nf.gamma_i_inv == SymMatrix.identity(m)
+        assert nf.input_fields == system.g @ nf.gamma_i_inv
+        calls.clear()
+    assert built["ex32"].eta_exprs and not built["ex31"].eta_exprs
+    # the constant-residue shift ran: the complement picks bare states
+    assert built["exam_sch"].eta_exprs[1] == parse("2*x3")
+    assert check_assumption_C(built["ex32"])
+    assert check_assumption_D(ex31, out31, built["ex31"]) is True
+    assert calls == []
+
+
+def test_singular_gamma_i_is_refused_at_build(ex32, out32):
+    # gamma_ie = 2 gamma_id = [2, 0] makes [gamma_ie; gamma_id] singular
+    with pytest.raises(ValueError, match=r"\[gamma_ie; gamma_id\] is "
+                       "symbolically singular"):
+        build_normal_form(ex32, out32, gamma_ie=np.array([[2.0, 0.0]]))
+
+
 @pytest.mark.parametrize("case, algorithm", [
     (case, algorithm) for case in ("ex31", "ex32", "ex33", "ex34")
     for algorithm in (infinite_zero_algorithm, zero_output_algorithm)
@@ -330,17 +381,21 @@ def test_split_needs_rational_constant_coefficients(f2):
                          "coordinates to refine)"]
 
 
-def test_constant_residue_shift_is_exact():
-    # the exam_sch triple with exact entries: the shift that removes the
-    # constant residue column keeps rational coefficients
+def _exam_sch():
+    """The exam_sch triple lifted with exact entries, and its outcome."""
     from conftest import SYSTEMS
     from test_linstruct import _lift
     from normform.linstruct import load_matrix
     A, B, C = (load_matrix(SYSTEMS / "linear" / f"exam_sch_{k}.txt")
                for k in "ABC")
     sysm = _lift(A, B, C)
-    out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
-    nf = build_normal_form(sysm, out)
+    return sysm, infinite_zero_algorithm(sysm, SamplePlan(count=20))
+
+
+def test_constant_residue_shift_is_exact():
+    # the exam_sch triple with exact entries: the shift that removes the
+    # constant residue column keeps rational coefficients
+    nf = build_normal_form(*_exam_sch())
     assert nf.eta_exprs[1] == parse("2*x3")
     rep = zero_dynamics(nf)
     assert rep.zero_dynamics[1] == ("eta2", parse("2*eta2"))
@@ -374,7 +429,6 @@ def test_multiplicity_two_chains_same_step():
     nf = build_normal_form(sysm, out)
     assert [len(c) for c in nf.chains] == [2, 2]
     assert nf.chains[0][0] == parse("x1") and nf.chains[1][0] == parse("x2")
-    assert nf.check_sparsity()
     # dynamics identity at random states and inputs
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -419,7 +473,6 @@ def test_counter3_affine_delta_constant():
     out = infinite_zero_algorithm(sysm, SamplePlan(count=25))
     nf = build_normal_form(sysm, out)
     assert out.q == [1, 4]
-    assert nf.check_sparsity()
     from normform.expr import free_vars
     for (i, j, l), e in nf.delta.items():
         assert free_vars(e) == set()   # constant couplings

@@ -308,6 +308,21 @@ def test_batch_bit_identical_to_column_loop_chain(systems_dir, integrator):
     _assert_traces_equal(ref, tr)
 
 
+def test_numpy_route_euler_matches_single_runs(systems_dir):
+    # SCALAR_RUNS + 1 runs take the numpy route, each single run the float
+    # route; the chain loop's kernels agree bit for bit on both
+    law, names = _loop(systems_dir, "nf_uchain.nf", "xi1_1,xi1_2,xi2_1,xi2_2")
+    rhs = law.closed_loop_rhs()
+    x0 = np.random.default_rng(9).uniform(-1, 1, size=(SCALAR_RUNS + 1,
+                                                       len(names)))
+    cfg = SimConfig(dt=2e-3, horizon=0.5, integrator="euler")
+    batch = simulate(rhs, names, x0, cfg)
+    assert batch.x.shape == (251, SCALAR_RUNS + 1, len(names))
+    for r in range(SCALAR_RUNS + 1):
+        one = simulate(rhs, names, x0[r], cfg)
+        assert one.x[:, 0].tobytes() == batch.x[:, r].tobytes(), r
+
+
 def test_batch_rows_independent_of_batch_size():
     rhs = [parse("-x1 + x2^2 - x1*x2"), parse("-x2^3 + 1/2*x1 + w")]
     x0 = np.random.default_rng(5).uniform(-1, 1, size=(200, 2))
@@ -509,6 +524,24 @@ def test_zero_runs_are_refused_by_both_entry_points():
     with pytest.raises(ValueError, match=match):
         batch_simulate([parse("-x1")], ["x1"], [(-1.0, 1.0)], nruns=0,
                        master_seed=1, cfg=cfg)
+
+
+@pytest.mark.parametrize("nruns, match", [
+    (-3, "^a simulation needs at least one run, got -3$"),
+    (2.5, "^nruns must be an integer, got 2.5$"),
+])
+def test_batch_simulate_refuses_a_bad_run_count_before_the_draw(nruns, match):
+    with pytest.raises(ValueError, match=match):
+        batch_simulate([parse("-x1")], ["x1"], [(-1.0, 1.0)], nruns=nruns,
+                       master_seed=1, cfg=SimConfig(dt=1e-2, horizon=0.1))
+
+
+def test_batch_simulate_takes_a_numpy_integer_run_count():
+    cfg = SimConfig(dt=1e-2, horizon=0.1)
+    runs = [batch_simulate([parse("-x1")], ["x1"], [(-1.0, 1.0)], nruns=k,
+                           master_seed=3, cfg=cfg)["trace"].x
+            for k in (5, np.int64(5))]
+    assert runs[0].tobytes() == runs[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
