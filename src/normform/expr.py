@@ -309,6 +309,7 @@ class _Parser:
 
     def parse_expr(self, min_prec=0):
         lhs = self.parse_atom()
+        chain = ()
         while True:
             kind, val, off = self.peek()
             if kind != "op" or val not in _BIN_PREC or _BIN_PREC[val] < min_prec:
@@ -323,10 +324,9 @@ class _Parser:
                 lhs = Add((lhs, rhs))
             elif val == "-":
                 lhs = Add((lhs, Mul((Const(-1), rhs))))
-            elif val == "*":
-                lhs = Mul((lhs, rhs))
-            elif val == "/":
-                lhs = Mul((lhs, Pow(rhs, -1)))
+            else:   # a chain of * and / is one product, as render writes it
+                chain = (chain or (lhs,)) + (rhs if val == "*" else Pow(rhs, -1),)
+                lhs = Mul(chain)
 
     def parse_int_exponent(self):
         kind, val, off = self.next()
@@ -623,6 +623,14 @@ _Frac = namedtuple("_Frac", "num den")
 def _frac_add(f1, f2):
     if f1.den == f2.den:
         return _Frac(_poly_add(f1.num, f2.num), f1.den)
+    if not (_is_one(f1.den) or _is_one(f2.den)):
+        # over the multiple if the denominator of lower degree divides the other
+        d1, d2 = (max(sum(e for _, e in m) for m in f.den) for f in (f1, f2))
+        big, small = (f1, f2) if d1 >= d2 else (f2, f1)
+        k = _poly_divide_exact(big.den, small.den)
+        if k is not None:
+            return _frac_cancel(_poly_add(big.num, _poly_mul(small.num, k)),
+                                big.den)
     num = _poly_add(_poly_mul(f1.num, f2.den), _poly_mul(f2.num, f1.den))
     den = _poly_mul(f1.den, f2.den)
     return _frac_cancel(num, den)
@@ -1501,14 +1509,7 @@ def _render_const(v):
 
 def _render_factor(e):
     """Render a multiplicand, parenthesizing sums."""
-    if isinstance(e, Add):
-        return f"({_render(e)})"
-    if isinstance(e, Const):
-        s, neg = _render_const(e.value)
-        if neg or "/" in s:
-            return f"({'-' if neg else ''}{s})"
-        return s
-    return _render(e)
+    return f"({_render(e)})" if isinstance(e, Add) else _render(e)
 
 
 def _render_mul(e):
@@ -1531,10 +1532,8 @@ def _render_mul(e):
     parts.extend(_render_factor(f) for f in num)
     out = "*".join(parts) if parts else "1"
     for d in den:
-        dd = _render_factor(d)
-        if isinstance(d, Pow) or not isinstance(d, (Var, Func, Const)):
-            dd = f"({_render(d)})" if not dd.startswith("(") else dd
-        out += f"/{dd}"
+        dd = _render(d)
+        out += f"/{dd}" if isinstance(d, (Var, Func)) else f"/({dd})"
     return ("-" if neg else "") + out
 
 

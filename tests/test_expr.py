@@ -15,7 +15,8 @@ from normform.expr import (_FRAC_KEY, SAMPLE_CUTOFF, SAMPLE_REDRAWS,
                            Mul, ParseError, Pow, Var, _CHUNK, _diff_raw,
                            _expand, _Frac, _frac_add, _frac_cancel,
                            _frac_mul, _frac_written, _kernel_source,
-                           _mono_mul, _poly_const, _poly_mul, _poly_written,
+                           _mono_mul, _poly_const, _poly_mul, _poly_pow,
+                           _poly_written,
                            _to_frac,
                            _var_names, backends_agree, compile_exprs,
                            compile_block_scalar, compile_exprs_into,
@@ -411,6 +412,51 @@ def test_over_budget_product_keeps_every_constant():
     assert evalf(e, env) == pytest.approx(903.412608, rel=1e-9)
     assert evalf(parse(text), env) == pytest.approx(evalf(e, env), rel=1e-12)
     assert simplify(s) is s and render(s) == text
+
+
+def test_over_budget_product_reads_back_as_one_product():
+    # 6*(A)*(B) parses as one product; the product 6*A alone fits the
+    # budget, so reading it as (6*A)*B expanded 6*A.  A product in a
+    # denominator is parenthesized: z/(A)*(B) read back as z*B/A.
+    A, B = (Pow(parse(" + ".join(["1"] + [f"{v}{i}" for i in range(1, 10)])),
+                3) for v in "xy")
+    env = {**{f"x{i}": 0.1 for i in range(1, 10)},
+           **{f"y{i}": 0.2 for i in range(1, 10)}, "z": 0.7}
+    for e in (Mul((Const(6), A, B)), Mul((Const(6), A, B, Pow(Var("z"), -2))),
+              Mul((Var("z"), Pow(Mul((A, B)), -1)))):
+        s = simplify(e)
+        text = render(s)
+        assert parse(text) == s
+        assert render(parse(text)) == text
+        assert evalf(parse(text), env) == pytest.approx(evalf(e, env), rel=1e-12)
+
+
+def test_render_sends_no_constant_to_the_factor_writer(monkeypatch):
+    # _render_mul takes every constant factor as the coefficient, and
+    # simplify folds every power of a constant, so no Const is a multiplicand
+    import normform.expr as ex
+
+    seen = []
+    factor = ex._render_factor
+
+    def recording(e):
+        seen.append(type(e))
+        return factor(e)
+
+    monkeypatch.setattr(ex, "_render_factor", recording)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_exprs(wide=True), st.sampled_from([TERM_BUDGET, 2, 4, 8]))
+    def check(e, budget):
+        # small budgets reach simplify's over-budget product
+        try:
+            with term_budget(budget):
+                render(e)
+        except ZeroDivisionError:
+            assume(False)
+
+    check()
+    assert seen and Const not in seen
 
 
 def test_subs_simplifies():
@@ -1131,6 +1177,7 @@ def _cancelled(fn, *args):
         return type(exc)
 
 
+@pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(poly_dicts(), DENOMINATORS, poly_dicts(), DENOMINATORS)
 @example({((_SIN, 2),): 3, ((_COS, 2),): 5, (): 1}, {(): 1}, {}, {(): 1})
@@ -1145,6 +1192,54 @@ def test_frac_cancel_matches_the_general_body(n1, d1, n2, d2):
     want = _cancelled(lambda: _reference_frac_cancel(_poly_mul(n1, n2),
                                                      _poly_mul(d1, d2)))
     assert _cancelled(_frac_mul, _Frac(n1, d1), _Frac(n2, d2)) == want
+
+
+_DEN_FACTORS = tuple(_to_frac(parse(t)).num for t in ("1 + x1^2*x2", "1 - x1", "x2"))
+
+
+@st.composite
+def exact_fractions(draw):
+    """An exact fraction over x1, x2 as _frac_cancel leaves it, whose
+    denominator is a product of powers of 1 + x1^2 x2, 1 - x1 and x2."""
+    num = {}
+    for _ in range(draw(st.integers(0, 3))):
+        mono = tuple((Var(x), e) for x in ("x1", "x2")
+                     if (e := draw(st.integers(0, 2))))
+        num[mono] = draw(st.integers(-3, 3).filter(bool))
+    den = _poly_const(1)
+    for p in _DEN_FACTORS:
+        k = draw(st.integers(0, 3))
+        if k:
+            den = _poly_mul(den, _poly_pow(p, k))
+    return _Frac(num, den) if not num else _frac_cancel(num, den)
+
+
+def _sympy_poly(p):
+    import sympy
+
+    return sympy.Add(*(c * sympy.Mul(*(sympy.Symbol(a.name) ** e for a, e in m))
+                       for m, c in p.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_fractions(), exact_fractions())
+@example(_Frac({(): 1}, _poly_pow(_DEN_FACTORS[0], 2)),
+         _Frac({(): 1}, _poly_pow(_DEN_FACTORS[0], 3)))
+def test_frac_add_keeps_the_multiple_of_the_denominators(f1, f2):
+    # a/d1 + b/d2 with d1 = k d2 is (a + b k)/d1: the sum of 1/q^2 and 1/q^3
+    # is over q^3, not q^5
+    import sympy
+
+    got = _frac_add(f1, f2)
+    assert got == _frac_add(f2, f1)
+    d1, d2 = _sympy_poly(f1.den), _sympy_poly(f2.den)
+    want = sympy.cancel(_sympy_poly(f1.num) / d1 + _sympy_poly(f2.num) / d2)
+    assert sympy.cancel(_sympy_poly(got.num) / _sympy_poly(got.den) - want) == 0
+    gens = sympy.symbols("x1 x2")
+    for big, small in ((d1, d2), (d2, d1)):
+        if sympy.div(big, small, *gens)[1] == 0:
+            # _frac_cancel may take a common factor off the multiple
+            assert sympy.div(big, _sympy_poly(got.den), *gens)[1] == 0
 
 
 # ---------------------------------------------------------------------------

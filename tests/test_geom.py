@@ -166,6 +166,7 @@ def bracket_fields(draw):
     return comps, plain
 
 
+@pytest.mark.slow
 @settings(max_examples=150, deadline=None)
 @given(bracket_fields(), bracket_fields(), st.booleans())
 def test_lie_bracket_matches_jacobian_route(drawn_f, drawn_g, overflow):

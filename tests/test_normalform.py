@@ -147,6 +147,53 @@ class TestAssumptions:
         nf = build_normal_form(ex33, out33)
         assert check_assumption_D(ex33, out33, nf) is False
 
+    # components of ex33's chain fields, reduced by sympy.cancel
+    EX33_FIELDS = {
+        ((1, 1), 1): "(x1**5*x4 - 3*x1**4*x2*x3 - x1**3*x2 - 2*x1**3*x3**2"
+                     " + 2*x1**2*x2**2*x3 - x1**2*x3 + x1*x2**2"
+                     " + 2*x1*x2*x3**2 + x1*x4)/(x1**4*x2**2 + 2*x1**2*x2 + 1)",
+        ((2, 1), 3): "(-x1*x3 + 1)/(x1**2*x2 + 1)",
+        ((2, 2), 1): "(x1**4*x4 - 3*x1**3*x2*x3 - x1**2*x2**3 - 2*x1**2*x2"
+                     " - 2*x1**2*x3**2 + 2*x1*x2**2*x3 - x1*x3 + 2*x2*x3**2"
+                     " + x4 - 1)/(x1**4*x2**2 + 2*x1**2*x2 + 1)",
+    }
+
+    def test_ex33_chain_fields_keep_the_common_denominator(self, ex33, out33):
+        # g Gamma_i^-1 and f_t are over q = 1 + x1^2 x2; a sum whose
+        # denominators divide one another stays over the multiple, where the
+        # product of the denominators put the fields over q^11 to q^14 (the
+        # D verdicts are checked by the two tests above)
+        import sympy
+
+        from normform.expr import _poly_pow, _to_frac
+
+        nf = build_normal_form(ex33, out33)
+        Y = _chain_fields(nf)
+        q = _to_frac(parse("1 + x1^2*x2")).num
+        powers = [{(): 1}] + [_poly_pow(q, k) for k in (1, 2, 3)]
+        for key, field in Y.items():
+            for c in field.components:
+                assert _to_frac(c).den in powers, (key, render(c))
+        for (key, i), want in self.EX33_FIELDS.items():
+            got = sympy.sympify(render(Y[key].components[i]).replace("^", "**"))
+            assert sympy.cancel(got - sympy.sympify(want)) == 0
+
+    def test_bracket_sampler_compiles_one_kernel(self, ex33, out33,
+                                                 monkeypatch):
+        from normform import expr, geom
+
+        sources = []
+
+        def compile_exprs(exprs, names):
+            sources.append(expr._kernel_source(exprs, names))
+            return expr.compile_exprs(exprs, names)
+
+        Y = _chain_fields(build_normal_form(ex33, out33))
+        monkeypatch.setattr(geom, "compile_exprs", compile_exprs)
+        bracket_sampler([Y[key] for key in sorted(Y)])
+        # 64.7 kB when the fields were over q^11 to q^14
+        assert len(sources) == 1 and len(sources[0]) <= 25_000
+
     def test_D_margin_covers_cancelling_large_terms(self):
         # y = h(x) is a chart, so the chain fields g b^{-1} = (dh)^{-1} are
         # its coordinate fields and commute exactly.  With h the inverse of
@@ -194,17 +241,11 @@ class TestAssumptions:
         Y = _chain_fields(nf)
         keys = sorted(Y)
         pairs = list(zip(*np.triu_indices(len(keys), 1)))
-        checked = range(len(pairs))
-        if case == "ex33":
-            # the symbolic brackets of the other two pairs take 5 s and 30 s;
-            # [Y(1,1), Y(2,1)] is the pair that fails
-            checked = [pairs.index((keys.index((1, 1)), keys.index((2, 1))))]
         lo, hi = np.array(system.box()).T
         pts = np.random.default_rng(7).uniform(lo[:, None], hi[:, None],
                                               size=(system.n, 6))
         _, br, scale = bracket_sampler([Y[k] for k in keys])(pts)
-        for i in checked:
-            a, b = pairs[i]
+        for i, (a, b) in enumerate(pairs):
             sym = lie_bracket(Y[keys[a]], Y[keys[b]])
             for p in range(pts.shape[1]):
                 env = dict(zip(system.states, pts[:, p]))
