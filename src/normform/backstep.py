@@ -17,6 +17,7 @@ otherwise, and completes the square against a per-step supply budget.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -477,8 +478,8 @@ def low_gain(lengths, eps, poles=None):
     polynomial with the requested roots (default all -1).  `poles`, when
     given, holds one list of l - 1 roots per chain."""
     epse = eps if isinstance(eps, Expr) else const(float(eps))
-    if isinstance(eps, (int, float)) and eps <= 0:
-        raise ValueError("eps must be positive")
+    if isinstance(eps, (int, float)) and not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if poles is not None and len(poles) != len(lengths):
         raise ValueError(f"need one pole list per chain: got {len(poles)} "
                          f"for {len(lengths)} chains")
@@ -633,6 +634,9 @@ def da_synthesize(system, kappa, stab, gamma, eps, budgets=None, gains=None):
     if isinstance(kappa, str):
         kappa = parse_kappa(kappa)
     _check_order(system, kappa, include_disturbance=True)
+    for name, v in (("gamma", gamma), ("eps", eps)):
+        if not isinstance(v, Expr) and not math.isfinite(float(v)):
+            raise ValueError(f"{name} must be finite, got {v}")
     n_d = sum(system.q)
     ge = gamma if isinstance(gamma, Expr) else const(float(gamma))
     ee = eps if isinstance(eps, Expr) else const(float(eps))

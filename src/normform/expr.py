@@ -808,10 +808,13 @@ def simplify(e):
             # one leading constant, the only one render writes
             factors = [simplify(t) for t in e.factors]
             c = math.prod(f.value for f in factors if isinstance(f, Const))
-            out = Mul(([Const(c)] if c != 1 else [])
-                      + [f for f in factors if not isinstance(f, Const)])
+            rest = [f for f in factors if not isinstance(f, Const)]
+            out = (rest[0] if c == 1 and len(rest) == 1
+                   else Mul(([Const(c)] if c != 1 else []) + rest))
         else:  # only sums, products and powers overflow
-            out = Pow(simplify(e.base), e.exp)
+            base = simplify(e.base)
+            out = (Pow(base.base, base.exp * e.exp) if isinstance(base, Pow)
+                   else Pow(base, e.exp))
         if out != e:
             # The simplified children may fit the budget where e did not.
             return simplify(out)

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, ZERO, Const,
-                   EvalError, Var, const, diff, free_vars, is_zero,
-                   numeric_equivalent, render, sample_box, simplify, subs)
+                   EvalError, Var, const, diff, free_vars, numeric_equivalent,
+                   render, sample_box, simplify, subs)
 from .geom import (SymMatrix, VectorField, bracket_sampler, complete_rows,
                    involutive, jacobian, lie_bracket, lie_derivative,
                    lie_derivative_cols, rank)
@@ -64,9 +64,9 @@ class NormalForm:
         return self.delta.get((i, j, l), const(0))
 
     def inverse_map(self, xi_values=None):
-        """Symbolic inverse x = x(eta, xi) by triangular elimination; xi
-        coordinates may be pinned to expressions (e.g. 0 for zero dynamics).
-        Returns None when no triangular solution exists."""
+        """Symbolic inverse x = x(eta, xi) by solve_triangular's block
+        elimination; xi coordinates may be pinned to expressions (e.g. 0 for
+        zero dynamics).  Returns None when some round finds no affine block."""
         eqs = []
         for name, e in zip(self.forward_names(), self.forward_exprs()):
             if xi_values is not None and name not in self.eta_names:
@@ -359,36 +359,37 @@ class ZeroDynamicsReport:
 
 
 def solve_triangular(equations, unknowns):
-    """Solve {expr_i(x) = rhs_i} for the unknowns by repeatedly finding an
-    equation linear in a single unresolved unknown.  Returns {name: Expr} or
-    None."""
-    resolved = {}
-    remaining = list(equations)
-    pending = set(unknowns)
-    progress = True
-    while pending and progress:
-        progress = False
-        for idx, (lhs, rhs) in enumerate(remaining):
-            cur = subs(lhs, resolved) if resolved else simplify(lhs)
-            vars_here = free_vars(cur) & pending
-            if len(vars_here) != 1:
-                continue
-            u = next(iter(vars_here))
-            coeff = diff(cur, u)
-            if u in free_vars(coeff) or is_zero(coeff):
-                continue
-            b = subs(cur, {u: const(0)})
-            sol = simplify((rhs - b) / coeff)
-            resolved[u] = sol
-            # Re-substitute into previously resolved values.
-            resolved = {k: subs(v, {u: sol}) if u in free_vars(v) else v
-                        for k, v in resolved.items()}
-            pending.discard(u)
-            remaining.pop(idx)
-            progress = True
-            break
-    if pending:
-        return None
+    """Solve {lhs_i(x) = rhs_i} for the unknowns by block-triangular
+    elimination.  Each round keeps the independent rows of the equations
+    affine in the pending unknowns (coefficients free of them) and solves
+    them for their pivot unknowns by SymMatrix.inverse, in terms of the
+    pending unknowns left free, then substitutes.  One equation in one
+    unknown is a block of one; a linear chart is one block.  Returns
+    {name: Expr}, or None when a round finds no independent row."""
+    resolved, pending = {}, list(unknowns)
+    eqs = [(simplify(lhs), rhs) for lhs, rhs in equations]
+    while pending:
+        block = []
+        for i, (lhs, _) in enumerate(eqs):
+            reads = free_vars(lhs).intersection(pending)
+            row = [diff(lhs, u) if u in reads else ZERO for u in pending]
+            if not any(free_vars(c) & reads for c in row):
+                block.append((i, row))
+        block = [block[i] for i in
+                 SymMatrix([r for _, r in block]).transpose().pivots()]
+        if not block:
+            return None
+        cols = SymMatrix([r for _, r in block]).pivots()
+        # lhs is affine, so rhs - lhs(pivot unknowns = 0) = A_pivots x_pivots
+        zero = {pending[j]: ZERO for j in cols}
+        b = SymMatrix([[eqs[i][1] - subs(eqs[i][0], zero)] for i, _ in block])
+        inv = SymMatrix([[r[j] for j in cols] for _, r in block]).inverse()
+        new = dict(zip(zero, (inv @ b).col(0)))
+        resolved = {k: subs(v, new) for k, v in resolved.items()} | new
+        used = {i for i, _ in block}
+        eqs = [(subs(lhs, new), rhs) for i, (lhs, rhs) in enumerate(eqs)
+               if i not in used]
+        pending = [u for u in pending if u not in new]
     return resolved
 
 
@@ -411,16 +412,15 @@ def zero_dynamics(nf):
     rep.eta_names = list(nf.eta_names)
     m, m_d = nf.system.m, nf.m_d
     rep.u_e_names = [f"ue{i + 1}" for i in range(m - m_d)]
-    sub = {s: e for s, e in inv.items()}
     g_e = nf.g_e
     rhs = []
     for i in range(len(nf.eta_exprs)):
-        acc = subs(nf.f_e[i], sub)
+        acc = subs(nf.f_e[i], inv)
         for j in range(m - m_d):
-            acc = acc + subs(g_e[i, j], sub) * Var(rep.u_e_names[j])
+            acc = acc + subs(g_e[i, j], inv) * Var(rep.u_e_names[j])
         rhs.append(simplify(acc))
     rep.eta_rhs = rhs
-    rep.y_e = [subs(e, sub) for e in nf.h_e]
+    rep.y_e = [subs(e, inv) for e in nf.h_e]
 
     if m == m_d and not rep.y_e:
         rep.zero_dynamics = list(zip(rep.eta_names, rep.eta_rhs))

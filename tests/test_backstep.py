@@ -212,6 +212,10 @@ class TestLowGain:
     def test_positive_eps_and_stable_poles_required(self):
         with pytest.raises(ValueError):
             low_gain([2], -0.1)
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps must be positive and "
+                               f"finite, got {eps}"):
+                low_gain([2], eps)
         with pytest.raises(ValueError):
             low_gain([3], 0.1, poles=[[-1.0, 0.5]])
 

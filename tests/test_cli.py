@@ -273,6 +273,29 @@ def test_backstep_list_options_of_the_wrong_length(tmp_path, capsys, fixture,
     assert not ctl.exists()
 
 
+@pytest.mark.parametrize("fixture, args, want", [
+    ("nf_semiglobal.nf", ["--kappa", "xi1_1,xi1_2,xi2_1,xi2_2,xi2_3",
+                          "--semi-global", value, "--lengths", "3,2"],
+     f"eps must be positive and finite, got {value}")
+    for value in ("nan", "inf")] + [
+    ("nf_addexam.nf", ["--kappa", "xi2_1,xi1_1,xi2_2", *args], want)
+    for args, want in (
+        (["--disturbance", "inf"], "gamma must be finite, got inf"),
+        (["--disturbance", "nan", "--budgets", "1/12,1/12,1/12"],
+         "gamma must be finite, got nan"),
+        (["--disturbance", "0.5", "--eps", "inf"], "eps must be finite, got inf"),
+        (["--disturbance", "0.5", "--eps", "nan",
+          "--budgets", "1/12,1/12,1/12"], "eps must be finite, got nan"))])
+def test_backstep_refuses_a_design_parameter_not_finite(tmp_path, capsys,
+                                                        fixture, args, want):
+    # unchecked, a nan low gain is written as v1 = nan*xi1_1 + nan*xi1_2;
+    # explicit budgets skip the default schedule's own eps > 0 check
+    ctl = tmp_path / "out.ctl"
+    assert run_main(["backstep", SYS / fixture, *args, "--out", ctl],
+                    capsys) == (1, "", f"error: {want}\n")
+    assert not ctl.exists()
+
+
 def test_backstep_needs_a_stabilizer_section(tmp_path, capsys):
     text = (SYS / "nf_uchain.nf").read_text()
     nf = tmp_path / "nostab.nf"

@@ -417,13 +417,17 @@ def test_over_budget_product_keeps_every_constant():
 def test_over_budget_product_reads_back_as_one_product():
     # 6*(A)*(B) parses as one product; the product 6*A alone fits the
     # budget, so reading it as (6*A)*B expanded 6*A.  A product in a
-    # denominator is parenthesized: z/(A)*(B) read back as z*B/A.
+    # denominator is parenthesized: z/(A)*(B) read back as z*B/A.  The
+    # text 1/((A)*(B)) is a product of 1 and one factor, which is that
+    # factor, and ((A)*(B))^2 in a denominator is one power, (A*B)^-2.
     A, B = (Pow(parse(" + ".join(["1"] + [f"{v}{i}" for i in range(1, 10)])),
                 3) for v in "xy")
+    AB, z = Mul((A, B)), Var("z")
     env = {**{f"x{i}": 0.1 for i in range(1, 10)},
            **{f"y{i}": 0.2 for i in range(1, 10)}, "z": 0.7}
-    for e in (Mul((Const(6), A, B)), Mul((Const(6), A, B, Pow(Var("z"), -2))),
-              Mul((Var("z"), Pow(Mul((A, B)), -1)))):
+    for e in (Mul((Const(6), A, B)), Mul((Const(6), A, B, Pow(z, -2))),
+              Mul((z, Pow(AB, -1))), Pow(AB, -1), Mul((z, Pow(AB, -2))),
+              Mul((Pow(AB, 2), Pow(z, -1)))):
         s = simplify(e)
         text = render(s)
         assert parse(text) == s

@@ -442,14 +442,116 @@ def test_constant_residue_shift_is_exact():
     assert rep.zero_dynamics[1] == ("eta2", parse("2*eta2"))
 
 
-def test_solve_triangular():
+def _inverts(equations, sol):
+    """Each left side at the solution is its right side, by key."""
+    return [subs(lhs, sol).key for lhs, _ in equations] == \
+        [simplify(rhs).key for _, rhs in equations]
+
+
+def _chart(nf):
+    """The chart's equations forward_exprs = (eta, xi) names."""
+    return list(zip(nf.forward_exprs(), map(Var, nf.forward_names())))
+
+
+def test_solve_triangular(monkeypatch):
+    from test_linstruct import _lift
+    # the dense triple of ROADMAP P12, q = [1, 1] with its one invariant
+    # zero at 3/2; no equation of its chart reads a single unknown
+    sysm = _lift(np.array([[2, -2, 2], [0, -1, 1], [0, -1, -1]]),
+                 np.array([[1, 0], [0, -1], [1, -1]]),
+                 np.array([[-1, 2, -1], [-1, 1, 1]]))
+    nf = build_normal_form(sysm, infinite_zero_algorithm(
+        sysm, SamplePlan(count=5, seed=0)))
+    sizes, inverse = [], SymMatrix.inverse
+
+    def recording(self):    # the size of each block solved, in order
+        sizes.append(self.shape[0])
+        return inverse(self)
+
+    monkeypatch.setattr(SymMatrix, "inverse", recording)
+    assert nf.q == [1, 1] and _inverts(_chart(nf), nf.inverse_map())
+    assert sizes == [3]
+    rep = zero_dynamics(nf)
+    assert rep.notes == [] and rep.eta_rhs == [parse("3/2*eta1")]
+    sizes.clear()
     eqs = [(parse("x1"), Var("a")), (parse("x2 - x1*x2"), Var("b"))]
     sol = solve_triangular(eqs, ["x1", "x2"])
     assert sol["x1"] == Var("a")
     assert numeric_equivalent(sol["x2"], parse("b/(1 - a)"))
-    # unsolvable quadratic coupling
+    assert _inverts(eqs, sol) and sizes == [1, 1]
+    # ex32's complement (x1 - x2*x4, x2, x3) with its chain x4: one block
+    # {x2, x3, x4}, then x1, which the first block leaves affine
+    sizes.clear()
+    eqs = [(parse(e), Var(n)) for e, n in
+           [("x1 - x2*x4", "eta1"), ("x2", "eta2"), ("x3", "eta3"),
+            ("x4", "xi1_1")]]
+    sol = solve_triangular(eqs, ["x1", "x2", "x3", "x4"])
+    assert sol["x1"] == parse("eta1 + eta2*xi1_1")
+    assert _inverts(eqs, sol) and sizes == [3, 1]
+    # unsolvable quadratic coupling, and a round with no affine block
     assert solve_triangular([(parse("x1^2 + x2^2"), Var("a")),
                              (parse("x1*x2"), Var("b"))], ["x1", "x2"]) is None
+    assert solve_triangular([(parse("x1 + x1^3"), Var("a"))], ["x1"]) is None
+
+
+def _draws(seed, count, square):
+    """Integer triples (n in 2..5, entries in -2..2) lifted exactly, with
+    their regular outcomes: square ones with m = p in 1..2, or non-square
+    ones with m != p in 1..3 (draws with m = p are skipped)."""
+    from test_linstruct import _lift
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        if square:
+            m = p = int(rng.integers(1, 3))
+        else:
+            m, p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            if m == p:
+                continue
+        A, B, C = (rng.integers(-2, 3, size=sh)
+                   for sh in ((n, n), (n, m), (p, n)))
+        sysm = _lift(A, B, C)
+        out = infinite_zero_algorithm(sysm, SamplePlan(count=5, seed=0))
+        if out.regular:
+            yield (A, B, C), out
+
+
+def test_zero_dynamics_match_the_rosenbrock_pencil():
+    # every square invertible draw gets zero dynamics, whose eigenvalues
+    # are the finite zeros of the pencil [[A, B], [C, 0]] - s [[I, 0],
+    # [0, 0]] (Emami-Naeini & Van Dooren 1982); eig reports some infinite
+    # ones as finite values near 1e17, so |s| > 1e8 is dropped
+    from scipy.linalg import eig
+    from scipy.optimize import linear_sum_assignment
+    count = 0
+    for (A, B, C), out in _draws(0, 400, square=True):
+        if out.invertibility != "Invertible":
+            continue
+        count += 1
+        rep = zero_dynamics(build_normal_form(out.system, out))
+        assert not any("closed-form" in note for note in rep.notes)
+        n, m = B.shape
+        pencil = eig(np.block([[A, B], [C, np.zeros((m, m))]]),
+                     np.diag([1.0] * n + [0.0] * m), right=False)
+        zeros = pencil[np.isfinite(pencil) & (np.abs(pencil) < 1e8)]
+        lam = (np.linalg.eigvals(jacobian(rep.eta_rhs, rep.eta_names)
+                                 .eval_at({}))
+               if rep.eta_rhs else np.zeros(0))
+        assert len(lam) == len(zeros) == n - out.n_d
+        dist = np.abs(zeros[:, None] - lam[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert np.all(dist[rows, cols] < 1e-6)
+    assert count == 369
+
+
+def test_non_square_linear_charts_invert():
+    count = 0
+    for _, out in _draws(1, 100, square=False):
+        count += 1
+        nf = build_normal_form(out.system, out)
+        inv = nf.inverse_map()
+        assert inv is not None and _inverts(_chart(nf), inv)
+    assert count == 74
 
 
 def test_multiplicity_two_chains_same_step():
