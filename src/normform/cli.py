@@ -16,8 +16,8 @@ from .backstep import (W_NAME, ControlLaw, OrderViolation, da_synthesize,
 from .expr import Var, parse, render
 from .linstruct import (LinearTriple, decompose, load_matrix,
                         vector_relative_degree)
-from .simkit import (SimConfig, l2_gain_check, noise_signal, simulate,
-                     step_signal, trace_to_csv, zero_signal)
+from .simkit import (SimConfig, _gain_terms, l2_gain_check, noise_signal,
+                     simulate, step_signal, trace_to_csv, zero_signal)
 from .structure import (StructureError, infinite_zero_algorithm,
                         zero_output_algorithm)
 from .sysmodel import SamplePlan, SystemFormatError, load_system
@@ -175,17 +175,20 @@ def cmd_backstep(args):
 
 
 def _make_signal(spec, horizon):
-    parts = spec.split(":")
-    if parts[0] == "zero":
+    kind, *fields = spec.split(":")
+    most = {"zero": 0, "step": 2, "noise": 1}.get(kind)
+    if most is None:
+        raise ValueError(f"unknown signal spec {spec!r}")
+    if len(fields) > most:
+        raise ValueError(f"signal spec {spec!r} has too many fields: {kind} "
+                         f"takes at most {most}")
+    if kind == "zero":
         return zero_signal()
-    if parts[0] == "step":
-        off = float(parts[1]) if len(parts) > 1 else 1.0
-        scale = float(parts[2]) if len(parts) > 2 else 1.0
+    if kind == "step":
+        off = float(fields[0]) if fields else 1.0
+        scale = float(fields[1]) if len(fields) > 1 else 1.0
         return step_signal(off, scale)
-    if parts[0] == "noise":
-        return noise_signal(int(parts[1]) if len(parts) > 1 else 0,
-                            horizon=horizon)
-    raise ValueError(f"unknown signal spec {spec!r}")
+    return noise_signal(int(fields[0]) if fields else 0, horizon=horizon)
 
 
 def cmd_simulate(args):
@@ -199,9 +202,11 @@ def cmd_simulate(args):
     names = cs.state_names()
     x0 = [float(t) for t in args.x0.split(",")]
     cfg = SimConfig(dt=args.dt, horizon=args.horizon, integrator=args.integrator)
+    signal = _make_signal(args.signal, cfg.horizon)
+    if args.gamma is not None:
+        _gain_terms(args.gamma, args.v0)   # refused before the run, not after
     outputs = [Var(cs.xi_name(i + 1, 1)) for i in range(cs.m)]
-    trace = simulate(rhs, names, x0, cfg=cfg,
-                     w_signal=_make_signal(args.signal, cfg.horizon),
+    trace = simulate(rhs, names, x0, cfg=cfg, w_signal=signal,
                      input_exprs=law.v, output_exprs=outputs, V_expr=W)
     csv = trace_to_csv(trace)
     if args.csv:

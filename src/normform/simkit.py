@@ -7,16 +7,23 @@ run, and a batch of fewer than SCALAR_RUNS runs whose right-hand side gives
 the same bits on both backends (`expr.backends_agree`), take the float
 route: one generated block stepper call per run (`compile_block_scalar`).
 Any other batch takes the numpy route, each stage in place on the whole
-(n, nruns) block.  One rule freezes a run that leaves the bound at its last
-accepted row and ends the trace where the last live runs leave.  Channels
-u, y and V are evaluated with numpy; states are exposed as (T, nruns, n).
+(n, nruns) block.  After each block one rule freezes a run that left the
+bound at its last accepted row, and ends the trace where the last live runs
+leave.  `simulate` keeps the whole trace: the block's rows are written in
+place into it, channels u, y and V are evaluated with numpy, and states are
+exposed as (T, nruns, n).
 
-A batch stores what varies.  Its states cost T*n*nruns*8 bytes, and the
+`simulate` stores what varies.  Its states cost T*n*nruns*8 bytes, and the
 disturbance w and its running integral T*width*8 each, where width is the
 number of values w(0) gives: 1 for a value that all runs share, nruns for
 one value per run (`noise_signal(..., nruns)`).  Any other width, or a later
 value of another width than w(0)'s, is refused.  With a shared signal,
 `Trace.w` and `Trace.int_w2` are read-only (T, nruns) broadcast views.
+
+`batch_simulate` keeps only what the Monte-Carlo protocol reads.  Its rows
+pass through a rolling buffer of 257 rows, (257, n, nruns) floats, whose
+row 0 carries the last row of the block before; each block is folded into
+the (T, n) envelopes, and the endpoint is the last row.
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ SCALAR_RUNS = 8
 class SimConfig:
     def __init__(self, dt=1e-3, horizon=10.0, integrator="rk4"):
         for name, v in (("dt", dt), ("horizon", horizon)):
-            # a run's round(horizon/dt) steps are allocated up front
+            # a trace of steps + 1 rows, or its envelopes, is allocated up
+            # front
             if not 0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if integrator not in ("rk4", "euler"):
@@ -55,6 +63,7 @@ class SimConfig:
         self.dt = float(dt)
         self.horizon = float(horizon)
         self.integrator = integrator
+        self.steps = int(round(self.horizon / self.dt))
 
 
 class Signal:
@@ -77,8 +86,14 @@ def zero_signal():
 
 
 def step_signal(off_at, scale=1.0):
-    """scale * (1(t) - 1(t - off_at))."""
-    return Signal(lambda t: float(scale) if 0.0 <= t < off_at else 0.0)
+    """scale * (1(t) - 1(t - off_at)); off_at may be infinite, not nan,
+    and scale must be finite."""
+    if math.isnan(off_at):
+        raise ValueError("step off-time must not be nan")
+    scale = float(scale)
+    if not math.isfinite(scale):
+        raise ValueError(f"step scale must be finite, got {scale}")
+    return Signal(lambda t: scale if 0.0 <= t < off_at else 0.0)
 
 
 def noise_signal(seed, horizon=100.0, nruns=1):
@@ -98,7 +113,9 @@ class Trace:
     """A simulated trace: times t (T,), states x (T, nruns, n), channels u
     and y (T, nruns, ·), and w, V, int_y2 and int_w2 (T, nruns).  w and
     int_w2 are stored at the signal's width (see the module docstring):
-    with a shared signal they are read-only broadcast views."""
+    with a shared signal they are read-only broadcast views.  The trace of
+    `batch_simulate` holds its first and last rows alone and no channels:
+    u, y, w, V and the integrals are None."""
 
     def __init__(self, t, x, u, y, names, input_names, output_names,
                  diverged_runs, w=None, V=None, int_y2=None, int_w2=None):
@@ -159,13 +176,9 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     if nruns < 1:
         raise ValueError("a simulation needs at least one run, got 0")
     rhs_exprs = [simplify(e) for e in rhs_exprs]
-    # a float kernel off backends_agree may raise, so only single runs
-    # take one
-    floats = nruns == 1 or nruns < SCALAR_RUNS and backends_agree(rhs_exprs)
-    xs, ws, alive = _integrate(_float_route if floats else _numpy_route,
-                               rhs_exprs, names + ["w"], x0, cfg, w_signal)
-    # t_{k+1} = k*dt + dt, bit for bit as the step computes it
-    ts = np.concatenate(([0.0], np.arange(len(xs) - 1) * cfg.dt + cfg.dt))
+    xs, ws, alive = _integrate(_route(rhs_exprs, nruns), rhs_exprs,
+                               names + ["w"], x0, cfg, w_signal)
+    ts = _times(len(xs), cfg.dt)
 
     # u, y and V of every run in one kernel over the trace, then the running
     # integrals of |y|^2 and w^2; on a diverging run they overflow quietly.
@@ -190,16 +203,37 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
                  int_y2=int_y2, int_w2=np.broadcast_to(int_w2, (len(ts), nruns)))
 
 
-def _integrate(route, rhs_exprs, names, x0, cfg, w_signal):
-    """The (T, n, nruns) states, the (T, width) w values, width the number
-    of values w(0) gives, and which runs stayed live.  advance(xs, k, w1,
-    w2, w4, live, end), from route(...), writes the live runs' rows after
-    row k, one per w at t, t + dt/2 and t + dt; a run that leaves the
-    bound, or raises, gets live False and end its last row.  One rule for
-    both routes: a run that leaves repeats its last accepted row, and the
-    trace ends where the last live runs leave."""
+def _route(rhs_exprs, nruns):
+    """The route of nruns runs of the simplified rhs_exprs: a float kernel
+    off backends_agree may raise, so only single runs take one there."""
+    if nruns == 1 or nruns < SCALAR_RUNS and backends_agree(rhs_exprs):
+        return _float_route
+    return _numpy_route
+
+
+def _times(rows, dt):
+    """The times of a trace of rows rows: t_{k+1} = k*dt + dt, bit for bit
+    as the step computes it."""
+    return np.concatenate(([0.0], np.arange(rows - 1) * dt + dt))
+
+
+def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold=None):
+    """The states, the (T, width) w values, width the number of values w(0)
+    gives, and which runs stayed live.  Without fold the states are the
+    whole (T, n, nruns) trace.  With fold they pass through a rolling
+    buffer of _BLOCK + 1 rows, whose row 0 carries the last row of the
+    block before: fold(k, rows) gets rows k, k + 1, ... of the trace, each
+    row once and in order, and the states returned are the last row alone,
+    (1, n, nruns).
+
+    advance(rows, k, w1, w2, w4, live, end), from route(...), writes the
+    live runs' rows after rows[0], trace row k, one per w at t, t + dt/2
+    and t + dt; a run that leaves the bound, or raises, gets live False and
+    end its last row.  One rule for both routes, applied after each block:
+    a run that leaves repeats its last accepted row, and the trace ends
+    where the last live runs leave."""
     nruns, n = x0.shape
-    nsteps = int(round(cfg.horizon / cfg.dt))
+    nsteps = cfg.steps
     dt = cfg.dt
     w0 = np.ravel(w_signal(0.0))
     width = len(w0)   # one value, or one per run
@@ -207,12 +241,16 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal):
         raise ValueError(f"the signal gives {width} values at t = 0 for "
                          f"{nruns} runs; it must give 1 or {nruns}")
     # run-major: each step stores one contiguous (n, nruns) block
-    xs = np.empty((nsteps + 1, n, nruns))
+    xs = np.empty((nsteps + 1 if fold is None else min(nsteps, _BLOCK) + 1,
+                   n, nruns))
     ws = np.empty((nsteps + 1, width))
     xs[0] = x0.T
     ws[0] = w0
+    if fold is not None:
+        fold(0, xs[:1])
     live = np.ones(nruns, dtype=bool)
     end = np.full(nruns, nsteps + 1)   # past the trace: the run stayed
+    last = nsteps
     with np.errstate(all="ignore"):
         # one check for both routes, of every run at once
         k1 = compile_exprs(rhs_exprs, names)([*xs[0], ws[0]])
@@ -224,13 +262,29 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal):
             w = [_signal_block(w_signal, [t + h for t in ts], width)
                  for h in (0.0, dt / 2, dt)]
             ws[k + 1:k + 1 + len(ts)] = w[2].reshape(len(ts), width)
-            advance(xs, k, *w, live, end)
+            rows = (xs[k:] if fold is None else xs)[:len(ts) + 1]
+            advance(rows, k, *w, live, end)
+            if not live.any():
+                last = end.max()
+                rows = rows[:last - k + 1]
+            _freeze(rows, k, end)
+            if fold is not None:
+                fold(k + 1, rows[1:])
+                xs[0] = rows[-1]
             if not live.any():
                 break
-    last = min(end.max(), nsteps)
-    for r in np.flatnonzero(end < end.max()):
-        xs[end[r]:last + 1, :, r] = xs[end[r] - 1, :, r]
-    return xs[:last + 1], ws[:last + 1], live
+    return xs[:last + 1 if fold is None else 1], ws[:last + 1], live
+
+
+def _freeze(rows, k, end):
+    """Repeat in rows, trace rows k, k + 1, ..., each left run's last
+    accepted row, but not the runs that leave last once every run has left:
+    the trace ends with their row end.  rows[0] is accepted or frozen."""
+    before = np.flatnonzero(end <= k)
+    if before.size:
+        rows[1:, :, before] = rows[:1, :, before]
+    for r in np.flatnonzero((end > k) & (end < end.max())):
+        rows[end[r] - k:, :, r] = rows[end[r] - k - 1, :, r]
 
 
 def _signal_block(w_signal, ts, width):
@@ -254,17 +308,17 @@ def _float_route(rhs_exprs, names, nruns, cfg):
     steps = compile_block_scalar(rhs_exprs, names, cfg.integrator,
                                  DIVERGENCE_NORM ** 2)
 
-    def advance(xs, k, w1, w2, w4, live, end):
+    def advance(rows, k, w1, w2, w4, live, end):
         # a signal gives one value, or one per run or for all runs
         w1, w2, w4 = (np.broadcast_to(v.reshape(len(v), -1),
                                       (len(v), nruns)).T.tolist()
                       for v in (w1, w2, w4))
         for r in np.flatnonzero(live):
-            rows, stop = steps(xs[k, :, r].tolist(), w1[r], w2[r], w4[r],
-                               cfg.dt)
-            xs[k:k + len(rows), :, r] = rows   # row k, then the steps
+            out, stop = steps(rows[0, :, r].tolist(), w1[r], w2[r], w4[r],
+                              cfg.dt)
+            rows[:len(out), :, r] = out   # rows[0], then the steps
             if stop is not None:
-                live[r], end[r] = False, k + len(rows) - 1
+                live[r], end[r] = False, k + len(out) - 1
 
     return advance
 
@@ -283,11 +337,11 @@ def _numpy_route(rhs_exprs, names, nruns, cfg):
     norm2 = np.empty(nruns)
     ok = np.empty(nruns, dtype=bool)
 
-    def advance(xs, k, w1, w2, w4, live, end):
+    def advance(rows, k, w1, w2, w4, live, end):
         # a scalar signal's values as floats, as the signal gives them
         w = [v.tolist() if v.ndim == 1 else v for v in (w1, w2, w4)]
-        for j, (w1, w2, w4) in enumerate(zip(*w), k):
-            x, xn = xs[j], xs[j + 1]
+        for j, (w1, w2, w4) in enumerate(zip(*w)):
+            x, xn = rows[j], rows[j + 1]
             f([*x, w1], r1)
             if cfg.integrator == "euler":
                 np.multiply(dt, k1, k1)
@@ -314,7 +368,7 @@ def _numpy_route(rhs_exprs, names, nruns, cfg):
             # false for NaN and inf as well as above the bound
             np.einsum("ij,ij->j", xn, xn, out=norm2)
             if not np.less_equal(norm2, DIVERGENCE_NORM ** 2, out=ok).all():
-                end[live & ~ok] = j + 1
+                end[live & ~ok] = k + j + 1
                 live &= ok
                 if not live.any():
                     return
@@ -346,19 +400,36 @@ def lyapunov_monitor(trace):
 def l2_gain_check(trace, gamma, V0=0.0):
     """Trapezoidal check of   int ||y||^2 <= gamma^2 int w^2 + V0   on the
     trace's first run, to a relative 1e-6."""
+    gamma, V0 = _gain_terms(gamma, V0)
     if trace.int_y2 is None:
         raise ValueError("trace carries no output channel")
     lhs = float(trace.int_y2[-1, 0])
-    rhs = float(gamma) ** 2 * float(trace.int_w2[-1, 0]) + float(V0)
+    rhs = gamma ** 2 * float(trace.int_w2[-1, 0]) + V0
     return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs * (1.0 + 1e-6)}
 
 
-def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None,
-                   **kw):
+def _gain_terms(gamma, V0):
+    """gamma and V0 of an L2-gain check as floats: a gain is finite and
+    >= 0, and the storage offset V0 finite, or the verdict means nothing."""
+    gamma, V0 = float(gamma), float(V0)
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if not math.isfinite(V0):
+        raise ValueError(f"V0 must be finite, got {V0}")
+    return gamma, V0
+
+
+def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None):
     """Monte-Carlo batch: initial conditions uniform in ic_box, drawn from
-    the master seed, and one RK4 sweep for the whole batch with w = 0, so
-    the batch is reproducible bit-for-bit.  ic_box holds one finite
-    (low, high) range per state, low <= high."""
+    the master seed, and one sweep of cfg's integrator (RK4 or Euler) for
+    the whole batch with w = 0, so the batch is reproducible bit-for-bit.
+    ic_box holds one finite (low, high) range per state, low <= high.
+
+    The batch keeps what the protocol reads, never the (T, n, nruns)
+    states: "trace" is a Trace of the first and last rows alone (t = (0,
+    t_last), x of shape (2, nruns, n), no channels), "t" the (T,) times of
+    the (T, n) envelopes "envelope_min" and "envelope_max", with
+    "endpoint_norms", "median_endpoint", "diverged" and "diverged_runs"."""
     if not isinstance(nruns, numbers.Integral):
         raise ValueError(f"nruns must be an integer, got {nruns!r}")
     if nruns < 1:
@@ -378,15 +449,32 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None,
             raise ValueError(f"ic_box range of {name} is reversed: ({a}, {b})")
     rng = np.random.default_rng(master_seed)
     x0 = rng.uniform(lo, hi, size=(nruns, n))
-    trace = simulate(rhs_exprs, state_names, x0, cfg=cfg, **kw)
+    cfg = cfg or SimConfig()
+    rhs_exprs = [simplify(e) for e in rhs_exprs]
+    # the envelopes of rows k, k + 1, ...: min and max over the runs
+    env = np.empty((2, cfg.steps + 1, n))
+
+    def fold(k, rows):
+        x = rows.transpose(0, 2, 1)
+        env[0, k:k + len(rows)] = x.min(axis=1)
+        env[1, k:k + len(rows)] = x.max(axis=1)
+
+    xs, ws, alive = _integrate(_route(rhs_exprs, nruns), rhs_exprs,
+                               list(state_names) + ["w"], x0, cfg,
+                               zero_signal(), fold)
+    ts = _times(len(ws), cfg.dt)
     # a contiguous copy: norm's pairwise summation runs on contiguous rows
-    norms = np.linalg.norm(np.ascontiguousarray(trace.x[-1]), axis=1)
+    xend = np.ascontiguousarray(xs[0].T)
+    norms = np.linalg.norm(xend, axis=1)
+    trace = Trace(ts[[0, -1]], np.stack([x0, xend]), None, None, state_names,
+                  [], [], ~alive)
     return {
         "trace": trace,
+        "t": ts,
         "endpoint_norms": norms,
         "median_endpoint": float(np.median(norms)),
-        "envelope_min": trace.x.min(axis=1),
-        "envelope_max": trace.x.max(axis=1),
+        "envelope_min": env[0, :len(ts)],
+        "envelope_max": env[1, :len(ts)],
         "diverged": trace.diverged,
         "diverged_runs": trace.diverged_runs,
     }

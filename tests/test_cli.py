@@ -249,6 +249,46 @@ def test_simulate_input_errors_exit_1(tmp_path, capsys, x0, signal, want):
     assert not csvp.exists()
 
 
+@pytest.mark.parametrize("args, want", [
+    (["--gamma", "nan"], "gamma must be finite and >= 0, got nan"),
+    (["--gamma", "inf"], "gamma must be finite and >= 0, got inf"),
+    (["--gamma", "-1"], "gamma must be finite and >= 0, got -1.0"),
+    (["--gamma", "0.5", "--v0", "nan"], "V0 must be finite, got nan"),
+    (["--signal", "step:nan"], "step off-time must not be nan"),
+    (["--signal", "step:1:inf"], "step scale must be finite, got inf"),
+    (["--signal", "step:1:nan"], "step scale must be finite, got nan"),
+    (["--signal", "noise:3:4"],
+     "signal spec 'noise:3:4' has too many fields: noise takes at most 1"),
+    (["--signal", "step:1:2:3"],
+     "signal spec 'step:1:2:3' has too many fields: step takes at most 2"),
+    (["--signal", "zero:1"],
+     "signal spec 'zero:1' has too many fields: zero takes at most 0"),
+])
+def test_simulate_refuses_a_meaningless_number_before_the_run(tmp_path, capsys,
+                                                              args, want):
+    # each of these once exited 0: a nan verdict, a gain of -1 read as 1, a
+    # nan step that simulated w = 0, or extra spec fields dropped
+    ctl = tmp_path / "da.ctl"
+    assert run_main(["backstep", SYS / "nf_addexam.nf", "--kappa",
+                     "xi2_1,xi1_1,xi2_2", "--out", ctl], capsys)[0] == 0
+    csvp = tmp_path / "trace.csv"
+    argv = ["simulate", SYS / "nf_addexam.nf", "--controller", ctl,
+            "--x0", "0.1,0,0,0", "--horizon", "0.1", "--csv", csvp, *args]
+    assert run_main(argv, capsys) == (1, "", f"error: {want}\n")
+    assert not csvp.exists()
+
+
+def test_simulate_takes_an_infinite_step_and_a_zero_gain(tmp_path, capsys):
+    ctl = tmp_path / "da.ctl"
+    assert run_main(["backstep", SYS / "nf_addexam.nf", "--kappa",
+                     "xi2_1,xi1_1,xi2_2", "--out", ctl], capsys)[0] == 0
+    code, out, err = run_main(
+        ["simulate", SYS / "nf_addexam.nf", "--controller", ctl,
+         "--x0", "0.1,0,0,0", "--horizon", "0.1", "--signal", "step:inf:0.5",
+         "--gamma", "0", "--v0", "-1", "--csv", tmp_path / "t.csv"], capsys)
+    assert code == 0 and err == "" and "rhs=-1 pass=False" in out
+
+
 def test_simulate_refuses_a_controller_of_the_wrong_width(tmp_path, capsys):
     ctl = tmp_path / "one.ctl"
     ctl.write_text("[controller]\nv1 = 0\n")

@@ -12,8 +12,9 @@ from normform.backstep import ChainSystem, Stabilizer, synthesize
 from normform.expr import (Const, Func, Pow, Var, _kernel_source, _step_source,
                            backends_agree, compile_block_scalar, compile_exprs,
                            compile_exprs_scalar, parse, simplify)
-from normform.simkit import (DIVERGENCE_NORM, SCALAR_RUNS, Signal, SimConfig,
-                             _float_route, _integrate, _numpy_route,
+from normform.simkit import (_BLOCK, DIVERGENCE_NORM, SCALAR_RUNS, Signal,
+                             SimConfig, Trace, _float_route, _integrate,
+                             _numpy_route,
                              _running_trapezoid, batch_simulate, l2_gain_check,
                              lyapunov_monitor, noise_signal, simulate,
                              step_signal, trace_to_csv, zero_signal)
@@ -382,7 +383,11 @@ def test_batch_summaries_match_column_loop(systems_dir):
     x0 = np.random.default_rng(2).uniform(-1.0, 1.0, size=(300, 8))
     ref = _reference_batch(law.closed_loop_rhs(), names, x0, cfg,
                            zero_signal())
-    assert np.array_equal(res["trace"].x, ref["x"])
+    # the batch keeps no full trace: simulate's, on the same x0, is compared
+    assert np.array_equal(simulate(law.closed_loop_rhs(), names, x0, cfg).x,
+                          ref["x"])
+    assert np.array_equal(res["trace"].x, ref["x"][[0, -1]])
+    assert np.array_equal(res["t"], ref["t"])
     assert np.array_equal(res["endpoint_norms"],
                           np.linalg.norm(ref["x"][-1], axis=1))
     assert np.array_equal(res["envelope_min"], ref["x"].min(axis=1))
@@ -539,9 +544,9 @@ def test_batch_simulate_refuses_a_bad_run_count_before_the_draw(nruns, match):
 def test_batch_simulate_takes_a_numpy_integer_run_count():
     cfg = SimConfig(dt=1e-2, horizon=0.1)
     runs = [batch_simulate([parse("-x1")], ["x1"], [(-1.0, 1.0)], nruns=k,
-                           master_seed=3, cfg=cfg)["trace"].x
+                           master_seed=3, cfg=cfg)
             for k in (5, np.int64(5))]
-    assert runs[0].tobytes() == runs[1].tobytes()
+    assert _batch_bytes(runs[0]) == _batch_bytes(runs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +584,12 @@ def test_a_per_run_signal_keeps_a_full_channel():
     assert np.array_equal(tr.int_w2, _running_trapezoid(tr.t, tr.w * tr.w))
 
 
-def test_a_zero_signal_batch_peaks_at_its_states():
-    # with 2 states, one more (T, nruns) float array is half the states again
+def _cubic_batch(dt, horizon):
+    """The traced peak of a 400-run batch of a 2-state loop, and the batch."""
     def run():
         return batch_simulate([parse("-x1 + x2"), parse("-x2 - x1^3")],
                               ["x1", "x2"], [(-1.0, 1.0)] * 2, nruns=400,
-                              master_seed=3, cfg=SimConfig(dt=1e-3, horizon=2.0))
+                              master_seed=3, cfg=SimConfig(dt=dt, horizon=horizon))
     run()   # the kernels are compiled once per process
     tracemalloc.start()
     try:
@@ -592,7 +597,102 @@ def test_a_zero_signal_batch_peaks_at_its_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * res["trace"].x.nbytes
+    return peak, res
+
+
+def test_a_zero_signal_batch_peaks_at_its_states():
+    # the states pass through a rolling buffer of _BLOCK + 1 rows; the
+    # stage arrays, the (T,) times and the w column are the rest.  The
+    # (T, n, nruns) states would be 12.8 MB, 7.5 times the buffer
+    peak, res = _cubic_batch(1e-3, 2.0)
+    buffer = (_BLOCK + 1) * 2 * 400 * 8
+    assert peak <= 1.1 * (buffer + res["envelope_min"].nbytes
+                          + res["envelope_max"].nbytes)
+
+
+def test_a_batch_peak_does_not_grow_with_the_horizon():
+    # four times the steps; only the (T, n) envelopes, the (T,) times and
+    # the w column grow, by about 7% of the peak at the protocol's dt
+    short, _ = _cubic_batch(2e-3, 2.0)
+    long, res = _cubic_batch(2e-3, 8.0)
+    assert len(res["t"]) == 4001
+    assert long <= 1.1 * short
+
+
+def _batch_bytes(res):
+    """The bytes of every array a batch returns, and its other values."""
+    tr = res["trace"]
+    return ([res[k].tobytes() for k in ("t", "endpoint_norms", "envelope_min",
+                                        "envelope_max", "diverged_runs")]
+            + [tr.t.tobytes(), tr.x.tobytes(), tr.diverged_runs.tobytes(),
+               res["median_endpoint"], res["diverged"]])
+
+
+def _full_trace_summary(tr):
+    """The batch's values from a full trace, as batch_simulate computed them
+    before it streamed its rows."""
+    norms = np.linalg.norm(np.ascontiguousarray(tr.x[-1]), axis=1)
+    return {"trace": Trace(tr.t[[0, -1]], tr.x[[0, -1]], None, None, tr.names,
+                           [], [], tr.diverged_runs),
+            "t": tr.t, "endpoint_norms": norms,
+            "median_endpoint": float(np.median(norms)),
+            "envelope_min": tr.x.min(axis=1), "envelope_max": tr.x.max(axis=1),
+            "diverged": tr.diverged, "diverged_runs": tr.diverged_runs}
+
+
+def _assert_streamed_summary(rhs, names, box, nruns, seed, cfg):
+    res = batch_simulate(rhs, names, box, nruns=nruns, master_seed=seed,
+                         cfg=cfg)
+    x0 = np.random.default_rng(seed).uniform(
+        np.array([b[0] for b in box], dtype=float),
+        np.array([b[1] for b in box], dtype=float), size=(nruns, len(names)))
+    tr = simulate(rhs, names, x0, cfg)
+    assert _batch_bytes(res) == _batch_bytes(_full_trace_summary(tr))
+    return tr
+
+
+@pytest.mark.parametrize("nruns", [1, 2, 50, 1000])
+@pytest.mark.parametrize("key", ["chain", "mixed"])
+def test_streamed_batch_summaries_equal_the_full_trace(systems_dir, key, nruns):
+    # 300 steps: a block of 256, then one of 44
+    law, names = (_loop(systems_dir, "nf_uchain.nf", "xi1_1,xi1_2,xi2_1,xi2_2")
+                  if key == "chain" else
+                  _loop(systems_dir, "nf_mixed.nf",
+                        "xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4",
+                        gains={"xi1_1": 0, "xi3_1": 0, "xi2_1": 0}))
+    tr = _assert_streamed_summary(law.closed_loop_rhs(), names,
+                                  [(-1.0, 1.0)] * len(names), nruns, 7,
+                                  SimConfig(dt=2e-3, horizon=0.6))
+    assert len(tr.t) == 301 and not tr.diverged
+
+
+@pytest.mark.parametrize("nruns", [5, 300])
+@pytest.mark.parametrize("box, horizon, blocks", [
+    # x1' = x1^2 leaves the bound near t = 1/x1(0): in blocks 1, 2 and 3
+    ((-1.0, 1.0), 6.0, {0, 1, 2}),
+    # from above ~5e3 at the first step, and the negative runs stay
+    ((-1e4, 1e4), 0.6, {0}),
+    # every run leaves mid-block, in the second block
+    ((0.25, 0.3), 6.0, {1}),
+], ids=["blocks", "first-step", "all-mid-block"])
+def test_streamed_batch_freezes_as_the_full_trace(box, horizon, blocks, nruns):
+    # 5 runs take the float route, 300 the numpy route
+    tr = _assert_streamed_summary([parse("x1^2")], ["x1"], [box], nruns, 4,
+                                  SimConfig(dt=1e-2, horizon=horizon))
+    x = tr.x[:, :, 0]
+    left = np.flatnonzero(tr.diverged_runs)
+    # each run's last distinct row: its last accepted row, frozen after it,
+    # or the trace's end; 0 for a run that left at the first step
+    stops = [np.flatnonzero(x[1:, r] != x[:-1, r]).max(initial=-1) + 1
+             for r in left]
+    if nruns == 300:
+        assert {s // _BLOCK for s in stops} == blocks
+        if box[0] < 0:
+            assert not tr.diverged_runs.all()
+        if box[1] > 1:
+            assert 0 in stops
+    if box[0] > 0:
+        assert tr.diverged_runs.all() and len(tr.t) % _BLOCK not in (0, 1)
 
 
 def _tiled_case(systems_dir, key):
