@@ -203,8 +203,8 @@ def cmd_simulate(args):
     x0 = [float(t) for t in args.x0.split(",")]
     cfg = SimConfig(dt=args.dt, horizon=args.horizon, integrator=args.integrator)
     signal = _make_signal(args.signal, cfg.horizon)
-    if args.gamma is not None:
-        _gain_terms(args.gamma, args.v0)   # refused before the run, not after
+    # refused before the run, not after; --v0 also without --gamma
+    _gain_terms(0.0 if args.gamma is None else args.gamma, args.v0)
     outputs = [Var(cs.xi_name(i + 1, 1)) for i in range(cs.m)]
     trace = simulate(rhs, names, x0, cfg=cfg, w_signal=signal,
                      input_exprs=law.v, output_exprs=outputs, V_expr=W)

@@ -19,6 +19,7 @@ import functools
 import math
 import numbers
 import re
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 
@@ -381,14 +382,36 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # Polynomial-fraction canonical form
 #
-# A polynomial is a dict {mono: coeff}; a monomial is a sorted tuple of
-# (atom, exponent) pairs with atom an Expr (Var, Func, or an opaque
-# budget-capped subexpression) and exponent a positive int.  Coefficients are
-# exact (int when whole, else Fraction) or float; the plain operators keep
-# exact operands exact and make float contagious.
+# A polynomial is a dict {mono: coeff}.  A monomial is its own sort key: the
+# tuple (-degree, (tok, -e), ...), one pair per atom (a Var, a Func or an
+# opaque budget-capped subexpression) with exponent e > 0, by ascending
+# token.  A token is the atom's key as an interned str carrying the atom
+# (tok.atom), so the tuple order is the term order (higher degree first, then
+# by atom key, a higher power first), and monomials hash and compare as str
+# and int.  Coefficients are exact (int when whole, else Fraction) or float;
+# the plain operators keep exact operands exact and make float contagious.
 # ---------------------------------------------------------------------------
 
-_EMPTY_MONO = ()
+_EMPTY_MONO = (0,)
+
+
+class _Tok(str):
+    __slots__ = ("atom", "__weakref__")
+
+
+# key -> token, held weakly: a token lives while a monomial holds it and holds
+# its atom, so no atom outlives its polynomials here.
+_TOKENS = weakref.WeakValueDictionary()
+
+
+def _token(atom):
+    """The token of atom's key, one for all nodes with that key."""
+    key = atom.key
+    tok = _TOKENS.get(key)
+    if tok is None:
+        tok = _TOKENS[key] = _Tok(key)
+        tok.atom = atom
+    return tok
 
 
 def _whole(c):
@@ -402,13 +425,11 @@ def _div(a, b):
 
 
 def _poly_const(c):
-    if c == 0:
-        return {}
-    return {_EMPTY_MONO: _whole(c)}
+    return {_EMPTY_MONO: _whole(c)} if c != 0 else {}
 
 
 def _poly_atom(atom, exp=1):
-    return {((atom, exp),): 1}
+    return {(-exp, (_token(atom), -exp)): 1}
 
 
 def _poly_add(p, q):
@@ -429,25 +450,27 @@ def _poly_iadd(out, q):
 
 
 def _mono_mul(m1, m2):
-    if not m1:
+    if len(m1) == 1:
         return m2
-    if not m2:
+    if len(m2) == 1:
         return m1
-    d = {}
-    for a, e in m1:
-        d[a] = d.get(a, 0) + e
-    for a, e in m2:
-        d[a] = d.get(a, 0) + e
-    # |u|^2 = u^2 when the argument is itself an atomic base.
-    for a in list(d):
-        e = d[a]
-        if (e >= 2 and isinstance(a, Func) and a.fname == "abs"
-                and isinstance(a.arg, (Var, Func))):
-            k = e - (e % 2)
-            d[a] = e % 2
-            d[a.arg] = d.get(a.arg, 0) + k
-    return tuple(sorted(((a, e) for a, e in d.items() if e != 0),
-                        key=lambda ae: ae[0].key))
+    d = dict(m1[1:])
+    for t, e in m2[1:]:
+        d[t] = d.get(t, 0) + e
+    # |u|^2 = u^2 for an atomic u, and again on u if it is an |.| so raised
+    todo = list(d)
+    while todo:
+        t = todo.pop()
+        e = d.get(t, 0)
+        if (e <= -2 and t.startswith("2Uabs(")
+                and isinstance(t.atom.arg, (Var, Func))):
+            u = _token(t.atom.arg)
+            d[u] = d.get(u, 0) + e - e % -2
+            todo.append(u)
+            del d[t]
+            if e % -2:
+                d[t] = -1
+    return (m1[0] + m2[0], *sorted(d.items()))
 
 
 def _poly_mul(p, q):
@@ -481,23 +504,24 @@ def _poly_pow(p, n):
     return out
 
 
-def _mono_key(m):
-    return (-sum(e for _, e in m), tuple((a.key, -e) for a, e in m))
-
-
 def _poly_lead(p):
-    return min(p, key=_mono_key)
+    return min(p)
 
 
 def _mono_divides(md, mn):
-    dn = dict(mn)
-    for a, e in md:
-        if dn.get(a, 0) < e:
+    """mn / md when md divides mn, else None."""
+    if md[0] < mn[0]:   # md has the higher degree
+        return None
+    dn = dict(mn[1:])
+    for t, e in md[1:]:
+        r = dn.get(t, 0) - e
+        if r > 0:
             return None
-    for a, e in md:
-        dn[a] -= e
-    return tuple(sorted(((a, e) for a, e in dn.items() if e != 0),
-                        key=lambda ae: ae[0].key))
+        if r:
+            dn[t] = r
+        else:
+            del dn[t]
+    return (mn[0] - md[0], *dn.items())
 
 
 def _poly_divide_exact(n, d):
@@ -540,27 +564,22 @@ def _pythagorean_pass(p):
         changed = False
         for mono, c1 in list(p.items()):
             hit = None
-            for a, e in mono:
-                if isinstance(a, Func) and a.fname == "sin" and e >= 2:
-                    hit = a
+            for t, e in mono[1:]:
+                if e <= -2 and t.startswith("2Usin("):
+                    hit = t
                     break
-            if hit is None:
+            # no cos(u) token, no monomial with cos(u)
+            cos = None if hit is None else _TOKENS.get("2Ucos" + hit[5:])
+            if cos is None:
                 continue
-            cosa = Func("cos", hit.arg)
-            partner = _mono_mul(_mono_divides(((hit, 2),), mono),
-                                ((cosa, 2),))
-            if partner not in p or partner == mono:
+            base = _mono_divides((-2, (hit, -2)), mono)
+            partner = _mono_mul(base, (-2, (cos, -2)))
+            if partner not in p:
                 continue
             c2 = p[partner]
-            base = _mono_divides(((hit, 2),), mono)
             p.pop(mono)
             p.pop(partner)
-            for m, c in ((base, c1), (partner, c2 - c1)):
-                nc = p.get(m, 0) + c
-                if nc == 0:
-                    p.pop(m, None)
-                else:
-                    p[m] = nc
+            _poly_iadd(p, {base: c1, partner: c2 - c1})
             changed = True
             break
     return p
@@ -580,25 +599,20 @@ def _frac_cancel(num, den):
     den = _pythagorean_pass(dict(den))
     if not num:
         return _Frac({}, _poly_const(1))
-    # Common monomial content.
+    # Common monomial content (token -> negated exponent), the numerator's
+    # taken only where the denominator has some.
     def content(p):
-        it = iter(p)
-        first = dict(next(it))
-        for m in it:
-            dm = dict(m)
-            for a in list(first):
-                e = min(first[a], dm.get(a, 0))
-                if e <= 0:
-                    del first[a]
-                else:
-                    first[a] = e
-            if not first:
+        out = dict(next(iter(p))[1:])
+        for m in p:
+            if not out:
                 break
-        return first
-    cn, cd = content(num), content(den)
-    common = {a: min(e, cd.get(a, 0)) for a, e in cn.items() if cd.get(a, 0) > 0}
+            dm = dict(m[1:])
+            out = {t: max(e, dm[t]) for t, e in out.items() if t in dm}
+        return out
+    cd = content(den)
+    common = cd and {t: max(e, cd[t]) for t, e in content(num).items() if t in cd}
     if common:
-        cm = tuple(sorted(common.items(), key=lambda ae: ae[0].key))
+        cm = (sum(common.values()), *common.items())
         num = {_mono_divides(cm, m): c for m, c in num.items()}
         den = {_mono_divides(cm, m): c for m, c in den.items()}
     # Exact division both ways.
@@ -624,9 +638,9 @@ def _frac_add(f1, f2):
     if f1.den == f2.den:
         return _Frac(_poly_add(f1.num, f2.num), f1.den)
     if not (_is_one(f1.den) or _is_one(f2.den)):
-        # over the multiple if the denominator of lower degree divides the other
-        d1, d2 = (max(sum(e for _, e in m) for m in f.den) for f in (f1, f2))
-        big, small = (f1, f2) if d1 >= d2 else (f2, f1)
+        # over the multiple if the denominator of lower degree divides the
+        # other (a leading monomial starts with its negated degree)
+        big, small = (f1, f2) if min(f1.den)[0] <= min(f2.den)[0] else (f2, f1)
         k = _poly_divide_exact(big.den, small.den)
         if k is not None:
             return _frac_cancel(_poly_add(big.num, _poly_mul(small.num, k)),
@@ -743,14 +757,9 @@ def _fold_func(fname, value):
 
 
 def _mono_to_expr(mono, coeff):
-    factors = []
-    if coeff != 1 or not mono:
-        factors.append(Const(coeff))
-    for atom, exp in mono:
-        factors.append(atom if exp == 1 else Pow(atom, exp))
-    if len(factors) == 1:
-        return factors[0]
-    return Mul(tuple(factors))
+    factors = [Const(coeff)] if coeff != 1 or len(mono) == 1 else []
+    factors += [t.atom if e == -1 else Pow(t.atom, -e) for t, e in mono[1:]]
+    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
 
 def _poly_written(p):
@@ -774,9 +783,9 @@ def _frac_written(f):
 def _reads_back_differently(f):
     # |u|^2k with u non-atomic folds to u^2k only when read back as a power;
     # an opaque atom left at exponent 1 by cancellation expands.
-    return any((x % 2 == 0 and isinstance(a, Func) and a.fname == "abs")
-               or (x == 1 and not isinstance(a, (Var, Func)))
-               for p in (f.num, f.den) for m in p for a, x in m)
+    return any((x % 2 == 0 and t.startswith("2Uabs("))
+               or (x == -1 and not isinstance(t.atom, (Var, Func)))
+               for p in (f.num, f.den) for m in p for t, x in m[1:])
 
 
 def simplify(e):
@@ -826,7 +835,7 @@ def _exact(f, over_vars=False):
     """Whether every coefficient of the fraction f is exact and, with
     over_vars, every atom a variable."""
     return not any(type(c) is float
-                   or (over_vars and any(type(a) is not Var for a, _ in m))
+                   or (over_vars and any(type(t.atom) is not Var for t, _ in m[1:]))
                    for p in f for m, c in p.items())
 
 
@@ -849,7 +858,7 @@ def _mark_canonical(out, f, order):
             and _exact(f)):
         _memoized(out, _FRAC_KEY, lambda: _Frac(
             {m: _whole(f.num[m]) for m in order},
-            {m: _whole(f.den[m]) for m in sorted(f.den, key=_mono_key)}))
+            {m: _whole(f.den[m]) for m in sorted(f.den)}))
     return out
 
 
@@ -1558,21 +1567,12 @@ def _render(e):
     if isinstance(e, Mul):
         return _render_mul(e)
     if isinstance(e, Add):
-        out = _render_term(e.terms[0])
+        out = _render(e.terms[0])
         for t in e.terms[1:]:
-            s = _render_term(t)
-            if s.startswith("-"):
-                out += " - " + s[1:]
-            else:
-                out += " + " + s
+            s = _render(t)
+            out += " - " + s[1:] if s.startswith("-") else " + " + s
         return out
     raise TypeError(f"unknown node {e!r}")
-
-
-def _render_term(e):
-    if isinstance(e, Mul):
-        return _render_mul(e)
-    return _render(e)
 
 
 def render(e):

@@ -339,10 +339,11 @@ def _poly_lie_derivative(f, lam):
         p, *fs = polys
         partials = {}   # state name -> d lam / d state
         for mono, c in p.items():
-            for k, (a, e) in enumerate(mono):
-                shifted = ((a, e - 1),) if e > 1 else ()
-                partials.setdefault(a.name, {})[
-                    mono[:k] + shifted + mono[k + 1:]] = c * e
+            for k in range(1, len(mono)):
+                t, e = mono[k]   # e is the negated exponent
+                shifted = ((t, e + 1),) if e < -1 else ()
+                partials.setdefault(t.atom.name, {})[
+                    (mono[0] + 1, *mono[1:k], *shifted, *mono[k + 1:])] = c * -e
         acc = {}
         for name, fi in zip(f.states, fs):
             if name in partials:

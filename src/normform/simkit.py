@@ -64,6 +64,8 @@ class SimConfig:
         self.horizon = float(horizon)
         self.integrator = integrator
         self.steps = int(round(self.horizon / self.dt))
+        if self.steps == 0:
+            raise ValueError(f"dt {self.dt} leaves no step in horizon {self.horizon}")
 
 
 class Signal:

@@ -37,6 +37,52 @@ def _record_normal_forms():
         yield
 
 
+# the first malformed monomial of each stored fraction since the last test
+# call ended; the monomials themselves are not kept, so no test sees its
+# tokens outlive it
+BAD_MONOMIALS = []
+
+
+def malformed_monomial(p):
+    """The first monomial of the polynomial p that breaks the layout
+    (-degree, (tok, -e), ...): a first entry other than the sum of the
+    negated exponents, tokens not strictly ascending, or an exponent 0;
+    None when there is none."""
+    for m in p:
+        if len(m) > 1:
+            toks, exps = zip(*m[1:])
+            if (m[0] != sum(exps) or 0 in exps
+                    or (len(toks) > 1 and list(toks) != sorted(set(toks)))):
+                return m
+        elif m[0] != 0:
+            return m
+    return None
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _check_stored_monomials():
+    """Every fraction _mark_canonical stores on a node has well-formed
+    monomials; a malformed one is recorded for the check after each test
+    call."""
+    from normform import expr, geom
+
+    real = expr._mark_canonical
+
+    def checked(out, f, order):
+        out = real(out, f, order)
+        stored = (out._memo or {}).get(expr._FRAC_KEY)
+        for part in stored or ():
+            bad = malformed_monomial(part)
+            if bad is not None:
+                BAD_MONOMIALS.append(repr(bad))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "_mark_canonical", checked)
+        mp.setattr(geom, "_mark_canonical", checked)
+        yield
+
+
 def delta_keys_obey_sparsity(nf):
     """The sparsity law delta_{i,j,l} = 0 for j < q_l, read off the keys:
     no key (i, j, l) has j < q_l."""
@@ -46,12 +92,16 @@ def delta_keys_obey_sparsity(nf):
 @pytest.hookimpl(wrapper=True)
 def pytest_runtest_call(item):
     """The sparsity law holds by construction, so every normal form that a
-    test or its fixtures build obeys it on its keys."""
+    test or its fixtures build obeys it on its keys; and every fraction
+    stored on a canonical node has well-formed monomials."""
     result = yield
     built = list(BUILT_NORMAL_FORMS)
     BUILT_NORMAL_FORMS.clear()
     for nf in built:
         assert delta_keys_obey_sparsity(nf), sorted(nf.delta)
+    bad = list(BAD_MONOMIALS)
+    BAD_MONOMIALS.clear()
+    assert not bad, bad[:3]
     return result
 
 
@@ -271,6 +321,16 @@ def _reference_evalf(e, env):
     return ev(e)
 
 
+def mono(*pairs):
+    """The monomial of the (atom, exponent) pairs, as products build it."""
+    from normform.expr import _EMPTY_MONO, _mono_mul, _poly_atom
+    m = _EMPTY_MONO
+    for atom, e in pairs:
+        (m1,) = _poly_atom(atom, e)
+        m = _mono_mul(m, m1)
+    return m
+
+
 def _reference_frac_cancel(num, den):
     """expr._frac_cancel without its fast path for the exact denominator 1:
     the Pythagorean pass on both parts, the common monomial content, exact
@@ -285,22 +345,22 @@ def _reference_frac_cancel(num, den):
 
     def content(p):
         it = iter(p)
-        first = dict(next(it))
+        first = dict(next(it)[1:])
         for m in it:
-            dm = dict(m)
-            for a in list(first):
-                e = min(first[a], dm.get(a, 0))
-                if e <= 0:
-                    del first[a]
+            dm = dict(m[1:])
+            for t in list(first):
+                e = max(first[t], dm.get(t, 0))
+                if e:
+                    first[t] = e
                 else:
-                    first[a] = e
+                    del first[t]
             if not first:
                 break
         return first
     cn, cd = content(num), content(den)
-    common = {a: min(e, cd.get(a, 0)) for a, e in cn.items() if cd.get(a, 0) > 0}
+    common = {t: max(e, cd[t]) for t, e in cn.items() if t in cd}
     if common:
-        cm = tuple(sorted(common.items(), key=lambda ae: ae[0].key))
+        cm = (sum(common.values()), *common.items())
         num = {_mono_divides(cm, m): c for m, c in num.items()}
         den = {_mono_divides(cm, m): c for m, c in den.items()}
     if den != _poly_const(1):

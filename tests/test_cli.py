@@ -263,11 +263,15 @@ def test_simulate_input_errors_exit_1(tmp_path, capsys, x0, signal, want):
      "signal spec 'step:1:2:3' has too many fields: step takes at most 2"),
     (["--signal", "zero:1"],
      "signal spec 'zero:1' has too many fields: zero takes at most 0"),
+    (["--v0", "nan"], "V0 must be finite, got nan"),
+    (["--v0", "inf"], "V0 must be finite, got inf"),
+    (["--dt", "1"], "dt 1.0 leaves no step in horizon 0.1"),
 ])
 def test_simulate_refuses_a_meaningless_number_before_the_run(tmp_path, capsys,
                                                               args, want):
     # each of these once exited 0: a nan verdict, a gain of -1 read as 1, a
-    # nan step that simulated w = 0, or extra spec fields dropped
+    # nan step that simulated w = 0, extra spec fields dropped, a --v0 read
+    # only with --gamma, or a dt that left a trace of x0 alone
     ctl = tmp_path / "da.ctl"
     assert run_main(["backstep", SYS / "nf_addexam.nf", "--kappa",
                      "xi2_1,xi1_1,xi2_2", "--out", ctl], capsys)[0] == 0

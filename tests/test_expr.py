@@ -8,20 +8,22 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (_reference_diff_raw, _reference_evalf,
-                      _reference_frac_cancel, term_budget, unmarked_copy)
+                      _reference_frac_cancel, malformed_monomial, mono,
+                      term_budget, unmarked_copy)
 from normform.expr import (_FRAC_KEY, SAMPLE_CUTOFF, SAMPLE_REDRAWS,
                            TERM_BUDGET, ONE, ZERO, Add, BudgetError, Const,
                            EvalError, Func,
                            Mul, ParseError, Pow, Var, _CHUNK, _diff_raw,
                            _expand, _Frac, _frac_add, _frac_cancel,
                            _frac_mul, _frac_written, _kernel_source,
-                           _mono_mul, _poly_const, _poly_mul, _poly_pow,
+                           _memoized, _mono_divides, _mono_mul, _poly_const,
+                           _poly_lead, _poly_mul, _poly_pow,
                            _poly_written,
-                           _to_frac,
+                           _to_frac, _token,
                            _var_names, backends_agree, compile_exprs,
                            compile_block_scalar, compile_exprs_into,
                            compile_exprs_scalar, const,
-                           diff, equivalent, evalf, free_vars,
+                           diff, equivalent, evalf, free_vars, is_zero,
                            numeric_equivalent, parse, render, sample_box,
                            simplify, subs)
 
@@ -79,6 +81,11 @@ def test_pythagorean_rewrite_only():
 def test_abs_square_collapses():
     assert parse("abs(x1)^2") == parse("x1^2")
     assert simplify(Pow(Func("abs", parse("x1 + x2")), 2)) == parse("(x1+x2)^2")
+    # |(|x1|)|^2 gives |x1|^2, which collapses in turn; the product once
+    # stopped at abs(x1)^3, so is_zero missed the difference
+    nested = parse("abs(x1)*abs(abs(x1))*abs(abs(x1))")
+    assert nested == parse("abs(x1)^3") == parse("x1^2*abs(x1)")
+    assert is_zero(nested - parse("abs(x1)^3"))
 
 
 def test_free_vars_cancellation():
@@ -839,8 +846,8 @@ def test_long_sums_compile_in_both_backends_as_a_left_fold():
     # the kernel folds long chains in chunks
     names = ["x1", "x2", "x3", "x4"]
     full = _poly_written({
-        tuple((Var(x), i // 10 ** k % 10) for k, x in enumerate(names)
-              if i // 10 ** k % 10): Fraction((-1) ** i * (1 + i % 5), 1 + i % 3)
+        mono(*((Var(x), i // 10 ** k % 10) for k, x in enumerate(names)
+               if i // 10 ** k % 10)): Fraction((-1) ** i * (1 + i % 5), 1 + i % 3)
         for i in range(TERM_BUDGET)})[0]
     assert len(full.terms) == TERM_BUDGET
     assert simplify(Add(full.terms[:300])).terms == full.terms[:300]
@@ -1156,20 +1163,17 @@ def poly_dicts(draw, min_terms=0):
     coefficients; some monomials come with sin^2 and cos^2 partners."""
     p = {}
     for _ in range(draw(st.integers(min_terms, 4))):
-        mono = ()
-        for atom in (Var("x1"), Var("x2"), _SIN, _COS):
-            e = draw(st.integers(0, 2))
-            if e:
-                mono = _mono_mul(mono, ((atom, e),))
-        p[mono] = draw(POLY_COEFFS)
+        m = mono(*((atom, e) for atom in (Var("x1"), Var("x2"), _SIN, _COS)
+                   if (e := draw(st.integers(0, 2)))))
+        p[m] = draw(POLY_COEFFS)
         if draw(st.booleans()):
             for atom in (_SIN, _COS):
-                p[_mono_mul(mono, ((atom, 2),))] = draw(POLY_COEFFS)
+                p[_mono_mul(m, mono((atom, 2)))] = draw(POLY_COEFFS)
     return p
 
 
-DENOMINATORS = st.one_of(st.sampled_from(({(): 1}, {(): 1.0}, {(): Fraction(1)},
-                                           {(): 2}, {(): -1})),
+DENOMINATORS = st.one_of(st.sampled_from(tuple({mono(): c} for c in
+                                               (1, 1.0, Fraction(1), 2, -1))),
                          poly_dicts(min_terms=1))
 
 
@@ -1184,10 +1188,11 @@ def _cancelled(fn, *args):
 @pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(poly_dicts(), DENOMINATORS, poly_dicts(), DENOMINATORS)
-@example({((_SIN, 2),): 3, ((_COS, 2),): 5, (): 1}, {(): 1}, {}, {(): 1})
-@example({_mono_mul(((_SIN, 2),), ((Var("x2"), 1),)): 0.5,
-          _mono_mul(((_COS, 2),), ((Var("x2"), 1),)): 1.0},
-         {(): 1}, {((_SIN, 2),): 2}, {(): 1.0})
+@example({mono((_SIN, 2)): 3, mono((_COS, 2)): 5, mono(): 1}, {mono(): 1}, {},
+         {mono(): 1})
+@example({mono((_SIN, 2), (Var("x2"), 1)): 0.5,
+          mono((_COS, 2), (Var("x2"), 1)): 1.0},
+         {mono(): 1}, {mono((_SIN, 2)): 2}, {mono(): 1.0})
 def test_frac_cancel_matches_the_general_body(n1, d1, n2, d2):
     # the exact denominator 1 takes a fast path with the general result:
     # the same dicts, in the same order, with the same coefficient types
@@ -1207,9 +1212,9 @@ def exact_fractions(draw):
     denominator is a product of powers of 1 + x1^2 x2, 1 - x1 and x2."""
     num = {}
     for _ in range(draw(st.integers(0, 3))):
-        mono = tuple((Var(x), e) for x in ("x1", "x2")
-                     if (e := draw(st.integers(0, 2))))
-        num[mono] = draw(st.integers(-3, 3).filter(bool))
+        m = mono(*((Var(x), e) for x in ("x1", "x2")
+                   if (e := draw(st.integers(0, 2)))))
+        num[m] = draw(st.integers(-3, 3).filter(bool))
     den = _poly_const(1)
     for p in _DEN_FACTORS:
         k = draw(st.integers(0, 3))
@@ -1221,14 +1226,15 @@ def exact_fractions(draw):
 def _sympy_poly(p):
     import sympy
 
-    return sympy.Add(*(c * sympy.Mul(*(sympy.Symbol(a.name) ** e for a, e in m))
+    return sympy.Add(*(c * sympy.Mul(*(sympy.Symbol(t.atom.name) ** -e
+                                       for t, e in m[1:]))
                        for m, c in p.items()))
 
 
 @settings(max_examples=100, deadline=None)
 @given(exact_fractions(), exact_fractions())
-@example(_Frac({(): 1}, _poly_pow(_DEN_FACTORS[0], 2)),
-         _Frac({(): 1}, _poly_pow(_DEN_FACTORS[0], 3)))
+@example(_Frac({mono(): 1}, _poly_pow(_DEN_FACTORS[0], 2)),
+         _Frac({mono(): 1}, _poly_pow(_DEN_FACTORS[0], 3)))
 def test_frac_add_keeps_the_multiple_of_the_denominators(f1, f2):
     # a/d1 + b/d2 with d1 = k d2 is (a + b k)/d1: the sum of 1/q^2 and 1/q^3
     # is over q^3, not q^5
@@ -1244,6 +1250,131 @@ def test_frac_add_keeps_the_multiple_of_the_denominators(f1, f2):
         if sympy.div(big, small, *gens)[1] == 0:
             # _frac_cancel may take a common factor off the multiple
             assert sympy.div(big, _sympy_poly(got.den), *gens)[1] == 0
+
+
+# The monomial layout before a monomial was its own sort key: (atom, e)
+# pairs sorted by atom key, ordered by _old_mono_key, multiplied and divided
+# by the pair arithmetic below.  The stored layout must agree with it.  No
+# atom is a nested |.|: there the old rule stopped after one level.
+def _old_mono_key(m):
+    return (-sum(e for _, e in m), tuple((a.key, -e) for a, e in m))
+
+
+def _old_mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = {}
+    for a, e in m1:
+        d[a] = d.get(a, 0) + e
+    for a, e in m2:
+        d[a] = d.get(a, 0) + e
+    for a in list(d):
+        e = d[a]
+        if (e >= 2 and isinstance(a, Func) and a.fname == "abs"
+                and isinstance(a.arg, (Var, Func))):
+            k = e - (e % 2)
+            d[a] = e % 2
+            d[a.arg] = d.get(a.arg, 0) + k
+    return tuple(sorted(((a, e) for a, e in d.items() if e != 0),
+                        key=lambda ae: ae[0].key))
+
+
+def _old_mono_divides(md, mn):
+    dn = dict(mn)
+    for a, e in md:
+        if dn.get(a, 0) < e:
+            return None
+    for a, e in md:
+        dn[a] -= e
+    return tuple(sorted(((a, e) for a, e in dn.items() if e != 0),
+                        key=lambda ae: ae[0].key))
+
+
+def _stored(pairs):
+    """The stored monomial of old-layout pairs, entry by entry."""
+    if pairs is None:
+        return None
+    return (-sum(e for _, e in pairs), *((_token(a), -e) for a, e in pairs))
+
+
+_X1, _X2 = Var("x1"), Var("x2")
+ORACLE_ATOMS = (
+    _X1, _X2, Var("x10"), Var("y"), Func("sin", _X1), Func("cos", _X1),
+    Func("abs", _X2), Func("abs", Func("sin", _X1)), Func("sqrt", Add((_X1, _X2))),
+    Func("abs", Add((_X1, Const(1)))), Add((_X1, Const(1))),     # opaque atoms:
+    Pow(Add((_X1, _X2)), 3), Mul((_X1, Func("exp", _X2))))       # budget-capped
+
+
+@st.composite
+def old_monomials(draw):
+    atoms = draw(st.lists(st.sampled_from(ORACLE_ATOMS), max_size=4,
+                          unique_by=lambda a: a.key))
+    return tuple(sorted(((a, draw(st.integers(1, 4))) for a in atoms),
+                        key=lambda ae: ae[0].key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(old_monomials(), min_size=1, max_size=6), old_monomials())
+def test_stored_monomials_order_multiply_and_divide_as_the_pairs(ms, m2):
+    # the abs rule (|u|^2 = u^2 for an atomic u) may leave no pairs of the
+    # old layout, so the oracle runs on what _old_mono_mul gives back
+    new = [_stored(m) for m in ms]
+    assert sorted(new) == [_stored(m) for m in sorted(ms, key=_old_mono_key)]
+    assert _poly_lead(dict.fromkeys(new)) == _stored(min(ms, key=_old_mono_key))
+    for m1 in ms:
+        prod = _old_mono_mul(m1, m2)
+        assert _mono_mul(_stored(m1), _stored(m2)) == _stored(prod)
+        for md, mn in ((m1, m2), (m2, m1), (m1, prod), (m2, prod), (prod, m1)):
+            assert _mono_divides(_stored(md), _stored(mn)) == \
+                _stored(_old_mono_divides(md, mn))
+
+
+def test_malformed_monomial_finds_each_broken_rule():
+    good = mono((_X1, 2), (_X2, 1))
+    x1, x2 = good[1][0], good[2][0]
+    assert malformed_monomial({mono(): 1, good: 2}) is None
+    for bad in ((-2, (x1, -2), (x2, -1)),      # wrong degree
+                (-3, (x2, -1), (x1, -2)),      # not ascending
+                (-2, (x1, -2), (x1, -2)),      # repeated token
+                (-2, (x1, -2), (x2, 0)),       # exponent 0
+                (1,)):
+        assert malformed_monomial({good: 1, bad: 1}) == bad
+
+
+class _Canary:
+    """Stored in a node's memo, it lives as long as the node."""
+
+
+def _atom_refs():
+    """Weak references to the sin atom, the budget-capped atom (through a
+    canary in each one's memo) and their tokens, of a product simplified
+    with a small budget, and the tokens' keys; nothing else of it outlives
+    the call."""
+    import weakref
+
+    e = Mul((Func("sin", Add((_X1, Var("x3")))),
+             Pow(Add((_X1, _X2, Const(1))), 3)))
+    with term_budget(4):
+        s = simplify(unmarked_copy(e))
+    (m,) = _to_frac(s).num
+    toks = [t for t, _ in m[1:]]
+    assert [type(t.atom).__name__ for t in toks] == ["Func", "Add"]
+    return ([weakref.ref(t) for t in toks]
+            + [weakref.ref(_memoized(t.atom, "canary", _Canary)) for t in toks],
+            [str(t) for t in toks])
+
+
+def test_tokens_do_not_outlive_their_polynomials():
+    import gc
+
+    from normform import expr
+
+    refs, keys = _atom_refs()
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
+    assert not any(k in expr._TOKENS for k in keys)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,13 @@ def test_config_refuses_dt_and_horizon_not_positive_and_finite(key, value):
         SimConfig(**{key: value})
 
 
+def test_config_refuses_a_dt_that_leaves_no_step():
+    # a dt of twice the horizon or more rounds to 0 steps: a trace of x0 alone
+    with pytest.raises(ValueError, match="^dt 1.0 leaves no step in horizon 0.1$"):
+        SimConfig(dt=1, horizon=0.1)
+    assert SimConfig(dt=0.15, horizon=0.1).steps == 1
+
+
 def test_lyapunov_monitor_exponential():
     # V = x^2 along x' = -x decays as V(0) e^{-2t}
     tr = simulate([parse("-x1")], ["x1"], [1.5],
