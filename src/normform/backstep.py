@@ -161,8 +161,6 @@ class Stabilizer:
         """Raise ValueError unless phi and V vanish at 0 and, when the
         residual right-hand side at phi is given, V is positive and
         non-increasing along it at 60 seeded points of [-0.9, 0.9]^n."""
-        if not eta_names:
-            return True
         at0 = SymMatrix([[e] for e in self.phi + [self.V]]).sample(
             eta_names, np.zeros((len(eta_names), 1)))[0, :, 0]
         if np.any(at0[:-1] != 0.0):
@@ -297,6 +295,14 @@ def _check_order(system, kappa, include_disturbance=False):
 
 class _Engine:
     def __init__(self, system, stab, gains=None, budgets=None):
+        # the residual rows at phi: V must decrease along them when they
+        # read the eta states alone; a row that reads a control or a deeper
+        # chain state leaves only the checks at 0
+        if system.eta_names:
+            env = {system.xi_name(i + 1, 1): stab.phi[i] for i in range(system.m)}
+            rows = [subs(e, env) for e in system.eta_dot]
+            closed = set().union(*map(free_vars, rows)) <= set(system.eta_names)
+            stab.validate(system.eta_names, rows if closed else None)
         self.cs = system
         self.gains = gains or {}
         self.budgets = budgets        # per-step supply increments (Expr) or None
@@ -434,19 +440,7 @@ def synthesize(system, kappa, stab, gains=None):
     if isinstance(kappa, str):
         kappa = parse_kappa(kappa)
     _check_order(system, kappa)
-    if system.eta_names:
-        rhs_at_phi = [subs(e, _phi_env(system, stab))
-                      for e in system.eta_dot]
-        if not any(vn in free_vars(r) for r in rhs_at_phi
-                   for vn in [system.v_name(i + 1) for i in range(system.m)]):
-            stab.validate(system.eta_names, rhs_at_phi)
-        else:
-            stab.validate(system.eta_names)
     return _run(_Engine(system, stab, gains=gains), kappa, kappa)
-
-
-def _phi_env(system, stab):
-    return {system.xi_name(i + 1, 1): stab.phi[i] for i in range(system.m)}
 
 
 def integrator_backstep(eta_names, F, xi_name_, G, phi, V, c=1):

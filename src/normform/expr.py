@@ -28,7 +28,7 @@ __all__ = [
     "ParseError", "BudgetError", "EvalError",
     "parse", "render", "simplify", "diff", "subs", "evalf", "free_vars",
     "compile_exprs", "backends_agree", "sample_box", "numeric_equivalent",
-    "equivalent", "is_zero", "const", "var", "TERM_BUDGET", "KNOWN_FUNCS",
+    "equivalent", "is_zero", "const", "TERM_BUDGET", "KNOWN_FUNCS",
     "SAMPLE_POINTS", "SAMPLE_REDRAWS", "SAMPLE_CUTOFF",
 ]
 
@@ -84,9 +84,6 @@ class Expr:
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    def _compute_key(self):  # pragma: no cover - overridden
-        raise NotImplementedError
 
     @property
     def key(self):
@@ -246,10 +243,6 @@ ONE = Const(Fraction(1))
 
 def const(v):
     return _as_expr(v)
-
-
-def var(name):
-    return Var(name)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +518,8 @@ def _mono_divides(md, mn):
 
 
 def _poly_divide_exact(n, d):
-    """Return n/d when d divides n exactly, else None."""
-    if not d:
-        return None
-    if not n:
-        return {}
+    """Return n/d when d divides n exactly, else None; n and d are not
+    zero."""
     q = {}
     rem = dict(n)
     ld = _poly_lead(d)
@@ -736,7 +726,7 @@ def _expand(e):
                 num, den = _poly_atom(base, n), _poly_const(1)
         g = _frac_cancel(num, den)
         return _frac_inv(g) if e.exp < 0 else g
-    raise TypeError(f"unknown node {e!r}")
+    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 def _fold_func(fname, value):
@@ -912,14 +902,12 @@ def _diff_raw(e, name):
             # d|u|/du = sign(u); defined as 0 at u = 0 (documented caveat).
             outer = Func("sign", u)
         return Mul((outer, inner))
-    raise TypeError(f"unknown node {e!r}")
+    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 def diff(e, name):
     """Exact partial derivative with respect to the named variable; stored
     on e, so each derivative of a node is computed once."""
-    if isinstance(name, Var):
-        name = name.name
     e = _as_expr(e)
     return _memoized(e, name, lambda: simplify(_diff_raw(e, name)))
 
@@ -937,7 +925,7 @@ def _subs_raw(e, mapping):
         return Pow(_subs_raw(e.base, mapping), e.exp)
     if isinstance(e, Func):
         return Func(e.fname, _subs_raw(e.arg, mapping))
-    raise TypeError(f"unknown node {e!r}")
+    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 def subs(e, mapping):
@@ -1033,7 +1021,7 @@ def _number_values(exprs, names):
             except KeyError:
                 raise EvalError(f"unbound variable {e.name!r}") from None
         else:
-            raise TypeError(f"unknown node {e!r}")
+            raise TypeError(f"unknown node {type(e).__name__}")
         v = numbers.get(key)
         if v is None:
             v = numbers[key] = len(keys)
@@ -1572,7 +1560,7 @@ def _render(e):
             s = _render(t)
             out += " - " + s[1:] if s.startswith("-") else " + " + s
         return out
-    raise TypeError(f"unknown node {e!r}")
+    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 def render(e):

@@ -355,15 +355,11 @@ def _poly_lie_derivative(f, lam):
 
 
 def lie_derivative_cols(g_matrix, states, lam):
-    """L_g of scalar/vector lam against an n x m matrix of input columns.
-
-    Returns a row (list) for scalar lam, or a SymMatrix (p x m) for a list.
-    """
+    """L_g of the list lam against an n x m matrix of input columns, as a
+    SymMatrix (p x m)."""
     n, m = g_matrix.shape
     cols = [VectorField(g_matrix.col(j), states) for j in range(m)]
-    if isinstance(lam, (list, tuple)):
-        return SymMatrix([[lie_derivative(c, e) for c in cols] for e in lam])
-    return [lie_derivative(c, lam) for c in cols]
+    return SymMatrix([[lie_derivative(c, e) for c in cols] for e in lam])
 
 
 def lie_bracket(f, g):

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .geom import _check_tol, complete_rows, rank
-from .structure import (_chain_coords, _sel_product, _settle,
-                        chain_structure, select_RS)
+from .structure import (StructureError, _chain_coords, _sel_product,
+                        _settle, chain_structure, select_RS)
 from .sysmodel import SystemFormatError, numbered_lines
 
 __all__ = ["LinearTriple", "LinearOutcome", "LinearDecomposition",
@@ -117,7 +117,7 @@ def linear_infinite_zeros(triple, tol=LIN_TOL):
         # the symbolic row selection at a single sample
         sel = select_RS((omega @ B)[None], (T @ B)[None], rho_k - len(omega), tol)
         if sel is None:
-            raise RuntimeError("row selection failed for a constant triple")
+            raise StructureError("row selection failed for a constant triple")
         R, S = sel
         omega = np.vstack([omega, T[np.nonzero(R)[1]]])
         s_theta = T[np.nonzero(S)[1]]

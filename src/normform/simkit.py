@@ -66,6 +66,9 @@ class SimConfig:
         self.steps = int(round(self.horizon / self.dt))
         if self.steps == 0:
             raise ValueError(f"dt {self.dt} leaves no step in horizon {self.horizon}")
+        if abs(self.steps * self.dt - self.horizon) > 1e-9 * self.horizon:
+            raise ValueError(f"horizon {self.horizon} is not a whole number of "
+                             f"steps of dt {self.dt}")
 
 
 class Signal:

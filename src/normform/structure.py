@@ -279,8 +279,7 @@ def _run_algorithm(system, plan, tol, zero_output):
         sel = select_RS(lg_omega_vals, lg_theta_vals, need, tol)
         if sel is None:
             return out.fail(k, "no constant 0/1 row selection R_k gives a full-row-rank "
-                            "stack at all samples (Assumption A_k fails); "
-                            "try a user-supplied R_k")
+                            "stack at all samples (Assumption A_k fails)")
         R, S = sel
         rho_list.append(rho_k)
 
@@ -350,8 +349,6 @@ def _project_points(system, theta_stack, samples, out, k):
     """Damped Gauss-Newton projection of all domain samples at once onto the
     Theta stack's zero set, to a squared residual of PROJ_TOL.  The origin is
     kept; samples meeting non-finite values or ending off the box are dropped."""
-    if not theta_stack:
-        return samples
     nr, n = len(theta_stack), system.n
     fn, grads = (compile_exprs(e, system.states) for e in (theta_stack, [
         d for row in jacobian(theta_stack, system.states) for d in row]))

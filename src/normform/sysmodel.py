@@ -40,6 +40,8 @@ class AffineSystem:
             raise ValueError("f must have one component per state")
         if self.g.shape[0] != n:
             raise ValueError("g must have one row per state")
+        if not self.h:
+            raise ValueError("h must have at least one output")
         if domain is None:
             domain = {s: (-1.0, 1.0) for s in self.states}
         self.domain = {s: (float(lo), float(hi)) for s, (lo, hi) in domain.items()}
@@ -318,6 +320,8 @@ def loads_system(text, name=""):
         raise SystemFormatError(f"[g] has {len(g)} rows for {len(states)} states",
                                 sec["g"].line)
     h = row("h", sec["h"].vector(), sec["h"].start)
+    if not h:
+        raise SystemFormatError("empty [h] section", sec["h"].line)
     domain = {}
     for key, rng, lineno in keyed(sections.get("domain", ()), ":"):
         parts = bracketed(rng, lineno)

@@ -162,6 +162,9 @@ class TestValidateOrder:
         for kappa in ("xi1_1,xi1_2,xi2_1,xi2_2", "xi1_1,xi2_1,xi1_2,xi2_2",
                       "xi2_1,xi1_1,xi2_2,xi1_2"):
             assert validate_order(cs, parse_kappa(kappa)) == []
+        # a coupling entered as 0 orders nothing either
+        cs = ChainSystem(q=[1, 2], delta={(2, 1, 1): const(0)})
+        assert validate_order(cs, parse_kappa("xi2_1,xi1_1,xi2_2")) == []
 
     def test_malformed_kappa(self):
         cs = self.equ_delta3()
@@ -227,6 +230,13 @@ class TestLowGain:
     def test_pole_list_must_fit_its_chain(self, lengths, poles, chain):
         with pytest.raises(ValueError, match=f"chain {chain} of slow length"):
             low_gain(lengths, 0.5, poles=poles)
+
+    def test_empty_chain_and_uncertified_symbolic_eps_refused(self):
+        with pytest.raises(ValueError, match="^chain length must be >= 1$"):
+            low_gain([0], 0.5)
+        with pytest.raises(ValueError, match="^slow chains longer than 2 states "
+                           "with non-default poles need a numeric eps$"):
+            low_gain([3], Var("eps"), poles=[[-1.0, -3.0]])
 
     def test_one_pole_list_per_chain(self):
         with pytest.raises(ValueError, match="one pole list per chain"):
@@ -437,6 +447,25 @@ def test_dissipative_single_step_zero_bounds_reduces(xi):
     assert simplify(W - Wb) == const(0)
 
 
+def test_dissipative_step_damps_a_bounded_residual_disturbance():
+    # phi = -z reads z, whose disturbance is bounded by |z| per unit |w|, so
+    # Rbar = |dphi/dz * z| = |z|, and at budget 1/4 the law gains the
+    # damping -(xi1_1 - phi) (1 + z^2)
+    F, phi, V = [parse("-z + xi1_1")], parse("-z"), parse("z^2/2")
+    dist = Disturbance(parse("z*sin(w)"), lin=const(0), bound=parse("z"))
+    u, _ = dissipative_backstep(["z"], F, [dist], "xi1_1", const(0), None,
+                                phi, V, parse("1/4"))
+    plain, _ = integrator_backstep(["z"], F, "xi1_1", const(0), phi, V)
+    assert simplify(u - plain + parse("(xi1_1 + z)*(1 + z^2)")) == const(0)
+
+
+def test_dissipative_refuses_lists_of_different_lengths():
+    with pytest.raises(ValueError, match="^F has 1 and eta_dists 2 entries "
+                                         "for 1 eta states$"):
+        dissipative_backstep(["z"], [parse("-z")], [None, None], "xi1_1",
+                             const(0), None, const(0), parse("z^2/2"), const(1))
+
+
 def test_dissipative_refuses_an_eta_name_equal_to_the_stepped_name():
     with pytest.raises(ValueError) as got:
         dissipative_backstep(
@@ -555,6 +584,38 @@ def test_synthesize_refuses_a_stabilizer_that_fails_validation(phi, V, want):
     cs = ChainSystem([1], ["eta1"], [parse("-eta1 + xi1_1")])
     with pytest.raises(ValueError, match=want):
         synthesize(cs, "xi1_1", Stabilizer([parse(phi)], parse(V)))
+
+
+@pytest.mark.parametrize("synth", [
+    lambda cs, stab: synthesize(cs, "xi1_1", stab),
+    lambda cs, stab: da_synthesize(cs, "xi1_1", stab, 0.5, 0.1),
+    lambda cs, stab: semi_global_synthesize(cs, [1], "xi1_1", stab, 0.5),
+], ids=["synthesize", "da_synthesize", "semi_global_synthesize"])
+def test_every_synthesizer_refuses_a_stabilizer_that_fails_validation(synth):
+    # eta1' = eta1 + xi1_1 at xi1_1 = phi = eta1 is eta1' = 2*eta1
+    cs = ChainSystem([1], ["eta1"], [parse("eta1 + xi1_1")])
+    with pytest.raises(ValueError, match="^V not decreasing along"):
+        synth(cs, Stabilizer([parse("eta1")], parse("eta1^2/2")))
+
+
+def test_a_residual_row_that_reads_a_deeper_chain_state_is_checked_at_0():
+    # at phi, eta1' = -eta1 + xi1_2 still reads xi1_2, so V cannot be
+    # sampled along it; phi and V are checked at 0 (this leaked an
+    # EvalError for the unbound xi1_2)
+    cs = ChainSystem([2], ["eta1"], [parse("-eta1 + xi1_2")])
+    law = synthesize(cs, "xi1_1,xi1_2", Stabilizer([const(0)], parse("eta1^2/2")))
+    assert evalf(law.v[0], {"eta1": 0.0, "xi1_1": 0.0, "xi1_2": 0.0}) == 0.0
+    with pytest.raises(ValueError, match="^stabilizer virtual output nonzero at 0$"):
+        synthesize(cs, "xi1_1,xi1_2", Stabilizer([parse("1 + eta1")],
+                                                 parse("eta1^2/2")))
+
+
+def test_closed_loop_adds_a_disturbance_given_by_its_linear_part():
+    cs = ChainSystem([1], xi_dist={(1, 1): Disturbance(lin=parse("xi1_1"))})
+    law = synthesize(cs, "xi1_1", Stabilizer([const(0)], const(0)))
+    assert law.closed_loop_rhs() == [parse("-xi1_1")]
+    assert law.closed_loop_rhs(with_disturbance=True) == [
+        simplify(parse("-xi1_1 + xi1_1*w"))]
 
 
 def test_engine_refuses_a_row_fed_by_an_undetermined_control():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -63,21 +64,33 @@ def test_analyze_nonregular_exit_2(tmp_path, capsys):
     assert (tmp_path / "report.txt").exists()  # report written on failure too
 
 
-def test_analyze_undefined_entry_exit_2(tmp_path):
+def test_analyze_undefined_entry_exit_2(tmp_path, capsys):
     # g1 = x1/(x1 + x2) is 0/0 at the origin, which is always sampled
     path = tmp_path / "undefined.sys"
     path.write_text("[states]\n[x1, x2]\n[f]\n[0, 0]\n[g]\n[x1/(x1+x2)]\n[1]\n"
                     "[h]\n[x1]\n")
-    out = subprocess.run(
-        [sys.executable, "-m", "normform.cli", "analyze", str(path),
-         "--out", str(tmp_path / "rep")], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
-    assert out.returncode == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_main(["analyze", path, "--out", tmp_path / "rep"], capsys)
+    assert code == 2
     assert any(line.startswith("not regular at step 1: evaluation failed: ")
-               and line.endswith(" at [0. 0.]") for line in out.stdout.splitlines())
-    assert "RuntimeWarning" not in out.stderr
+               and line.endswith(" at [0. 0.]") for line in out.splitlines())
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert report["failure"]["step"] == 1
+
+
+def test_analyze_without_a_constant_row_selection_exit_2(tmp_path, capsys):
+    # L_g h = [2*x3, 0] for x3 >= 0 and [0, 2 - 4*x3] for x3 <= 0 (up to
+    # x3 = 1/2): rank 1 everywhere, but no single output row keeps it
+    path = tmp_path / "rows.sys"
+    path.write_text("[states]\n[x1, x2, x3]\n[f]\n[0, 0, 0]\n[g]\n"
+                    "[x3 + abs(x3)]\n[1 - 2*x3 + abs(1 - 2*x3)]\n[0]\n"
+                    "[h]\n[x1, x2]\n[domain]\nx3: [-1, 2]\n")
+    code, out, _ = run_main(["analyze", path], capsys)
+    assert code == 2
+    assert ("not regular at step 1: no constant 0/1 row selection R_k gives a "
+            "full-row-rank stack at all samples (Assumption A_k fails)\n") in out
 
 
 @pytest.mark.parametrize("f, h, line, message", [
@@ -120,6 +133,29 @@ def test_linzeros_relative_degree_transform(capsys):
     code, out, _ = run_main(base + ["--output-transform",
                                     LIN / "exam_sch_To.txt"], capsys)
     assert code == 0 and "vector relative degree: {1, 2}" in out
+
+
+def _linzeros(tmp_path, capsys, A, B, C):
+    argv = ["linzeros"]
+    for flag, rows in (("--a", A), ("--b", B), ("--c", C)):
+        (tmp_path / flag[2:]).write_text(rows)
+        argv += [flag, tmp_path / flag[2:]]
+    return run_main(argv, capsys)
+
+
+def test_linzeros_warns_of_an_ill_conditioned_transformation(tmp_path, capsys):
+    code, out, _ = _linzeros(tmp_path, capsys, "0 1e13\n0 0\n", "0\n1e-13\n",
+                             "1 0\n")
+    assert code == 0 and "q = {2}" in out
+    assert "warning: ill-conditioned transformation (cond 1.00e+13)\n" in out
+
+
+def test_linzeros_refuses_a_rank_at_the_tolerance_edge_without_a_traceback(
+        tmp_path, capsys):
+    # C B = C has rank 2 at linzeros' tol 1e-9, but no two of its rows keep it
+    assert _linzeros(tmp_path, capsys, "0 0\n0 0\n", "1 0\n0 1\n",
+                     "1 0\n0 8e-10\n0 8e-10\n") == (
+        1, "", "error: row selection failed for a constant triple\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
@@ -266,6 +302,7 @@ def test_simulate_input_errors_exit_1(tmp_path, capsys, x0, signal, want):
     (["--v0", "nan"], "V0 must be finite, got nan"),
     (["--v0", "inf"], "V0 must be finite, got inf"),
     (["--dt", "1"], "dt 1.0 leaves no step in horizon 0.1"),
+    (["--dt", "0.03"], "horizon 0.1 is not a whole number of steps of dt 0.03"),
 ])
 def test_simulate_refuses_a_meaningless_number_before_the_run(tmp_path, capsys,
                                                               args, want):
@@ -464,7 +501,10 @@ def test_file_errors_exit_1(tmp_path, capsys):
     ragged.write_text("# A\n1 0 0\n0 1\n")
     text = tmp_path / "text.txt"
     text.write_text("1 0\n0 x\n")
-    for bad, msg in ((ragged, "line 3: "), (text, "line 2: ")):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# A\n")
+    for bad, msg in ((ragged, "line 3: "), (text, "line 2: "),
+                     (empty, f"{empty}: no matrix rows")):
         code, _, err = run_main(["linzeros", "--a", bad, "--b", LIN / "counter3_B.txt",
                                  "--c", LIN / "counter3_C.txt"], capsys)
         assert code == 1 and err.startswith("error: " + msg) and str(bad) in err

@@ -12,11 +12,12 @@ from conftest import (_reference_diff_raw, _reference_evalf,
                       term_budget, unmarked_copy)
 from normform.expr import (_FRAC_KEY, SAMPLE_CUTOFF, SAMPLE_REDRAWS,
                            TERM_BUDGET, ONE, ZERO, Add, BudgetError, Const,
-                           EvalError, Func,
+                           EvalError, Expr, Func,
                            Mul, ParseError, Pow, Var, _CHUNK, _diff_raw,
                            _expand, _Frac, _frac_add, _frac_cancel,
                            _frac_mul, _frac_written, _kernel_source,
-                           _memoized, _mono_divides, _mono_mul, _poly_const,
+                           _blank, _memoized, _mono_divides, _mono_mul,
+                           _poly_const, _set,
                            _poly_lead, _poly_mul, _poly_pow,
                            _poly_written,
                            _to_frac, _token,
@@ -32,12 +33,14 @@ def test_parse_product():
     e = parse("x1*x2")
     assert isinstance(e, Mul)
     assert free_vars(e) == {"x1", "x2"}
+    assert parse("+x1*x2") == e
 
 
 def test_parse_example_theta2():
     # the step-2 residue of the five-state example
     e = parse("x4 - x1*x4")
     assert e == simplify(Var("x4") - Var("x1") * Var("x4"))
+    assert simplify(1 - Var("x1")) == simplify(parse("1 - x1"))
 
 
 def test_parse_sin_at_zero():
@@ -54,6 +57,44 @@ def test_parse_errors_carry_offset():
         parse("x1 + (x2")
     with pytest.raises(ParseError):
         parse("x1^x2")  # exponent must be an integer literal
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Const("1"), TypeError, "^bad constant '1'$"),
+    (lambda: Pow(Var("x"), 0.5), TypeError, "^Pow exponent must be an int$"),
+    (lambda: Func("tan", Var("x")), ValueError, "^unknown function 'tan'$"),
+    (lambda: Var("x") + "1", TypeError, "^cannot coerce '1' to Expr$"),
+    (lambda: setattr(Var("x"), "name", "y"), AttributeError,
+     "^Expr nodes are immutable$"),
+])
+def test_nodes_refuse_malformed_parts(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+class _Foreign(Expr):
+    """A node type the core does not know.  Marked as simplify's output,
+    it reaches each walker's own dispatch; unmarked, simplify's."""
+    __slots__ = ()
+
+    def __init__(self, canon):
+        _blank(self)
+        _set(self, "_canon", canon)
+
+    def _compute_key(self):
+        return "9X"
+
+
+@pytest.mark.parametrize("call, canon", [
+    (simplify, False),
+    (lambda e: diff(e, "x"), True),
+    (lambda e: subs(e, {"x": 1}), True),
+    (lambda e: compile_exprs([e], ["x"]), True),
+    (render, True),
+], ids=["simplify", "diff", "subs", "compile_exprs", "render"])
+def test_an_unknown_node_type_is_refused_by_name(call, canon):
+    with pytest.raises(TypeError, match="^unknown node _Foreign$"):
+        call(_Foreign(canon))
 
 
 def test_rational_and_decimal_constants():
@@ -204,6 +245,8 @@ def test_exp_of_overflowing_constant_stays_unfolded():
     e = simplify(Func("exp", Const(5e8)))
     assert render(e) == "exp(500000000.0)"
     assert simplify(e) is e
+    # and sin of a product that overflowed, where math.sin raises
+    assert render(simplify(parse("sin(1e308*10)"))) == "sin(inf)"
 
 
 def test_numpy_integer_constants_stay_exact():
@@ -746,6 +789,7 @@ _LONG_SUM = Add(tuple(Const(Fraction(i % 7 - 3)) * Var(f"x{i % 3 + 1}")
 @settings(max_examples=200, deadline=None)
 @given(kernel_lists(), st.integers(0, 3))
 @example([_LONG_SUM, Pow(_LONG_SUM, 3), Var("x1")], 0)
+@example([Add((Var("x1"),)), Mul((Func("sin", Var("x2")),)), Var("x3")], 1)
 def test_statement_kernel_gives_the_bits_of_compile_exprs(exprs, seed):
     assert len(_LONG_SUM.terms) > _CHUNK
     names = ["x1", "x2", "x3"]

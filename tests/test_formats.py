@@ -318,11 +318,28 @@ ADDEXAM = (SYS / "nf_addexam.nf").read_text()
     ("V = z^2/2", "W = z^2/2", "line 15: unknown key 'W'"),
     ("V = z^2/2", "", "line 13: \\[stabilizer\\] must bind phi and V"),
     ("[chains]", "[chain]", "line 3: content before any"),
+    ("q = [1, 2]", "q = 1, 2", "line 4: expected a bracketed list, got '1, 2'"),
 ])
 def test_chain_file_errors_name_the_line(old, new, match):
     assert old in ADDEXAM
     with pytest.raises(SystemFormatError, match=match):
         loads_chain_system(ADDEXAM.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("new, match", [
+    ("3 1 2: xi2_2", r"line 12: delta\(3, 1, 2\) violates the sparsity law"),
+    ("3 3: xi2_2", "line 12: expected 3 indices, got '3 3'"),
+])
+def test_malformed_delta_keys_name_the_line(new, match):
+    text = (SYS / "nf_mixed.nf").read_text()
+    with pytest.raises(SystemFormatError, match=match):
+        loads_chain_system(text.replace("3 3 1: xi2_2", new))
+
+
+def test_an_eta_disturbance_key_feeds_that_residual_row():
+    cs, _ = loads_chain_system(ADDEXAM.replace("1 1: xi2_1*w", "eta 1: xi2_1*w"))
+    assert cs.dist("z").lin == parse("xi2_1")
+    assert cs.dist("xi1_1").is_zero()
 
 
 def test_repeated_delta_entry_and_section_are_rejected():
@@ -345,6 +362,8 @@ def test_chain_system_rejects_entries_that_name_no_state():
         ChainSystem([1, 2], ["z"], [parse("z")], eta_dist=[None, None])
     with pytest.raises(ValueError, match="bad delta index"):
         ChainSystem([1, 2], delta={(2, 2, 1): parse("1")})
+    with pytest.raises(KeyError, match="eta9"):
+        ChainSystem([1, 2]).drift("eta9")
 
 
 UCHAIN_CTL = """[controller]
@@ -385,6 +404,8 @@ EX31 = (SYS / "ex31.sys").read_text()
     ("[x3, x5, x1, x1*x2, x4]", "[x3, x5, x1, x1*x2, 1]", r"line 7: f\(0\)"),
     ("[x1, x2, x3, x4, x5]", "[x1, x2, x3, x4, 5]", "line 4: expected distinct names"),
     ("[x4, x3*x4]", "[1e999, x3*x4]", "line 14: bad expression '1e999': number 1e999 is not finite"),
+    ("[x1, x2, x3, x4, x5]", "[]", r"line 3: empty \[states\] section"),
+    ("[x1, x2]\n", "[]\n", r"line 16: empty \[h\] section"),
 ])
 def test_system_file_errors_name_the_line(old, new, match):
     assert old in EX31

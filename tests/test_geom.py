@@ -222,6 +222,36 @@ def test_bracket_dimension_mismatch():
         lie_bracket(a, b)
 
 
+_M12 = SymMatrix([[const(1), const(2)]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SymMatrix([[const(1)], [const(1), const(2)]]), "^ragged SymMatrix$"),
+    (lambda: _M12 @ _M12, r"^shape mismatch \(1, 2\) @ \(1, 2\)$"),
+    (lambda: _M12 - _M12.transpose(), "^shape mismatch$"),
+    (lambda: _M12.vstack(_M12.transpose()), "^column mismatch in vstack$"),
+    (lambda: SymMatrix.from_numpy(np.zeros(2)), "^expected 2-D array$"),
+    (lambda: _M12.det(), "^determinant of non-square matrix$"),
+    (lambda: _M12.inverse(), "^inverse of non-square matrix$"),
+    (lambda: VectorField([const(1)], ["x1", "x2"]),
+     "^component count must equal state count$"),
+    (lambda: ad_power(VectorField([const(1)], ["x1"]),
+                      VectorField([parse("x1")], ["x1"]), -1),
+     "^ad power must be nonnegative$"),
+    (lambda: bracket_sampler([]), "^need at least one vector field$"),
+])
+def test_malformed_shapes_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_reprs_show_rendered_entries():
+    m = SymMatrix([[parse("x1*x2"), const(0)]])
+    assert repr(m) == "SymMatrix([['x1*x2', '0']])"
+    f = VectorField([parse("x2"), parse("-x1")], ["x1", "x2"])
+    assert repr(f) == "VectorField(['x2', '-x1'], states=['x1', 'x2'])"
+
+
 def test_jacobi_identity_numeric():
     rng = np.random.default_rng(5)
     names = ["x1", "x2", "x3"]

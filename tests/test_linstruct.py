@@ -6,7 +6,7 @@ import pytest
 from conftest import counter3_affine, counter3_triple
 from normform.linstruct import (LinearTriple, decompose,
                                 linear_infinite_zeros, vector_relative_degree)
-from normform.structure import infinite_zero_algorithm
+from normform.structure import StructureError, infinite_zero_algorithm
 from normform.sysmodel import SamplePlan
 
 
@@ -63,6 +63,8 @@ def test_vector_relative_degree_cases():
     Bd = np.array([[0], [1]], float)
     Cd = np.array([[1, 0]], float)
     assert vector_relative_degree(LinearTriple(Ad, Bd, Cd)) == [2]
+    # an output that no input reaches has no relative degree
+    assert vector_relative_degree(LinearTriple(Ad, Bd, [[0, 0]])) is None
     with pytest.raises(ValueError):
         vector_relative_degree(LinearTriple(Ad, Bd, np.vstack([Cd, Cd])))
 
@@ -91,6 +93,29 @@ def test_decompose_identity_form():
     assert dec.verify_block_pattern() < 1e-12
     P = np.abs(dec.W)
     assert np.allclose(P @ P.T, np.eye(3))   # permutation up to signs
+    # a second output on the residual state is retained, not chained
+    dec = decompose(LinearTriple(A, B, np.vstack([C, [1, 0, 0]])))
+    assert dec.q == [2]
+    assert dec.verify_block_pattern() < 1e-12
+
+
+@pytest.mark.parametrize("A, B, C, message", [
+    (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 2)), "^A must be square$"),
+    (np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)), "^B must have n rows$"),
+    (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 3)), "^C must have n columns$"),
+])
+def test_triple_refuses_mismatched_shapes(A, B, C, message):
+    with pytest.raises(ValueError, match=message):
+        LinearTriple(A, B, C)
+
+
+def test_a_rank_at_the_tolerance_edge_has_no_row_selection():
+    # C B has rank 2 (singular values 1 and 1.13e-9 against tol 1e-9), but
+    # rows 2 and 3, each of norm 8e-10 < tol, add nothing one at a time
+    C = [[1, 0], [0, 8e-10], [0, 8e-10]]
+    with pytest.raises(StructureError, match="^row selection failed for a "
+                                             "constant triple$"):
+        linear_infinite_zeros(LinearTriple(np.zeros((2, 2)), np.eye(2), C))
 
 
 def test_decompose_random_triples_and_reconstruction():

@@ -7,8 +7,8 @@ import pytest
 
 import conftest
 from conftest import _reference_evalf
-from normform.expr import (Var, const, evalf, numeric_equivalent, parse,
-                           render, simplify, subs)
+from normform.expr import (EvalError, Var, const, evalf, numeric_equivalent,
+                           parse, render, simplify, subs)
 from normform.geom import (SymMatrix, bracket_sampler, complete_rows,
                            jacobian, lie_bracket, rank)
 from normform.normalform import (_chain_fields, _input_complement,
@@ -56,6 +56,7 @@ class TestFiveStateNormalForm:
     def test_zero_dynamics_degenerates(self, nf31):
         rep = zero_dynamics(nf31)
         assert rep.degenerate_point
+        assert repr(rep) == "ZeroDynamicsReport(point)"
 
     def test_dynamics_identity(self, nf31, ex31):
         # assembled chain equations reproduce the true derivatives for
@@ -254,6 +255,17 @@ class TestAssumptions:
                 assert np.all(np.abs(br[i, :, p] - want)
                               <= 1e-9 * (1 + scale[i, :, p]))
 
+    def test_D_needs_enough_valid_points(self):
+        # the one chain field (1, exp(1e5*x2^2)) stays below the cutoff
+        # 1e12 only for |x2| < 0.017, where 1280 draws put ~21 points
+        sysm = AffineSystem(["x1", "x2"], [parse("0"), parse("0")],
+                            [[parse("1")], [parse("exp(100000*x2^2)")]],
+                            [parse("x1")])
+        out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+        with pytest.raises(EvalError, match="^could not find enough valid "
+                                            "sample points$"):
+            check_assumption_D(sysm, out)
+
     def test_D_requires_square_invertible(self, ex32):
         out = infinite_zero_algorithm(ex32, SamplePlan(count=30))
         from normform.structure import StructureError
@@ -314,6 +326,46 @@ def test_empty_gamma_ie_when_every_input_drives_a_chain(ex31, out31, nf31):
     assert np.array_equal(nf.gamma_oe, nf31.gamma_oe)
     with pytest.raises(ValueError, match=r"gamma_ie must be \(0, 2\)"):
         build_normal_form(ex31, out31, gamma_ie=np.zeros((1, 2)))
+
+
+def _complement_free():
+    """L_g h = [x2, 1 - 2*x2]: the constant row [1, 0] completes it except
+    at x2 = 1/2, and [0, 1] except at x2 = 0; both points are sampled."""
+    sysm = AffineSystem(["x1", "x2"], [parse("0"), parse("0")],
+                        [[parse("x2"), parse("1 - 2*x2")],
+                         [parse("0"), parse("0")]], [parse("x1")])
+    return sysm, infinite_zero_algorithm(sysm, SamplePlan(points=[(0.0, 0.5)]))
+
+
+def _chart_free():
+    """h = e*(x2 + x3) with e = 8e-9: dh = [0, e, e] has rank 1 at tol 1e-8
+    (singular value e*sqrt(2)), and [dh; e1] rank 2, but neither e2 nor e3
+    adds a singular value above tol (each adds about e)."""
+    sysm = AffineSystem(["x1", "x2", "x3"], [parse("0")] * 3,
+                        [[parse("0")], [parse("1")], [parse("1")]],
+                        [parse("8e-9*(x2 + x3)")])
+    return sysm, infinite_zero_algorithm(sysm, SamplePlan(count=5))
+
+
+@pytest.mark.parametrize("case, kwargs, error, message", [
+    (_complement_free, {}, StructureError,
+     "^no constant input complement found; supply gamma_ie$"),
+    (_chart_free, {}, StructureError,
+     "^no coordinate subset completes the chart; supply phi_e$"),
+    (_complement_free, {"phi_e": ["x1", "x2"]}, ValueError,
+     "^phi_e must have 1 entries$"),
+    (_complement_free, {"phi_e": ["x1"]}, StructureError,
+     "^d\\(Phi\\) singular at the base point$"),
+])
+def test_build_refuses_what_it_cannot_complete(case, kwargs, error, message):
+    sysm, out = case()
+    assert out.regular and out.q == [1]
+    if "phi_e" in kwargs:
+        # [1, -2] completes [x2, 1 - 2*x2] everywhere (determinant 1)
+        kwargs = {"gamma_ie": np.array([[1.0, -2.0]]),
+                  "phi_e": [parse(e) for e in kwargs["phi_e"]]}
+    with pytest.raises(error, match=message):
+        build_normal_form(sysm, out, **kwargs)
 
 
 def test_one_exact_inverse_per_normal_form(ex31, out31, ex32, out32,
@@ -391,6 +443,33 @@ def test_zero_dynamics_cubic(ex33, out33):
     nf = build_normal_form(ex33, out33)
     rep = zero_dynamics(nf)
     assert rep.eta_rhs == [simplify(-Var(rep.eta_names[0]) ** 3)]
+    assert repr(rep) == "ZeroDynamicsReport(eta1' = -eta1^3)"
+
+
+def test_a_chart_without_an_affine_block_has_no_closed_form_zero_dynamics():
+    # x1 + x1^3 = eta1 is not affine in x1, so solve_triangular stops
+    sysm = AffineSystem(["x1", "x2"], [parse("-x1"), parse("-x2")],
+                        [[parse("0")], [parse("1")]], [parse("x1")])
+    out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+    nf = build_normal_form(sysm, out, phi_e=[parse("x1 + x1^3"), parse("x2")])
+    rep = zero_dynamics(nf)
+    assert rep.notes == ["no closed-form chart inverse; zero dynamics "
+                         "available only numerically"]
+    assert rep.eta_rhs == [] and repr(rep) == "ZeroDynamicsReport()"
+
+
+def test_split_skipped_where_the_rank_test_missed_a_weak_coupling():
+    # y = x1, x1' = 1e-12*x2, x2' = u: the sampled rank reads L_g L_f h =
+    # 1e-12 as 0, so there is no chain, but the exact residual has
+    # C A B = 1e-12
+    sysm = AffineSystem(["x1", "x2"], [parse("x2/1000000000000"), parse("0")],
+                        [[parse("0")], [parse("1")]], [parse("x1")])
+    out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+    assert out.regular and out.q == []
+    rep = zero_dynamics(build_normal_form(sysm, out))
+    assert rep.notes == ["controllable directions are partially observable; "
+                         "split skipped"]
+    assert rep.split is None and rep.zero_dynamics is None
 
 
 def test_linear_split_is_exact():

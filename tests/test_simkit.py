@@ -34,6 +34,8 @@ def test_euler_available():
     tr = simulate([parse("-x1")], ["x1"], [1.0],
                   SimConfig(dt=1e-3, horizon=1.0, integrator="euler"))
     assert tr.x[-1, 0, 0] == pytest.approx(np.exp(-1.0), rel=1e-3)
+    with pytest.raises(ValueError, match="^integrator must be rk4 or euler$"):
+        SimConfig(integrator="rk2")
 
 
 def test_equilibrium_trace_identically_zero():
@@ -98,7 +100,11 @@ def test_config_refuses_a_dt_that_leaves_no_step():
     # a dt of twice the horizon or more rounds to 0 steps: a trace of x0 alone
     with pytest.raises(ValueError, match="^dt 1.0 leaves no step in horizon 0.1$"):
         SimConfig(dt=1, horizon=0.1)
-    assert SimConfig(dt=0.15, horizon=0.1).steps == 1
+    # a trace that ends before or after the horizon: t = 0.15 or 0.2
+    for dt, horizon in ((0.15, 0.1), (0.2, 0.3)):
+        with pytest.raises(ValueError, match=f"^horizon {horizon} is not a whole "
+                                             f"number of steps of dt {dt}$"):
+            SimConfig(dt=dt, horizon=horizon)
 
 
 def test_lyapunov_monitor_exponential():
@@ -139,6 +145,11 @@ def test_l2_gain_trivial_zero_disturbance():
                   w_signal=zero_signal(), output_exprs=[parse("x1")])
     res = l2_gain_check(tr, gamma=0.5, V0=0.1)
     assert res["pass"] and res["lhs"] == 0.0
+    bare = simulate([parse("-x1")], ["x1"], [0.0], SimConfig(dt=1e-3, horizon=1.0))
+    with pytest.raises(ValueError, match="^trace carries no output channel$"):
+        l2_gain_check(bare, gamma=0.5)
+    with pytest.raises(ValueError, match="^trace carries no V channel$"):
+        lyapunov_monitor(bare)
 
 
 def test_csv_format():

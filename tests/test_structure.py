@@ -16,12 +16,14 @@ from conftest import _reference_project_points, counter3_affine
 from normform import structure
 from normform.expr import compile_exprs, parse, render
 from normform.geom import SymMatrix
-from normform.structure import (StructureOutcome, _assert_zero_matrix,
+from normform.structure import (StructureError, StructureOutcome,
+                                _assert_zero_matrix,
                                 classify_invertibility,
                                 infinite_zero_algorithm, invariance_harness,
                                 select_RS, zero_output_algorithm,
                                 apply_output_transform)
-from normform.sysmodel import SamplePlan, load_system, loads_system
+from normform.sysmodel import (AffineSystem, SamplePlan, load_system,
+                               loads_system)
 
 
 class TestFiveStateExample:
@@ -145,6 +147,9 @@ class TestRemarkSystem:
         assert not out.regular
         assert out.failure_step == 1
         assert "rank not constant" in out.failure_reason
+        with pytest.raises(StructureError, match="^system not regular at step 1: "
+                                                 "rank not constant"):
+            out.raise_if_irregular()
 
     def test_zero_output_regular_at_origin(self, systems_dir):
         sysm = load_system(systems_dir / "remark_nonregular.sys")
@@ -172,6 +177,20 @@ def test_output_shear_near_pole_stays_regular(ex31):
     out = infinite_zero_algorithm(sheared, SamplePlan(count=25, seed=11))
     assert out.regular and out.q == [2, 3]
     assert out.invertibility == "Invertible"
+
+
+def test_a_rank_at_the_tolerance_edge_finds_no_pivot_columns():
+    # L_g h = [[1, 0, 0], [0, e, e], [0, 2e, 2e]] with e = 8e-9: its first
+    # two rows have singular values 1 and e*sqrt(2) > tol = 1e-8, but no
+    # column [0, e] of them raises the rank of [1, 0] past tol
+    e = "8e-9"
+    system = AffineSystem(["x1", "x2"], [parse("0"), parse("0")],
+                          [[parse("1"), parse("0"), parse("0")],
+                           [parse("0"), parse(e), parse(e)]],
+                          [parse("x1"), parse("x2"), parse("2*x2")])
+    with pytest.raises(StructureError, match="^could not find pivot columns at "
+                                             "the origin$"):
+        infinite_zero_algorithm(system, SamplePlan(count=5))
 
 
 def test_select_RS_falls_back_when_base_choice_fails_elsewhere():
@@ -382,6 +401,7 @@ def test_projection_failing_for_all_samples_warns():
     assert out.warnings == ["step 1: projection onto the zero set failed for all "
                             "samples; rank hypotheses checked at x=0 only"]
     assert out.regular and out.q == [1]
+    assert out.report_text().endswith(f"\nwarning: {out.warnings[0]}\n")
 
 
 def test_report_text_mentions_q(out31):

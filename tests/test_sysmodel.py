@@ -102,6 +102,23 @@ def test_field_reading_a_stray_name_rejected():
         AffineSystem(["x1", "x2"], f, [[const(0)], [const(1)]], [parse("x1")])
 
 
+_F2 = VectorField([parse("x2"), parse("-x1")], ["x1", "x2"])
+
+
+@pytest.mark.parametrize("f, g, h, domain, message", [
+    (VectorField([parse("x2")], ["x2"]), [["0"], ["1"]], ["x1"], None,
+     "^f must have one component per state$"),
+    (_F2, [["1"]], ["x1"], None, "^g must have one row per state$"),
+    (_F2, [["0"], ["1"]], [], None, "^h must have at least one output$"),
+    (_F2, [["0"], ["1"]], ["x1"], {"x2": (0.5, 1)},
+     r"^domain for x2 must contain 0, got \[0.5, 1.0\]$"),
+])
+def test_affine_system_refuses_malformed_parts(f, g, h, domain, message):
+    with pytest.raises(ValueError, match=message):
+        AffineSystem(["x1", "x2"], f, [[parse(e) for e in r] for r in g],
+                     [parse(e) for e in h], domain)
+
+
 def test_roundtrip(ex31):
     again = loads_system(dump_system(ex31))
     assert again.states == ex31.states
@@ -141,6 +158,8 @@ def test_rank_identity():
     M = SymMatrix.identity(2)
     rep = numeric_rank(M, [np.zeros(1)], ["x1"])
     assert rep.constant and rep.value == 2
+    with pytest.raises(ValueError, match="^numeric_rank needs at least one point$"):
+        numeric_rank(M, [], ["x1"])
 
 
 def test_rank_not_constant_for_remark_system():
@@ -150,6 +169,9 @@ def test_rank_not_constant_for_remark_system():
     rep = numeric_rank(M, pts, ["x1", "x2"])
     assert not rep.constant
     assert rep.ranks == [1, 2, 1]
+    assert repr(rep) == "RankReport(constant=False, ranks=[1, 2])"
+    with pytest.raises(ValueError, match="^rank is not constant across samples$"):
+        rep.value
 
 
 def test_rank_invariant_under_invertible_multipliers(ex31):
