@@ -528,8 +528,11 @@ def _slow_lyapunov(chain, l, epse, cs_poly):
         z2 = simplify(epse * names[0] + names[1])
         return simplify((z1 * z1 + z2 * z2) / 2)
     if isinstance(epse, Expr) and free_vars(epse):
-        raise ValueError("slow chains longer than 2 states with non-default "
-                         "poles need a numeric eps")
+        raise ValueError(
+            f"chain {chain} has {l - 1} slow states: a symbolic eps has a "
+            + ("Lyapunov function for at most 2, whatever the poles"
+               if l > 3 else "Lyapunov function for 2 only at the default "
+               "poles (-1, -1)") + "; give a numeric eps")
     epsv = evalf(epse, {})
     nsl = l - 1
     A = np.zeros((nsl, nsl))

@@ -1109,26 +1109,21 @@ def _float_literal(key):
     return f"({float(int(text))!r})" if abs(int(text)) < 2 ** 53 else key
 
 
-def _statement_source(exprs, names):
-    """Source of `def _f(_a,_o)`, which writes the value of exprs[i] into
-    the array `_o[i]`, over `_a[i]` for names[i], and the number of
-    scratch rows it takes from `_scratch(_o[0])`.
+def _statement_source(keys, uses, roots, outs, literal):
+    """The statements that write the value of roots[i] into the array row
+    outs[i], over the value numbering (keys, uses) of `_number_values`, and
+    the scratch rows they write into.
 
-    Values are numbered by `_number_values`.  A sum or product is a chain
-    of `_add`/`_mul` calls into its target (a root's row, the scratch row
-    `_bD` of its depth, or the row `_tN` of a compound value used more than
-    once) with the operands and the order of the lambda of
-    `_kernel_source`: the first operand is written into the target itself,
-    every later compound one into the row of the next depth.  A function
-    writes into its target, and a square is a `_mul` of its base with
-    itself.  A power other than a square, and every value its base reads,
-    is written as in the lambda by `_inline_writer`, since a base that the
-    lambda computes on Python floats would be an array here, and numpy's
-    array `pow` rounds otherwise than a float's.  An integer constant below
-    2**53 is written as its float literal (`_float_literal`), the float
-    numpy would convert it to.
+    A sum or product is a chain of `_add`/`_mul` calls into its target (a
+    root's row, the scratch row `_bD` of its depth, or the row `_tN` of a
+    value used more than once) with the operands and order of the lambda of
+    `_kernel_source`, its first operand written into the target, a later
+    compound one into the row of the next depth.  A function writes into
+    its target, a square is a `_mul`.  A power other than a square, with
+    the values its base reads, is the lambda's `**` (`_inline_writer`):
+    numpy's array `pow` rounds otherwise than a float's.  A leaf of text t
+    (an int below 2**53 as numpy's float of it) is written literal(t).
     """
-    keys, uses, roots = _number_values(exprs, names)
     # powers other than squares and the values their bases read
     inline = set()
     stack = [v for v, k in enumerate(keys)
@@ -1149,7 +1144,7 @@ def _statement_source(exprs, names):
         key = keys[v]
         if type(key) is not str:
             return f"_t{v}" if v in bound else None
-        return _float_literal(key) or key
+        return literal(_float_literal(key) or key)
 
     def shared(v, depth):
         rows.append(f"_t{v}")
@@ -1201,13 +1196,12 @@ def _statement_source(exprs, names):
         else:
             lines.append(f"_{op}({first(key[1], target, depth)},{target})")
 
-    for i, v in enumerate(roots):
-        text = first(v, f"_o[{i}]", 0)
-        if text != f"_o[{i}]":
-            lines.append(f"_copyto(_o[{i}],{text})")
+    for v, out in zip(roots, outs):
+        text = first(v, out, 0)
+        if text != out:
+            lines.append(f"_copyto({out},{text})")
     del ready, shared, operand, first, write, emit   # cycles, as above
-    head = [",".join(rows) + ",=_scratch(_o[0])"] if rows else []
-    return "def _f(_a,_o):\n " + "\n ".join(head + lines or ["pass"]), len(rows)
+    return lines, rows
 
 
 # Kernel sources repeat within a process (repeated CLI calls, repeated
@@ -1234,38 +1228,7 @@ def compile_exprs(exprs, names):
     import numpy as _np
 
     code = _code(_kernel_source(exprs, names), "eval")
-    return eval(code, {"_sin": _np.sin, "_cos": _np.cos,  # noqa: S307
-                       "_exp": _np.exp, "_sqrt": _np.sqrt,
-                       "_abs": _np.abs, "_sign": _np.sign})
-
-
-def compile_exprs_into(exprs, names):
-    """Compile a list of expressions into f(args, out), which writes the
-    value of exprs[i] into the float array out[i], broadcast to its shape,
-    with the bits of compile_exprs.
-
-    `args` is as for compile_exprs; `out` is a sequence of equally-shaped
-    arrays that alias no argument.  The kernel keeps its scratch arrays
-    from one call to the next, so it serves one caller at a time.  The code
-    is compiled once per source (`_code`); each call gets its own function
-    and scratch rows.
-    """
-    import numpy as _np
-
-    src, count = _statement_source(exprs, names)
-    held = [None, ()]
-
-    def scratch(like):
-        if held[0] != like.shape:
-            held[:] = like.shape, [_np.empty(like.shape) for _ in range(count)]
-        return held[1]
-
-    env = {"_add": _np.add, "_mul": _np.multiply, "_copyto": _np.copyto,
-           "_scratch": scratch, "_sin": _np.sin, "_cos": _np.cos,
-           "_exp": _np.exp, "_sqrt": _np.sqrt, "_abs": _np.abs,
-           "_sign": _np.sign}
-    exec(_code(src, "exec"), env)  # noqa: S102 - from our own AST
-    return env["_f"]
+    return eval(code, {f"_{f}": getattr(_np, f) for f in KNOWN_FUNCS})  # noqa: S307
 
 
 def _exp_or_inf(v):
@@ -1371,6 +1334,77 @@ def compile_block_scalar(exprs, names, integrator, bound):
     env = dict(_SCALAR_FUNCS)
     code = _code(_step_source(exprs, names, integrator, bound), "exec")
     exec(code, env)  # noqa: S102 - from our own AST
+    return env["_steps"]
+
+
+def _block_source(exprs, names, integrator, bound):
+    """Source of `def _steps(_R,_W1,_W2,_W4,_dt,_k,_live,_end,_S)` and its
+    count of scratch rows: _step_source's steps for every run of the block
+    _R of (n, nruns) rows, trace rows _k, _k + 1, ...  A stage is
+    `_statement_source` from the rows of _R[j] (then _S[4]) into _S[s], the
+    stages combined in place into _R[j + 1].  A live run whose squared norm
+    is not <= bound gets _live False and _end its row, and the call returns
+    once no run is live.  Each float literal but a `**` operand is a 0-d
+    float64 array, which numpy reads faster, with the same bits."""
+    keys, uses, roots = _number_values(exprs, names)
+    consts = {}
+
+    def literal(text):   # a float literal; a name or an int past 2**53 stays
+        if text[0] != "(" or text[1:-1].lstrip("-").isdigit():
+            return text
+        return consts.setdefault(text, f"_c{len(consts)}")
+
+    def tup(names):   # a tuple of names, as a target
+        return "(" + "".join(f"{v}," for v in names) + ")"
+
+    n = len(roots)
+    x, y = [f"_x{i}" for i in range(n)], [f"_y{i}" for i in range(n)]
+    outs = [[f"_k{s}_{i}" for i in range(n)] for s in range(4)]
+    stages = [(x + ["_w1"], None), (y + ["_w2"], "_h"), (y + ["_w2"], "_h"),
+              (y + ["_w4"], "_dt")]
+    body = ["_X,_Z=_R[_j],_R[_j+1]", tup(x) + "=_X"]
+    for s, (args, h) in enumerate(stages[:1 if integrator == "euler" else 4]):
+        if h:   # the state x + h*k of the stage before
+            body += [f"_mul({h},_K{s - 1},_Y)", "_add(_X,_Y,_Y)"]
+        local = [args[int(key[3:-1])] if key[:2] == "_a" else key
+                 for key in keys]
+        lines, rows = _statement_source(local, uses, roots, outs[s], literal)
+        body += lines
+    body += (["_mul(_dt,_K0,_K0)"] if s == 0 else
+             [f"_mul({literal('(2.0)')},_K12,_K12)", "_add(_K0,_K1,_K0)",
+              "_add(_K0,_K2,_K0)", "_add(_K0,_K3,_K0)", "_mul(_s,_K0,_K0)"])
+    lim = repr(float(bound))   # a nan norm fails too: the max is then nan
+    body += ["_add(_X,_K0,_Z)", '_einsum("ij,ij->j",_Z,_Z,out=_n2)',
+             f"if not _max(_n2)<={lim}:", f" _le(_n2,{lim},_ok)",
+             " _end[_live&~_ok]=_k+_j+1", " _live&=_ok",
+             " if not _live.any():", "  return"]
+    head = ["_h,_s,_dt=_array(_dt/2),_array(_dt/6),_array(_dt)",
+            "_K0,_K1,_K2,_K3,_Y=_S", "_K12=_S[1:3]",   # 2*k2, 2*k3 in a call
+            ",".join(map(tup, outs + [y])) + "=_S",
+            tup(rows + ["_n2", "_ok"]) + "=_scratch(_Y[0].shape)",
+            "for _j,(_w1,_w2,_w4) in enumerate(zip(_W1,_W2,_W4)):"]
+    return ("".join(f"{name}=_array{text}\n" for text, name in consts.items())
+            + "def _steps(_R,_W1,_W2,_W4,_dt,_k,_live,_end,_S):\n "
+            + "\n ".join(head) + "\n  " + "\n  ".join(body)), len(rows)
+
+
+def compile_block_numpy(exprs, names, integrator, bound):
+    """steps(R, W1, W2, W4, dt, k, live, end, S) of _block_source, S the
+    (5, n, nruns) stage rows; compiled once (`_code`), and each call's
+    function keeps its own scratch rows and (nruns,) norm and test."""
+    import numpy as _np
+
+    src, count = _block_source(exprs, names, integrator, bound)
+
+    @functools.lru_cache(maxsize=1)   # rows of the last shape asked for
+    def scratch(shape):
+        return [*_np.empty((count + 1,) + shape), _np.empty(shape, dtype=bool)]
+
+    env = {f"_{f}": getattr(_np, f) for f in KNOWN_FUNCS}
+    env.update(_add=_np.add, _mul=_np.multiply, _copyto=_np.copyto,
+               _array=_np.array, _einsum=_np.einsum, _le=_np.less_equal,
+               _max=_np.maximum.reduce, _scratch=scratch)
+    exec(_code(src, "exec"), env)  # noqa: S102 - from our own AST
     return env["_steps"]
 
 
@@ -1504,6 +1538,8 @@ def _render_const(v):
         if v.denominator == 1:
             return str(abs(v.numerator)), v < 0
         return f"{abs(v.numerator)}/{v.denominator}", v < 0
+    if not math.isfinite(v):   # parse would read inf or nan as a variable
+        raise ValueError(f"constant {v} is not finite and has no text form")
     return repr(abs(v)), v < 0
 
 

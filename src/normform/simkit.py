@@ -2,16 +2,16 @@
 monitoring, and L2-gain certification.
 
 One loop, `_integrate`, steps every trace in blocks of 256 steps: it reads
-the signal for a block, and a route writes the block's rows.  A single
-run, and a batch of fewer than SCALAR_RUNS runs whose right-hand side gives
-the same bits on both backends (`expr.backends_agree`), take the float
-route: one generated block stepper call per run (`compile_block_scalar`).
-Any other batch takes the numpy route, each stage in place on the whole
-(n, nruns) block.  After each block one rule freezes a run that left the
-bound at its last accepted row, and ends the trace where the last live runs
-leave.  `simulate` keeps the whole trace: the block's rows are written in
-place into it, channels u, y and V are evaluated with numpy, and states are
-exposed as (T, nruns, n).
+the signal for a block, and a route writes the block's rows with one call
+of a generated block stepper.  A single run, and a batch of fewer than
+SCALAR_RUNS runs whose right-hand side gives the same bits on both backends
+(`expr.backends_agree`), take the float route, a call per run
+(`compile_block_scalar`); any other batch the numpy route, each stage in
+place on the whole (n, nruns) block (`compile_block_numpy`).  After each
+block one rule freezes a run that left the bound at its last accepted row,
+and ends the trace where the last live runs leave.  `simulate` keeps the
+whole trace: the block's rows are written in place into it, channels u, y
+and V are evaluated with numpy, and states are exposed as (T, nruns, n).
 
 `simulate` stores what varies.  Its states cost T*n*nruns*8 bytes, and the
 disturbance w and its running integral T*width*8 each, where width is the
@@ -23,7 +23,7 @@ value of another width than w(0)'s, is refused.  With a shared signal,
 `batch_simulate` keeps only what the Monte-Carlo protocol reads.  Its rows
 pass through a rolling buffer of 257 rows, (257, n, nruns) floats, whose
 row 0 carries the last row of the block before; each block is folded into
-the (T, n) envelopes, and the endpoint is the last row.
+the (T, n) envelopes, and the endpoint is the last row; no w is kept.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numbers
 
 import numpy as np
 
-from .expr import (backends_agree, compile_block_scalar, compile_exprs,
-                   compile_exprs_into, simplify)
+from .expr import (backends_agree, compile_block_numpy, compile_block_scalar,
+                   compile_exprs, simplify)
 
 __all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
            "noise_signal", "simulate", "lyapunov_monitor",
@@ -217,26 +217,26 @@ def _route(rhs_exprs, nruns):
 
 
 def _times(rows, dt):
-    """The times of a trace of rows rows: t_{k+1} = k*dt + dt, bit for bit
-    as the step computes it."""
-    return np.concatenate(([0.0], np.arange(rows - 1) * dt + dt))
+    """The times of a trace of rows rows, in one array: t_{k+1} = k*dt + dt,
+    bit for bit as the step computes it, and t_0 = -dt + dt = +0.0."""
+    ts = np.arange(-1.0, rows - 1)
+    np.add(np.multiply(ts, dt, out=ts), dt, out=ts)
+    return ts
 
 
 def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold=None):
     """The states, the (T, width) w values, width the number of values w(0)
     gives, and which runs stayed live.  Without fold the states are the
     whole (T, n, nruns) trace.  With fold they pass through a rolling
-    buffer of _BLOCK + 1 rows, whose row 0 carries the last row of the
-    block before: fold(k, rows) gets rows k, k + 1, ... of the trace, each
-    row once and in order, and the states returned are the last row alone,
-    (1, n, nruns).
+    buffer of _BLOCK + 1 rows, row 0 the last row of the block before:
+    fold(k, rows) gets rows k, k + 1, ... of the trace, each once and in
+    order, and the last row (1, n, nruns) and the row count T are returned.
 
     advance(rows, k, w1, w2, w4, live, end), from route(...), writes the
     live runs' rows after rows[0], trace row k, one per w at t, t + dt/2
     and t + dt; a run that leaves the bound, or raises, gets live False and
-    end its last row.  One rule for both routes, applied after each block:
-    a run that leaves repeats its last accepted row, and the trace ends
-    where the last live runs leave."""
+    end its last row.  After each block, a run that leaves repeats its last
+    accepted row, and the trace ends where the last live runs leave."""
     nruns, n = x0.shape
     nsteps = cfg.steps
     dt = cfg.dt
@@ -248,8 +248,8 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold=None):
     # run-major: each step stores one contiguous (n, nruns) block
     xs = np.empty((nsteps + 1 if fold is None else min(nsteps, _BLOCK) + 1,
                    n, nruns))
-    ws = np.empty((nsteps + 1, width))
     xs[0] = x0.T
+    ws = np.empty((nsteps + 1 if fold is None else 1, width))
     ws[0] = w0
     if fold is not None:
         fold(0, xs[:1])
@@ -266,7 +266,8 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold=None):
             ts = (np.arange(k, min(k + _BLOCK, nsteps)) * dt).tolist()
             w = [_signal_block(w_signal, [t + h for t in ts], width)
                  for h in (0.0, dt / 2, dt)]
-            ws[k + 1:k + 1 + len(ts)] = w[2].reshape(len(ts), width)
+            if fold is None:
+                ws[k + 1:k + 1 + len(ts)] = w[2].reshape(len(ts), width)
             rows = (xs[k:] if fold is None else xs)[:len(ts) + 1]
             advance(rows, k, *w, live, end)
             if not live.any():
@@ -278,7 +279,8 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold=None):
                 xs[0] = rows[-1]
             if not live.any():
                 break
-    return xs[:last + 1 if fold is None else 1], ws[:last + 1], live
+    return ((xs[:last + 1], ws[:last + 1], live) if fold is None
+            else (xs[:1], last + 1, live))
 
 
 def _freeze(rows, k, end):
@@ -329,54 +331,16 @@ def _float_route(rhs_exprs, names, nruns, cfg):
 
 
 def _numpy_route(rhs_exprs, names, nruns, cfg):
-    """advance (see _integrate) on the whole (n, nruns) block, every run at
-    every step: the kernel of compile_exprs_into writes each stage into its
-    rows of a preallocated array, and every stage is computed in place, in
-    the operation order of x + dt/2*k1 and x + dt/6*(k1 + 2*k2 + 2*k3 + k4):
-    a step allocates no array but the results of `**`."""
-    f = compile_exprs_into(rhs_exprs, names)
-    dt = cfg.dt
-    k1, k2, k3, k4, xt = stages = np.empty((5, len(rhs_exprs), nruns))
-    r1, r2, r3, r4 = (list(k) for k in stages[:4])   # kernel outputs
-    args = [*xt, None]                                 # stage inputs, w last
-    norm2 = np.empty(nruns)
-    ok = np.empty(nruns, dtype=bool)
+    """advance (see _integrate) on the whole (n, nruns) block: one
+    compile_block_numpy call per block, into the stage rows allocated here."""
+    steps = compile_block_numpy(rhs_exprs, names, cfg.integrator,
+                                DIVERGENCE_NORM ** 2)
+    stages = np.empty((5, len(rhs_exprs), nruns))
 
     def advance(rows, k, w1, w2, w4, live, end):
         # a scalar signal's values as floats, as the signal gives them
-        w = [v.tolist() if v.ndim == 1 else v for v in (w1, w2, w4)]
-        for j, (w1, w2, w4) in enumerate(zip(*w)):
-            x, xn = rows[j], rows[j + 1]
-            f([*x, w1], r1)
-            if cfg.integrator == "euler":
-                np.multiply(dt, k1, k1)
-                np.add(x, k1, xn)
-            else:
-                np.multiply(dt / 2, k1, xt)
-                np.add(x, xt, xt)
-                args[-1] = w2
-                f(args, r2)
-                np.multiply(dt / 2, k2, xt)
-                np.add(x, xt, xt)
-                f(args, r3)
-                np.multiply(dt, k3, xt)
-                np.add(x, xt, xt)
-                args[-1] = w4
-                f(args, r4)
-                np.multiply(2.0, k2, k2)
-                np.add(k1, k2, k1)
-                np.multiply(2.0, k3, k3)
-                np.add(k1, k3, k1)
-                np.add(k1, k4, k1)
-                np.multiply(dt / 6, k1, k1)
-                np.add(x, k1, xn)
-            # false for NaN and inf as well as above the bound
-            np.einsum("ij,ij->j", xn, xn, out=norm2)
-            if not np.less_equal(norm2, DIVERGENCE_NORM ** 2, out=ok).all():
-                end[live & ~ok] = k + j + 1
-                live &= ok
-                if not live.any():
-                    return
+        w1, w2, w4 = (v.tolist() if v.ndim == 1 else v for v in (w1, w2, w4))
+        steps(rows, w1, w2, w4, cfg.dt, k, live, end, stages)
 
     return advance
 
@@ -464,10 +428,10 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None)
         env[0, k:k + len(rows)] = x.min(axis=1)
         env[1, k:k + len(rows)] = x.max(axis=1)
 
-    xs, ws, alive = _integrate(_route(rhs_exprs, nruns), rhs_exprs,
-                               list(state_names) + ["w"], x0, cfg,
-                               zero_signal(), fold)
-    ts = _times(len(ws), cfg.dt)
+    xs, rows, alive = _integrate(_route(rhs_exprs, nruns), rhs_exprs,
+                                 list(state_names) + ["w"], x0, cfg,
+                                 zero_signal(), fold)
+    ts = _times(rows, cfg.dt)
     # a contiguous copy: norm's pairwise summation runs on contiguous rows
     xend = np.ascontiguousarray(xs[0].T)
     norms = np.linalg.norm(xend, axis=1)

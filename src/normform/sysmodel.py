@@ -38,6 +38,9 @@ class AffineSystem:
         self.h = [simplify(e) for e in h]
         if len(self.f) != n:
             raise ValueError("f must have one component per state")
+        if self.f.states != self.states:
+            raise ValueError(f"f is a field over {self.f.states}, not over the "
+                             f"states {self.states}")
         if self.g.shape[0] != n:
             raise ValueError("g must have one row per state")
         if not self.h:

@@ -234,9 +234,17 @@ class TestLowGain:
     def test_empty_chain_and_uncertified_symbolic_eps_refused(self):
         with pytest.raises(ValueError, match="^chain length must be >= 1$"):
             low_gain([0], 0.5)
-        with pytest.raises(ValueError, match="^slow chains longer than 2 states "
-                           "with non-default poles need a numeric eps$"):
+        with pytest.raises(ValueError, match=r"^chain 1 has 2 slow states: a "
+                           r"symbolic eps has a Lyapunov function for 2 only at "
+                           r"the default poles \(-1, -1\); give a numeric eps$"):
             low_gain([3], Var("eps"), poles=[[-1.0, -3.0]])
+        # the default poles, and more slow states than the cascade form has
+        for poles in (None, [[-2.0], [-1.0, -1.0, -1.0]]):
+            with pytest.raises(ValueError, match="^chain 2 has 3 slow states: "
+                               "a symbolic eps has a Lyapunov function for at "
+                               "most 2, whatever the poles; give a numeric "
+                               "eps$"):
+                low_gain([2, 4], Var("eps"), poles=poles)
 
     def test_one_pole_list_per_chain(self):
         with pytest.raises(ValueError, match="one pole list per chain"):

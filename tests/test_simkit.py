@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from normform.backstep import ChainSystem, Stabilizer, synthesize
-from normform.expr import (Const, Func, Pow, Var, _kernel_source, _step_source,
-                           backends_agree, compile_block_scalar, compile_exprs,
-                           compile_exprs_scalar, parse, simplify)
+from normform.expr import (Const, Func, Pow, Var, _block_source, _kernel_source,
+                           _step_source, backends_agree, compile_block_scalar,
+                           compile_exprs, compile_exprs_scalar, parse,
+                           simplify)
 from normform.simkit import (_BLOCK, DIVERGENCE_NORM, SCALAR_RUNS, Signal,
                              SimConfig, Trace, _float_route, _integrate,
                              _numpy_route,
@@ -620,7 +621,7 @@ def _cubic_batch(dt, horizon):
 
 def test_a_zero_signal_batch_peaks_at_its_states():
     # the states pass through a rolling buffer of _BLOCK + 1 rows; the
-    # stage arrays, the (T,) times and the w column are the rest.  The
+    # stage arrays and the (T,) times are the rest.  The
     # (T, n, nruns) states would be 12.8 MB, 7.5 times the buffer
     peak, res = _cubic_batch(1e-3, 2.0)
     buffer = (_BLOCK + 1) * 2 * 400 * 8
@@ -628,9 +629,18 @@ def test_a_zero_signal_batch_peaks_at_its_states():
                           + res["envelope_max"].nbytes)
 
 
+def test_a_batch_peak_grows_by_its_envelopes_and_times_alone():
+    # a batch keeps no (T, width) w column and builds its (T,) times in one
+    # array: from horizon 2 to 8 its peak grows by no more than they do
+    short, few = _cubic_batch(1e-3, 2.0)
+    long, many = _cubic_batch(1e-3, 8.0)
+    assert long - short <= sum(many[k].nbytes - few[k].nbytes for k in
+                               ("envelope_min", "envelope_max", "t"))
+
+
 def test_a_batch_peak_does_not_grow_with_the_horizon():
-    # four times the steps; only the (T, n) envelopes, the (T,) times and
-    # the w column grow, by about 7% of the peak at the protocol's dt
+    # four times the steps; only the (T, n) envelopes and the (T,) times
+    # grow, by about 7% of the peak at the protocol's dt
     short, _ = _cubic_batch(2e-3, 2.0)
     long, res = _cubic_batch(2e-3, 8.0)
     assert len(res["t"]) == 4001
@@ -1132,3 +1142,147 @@ def test_step_source_reads_every_stage_from_locals():
     # the kernel's list argument is gone; cos(x2) is bound once per stage
     assert "_a[" not in src and src.count("_cos(") == 4
     assert "**3" in src and "**(-1.0)" in src
+
+
+# ---------------------------------------------------------------------------
+# The generated numpy step: the bits of the hand-written stage loop
+# ---------------------------------------------------------------------------
+
+def _reference_numpy_route(rhs_exprs, names, nruns, cfg):
+    """The numpy route as it stood before its steps were generated: a
+    Python loop over the steps of a block, the kernel writing each stage
+    into its rows of a preallocated array, every stage computed in place in
+    the operation order of x + dt/2*k1 and x + dt/6*(k1 + 2*k2 + 2*k3 + k4).
+    Kept as the reference for bit identity."""
+    kernel = compile_exprs(rhs_exprs, names)
+    dt = cfg.dt
+    k1, k2, k3, k4, xt = stages = np.empty((5, len(rhs_exprs), nruns))
+    norm2 = np.empty(nruns)
+    ok = np.empty(nruns, dtype=bool)
+
+    def f(args, out):
+        for row, v in zip(out, kernel(args)):
+            row[...] = v
+
+    def advance(rows, k, w1, w2, w4, live, end):
+        # a scalar signal's values as floats, as the signal gives them
+        w = [v.tolist() if v.ndim == 1 else v for v in (w1, w2, w4)]
+        for j, (w1, w2, w4) in enumerate(zip(*w)):
+            x, xn = rows[j], rows[j + 1]
+            f([*x, w1], k1)
+            if cfg.integrator == "euler":
+                np.multiply(dt, k1, k1)
+                np.add(x, k1, xn)
+            else:
+                np.multiply(dt / 2, k1, xt)
+                np.add(x, xt, xt)
+                f([*xt, w2], k2)
+                np.multiply(dt / 2, k2, xt)
+                np.add(x, xt, xt)
+                f([*xt, w2], k3)
+                np.multiply(dt, k3, xt)
+                np.add(x, xt, xt)
+                f([*xt, w4], k4)
+                np.multiply(2.0, k2, k2)
+                np.add(k1, k2, k1)
+                np.multiply(2.0, k3, k3)
+                np.add(k1, k3, k1)
+                np.add(k1, k4, k1)
+                np.multiply(dt / 6, k1, k1)
+                np.add(x, k1, xn)
+            # false for NaN and inf as well as above the bound
+            np.einsum("ij,ij->j", xn, xn, out=norm2)
+            if not np.less_equal(norm2, DIVERGENCE_NORM ** 2, out=ok).all():
+                end[live & ~ok] = k + j + 1
+                live &= ok
+                if not live.any():
+                    return
+
+    return advance
+
+
+@st.composite
+def batch_step_exprs(draw):
+    """Raw trees over x1, x2 and w with every operation a batch may meet:
+    float and rational literals, an int past 2**53 times a state, squares,
+    cubes and every function."""
+    def rec(d):
+        if d == 0:
+            kind = draw(st.integers(0, 3))
+            if kind == 0:
+                return Const(Fraction(draw(st.integers(-3, 3)),
+                                      draw(st.sampled_from((1, 3)))))
+            if kind == 1:
+                return Const(draw(st.sampled_from((0.5, -1.25, 1e-5, 3e7))))
+            name = draw(st.sampled_from(("x1", "x2", "w")))
+            return Const(2 ** 53 + 1) * Var(name) if kind == 2 else Var(name)
+        k = draw(st.integers(0, 3))
+        if k == 0:
+            return rec(d - 1) + rec(d - 1)
+        if k == 1:
+            return rec(d - 1) * rec(d - 1)
+        if k == 2:
+            return Pow(rec(d - 1), draw(st.sampled_from((2, 3))))
+        return Func(draw(st.sampled_from(("exp", "sin", "cos", "sqrt", "abs",
+                                          "sign"))), rec(d - 1))
+
+    return [rec(draw(st.integers(0, 3))) for _ in range(2)]
+
+
+_GROWING = [Var("x1") * Var("x1") + Const(0.5) * Var("w"),
+            Const(-1.25) * Pow(Var("x2"), 3) + Func("cos", Var("w"))]
+
+
+@settings(max_examples=200, deadline=None)
+@example(_GROWING, "rk4", "some", True, 9)
+@example(_GROWING, "euler", "some", False, 20)
+@example(_GROWING, "rk4", "all", False, 9)
+@example(_GROWING, "euler", "all", True, 3)
+@given(batch_step_exprs(), st.sampled_from(("rk4", "euler")),
+       st.sampled_from(("none", "some", "all")), st.booleans(),
+       st.sampled_from((1, 3, 9, 20)))
+def test_numpy_stepper_equals_the_reference_loop_bit_for_bit(
+        exprs, integrator, leave, per_run, nruns):
+    # 300 steps, two blocks; x1' = x1^2 leaves the bound near t = 1/x1(0)
+    cfg = SimConfig(dt=1e-2, horizon=3.0, integrator=integrator)
+    rng = np.random.default_rng(nruns)
+    x0 = {"none": 0.1, "some": 1.0}.get(leave, 0) * rng.uniform(
+        -1, 1, size=(nruns, 2)) + (leave == "all") * rng.uniform(
+        0.5, 1.0, size=(nruns, 2))
+    signal = (noise_signal(5, horizon=3.0, nruns=nruns) if per_run
+              else step_signal(1.5, scale=0.7))
+    got = []
+    for route in (_numpy_route, _reference_numpy_route):
+        try:
+            xs, ws, live = _integrate(route, exprs, ["x1", "x2", "w"], x0,
+                                      cfg, signal)
+            # a nan's sign aside (_bits): numpy's in-place add on one run
+            # returns the second of two nans, the lambda's the first
+            got.append((_bits(xs, xs.shape).tobytes(), ws.tobytes(),
+                        live.tolist(), len(xs)))
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            got.append(type(exc))
+    assert got[0] == got[1]
+    if exprs is _GROWING:
+        # the examples leave as they say: in several blocks, or all of them
+        # before the end, which truncates the trace
+        live = got[0][2]
+        assert (True in live) == (leave != "all") and (False in live)
+        assert (got[0][3] < 301) == (leave == "all")
+
+
+def test_numpy_stepper_binds_float_literals_as_arrays():
+    exprs = [Const(0.5) * Var("x1") + Const(3) * Pow(Var("x2"), 2),
+             Const(2 ** 53 + 1) * Var("x1") + Pow(Var("x1") + Const(0.5), 3)
+             + Func("sin", Const(2))]
+    src, rows = _block_source(exprs, ["x1", "x2", "w"], "rk4", 1e16)
+    # a float literal is a 0-d array, each once, and an int below 2**53 its
+    # float; an int past 2**53 and the operands of a `**` stay as written
+    assert src.startswith("_c0=_array(0.5)\n_c1=_array(3.0)\n"
+                          "_c2=_array(2.0)\ndef _steps(")
+    assert "_mul(_c0,_x0,_k0_0)" in src and "_mul(_c2,_K12,_K12)" in src
+    assert "_mul((9007199254740993),_x0," in src and "_sin(_c2," in src
+    assert "((_x0+(0.5))**3)" in src and "((_y0+(0.5))**3)" in src
+    assert src.count("_sin(") == 4 and rows == 2
+    euler, _ = _block_source(exprs, ["x1", "x2", "w"], "euler", 1e16)
+    assert "_mul(_c2," not in euler and euler.count("_sin(") == 1

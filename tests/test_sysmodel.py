@@ -112,6 +112,10 @@ _F2 = VectorField([parse("x2"), parse("-x1")], ["x1", "x2"])
     (_F2, [["0"], ["1"]], [], None, "^h must have at least one output$"),
     (_F2, [["0"], ["1"]], ["x1"], {"x2": (0.5, 1)},
      r"^domain for x2 must contain 0, got \[0.5, 1.0\]$"),
+    # a field over other names would take its Lie derivatives over them
+    (VectorField([parse("x2"), parse("-x1")], ["a", "b"]), [["0"], ["1"]],
+     ["x1"], None, r"^f is a field over \['a', 'b'\], not over the states "
+     r"\['x1', 'x2'\]$"),
 ])
 def test_affine_system_refuses_malformed_parts(f, g, h, domain, message):
     with pytest.raises(ValueError, match=message):
