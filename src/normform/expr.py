@@ -104,10 +104,17 @@ class Expr:
         return isinstance(other, Expr) and self.key == other.key
 
     def __repr__(self):
-        return f"Expr({render(self)!r})"
+        try:
+            return f"Expr({render(self)!r})"
+        except ValueError:   # a constant inf or nan: the node's parts
+            parts = ", ".join(repr(getattr(self, s)) for s in self.__slots__)
+            return f"{type(self).__name__}({parts})"
 
     def __str__(self):
-        return render(self)
+        try:
+            return render(self)
+        except ValueError:
+            return repr(self)
 
     # Operator sugar builds raw nodes; canonicalization happens in simplify().
     def __add__(self, other):

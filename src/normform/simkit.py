@@ -1,29 +1,27 @@
 """Closed-loop simulation: fixed-step RK4, disturbance signals, Lyapunov
 monitoring, and L2-gain certification.
 
-One loop, `_integrate`, steps every trace in blocks of 256 steps: it reads
-the signal for a block, and a route writes the block's rows with one call
-of a generated block stepper.  A single run, and a batch of fewer than
-SCALAR_RUNS runs whose right-hand side gives the same bits on both backends
-(`expr.backends_agree`), take the float route, a call per run
-(`compile_block_scalar`); any other batch the numpy route, each stage in
-place on the whole (n, nruns) block (`compile_block_numpy`).  After each
-block one rule freezes a run that left the bound at its last accepted row,
-and ends the trace where the last live runs leave.  `simulate` keeps the
-whole trace: the block's rows are written in place into it, channels u, y
-and V are evaluated with numpy, and states are exposed as (T, nruns, n).
+A disturbance is any callable t -> one number, and every run of a batch
+shares it; a value that is not one number is refused, naming its t.
 
-`simulate` stores what varies.  Its states cost T*n*nruns*8 bytes, and the
-disturbance w and its running integral T*width*8 each, where width is the
-number of values w(0) gives: 1 for a value that all runs share, nruns for
-one value per run (`noise_signal(..., nruns)`).  Any other width, or a later
-value of another width than w(0)'s, is refused.  With a shared signal,
-`Trace.w` and `Trace.int_w2` are read-only (T, nruns) broadcast views.
+One loop, `_integrate`, steps every trace in blocks of 256 steps through a
+rolling buffer of 257 rows, (257, n, nruns) floats, whose row 0 carries the
+last row of the block before: it reads w for a block, and a route writes
+the block's rows with one call of a generated block stepper.  A single run,
+and a batch of fewer than SCALAR_RUNS runs whose right-hand side gives the
+same bits on both backends (`expr.backends_agree`), take the float route, a
+call per run (`compile_block_scalar`); any other batch the numpy route, each
+stage in place on the whole (n, nruns) block (`compile_block_numpy`).  After
+each block one rule freezes a run that left the bound at its last accepted
+row, and ends the trace where the last live runs leave; then the block's
+rows and their w values go to a fold, the caller's.
 
-`batch_simulate` keeps only what the Monte-Carlo protocol reads.  Its rows
-pass through a rolling buffer of 257 rows, (257, n, nruns) floats, whose
-row 0 carries the last row of the block before; each block is folded into
-the (T, n) envelopes, and the endpoint is the last row; no w is kept.
+`simulate` folds them into the whole trace: (T, n, nruns) states and a
+(T, 1) w column.  Channels u, y and V are evaluated with numpy, states are
+exposed as (T, nruns, n), and `Trace.w` and `Trace.int_w2` are read-only
+(T, nruns) broadcast views of one column each.  `batch_simulate` keeps only
+what the Monte-Carlo protocol reads: each block is folded into the (T, n)
+envelopes, and the endpoint is the last row; no w is kept.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 from .expr import (backends_agree, compile_block_numpy, compile_block_scalar,
                    compile_exprs, simplify)
 
-__all__ = ["SimConfig", "Trace", "Signal", "step_signal", "zero_signal",
+__all__ = ["SimConfig", "Trace", "step_signal", "zero_signal",
            "noise_signal", "simulate", "lyapunov_monitor",
            "l2_gain_check", "batch_simulate", "trace_to_csv"]
 
@@ -71,23 +69,8 @@ class SimConfig:
                              f"steps of dt {self.dt}")
 
 
-class Signal:
-    """Scalar disturbance signal w(t); may be batch-aware."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, t):
-        """A float when fn(t) is a scalar (a batch broadcasts it), else
-        one value per run."""
-        v = self.fn(t)
-        if isinstance(v, (float, int)):
-            return float(v)
-        return np.asarray(v, dtype=float)
-
-
 def zero_signal():
-    return Signal(lambda t: 0.0)
+    return lambda t: 0.0
 
 
 def step_signal(off_at, scale=1.0):
@@ -98,29 +81,30 @@ def step_signal(off_at, scale=1.0):
     scale = float(scale)
     if not math.isfinite(scale):
         raise ValueError(f"step scale must be finite, got {scale}")
-    return Signal(lambda t: scale if 0.0 <= t < off_at else 0.0)
+    return lambda t: scale if 0.0 <= t < off_at else 0.0
 
 
-def noise_signal(seed, horizon=100.0, nruns=1):
+def noise_signal(seed, horizon=100.0):
     """Piecewise-constant seeded noise: a fresh uniform draw from [0, 1)
-    every 0.01 s, one row per run."""
+    every 0.01 s over a horizon that is positive and finite."""
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"noise horizon must be positive and finite, got "
+                         f"{horizon}")
     nseg = int(np.ceil(horizon / 0.01)) + 2
-    table = np.random.default_rng(seed).uniform(0.0, 1.0, size=(nruns, nseg))
+    table = np.random.default_rng(seed).uniform(0.0, 1.0, size=nseg)
 
     def fn(t):
-        idx = min(int(t / 0.01), nseg - 1)
-        return table[:, idx]
+        return table[min(int(t / 0.01), nseg - 1)]
 
-    return Signal(fn)
+    return fn
 
 
 class Trace:
     """A simulated trace: times t (T,), states x (T, nruns, n), channels u
-    and y (T, nruns, ·), and w, V, int_y2 and int_w2 (T, nruns).  w and
-    int_w2 are stored at the signal's width (see the module docstring):
-    with a shared signal they are read-only broadcast views.  The trace of
-    `batch_simulate` holds its first and last rows alone and no channels:
-    u, y, w, V and the integrals are None."""
+    and y (T, nruns, ·), and w, V, int_y2 and int_w2 (T, nruns); w and
+    int_w2, which every run shares, are read-only broadcast views.  The
+    trace of `batch_simulate` holds its first and last rows alone and no
+    channels: u, y, w, V and the integrals are None."""
 
     def __init__(self, t, x, u, y, names, input_names, output_names,
                  diverged_runs, w=None, V=None, int_y2=None, int_w2=None):
@@ -160,7 +144,8 @@ class Trace:
 
 def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
              input_exprs=(), output_exprs=(), V_expr=None):
-    """Integrate dx/dt = rhs(x, w(t)) with fixed-step RK4 (or Euler).
+    """Integrate dx/dt = rhs(x, w(t)) with fixed-step RK4 (or Euler), w the
+    one number w_signal(t) that every run shares (0 by default).
 
     x0 may be one initial state or a batch (nruns, n).  A run diverges
     when its state turns non-finite or its norm exceeds 1e8.  A single run
@@ -181,13 +166,21 @@ def simulate(rhs_exprs, state_names, x0, cfg=None, w_signal=None,
     if nruns < 1:
         raise ValueError("a simulation needs at least one run, got 0")
     rhs_exprs = [simplify(e) for e in rhs_exprs]
-    xs, ws, alive = _integrate(_route(rhs_exprs, nruns), rhs_exprs,
-                               names + ["w"], x0, cfg, w_signal)
-    ts = _times(len(xs), cfg.dt)
+    # run-major: each row is one contiguous (n, nruns) block
+    xs = np.empty((cfg.steps + 1, n, nruns))
+    ws = np.empty((cfg.steps + 1, 1))
+
+    def fold(k, rows, w):
+        xs[k:k + len(rows)] = rows
+        ws[k:k + len(rows), 0] = w
+
+    _, rows, alive = _integrate(_route(rhs_exprs, nruns), rhs_exprs,
+                                names + ["w"], x0, cfg, w_signal, fold)
+    xs, ws, ts = xs[:rows], ws[:rows], _times(rows, cfg.dt)
 
     # u, y and V of every run in one kernel over the trace, then the running
     # integrals of |y|^2 and w^2; on a diverging run they overflow quietly.
-    # ws is (T, width): the kernel broadcasts it, and int_w2 stays that wide
+    # The kernel broadcasts the (T, 1) w column, and int_w2 stays one wide
     exprs = [*input_exprs, *output_exprs] + ([V_expr] if V_expr is not None else [])
     nu, ny = len(input_exprs), len(output_exprs)
     channels = np.empty((len(ts), nruns, len(exprs)))
@@ -224,13 +217,11 @@ def _times(rows, dt):
     return ts
 
 
-def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold=None):
-    """The states, the (T, width) w values, width the number of values w(0)
-    gives, and which runs stayed live.  Without fold the states are the
-    whole (T, n, nruns) trace.  With fold they pass through a rolling
-    buffer of _BLOCK + 1 rows, row 0 the last row of the block before:
-    fold(k, rows) gets rows k, k + 1, ... of the trace, each once and in
-    order, and the last row (1, n, nruns) and the row count T are returned.
+def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold):
+    """Step x0 through a rolling buffer of _BLOCK + 1 rows, row 0 the last
+    row of the block before: fold(k, rows, w) gets rows k, k + 1, ... of
+    the trace, each once and in order, and w at their times.  Returns the
+    last row (1, n, nruns), the row count T, and which runs stayed live.
 
     advance(rows, k, w1, w2, w4, live, end), from route(...), writes the
     live runs' rows after rows[0], trace row k, one per w at t, t + dt/2
@@ -240,47 +231,35 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold=None):
     nruns, n = x0.shape
     nsteps = cfg.steps
     dt = cfg.dt
-    w0 = np.ravel(w_signal(0.0))
-    width = len(w0)   # one value, or one per run
-    if width not in (1, nruns):
-        raise ValueError(f"the signal gives {width} values at t = 0 for "
-                         f"{nruns} runs; it must give 1 or {nruns}")
     # run-major: each step stores one contiguous (n, nruns) block
-    xs = np.empty((nsteps + 1 if fold is None else min(nsteps, _BLOCK) + 1,
-                   n, nruns))
+    xs = np.empty((min(nsteps, _BLOCK) + 1, n, nruns))
     xs[0] = x0.T
-    ws = np.empty((nsteps + 1 if fold is None else 1, width))
-    ws[0] = w0
-    if fold is not None:
-        fold(0, xs[:1])
+    w0 = _signal_block(w_signal, [0.0])
+    fold(0, xs[:1], w0)
     live = np.ones(nruns, dtype=bool)
     end = np.full(nruns, nsteps + 1)   # past the trace: the run stayed
     last = nsteps
     with np.errstate(all="ignore"):
         # one check for both routes, of every run at once
-        k1 = compile_exprs(rhs_exprs, names)([*xs[0], ws[0]])
+        k1 = compile_exprs(rhs_exprs, names)([*xs[0], np.array(w0)])
         if not all(np.isfinite(v).all() for v in k1):
             raise ValueError("right-hand side not finite at the initial state")
         advance = route(rhs_exprs, names, nruns, cfg)
         for k in range(0, nsteps, _BLOCK):
             ts = (np.arange(k, min(k + _BLOCK, nsteps)) * dt).tolist()
-            w = [_signal_block(w_signal, [t + h for t in ts], width)
+            w = [_signal_block(w_signal, [t + h for t in ts])
                  for h in (0.0, dt / 2, dt)]
-            if fold is None:
-                ws[k + 1:k + 1 + len(ts)] = w[2].reshape(len(ts), width)
-            rows = (xs[k:] if fold is None else xs)[:len(ts) + 1]
+            rows = xs[:len(ts) + 1]
             advance(rows, k, *w, live, end)
             if not live.any():
                 last = end.max()
                 rows = rows[:last - k + 1]
             _freeze(rows, k, end)
-            if fold is not None:
-                fold(k + 1, rows[1:])
-                xs[0] = rows[-1]
+            fold(k + 1, rows[1:], w[2][:len(rows) - 1])
+            xs[0] = rows[-1]
             if not live.any():
                 break
-    return ((xs[:last + 1], ws[:last + 1], live) if fold is None
-            else (xs[:1], last + 1, live))
+    return xs[:1], last + 1, live
 
 
 def _freeze(rows, k, end):
@@ -294,19 +273,20 @@ def _freeze(rows, k, end):
         rows[end[r] - k:, :, r] = rows[end[r] - k - 1, :, r]
 
 
-def _signal_block(w_signal, ts, width):
-    """w at each of ts, one row per t: floats, or (len(ts), width) values;
-    a value of another width than w(0)'s is refused."""
-    vals = [w_signal.fn(t) for t in ts]
+def _signal_block(w_signal, ts):
+    """w at each of ts, as floats; a value that is not one number is
+    refused, naming its t."""
+    vals = [w_signal(t) for t in ts]
     try:
         block = np.asarray(vals, dtype=float)
-        if block.size == len(ts) * width:
-            return block
-    except ValueError:   # values of several widths
-        pass
-    t, v = next((t, v) for t, v in zip(ts, vals) if np.size(v) != width)
-    raise ValueError(f"the signal gives {np.size(v)} values at t = {t:g} "
-                     f"where w(0) gave {width}")
+        if block.ndim == 1:
+            return block.tolist()
+    except ValueError:   # values of several shapes, or one not a number
+        if not any(np.ndim(v) for v in vals):
+            raise
+    t, v = next((t, v) for t, v in zip(ts, vals) if np.ndim(v))
+    raise ValueError(f"the signal gives a value of shape {np.shape(v)} at "
+                     f"t = {t:g}, not one number")
 
 
 def _float_route(rhs_exprs, names, nruns, cfg):
@@ -316,13 +296,8 @@ def _float_route(rhs_exprs, names, nruns, cfg):
                                  DIVERGENCE_NORM ** 2)
 
     def advance(rows, k, w1, w2, w4, live, end):
-        # a signal gives one value, or one per run or for all runs
-        w1, w2, w4 = (np.broadcast_to(v.reshape(len(v), -1),
-                                      (len(v), nruns)).T.tolist()
-                      for v in (w1, w2, w4))
         for r in np.flatnonzero(live):
-            out, stop = steps(rows[0, :, r].tolist(), w1[r], w2[r], w4[r],
-                              cfg.dt)
+            out, stop = steps(rows[0, :, r].tolist(), w1, w2, w4, cfg.dt)
             rows[:len(out), :, r] = out   # rows[0], then the steps
             if stop is not None:
                 live[r], end[r] = False, k + len(out) - 1
@@ -338,8 +313,6 @@ def _numpy_route(rhs_exprs, names, nruns, cfg):
     stages = np.empty((5, len(rhs_exprs), nruns))
 
     def advance(rows, k, w1, w2, w4, live, end):
-        # a scalar signal's values as floats, as the signal gives them
-        w1, w2, w4 = (v.tolist() if v.ndim == 1 else v for v in (w1, w2, w4))
         steps(rows, w1, w2, w4, cfg.dt, k, live, end, stages)
 
     return advance
@@ -423,7 +396,7 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None)
     # the envelopes of rows k, k + 1, ...: min and max over the runs
     env = np.empty((2, cfg.steps + 1, n))
 
-    def fold(k, rows):
+    def fold(k, rows, w):
         x = rows.transpose(0, 2, 1)
         env[0, k:k + len(rows)] = x.min(axis=1)
         env[1, k:k + len(rows)] = x.max(axis=1)
@@ -452,6 +425,8 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None)
 def trace_to_csv(trace):
     """CSV text of the trace's first run: t, states, inputs, outputs[, V,
     intY2, intW2] at 12 significant digits."""
+    if trace.u is None:
+        raise ValueError("trace carries no channels")
     cols = ["t"] + trace.names + trace.input_names + trace.output_names
     series = [trace.t[:, None], trace.x[:, 0], trace.u[:, 0], trace.y[:, 0]]
     for name, v in (("V", trace.V), ("intY2", trace.int_y2),

@@ -19,6 +19,10 @@ CALLERS = [SRC, SRC.parent.parent / "perfbench", SRC.parent.parent / "tests"]
 EXEMPT = {
     ("SymMatrix.inverse", "max_size"): "accepted for callers that pass a cap",
     ("Expr.__setattr__", "a"): "any assignment is refused",
+    ("_float_route", "nruns"): "the route protocol: the numpy route sizes "
+                               "its stage rows by it",
+    ("batch_simulate.fold", "w"): "the fold protocol of _integrate: a batch "
+                                  "runs at w = 0 and keeps no w",
 }
 
 # (qualified function name, parameter): the call that sets it

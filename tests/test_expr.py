@@ -255,6 +255,17 @@ def test_exp_of_overflowing_constant_stays_unfolded():
             render(e if value == math.inf else Func("sin", Const(value)))
 
 
+def test_a_node_with_no_text_form_still_shows_in_repr_and_str():
+    # render refuses inf and nan, but an error message or a test report that
+    # shows such a node must not fail: it shows the node's parts instead
+    e = simplify(parse("sin(1e308*10)"))
+    assert repr(e) == str(e) == "Func('sin', Const(inf))"
+    e = Func("cos", Const(math.nan)) + Var("y") * 2
+    assert str(e) == "Add((Func('cos', Const(nan)), Expr('2*y')))"
+    with pytest.raises(ValueError, match="^constant nan is not finite"):
+        render(e)
+
+
 def test_numpy_integer_constants_stay_exact():
     big = Fraction(np.int64(2 ** 62))
     assert render(simplify(const(big) * Var("x") * 8)) == "36893488147419103232*x"

@@ -13,9 +13,8 @@ from normform.expr import (Const, Func, Pow, Var, _block_source, _kernel_source,
                            _step_source, backends_agree, compile_block_scalar,
                            compile_exprs, compile_exprs_scalar, parse,
                            simplify)
-from normform.simkit import (_BLOCK, DIVERGENCE_NORM, SCALAR_RUNS, Signal,
-                             SimConfig, Trace, _float_route, _integrate,
-                             _numpy_route,
+from normform.simkit import (_BLOCK, DIVERGENCE_NORM, SCALAR_RUNS, SimConfig,
+                             Trace, _float_route, _integrate, _numpy_route,
                              _running_trapezoid, batch_simulate, l2_gain_check,
                              lyapunov_monitor, noise_signal, simulate,
                              step_signal, trace_to_csv, zero_signal)
@@ -89,12 +88,16 @@ def test_every_run_of_a_small_float_batch_is_checked_at_the_start(x0):
         simulate([parse("x1^2")], ["x1"], x0, SimConfig(dt=1e-3, horizon=0.1))
 
 
-@pytest.mark.parametrize("key", ["dt", "horizon"])
+@pytest.mark.parametrize("key", ["dt", "horizon", "noise horizon"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_config_refuses_dt_and_horizon_not_positive_and_finite(key, value):
+    # a noise table, as a trace, is allocated up front over its horizon
     with pytest.raises(ValueError, match=f"^{key} must be positive and finite, "
                                          f"got {value}$"):
-        SimConfig(**{key: value})
+        if key == "noise horizon":
+            noise_signal(1, horizon=value)
+        else:
+            SimConfig(**{key: value})
 
 
 def test_config_refuses_a_dt_that_leaves_no_step():
@@ -163,6 +166,13 @@ def test_csv_format():
     assert len(lines) == 4
     val = lines[1].split(",")[1]
     assert len(val.replace(".", "").replace("-", "")) <= 13
+
+
+def test_a_batch_trace_has_no_channels_to_write():
+    res = batch_simulate([parse("-x1")], ["x1"], [(-1.0, 1.0)], nruns=3,
+                         master_seed=1, cfg=SimConfig(dt=1e-2, horizon=0.1))
+    with pytest.raises(ValueError, match="^trace carries no channels$"):
+        trace_to_csv(res["trace"])
 
 
 def test_batch_deterministic_and_envelopes():
@@ -309,9 +319,9 @@ def test_batch_bit_identical_to_column_loop_mixed(systems_dir):
     kw = dict(input_exprs=law.v, output_exprs=[parse("xi1_1"), parse("eta1*w")],
               V_expr=law.W)
     ref = _reference_batch(rhs, names, x0, cfg,
-                           noise_signal(11, horizon=1.0, nruns=3), **kw)
+                           noise_signal(11, horizon=1.0), **kw)
     tr = simulate(rhs, names, x0, cfg,
-                  w_signal=noise_signal(11, horizon=1.0, nruns=3), **kw)
+                  w_signal=noise_signal(11, horizon=1.0), **kw)
     assert len(tr.t) == 301 and not tr.diverged
     _assert_traces_equal(ref, tr)
 
@@ -492,26 +502,30 @@ def test_backends_agree_on_the_closed_loops(systems_dir):
     assert backends_agree([parse("sqrt(x1) - 1e-05*abs(x1)^2")])
 
 
-@pytest.mark.parametrize("nruns", [1, 2, 5, SCALAR_RUNS])
-def test_batch_signal_needs_one_value_or_one_per_run(nruns):
-    wrong = noise_signal(1, horizon=2.0, nruns=3)
-    with pytest.raises(ValueError, match=f"^the signal gives 3 values at t = 0 "
-                                         f"for {nruns} runs; it must give 1 or "
-                                         f"{nruns}$"):
-        simulate([parse("-x1 + w")], ["x1"], [[0.1]] * nruns,
-                 SimConfig(dt=1e-2, horizon=0.1), w_signal=wrong)
-
-
 # the switch falls in the first block of 256 steps, and in the third
 @pytest.mark.parametrize("switch", [0.05, 0.6])
 @pytest.mark.parametrize("first, later", [(1, 5), (5, 1), (5, 3)])
 def test_a_signal_that_changes_width_is_refused(switch, first, later):
-    signal = Signal(lambda t: np.zeros(first) if t < switch else np.zeros(later))
-    with pytest.raises(ValueError, match=f"^the signal gives {later} values at "
-                                         f"t = {switch:g} where w\\(0\\) gave "
-                                         f"{first}$"):
+    # a disturbance is one number, which every run shares: a width of 1 is a
+    # float here, any other an array, refused where it first comes
+    def value(width):
+        return 0.0 if width == 1 else np.zeros(width)
+
+    def signal(t):
+        return value(first) if t < switch else value(later)
+
+    t, width = (switch, later) if first == 1 else (0.0, first)
+    with pytest.raises(ValueError, match=rf"^the signal gives a value of shape "
+                                         rf"\({width},\) at t = {t:g}, not one "
+                                         rf"number$"):
         simulate([parse("-x1 + w")], ["x1"], [[0.1]] * 5,
                  SimConfig(dt=1e-3, horizon=1.0), w_signal=signal)
+
+
+def test_a_signal_value_that_is_not_a_number_is_refused():
+    with pytest.raises(ValueError, match="^could not convert string to float"):
+        simulate([parse("-x1 + w")], ["x1"], [0.1],
+                 SimConfig(dt=1e-2, horizon=0.1), w_signal=lambda t: "abc")
 
 
 @pytest.mark.parametrize("box, match", [
@@ -569,7 +583,7 @@ def test_batch_simulate_takes_a_numpy_integer_run_count():
 
 
 # ---------------------------------------------------------------------------
-# The disturbance channel is stored at the signal's width
+# The disturbance channel is one column that every run shares
 
 def test_a_shared_signal_is_stored_once_and_read_at_full_width():
     x0 = np.random.default_rng(8).uniform(-1, 1, size=(3 * SCALAR_RUNS, 2))
@@ -589,18 +603,6 @@ def test_a_shared_signal_is_stored_once_and_read_at_full_width():
     assert one.w.shape == one.int_w2.shape == (len(tr.t), 1)
     assert np.array_equal(one.w[:, 0], column)
     assert np.array_equal(one.int_w2, tr.int_w2[:, 5:6])
-
-
-def test_a_per_run_signal_keeps_a_full_channel():
-    nruns = 3 * SCALAR_RUNS
-    x0 = np.random.default_rng(8).uniform(-1, 1, size=(nruns, 2))
-    tr = simulate([parse("-x1 + x2"), parse("-x2 + w")], ["x1", "x2"], x0,
-                  SimConfig(dt=1e-3, horizon=0.6),
-                  w_signal=noise_signal(4, horizon=1.0, nruns=nruns))
-    assert tr.w.shape == tr.int_w2.shape == (len(tr.t), nruns)
-    assert 0 not in tr.w.strides and 0 not in tr.int_w2.strides
-    assert np.array_equal(tr.w[0], noise_signal(4, horizon=1.0, nruns=nruns)(0.0))
-    assert np.array_equal(tr.int_w2, _running_trapezoid(tr.t, tr.w * tr.w))
 
 
 def _cubic_batch(dt, horizon):
@@ -737,7 +739,7 @@ def _tiled_case(systems_dir, key):
     x0 = np.random.default_rng(7).uniform(-1, 1, size=(3, len(names)))
     if key == "mixed-one":
         x0 = x0[:1]
-    return (rhs, names, x0, noise_signal(11, horizon=1.0, nruns=len(x0)),
+    return (rhs, names, x0, noise_signal(11, horizon=1.0),
             dict(input_exprs=law.v, output_exprs=[parse("xi1_1"), parse("eta1*w")],
                  V_expr=law.W), SimConfig(dt=2e-3, horizon=0.6))
 
@@ -750,8 +752,8 @@ def test_small_batch_equals_its_rows_of_a_tiled_batch(systems_dir, key):
     assert k < SCALAR_RUNS <= k * reps
     assert backends_agree([simplify(e) for e in rhs])
     small = simulate(rhs, names, x0, cfg, w_signal=signal, **kw)
-    tiled = Signal(lambda t: np.tile(np.broadcast_to(signal.fn(t), k), reps))
-    big = simulate(rhs, names, np.tile(x0, (reps, 1)), cfg, w_signal=tiled, **kw)
+    big = simulate(rhs, names, np.tile(x0, (reps, 1)), cfg, w_signal=signal,
+                   **kw)
     assert small.t.tobytes() == big.t.tobytes()
     for name in ("x", "w", "u", "y", "V", "diverged_runs"):
         want = getattr(big, name)[:, :k] if name != "diverged_runs" \
@@ -780,8 +782,7 @@ def _reference_scalar(rhs_exprs, names, x0, cfg, w_signal, input_exprs,
     f = comp(rhs_exprs)
 
     def wval(t):
-        v = w_signal.fn(t)
-        return float(v if np.isscalar(v) else np.asarray(v).ravel()[0])
+        return float(w_signal(t))
 
     x = [float(v) for v in x0]
     nsteps = int(round(cfg.horizon / cfg.dt))
@@ -929,6 +930,23 @@ def test_a_float_kernel_that_raises_at_a_block_edge_ends_the_run_there(k):
     assert tr.diverged and len(tr.t) == k + 1
 
 
+def _full_integrate(route, rhs_exprs, names, x0, cfg, w_signal):
+    """_integrate's whole (T, n, nruns) trace, its (T,) w values and which
+    runs stayed live, from a fold that keeps each block it is given."""
+    xs, ws = [], []
+
+    def fold(k, rows, w):
+        assert k == sum(map(len, xs)) and len(w) == len(rows)
+        xs.append(rows.copy())
+        ws.extend(w)
+
+    last, count, live = _integrate(route, rhs_exprs, names, np.array(x0), cfg,
+                                   w_signal, fold)
+    xs = np.concatenate(xs)
+    assert len(xs) == count and last.tobytes() == xs[-1:].tobytes()
+    return xs, np.array(ws), live
+
+
 @pytest.mark.parametrize("x0", [
     [[2.0, 0.1], [1.0, -0.2], [0.5, 0.3]],
     [[3.0, 0.0], [-0.5, 0.1], [1.5, 0.2], [0.9, -0.1], [4.0, 0.3]],
@@ -941,9 +959,9 @@ def test_float_route_freezes_runs_as_the_numpy_route(x0):
     rhs = [simplify(parse("x1^2 + x2*w")), simplify(parse("-x2"))]
     assert backends_agree(rhs) and len(x0) < SCALAR_RUNS
     cfg = SimConfig(dt=1e-3, horizon=3.0)
-    signal = noise_signal(2, horizon=3.0, nruns=len(x0))
+    signal = noise_signal(2, horizon=3.0)
     (xs, ws, live), want = (
-        _integrate(route, rhs, ["x1", "x2", "w"], np.array(x0), cfg, signal)
+        _full_integrate(route, rhs, ["x1", "x2", "w"], x0, cfg, signal)
         for route in (_float_route, _numpy_route))
     assert len(xs) == len(want[0]) and list(live) == list(want[2])
     assert xs.tobytes() == want[0].tobytes() and ws.tobytes() == want[1].tobytes()
@@ -962,7 +980,7 @@ def test_a_run_that_leaves_on_the_last_step_is_frozen_there(nruns):
     cfg = SimConfig(dt=1e-2, horizon=1.01)
     x0 = np.array([[1.0]] + [[-i / nruns] for i in range(1, nruns)])
     (xs, ws, live), want = (
-        _integrate(route, rhs, ["x1", "w"], x0, cfg, zero_signal())
+        _full_integrate(route, rhs, ["x1", "w"], x0, cfg, zero_signal())
         for route in (_float_route, _numpy_route))
     assert xs.tobytes() == want[0].tobytes() and list(live) == list(want[2])
     assert len(xs) == 102 and list(live) == [False] + [True] * (nruns - 1)
@@ -995,9 +1013,9 @@ def test_addexam_batch_bit_identical_to_column_loop(cli_loops, nruns):
     kw = {k: v for k, v in loop.items() if k != "names"}
     rhs = kw.pop("rhs_exprs")
     ref = _reference_batch(rhs, loop["names"], x0, cfg,
-                           noise_signal(5, horizon=1.0, nruns=nruns), **kw)
+                           noise_signal(5, horizon=1.0), **kw)
     tr = simulate(rhs, loop["names"], x0, cfg,
-                  w_signal=noise_signal(5, horizon=1.0, nruns=nruns), **kw)
+                  w_signal=noise_signal(5, horizon=1.0), **kw)
     assert len(tr.t) == 301 and not tr.diverged
     _assert_traces_equal(ref, tr)
 
@@ -1164,10 +1182,8 @@ def _reference_numpy_route(rhs_exprs, names, nruns, cfg):
         for row, v in zip(out, kernel(args)):
             row[...] = v
 
-    def advance(rows, k, w1, w2, w4, live, end):
-        # a scalar signal's values as floats, as the signal gives them
-        w = [v.tolist() if v.ndim == 1 else v for v in (w1, w2, w4)]
-        for j, (w1, w2, w4) in enumerate(zip(*w)):
+    def advance(rows, k, W1, W2, W4, live, end):
+        for j, (w1, w2, w4) in enumerate(zip(W1, W2, W4)):
             x, xn = rows[j], rows[j + 1]
             f([*x, w1], k1)
             if cfg.integrator == "euler":
@@ -1242,20 +1258,20 @@ _GROWING = [Var("x1") * Var("x1") + Const(0.5) * Var("w"),
        st.sampled_from(("none", "some", "all")), st.booleans(),
        st.sampled_from((1, 3, 9, 20)))
 def test_numpy_stepper_equals_the_reference_loop_bit_for_bit(
-        exprs, integrator, leave, per_run, nruns):
+        exprs, integrator, leave, noise, nruns):
     # 300 steps, two blocks; x1' = x1^2 leaves the bound near t = 1/x1(0)
     cfg = SimConfig(dt=1e-2, horizon=3.0, integrator=integrator)
     rng = np.random.default_rng(nruns)
     x0 = {"none": 0.1, "some": 1.0}.get(leave, 0) * rng.uniform(
         -1, 1, size=(nruns, 2)) + (leave == "all") * rng.uniform(
         0.5, 1.0, size=(nruns, 2))
-    signal = (noise_signal(5, horizon=3.0, nruns=nruns) if per_run
+    signal = (noise_signal(5, horizon=3.0) if noise
               else step_signal(1.5, scale=0.7))
     got = []
     for route in (_numpy_route, _reference_numpy_route):
         try:
-            xs, ws, live = _integrate(route, exprs, ["x1", "x2", "w"], x0,
-                                      cfg, signal)
+            xs, ws, live = _full_integrate(route, exprs, ["x1", "x2", "w"],
+                                           x0, cfg, signal)
             # a nan's sign aside (_bits): numpy's in-place add on one run
             # returns the second of two nans, the lambda's the first
             got.append((_bits(xs, xs.shape).tobytes(), ws.tobytes(),
