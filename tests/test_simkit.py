@@ -502,6 +502,19 @@ def test_backends_agree_on_the_closed_loops(systems_dir):
     assert backends_agree([parse("sqrt(x1) - 1e-05*abs(x1)^2")])
 
 
+@pytest.mark.parametrize("nruns", [1, 2, 5, SCALAR_RUNS])
+def test_batch_signal_needs_one_value_or_one_per_run(nruns):
+    # one value, which every run shares, is the only width a signal may give:
+    # three values are refused at t = 0 whatever the number of runs
+    def wrong(t):
+        return np.zeros(3)
+
+    with pytest.raises(ValueError, match=r"^the signal gives a value of shape "
+                                         r"\(3,\) at t = 0, not one number$"):
+        simulate([parse("-x1 + w")], ["x1"], [[0.1]] * nruns,
+                 SimConfig(dt=1e-2, horizon=0.1), w_signal=wrong)
+
+
 # the switch falls in the first block of 256 steps, and in the third
 @pytest.mark.parametrize("switch", [0.05, 0.6])
 @pytest.mark.parametrize("first, later", [(1, 5), (5, 1), (5, 3)])
