@@ -393,6 +393,9 @@ def parse(text):
 # ---------------------------------------------------------------------------
 
 _EMPTY_MONO = (0,)
+# The polynomial 1, for comparisons only: a _Frac never holds it, since a
+# caller could mutate a dict it is handed.
+_POLY_ONE = {_EMPTY_MONO: 1}
 
 
 class _Tok(str):
@@ -613,7 +616,7 @@ def _frac_cancel(num, den):
         num = {_mono_divides(cm, m): c for m, c in num.items()}
         den = {_mono_divides(cm, m): c for m, c in den.items()}
     # Exact division both ways.
-    if den != _poly_const(1):
+    if den != _POLY_ONE:
         q = _poly_divide_exact(num, den)
         if q is not None:
             return _Frac(q, _poly_const(1))
@@ -771,7 +774,7 @@ def _poly_written(p):
 def _frac_written(f):
     """The tree of f, and the monomials of its numerator in written order."""
     num, order = _poly_written(f.num)
-    if f.den == _poly_const(1):
+    if f.den == _POLY_ONE:
         return num, order
     den = _poly_written(f.den)[0]
     return (Pow(den, -1) if num == ONE else Mul((num, Pow(den, -1)))), order
@@ -850,7 +853,7 @@ def _mark_canonical(out, f, order):
     Pythagorean pass meet their terms in the same order."""
     _set(out, "_canon", True)
     if (not isinstance(out, (Const, Var))
-            and (f.den == _poly_const(1)
+            and (f.den == _POLY_ONE
                  or (len(f.num) <= TERM_BUDGET and len(f.den) <= TERM_BUDGET))
             and _exact(f)):
         _memoized(out, _FRAC_KEY, lambda: _Frac(

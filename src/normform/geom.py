@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import (ONE, ZERO, BudgetError, EvalError, _diff_raw, _exact,
-                   _frac_add, _frac_cancel, _frac_inv, _frac_mul,
-                   _frac_written, _Frac, _mark_canonical, _poly_const,
-                   _poly_iadd, _poly_mul, _poly_written, _to_frac,
+from .expr import (_POLY_ONE, ONE, ZERO, BudgetError, EvalError, _diff_raw,
+                   _exact, _frac_add, _frac_cancel, _frac_inv, _frac_mul,
+                   _frac_written, _Frac, _mark_canonical, _memoized,
+                   _poly_const, _poly_iadd, _poly_mul, _poly_pow, _to_frac,
                    compile_exprs, const, diff, free_vars, numeric_equivalent,
                    simplify)
 
@@ -302,56 +302,152 @@ def lie_derivative(f, lam):
     their order; a name that is not a state of f is a parameter, held
     fixed.  A field with no states gives 0.
 
+    When lam and the components of f are exact fractions over variables,
+    the sum is taken on their stored fractions (_frac_lie_derivative) and
+    written as one tree, the one simplify gives for the sum of the trees.
+
     `lam` may be a single Expr, or a list of Expr (returns a list).
     """
     if isinstance(lam, (list, tuple)):
         return [lie_derivative(f, e) for e in lam]
-    out = _poly_lie_derivative(f, lam)
-    if out is not None:
-        return out
+    lam = const(lam)
+    try:
+        fracs = _exact_fracs((lam, *f.components))
+        # diff reads lam's tree, which is its fraction written out only on a
+        # canonical node; a polynomial's expansion is its canonical form
+        if fracs is not None and (lam._canon or fracs[0].den == _POLY_ONE):
+            # stored on the node, as diff stores its partials: one lam meets
+            # several fields (lie_derivative_cols takes each input column)
+            partials = (_memoized(lam, _PARTIALS_KEY,
+                                  lambda: _frac_partials(fracs[0]))
+                        if lam._canon else _frac_partials(fracs[0]))
+            out = _frac_lie_derivative(partials, fracs[1:], f.states)
+            tree, order = _frac_written(out)
+            return _mark_canonical(tree, out, order)
+    except BudgetError:
+        pass
     acc = const(0)
     for name, fi in zip(f.states, f.components):
         acc = acc + diff(lam, name) * fi
     return simplify(acc)
 
 
-def _exact_var_poly(e):
-    """The polynomial dict of e when it expands to a polynomial over
-    variables with exact coefficients, else None.  Over variables alone the
-    expansion is the canonical form, and on a canonical e it is stored."""
-    f = _to_frac(e)
-    return f.num if f.den == _poly_const(1) and _exact(f, over_vars=True) else None
+# The memo key of a node's partials; expr's keys are 0 and variable names.
+_PARTIALS_KEY = 1
 
 
-def _poly_lie_derivative(f, lam):
-    """L_f lam on polynomial dicts, or None when lam or a component of f is
-    not a polynomial over variables with exact coefficients, or a product
-    outgrows the term budget.  Each partial is an exponent shift, each
-    product is _poly_mul, and the sum is added into one dict, so the result
-    is the canonical polynomial simplify would give, with its fraction
-    stored on it."""
-    try:
-        polys = []
-        for e in (const(lam), *f.components):
-            polys.append(_exact_var_poly(e))
-            if polys[-1] is None:   # the rest are not expanded
-                return None
-        p, *fs = polys
-        partials = {}   # state name -> d lam / d state
-        for mono, c in p.items():
-            for k in range(1, len(mono)):
-                t, e = mono[k]   # e is the negated exponent
-                shifted = ((t, e + 1),) if e < -1 else ()
-                partials.setdefault(t.atom.name, {})[
-                    (mono[0] + 1, *mono[1:k], *shifted, *mono[k + 1:])] = c * -e
+def _exact_fracs(exprs):
+    """The fractions of exprs, or None at the first that is not an exact
+    fraction over variables (the rest are not expanded).  On a canonical
+    node the fraction is stored."""
+    out = []
+    for e in exprs:
+        out.append(_to_frac(e))
+        if not _exact(out[-1], over_vars=True):
+            return None
+    return out
+
+
+def _poly_partials(p):
+    """{name: d p / d name} for the variables of the polynomial dict p: each
+    partial is an exponent shift."""
+    out = {}
+    for mono, c in p.items():
+        for k in range(1, len(mono)):
+            t, e = mono[k]   # e is the negated exponent
+            shifted = ((t, e + 1),) if e < -1 else ()
+            out.setdefault(t.atom.name, {})[
+                (mono[0] + 1, *mono[1:k], *shifted, *mono[k + 1:])] = c * -e
+    return out
+
+
+def _frac_partials(f):
+    """{name: d f / d name} for the variables of the exact fraction f over
+    variables: each the fraction that diff stores for that name on f's
+    canonical tree num * den^-1.  Its product rule gives the terms
+    d num * den^-1 and num * (-den^-2 * d den), each cancelled as that tree
+    is expanded, then their sum.  The quotient rule taken over den^2 at once
+    can leave a common factor that _frac_cancel, which takes no GCD, keeps."""
+    dn = _poly_partials(f.num)
+    if f.den == _POLY_ONE:
+        return {name: _Frac(p, _poly_const(1)) for name, p in dn.items()}
+    dd = _poly_partials(f.den)
+    sq = _poly_pow(f.den, 2) if dd else None
+    out = {}
+    for name in {**dn, **dd}:
+        a, b = dn.get(name), dd.get(name)
+        if a is not None:
+            a = _frac_cancel(a, f.den)
+        if b is not None:
+            b = _frac_mul(_Frac(f.num, _poly_const(1)),
+                          _frac_cancel({m: -c for m, c in b.items()}, sq))
+        out[name] = (a if b is None else b if a is None
+                     else _frac_cancel(*_frac_add(a, b)))
+    return out
+
+
+def _frac_lie_derivative(partials, comps, states):
+    """L_f lam as an exact fraction, from the partials of lam
+    (_frac_partials) and the fractions of f's components over `states`.
+    Over polynomials each product is _poly_mul and the sum is added into
+    one dict; otherwise the sum is _frac_dot's."""
+    pairs = [(partials[name], c) for name, c in zip(states, comps)
+             if name in partials]
+    if (all(c.den == _POLY_ONE for c in comps)
+            and all(p.den == _POLY_ONE for p, _ in pairs)):
         acc = {}
-        for name, fi in zip(f.states, fs):
-            if name in partials:
-                _poly_iadd(acc, _poly_mul(partials[name], fi))
-    except BudgetError:
-        return None
-    out, order = _poly_written(acc)
-    return _mark_canonical(out, _Frac(acc, _poly_const(1)), order)
+        for p, c in pairs:
+            _poly_iadd(acc, _poly_mul(p.num, c.num))
+        return _Frac(acc, _poly_const(1))
+    return _frac_dot(pairs)
+
+
+def _frac_dot(pairs):
+    """sum x y over the pairs of fractions, as simplify gives it for the
+    tree sum(x * y, 0) of canonical x and y: that tree nests one sum in the
+    next, so each product is cancelled, the running sum is cancelled before
+    the next product is added, and the total once more.  A running sum is
+    already cancelled unless its last addition met an equal denominator."""
+    acc, dirty = None, False
+    for x, y in pairs:
+        t = _frac_mul(x, y)
+        if acc is None:
+            acc = t
+            continue
+        if dirty:
+            acc = _frac_cancel(*acc)
+        dirty = acc.den == t.den
+        acc = _frac_add(acc, t)
+    return _Frac({}, _poly_const(1)) if acc is None else _frac_cancel(*acc)
+
+
+def _frac_sub(a, b):
+    """a - b on fractions, as simplify gives it for the tree a - b of
+    canonical a and b."""
+    return _frac_cancel(*_frac_add(a, _Frac({m: -c for m, c in b.num.items()},
+                                            b.den)))
+
+
+class _FracField:
+    """A vector field whose components are exact fractions over variables
+    (expr._Frac), with the partials of each component taken once, when a
+    bracket first needs them."""
+
+    def __init__(self, components, states):
+        self.components, self.states, self._partials = components, states, None
+
+    def partials(self):
+        if self._partials is None:
+            self._partials = [_frac_partials(c) for c in self.components]
+        return self._partials
+
+
+def _frac_bracket(f, g):
+    """The components of [f, g] on _FracFields, one at a time: the
+    fractions lie_bracket stores on the components of its field."""
+    for pg, pf in zip(g.partials(), f.partials()):
+        yield _frac_sub(_frac_lie_derivative(pg, f.components, f.states),
+                        _frac_lie_derivative(pf, g.components, g.states))
 
 
 def lie_derivative_cols(g_matrix, states, lam):
@@ -395,9 +491,10 @@ def bracket_sampler(fields):
     bracket is expanded symbolically.  Where an expression is undefined the
     values come out non-finite; the caller decides which points to keep.
 
-    The fields and their Jacobian entries are compiled as one kernel; on
-    ex33's chain fields (9.8 kB of source) a cold check_assumption_D
-    peaks at 39.4 MB RSS, 1.4 MB above the process before the call.
+    The fields and their Jacobian entries are compiled as one kernel, of
+    9.8 kB of source on ex33's chain fields.  involutive samples its
+    brackets here; check_assumption_D does only for chain fields that are
+    not exact fractions over variables, and decides the others exactly.
     """
     if not fields:
         raise ValueError("need at least one vector field")

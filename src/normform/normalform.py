@@ -10,15 +10,18 @@ filled from the P blocks of step j, whose chains are no longer than j.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, ZERO, Const,
-                   EvalError, Var, const, diff, free_vars, numeric_equivalent,
-                   render, sample_box, simplify, subs)
-from .geom import (SymMatrix, VectorField, bracket_sampler, complete_rows,
-                   involutive, jacobian, lie_bracket, lie_derivative,
-                   lie_derivative_cols, rank)
+from .expr import (SAMPLE_CUTOFF, SAMPLE_POINTS, SAMPLE_REDRAWS, ZERO,
+                   BudgetError, Const, EvalError, Var, _to_frac, const, diff,
+                   free_vars, numeric_equivalent, render, sample_box, simplify,
+                   subs)
+from .geom import (SymMatrix, VectorField, _exact_fracs, _frac_bracket,
+                   _frac_dot, _frac_sub, _FracField, bracket_sampler,
+                   complete_rows, involutive, jacobian, lie_bracket,
+                   lie_derivative, lie_derivative_cols, rank)
 from .structure import StructureError, _chain_coords, _sel_product, select_RS
 
 __all__ = ["NormalForm", "ZeroDynamicsReport", "build_normal_form",
@@ -263,10 +266,18 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
     """Commutation of the chain-generating fields of a square invertible
     outcome: every pairwise Lie bracket of the Y(j, k) must vanish.
 
-    The fields are built exactly; their brackets are only sampled (see
-    geom.bracket_sampler), so a bracket that is identically zero is not
-    proved zero.  The sampling rule is numeric_equivalent's, set by the
-    constants in expr and applied by expr.sample_box: the first
+    Where f, g b^{-1}, a and delta are exact fractions over variables, the
+    fields and their brackets are built on those fractions, and D is
+    decided exactly: a fraction is zero iff its numerator is empty, so the
+    check returns False at the first bracket with a non-empty numerator and
+    True when every bracket is empty.  There is no tolerance there: a
+    bracket however small against its terms fails.
+
+    Otherwise (a function atom, a float coefficient, or a product over the
+    term budget), the fields are built as trees and their brackets are
+    sampled (see geom.bracket_sampler), so a bracket that is identically
+    zero is not proved zero.  The sampling rule is numeric_equivalent's,
+    set by the constants in expr and applied by expr.sample_box: the first
     SAMPLE_POINTS (32) valid points, in draw order, of the point-major
     stream drawn uniformly from the box `system.domain` with numpy
     generator `seed`; a point where any field value or bracket term is
@@ -285,6 +296,14 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
         raise StructureError("Assumption D applies to square invertible systems")
     if nf is None:
         nf = build_normal_form(system, outcome)
+    try:
+        Y = _chain_fields(nf, exact=True)
+        if Y is not None:
+            fields = [Y[key] for key in sorted(Y)]
+            return not any(c.num for a, b in combinations(fields, 2)
+                           for c in _frac_bracket(a, b))
+    except BudgetError:
+        pass
     Y = _chain_fields(nf)
     _, (_, brackets, scale) = sample_box(
         bracket_sampler([Y[key] for key in sorted(Y)]), system.box(),
@@ -297,7 +316,16 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
     return True
 
 
-def _chain_fields(nf):
+# The arithmetic of _chain_fields: (read an entry, make a field, sum x y
+# over pairs, a - b, bracket of two fields), on trees and on fractions.
+_TREE_CHAIN = (lambda e: e, VectorField,
+               lambda pairs: simplify(sum((x * y for x, y in pairs), ZERO)),
+               lambda a, b: simplify(a - b), lie_bracket)
+_FRAC_CHAIN = (_to_frac, _FracField, _frac_dot, _frac_sub,
+               lambda f, g: _FracField(list(_frac_bracket(f, g)), f.states))
+
+
+def _chain_fields(nf, exact=False):
     """The chain-generating fields {(j, k): ad^{k-1}_{f_t} Y(j, 1)} of a
     square invertible normal form, with f_t = f - g b^{-1} a; there
     Gamma_i = b, so g b^{-1} is the normal form's input fields.
@@ -305,33 +333,42 @@ def _chain_fields(nf):
     The paper's Y(j, k) carries the sign (-1)^{k-1}, which is left out here:
     it cannot change whether a bracket vanishes, and in the correction
     Y(j, 1) = g b^{-1} e_j - sum delta * Y(l, i2) it is folded into delta.
+
+    The fields are VectorFields.  With `exact` they are geom._FracFields of
+    the fractions those trees store, built from the stored fractions of f,
+    g b^{-1}, a and delta and writing no tree; then the result is None when
+    one of these is not an exact fraction over variables, and BudgetError
+    propagates from a product over the term budget.
     """
     system = nf.system
-    m = system.m
-    g_t = nf.input_fields
-    corr = g_t @ SymMatrix([[e] for e in nf.a])
-    f_t = VectorField([simplify(c - corr[i, 0])
-                       for i, c in enumerate(system.f.components)], system.states)
-    q = nf.q
+    m, q, states = system.m, nf.q, system.states
+    if exact and _exact_fracs([
+            *system.f.components, *nf.a, *nf.delta.values(),
+            *(e for row in nf.input_fields.rows for e in row)]) is None:
+        return None
+    read, field, dot, sub, bracket = _FRAC_CHAIN if exact else _TREE_CHAIN
+    g_t = [[read(e) for e in row] for row in nf.input_fields.rows]
+    a = [read(e) for e in nf.a]
+    f_t = field([sub(read(c), dot(zip(row, a)))
+                 for c, row in zip(system.f.components, g_t)], states)
     Y = {}
 
     def add_chain(j, base):
-        Y[(j, 1)] = base
+        Y[(j, 1)] = field(base, states)
         for k in range(2, q[j - 1] + 1):
-            Y[(j, k)] = lie_bracket(f_t, Y[(j, k - 1)])
+            Y[(j, k)] = bracket(f_t, Y[(j, k - 1)])
 
-    add_chain(m, VectorField(g_t.col(m - 1), system.states))
+    add_chain(m, [row[m - 1] for row in g_t])
     for j in range(m - 1, 0, -1):
-        comps = list(g_t.col(j - 1))
+        comps = [row[j - 1] for row in g_t]
         for l in range(j + 1, m + 1):
             for i2 in range(2, q[l - 1] + 1):
                 d = nf.delta_entry(l, q[l - 1] - i2 + 1, j)
                 if d != const(0):
-                    if i2 % 2 == 0:
-                        d = -d
-                    comps = [simplify(c - d * yc)
+                    d = read(-d if i2 % 2 == 0 else d)
+                    comps = [sub(c, dot([(d, yc)]))
                              for c, yc in zip(comps, Y[(l, i2)].components)]
-        add_chain(j, VectorField(comps, system.states))
+        add_chain(j, comps)
     return Y
 
 

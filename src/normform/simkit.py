@@ -274,19 +274,24 @@ def _freeze(rows, k, end):
 
 
 def _signal_block(w_signal, ts):
-    """w at each of ts, as floats; a value that is not one number is
-    refused, naming its t."""
+    """w at each of ts, as floats.  A value that is not one real number
+    (numbers.Real, which numpy scalars are) is refused, naming its t."""
     vals = [w_signal(t) for t in ts]
     try:
-        block = np.asarray(vals, dtype=float)
-        if block.ndim == 1:
-            return block.tolist()
-    except ValueError:   # values of several shapes, or one not a number
-        if not any(np.ndim(v) for v in vals):
-            raise
-    t, v = next((t, v) for t, v in zip(ts, vals) if np.ndim(v))
-    raise ValueError(f"the signal gives a value of shape {np.shape(v)} at "
-                     f"t = {t:g}, not one number")
+        block = np.asarray(vals)
+    except ValueError:   # values of several shapes
+        block = None
+    if block is not None and block.ndim == 1 and block.dtype.kind in "biuf":
+        return block.astype(float, copy=False).tolist()
+    bad = [(t, v) for t, v in zip(ts, vals)
+           if np.ndim(v) or not isinstance(v, numbers.Real)]
+    if not bad:   # reals numpy keeps as objects, such as a Fraction
+        return [float(v) for v in vals]
+    t, v = bad[0]
+    if np.ndim(v):
+        raise ValueError(f"the signal gives a value of shape {np.shape(v)} "
+                         f"at t = {t:g}, not one number")
+    raise ValueError(f"the signal gives {v!r} at t = {t:g}, not a real number")
 
 
 def _float_route(rhs_exprs, names, nruns, cfg):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (_reference_diff_raw, _reference_evalf,
                       _reference_lie_bracket, unmarked_copy)
@@ -148,6 +148,52 @@ def test_lie_derivative_holds_non_state_names_fixed(lam, comps):
     for got in (poly, tree):
         assert sympy.expand(_sympy(got) - want) == 0
     assert poly.key == tree.key
+
+
+@st.composite
+def exact_fractions(draw):
+    """A raw exact fraction num / den^k over x1..x3, k = 1 or 2: num and den
+    read drawn subsets of the states, so that for each state the numerator,
+    the denominator, both or neither may depend on it, and a squared
+    denominator repeats its factors."""
+    num, den = (draw(exact_polynomials(sorted(draw(st.sets(
+        st.sampled_from(STATES3)))))) for _ in range(2))
+    assume(simplify(den) != const(0))
+    return num / den ** draw(st.integers(1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_fractions(), st.lists(exact_fractions(), min_size=3, max_size=3))
+# d/dx1 meets the denominator only, d/dx2 the numerator only, d/dx3 both
+@example(parse("(x2*x3 + 1)/(x1 + x3)^2"),
+         [parse("x2"), parse("1/(x1 + 1)"), parse("x1*x3")])
+# d/dx3 meets neither; the denominator 1 - x1 is not normalized
+@example(parse("x1/(x2 + 1)"), [parse("1/(1 - x1)"), parse("x2"), parse("x3")])
+# the first two products sum to (x3 + 1)/(x3 + 1), which is cancelled
+# before the third is added
+@example(parse("x1 + x2 + x3"),
+         [parse("x3/(x3 + 1)"), parse("1/(x3 + 1)"), parse("1/(x2 + 1)")])
+def test_fraction_lie_derivative_matches_tree_route(raw, comps):
+    lam = simplify(raw)
+    f = VectorField(comps, STATES3)
+    with mock.patch.object(geom, "diff", side_effect=AssertionError):
+        got = lie_derivative(f, lam)
+    tree = simplify(sum((diff(unmarked_copy(lam), n) * unmarked_copy(c)
+                         for n, c in zip(STATES3, f.components)), const(0)))
+    assert got.key == tree.key
+    if not isinstance(got, (Const, Var)):
+        assert got._memo[_FRAC_KEY] == _to_frac(unmarked_copy(got))
+
+
+def test_quotient_rule_keeps_ex31s_chain_entry_reduced(nf31):
+    # ex31's f_t4 is over 1 - x1 and its x3 term does not read x1, so the
+    # partial is N_x3 / D; (N_x3 D - N D_x3) / D^2 would leave it over
+    # (1 - x1)^2, which _frac_cancel (no GCD) does not reduce
+    lam = simplify(parse("x1*x2 + (x3*x4 + x1^2*x2 - x1*x2)/(1 - x1)"))
+    e3 = VectorField([const(int(s == "x3")) for s in STATES5], STATES5)
+    assert render(lie_derivative(e3, lam)) == "-x4/(-1 + x1)"
+    Y = _chain_fields(nf31)
+    assert render(Y[(1, 2)].components[3]) == "x4/(-1 + x1)"
 
 
 @st.composite

@@ -200,15 +200,10 @@ class TestAssumptions:
         # its coordinate fields and commute exactly.  With h the inverse of
         # the shear (x1 + 100 x2^2, x2) followed by (x1, x2 + 100 x1^2), the
         # bracket's terms reach ~1e7 and cancel to a rounding residue of
-        # ~1e-9, above tol = 1e-12 itself: only the margin relative to the
-        # terms passes it.
-        w = "(x2 - 100*x1^2)"
-        sysm = AffineSystem(
-            ["x1", "x2"], [parse("x2"), parse("x1^2")],
-            [[parse("1"), parse(f"200*{w}")],
-             [parse("200*x1"), parse(f"1 + 40000*x1*{w}")]],
-            [parse(f"x1 - 100*{w}^2"), parse(w)])
-        out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+        # ~1e-9, above tol = 1e-12 itself.  With exact coefficients D finds
+        # every bracket empty; sampled, only the margin relative to the
+        # terms passes them (see the float variant below).
+        sysm, out = _shear_chart("100", "200", "40000")
         assert out.q == [1, 1]
         nf = build_normal_form(sysm, out)
         assert all(check_assumption_D(sysm, out, nf, seed=s, tol=1e-12)
@@ -218,6 +213,19 @@ class TestAssumptions:
         _, _, scale = bracket_sampler([Y[(1, 1)], Y[(2, 1)]])(pts)
         # one rounding unit of the terms already exceeds the absolute bound
         # tol * (1 + |v|) ~ 1e-12 that sampling the bracket alone would use
+        assert np.finfo(float).eps * scale.max() > 1e-12
+
+    def test_D_sampled_margin_covers_cancelling_large_terms(self, compiles):
+        # the chart above with float coefficients, which D samples
+        sysm, out = _shear_chart("100.0", "200.0", "40000.0")
+        nf = build_normal_form(sysm, out)
+        compiles.clear()
+        assert all(check_assumption_D(sysm, out, nf, seed=s, tol=1e-12)
+                   for s in range(5))
+        assert len(compiles) == 5
+        Y = _chain_fields(nf)
+        pts = np.random.default_rng(0).uniform(-1, 1, size=(2, 200))
+        _, _, scale = bracket_sampler([Y[(1, 1)], Y[(2, 1)]])(pts)
         assert np.finfo(float).eps * scale.max() > 1e-12
 
     def test_D_fails_for_small_bracket_against_unit_terms(self):
@@ -265,6 +273,96 @@ class TestAssumptions:
         with pytest.raises(EvalError, match="^could not find enough valid "
                                             "sample points$"):
             check_assumption_D(sysm, out)
+
+    @pytest.mark.parametrize("case, want", [("ex31", True), ("ex33", False)])
+    def test_D_decides_exact_fields_without_a_compile(self, case, want,
+                                                      request, monkeypatch):
+        from normform import geom
+        system = request.getfixturevalue(case)
+        outcome = request.getfixturevalue("out" + case[2:])
+        nf = build_normal_form(system, outcome)
+        monkeypatch.setattr(geom, "compile_exprs", _no_compile)
+        assert check_assumption_D(system, outcome, nf) is want
+
+    @pytest.mark.parametrize("case", ["ex31", "ex33"])
+    def test_exact_chain_fields_hold_the_fractions_of_the_trees(self, case,
+                                                                request):
+        from normform.expr import _frac_written
+        system = request.getfixturevalue(case)
+        nf = build_normal_form(system,
+                               request.getfixturevalue("out" + case[2:]))
+        trees, fracs = _chain_fields(nf), _chain_fields(nf, exact=True)
+        assert sorted(trees) == sorted(fracs)
+        for key, field in trees.items():
+            assert [c.key for c in field.components] == \
+                [_frac_written(c)[0].key for c in fracs[key].components]
+
+    def test_ex31_brackets_cancel_to_zero_in_sympy(self, nf31):
+        fields = _sympy_fields(_chain_fields(nf31), nf31.system.states)
+        assert len(fields) == 5
+        for a, b in itertools.combinations(fields.values(), 2):
+            assert all(c == 0 for c in _sympy_bracket(a, b, nf31.system.states))
+
+    def test_ex33_first_nonzero_bracket_equals_sympys(self, ex33, out33):
+        import sympy
+
+        from normform.expr import _frac_written
+        from normform.geom import _frac_bracket
+        nf = build_normal_form(ex33, out33)
+        states = ex33.states
+        exact = _chain_fields(nf, exact=True)
+        fields = _sympy_fields(_chain_fields(nf), states)
+        for ka, kb in itertools.combinations(sorted(exact), 2):
+            got = list(_frac_bracket(exact[ka], exact[kb]))
+            if any(c.num for c in got):
+                break
+        want = _sympy_bracket(fields[ka], fields[kb], states)
+        assert any(c != 0 for c in want)
+        for g, w in zip(got, want):
+            g = sympy.sympify(render(_frac_written(g)[0]).replace("^", "**"))
+            assert sympy.cancel(g - w) == 0
+
+    @pytest.mark.parametrize("entry", ["1001/1000*x4", "x4 + x2"])
+    def test_D_is_exactly_false_after_one_delta_entry_changes(
+            self, entry, ex31, out31, monkeypatch):
+        from normform import geom
+        nf = build_normal_form(ex31, out31)
+        nf.delta[(2, 2, 1)] = simplify(parse(entry))
+        monkeypatch.setattr(geom, "compile_exprs", _no_compile)
+        assert check_assumption_D(ex31, out31, nf) is False
+
+    @pytest.mark.parametrize("coeff, want", [("0.5", True), ("0.501", False),
+                                             ("2.0", False)])
+    def test_D_samples_fields_with_a_float_coefficient(self, coeff, want,
+                                                       compiles):
+        # Y(1,1) = (1, 0, c x2), Y(2,1) = (0, 1, 0.5 x1) commute iff
+        # c = 0.5; the float coefficients send D to the sampled route, which
+        # compiles the brackets
+        sysm = AffineSystem(
+            ["x1", "x2", "x3"], [parse("x2"), parse("x3"), parse("0")],
+            [[parse("1"), parse("0")], [parse("0"), parse("1")],
+             [parse(f"{coeff}*x2"), parse("0.5*x1")]],
+            [parse("x1"), parse("x2")])
+        out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+        nf = build_normal_form(sysm, out)
+        compiles.clear()
+        assert check_assumption_D(sysm, out, nf) is want
+        assert compiles
+
+    def test_D_samples_when_a_product_outgrows_the_budget(self, ex31, out31,
+                                                          compiles,
+                                                          monkeypatch):
+        # under a budget of 2 terms the exact chain fields of ex31 raise
+        # BudgetError, and D samples the trees kept factored instead
+        from normform import expr
+        from normform.expr import BudgetError
+        nf = build_normal_form(ex31, out31)
+        compiles.clear()
+        monkeypatch.setattr(expr, "TERM_BUDGET", 2)
+        with pytest.raises(BudgetError):
+            _chain_fields(nf, exact=True)
+        assert check_assumption_D(ex31, out31, nf) is True
+        assert len(compiles) == 1
 
     def test_D_requires_square_invertible(self, ex32):
         out = infinite_zero_algorithm(ex32, SamplePlan(count=30))
@@ -769,3 +867,50 @@ def test_input_complement_matches_the_combinations_loop():
         fallbacks += want is not None and want != complete_rows(
             vals[0], np.eye(m), m - m_d, 1e-8)
     assert missing and fallbacks
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The state lists of the kernels geom compiles while the test runs."""
+    from normform import geom
+    calls, real = [], geom.compile_exprs
+
+    def compile_exprs(exprs, names):
+        calls.append(names)
+        return real(exprs, names)
+
+    monkeypatch.setattr(geom, "compile_exprs", compile_exprs)
+    return calls
+
+
+def _no_compile(exprs, names):
+    raise AssertionError("compiled a kernel")
+
+
+def _sympy_fields(Y, states):
+    """{key: components} of the tree fields Y as sympy expressions."""
+    import sympy
+    return {key: [sympy.sympify(render(c).replace("^", "**"))
+                  for c in Y[key].components] for key in sorted(Y)}
+
+
+def _sympy_bracket(a, b, states):
+    """[a, b] = J_b a - J_a b in sympy, each component cancelled."""
+    import sympy
+    xs = sympy.symbols(states)
+    return [sympy.cancel(sum(sympy.diff(bi, x) * aj - sympy.diff(ai, x) * bj
+                             for x, aj, bj in zip(xs, a, b)))
+            for ai, bi in zip(a, b)]
+
+
+def _shear_chart(c100, c200, c40000):
+    """The system whose outputs are the chart of
+    test_D_margin_covers_cancelling_large_terms, with its coefficients
+    written as given, and its structure outcome."""
+    w = f"(x2 - {c100}*x1^2)"
+    sysm = AffineSystem(
+        ["x1", "x2"], [parse("x2"), parse("x1^2")],
+        [[parse("1"), parse(f"{c200}*{w}")],
+         [parse(f"{c200}*x1"), parse(f"1 + {c40000}*x1*{w}")]],
+        [parse(f"x1 - {c100}*{w}^2"), parse(w)])
+    return sysm, infinite_zero_algorithm(sysm, SamplePlan(count=20))

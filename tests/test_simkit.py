@@ -1,6 +1,7 @@
 """Simulation harness: integrator order, determinism, monitors, CSV."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -536,9 +537,38 @@ def test_a_signal_that_changes_width_is_refused(switch, first, later):
 
 
 def test_a_signal_value_that_is_not_a_number_is_refused():
-    with pytest.raises(ValueError, match="^could not convert string to float"):
+    with pytest.raises(ValueError, match="^the signal gives 'abc' at t = 0, "
+                                         "not a real number$"):
         simulate([parse("-x1 + w")], ["x1"], [0.1],
                  SimConfig(dt=1e-2, horizon=0.1), w_signal=lambda t: "abc")
+
+
+@pytest.mark.parametrize("value", ["1.5", None, 1.5j])
+def test_a_signal_value_that_only_converts_to_a_float_is_refused(value):
+    # a string that reads as a number is refused too, and None is not taken
+    # for nan (which the run would report as a right-hand side not finite)
+    with pytest.raises(ValueError, match=rf"^the signal gives "
+                                         rf"{re.escape(repr(value))} at t = 0, "
+                                         rf"not a real number$"):
+        simulate([parse("-x1 + w")], ["x1"], [0.1],
+                 SimConfig(dt=1e-2, horizon=0.1), w_signal=lambda t: value)
+
+
+def test_a_signal_value_refused_later_names_its_t():
+    with pytest.raises(ValueError, match="^the signal gives None at t = 0.05, "
+                                         "not a real number$"):
+        simulate([parse("-x1 + w")], ["x1"], [0.1],
+                 SimConfig(dt=1e-2, horizon=0.1),
+                 w_signal=lambda t: 1.0 if t < 0.05 else None)
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), np.float32(1.5),
+                                   np.int64(2), True])
+def test_a_real_signal_value_of_any_type_runs_as_its_float(value):
+    runs = [simulate([parse("-x1 + w")], ["x1"], [0.1],
+                     SimConfig(dt=1e-2, horizon=0.1), w_signal=lambda t: w)
+            for w in (value, float(value))]
+    assert runs[0].x.tobytes() == runs[1].x.tobytes()
 
 
 @pytest.mark.parametrize("box, match", [
