@@ -19,6 +19,7 @@ import functools
 import math
 import numbers
 import re
+import threading
 import weakref
 from collections import namedtuple
 from fractions import Fraction
@@ -406,14 +407,31 @@ class _Tok(str):
 # its atom, so no atom outlives its polynomials here.
 _TOKENS = weakref.WeakValueDictionary()
 
+# The live |.| and sin tokens, by key prefix: the rewrites that look for one
+# (the |u|^2 rule of _mono_mul, _pythagorean_pass) are skipped while none
+# lives.  A token is counted before a monomial can hold it, under a lock, as
+# tokens are made and die in any thread.
+_LIVE = {"2Uabs(": 0, "2Usin(": 0}
+_LIVE_LOCK = threading.RLock()
+
+
+def _live_add(kind, k):
+    with _LIVE_LOCK:
+        _LIVE[kind] += k
+
 
 def _token(atom):
     """The token of atom's key, one for all nodes with that key."""
     key = atom.key
     tok = _TOKENS.get(key)
     if tok is None:
-        tok = _TOKENS[key] = _Tok(key)
+        tok = _Tok(key)
         tok.atom = atom
+        kind = key[:6]
+        if kind in _LIVE:
+            _live_add(kind, 1)
+            weakref.finalize(tok, _live_add, kind, -1)
+        _TOKENS[key] = tok
     return tok
 
 
@@ -460,8 +478,9 @@ def _mono_mul(m1, m2):
     d = dict(m1[1:])
     for t, e in m2[1:]:
         d[t] = d.get(t, 0) + e
-    # |u|^2 = u^2 for an atomic u, and again on u if it is an |.| so raised
-    todo = list(d)
+    # |u|^2 = u^2 for an atomic u, and again on u if it is an |.| so raised;
+    # with no |.| token alive no monomial holds one
+    todo = list(d) if _LIVE["2Uabs("] else ()
     while todo:
         t = todo.pop()
         e = d.get(t, 0)
@@ -529,7 +548,13 @@ def _mono_divides(md, mn):
 
 def _poly_divide_exact(n, d):
     """Return n/d when d divides n exactly, else None; n and d are not
-    zero."""
+    zero.  The trailing (least) monomial of a product is the product of the
+    trailing monomials (a monomial order), so None comes at once where d's
+    does not divide n's: a proof with no live |.| token (the |u|^2 rule
+    collapses products) and no float (a product may underflow to 0)."""
+    if (_mono_divides(max(d), max(n)) is None and not _LIVE["2Uabs("]
+            and not any(type(c) is float for p in (n, d) for c in p.values())):
+        return None
     q = {}
     rem = dict(n)
     ld = _poly_lead(d)
@@ -556,8 +581,9 @@ def _poly_divide_exact(n, d):
 
 
 def _pythagorean_pass(p):
-    """Rewrite c1*M*sin(u)^2 + c2*M*cos(u)^2 -> c1*M + (c2-c1)*M*cos(u)^2."""
-    changed = True
+    """Rewrite c1*M*sin(u)^2 + c2*M*cos(u)^2 -> c1*M + (c2-c1)*M*cos(u)^2.
+    With no sin token alive p holds none, and is returned unscanned."""
+    changed = _LIVE["2Usin("] > 0
     guard = 64
     while changed and guard:
         guard -= 1

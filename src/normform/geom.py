@@ -434,20 +434,27 @@ class _FracField:
     bracket first needs them."""
 
     def __init__(self, components, states):
-        self.components, self.states, self._partials = components, states, None
+        self.components, self.states = components, states
+        self._partials = [None] * len(components)
 
-    def partials(self):
-        if self._partials is None:
-            self._partials = [_frac_partials(c) for c in self.components]
-        return self._partials
+    def partial(self, i):
+        """{name: d c / d name} of component c = components[i]
+        (_frac_partials), stored on first use."""
+        p = self._partials[i]
+        if p is None:
+            p = self._partials[i] = _frac_partials(self.components[i])
+        return p
 
 
 def _frac_bracket(f, g):
     """The components of [f, g] on _FracFields, one at a time: the
-    fractions lie_bracket stores on the components of its field."""
-    for pg, pf in zip(g.partials(), f.partials()):
-        yield _frac_sub(_frac_lie_derivative(pg, f.components, f.states),
-                        _frac_lie_derivative(pf, g.components, g.states))
+    fractions lie_bracket stores on the components of its field.  Component
+    i reads the partials of component i of f and g alone, so a caller that
+    stops early differentiates no later component."""
+    for i in range(len(f.components)):
+        yield _frac_sub(
+            _frac_lie_derivative(g.partial(i), f.components, f.states),
+            _frac_lie_derivative(f.partial(i), g.components, g.states))
 
 
 def lie_derivative_cols(g_matrix, states, lam):

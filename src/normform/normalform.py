@@ -271,7 +271,11 @@ def check_assumption_D(system, outcome, nf=None, seed=5, tol=1e-7):
     decided exactly: a fraction is zero iff its numerator is empty, so the
     check returns False at the first bracket with a non-empty numerator and
     True when every bracket is empty.  There is no tolerance there: a
-    bracket however small against its terms fails.
+    bracket however small against its terms fails.  A bracket component
+    reads the partials of that component of its two fields alone, so the
+    check can return False before it meets a later component whose
+    partials or products exceed the term budget; the budget sends it to
+    sampling only when it is met before a non-empty numerator.
 
     Otherwise (a function atom, a float coefficient, or a product over the
     term budget), the fields are built as trees and their brackets are

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import (Var, compile_exprs, free_vars, parse, render, sample_box,
-                   simplify)
-from .geom import SymMatrix, VectorField, rank
+from .expr import (_EMPTY_MONO, BudgetError, Var, compile_exprs, free_vars,
+                   parse, render, sample_box, simplify)
+from .geom import SymMatrix, VectorField, _exact_fracs, rank
 
 __all__ = ["AffineSystem", "SamplePlan", "RankReport", "SystemFormatError",
            "load_system", "loads_system", "dump_system", "numeric_rank",
@@ -92,13 +92,24 @@ class OriginError(ValueError):
 
 def _check_origin(f, h, states):
     """Raise OriginError naming the first component of f or h that is
-    undefined or not 0 at x = 0; all are evaluated in one kernel."""
-    values = SymMatrix([f + h]).sample(states, np.zeros((len(states), 1)),
-                                       finite=False)[0, 0]
-    for k, (e, v) in enumerate(zip(f + h, values)):
-        if v != 0.0:   # nan included
+    undefined or not 0 at x = 0.  Exact fractions over the states are read
+    from their constant terms (undefined where the denominator has none);
+    otherwise all components are evaluated in one kernel."""
+    try:
+        fracs = _exact_fracs(f + h)
+    except BudgetError:
+        fracs = None
+    if fracs is None:
+        values = SymMatrix([f + h]).sample(states, np.zeros((len(states), 1)),
+                                           finite=False)[0, 0]
+        faults = [None if v == 0.0 else "≠0" if np.isfinite(v)
+                  else " is undefined" for v in values]
+    else:
+        faults = [" is undefined" if _EMPTY_MONO not in fr.den
+                  else "≠0" if _EMPTY_MONO in fr.num else None for fr in fracs]
+    for k, (e, fault) in enumerate(zip(f + h, faults)):
+        if fault:
             label, i = ("f", k) if k < len(f) else ("h", k - len(f))
-            fault = "≠0" if np.isfinite(v) else " is undefined"
             raise OriginError(label, f"{label}(0){fault}: component {i + 1} "
                               f"is {render(e)} at x=0")
 

@@ -16,8 +16,8 @@ from normform.expr import (_FRAC_KEY, SAMPLE_CUTOFF, SAMPLE_REDRAWS,
                            Mul, ParseError, Pow, Var, _CHUNK, _diff_raw,
                            _expand, _Frac, _frac_add, _frac_cancel,
                            _frac_mul, _frac_written, _kernel_source,
-                           _blank, _memoized, _mono_divides, _mono_mul,
-                           _poly_const, _set,
+                           _blank, _div, _memoized, _mono_divides,
+                           _mono_mul, _poly_const, _poly_divide_exact, _set,
                            _poly_lead, _poly_mul, _poly_pow,
                            _poly_written,
                            _to_frac, _token,
@@ -1462,6 +1462,188 @@ def test_tokens_do_not_outlive_their_polynomials():
     gc.collect()
     assert [r() for r in refs] == [None] * 4
     assert not any(k in expr._TOKENS for k in keys)
+
+
+def _live_tokens(prefix):
+    """The live tokens of the prefix, counted in _TOKENS and by the gate."""
+    import gc
+
+    from normform import expr
+    gc.collect()
+    return (sum(1 for k in list(expr._TOKENS) if k.startswith(prefix)),
+            expr._LIVE[prefix])
+
+
+@pytest.mark.parametrize("prefix, text", [("2Uabs(", "abs(x1_gate)"),
+                                          ("2Usin(", "sin(x1_gate)")])
+def test_gates_follow_the_live_abs_and_sin_tokens(prefix, text):
+    # the gate counts exactly the live tokens, so it is closed when none
+    # lives; a fresh atom opens it, and it closes when the atom's
+    # polynomials are gone
+    import weakref
+
+    from normform import expr
+    before = _live_tokens(prefix)
+    assert before[0] == before[1]
+    e = parse(f"{text} + x2")
+    (tok,) = {t for m in _to_frac(e).num for t, _ in m[1:] if t.startswith(prefix)}
+    canary = weakref.ref(_memoized(tok.atom, "canary", _Canary))
+    assert _live_tokens(prefix) == (before[0] + 1, before[1] + 1)
+    assert expr._LIVE[prefix] > 0
+    del e, tok
+    assert _live_tokens(prefix) == before
+    assert canary() is None
+
+
+def test_gate_counts_survive_threads():
+    # more threads than cores make and drop fresh |.| and sin atoms with a
+    # short switch interval; a lost count step would leave a count that
+    # differs from the live tokens, or a gate closed under a live token
+    import sys
+    import threading
+
+    from normform import expr
+    before = [_live_tokens(p) for p in ("2Uabs(", "2Usin(")]
+    closed = []
+
+    def work(i):
+        for j in range(150):
+            e = parse(f"abs(t{i}_{j})*sin(t{i}_{j}) + x1")
+            if not (expr._LIVE["2Uabs("] and expr._LIVE["2Usin("]):
+                closed.append(e)
+            del e
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert not closed
+    assert [_live_tokens(p) for p in ("2Uabs(", "2Usin(")] == before
+
+
+def test_gates_are_closed_in_a_fresh_process():
+    import subprocess
+    import sys
+
+    code = """if True:
+        import gc
+        from normform import expr
+        assert expr.parse("(x1^2 - 1)/(x1 - 1)") == expr.parse("x1 + 1")
+        assert expr._LIVE == {"2Uabs(": 0, "2Usin(": 0}, expr._LIVE
+        e = expr.parse("abs(x1)*sin(x2)")
+        assert expr._LIVE == {"2Uabs(": 1, "2Usin(": 1}, expr._LIVE
+        del e
+        gc.collect()
+        assert expr._LIVE == {"2Uabs(": 0, "2Usin(": 0}, expr._LIVE
+    """
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+# |u|^2, sin^2 + cos^2 and rational entries
+GATE_CORPUS = [
+    "abs(x1)^2 + abs(x2)^3", "abs(abs(x1))^2*x2", "abs(x1 + 1)^2 - x1",
+    "abs(sin(x1))^2 + cos(x1)^2", "sin(x1)^2 + cos(x1)^2",
+    "x2*sin(x1)^2 + x2*cos(x1)^2 + 1", "sin(x1)^2/(1 - cos(x1)^2)",
+    "(x1^2 - 1)/(x1 - 1)", "1/(1 + x1^2*x2) + x1/(1 + x1^2*x2)^2",
+    "(x1*x2 + x2^2)/(x1^2 - x2^2)", "x2/(x1*x2 + x1^2) - 1/x1",
+    "(x1^3 - x2^3)/(x1 - x2) + 2/(x1 - x2)^2"]
+
+
+def test_simplify_keys_do_not_depend_on_the_gates():
+    from normform import expr
+    want = [parse(t).key for t in GATE_CORPUS]
+    for prefix in expr._LIVE:
+        expr._live_add(prefix, 1)
+    try:
+        got = [parse(t).key for t in GATE_CORPUS]
+    finally:
+        for prefix in expr._LIVE:
+            expr._live_add(prefix, -1)
+    assert got == want
+
+
+def _reference_divide_exact(n, d):
+    """expr._poly_divide_exact's division loop alone: no rejection by the
+    trailing monomials."""
+    q, rem = {}, dict(n)
+    ld = min(d)
+    guard = 8 * (len(n) + len(d)) + 64
+    while rem:
+        guard -= 1
+        if guard < 0:
+            return None
+        lm = min(rem)
+        qm = _mono_divides(ld, lm)
+        if qm is None:
+            return None
+        qc = _div(rem[lm], d[ld])
+        q[qm] = q.get(qm, 0) + qc
+        for m2, c2 in d.items():
+            m = _mono_mul(qm, m2)
+            nc = rem.get(m, 0) - qc * c2
+            if nc == 0:
+                rem.pop(m, None)
+            else:
+                rem[m] = nc
+    return {m: c for m, c in q.items() if c != 0}
+
+
+_DIVISION_ATOMS = (Var("x1"), Var("x2"), _SIN, Func("exp", Var("x2")))
+_EXACT_COEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+        bool).map(lambda c: c.numerator if c.denominator == 1 else c))
+
+
+@st.composite
+def division_polys(draw, atoms=_DIVISION_ATOMS, coeffs=_EXACT_COEFFS):
+    """A nonzero polynomial over the atoms, as (atom, exponent) pairs per
+    term with the term's coefficient: _poly makes the dict."""
+    return [(tuple((a, e) for a in atoms if (e := draw(st.integers(0, 2)))),
+             draw(coeffs)) for _ in range(draw(st.integers(1, 4)))]
+
+
+def _poly(terms):
+    # built inside a test: a dict held by the module would keep its tokens,
+    # and with an |.| token alive the gates stay open in every test
+    return {mono(*pairs): c for pairs, c in terms}
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_polys(), division_polys())
+def test_exact_division_recovers_a_factor(a, b):
+    a, b = _poly(a), _poly(b)
+    assert _poly_divide_exact(_poly_mul(a, b), b) == a
+
+
+_ABS_X2 = Func("abs", _X2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_polys(_DIVISION_ATOMS + (_ABS_X2,), POLY_COEFFS),
+       division_polys(_DIVISION_ATOMS + (_ABS_X2,), POLY_COEFFS),
+       st.booleans())
+# a float product that underflows empties the remainder: x1 + 1e-320 x2
+# "divides" x1^2, though its trailing monomial x2 does not divide x1^2
+@example([(((_X1, 2),), 1.0)], [(((_X1, 1),), 1.0), (((_X2, 1),), 1e-320)],
+         False)
+# (x1 - |x2|)(x1 + |x2|) = x1^2 - x2^2, though |x2| does not divide x2^2
+@example([(((_X1, 2),), 1), (((_X2, 2),), -1)],
+         [(((_X1, 1),), 1), (((_ABS_X2, 1),), 1)], False)
+def test_exact_division_matches_the_loop_alone(n, d, product):
+    n, d = _poly(n), _poly(d)
+    if product:
+        n = _poly_mul(n, d)
+    got, want = _poly_divide_exact(n, d), _reference_divide_exact(n, d)
+    assert (got is None) is (want is None)
+    assert got is None or _typed(got) == _typed(want)
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,34 @@ class TestAssumptions:
         assert check_assumption_D(ex31, out31, nf) is True
         assert len(compiles) == 1
 
+    def test_D_is_exactly_false_before_a_component_over_the_budget(
+            self, compiles, monkeypatch):
+        # Brunovsky chains x1 | x2 -> x3 | x4 -> x5, with two delta entries
+        # set: Y(1, 1) = (1, -x3, 0, -b, 0) for b = 1/(8-term polynomial).
+        # [Y(1, 1), Y(2, 1) = d/dx3] is not 0 at component 2 (index 1); b's
+        # partials (over its denominator squared) exceed a budget of 20
+        # terms, but the check stops before it differentiates component 4
+        from normform import expr
+        from normform.expr import BudgetError
+        x = ["x1", "x2", "x3", "x4", "x5"]
+        g = [[parse("1" if (i, j) in ((0, 0), (2, 1), (4, 2)) else "0")
+              for j in range(3)] for i in range(5)]
+        sysm = AffineSystem(x, [parse(e) for e in ("0", "x3", "0", "x5", "0")],
+                            g, [parse("x1"), parse("x2"), parse("x4")])
+        out = infinite_zero_algorithm(sysm, SamplePlan(count=20))
+        nf = build_normal_form(sysm, out)
+        assert [[render(e) for e in c] for c in nf.chains] == \
+            [["x1"], ["x2", "x3"], ["x4", "x5"]]
+        nf.delta[(2, 1, 1)] = parse("x3")
+        nf.delta[(3, 1, 1)] = parse("1/(1 + x1 + x2 + x3 + x4 + x5 + x1*x2"
+                                    " + x2*x3)")
+        compiles.clear()
+        monkeypatch.setattr(expr, "TERM_BUDGET", 20)
+        assert check_assumption_D(sysm, out, nf) is False
+        assert not compiles
+        with pytest.raises(BudgetError):
+            _chain_fields(nf, exact=True)[(1, 1)].partial(3)
+
     def test_D_requires_square_invertible(self, ex32):
         out = infinite_zero_algorithm(ex32, SamplePlan(count=30))
         from normform.structure import StructureError

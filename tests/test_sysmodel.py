@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import term_budget
 
 from normform.expr import EvalError, compile_exprs, const, parse
 from normform.geom import SymMatrix, VectorField
@@ -80,6 +81,69 @@ def test_origin_check_names_the_component_in_one_kernel(monkeypatch):
             AffineSystem(["x1", "x2"], [parse(e) for e in f], g,
                          [parse(e) for e in h])
         assert str(info.value) == message
+
+
+ORIGIN_ENTRIES = [
+    # exact fractions over the states
+    "x1 + 1", "1/2", "1/x1", "x1/(x1 + x2^2)", "(x1 + 2)/(x2 + 3)",
+    "x1^2/(1 + x2)", "(1 + x1)/(x1*x2)", "(x1 - 1)^2 - 1 + 2*x1",
+    # a float coefficient
+    "0.5 + x1", "1.5/x1", "0.1*x1", "x1/(0.25 + x2)",
+    # a function atom
+    "exp(x1)", "exp(x1) - 1", "x1/exp(x2)", "1/(exp(x1) - 1)"]
+
+
+def _origin_verdict(f, h):
+    g = [[parse("0")], [parse("1")]]
+    try:
+        AffineSystem(["x1", "x2"], [parse(e) for e in f], g,
+                     [parse(e) for e in h])
+    except ValueError as exc:
+        return type(exc), getattr(exc, "label", None), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("entry", ORIGIN_ENTRIES)
+def test_origin_check_from_fractions_matches_the_kernel(entry, monkeypatch):
+    # exact entries are read from their stored fractions with no compile;
+    # the kernel route, forced, gives the same label and message
+    from normform import geom, sysmodel
+    compiled = []
+
+    def counting(exprs, names):
+        compiled.append(len(exprs))
+        return compile_exprs(exprs, names)
+
+    monkeypatch.setattr(geom, "compile_exprs", counting)
+    cases = [(["x2", entry], ["x1"]), (["x2", "x1"], ["x2", entry]),
+             (["x2", "x1"], [entry, "1/x2"])]
+    got = [_origin_verdict(f, h) for f, h in cases]
+    exact = not any(c in entry for c in ".e")
+    assert bool(compiled) is not exact
+    monkeypatch.setattr(sysmodel, "_exact_fracs", lambda exprs: None)
+    assert got == [_origin_verdict(f, h) for f, h in cases]
+    assert compiled
+
+
+@pytest.mark.parametrize("text", [
+    "(x1 + x2 + 1)^3 - 2",                  # a budget-capped atom
+    "(1 + x1 + x2 + x1*x2 + x2^2)/(1 + x1)"])   # a fraction over the budget
+def test_origin_check_of_an_over_budget_entry_takes_the_kernel(text,
+                                                              monkeypatch):
+    from normform import geom
+    compiled = []
+
+    def counting(exprs, names):
+        compiled.append(len(exprs))
+        return compile_exprs(exprs, names)
+
+    monkeypatch.setattr(geom, "compile_exprs", counting)
+    with term_budget(4):
+        h = parse(text)
+        with pytest.raises(ValueError, match=r"^h\(0\)≠0: component 2 is "):
+            AffineSystem(["x1", "x2"], [parse("x2"), parse("x1")],
+                         [[parse("0")], [parse("1")]], [parse("x1"), h])
+    assert compiled == [4]
 
 
 def test_parse_error_reports_line():
