@@ -409,8 +409,9 @@ _TOKENS = weakref.WeakValueDictionary()
 
 # The live |.| and sin tokens, by key prefix: the rewrites that look for one
 # (the |u|^2 rule of _mono_mul, _pythagorean_pass) are skipped while none
-# lives.  A token is counted before a monomial can hold it, under a lock, as
-# tokens are made and die in any thread.
+# lives.  A token is counted before a monomial can hold it; tokens are made
+# and die in any thread, and the lock is reentrant so a finalizer may run
+# while it is held.
 _LIVE = {"2Uabs(": 0, "2Usin(": 0}
 _LIVE_LOCK = threading.RLock()
 

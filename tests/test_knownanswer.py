@@ -10,15 +10,16 @@ from normform.normalform import build_normal_form, check_assumption_D
 from normform.structure import infinite_zero_algorithm
 from normform.sysmodel import SamplePlan
 
-# every n <= 8 and m <= 4; at n = 9 and 10, m = 2 and 4 (the sweep takes
-# about 3 s)
-SWEEP = [(n, m) for n in range(2, 11) for m in range(1, min(n, 4) + 1)
-         if n <= 8 or m % 2 == 0]
+# every n <= 10 and m <= 4 (about 2.5 s); the sampled verdict, on tree
+# fields, is taken up to n = 8, as at n = 9 and 10 it would add about 1.3 s
+SWEEP = [(n, m) for n in range(2, 11) for m in range(1, min(n, 4) + 1)]
+SAMPLED_UP_TO = 8
 
 
-def _verdicts(system, outcome, nf, monkeypatch):
-    """D decided exactly (with no compile) and sampled, on the tree chain
-    fields through geom.bracket_sampler."""
+def _exact_verdict(system, outcome, nf, monkeypatch):
+    """D decided exactly, with no compile.  Up to SAMPLED_UP_TO states the
+    sampled verdict, on the tree chain fields through geom.bracket_sampler,
+    must agree."""
     calls, real = [], geom.compile_exprs
 
     def compile_exprs(exprs, names):
@@ -28,11 +29,12 @@ def _verdicts(system, outcome, nf, monkeypatch):
     monkeypatch.setattr(geom, "compile_exprs", compile_exprs)
     exact = check_assumption_D(system, outcome, nf)
     assert not calls
-    with monkeypatch.context() as patch:
-        patch.setattr(normalform, "_exact_fracs", lambda exprs: None)
-        sampled = check_assumption_D(system, outcome, nf)
-    assert len(calls) == 1
-    return exact, sampled
+    if len(system.states) <= SAMPLED_UP_TO:
+        with monkeypatch.context() as patch:
+            patch.setattr(normalform, "_exact_fracs", lambda exprs: None)
+            assert check_assumption_D(system, outcome, nf) is exact
+        assert len(calls) == 1
+    return exact
 
 
 @pytest.mark.parametrize("n, m", SWEEP)
@@ -41,7 +43,7 @@ def test_member_gives_its_q_and_commuting_chain_fields(n, m, monkeypatch):
     outcome = infinite_zero_algorithm(system, SamplePlan(count=20, seed=0))
     assert outcome.q == q and outcome.invertibility == "Invertible"
     nf = build_normal_form(system, outcome)
-    assert _verdicts(system, outcome, nf, monkeypatch) == (True, True)
+    assert _exact_verdict(system, outcome, nf, monkeypatch) is True
     if q[-1] == q[0]:
         return   # no delta(l, j, 1) may be set: the law needs q_1 <= j < q_l
     # delta(m, q_m - 1, 1) gains xi_{m, q_m - 1}: Y(1, 1) gains that
@@ -49,7 +51,7 @@ def test_member_gives_its_q_and_commuting_chain_fields(n, m, monkeypatch):
     # [Y(1, 1), Y(m, 2)] = +-Y(m, 2) is not 0
     key = (m, q[-1] - 1, 1)
     nf.delta[key] = simplify(nf.delta_entry(*key) + nf.chains[m - 1][q[-1] - 2])
-    assert _verdicts(system, outcome, nf, monkeypatch) == (False, False)
+    assert _exact_verdict(system, outcome, nf, monkeypatch) is False
 
 
 def test_members_are_seeded():
