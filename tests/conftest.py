@@ -178,6 +178,20 @@ def counter3_affine(alpha=1):
     return AffineSystem(states, f, g, h)
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """The state lists of the kernels geom compiles while the test runs."""
+    from normform import geom
+    calls, real = [], geom.compile_exprs
+
+    def compile_exprs(exprs, names):
+        calls.append(names)
+        return real(exprs, names)
+
+    monkeypatch.setattr(geom, "compile_exprs", compile_exprs)
+    return calls
+
+
 @contextmanager
 def term_budget(n):
     """expr.TERM_BUDGET is n inside the block.  A node simplified inside is

@@ -4,7 +4,7 @@ is decided exactly, as the sampled check decides it."""
 import pytest
 
 from knownanswer import member
-from normform import geom, normalform
+from normform import normalform
 from normform.expr import simplify
 from normform.normalform import build_normal_form, check_assumption_D
 from normform.structure import infinite_zero_algorithm
@@ -16,34 +16,29 @@ SWEEP = [(n, m) for n in range(2, 11) for m in range(1, min(n, 4) + 1)]
 SAMPLED_UP_TO = 8
 
 
-def _exact_verdict(system, outcome, nf, monkeypatch):
+def _exact_verdict(system, outcome, nf, compiles, monkeypatch):
     """D decided exactly, with no compile.  Up to SAMPLED_UP_TO states the
     sampled verdict, on the tree chain fields through geom.bracket_sampler,
     must agree."""
-    calls, real = [], geom.compile_exprs
-
-    def compile_exprs(exprs, names):
-        calls.append(names)
-        return real(exprs, names)
-
-    monkeypatch.setattr(geom, "compile_exprs", compile_exprs)
+    compiles.clear()
     exact = check_assumption_D(system, outcome, nf)
-    assert not calls
+    assert not compiles
     if len(system.states) <= SAMPLED_UP_TO:
         with monkeypatch.context() as patch:
             patch.setattr(normalform, "_exact_fracs", lambda exprs: None)
             assert check_assumption_D(system, outcome, nf) is exact
-        assert len(calls) == 1
+        assert len(compiles) == 1
     return exact
 
 
 @pytest.mark.parametrize("n, m", SWEEP)
-def test_member_gives_its_q_and_commuting_chain_fields(n, m, monkeypatch):
+def test_member_gives_its_q_and_commuting_chain_fields(n, m, compiles,
+                                                       monkeypatch):
     system, q = member(n, m, seed=100 * n + m)
     outcome = infinite_zero_algorithm(system, SamplePlan(count=20, seed=0))
     assert outcome.q == q and outcome.invertibility == "Invertible"
     nf = build_normal_form(system, outcome)
-    assert _exact_verdict(system, outcome, nf, monkeypatch) is True
+    assert _exact_verdict(system, outcome, nf, compiles, monkeypatch) is True
     if q[-1] == q[0]:
         return   # no delta(l, j, 1) may be set: the law needs q_1 <= j < q_l
     # delta(m, q_m - 1, 1) gains xi_{m, q_m - 1}: Y(1, 1) gains that
@@ -51,7 +46,7 @@ def test_member_gives_its_q_and_commuting_chain_fields(n, m, monkeypatch):
     # [Y(1, 1), Y(m, 2)] = +-Y(m, 2) is not 0
     key = (m, q[-1] - 1, 1)
     nf.delta[key] = simplify(nf.delta_entry(*key) + nf.chains[m - 1][q[-1] - 2])
-    assert _exact_verdict(system, outcome, nf, monkeypatch) is False
+    assert _exact_verdict(system, outcome, nf, compiles, monkeypatch) is False
 
 
 def test_members_are_seeded():

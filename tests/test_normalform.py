@@ -897,20 +897,6 @@ def test_input_complement_matches_the_combinations_loop():
     assert missing and fallbacks
 
 
-@pytest.fixture
-def compiles(monkeypatch):
-    """The state lists of the kernels geom compiles while the test runs."""
-    from normform import geom
-    calls, real = [], geom.compile_exprs
-
-    def compile_exprs(exprs, names):
-        calls.append(names)
-        return real(exprs, names)
-
-    monkeypatch.setattr(geom, "compile_exprs", compile_exprs)
-    return calls
-
-
 def _no_compile(exprs, names):
     raise AssertionError("compiled a kernel")
 

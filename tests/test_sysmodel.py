@@ -104,46 +104,32 @@ def _origin_verdict(f, h):
 
 
 @pytest.mark.parametrize("entry", ORIGIN_ENTRIES)
-def test_origin_check_from_fractions_matches_the_kernel(entry, monkeypatch):
+def test_origin_check_from_fractions_matches_the_kernel(entry, compiles,
+                                                        monkeypatch):
     # exact entries are read from their stored fractions with no compile;
     # the kernel route, forced, gives the same label and message
-    from normform import geom, sysmodel
-    compiled = []
-
-    def counting(exprs, names):
-        compiled.append(len(exprs))
-        return compile_exprs(exprs, names)
-
-    monkeypatch.setattr(geom, "compile_exprs", counting)
+    from normform import sysmodel
     cases = [(["x2", entry], ["x1"]), (["x2", "x1"], ["x2", entry]),
              (["x2", "x1"], [entry, "1/x2"])]
     got = [_origin_verdict(f, h) for f, h in cases]
     exact = not any(c in entry for c in ".e")
-    assert bool(compiled) is not exact
+    assert bool(compiles) is not exact
     monkeypatch.setattr(sysmodel, "_exact_fracs", lambda exprs: None)
     assert got == [_origin_verdict(f, h) for f, h in cases]
-    assert compiled
+    assert compiles
 
 
 @pytest.mark.parametrize("text", [
     "(x1 + x2 + 1)^3 - 2",                  # a budget-capped atom
     "(1 + x1 + x2 + x1*x2 + x2^2)/(1 + x1)"])   # a fraction over the budget
 def test_origin_check_of_an_over_budget_entry_takes_the_kernel(text,
-                                                              monkeypatch):
-    from normform import geom
-    compiled = []
-
-    def counting(exprs, names):
-        compiled.append(len(exprs))
-        return compile_exprs(exprs, names)
-
-    monkeypatch.setattr(geom, "compile_exprs", counting)
+                                                              compiles):
     with term_budget(4):
         h = parse(text)
         with pytest.raises(ValueError, match=r"^h\(0\)≠0: component 2 is "):
             AffineSystem(["x1", "x2"], [parse("x2"), parse("x1")],
                          [[parse("0")], [parse("1")]], [parse("x1"), h])
-    assert compiled == [4]
+    assert compiles == [["x1", "x2"]]
 
 
 def test_parse_error_reports_line():
