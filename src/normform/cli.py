@@ -174,6 +174,19 @@ def cmd_backstep(args):
     return EXIT_OK
 
 
+def _number(flag, what, text, convert=float):
+    """A field of a command-line value, a float or an int >= 0; a refusal
+    names the flag and the field."""
+    try:
+        value = convert(text)
+        if convert is float or value >= 0:
+            return value
+    except ValueError:
+        pass
+    kind = "a number" if convert is float else "an integer >= 0"
+    raise ValueError(f"{flag} {what} must be {kind}, got {text!r}")
+
+
 def _make_signal(spec, horizon):
     kind, *fields = spec.split(":")
     most = {"zero": 0, "step": 2, "noise": 1}.get(kind)
@@ -185,10 +198,12 @@ def _make_signal(spec, horizon):
     if kind == "zero":
         return zero_signal()
     if kind == "step":
-        off = float(fields[0]) if fields else 1.0
-        scale = float(fields[1]) if len(fields) > 1 else 1.0
+        off = _number("--signal", "step off-time", fields[0]) if fields else 1.0
+        scale = (_number("--signal", "step scale", fields[1])
+                 if len(fields) > 1 else 1.0)
         return step_signal(off, scale)
-    return noise_signal(int(fields[0]) if fields else 0, horizon=horizon)
+    seed = _number("--signal", "noise seed", fields[0], int) if fields else 0
+    return noise_signal(seed, horizon=horizon)
 
 
 def cmd_simulate(args):
@@ -200,7 +215,8 @@ def cmd_simulate(args):
     law = ControlLaw(cs, [], v, W if W is not None else parse("0"), [])
     rhs = law.closed_loop_rhs(with_disturbance=True)
     names = cs.state_names()
-    x0 = [float(t) for t in args.x0.split(",")]
+    x0 = [_number("--x0", f"value {i}", t)
+          for i, t in enumerate(args.x0.split(","), 1)]
     cfg = SimConfig(dt=args.dt, horizon=args.horizon, integrator=args.integrator)
     signal = _make_signal(args.signal, cfg.horizon)
     # refused before the run, not after; --v0 also without --gamma

@@ -1146,25 +1146,34 @@ def _float_literal(key):
     return f"({float(int(text))!r})" if abs(int(text)) < 2 ** 53 else key
 
 
-def _statement_source(keys, uses, roots, outs, literal):
+def _statement_source(keys, uses, roots, outs, literal, arrays):
     """The statements that write the value of roots[i] into the array row
-    outs[i], over the value numbering (keys, uses) of `_number_values`, and
-    the scratch rows they write into.
+    outs[i], over the value numbering (keys, uses) of `_number_values` whose
+    leaves in `arrays` are array rows and the others numbers, and the
+    scratch rows they write into.
 
     A sum or product is a chain of `_add`/`_mul` calls into its target (a
     root's row, the scratch row `_bD` of its depth, or the row `_tN` of a
     value used more than once) with the operands and order of the lambda of
     `_kernel_source`, its first operand written into the target, a later
     compound one into the row of the next depth.  A function writes into
-    its target, a square is a `_mul`.  A power other than a square, with
-    the values its base reads, is the lambda's `**` (`_inline_writer`):
-    numpy's array `pow` rounds otherwise than a float's.  A leaf of text t
-    (an int below 2**53 as numpy's float of it) is written literal(t).
+    its target, a square is a `_mul`, and another power of a value that
+    reads an array a `_power` into its target by literal(its exponent as a
+    float): numpy's array `pow`, as in the lambda.  A power of a value that
+    reads numbers alone, with the values its base reads, is the lambda's
+    `**` (`_inline_writer`): a float's `pow` rounds otherwise than numpy's
+    array `pow`, and may raise.  A leaf of text t (an int below 2**53 as
+    numpy's float of it) is written literal(t).
     """
-    # powers other than squares and the values their bases read
+    # powers other than squares of values that read no array, and the
+    # values their bases read
+    numeric = []
+    for key in keys:   # children are numbered before their parents
+        numeric.append(key not in arrays if type(key) is str else all(
+            numeric[c] for c in (key[1] if key[0] in ("+", "*") else key[-1:])))
     inline = set()
-    stack = [v for v, k in enumerate(keys)
-             if type(k) is tuple and k[0] == "^" and k[1] != 2]
+    stack = [v for v, k in enumerate(keys) if type(k) is tuple and
+             k[0] == "^" and k[1] != 2 and numeric[v]]
     while stack:
         v = stack.pop()
         key = keys[v]
@@ -1227,9 +1236,12 @@ def _statement_source(keys, uses, roots, outs, literal):
                 acc = target
             if acc != target:
                 lines.append(f"_copyto({target},{acc})")
-        elif op == "^":
+        elif op == "^" and key[1] == 2:
             lines.append(f"_mul({operand(key[2], depth)},"
                          f"{operand(key[2], depth)},{target})")
+        elif op == "^":
+            lines.append(f"_power({first(key[2], target, depth)},"
+                         f"{literal(f'({float(key[1])!r})')},{target})")
         else:
             lines.append(f"_{op}({first(key[1], target, depth)},{target})")
 
@@ -1381,8 +1393,9 @@ def _block_source(exprs, names, integrator, bound):
     `_statement_source` from the rows of _R[j] (then _S[4]) into _S[s], the
     stages combined in place into _R[j + 1].  A live run whose squared norm
     is not <= bound gets _live False and _end its row, and the call returns
-    once no run is live.  Each float literal but a `**` operand is a 0-d
-    float64 array, which numpy reads faster, with the same bits."""
+    once no run is live.  Each float literal but one inside a `**` of
+    numbers is a 0-d float64 array, which numpy reads faster, with the same
+    bits."""
     keys, uses, roots = _number_values(exprs, names)
     consts = {}
 
@@ -1405,7 +1418,8 @@ def _block_source(exprs, names, integrator, bound):
             body += [f"_mul({h},_K{s - 1},_Y)", "_add(_X,_Y,_Y)"]
         local = [args[int(key[3:-1])] if key[:2] == "_a" else key
                  for key in keys]
-        lines, rows = _statement_source(local, uses, roots, outs[s], literal)
+        lines, rows = _statement_source(local, uses, roots, outs[s], literal,
+                                        args[:-1])
         body += lines
     body += (["_mul(_dt,_K0,_K0)"] if s == 0 else
              [f"_mul({literal('(2.0)')},_K12,_K12)", "_add(_K0,_K1,_K0)",
@@ -1438,9 +1452,9 @@ def compile_block_numpy(exprs, names, integrator, bound):
         return [*_np.empty((count + 1,) + shape), _np.empty(shape, dtype=bool)]
 
     env = {f"_{f}": getattr(_np, f) for f in KNOWN_FUNCS}
-    env.update(_add=_np.add, _mul=_np.multiply, _copyto=_np.copyto,
-               _array=_np.array, _einsum=_np.einsum, _le=_np.less_equal,
-               _max=_np.maximum.reduce, _scratch=scratch)
+    env.update(_add=_np.add, _mul=_np.multiply, _power=_np.power,
+               _copyto=_np.copyto, _array=_np.array, _einsum=_np.einsum,
+               _le=_np.less_equal, _max=_np.maximum.reduce, _scratch=scratch)
     exec(_code(src, "exec"), env)  # noqa: S102 - from our own AST
     return env["_steps"]
 

@@ -4,17 +4,20 @@ monitoring, and L2-gain certification.
 A disturbance is any callable t -> one number, and every run of a batch
 shares it; a value that is not one number is refused, naming its t.
 
-One loop, `_integrate`, steps every trace in blocks of 256 steps through a
-rolling buffer of 257 rows, (257, n, nruns) floats, whose row 0 carries the
-last row of the block before: it reads w for a block, and a route writes
-the block's rows with one call of a generated block stepper.  A single run,
-and a batch of fewer than SCALAR_RUNS runs whose right-hand side gives the
-same bits on both backends (`expr.backends_agree`), take the float route, a
-call per run (`compile_block_scalar`); any other batch the numpy route, each
-stage in place on the whole (n, nruns) block (`compile_block_numpy`).  After
-each block one rule freezes a run that left the bound at its last accepted
-row, and ends the trace where the last live runs leave; then the block's
-rows and their w values go to a fold, the caller's.
+One loop, `_integrate`, steps every trace in blocks of B steps through a
+rolling buffer of B + 1 rows, (B + 1, n, nruns) floats, whose row 0 carries
+the last row of the block before: it reads w for a block, and a route writes
+the block's rows with one call of a generated block stepper.  B is 256, or
+fewer for a batch so wide that 256 rows would pass 2**17 floats (1 MiB): 16
+for 8 states and 1000 runs.  Every value is per step, so the bits do not
+depend on B.  A single run, and a batch of fewer than SCALAR_RUNS runs whose
+right-hand side gives the same bits on both backends
+(`expr.backends_agree`), take the float route, a call per run
+(`compile_block_scalar`); any other batch the numpy route, each stage in
+place on the whole (n, nruns) block (`compile_block_numpy`).  After each
+block one rule freezes a run that left the bound at its last accepted row,
+and ends the trace where the last live runs leave; then the block's rows
+and their w values go to a fold, the caller's.
 
 `simulate` folds them into the whole trace: (T, n, nruns) states and a
 (T, 1) w column.  Channels u, y and V are evaluated with numpy, states are
@@ -40,8 +43,10 @@ __all__ = ["SimConfig", "Trace", "step_signal", "zero_signal",
            "l2_gain_check", "batch_simulate", "trace_to_csv"]
 
 DIVERGENCE_NORM = 1e8
-# steps per signal read and float-route call
+# steps per signal read and float-route call, at most
 _BLOCK = 256
+# floats in a block's rows, at most, unless one row holds more
+_BLOCK_FLOATS = 2 ** 17
 _CSV_ROWS = 32   # rows per `%` in trace_to_csv; 256 raised peak RSS
 # batches below this run one at a time on floats where the backends agree;
 # at horizon 1 and dt 2e-3 (best of 9) the routes cost the same at ~13-16
@@ -86,7 +91,10 @@ def step_signal(off_at, scale=1.0):
 
 def noise_signal(seed, horizon=100.0):
     """Piecewise-constant seeded noise: a fresh uniform draw from [0, 1)
-    every 0.01 s over a horizon that is positive and finite."""
+    every 0.01 s over a horizon that is positive and finite, from a seed
+    that is an integer >= 0."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"noise seed must be an integer >= 0, got {seed!r}")
     if not 0 < horizon < math.inf:
         raise ValueError(f"noise horizon must be positive and finite, got "
                          f"{horizon}")
@@ -218,10 +226,11 @@ def _times(rows, dt):
 
 
 def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold):
-    """Step x0 through a rolling buffer of _BLOCK + 1 rows, row 0 the last
-    row of the block before: fold(k, rows, w) gets rows k, k + 1, ... of
-    the trace, each once and in order, and w at their times.  Returns the
-    last row (1, n, nruns), the row count T, and which runs stayed live.
+    """Step x0 through a rolling buffer of B + 1 rows, row 0 the last row of
+    the block before, B = _BLOCK or the most rows (at least one) in
+    _BLOCK_FLOATS floats: fold(k, rows, w) gets rows k, k + 1, ... of the
+    trace, each once and in order, and w at their times.  Returns the last
+    row (1, n, nruns), the row count T, and which runs stayed live.
 
     advance(rows, k, w1, w2, w4, live, end), from route(...), writes the
     live runs' rows after rows[0], trace row k, one per w at t, t + dt/2
@@ -231,8 +240,9 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold):
     nruns, n = x0.shape
     nsteps = cfg.steps
     dt = cfg.dt
+    block = min(_BLOCK, max(1, _BLOCK_FLOATS // (n * nruns)))
     # run-major: each step stores one contiguous (n, nruns) block
-    xs = np.empty((min(nsteps, _BLOCK) + 1, n, nruns))
+    xs = np.empty((min(nsteps, block) + 1, n, nruns))
     xs[0] = x0.T
     w0 = _signal_block(w_signal, [0.0])
     fold(0, xs[:1], w0)
@@ -245,8 +255,8 @@ def _integrate(route, rhs_exprs, names, x0, cfg, w_signal, fold):
         if not all(np.isfinite(v).all() for v in k1):
             raise ValueError("right-hand side not finite at the initial state")
         advance = route(rhs_exprs, names, nruns, cfg)
-        for k in range(0, nsteps, _BLOCK):
-            ts = (np.arange(k, min(k + _BLOCK, nsteps)) * dt).tolist()
+        for k in range(0, nsteps, block):
+            ts = (np.arange(k, min(k + block, nsteps)) * dt).tolist()
             w = [_signal_block(w_signal, [t + h for t in ts])
                  for h in (0.0, dt / 2, dt)]
             rows = xs[:len(ts) + 1]
@@ -402,9 +412,8 @@ def batch_simulate(rhs_exprs, state_names, ic_box, nruns, master_seed, cfg=None)
     env = np.empty((2, cfg.steps + 1, n))
 
     def fold(k, rows, w):
-        x = rows.transpose(0, 2, 1)
-        env[0, k:k + len(rows)] = x.min(axis=1)
-        env[1, k:k + len(rows)] = x.max(axis=1)
+        rows.min(axis=2, out=env[0, k:k + len(rows)])
+        rows.max(axis=2, out=env[1, k:k + len(rows)])
 
     xs, rows, alive = _integrate(_route(rhs_exprs, nruns), rhs_exprs,
                                  list(state_names) + ["w"], x0, cfg,

@@ -309,6 +309,10 @@ def test_simulate_refuses_a_meaningless_number_before_the_run(tmp_path, capsys,
     # each of these once exited 0: a nan verdict, a gain of -1 read as 1, a
     # nan step that simulated w = 0, extra spec fields dropped, a --v0 read
     # only with --gamma, or a dt that left a trace of x0 alone
+    _assert_refused_before_the_run(tmp_path, capsys, args, want)
+
+
+def _assert_refused_before_the_run(tmp_path, capsys, args, want):
     ctl = tmp_path / "da.ctl"
     assert run_main(["backstep", SYS / "nf_addexam.nf", "--kappa",
                      "xi2_1,xi1_1,xi2_2", "--out", ctl], capsys)[0] == 0
@@ -317,6 +321,24 @@ def test_simulate_refuses_a_meaningless_number_before_the_run(tmp_path, capsys,
             "--x0", "0.1,0,0,0", "--horizon", "0.1", "--csv", csvp, *args]
     assert run_main(argv, capsys) == (1, "", f"error: {want}\n")
     assert not csvp.exists()
+
+
+@pytest.mark.parametrize("args, want", [
+    (["--signal", "noise:-1"], "--signal noise seed must be an integer >= 0, "
+                               "got '-1'"),
+    (["--signal", "noise:1.5"], "--signal noise seed must be an integer >= 0, "
+                                "got '1.5'"),
+    (["--signal", "noise:"], "--signal noise seed must be an integer >= 0, "
+                             "got ''"),
+    (["--signal", "step:abc"], "--signal step off-time must be a number, "
+                               "got 'abc'"),
+    (["--signal", "step:1:x"], "--signal step scale must be a number, got 'x'"),
+    (["--x0", "0.1,,0,0"], "--x0 value 2 must be a number, got ''"),
+    (["--x0", ""], "--x0 value 1 must be a number, got ''"),
+])
+def test_simulate_refusals_name_their_flag(tmp_path, capsys, args, want):
+    # these were refused with the bare message of numpy, int() or float()
+    _assert_refused_before_the_run(tmp_path, capsys, args, want)
 
 
 def test_simulate_takes_an_infinite_step_and_a_zero_gain(tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from normform import simkit
 from normform.backstep import ChainSystem, Stabilizer, synthesize
 from normform.expr import (Const, Func, Pow, Var, _block_source, _kernel_source,
                            _step_source, backends_agree, compile_block_scalar,
@@ -648,6 +649,13 @@ def test_a_shared_signal_is_stored_once_and_read_at_full_width():
     assert np.array_equal(one.int_w2, tr.int_w2[:, 5:6])
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_noise_refuses_a_seed_that_is_not_an_integer_from_0(seed):
+    with pytest.raises(ValueError, match=re.escape(
+            f"noise seed must be an integer >= 0, got {seed!r}")):
+        noise_signal(seed)
+
+
 def _cubic_batch(dt, horizon):
     """The traced peak of a 400-run batch of a 2-state loop, and the batch."""
     def run():
@@ -664,14 +672,41 @@ def _cubic_batch(dt, horizon):
     return peak, res
 
 
+def _block_rows(n, nruns):
+    """The rows of one block of an n-state, nruns-run trace."""
+    return min(_BLOCK, max(1, simkit._BLOCK_FLOATS // (n * nruns)))
+
+
 def test_a_zero_signal_batch_peaks_at_its_states():
-    # the states pass through a rolling buffer of _BLOCK + 1 rows; the
-    # stage arrays and the (T,) times are the rest.  The
-    # (T, n, nruns) states would be 12.8 MB, 7.5 times the buffer
+    # the states pass through a rolling buffer of one block's rows and the
+    # row before, beside the five stage rows, the envelopes and the (T,)
+    # times.  The (T, n, nruns) states would be 12.8 MB, 12 times the buffer
     peak, res = _cubic_batch(1e-3, 2.0)
-    buffer = (_BLOCK + 1) * 2 * 400 * 8
-    assert peak <= 1.1 * (buffer + res["envelope_min"].nbytes
-                          + res["envelope_max"].nbytes)
+    row = 2 * 400 * 8
+    buffer = (_block_rows(2, 400) + 1) * row
+    assert peak <= 1.1 * (buffer + 5 * row + sum(
+        res[k].nbytes for k in ("envelope_min", "envelope_max", "t")))
+
+
+def test_a_wide_batch_peaks_at_the_block_budget():
+    # 4000 runs of 2 states step 16 rows at a time: the budget's 1 MiB,
+    # the row carried between blocks, and a few more (n, nruns) rows (the
+    # stage rows, x0 and the endpoint); 257 rows would be 16.4 MB
+    def run():
+        return batch_simulate([parse("-x1 + x2"), parse("-x2 - x1^3")],
+                              ["x1", "x2"], [(-1.0, 1.0)] * 2, nruns=4000,
+                              master_seed=3, cfg=SimConfig(dt=1e-3, horizon=2.0))
+    run()
+    tracemalloc.start()
+    try:
+        res = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _block_rows(2, 4000) == 16
+    row = 2 * 4000 * 8
+    kept = sum(res[k].nbytes for k in ("envelope_min", "envelope_max", "t"))
+    assert peak <= 8 * simkit._BLOCK_FLOATS + 12 * row + kept
 
 
 def test_a_batch_peak_grows_by_its_envelopes_and_times_alone():
@@ -766,6 +801,85 @@ def test_streamed_batch_freezes_as_the_full_trace(box, horizon, blocks, nruns):
             assert 0 in stops
     if box[0] > 0:
         assert tr.diverged_runs.all() and len(tr.t) % _BLOCK not in (0, 1)
+
+
+def _blocks_of(monkeypatch, rows, n, nruns):
+    """Patch the block budget to give blocks of `rows` rows, and count the
+    blocks by their signal reads (three each, and one for x0)."""
+    monkeypatch.setattr(simkit, "_BLOCK_FLOATS", rows * n * nruns)
+    assert _block_rows(n, nruns) == rows
+    reads = []
+    signal_block = simkit._signal_block
+
+    def counted(w_signal, ts):
+        reads.append(len(ts))
+        return signal_block(w_signal, ts)
+
+    monkeypatch.setattr(simkit, "_signal_block", counted)
+    return reads
+
+
+_ROWS = [1, 7, 32, 256]
+
+
+@pytest.mark.parametrize("key", ["chain", "level", "mixed"])
+def test_montecarlo_batches_do_not_depend_on_the_block_rows(systems_dir,
+                                                            monkeypatch, key):
+    order, fixture, gains = {
+        "chain": ("xi1_1,xi1_2,xi2_1,xi2_2", "nf_uchain.nf", None),
+        "level": ("xi1_1,xi2_1,xi1_2,xi2_2", "nf_uchain.nf", None),
+        "mixed": ("xi1_1,xi3_1,xi3_2,xi2_1,xi2_2,xi3_3,xi3_4", "nf_mixed.nf",
+                  {"xi1_1": 0, "xi3_1": 0, "xi2_1": 0})}[key]
+    law, names = _loop(systems_dir, fixture, order, gains=gains)
+    rhs, n = law.closed_loop_rhs(), len(names)
+    got = []
+    for rows in _ROWS:
+        with monkeypatch.context() as m:
+            reads = _blocks_of(m, rows, n, 1000)
+            got.append(_batch_bytes(batch_simulate(
+                rhs, names, [(-1.0, 1.0)] * n, nruns=1000, master_seed=9,
+                cfg=SimConfig(dt=2e-3, horizon=0.6))))
+        assert len(reads) == 1 + 3 * -(-300 // rows)
+    assert all(g == got[0] for g in got[1:])
+
+
+@pytest.mark.parametrize("box, horizon", [
+    ((-1.0, 1.0), 6.0), ((-1e4, 1e4), 0.6), ((0.25, 0.3), 6.0)],
+    ids=["blocks", "first-step", "all-mid-block"])
+def test_leaving_runs_do_not_depend_on_the_block_rows(monkeypatch, box,
+                                                      horizon):
+    # x1' = x1^2: runs leave in many blocks of 1 and 7 rows, and at 32 and
+    # 256 rows; all of them leave mid-block in the last case
+    got = []
+    for rows in _ROWS:
+        with monkeypatch.context() as m:
+            _blocks_of(m, rows, 1, 300)
+            res = batch_simulate([parse("x1^2")], ["x1"], [box], nruns=300,
+                                 master_seed=4,
+                                 cfg=SimConfig(dt=1e-2, horizon=horizon))
+        got.append(_batch_bytes(res))
+        assert res["diverged"]
+    assert all(g == got[0] for g in got[1:])
+    if box[0] > 0:
+        assert res["diverged_runs"].all() and len(res["t"]) % 7 not in (0, 1)
+
+
+def test_a_wide_simulate_does_not_depend_on_the_block_rows(monkeypatch):
+    x0 = np.random.default_rng(6).uniform(-1, 1, size=(500, 2))
+    rhs = [parse("-x1 + x2^3"), parse("-x2 + w*x1")]
+    kw = dict(input_exprs=[parse("-x1")], output_exprs=[parse("x1 + w")],
+              V_expr=parse("x1^2/2 + x2^2/2"))
+    got = []
+    for rows in _ROWS:
+        with monkeypatch.context() as m:
+            reads = _blocks_of(m, rows, 2, 500)
+            tr = simulate(rhs, ["x1", "x2"], x0, SimConfig(dt=1e-2, horizon=3.0),
+                          w_signal=step_signal(1.234, scale=0.7), **kw)
+        assert len(reads) == 1 + 3 * -(-300 // rows)
+        got.append([None if a is None else a.tobytes() for a in
+                    (tr.t, tr.x, tr.u, tr.y, tr.w, tr.V, tr.int_y2, tr.int_w2,
+                     tr.diverged_runs)])
+    assert all(g == got[0] for g in got[1:])
 
 
 def _tiled_case(systems_dir, key):
@@ -1281,7 +1395,7 @@ def batch_step_exprs(draw):
         if k == 1:
             return rec(d - 1) * rec(d - 1)
         if k == 2:
-            return Pow(rec(d - 1), draw(st.sampled_from((2, 3))))
+            return Pow(rec(d - 1), draw(st.sampled_from((2, 3, 6, -1))))
         return Func(draw(st.sampled_from(("exp", "sin", "cos", "sqrt", "abs",
                                           "sign"))), rec(d - 1))
 
@@ -1330,18 +1444,53 @@ def test_numpy_stepper_equals_the_reference_loop_bit_for_bit(
         assert (got[0][3] < 301) == (leave == "all")
 
 
+@pytest.mark.parametrize("e", [3, 4, 5, 6, 7, 8, -1, -2, -3])
+def test_numpy_power_into_a_row_equals_the_array_operator(e):
+    # the stepper's `_power(base, 0-d exponent, target)`, in place too,
+    # against the lambda's `base**e`, a negative e written as a float
+    a = np.random.default_rng(e + 10).standard_normal(100_000)
+    want = (a ** e if e > 0 else a ** float(e)).tobytes()
+    with np.errstate(all="ignore"):
+        out = np.power(a, np.array(float(e)), out=np.empty_like(a))
+        assert out.tobytes() == want
+        b = a.copy()
+        assert np.power(b, np.array(float(e)), out=b).tobytes() == want
+
+
+@pytest.mark.parametrize("nruns", [SCALAR_RUNS, 50])
+def test_addexam_numpy_route_writes_its_powers_into_rows(cli_loops, nruns):
+    loop = cli_loops["addexam"]
+    rhs = [simplify(e) for e in loop["rhs_exprs"]]
+    names = loop["names"] + ["w"]
+    lam = _kernel_source(rhs, names)
+    assert all(f"**{e}" in lam for e in (3, 6, 7))
+    src, _ = _block_source(rhs, names, "rk4", DIVERGENCE_NORM ** 2)
+    assert "**" not in src and "_power(" in src
+    x0 = np.random.default_rng(nruns).uniform(-1, 1, size=(nruns, 4))
+    cfg = SimConfig(dt=2e-3, horizon=0.6)
+    got = [_full_integrate(route, rhs, names, x0, cfg,
+                           noise_signal(5, horizon=1.0))
+           for route in (_numpy_route, _reference_numpy_route)]
+    assert len(got[0][0]) == 301 and got[0][2].all()
+    assert [a.tobytes() for a in got[0]] == [a.tobytes() for a in got[1]]
+
+
 def test_numpy_stepper_binds_float_literals_as_arrays():
     exprs = [Const(0.5) * Var("x1") + Const(3) * Pow(Var("x2"), 2),
              Const(2 ** 53 + 1) * Var("x1") + Pow(Var("x1") + Const(0.5), 3)
-             + Func("sin", Const(2))]
+             + Func("sin", Const(2)) + Pow(Var("w") + Const(0.25), 3)]
     src, rows = _block_source(exprs, ["x1", "x2", "w"], "rk4", 1e16)
     # a float literal is a 0-d array, each once, and an int below 2**53 its
-    # float; an int past 2**53 and the operands of a `**` stay as written
+    # float, the exponent of a power of a row too; an int past 2**53 and
+    # the operands of a power of numbers, a `**`, stay as written
     assert src.startswith("_c0=_array(0.5)\n_c1=_array(3.0)\n"
                           "_c2=_array(2.0)\ndef _steps(")
     assert "_mul(_c0,_x0,_k0_0)" in src and "_mul(_c2,_K12,_K12)" in src
     assert "_mul((9007199254740993),_x0," in src and "_sin(_c2," in src
-    assert "((_x0+(0.5))**3)" in src and "((_y0+(0.5))**3)" in src
+    assert "_add(_x0,_c0,_b0)\n  _power(_b0,_c1,_b0)" in src
+    assert "_add(_y0,_c0,_b0)\n  _power(_b0,_c1,_b0)" in src
+    assert "((_w1+(0.25))**3)" in src and "((_w4+(0.25))**3)" in src
+    assert src.count("**") == 4
     assert src.count("_sin(") == 4 and rows == 2
     euler, _ = _block_source(exprs, ["x1", "x2", "w"], "euler", 1e16)
     assert "_mul(_c2," not in euler and euler.count("_sin(") == 1
